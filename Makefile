@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-kv race-server vet torture kvsmoke servesmoke ci bench bench-scaling bench-reactive bench-mixed bench-figs benchdiff trace
+.PHONY: all build test race race-kv race-server vet torture kvsmoke servesmoke ci benchmark bench bench-scaling bench-reactive bench-mixed bench-figs benchdiff trace
 
 all: build test
 
@@ -52,6 +52,18 @@ servesmoke:
 # modes + kv crash-recovery smoke + kvbench acceptance).
 ci:
 	./scripts/ci.sh
+
+# The repository's benchmark (BENCHMARK.json; see benchmark/README.md):
+# every declared workload through the driver's own command, one after the
+# other, with the declaration's window. SEED and TRACE pass through.
+SEED ?= 1
+TRACE ?= 0
+benchmark:
+	@secs=$$(sed -n 's/.*"run_seconds": *\([0-9]*\).*/\1/p' BENCHMARK.json); \
+	for w in $$(sed -n '/"workloads"/,/"end_to_end"/s/.*"name": *"\([^"]*\)".*/\1/p' BENCHMARK.json); do \
+		echo "==> $$w"; \
+		bash benchmark/run.sh --workload $$w --seed $(SEED) --seconds $$secs --trace $(TRACE) || exit 1; \
+	done
 
 # STM hot-path benchmark suite (read-only / small-write / contended /
 # kv-group-commit) plus the reactive suite (blocked-reader wakeup

@@ -12,9 +12,12 @@
 // The ladder is the networked version of kvbench's thread ladder — the
 // paper's group-commit claim restated over TCP: as connections grow,
 // commits/s should scale while fsyncs/commit falls, because concurrent
-// connections' records share flushes. With -check, the run fails unless
-// the final group-mode rung with >= 8 connections observed
-// fsyncs/commit < 1.
+// connections' records share flushes — and so should one connection's
+// own pipelined requests: the server's reader commits the next PUT while
+// the previous ones wait for their fsync. With -check, the run fails
+// unless a group-mode rung with >= 8 connections observed fsyncs/commit
+// < 1, and fails if a group-mode 1-connection rung with writes and
+// -window >= 16 observed fsyncs/commit >= 0.5.
 //
 // -json writes a bench.StmDoc (schema deferstm/bench/v1), so
 // scripts/benchdiff.go compares kvloadgen runs exactly like stmbench
@@ -119,7 +122,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		label    = fs.String("label", "", "label recorded in the JSON doc")
 		ackfile  = fs.String("ackfile", "", "write the highest durably-acked LSN to this file (crash smoke)")
 		tolerate = fs.Bool("tolerate-disconnect", false, "treat a mid-run connection loss as a clean early exit")
-		checkFC  = fs.Bool("check", false, "fail unless a group-mode rung with >= 8 conns and writes saw fsyncs/commit < 1")
+		checkFC  = fs.Bool("check", false, "fail unless a group-mode rung with >= 8 conns and writes saw fsyncs/commit < 1, and every 1-conn rung (at -window >= 16) saw < 0.5")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -212,9 +215,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *checkFC && !disconnected {
 		ok := false
 		for _, r := range rungs {
-			if r.mode == "group" && r.conns >= 8 && r.writes > 0 && r.records > 0 &&
-				float64(r.fsyncs)/float64(r.records) < 1 {
+			if r.mode != "group" || r.writes == 0 || r.records == 0 {
+				continue
+			}
+			fpc := float64(r.fsyncs) / float64(r.records)
+			if r.conns >= 8 && fpc < 1 {
 				ok = true
+			}
+			// One connection must batch with itself: only the ack waits
+			// for the fsync, never the reader's next commit.
+			if r.conns == 1 && *window >= 16 && fpc >= 0.5 {
+				fmt.Fprintf(stderr, "kvloadgen: -check: one connection with %d in flight saw fsyncs/commit %.3f, want < 0.5\n", *window, fpc)
+				return 1
 			}
 		}
 		if !ok {

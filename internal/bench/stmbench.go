@@ -342,7 +342,7 @@ func setupContended(threads int) (*stm.Runtime, func(uint64)) {
 // setupKVGroupCommit: 4 threads appending through the durable KV store
 // in group-commit mode over a page-cache-speed simulated disk; each op
 // is one Update + WaitDurable, so the measurement covers WAL append,
-// leader election and the group-commit fsync batch.
+// the hand-off to the lane's flusher and the group-commit fsync batch.
 func setupKVGroupCommit(threads int) (*stm.Runtime, func(uint64)) {
 	fs := simio.NewFS(simio.PageCacheLatency())
 	rt := stm.NewDefault()

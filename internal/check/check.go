@@ -574,17 +574,6 @@ func checkDeferral(p *parsed) []Violation {
 	if len(acq) == 0 {
 		return out
 	}
-	// Group-commit join exemption: a transaction that appended to a WAL
-	// may read that log's lock owner while it is held — that is the
-	// leader-election handshake, not an observation of λ-protected state.
-	// Its coordination with the in-flight flush is checked by the
-	// durability axioms instead (LSN order, watermark monotonicity).
-	appenders := make(map[varVer]bool)
-	for logVar, apps := range p.walAppends {
-		for _, a := range apps {
-			appenders[varVer{logVar, a.txID}] = true
-		}
-	}
 	for _, t := range p.order {
 		if !t.committed {
 			continue // aborted observers retried correctly
@@ -592,9 +581,6 @@ func checkDeferral(p *parsed) []Violation {
 		for _, r := range t.reads {
 			u, ok := acq[varVer{r.varID, r.ver}]
 			if !ok || t.id == u.txID || t.owner == u.owner {
-				continue
-			}
-			if appenders[varVer{r.varID, t.id}] {
 				continue
 			}
 			out = append(out, Violation{

@@ -238,25 +238,27 @@ func TestRejectsDeferralAtomicityViolation(t *testing.T) {
 	wantRule(t, History(h), RuleDeferral)
 }
 
-// The group-commit join: the observer of the held lock is itself a WAL
-// appender on that log (EvWALAppend with the log's lock var). Reading
-// the lock owner mid-flush is the leader-election handshake of group
-// commit, not an observation of λ-protected state, so the history must
-// be accepted — the durability axioms police these transactions instead.
-func TestAcceptsGroupCommitJoin(t *testing.T) {
+// The retired group-commit join: the observer of the held lock is itself
+// a WAL appender on that log (EvWALAppend with the log's lock var). The
+// leader/follower protocol used to elect its durability path by reading
+// the lock owner mid-flush and the checker exempted exactly this shape;
+// appenders no longer read the lock at all (they read the lane's
+// flushing flag), so a committed observer of a held deferral lock is a
+// violation, appender or not.
+func TestRejectsGroupCommitJoin(t *testing.T) {
 	h := []stm.Event{
 		ev(stm.EvBegin, 1, 7, 0, 0, 0),
 		ev(stm.EvWrite, 1, 7, 5, 1, 0), // lock owner-var := 7
 		ev(stm.EvLockAcquire, 1, 7, 5, 1, 1),
 		ev(stm.EvDeferEnqueue, 1, 7, 0, 1, 1),
 		ev(stm.EvDeferLock, 1, 7, 5, 1, 1),
-		ev(stm.EvWALAppend, 1, 7, 5, 1, 1), // leader appends LSN 1
+		ev(stm.EvWALAppend, 1, 7, 5, 1, 1), // the flushing owner appends LSN 1
 		ev(stm.EvCommit, 1, 7, 0, 1, 0),
 		ev(stm.EvDeferStart, 0, 7, 0, 0, 1),
-		// the follower: observes the lock held, but appended to the log
+		// the observer: sees the lock held, and appended to the same log
 		ev(stm.EvBegin, 2, 9, 0, 1, 0),
 		ev(stm.EvRead, 2, 9, 5, 1, 0),      // sees the lock held by 7
-		ev(stm.EvWALAppend, 2, 9, 5, 2, 2), // joins as LSN 2
+		ev(stm.EvWALAppend, 2, 9, 5, 2, 2), // appends LSN 2
 		ev(stm.EvCommit, 2, 9, 0, 2, 0),
 		// release and completion:
 		ev(stm.EvBegin, 3, 7, 0, 2, 0),
@@ -266,9 +268,7 @@ func TestAcceptsGroupCommitJoin(t *testing.T) {
 		ev(stm.EvCommit, 3, 7, 0, 3, 0),
 		ev(stm.EvDeferEnd, 0, 7, 0, 0, 1),
 	}
-	if r := History(h); !r.OK() {
-		t.Fatalf("group-commit join rejected: %s", r)
-	}
+	wantRule(t, History(h), RuleDeferral)
 }
 
 // The same schedule without the illegal observer is exactly how the

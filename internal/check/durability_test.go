@@ -49,6 +49,17 @@ func TestDurabilityCleanHistory(t *testing.T) {
 	}
 }
 
+// The watermark's publisher is the lane's flusher, an owner that never
+// appends: the axioms key on LSNs and sequence order only, never on who
+// published.
+func TestDurabilityFlusherOwnerNeverAppends(t *testing.T) {
+	flush := ack(2)
+	flush.Owner = 77 // no EvWALAppend carries this owner
+	if r := History([]stm.Event{app(1, 1, 10), app(2, 2, 20), flush}); !r.OK() {
+		t.Fatalf("ack by a non-appending owner flagged: %v", r.Violations)
+	}
+}
+
 func TestDurabilityDuplicateLSN(t *testing.T) {
 	r := History([]stm.Event{app(1, 1, 10), app(2, 1, 20)})
 	wantViolation(t, r.Violations, "appended by two committed transactions")

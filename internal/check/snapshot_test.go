@@ -71,6 +71,36 @@ func TestSnapshotRejectsMissedWriteAtPin(t *testing.T) {
 	wantRule(t, History(h), RuleSnapshot)
 }
 
+// The serial-commit tear (the stm.runSerial bug: tick first, then lock
+// and publish one var at a time): a serial writer commits vars 10 and 11
+// at version 2; a snapshot that pinned 2 mid-publish reads var 10 at the
+// new version but var 11 — not yet locked when it looked — at version 1.
+// Both reads are individually plausible; only the pair is torn, and the
+// pinned-cut axiom must name the stale half.
+func TestSnapshotRejectsSerialCommitTear(t *testing.T) {
+	h := []stm.Event{
+		ev(stm.EvBegin, 1, 1, 0, 0, 0),
+		ev(stm.EvWrite, 1, 1, 10, 1, 0),
+		ev(stm.EvWrite, 1, 1, 11, 1, 0),
+		ev(stm.EvCommit, 1, 1, 0, 1, 0),
+		ev(stm.EvBegin, 2, 2, 0, 1, 0), // the serial writer
+		ev(stm.EvBegin, 3, 3, 0, 2, stm.AuxSnapshot),
+		ev(stm.EvRead, 3, 3, 10, 2, 0), // already published at wv
+		ev(stm.EvRead, 3, 3, 11, 1, 0), // tail of the write set: still old
+		ev(stm.EvCommit, 3, 3, 0, 0, stm.AuxSnapshot),
+		ev(stm.EvWrite, 2, 2, 10, 2, 0),
+		ev(stm.EvWrite, 2, 2, 11, 2, 0),
+		ev(stm.EvCommit, 2, 2, 0, 2, stm.AuxSerial),
+	}
+	r := History(h)
+	wantRule(t, r, RuleSnapshot)
+	for _, v := range r.Violations {
+		if v.Rule == RuleSnapshot && v.TxID != 3 {
+			t.Fatalf("violation blames tx %d, want the snapshot (3): %s", v.TxID, r)
+		}
+	}
+}
+
 // A snapshot read newer than its own pin is impossible in a correct
 // execution (the resolver only returns versions ≤ sv).
 func TestSnapshotRejectsReadNewerThanPin(t *testing.T) {

@@ -85,9 +85,14 @@ func TestRecorderEventOrdering(t *testing.T) {
 				tx[ev.TxID] = &txSpan{begin: ev.Seq, last: ev.Seq}
 			case s == nil:
 				t.Fatalf("tx %d emitted %v (Seq %d) before its begin", ev.TxID, ev.Kind, ev.Seq)
-			case s.closed && ev.Kind != stm.EvQuiesceStart && ev.Kind != stm.EvQuiesceEnd:
+			case s.closed && ev.Kind != stm.EvQuiesceStart && ev.Kind != stm.EvQuiesceEnd &&
+				ev.Kind != stm.EvWatchRegister && ev.Kind != stm.EvWake:
 				// Only the committer's privatization wait may trail the
-				// commit event (publish first, then quiesce).
+				// commit event (publish first, then quiesce), and only a
+				// blocked Retry's park session may trail the abort: the
+				// attempt aborts first, then registers on its read set
+				// and later wakes, both under the aborted attempt's TxID
+				// (stm/record.go; the retry-wakeup checker keys on it).
 				t.Fatalf("tx %d emitted %v (Seq %d) after its commit/abort", ev.TxID, ev.Kind, ev.Seq)
 			default:
 				s.last = ev.Seq

@@ -19,8 +19,8 @@
 //
 // The key space can be partitioned into N shards (Options.Shards, a
 // power of two), each with its own map partition AND its own WAL lane —
-// a private log with lane-scoped LSNs, its own group-commit leader
-// election, and its own durable watermark — so the fsyncs of commits
+// a private log with lane-scoped LSNs, its own on-demand flusher, and
+// its own durable watermark — so the fsyncs of commits
 // touching different shards run in parallel. Keys route to shards by a
 // fixed FNV-1a hash (deterministic across restarts, so a key's records
 // always live in one lane and per-lane LSN order is per-key order).
@@ -508,12 +508,15 @@ func (b *Batch) touched() []int {
 // returns a durability token for its WAL record(s) — 0 for a read-only
 // fn or in ModeNone. On a single-shard store the token is the plain
 // LSN; on a sharded store it packs the home lane (the lowest touched
-// lane) and that lane's LSN (see PackToken). In ModeGroup the token is
-// not yet durable on return — call WaitDurable(token) for a synchronous
-// guarantee; waiting on a cross-shard commit's token covers the whole
-// batch, because the cross-lane flush publishes no watermark until
-// every touched lane is fsynced. In ModeSync the record(s) are durable
-// on return.
+// lane) and that lane's LSN (see PackToken). In ModeGroup a
+// single-shard Update returns at commit: the record is queued, the
+// lane's flusher goroutine owes the fsync, and the token is not yet
+// durable — call WaitDurable(token) for a synchronous guarantee. A
+// cross-shard Update still runs its multi-lane flush in the committing
+// goroutine (and waits for the touched lanes' locks first); waiting on
+// its token covers the whole batch, because the cross-lane flush
+// publishes no watermark until every touched lane is fsynced. In
+// ModeSync the record(s) are durable on return.
 //
 // fn may re-execute (optimistic retry); it must be idempotent apart from
 // its Batch mutations, which reset on retry.
@@ -598,9 +601,10 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 		s.shards[sh].log.EnqueueReserved(tx, pts[i].LSN, gsn, encodeLaneRecord(gsn, pts, b.perShard[sh]))
 	}
 	if len(touched) == 1 {
-		// Single-shard commit: the lane's ordinary group-commit path,
-		// leader election, follower fast path and all.
-		s.shards[touched[0]].log.DeferFlush(tx, pts[0].LSN)
+		// Single-shard commit: the lane's ordinary group-commit path —
+		// the record is queued and this commit returns; the lane's
+		// flusher owes the fsync.
+		s.shards[touched[0]].log.DeferFlush(tx)
 	} else {
 		logs := make([]*wal.Log, len(touched))
 		for i, sh := range touched {

@@ -2,9 +2,11 @@ package kv
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"deferstm/internal/simio"
 	"deferstm/internal/stm"
@@ -419,5 +421,102 @@ func TestCrossLaneCutsCascade(t *testing.T) {
 	}
 	if cuts[0] != 0 || cuts[1] != 0 {
 		t.Fatalf("cuts with checkpoint cover = %v, want [0 0]", cuts)
+	}
+}
+
+// TestUpdateReturnsAtCommit: in ModeGroup a single-shard Update is a
+// commit, not an fsync — it returns while its record is still only
+// queued, and the lane's flusher makes it durable without any further
+// call. (While the flush ran inline in the committing goroutine, Update
+// took an fsync and the watermark already covered the token on return.)
+func TestUpdateReturnsAtCommit(t *testing.T) {
+	fs := simio.NewFS(simio.Latency{Fsync: 100 * time.Millisecond})
+	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), Options{Mode: ModeGroup, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	key := keyFor(s, 1, "solo")
+	tok, err := s.Update(func(tx *stm.Tx, b *Batch) error { b.Put(key, "v"); return nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := s.Logs()[1].DurableWatermark(); d >= TokenLSN(tok) {
+		t.Fatalf("record already durable (watermark %d) when Update returned", d)
+	}
+	s.WaitDurable(tok) // nothing else is appended: the flusher alone must get it there
+}
+
+// TestSaturatedLaneCrossShardAndCheckpoint: while single-shard Updates
+// keep one lane's flusher permanently busy, a cross-shard Update (which
+// must take that lane's lock together with another's) and a store
+// Checkpoint (which takes every lane's lock in turn) still complete, each
+// within a few of the busy lane's flushes.
+func TestSaturatedLaneCrossShardAndCheckpoint(t *testing.T) {
+	fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
+	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), Options{Mode: ModeGroup, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, k0, k1 := keyFor(s, 0, "hot"), keyFor(s, 0, "cross"), keyFor(s, 1, "cross")
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Open loop: never waits for durability, so records arrive
+			// during every fsync and the queue is never empty.
+			if _, err := s.Update(func(tx *stm.Tx, b *Batch) error { b.Put(hot, fmt.Sprint(i)); return nil }); err != nil {
+				t.Error(err)
+				return
+			}
+			for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
+				runtime.Gosched()
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		<-stopped
+		if err := s.Close(); err != nil {
+			t.Error(err)
+		}
+	}()
+	busy := s.Logs()[0]
+	for busy.BatchStats().Flushes < 5 {
+		time.Sleep(time.Millisecond)
+	}
+	for round := 0; round < 10; round++ {
+		for what, fn := range map[string]func() error{
+			"cross-shard Update": func() error {
+				tok, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+					b.Put(k0, fmt.Sprint(round))
+					b.Put(k1, fmt.Sprint(round))
+					return nil
+				})
+				s.WaitDurable(tok)
+				return err
+			},
+			"Checkpoint": func() error { _, err := s.Checkpoint(); return err },
+		} {
+			before := busy.BatchStats().Flushes
+			done := make(chan error, 1)
+			go func() { done <- fn() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s starved behind the saturated lane (%d flushes and counting)", what, busy.BatchStats().Flushes-before)
+			}
+			if n := busy.BatchStats().Flushes - before; n > 32 {
+				t.Fatalf("%s waited out %d flushes of the saturated lane, want <= 32", what, n)
+			}
+		}
 	}
 }

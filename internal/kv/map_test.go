@@ -129,10 +129,10 @@ func TestStoreConcurrentUpdatesAcrossResize(t *testing.T) {
 
 // Group-commit mode with a deliberately tiny bucket count: the same
 // transaction can trigger a map resize (a deferral unit holding the map
-// lock) and join a WAL flush as a follower (a unit with no locks whose
-// operation takes the log lock). The recorded history must satisfy every
-// checker axiom — in particular two-phase locking, which is why the
-// follower path runs under a fresh owner identity — and the store must
+// lock) and start the lane's WAL flusher, whose flushes are deferral
+// units of their own transactions holding the log lock. The recorded
+// history must satisfy every checker axiom — deferral atomicity without
+// any appender exemption, and two-phase locking — and the store must
 // recover to identical contents.
 func TestStoreGroupCommitResizeCheckedHistory(t *testing.T) {
 	log := history.New()

@@ -35,7 +35,7 @@ func (r *Registry) Handler() http.Handler {
 //	               under "deferstm" with histogram percentiles)
 //	/debug/pprof/  the standard pprof handlers (profile, heap, trace, …)
 //
-// Background goroutines the runtime labels (map-migrator, wal-leader,
+// Background goroutines the runtime labels (map-migrator, wal-flush,
 // deferred-op) are distinguishable in /debug/pprof/goroutine?debug=1.
 func (r *Registry) Mux() *http.ServeMux {
 	expvarOnce.Do(func() {

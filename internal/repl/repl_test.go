@@ -266,12 +266,16 @@ func TestReplicaPrimaryCrashRestart(t *testing.T) {
 	// ahead of what the crash image recovers to.
 	p.stop(t)
 	fs.SetCrashPlan(simio.CrashPlan{Point: simio.CrashMidWrite, N: 1})
-	if _, err := p.store.Update(func(tx *stm.Tx, b *kv.Batch) error {
+	doomed, err := p.store.Update(func(tx *stm.Tx, b *kv.Batch) error {
 		b.Put("doomed", "torn")
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Update returns at commit; the lane's flusher performs the (torn)
+	// write. The live write completes, so the watermark still advances.
+	p.store.WaitDurable(doomed)
 	if !fs.Crashed() {
 		t.Fatal("crash plan never fired")
 	}

@@ -363,9 +363,12 @@ type pend struct {
 //
 // Pipelining contract: the reader decodes and EXECUTES each request
 // immediately — a PUT's transaction commits (reserving its LSN and
-// joining the WAL group commit) long before its response is writable —
-// and only the RESPONSE is held back, until the durable watermark
-// covers the request's LSN. Requests are answered strictly in arrival
+// queueing its record for the lane's flusher; a commit never waits for
+// an fsync) long before its response is writable — and only the
+// RESPONSE is held back, until the durable watermark covers the
+// request's LSN. The contract holds within ONE connection: the PUTs it
+// sends during one fsync ride the next, so a single pipelined client
+// fills group-commit batches by itself. Requests are answered strictly in arrival
 // order; per-connection LSNs are therefore monotone and the writer's
 // durability waits are cumulative, not redundant. The ack queue's
 // capacity is the in-flight window: when durability lags, the queue

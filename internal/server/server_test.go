@@ -130,7 +130,8 @@ func TestEndToEnd(t *testing.T) {
 func TestPipelinedGroupCommit(t *testing.T) {
 	const conns, perConn, window = 8, 50, 32
 	// A visible fsync cost is what makes commits pile up behind the
-	// leader; without it the sim backend flushes too fast to batch.
+	// flush in flight; without it the sim backend flushes too fast to
+	// batch.
 	lat := simio.Latency{Fsync: 500 * time.Microsecond}
 	_, store, addr := startServer(t, kv.ModeGroup, lat, Options{Window: window})
 
@@ -191,6 +192,58 @@ func TestPipelinedGroupCommit(t *testing.T) {
 	}
 	t.Logf("records=%d flushes=%d fsyncs/commit=%.3f max batch=%d",
 		bs.Records, bs.Flushes, float64(bs.Flushes)/float64(bs.Records), bs.MaxBatch)
+}
+
+// TestOneConnectionFillsBatch is the pipelining contract within ONE
+// connection: the reader executes the next request while the previous
+// ones wait for their fsync, so a single client with 16 requests in
+// flight fills group-commit batches by itself. While the fsync ran in the
+// committing goroutine — the reader — this shape executed one PUT per
+// fsync however deep the client pipelined.
+func TestOneConnectionFillsBatch(t *testing.T) {
+	const puts, window = 400, 16
+	lat := simio.Latency{Fsync: time.Millisecond}
+	_, store, addr := startServer(t, kv.ModeGroup, lat, Options{Window: window})
+	c := dial(t, addr)
+
+	inflight := make([]<-chan Response, 0, window)
+	var last uint64
+	recv := func() {
+		resp, err := c.Recv(inflight[0])
+		inflight = inflight[:copy(inflight, inflight[1:])]
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.LSN <= last {
+			t.Fatalf("non-monotone LSNs on one connection: %d after %d", resp.LSN, last)
+		}
+		if d := store.Log().DurableWatermark(); d < resp.LSN {
+			t.Fatalf("LSN %d acknowledged at watermark %d", resp.LSN, d)
+		}
+		last = resp.LSN
+	}
+	for i := 0; i < puts; i++ {
+		ch, err := c.Send(Request{Op: OpPut, Key: fmt.Sprintf("k%03d", i%50), Val: strings.Repeat("v", 32)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inflight = append(inflight, ch); len(inflight) == window {
+			recv()
+		}
+	}
+	for len(inflight) > 0 {
+		recv()
+	}
+
+	bs := store.Log().BatchStats()
+	if bs.Records != puts {
+		t.Fatalf("records = %d, want %d", bs.Records, puts)
+	}
+	if bs.Mean() < 4 {
+		t.Fatalf("one connection, %d in flight: mean batch %.2f (%d flushes for %d records), want >= 4",
+			window, bs.Mean(), bs.Flushes, bs.Records)
+	}
+	t.Logf("records=%d flushes=%d mean batch=%.1f max=%d", bs.Records, bs.Flushes, bs.Mean(), bs.MaxBatch)
 }
 
 // TestSmallWindow: a window of 1 serializes the pipeline but must not

@@ -11,6 +11,7 @@ import (
 	"deferstm/internal/kv"
 	"deferstm/internal/simio"
 	"deferstm/internal/stm"
+	"deferstm/internal/wal"
 )
 
 // TestShutdownDrainsAcks is the graceful-drain regression: a SIGTERM
@@ -74,6 +75,69 @@ func TestShutdownDrainsAcks(t *testing.T) {
 	}
 	if _, err := ReadFrame(br, DefaultMaxFrame); err != io.EOF {
 		t.Fatalf("connection still open after drain: %v", err)
+	}
+}
+
+// TestCloseMidFlushKeepsAckedRecords: a hard Close (acks abandoned)
+// followed by the store's Close, both landing while the lane's flusher
+// is mid-fsync with a queue behind it. The flusher must neither find the
+// log closed under it (it would panic, and take the test binary along)
+// nor leave anything behind: every PUT the server executed — a superset
+// of those it acknowledged — is on storage when the store reopens.
+func TestCloseMidFlushKeepsAckedRecords(t *testing.T) {
+	const puts = 64
+	fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
+	store, _, err := kv.Open(stm.NewDefault(), wal.NewSimBackend(fs), kv.Options{Mode: kv.ModeGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{Window: 16})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	put := Request{Op: OpPut, Key: "k", Val: "v"}
+	first, err := c.Send(put)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { // outruns the window; TCP holds the rest back until Close cuts it
+		for i := 1; i < puts; i++ {
+			if _, err := c.Send(put); err != nil {
+				return
+			}
+		}
+	}()
+	resp, err := c.Recv(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := resp.LSN
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	executed := store.Log().AssignedWatermark()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, info, err := kv.Open(stm.NewDefault(), wal.NewSimBackend(fs), kv.Options{Mode: kv.ModeGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.LastLSN < acked || info.LastLSN != executed {
+		t.Fatalf("recovered through LSN %d; %d was acknowledged and %d executed before Close", info.LastLSN, acked, executed)
 	}
 }
 

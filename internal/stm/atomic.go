@@ -432,19 +432,29 @@ func (rt *Runtime) runSerial(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 
 	var wv uint64
 	if len(tx.writes) > 0 {
+		// Serial mode runs alone among transactions holding slots, but
+		// snapshot readers hold none and run concurrently. Lock the WHOLE
+		// write set before drawing wv, exactly like an optimistic commit:
+		// a snapshot that pins sv >= wv then finds every var of this
+		// commit either locked (it spins) or already at wv. Ticking first
+		// and locking one var at a time let such a snapshot read the
+		// not-yet-locked tail at its old version — a torn serial commit.
+		for i := range tx.writes {
+			m := tx.writes[i].m
+			for {
+				w := m.lock.Load()
+				if !wordLocked(w) && m.lock.CompareAndSwap(w, w|lockedBit) {
+					break
+				}
+				spinPause() // a StoreDirect mid-publish; it never blocks
+			}
+		}
 		wv = tx.rt.clock.Add(1)
 		horizon := rt.snapHorizon.Load()
 		depth := rt.cfg.SnapshotChainDepth
 		var truncated uint64
 		for i := range tx.writes {
 			e := &tx.writes[i]
-			// Serial mode runs alone among transactions holding slots,
-			// but snapshot readers hold none and run concurrently: set
-			// the lock bit around each var's publish so their
-			// spin/double-check protocol sees the store as one atomic
-			// version transition, exactly like an optimistic commit.
-			w := e.m.lock.Load()
-			e.m.lock.Store(w | lockedBit)
 			if dropped := e.v.publish(e.pending, wv, horizon, depth); dropped > 0 {
 				truncated += uint64(dropped)
 				if tx.slow {

@@ -220,7 +220,7 @@ type Runtime struct {
 
 	// met is the attached latency instrumentation (nil = disabled).
 	// Atomic because benchmarks attach metrics to warm runtimes whose
-	// background goroutines (map migrators, WAL leader) already read it.
+	// background goroutines (map migrators, WAL flushers) already read it.
 	met metricsPtr
 
 	// quiesceTestHook, when non-nil, runs between quiesce's snapshot

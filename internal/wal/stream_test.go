@@ -32,6 +32,7 @@ func TestReadRangeTail(t *testing.T) {
 		want = append(want, p)
 		appendOne(t, rt, l, string(p))
 	}
+	l.WaitDurable(12) // Append returns at commit; the flusher owes the fsync
 	d := l.DurableWatermark()
 	if d != 12 {
 		t.Fatalf("durable = %d, want 12", d)
@@ -104,6 +105,7 @@ func TestReadRangeCheckpointBootstrap(t *testing.T) {
 	for i := 9; i <= 11; i++ {
 		appendOne(t, rt, l, fmt.Sprintf("new-%d", i))
 	}
+	l.WaitDurable(11)
 
 	if _, err := l.ReadRange(0, l.DurableWatermark(), 1<<20); !errors.Is(err, ErrPruned) {
 		t.Fatalf("cursor below cut: err = %v, want ErrPruned", err)
@@ -209,6 +211,7 @@ func TestCheckpointCrashKeepsOldBase(t *testing.T) {
 	for i := 7; i <= 10; i++ {
 		appendOne(t, rt, l, fmt.Sprintf("rec-%d", i))
 	}
+	l.WaitDurable(10) // or the armed write is the flusher's, not the checkpoint's
 
 	fs.SetCrashPlan(simio.CrashPlan{Point: simio.CrashMidWrite, N: 1})
 	if _, err := l.Checkpoint(ckptSnap(l, "new-base")); err != nil {

@@ -1,31 +1,47 @@
 // Package wal implements a durable write-ahead log whose group commit is
-// built from the paper's atomic deferral (package core) rather than a
-// dedicated flusher thread.
+// built from the paper's atomic deferral (package core): every flush is
+// an ordinary AtomicDefer over the log's transaction-friendly lock, and
+// no committing transaction ever waits for one.
 //
-// The construction: a Log is a Deferrable object whose transaction-
-// friendly lock (Listing 2) guards the segment files and the published
-// durability watermark. A transaction appends by reserving the next LSN
-// and pushing its encoded record onto a transactional batch queue — pure
-// Var writes, so appenders never block on I/O inside the transaction —
-// and then defers the flush:
+// The construction: a Log is a Deferrable object whose lock (Listing 2)
+// guards the segment files and the published durability watermark. An
+// appending transaction reserves the next LSN and pushes its record onto
+// a transactional queue (pending) — pure Var writes — and, only if the
+// lane's transactional flushing flag is false in its snapshot, sets the
+// flag and starts the lane's flusher goroutine after it commits. It then
+// returns: the append is a commit, never an fsync.
 //
-//   - if the log lock is free in the transaction's snapshot, the
-//     transaction becomes the batch leader: it defers the flush with
-//     AtomicDefer(tx, flush, log), acquiring the log lock atomically at
-//     commit. Between the leader's commit and its flush completing, no
-//     other owner can observe the log's durability state — the paper's
-//     deferral-atomicity guarantee, applied to fsync.
-//   - if the lock is held (a flush is in flight), the transaction is a
-//     follower: it commits immediately — no waiting — and defers a
-//     "pass nil" operation that waits for the in-flight flush, then
-//     flushes itself only if its record was not already covered.
+// The flusher loops over one small transaction: if pending is empty it
+// clears flushing and exits; otherwise it defers drain+write+fsync+
+// publish with AtomicDefer(tx, flush, log), acquiring the log lock
+// atomically at its commit and releasing it when the watermark is
+// published. Between a flush's commit and its publish no other owner can
+// observe the log's durability state — the paper's deferral-atomicity
+// guarantee, applied to fsync. Group commit falls out: every record
+// committed while one fsync is in flight rides the next, whether it came
+// from sixteen connections or from one connection sixteen requests deep.
 //
-// Group commit falls out: every record committed while a flush is in
-// flight lands in the queue, and the next flush drains the whole queue
-// with a single fsync. Transactions that read durability state
-// (LastDurable, WaitDurable) subscribe to the log lock first, so they
-// serialize correctly behind in-flight flushes and can never observe a
-// half-published watermark.
+// Four invariants carry the design (DESIGN.md §6 names the test pinning
+// each):
+//
+//  1. Ack after durable. Nothing here acknowledges anything; callers wait
+//     on the watermark (WaitDurable), which a flush publishes only after
+//     its fsync returned.
+//  2. No stranded record. flushing is cleared only by a transaction that
+//     read pending == nil, and set by the appender that enqueues while it
+//     is false — one transaction each, so an append serializes either
+//     before the flusher's emptiness check (the flusher sees it) or after
+//     the clear (the appender starts a new flusher). No record needs a
+//     later append to become durable.
+//  3. One flusher per lane. Only the false→true transition starts one,
+//     and only the flusher makes the true→false transition, as its last
+//     act. Per lane, LSN order = serialization order (appenders conflict
+//     on nextLSN) = on-disk order (drains hold the lock).
+//  4. The lock is held per fsync, not per busy period: the flusher
+//     re-acquires it for every batch and yields the processor after every
+//     release, so LastDurable subscribers, cross-lane flushes
+//     (DeferFlushGroup), Checkpoint and Flush get their turn on a
+//     saturated lane — and whichever of them drains, drains this queue.
 //
 // Records carry CRC-32C and their LSN (record.go); recovery (Open)
 // replays segments in order, verifies every record, truncates a torn
@@ -39,6 +55,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"runtime/pprof"
 	"sort"
 	"strconv"
@@ -135,9 +152,10 @@ type Log struct {
 	b    Backend
 	opts Options
 
-	nextLSN stm.Var[uint64] // next LSN to reserve
-	pending stm.Var[*pnode] // committed-but-unflushed records
-	durable stm.Var[uint64] // published watermark; writes hold the log lock
+	nextLSN  stm.Var[uint64] // next LSN to reserve
+	pending  stm.Var[*pnode] // committed-but-unflushed records
+	flushing stm.Var[bool]   // the lane's flusher goroutine is live
+	durable  stm.Var[uint64] // published watermark; writes hold the log lock
 
 	// File state. Mutators hold the log's TxLock; fmu makes the
 	// happens-before explicit for the race detector and for Close.
@@ -146,6 +164,7 @@ type Log struct {
 	curName  string
 	curBytes int
 	segs     []segMeta // ascending by start; last is cur
+	wbuf     []byte    // batch encode buffer, reused across flushes
 	closed   bool
 
 	flushes  atomic.Uint64
@@ -289,15 +308,13 @@ func (l *Log) Runtime() *stm.Runtime { return l.rt }
 // commits, and durable when a group-commit flush covers it (WaitDurable
 // blocks for exactly that; the returned LSN is the handle).
 //
-// The committing transaction's own deferred operation drives the flush:
-// the first appender to find the log lock free leads the next batch and
-// acquires the lock atomically at its commit; appenders that find a
-// flush in flight commit without blocking and their deferred operation
-// joins (or performs) the next batch.
+// Append never waits for I/O: the lane's flusher goroutine (started by
+// DeferFlush when none is live) writes and fsyncs the record, together
+// with everything else committed since the previous fsync began.
 func (l *Log) Append(tx *stm.Tx, payload []byte) uint64 {
 	lsn := l.Reserve(tx)
 	l.EnqueueReserved(tx, lsn, 0, payload)
-	l.DeferFlush(tx, lsn)
+	l.DeferFlush(tx)
 	return lsn
 }
 
@@ -337,25 +354,48 @@ func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, payload []byte) {
 	}
 }
 
-// DeferFlush schedules the group-commit deferral for a record this tx
-// enqueued at lsn: lead the next batch if the log lock is free in tx's
-// snapshot, ride an enclosing holder's flush, or join as a follower.
-func (l *Log) DeferFlush(tx *stm.Tx, lsn uint64) {
-	switch l.Lock().HeldBy(tx) {
-	case 0:
-		// Leader: the flush runs between our commit and any observation
-		// of the durability state — classic atomic deferral.
-		core.AtomicDefer(tx, func(ctx *core.OpCtx) {
-			l.drainAndFlush(ctx)
-		}, l)
-	case tx.Owner():
-		// This transaction (or this owner's enclosing context) already
-		// holds the lock; the flush it scheduled covers this record too.
-	default:
-		// Follower: a flush is in flight. Commit now, join later.
-		core.AtomicDefer(tx, func(ctx *core.OpCtx) {
-			l.ensureDurable(ctx, lsn)
+// DeferFlush makes sure a flusher will pick up the record tx enqueued:
+// if none is live in tx's snapshot, tx raises the flushing flag and
+// starts one after it commits. The flag is transactional, so the raise
+// serializes against the flusher's "queue empty → clear the flag" exit
+// (see flusher) and a committed record is never left without one.
+func (l *Log) DeferFlush(tx *stm.Tx) {
+	if l.flushing.Get(tx) {
+		return
+	}
+	l.flushing.Set(tx, true)
+	tx.AfterCommit(func() { go l.flusher() })
+}
+
+// flusher is the lane's on-demand group-commit goroutine: it exists only
+// while records are pending. Every flush is one atomic deferral — the log
+// lock is acquired at the flusher transaction's commit and released when
+// the batch's watermark is published — so the lock is free between
+// batches and the flusher competes for it like any other owner.
+//
+// The emptiness check and the flag's clear are ONE transaction: were they
+// two, an append committing between them would see flushing still set,
+// start nobody, and strand its record until the next append.
+func (l *Log) flusher() {
+	for {
+		var idle bool
+		_ = l.rt.Atomic(func(tx *stm.Tx) error {
+			if idle = l.pending.Get(tx) == nil; idle {
+				l.flushing.Set(tx, false)
+			} else {
+				core.AtomicDefer(tx, l.drainAndFlush, l)
+			}
+			return nil
 		})
+		if idle {
+			return
+		}
+		// The release just woke whoever was parked on the lock
+		// (subscribers, a cross-lane commit, a checkpoint). Let them run
+		// before competing for it again: the records that arrived during
+		// the fsync are already queued, so without this the loop would
+		// re-acquire within a microsecond, every time.
+		runtime.Gosched()
 	}
 }
 
@@ -368,11 +408,12 @@ func (l *Log) DeferFlush(tx *stm.Tx, lsn uint64) {
 // deferral protects, because all acquisitions happen atomically at one
 // commit and the deferred operation releases them only when it ends.
 //
-// Unlike DeferFlush there is no follower fast path: a lane whose lock
-// is held by an in-flight flush makes the committing transaction wait
-// (via retry) until that flush releases it. Holding ALL touched locks
-// from commit to the last fsync is what makes the cross-shard batch
-// atomic with respect to both observers and checkpoints.
+// Unlike DeferFlush the committing goroutine runs the flush itself: a
+// lane whose lock is held by an in-flight flush makes the committing
+// transaction wait (via retry) until that flush releases it. Holding ALL
+// touched locks from commit to the last fsync is what makes the
+// cross-shard batch atomic with respect to both observers and
+// checkpoints.
 func DeferFlushGroup(tx *stm.Tx, logs []*Log) {
 	objs := make([]core.Object, len(logs))
 	for i, l := range logs {
@@ -447,12 +488,9 @@ func (l *Log) AssignedWatermark() uint64 { return l.nextLSN.Load() - 1 }
 //
 // Unlike LastDurable it deliberately does NOT subscribe to the log lock:
 // the watermark is published (and retriers woken) while the flushing
-// operation still holds the lock, so a waiter whose record is already
-// covered resumes immediately — and its next append observes the lock
-// held and joins the next batch as a follower. Subscribing here would
-// park every waiter until the lock is released, waking them all into the
-// brief window where the lock is free; they would then all elect
-// themselves leader and serialize, defeating group commit entirely.
+// operation still holds the lock, so a waiter whose record is covered
+// resumes immediately instead of also waiting out the release — and is
+// not aborted by the next flush's acquisition while it is still running.
 func (l *Log) WaitDurable(lsn uint64) {
 	_ = l.WaitDurableCtx(nil, lsn)
 }
@@ -479,64 +517,13 @@ func (l *Log) Flush() {
 	l.drainAndFlush(core.NewOpCtx(l.rt, me))
 }
 
-// ensureDurable is the follower path: wait until the watermark covers
-// lsn, flushing the next batch ourselves if we find the log lock free
-// before that happens.
-//
-// Crucially the wait is on the WATERMARK, not the lock: a follower whose
-// record is covered by someone else's flush returns without ever touching
-// the lock. Waiting by acquiring the lock (the obvious implementation)
-// starves: a parked acquirer must be rescheduled and re-run its
-// transaction when the lock is released, and it loses that race to the
-// releasing goroutine's own next append — which re-acquires the lock
-// in-transaction within microseconds — every single time. The observable
-// result is one goroutine flushing batches of one in a loop while every
-// other goroutine sleeps for the rest of the run.
-func (l *Log) ensureDurable(ctx *core.OpCtx, lsn uint64) {
-	if l.durable.Load() >= lsn {
-		return // an earlier batch covered us
-	}
-	// Run under a fresh owner identity, not the deferring transaction's.
-	// The deferring transaction may have other deferral units that already
-	// released their locks (e.g. a map-resize trigger in the same commit);
-	// acquiring the log lock under that owner afterwards would reopen its
-	// acquire phase and break the two-phase structure the checker (and the
-	// paper's correctness argument) relies on. Nothing here needs the old
-	// identity: the reentrant case is already handled at Append time.
-	rt := ctx.Runtime()
-	me := rt.NewOwner()
-	ctx = core.NewOpCtx(rt, me)
-	acquired := false
-	_ = rt.AtomicAs(me, func(tx *stm.Tx) error {
-		acquired = false
-		if l.durable.Get(tx) < lsn {
-			// Both the watermark and the lock owner are now in the read
-			// set: whichever changes first wakes us. Every flush drains
-			// the whole pending queue, so the next flush after our
-			// append's commit necessarily covers us — no starvation.
-			if !l.Lock().TryAcquireAs(tx, me) {
-				tx.Retry()
-			}
-			acquired = true
-		}
-		return nil
-	})
-	if !acquired {
-		return
-	}
-	if l.durable.Load() < lsn {
-		l.drainAndFlush(ctx)
-	}
-	if err := l.Lock().ReleaseOutside(rt, me); err != nil {
-		panic("wal: follower flush release failed: " + err.Error())
-	}
-}
-
 // drainAndFlush drains the batch queue, appends the records in LSN order,
 // fsyncs once, and publishes the new watermark. The caller must hold the
 // log's TxLock (via AtomicDefer or AcquireOutside) under ctx.Owner().
 // An unwritable backend is fatal: the log cannot lose a record it
-// promised to flush, so a persistent write error panics.
+// promised to flush, so a persistent write error panics — on the
+// flusher goroutine for single-lane commits, so it takes the process
+// down rather than unwinding into some unlucky committer.
 func (l *Log) drainAndFlush(ctx *core.OpCtx) {
 	head, batch := l.drain(ctx)
 	if head == nil {
@@ -648,7 +635,7 @@ func (l *Log) flushBatch(batch []Record) error {
 	var err error
 	if met != nil {
 		// Label the I/O so profiles taken through the debug endpoint
-		// attribute fsync time to the group-commit leader.
+		// attribute fsync time to the group-commit flush.
 		pprof.Do(context.Background(), pprof.Labels("deferstm", "wal-flush"),
 			func(context.Context) { err = l.writeLocked(batch) })
 	} else {
@@ -682,29 +669,39 @@ func (l *Log) publish(ctx *core.OpCtx, head *pnode, batch []Record, flushStart t
 		}
 	}
 
+	// Counters first: whoever the watermark wakes (the committer is no
+	// longer the one running this) must find the batch already counted.
+	l.noteBatch(uint64(len(batch)))
 	watermark := batch[len(batch)-1].LSN
 	core.Store(ctx, &l.durable, watermark)
-	l.noteBatch(uint64(len(batch)))
 	l.rt.RecordEvent(stm.Event{Kind: stm.EvWALDurable, Owner: ctx.Owner(), Var: l.Lock().VarID(), Aux: watermark})
 }
 
 // writeLocked appends batch to the current segment (rotating as needed)
-// and fsyncs. Caller holds fmu.
+// and fsyncs. The batch is encoded into one buffer and handed to the
+// backend in one write per segment it touches. Caller holds fmu.
 func (l *Log) writeLocked(batch []Record) error {
 	if l.closed {
 		return errors.New("wal: log closed")
 	}
+	buf := l.wbuf[:0]
 	for _, r := range batch {
 		sz := recordSize(len(r.Payload))
 		if l.curBytes > 0 && l.curBytes+sz > l.opts.SegmentBytes {
+			if err := writeFull(l.cur, buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 			if err := l.rotateLocked(r.LSN); err != nil {
 				return err
 			}
 		}
-		if err := writeFull(l.cur, appendRecord(nil, r.LSN, r.Payload)); err != nil {
-			return err
-		}
+		buf = appendRecord(buf, r.LSN, r.Payload)
 		l.curBytes += sz
+	}
+	l.wbuf = buf[:0]
+	if err := writeFull(l.cur, buf); err != nil {
+		return err
 	}
 	l.noteFsync()
 	return l.cur.Fsync()
@@ -876,8 +873,10 @@ func (l *Log) Checkpoint(snap func(tx *stm.Tx) (blob []byte, upTo uint64, err er
 	return upTo, nil
 }
 
-// Close flushes pending records and closes the current segment. Appends
-// after Close panic the flusher; stop all writers first.
+// Close flushes pending records and closes the current segment. A
+// flusher caught mid-fsync finishes first (Flush waits for the lock it
+// holds) and then finds the queue empty; appends after Close panic the
+// flusher, so stop all writers first.
 func (l *Log) Close() error {
 	l.Flush()
 	l.fmu.Lock()

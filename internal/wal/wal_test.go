@@ -353,7 +353,7 @@ func TestAppendSyncSerial(t *testing.T) {
 func TestLastDurableSubscribes(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{Fsync: 5 * time.Millisecond})
 	rt, l, _ := openSim(t, fs, Options{})
-	lsn := appendOne(t, rt, l, "one") // leader flush runs post-commit
+	lsn := appendOne(t, rt, l, "one") // the flusher holds the lock across its fsync
 	var seen uint64
 	if err := rt.Atomic(func(tx *stm.Tx) error {
 		seen = l.LastDurable(tx)

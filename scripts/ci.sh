@@ -46,14 +46,12 @@ go run -race ./cmd/stmtorture -duration 2s -threads 8 -workload scanner -check -
 echo "==> reactive-kit tests (race detector, uncached)"
 go test -race -count=1 ./internal/reactive ./internal/ds
 
-echo "==> kv crash-recovery smoke (race detector, fixed seeds)"
-go test -race -count=1 -run 'TestCrashRecovery' ./internal/kv
-
-# The sharded store's lane routing, cross-shard commit, manifest pinning
-# and crash atomicity are all lock-order-sensitive concurrency: gate them
-# under the race detector explicitly, uncached.
-echo "==> sharded-lane routing + cross-shard atomicity (race detector, uncached)"
-go test -race -count=1 -run 'Sharded|CrossShard|CrossLane|Manifest|LaneRecord|Token|Legacy' ./internal/kv
+# The sharded store's recorded history (lane routing, cross-shard GSNs)
+# must satisfy the durability axioms; the kv and wal packages themselves
+# — crash-recovery property tests, cross-shard atomicity, manifest
+# pinning — run under the race detector in the durability-path step
+# below.
+echo "==> sharded kv history vs durability axioms (race detector, uncached)"
 go test -race -count=1 -run 'TestShardedKVHistoryDurability' ./internal/check
 
 # The trace exporter and offline checkers both depend on the recorder's
@@ -168,11 +166,25 @@ go run ./cmd/stmtorture -duration 300ms -threads 4 -workload defer -check \
     -trace "$tmptrace" >/dev/null
 grep -q '"traceEvents"' "$tmptrace" || { echo "trace output malformed"; exit 1; }
 
-# The networked front end rides the same group-commit machinery; its
-# protocol codecs, pipelined reader/writer pairs, and shutdown paths are
-# all concurrency, so gate them under the race detector explicitly.
-echo "==> kvserver protocol + pipeline tests (race detector, uncached)"
-go test -race -count=1 ./internal/server
+# The durability path — WAL appender/flusher hand-off, sharded store,
+# pipelined server, replication stream — is scheduling-sensitive from end
+# to end: the flusher's exit races appends, its lock hand-off races
+# checkpoints and cross-lane commits, and one core interleaves all of it
+# differently from two. Run the four packages uncached at GOMAXPROCS 1
+# and 2, then once under the race detector; and the two torture workloads
+# that drive the same path with injected stalls and full history
+# checking, on one core and on two.
+echo "==> durability path: wal/kv/server/repl at GOMAXPROCS 1 and 2, then -race (uncached)"
+durpkgs="./internal/wal ./internal/kv ./internal/server ./internal/repl"
+for procs in 1 2; do
+    GOMAXPROCS=$procs go test -count=1 $durpkgs
+done
+go test -race -count=1 $durpkgs
+for procs in 1 2; do
+    for wl in kvstore replica; do
+        GOMAXPROCS=$procs go run ./cmd/stmtorture -duration 400ms -workload $wl -check -inject -seed 1 >/dev/null
+    done
+done
 
 # kvserver crash smoke: boot a real kvserver (OS-backed WAL, ephemeral
 # port), drive a pipelined connection ladder through kvloadgen (which
@@ -180,7 +192,9 @@ go test -race -count=1 ./internal/server
 # then recover the store and require check.RecoveredPrefix to pass:
 # every LSN the server acked before dying must survive replay. The -check
 # flag also asserts the wire-level group-commit win: a >= 8-connection
-# group-mode rung with fsyncs/commit < 1.
+# group-mode rung with fsyncs/commit < 1, and the 1-connection rung
+# (window 64 in flight) with fsyncs/commit < 0.5 — one pipelined
+# connection must fill batches by itself.
 echo "==> kvserver crash smoke (kvloadgen ladder + kill -9 + recovery verify)"
 kvdir="$(mktemp -d)"
 trap 'rm -f "$tmpjson" "$tmpmetrics" "$tmptrace"; rm -rf "$kvdir"' EXIT
@@ -230,13 +244,6 @@ awk 'NF == 2' "$kvdir/ack4.txt" | grep -q . \
     || { echo "sharded ackfile has no per-lane lines"; cat "$kvdir/ack4.txt"; exit 1; }
 "$kvdir/kvserver" -dir "$kvdir/wal4" -verify -ackfile "$kvdir/ack4.txt" \
     | grep -q 'verify ok: 4 lanes' || { echo "per-lane verify failed"; exit 1; }
-
-# The replication engine's cross-lane barrier, cursor bookkeeping and
-# reconnect paths are all shared-state concurrency between the stream
-# goroutine and readers: gate internal/repl under the race detector
-# explicitly, uncached.
-echo "==> replication engine + stream tests (race detector, uncached)"
-go test -race -count=1 ./internal/repl
 
 # In-process replication torture: primary + server + replica in one
 # binary, writer threads with cross-lane batches, checkpoints rotating
