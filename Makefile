@@ -7,8 +7,12 @@ all: build test
 build:
 	$(GO) build ./...
 
+# Tier-1 (`go test ./...`), then the width ladder scripts/ci.sh also runs:
+# the scheduling-sensitive packages uncached at GOMAXPROCS 1 and 2 and
+# under -race, and the checked torture workloads at both widths.
 test:
 	$(GO) test ./...
+	./scripts/ladder.sh
 
 race:
 	$(GO) test -race ./...

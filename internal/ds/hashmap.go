@@ -6,6 +6,7 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"deferstm/internal/core"
 	"deferstm/internal/stm"
@@ -56,7 +57,7 @@ type hmTable[V any] struct {
 // commits to different stripes never false-share.
 type sizeStripe struct {
 	n stm.Var[int]
-	_ [96]byte // sizeof(stm.Var[int]) == 32; pad to 128
+	_ [128 - unsafe.Sizeof(stm.Var[int]{})%128]byte // pad to a multiple of 128
 }
 
 type mapNode[V any] struct {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"deferstm/internal/check"
 	"deferstm/internal/history"
@@ -191,4 +192,25 @@ func TestHashMapResizeCheckerProperty(t *testing.T) {
 // Fixed-seed smoke variant for deterministic reproduction.
 func TestHashMapResizeCheckerSmoke(t *testing.T) {
 	runResizeChecked(t, 7, 4, 200)
+}
+
+// TestSizeStripeLayout: a stripe is a whole number of 128-byte line pairs, so in
+// the array a map allocates no two stripes' counters share a line wherever
+// the allocator puts it. (With the pad written as a literal the stripe
+// was 144 bytes once Var[int] grew to 48, and counters straddled lines.)
+func TestSizeStripeLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(sizeStripe{}); sz%128 != 0 {
+		t.Errorf("sizeStripe is %d bytes, want a multiple of 128 (Var[int] is %d)", sz, unsafe.Sizeof(stm.Var[int]{}))
+	}
+	stripes := NewHashMap[int](16).stripes
+	if len(stripes) < 2 {
+		t.Fatalf("%d stripes, want at least 2", len(stripes))
+	}
+	const line, varSize = 64, unsafe.Sizeof(stm.Var[int]{})
+	for i := 1; i < len(stripes); i++ {
+		prevEnd := uintptr(unsafe.Pointer(&stripes[i-1].n)) + varSize - 1
+		if at := uintptr(unsafe.Pointer(&stripes[i].n)); at/line == prevEnd/line {
+			t.Errorf("counters of stripes %d and %d share the line at %#x", i-1, i, at&^(line-1))
+		}
+	}
 }

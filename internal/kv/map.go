@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"deferstm/internal/core"
 	"deferstm/internal/stm"
@@ -40,7 +41,7 @@ type stable struct {
 // countStripe pads each size counter to its own pair of cache lines.
 type countStripe struct {
 	n stm.Var[int]
-	_ [96]byte // sizeof(stm.Var[int]) == 32; pad to 128
+	_ [128 - unsafe.Sizeof(stm.Var[int]{})%128]byte // pad to a multiple of 128
 }
 
 type snode struct {

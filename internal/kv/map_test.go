@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"deferstm/internal/check"
 	"deferstm/internal/history"
@@ -186,6 +187,27 @@ func TestStoreGroupCommitResizeCheckedHistory(t *testing.T) {
 	for k, v := range live {
 		if got[k] != v {
 			t.Fatalf("key %q diverged after recovery", k)
+		}
+	}
+}
+
+// TestCountStripeLayout: a stripe is a whole number of 128-byte line pairs, so in
+// the array a map allocates no two stripes' counters share a line wherever
+// the allocator puts it. (With the pad written as a literal the stripe
+// was 144 bytes once Var[int] grew to 48, and counters straddled lines.)
+func TestCountStripeLayout(t *testing.T) {
+	if sz := unsafe.Sizeof(countStripe{}); sz%128 != 0 {
+		t.Errorf("countStripe is %d bytes, want a multiple of 128 (Var[int] is %d)", sz, unsafe.Sizeof(stm.Var[int]{}))
+	}
+	stripes := newSmap(16).stripes
+	if len(stripes) < 2 {
+		t.Fatalf("%d stripes, want at least 2", len(stripes))
+	}
+	const line, varSize = 64, unsafe.Sizeof(stm.Var[int]{})
+	for i := 1; i < len(stripes); i++ {
+		prevEnd := uintptr(unsafe.Pointer(&stripes[i-1].n)) + varSize - 1
+		if at := uintptr(unsafe.Pointer(&stripes[i].n)); at/line == prevEnd/line {
+			t.Errorf("counters of stripes %d and %d share the line at %#x", i-1, i, at&^(line-1))
 		}
 	}
 }

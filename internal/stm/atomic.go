@@ -12,19 +12,20 @@ import (
 // confine its side effects to Vars, AfterCommit hooks, and QueueFree
 // actions, all of which are discarded on abort.
 //
-// The transaction is assigned a fresh lock-owner identity; use AtomicAs to
-// supply one (e.g. to reenter transaction-friendly locks held across
-// transactions).
+// The transaction is assigned a fresh lock-owner identity (drawn from the
+// descriptor's block, see freshOwner); use AtomicAs to supply one (e.g. to
+// reenter transaction-friendly locks held across transactions).
 //
 // Do not call Atomic from inside a transaction on the same goroutine: a
 // nested writer's commit would quiesce waiting for the enclosing
 // transaction and deadlock. Use (*Tx).Nested for flat nesting, exactly as
 // C++ TM flattens nested atomic blocks.
 func (rt *Runtime) Atomic(fn func(tx *Tx) error) error {
-	return rt.run(nil, rt.NewOwner(), fn, false, false)
+	return rt.run(nil, 0, fn, false, false)
 }
 
-// AtomicAs is Atomic with an explicit lock-owner identity.
+// AtomicAs is Atomic with an explicit lock-owner identity. The zero
+// OwnerID is nobody's: passing it draws a fresh identity, as Atomic does.
 func (rt *Runtime) AtomicAs(owner OwnerID, fn func(tx *Tx) error) error {
 	return rt.run(nil, owner, fn, false, false)
 }
@@ -38,7 +39,7 @@ func (rt *Runtime) AtomicAs(owner OwnerID, fn func(tx *Tx) error) error {
 // most once per call: a non-nil error aborts (buffered writes are
 // discarded) and is returned.
 func (rt *Runtime) AtomicSerial(fn func(tx *Tx) error) error {
-	return rt.run(nil, rt.NewOwner(), fn, true, false)
+	return rt.run(nil, 0, fn, true, false)
 }
 
 // AtomicSerialAs is AtomicSerial with an explicit lock-owner identity.
@@ -50,7 +51,8 @@ func (rt *Runtime) AtomicSerialAs(owner OwnerID, fn func(tx *Tx) error) error {
 // points), which costs the hot path nothing but a nil test. A non-nil
 // ctx is consulted only at attempt boundaries and while parked in Retry:
 // fn is never interrupted mid-execution, and a transaction that has
-// committed is reported committed even if ctx expired concurrently.
+// committed is reported committed even if ctx expired concurrently. A zero
+// owner asks for a fresh identity.
 func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error, startSerial, startSnapshot bool) error {
 	met := rt.met.Load()
 	var t0 time.Time
@@ -63,6 +65,9 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 		}
 	}
 	tx := rt.txPool.Get().(*Tx)
+	if owner == 0 {
+		owner = tx.freshOwner()
+	}
 	tx.owner = owner
 	tx.attempts = 0
 	serialNext := startSerial
@@ -70,7 +75,6 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 
 	for {
 		tx.attempts++
-		rt.stats.Starts.Add(1)
 
 		// A snapshot call stays read-only even on the fallback paths,
 		// so Set fails identically whether or not the snapshot fell
@@ -105,8 +109,8 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 			frees := tx.frees
 			tx.hooks, tx.frees = nil, nil
 			tx.reset()
+			rt.stats.Commits.addAt(tx.slot, 1)
 			rt.txPool.Put(tx)
-			rt.stats.Commits.Add(1)
 			if met != nil {
 				// Commit latency stops here, before the deferred tail:
 				// the hooks are exactly the work the paper moved out of
@@ -193,9 +197,12 @@ type txOutcome struct {
 // runOptimistic executes one attempt on the speculative (STM or simulated
 // HTM) path.
 func (rt *Runtime) runOptimistic(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
-	idx, rv := rt.beginSlot()
+	idx, rv := rt.beginSlot(tx.slot)
 	tx.rv = rv
-	tx.slotIdx = idx
+	tx.slot = idx
+	// Starts and Commits, the two counters every transaction bumps, are
+	// striped by registry slot (Counter.addAt).
+	rt.stats.Starts.addAt(idx, 1)
 	tx.active = true
 	tx.htm = rt.cfg.Mode == ModeHTM
 	tx.slow = tx.htm || rt.rec != nil
@@ -253,12 +260,18 @@ func (rt *Runtime) runOptimistic(tx *Tx, fn func(tx *Tx) error) (out txOutcome) 
 	return txOutcome{committed: true}
 }
 
-// beginSlot registers the beginning transaction in the active registry and
-// returns (slot index, read version). The read version is sampled
-// immediately before activation so quiescing writers never miss us.
-func (rt *Runtime) beginSlot() (int, uint64) {
+// beginSlot registers the beginning transaction in the active registry,
+// trying slot first before any other, and returns (slot index, read
+// version). The read version is sampled immediately before the CAS that
+// activates the slot, whichever slot that turns out to be, so quiescing
+// writers never miss us: a committer that scanned the slot before the CAS
+// overlooks only a transaction that has read nothing yet (its first read
+// of anything that commit wrote finds a version past rv and extends or
+// aborts), and one that scans it after finds it active at an rv no newer
+// than its reads.
+func (rt *Runtime) beginSlot(first int) (int, uint64) {
 	rv := rt.clock.Load()
-	idx := rt.acquireSlot(rv)
+	idx := rt.acquireSlot(first, rv)
 	return idx, rv
 }
 
@@ -389,10 +402,10 @@ func (rt *Runtime) runSerial(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 			waitSpin(&spins)
 		}
 	}
+	rt.stats.Starts.addAt(tx.slot, 1)
 	rt.stats.SerialRuns.Add(1)
 
 	tx.rv = rt.clock.Load()
-	tx.slotIdx = -1
 	tx.serial = true
 	tx.htm = false
 	tx.slow = rt.rec != nil

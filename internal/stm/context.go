@@ -23,7 +23,7 @@ import "context"
 // returns ctx.Err() if ctx is cancelled before the transaction commits.
 // A nil ctx behaves exactly like Atomic.
 func (rt *Runtime) AtomicCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return rt.run(ctx, rt.NewOwner(), fn, false, false)
+	return rt.run(ctx, 0, fn, false, false)
 }
 
 // AtomicAsCtx is AtomicCtx with an explicit lock-owner identity.
@@ -36,7 +36,7 @@ func (rt *Runtime) AtomicAsCtx(ctx context.Context, owner OwnerID, fn func(tx *T
 // by in-flight transactions finishing), but a Retry raised in serial
 // mode re-runs optimistically and honors ctx while parked.
 func (rt *Runtime) AtomicSerialCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return rt.run(ctx, rt.NewOwner(), fn, true, false)
+	return rt.run(ctx, 0, fn, true, false)
 }
 
 // AtomicSerialAsCtx is AtomicSerialCtx with an explicit lock-owner
@@ -50,7 +50,7 @@ func (rt *Runtime) AtomicSerialAsCtx(ctx context.Context, owner OwnerID, fn func
 // overflow or Retry) honors ctx between attempts and while parked. The
 // snapshot execution itself is never interrupted mid-read.
 func (rt *Runtime) SnapshotCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return rt.run(ctx, rt.NewOwner(), fn, false, true)
+	return rt.run(ctx, 0, fn, false, true)
 }
 
 // SnapshotAsCtx is SnapshotCtx with an explicit lock-owner identity.

@@ -9,30 +9,6 @@ import (
 // allocSink defeats dead-code elimination in the allocation tests.
 var allocSink int
 
-// TestSlotHintWrapAround drives the slot-hint counter across the uint64
-// wrap boundary. Before the reduce-then-convert fix in acquireSlot,
-// int(hint) went negative past 1<<63 and the scan indexed
-// rt.slots[negative], faulting every transaction begin from then on.
-func TestSlotHintWrapAround(t *testing.T) {
-	rt := New(Config{MaxThreads: 3}) // odd size: modulo sign matters
-	rt.slotHint.Store(^uint64(0) - 4)
-	v := NewVar(0)
-	for i := 0; i < 16; i++ {
-		if err := rt.Atomic(func(tx *Tx) error {
-			v.Set(tx, v.Get(tx)+1)
-			return nil
-		}); err != nil {
-			t.Fatalf("atomic %d across hint wrap: %v", i, err)
-		}
-	}
-	if got := v.Load(); got != 16 {
-		t.Fatalf("committed %d increments, want 16", got)
-	}
-	if rt.slotHint.Load() >= ^uint64(0)-16 {
-		t.Fatalf("hint did not wrap: %d", rt.slotHint.Load())
-	}
-}
-
 // TestReadOnlyAtomicAllocFree pins the read-only hot path at zero heap
 // allocations per transaction: descriptor from the pool, read set in
 // retained slice capacity, striped stats, no commit-time work.

@@ -86,6 +86,37 @@ func TestStatShardLayout(t *testing.T) {
 	if got := unsafe.Sizeof(exactShard{}); got != 192 {
 		t.Errorf("exact-multiple shard = %d bytes, want 192 (128 payload + 64 pad)", got)
 	}
+
+	// Starts and Commits are striped by registry slot, not by the stack
+	// hash: two transactions that overlap hold different slots, land on
+	// different stripes (slots fill from 0, and there are at least 4
+	// stripes), and the sums stay exact.
+	rt := NewDefault()
+	v := NewVar(0)
+	var outer, inner int
+	if err := rt.Atomic(func(tx *Tx) error {
+		outer = tx.slot
+		return rt.Atomic(func(tx *Tx) error {
+			inner = tx.slot
+			allocSink = v.Get(tx)
+			return nil
+		})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st := &rt.stats
+	so, si := uint32(outer)&st.mask, uint32(inner)&st.mask
+	if so == si {
+		t.Fatalf("overlapping transactions on slots %d and %d share stripe %d of %d", outer, inner, so, len(st.shards))
+	}
+	for _, c := range []int{cStarts, cCommits} {
+		if o, i := st.shards[so].c[c].Load(), st.shards[si].c[c].Load(); o != 1 || i != 1 {
+			t.Errorf("counter %d: stripe %d holds %d and stripe %d holds %d, want 1 and 1", c, so, o, si, i)
+		}
+	}
+	if snap := rt.Snapshot(); snap.Starts != 2 || snap.Commits != 2 {
+		t.Errorf("Starts=%d Commits=%d, want 2 and 2", snap.Starts, snap.Commits)
+	}
 }
 
 // TestMetricsEndToEnd attaches a Metrics set to a live runtime and

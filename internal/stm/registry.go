@@ -11,7 +11,7 @@ import (
 // scans them constantly and begin/end updates them on every transaction.
 type slot struct {
 	word atomic.Uint64
-	_    [7]uint64 // pad to 64 bytes
+	_    [cacheLine - 8]byte
 }
 
 func (s *slot) activate(rv uint64) { s.word.Store(rv<<1 | 1) }
@@ -23,15 +23,17 @@ func (s *slot) activeBefore(v uint64) bool {
 }
 func (s *slot) isActive() bool { return s.word.Load()&1 == 1 }
 
-// acquireSlot claims a free registry slot for a beginning transaction,
-// blocking while a serial transaction wants or holds exclusivity. It
-// returns the slot index.
-func (rt *Runtime) acquireSlot(rv uint64) int {
+// acquireSlot claims a registry slot for a beginning transaction,
+// blocking while a serial transaction wants or holds exclusivity, and
+// returns the slot's index. The scan starts at first, the slot the
+// descriptor used last: descriptors come from a per-P pool, so that
+// slot's line is normally still in this core's cache and free, and a
+// transaction begins without touching a line another core writes. Only
+// when first is occupied — another descriptor last used it too and is
+// running now — does the scan move on; the caller remembers wherever it
+// lands, so two descriptors collide on a slot at most once.
+func (rt *Runtime) acquireSlot(first int, rv uint64) int {
 	n := len(rt.slots)
-	// Reduce the uint64 hint before converting: int(hint) is negative
-	// once the counter wraps past int64, and a negative start index
-	// would fault the slot scan below.
-	start := int(rt.slotHint.Add(1) % uint64(n))
 	spins := 0
 	for {
 		if rt.serialWant.Load() != 0 {
@@ -43,8 +45,8 @@ func (rt *Runtime) acquireSlot(rv uint64) int {
 			}
 			continue
 		}
+		idx := first
 		for i := 0; i < n; i++ {
-			idx := (start + i) % n
 			s := &rt.slots[idx]
 			if s.word.Load() == 0 && s.word.CompareAndSwap(0, rv<<1|1) {
 				// Re-check the serial gate: a serial transaction
@@ -57,6 +59,9 @@ func (rt *Runtime) acquireSlot(rv uint64) int {
 					break
 				}
 				return idx
+			}
+			if idx++; idx == n {
+				idx = 0
 			}
 		}
 		waitSpin(&spins)

@@ -115,8 +115,8 @@ func (rt *Runtime) ActiveSnapshots() int {
 func (rt *Runtime) runSnapshot(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 	token, sv := rt.beginSnapshot()
 	defer rt.endSnapshot(token)
+	rt.stats.Starts.addAt(tx.slot, 1)
 	tx.rv = sv
-	tx.slotIdx = -1
 	tx.snap = true
 	tx.ro = true
 	tx.htm = false
@@ -162,11 +162,11 @@ func (rt *Runtime) runSnapshot(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 // chains (or fn calls Retry), the closure transparently re-runs on the
 // ordinary validating read-only path.
 func (rt *Runtime) AtomicSnapshot(fn func(tx *Tx) error) error {
-	return rt.run(nil, rt.NewOwner(), fn, false, true)
+	return rt.run(nil, 0, fn, false, true)
 }
 
 // AtomicSnapshotAs is AtomicSnapshot with an explicit lock-owner
-// identity.
+// identity (zero draws a fresh one).
 func (rt *Runtime) AtomicSnapshotAs(owner OwnerID, fn func(tx *Tx) error) error {
 	return rt.run(nil, owner, fn, false, true)
 }

@@ -77,6 +77,18 @@ func (c Counter) Add(n uint64) {
 	s.shards[stripeIdx()&s.mask].c[c.i].Add(n)
 }
 
+// addAt is Add on the stripe a registry slot index selects, for the
+// counters run bumps on every transaction. stripeIdx hashes a stack
+// address, so with the 4 stripes of a 2-CPU host two goroutines landed
+// on one stripe one run in four and bounced its line for the whole run;
+// transactions that run at the same time hold different slots, and
+// begins fill the registry from slot 0 up, so they share a stripe only
+// when more slots are in use than there are stripes.
+func (c Counter) addAt(slot int, n uint64) {
+	s := c.s
+	s.shards[uint32(slot)&s.mask].c[c.i].Add(n)
+}
+
 // Load returns the counter's exact current value (the sum over all
 // stripes).
 func (c Counter) Load() uint64 {

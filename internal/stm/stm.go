@@ -184,18 +184,43 @@ type OwnerID uint64
 // run on the same Runtime for conflict detection and quiescence to be
 // meaningful.
 type Runtime struct {
-	cfg Config
+	// Read by every transaction, written only by New, SetMetrics and the
+	// serial gate: these share cache lines with each other and with
+	// nothing a begin or a commit stores to (TestRuntimeLayout).
+	cfg   Config
+	slots []slot // active-transaction registry (quiescence, draining)
 
-	clock atomic.Uint64 // global version clock (TL2)
-
-	slots    []slot // active-transaction registry (quiescence, draining)
-	slotHint atomic.Uint64
-
-	serialMu   sync.Mutex   // serializes serial-mode transactions
 	serialWant atomic.Int32 // >0: a serial transaction is pending/running
 	// serialClear is closed when serialWant drops to zero, so blocked
 	// transaction begins wake immediately instead of polling.
 	serialClear atomic.Pointer[chan struct{}]
+
+	rec Recorder  // nil = recording disabled
+	inj *injector // nil = fault injection disabled
+
+	// met is the attached latency instrumentation (nil = disabled).
+	// Atomic because benchmarks attach metrics to warm runtimes whose
+	// background goroutines (map migrators, WAL flushers) already read it.
+	met metricsPtr
+
+	// quiesceTestHook, when non-nil, runs between quiesce's snapshot
+	// pass and its re-poll loop, so tests can deterministically finish
+	// (or prolong) pending transactions in that window.
+	quiesceTestHook func()
+
+	txPool sync.Pool
+	stats  Stats // the counters live in separately allocated stripes
+
+	// The global version clock (TL2) has a line to itself: every begin
+	// loads it and every writing commit ticks it, so whatever shared its
+	// line would be evicted from every core once per writing commit.
+	_     [cacheLine]byte
+	clock atomic.Uint64
+	_     [cacheLine - 8]byte
+
+	// Written while transactions run, none of it by every transaction.
+
+	serialMu sync.Mutex // serializes serial-mode transactions
 
 	// parked counts transactions currently blocked in watcher-based
 	// retry (diagnostics; the waiters themselves live in per-var
@@ -212,26 +237,14 @@ type Runtime struct {
 	snapCtr     uint64            // token source, under snapMu
 	snapHorizon atomic.Uint64     // min active floor, or noSnapshotHorizon
 
+	// ownerCtr is the source of lock-owner identities: NewOwner takes
+	// one, a descriptor takes ownerBlock at a time (Tx.freshOwner).
 	ownerCtr atomic.Uint64
 	txIDCtr  atomic.Uint64 // history transaction IDs (recording only)
-
-	rec Recorder  // nil = recording disabled
-	inj *injector // nil = fault injection disabled
-
-	// met is the attached latency instrumentation (nil = disabled).
-	// Atomic because benchmarks attach metrics to warm runtimes whose
-	// background goroutines (map migrators, WAL flushers) already read it.
-	met metricsPtr
-
-	// quiesceTestHook, when non-nil, runs between quiesce's snapshot
-	// pass and its re-poll loop, so tests can deterministically finish
-	// (or prolong) pending transactions in that window.
-	quiesceTestHook func()
-
-	txPool sync.Pool
-
-	stats Stats
 }
+
+// cacheLine is the unit the Runtime and the registry are laid out in.
+const cacheLine = 64
 
 // New creates a Runtime with the given configuration.
 func New(cfg Config) *Runtime {

@@ -93,7 +93,17 @@ type Tx struct {
 
 	owner    OwnerID
 	attempts int
-	slotIdx  int
+
+	// slot is the registry slot this descriptor used last; the next
+	// begin tries it first (acquireSlot). It is held — active in the
+	// registry — only during an optimistic attempt; serial and snapshot
+	// attempts hold none and leave it alone. It also picks the stats
+	// stripe for Starts and Commits.
+	slot int
+
+	// ownerNext..ownerEnd is the unused part of the block of lock-owner
+	// identities this descriptor last drew from rt.ownerCtr (freshOwner).
+	ownerNext, ownerEnd OwnerID
 
 	// simulated HTM footprint, in cache lines
 	htmReadLines  int
@@ -108,14 +118,39 @@ type Tx struct {
 	pendEvs []Event // events flushed only if this attempt commits
 
 	rng uint64 // xorshift for backoff jitter
+
+	// Descriptors are allocated back to back, and every transaction
+	// stores to both ends of its own (rv and the read set at the head,
+	// the hook and event lists at the tail). A line of padding keeps the
+	// head of the next descriptor, which another core may be running on,
+	// off the last line this one writes.
+	_ [cacheLine]byte
 }
 
 func newTx(rt *Runtime) *Tx {
 	return &Tx{
-		rt:      rt,
-		slotIdx: -1,
-		rng:     0x9e3779b97f4a7c15,
+		rt:  rt,
+		rng: 0x9e3779b97f4a7c15,
 	}
+}
+
+// ownerBlock is how many lock-owner identities a descriptor reserves per
+// visit to rt.ownerCtr: one shared RMW per 4096 transactions instead of
+// one each. A descriptor the pool drops takes its unused identities with
+// it; the counter is 64 bits wide.
+const ownerBlock = 4096
+
+// freshOwner returns a lock-owner identity no other transaction and no
+// NewOwner call has or will be given: blocks and NewOwner's single
+// identities are disjoint ranges of the same counter.
+func (tx *Tx) freshOwner() OwnerID {
+	if tx.ownerNext == tx.ownerEnd {
+		tx.ownerEnd = OwnerID(tx.rt.ownerCtr.Add(ownerBlock)) + 1
+		tx.ownerNext = tx.ownerEnd - ownerBlock
+	}
+	id := tx.ownerNext
+	tx.ownerNext++
+	return id
 }
 
 // Runtime returns the runtime this transaction executes on.
@@ -361,7 +396,7 @@ func (tx *Tx) extend() bool {
 		}
 	}
 	tx.rv = newRV
-	tx.rt.slots[tx.slotIdx].setRV(newRV)
+	tx.rt.slots[tx.slot].setRV(newRV)
 	tx.rt.stats.Extensions.Add(1)
 	return true
 }

@@ -351,6 +351,12 @@ func TestCloseWithFlusherMidFsync(t *testing.T) {
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
 		}
+		// Close waits for the flusher's last transaction: one still parked
+		// behind Close's own flush would go on recording history events
+		// (its wake-up, its exit) after the caller thinks the log is quiet.
+		if l.flushing.Load() {
+			t.Fatalf("round %d: Close returned while the lane's flusher was still live", round)
+		}
 		waitNoFlusher(t)
 		_, _, rec := openSim(t, fs, Options{})
 		if rec.LastLSN < acked {

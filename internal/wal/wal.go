@@ -879,6 +879,17 @@ func (l *Log) Checkpoint(snap func(tx *stm.Tx) (blob []byte, upTo uint64, err er
 // flusher, so stop all writers first.
 func (l *Log) Close() error {
 	l.Flush()
+	// The flusher goroutine may still be on its way out: parked behind
+	// the lock Flush held, or not yet at the transaction that finds the
+	// queue empty and clears flushing. Wait for that transaction, so that
+	// nothing of this log runs transactions (or records history events)
+	// after Close returns. Atomic only returns the closure's error.
+	_ = l.rt.Atomic(func(tx *stm.Tx) error {
+		if l.flushing.Get(tx) {
+			tx.Retry()
+		}
+		return nil
+	})
 	l.fmu.Lock()
 	defer l.fmu.Unlock()
 	if l.closed {

@@ -40,11 +40,12 @@ go run ./cmd/stmtorture -duration 2s -threads 8 -workload watcher -check -inject
 echo "==> snapshot-scanner smoke (race detector + history check)"
 go run -race ./cmd/stmtorture -duration 2s -threads 8 -workload scanner -check -seed 5
 
-# The reactive kit (rate limiter, pub/sub) and the blocking queue ops it
-# rides on are all about parking and waking under contention: run their
-# tests under the race detector explicitly, uncached.
+# The reactive kit (rate limiter, pub/sub) is all about parking and waking
+# under contention: run its tests under the race detector explicitly,
+# uncached (the blocking queue ops it rides on, internal/ds, are in the
+# width ladder below).
 echo "==> reactive-kit tests (race detector, uncached)"
-go test -race -count=1 ./internal/reactive ./internal/ds
+go test -race -count=1 ./internal/reactive
 
 # The sharded store's recorded history (lane routing, cross-shard GSNs)
 # must satisfy the durability axioms; the kv and wal packages themselves
@@ -166,25 +167,11 @@ go run ./cmd/stmtorture -duration 300ms -threads 4 -workload defer -check \
     -trace "$tmptrace" >/dev/null
 grep -q '"traceEvents"' "$tmptrace" || { echo "trace output malformed"; exit 1; }
 
-# The durability path — WAL appender/flusher hand-off, sharded store,
-# pipelined server, replication stream — is scheduling-sensitive from end
-# to end: the flusher's exit races appends, its lock hand-off races
-# checkpoints and cross-lane commits, and one core interleaves all of it
-# differently from two. Run the four packages uncached at GOMAXPROCS 1
-# and 2, then once under the race detector; and the two torture workloads
-# that drive the same path with injected stalls and full history
-# checking, on one core and on two.
-echo "==> durability path: wal/kv/server/repl at GOMAXPROCS 1 and 2, then -race (uncached)"
-durpkgs="./internal/wal ./internal/kv ./internal/server ./internal/repl"
-for procs in 1 2; do
-    GOMAXPROCS=$procs go test -count=1 $durpkgs
-done
-go test -race -count=1 $durpkgs
-for procs in 1 2; do
-    for wl in kvstore replica; do
-        GOMAXPROCS=$procs go run ./cmd/stmtorture -duration 400ms -workload $wl -check -inject -seed 1 >/dev/null
-    done
-done
+# The width ladder (scripts/ladder.sh, also the tail of `make test`): stm,
+# core, txlock, ds, wal, kv, server and repl uncached at GOMAXPROCS 1 and
+# 2 and once under the race detector, then the scanner, kvstore and
+# replica torture workloads, checked and stall-injected, at both widths.
+./scripts/ladder.sh
 
 # kvserver crash smoke: boot a real kvserver (OS-backed WAL, ephemeral
 # port), drive a pipelined connection ladder through kvloadgen (which

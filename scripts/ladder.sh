@@ -1,0 +1,33 @@
+#!/bin/sh
+# The width ladder: the packages whose behaviour depends on how goroutines
+# interleave, uncached at GOMAXPROCS 1 and 2 and once under the race
+# detector, then the torture workloads that drive the same paths with
+# injected stalls and full history checking, on one core and on two.
+# `make test` and scripts/ci.sh both run this file; it is the only place
+# the package list and the loop live.
+#
+# Why these: the transaction begin/commit path (stm: sticky registry
+# slots, the serial gate, quiescence) and what rides on it (core, txlock,
+# ds) interleave differently on one core and on two; the durability path
+# (wal appender/flusher hand-off, sharded kv, pipelined server,
+# replication stream) is scheduling-sensitive end to end — the flusher's
+# exit races appends, its lock hand-off races checkpoints and cross-lane
+# commits.
+set -eu
+
+cd "$(dirname "$0")/.."
+
+pkgs="./internal/stm ./internal/core ./internal/txlock ./internal/ds \
+./internal/wal ./internal/kv ./internal/server ./internal/repl"
+for procs in 1 2; do
+    echo "==> width ladder: go test at GOMAXPROCS=$procs (uncached)"
+    GOMAXPROCS=$procs go test -count=1 $pkgs
+done
+echo "==> width ladder: go test -race (uncached)"
+go test -race -count=1 $pkgs
+for procs in 1 2; do
+    for wl in scanner kvstore replica; do
+        echo "==> width ladder: stmtorture -workload $wl -check -inject at GOMAXPROCS=$procs"
+        GOMAXPROCS=$procs go run ./cmd/stmtorture -duration 400ms -workload $wl -check -inject -seed 1 >/dev/null
+    done
+done
