@@ -14,14 +14,16 @@ import (
 
 // HashMap is a transactional hash map built for multicore scaling:
 //
-//   - Per-bucket chain Vars with immutable nodes, so operations on
-//     different buckets never conflict.
+//   - Per-bucket chain Vars whose box is the chain's first (immutable)
+//     node, so operations on different buckets never conflict and a hit
+//     on the head costs one dependent load after the bucket.
 //   - The entry count is striped across cache-line-spaced counters
 //     (stripe chosen from the key hash), so disjoint-key writers do not
 //     serialize on a single size Var; Len sums the stripes
 //     transactionally and stays exact.
-//   - The bucket array lives behind a table indirection Var and grows by
-//     load-factor-triggered resize. The inserting transaction flips a
+//   - The bucket array lives behind a table indirection Var and doubles
+//     when the entry count passes maxLoad per bucket, so a hit walks one
+//     or two nodes. The inserting transaction flips a
 //     resizing flag and uses core.AtomicDefer to acquire the map's lock
 //     and run the rehash as the deferred operation after it commits (the
 //     paper's atomic-deferral idiom: the expensive operation happens
@@ -48,8 +50,8 @@ type HashMap[V any] struct {
 // >= frontier still lives in old, everything else lives in buckets. Each
 // migrated chunk installs a fresh hmTable with an advanced frontier.
 type hmTable[V any] struct {
-	buckets  []stm.Var[*mapNode[V]]
-	old      []stm.Var[*mapNode[V]]
+	buckets  []stm.Var[mapNode[V]]
+	old      []stm.Var[mapNode[V]]
 	frontier int
 }
 
@@ -68,11 +70,9 @@ type mapNode[V any] struct {
 
 const (
 	minBuckets = 16
-	// maxChain is the chain length that makes an inserting transaction
-	// consider triggering a resize.
-	maxChain = 8
-	// growFactor: resize when entries > growFactor * buckets.
-	growFactor = 4
+	// maxLoad is the entries-per-bucket ratio past which the map doubles,
+	// so it runs between maxLoad/2 and maxLoad (kv's smapMaxLoad).
+	maxLoad = 2
 	// migrateChunkBuckets bounds the work done under the map lock by one
 	// deferral unit; between chunks the lock is free and blocked
 	// transactions proceed against the frontier view.
@@ -85,7 +85,7 @@ func NewHashMap[V any](nBuckets int) *HashMap[V] {
 		nBuckets = minBuckets
 	}
 	m := &HashMap[V]{stripes: make([]sizeStripe, stripeCount())}
-	m.table.Init(&hmTable[V]{buckets: make([]stm.Var[*mapNode[V]], nBuckets)})
+	m.table.Init(&hmTable[V]{buckets: make([]stm.Var[mapNode[V]], nBuckets)})
 	return m
 }
 
@@ -117,7 +117,7 @@ func (m *HashMap[V]) view(tx *stm.Tx) *hmTable[V] {
 }
 
 // bucketFor returns the chain Var holding key hash h under table t.
-func (t *hmTable[V]) bucketFor(h uint64) *stm.Var[*mapNode[V]] {
+func (t *hmTable[V]) bucketFor(h uint64) *stm.Var[mapNode[V]] {
 	if t.old != nil {
 		if oi := int(h % uint64(len(t.old))); oi >= t.frontier {
 			return &t.old[oi]
@@ -129,7 +129,7 @@ func (t *hmTable[V]) bucketFor(h uint64) *stm.Var[*mapNode[V]] {
 // Get returns the value for k and whether it was present.
 func (m *HashMap[V]) Get(tx *stm.Tx, k int64) (V, bool) {
 	h := hashKey(k)
-	for n := m.view(tx).bucketFor(h).Get(tx); n != nil; n = n.next {
+	for n := m.view(tx).bucketFor(h).GetPtr(tx); n != nil; n = n.next {
 		if n.key == k {
 			return n.val, true
 		}
@@ -141,24 +141,22 @@ func (m *HashMap[V]) Get(tx *stm.Tx, k int64) (V, bool) {
 // Put inserts or replaces k's value, returning true if the key was new.
 // Chains are immutable nodes: updates rebuild the chain prefix, so readers
 // of other keys in the same bucket conflict only via the bucket head Var.
-// A single pass over the chain both finds the key and measures the chain.
 func (m *HashMap[V]) Put(tx *stm.Tx, k int64, v V) bool {
 	t := m.view(tx)
 	h := hashKey(k)
 	b := t.bucketFor(h)
-	head := b.Get(tx)
-	chain := 0
+	head := b.GetPtr(tx)
 	for n := head; n != nil; n = n.next {
-		chain++
 		if n.key == k {
-			b.Set(tx, replaceNode(head, k, v))
+			b.SetPtr(tx, replaceNode(head, k, v))
 			return false
 		}
 	}
-	b.Set(tx, &mapNode[V]{key: k, val: v, next: head})
+	b.SetPtr(tx, &mapNode[V]{key: k, val: v, next: head})
 	s := m.stripeFor(h)
-	s.Set(tx, s.Get(tx)+1)
-	m.maybeGrow(tx, t, chain+1)
+	n := s.Get(tx) + 1
+	s.Set(tx, n)
+	m.maybeGrow(tx, t, n)
 	return true
 }
 
@@ -176,11 +174,11 @@ func (m *HashMap[V]) Delete(tx *stm.Tx, k int64) bool {
 	t := m.view(tx)
 	h := hashKey(k)
 	b := t.bucketFor(h)
-	nh, ok := removeNode(b.Get(tx), k)
+	nh, ok := removeNode(b.GetPtr(tx), k)
 	if !ok {
 		return false
 	}
-	b.Set(tx, nh)
+	b.SetPtr(tx, nh)
 	s := m.stripeFor(h)
 	s.Set(tx, s.Get(tx)-1)
 	return true
@@ -217,7 +215,7 @@ func (m *HashMap[V]) Len(tx *stm.Tx) int {
 func (m *HashMap[V]) Range(tx *stm.Tx, fn func(k int64, v V) bool) {
 	t := m.view(tx)
 	for i := range t.buckets {
-		for n := t.buckets[i].Get(tx); n != nil; n = n.next {
+		for n := t.buckets[i].GetPtr(tx); n != nil; n = n.next {
 			if !fn(n.key, n.val) {
 				return
 			}
@@ -227,7 +225,7 @@ func (m *HashMap[V]) Range(tx *stm.Tx, fn func(k int64, v V) bool) {
 		return
 	}
 	for i := t.frontier; i < len(t.old); i++ {
-		for n := t.old[i].Get(tx); n != nil; n = n.next {
+		for n := t.old[i].GetPtr(tx); n != nil; n = n.next {
 			if !fn(n.key, n.val) {
 				return
 			}
@@ -282,28 +280,19 @@ func (m *HashMap[V]) Migrating() bool { return m.table.Load().old != nil }
 // BucketCount reports the current bucket array length (snapshot).
 func (m *HashMap[V]) BucketCount() int { return len(m.table.Load().buckets) }
 
-// approxLen sums the stripes non-transactionally. It deliberately avoids
-// Get: reading every stripe into the read set would make each insert
-// conflict with every size movement, recreating the single-counter
-// hotspot. The value is a heuristic used only by the resize trigger.
-func (m *HashMap[V]) approxLen() int {
-	total := 0
-	for i := range m.stripes {
-		total += m.stripes[i].n.Load()
-	}
-	return total
-}
-
-// maybeGrow decides, after an insert produced a chain of chainLen, whether
-// this transaction should trigger a resize. The trigger transaction flips
-// the resizing flag (so exactly one committed transaction triggers) and
-// defers beginResize under the map lock — the paper's pattern of moving a
-// long operation out of the transaction while keeping it atomic.
-func (m *HashMap[V]) maybeGrow(tx *stm.Tx, t *hmTable[V], chainLen int) {
-	if chainLen <= maxChain || t.old != nil {
-		return
-	}
-	if m.approxLen() <= growFactor*len(t.buckets) {
+// maybeGrow decides, after an insert, whether this transaction should
+// trigger a resize: once the map holds more than maxLoad entries per
+// bucket. The entry count is estimated from stripeLen, the one stripe the
+// insert has just written, times the number of stripes — stripes split the
+// keys evenly, by hash bits the bucket index does not use — so the
+// decision reads nothing the insert had not read already (summing the
+// stripes would put every one of them in the read set and recreate the
+// single-counter hotspot). The trigger transaction flips the resizing flag
+// (so exactly one committed transaction triggers) and defers beginResize
+// under the map lock — the paper's pattern of moving a long operation out
+// of the transaction while keeping it atomic.
+func (m *HashMap[V]) maybeGrow(tx *stm.Tx, t *hmTable[V], stripeLen int) {
+	if stripeLen*len(m.stripes) <= maxLoad*len(t.buckets) || t.old != nil {
 		return
 	}
 	if m.resizing.Get(tx) {
@@ -317,20 +306,32 @@ func (m *HashMap[V]) maybeGrow(tx *stm.Tx, t *hmTable[V], chainLen int) {
 // installs the migrating table (new empty buckets, old array, frontier 0),
 // migrates the first chunk, and — if chains remain — hands the rest to a
 // background migrator. Direct stores are safe here because every map
-// operation subscribes to the lock this operation holds.
+// operation subscribes to the lock this operation holds. The trigger was
+// an estimate, so the table at least doubles whatever the exact count says.
 func (m *HashMap[V]) beginResize(ctx *core.OpCtx) {
 	t := core.Load(ctx, &m.table)
 	if t.old != nil {
 		return // already migrating (defensive; the resizing flag gates)
 	}
-	newLen := 2 * len(t.buckets)
-	for m.approxLen() > growFactor*newLen {
-		newLen *= 2
-	}
-	nt := &hmTable[V]{buckets: make([]stm.Var[*mapNode[V]], newLen), old: t.buckets}
+	nt := &hmTable[V]{buckets: make([]stm.Var[mapNode[V]], m.fitLen(ctx, 2*len(t.buckets))), old: t.buckets}
 	if m.migrateChunk(ctx, nt) {
 		go m.migrateLoop(ctx.Runtime())
 	}
+}
+
+// fitLen doubles n until the map's entries fit n buckets at maxLoad. Must
+// run holding the map lock: no insert can commit under it, so the stripes
+// sum to the exact count, and one resize covers it however many keys
+// arrived since the last.
+func (m *HashMap[V]) fitLen(ctx *core.OpCtx, n int) int {
+	entries := 0
+	for i := range m.stripes {
+		entries += core.Load(ctx, &m.stripes[i].n)
+	}
+	for entries > maxLoad*n {
+		n *= 2
+	}
+	return n
 }
 
 // migrateChunk moves up to migrateChunkBuckets old chains into the new
@@ -338,7 +339,8 @@ func (m *HashMap[V]) beginResize(ctx *core.OpCtx) {
 // table, ending the migration). Must run holding the map lock. Reports
 // whether chains remain.
 func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
-	if met := ctx.Runtime().Metrics(); met != nil {
+	rt := ctx.Runtime()
+	if met := rt.Metrics(); met != nil {
 		defer func(t0 time.Time) { met.ResizeChunk.Observe(time.Since(t0)) }(time.Now())
 	}
 	end := t.frontier + migrateChunkBuckets
@@ -346,18 +348,24 @@ func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
 		end = len(t.old)
 	}
 	for i := t.frontier; i < end; i++ {
-		for n := core.Load(ctx, &t.old[i]); n != nil; n = n.next {
+		for n := t.old[i].LoadPtr(); n != nil; n = n.next {
 			// Rehash into the new array. The target bucket may already
 			// hold keys from other (migrated) old buckets, so prepend.
-			j := hashKey(n.key) % uint64(len(t.buckets))
-			core.Store(ctx, &t.buckets[j],
-				&mapNode[V]{key: n.key, val: n.val, next: core.Load(ctx, &t.buckets[j])})
+			b := &t.buckets[hashKey(n.key)%uint64(len(t.buckets))]
+			b.StoreDirectPtr(rt, &mapNode[V]{key: n.key, val: n.val, next: b.LoadPtr()})
 		}
 	}
 	if end == len(t.old) {
+		m.resizes.Add(1)
+		if n := m.fitLen(ctx, len(t.buckets)); n > len(t.buckets) {
+			// Inserts outran the migration (they trigger nothing while one
+			// is in flight): go straight on to the table they need, so a
+			// settled map is never over its load.
+			core.Store(ctx, &m.table, &hmTable[V]{buckets: make([]stm.Var[mapNode[V]], n), old: t.buckets})
+			return true
+		}
 		core.Store(ctx, &m.table, &hmTable[V]{buckets: t.buckets})
 		core.Store(ctx, &m.resizing, false)
-		m.resizes.Add(1)
 		return false
 	}
 	core.Store(ctx, &m.table, &hmTable[V]{buckets: t.buckets, old: t.old, frontier: end})

@@ -107,6 +107,90 @@ func TestHashMapStripedLenConcurrent(t *testing.T) {
 	}
 }
 
+// TestHashMapLoadFactorBand: the map grows on its entry count, so a
+// settled map holds between maxLoad/2 and maxLoad entries per bucket and a
+// hit walks at most 1 + maxLoad/2 nodes on average — after one insert per
+// transaction, after one bulk transaction, and after a storm of concurrent
+// inserts across back-to-back resizes. (Growing on chain length let it run
+// at 4–8 per bucket.) Same band and same slack as kv's TestSmapLoadFactorBand: the
+// trigger estimates the count from one stripe, so it may fire a few
+// percent early.
+func TestHashMapLoadFactorBand(t *testing.T) {
+	const n, lo, hi = 20000, 0.45 * maxLoad, 1.0 * maxLoad
+	check := func(t *testing.T, m *HashMap[int]) {
+		t.Helper()
+		waitSettled(t, m)
+		tab := m.table.Load()
+		entries, steps := 0, 0
+		for i := range tab.buckets {
+			depth := 0
+			for nd := tab.buckets[i].LoadPtr(); nd != nil; nd = nd.next {
+				depth++
+				entries++
+				steps += depth
+			}
+		}
+		if entries != n {
+			t.Fatalf("buckets hold %d entries, want %d", entries, n)
+		}
+		if lf := float64(entries) / float64(len(tab.buckets)); lf < lo || lf > hi {
+			t.Errorf("%.3f entries per bucket, want within [%.2f, %.2f]", lf, lo, hi)
+		}
+		if walked, max := float64(steps)/float64(entries), 1+hi/2+0.05; walked > max {
+			t.Errorf("a hit walks %.3f nodes on average, want <= %.2f", walked, max)
+		}
+	}
+	// Scattered keys (splitmix64): hashKey is multiplicative, so consecutive
+	// integers would fill the buckets more evenly than any real key set.
+	key := func(i int) int64 {
+		z := uint64(i+1) * 0x9E3779B97F4A7C15
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return int64(z ^ z>>31)
+	}
+	put := func(rt *stm.Runtime, m *HashMap[int], from, to int) {
+		if err := rt.Atomic(func(tx *stm.Tx) error {
+			for i := from; i < to; i++ {
+				m.Put(tx, key(i), i)
+			}
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	t.Run("one insert per transaction", func(t *testing.T) {
+		rt, m := stm.NewDefault(), NewHashMap[int](16)
+		for i := 0; i < n; i++ {
+			put(rt, m, i, i+1)
+		}
+		check(t, m)
+	})
+	t.Run("one bulk transaction", func(t *testing.T) {
+		rt, m := stm.NewDefault(), NewHashMap[int](16)
+		put(rt, m, 0, n)
+		check(t, m)
+	})
+	t.Run("resize storm", func(t *testing.T) {
+		rt, m := stm.NewDefault(), NewHashMap[int](16)
+		const workers = 4
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w * n / workers; i < (w+1)*n/workers; i++ {
+					put(rt, m, i, i+1)
+				}
+			}(w)
+		}
+		wg.Wait()
+		check(t, m)
+		if m.Resizes() < 5 {
+			t.Errorf("%d resizes completed, want a storm of them", m.Resizes())
+		}
+	})
+}
+
 // runResizeChecked drives concurrent put/get/delete through at least one
 // full resize on a recording runtime with fault injection, then runs the
 // offline checker: the history — including the deferred rehash chunks and

@@ -97,11 +97,16 @@ func TestSnapshotRangeDuringResize(t *testing.T) {
 
 	// Filler: monotonic inserts of sentinel-valued keys far outside the
 	// account range, enough volume to drive the 16-bucket map through
-	// several chunked migrations while the scans run.
+	// several chunked migrations while the scans run — and no more: the map
+	// keeps about a bucket per key and a scan records a read per bucket, so
+	// an unbounded filler would hand the checker millions of events.
+	const fillerKeys = 4096
+	var filled atomic.Bool
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for k := int64(1 << 20); !stop.Load(); k += 16 {
+		defer filled.Store(true)
+		for k := int64(1 << 20); !stop.Load() && k < 1<<20+fillerKeys; k += 16 {
 			if err := rt.Atomic(func(tx *stm.Tx) error {
 				for j := int64(0); j < 16; j++ {
 					m.Put(tx, k+j, -7)
@@ -158,7 +163,7 @@ func TestSnapshotRangeDuringResize(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(20 * time.Second)
-	for !stop.Load() && (m.Resizes() < 3 || scans.Load() < 100) {
+	for !stop.Load() && (m.Resizes() < 3 && !filled.Load() || scans.Load() < 100) {
 		if time.Now().After(deadline) {
 			break
 		}

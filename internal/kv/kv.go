@@ -50,7 +50,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -445,8 +444,8 @@ func applyOps(tx *stm.Tx, m *smap, ops []Op) {
 
 // Batch accumulates one transaction's mutations: each Put/Delete applies
 // to the store immediately (inside the transaction, so the transaction
-// reads its own writes) and is recorded — per touched shard — for the
-// commit's WAL record(s).
+// reads its own writes) and, when the store has a log, is recorded — per
+// touched shard — for the commit's WAL record(s).
 type Batch struct {
 	s  *Store
 	tx *stm.Tx
@@ -459,6 +458,9 @@ type Batch struct {
 
 func (b *Batch) add(sh int, op Op) {
 	b.n++
+	if b.s.shards[0].log == nil {
+		return // ModeNone: no record will be written
+	}
 	if len(b.s.shards) == 1 {
 		b.single = append(b.single, op)
 		return
@@ -500,7 +502,6 @@ func (b *Batch) touched() []int {
 			t = append(t, sh)
 		}
 	}
-	sort.Ints(t)
 	return t
 }
 
@@ -644,6 +645,11 @@ func (s *Store) Scan(fn func(k, v string) bool) error {
 	type entry struct{ k, v string }
 	var cut []entry
 	err := s.SnapshotView(func(tx *stm.Tx) error {
+		// Len is read at the same pin as the entries, so it is the cut's
+		// exact size: one allocation, never grown.
+		if n := s.Len(tx); n > cap(cut) {
+			cut = make([]entry, 0, n)
+		}
 		cut = cut[:0]
 		s.Range(tx, func(k, v string) bool {
 			cut = append(cut, entry{k: k, v: v})

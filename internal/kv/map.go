@@ -14,10 +14,11 @@ import (
 )
 
 // smap is a string-keyed transactional hash map, same construction as
-// ds.HashMap but keyed for the store's API: per-bucket chain Vars with
-// immutable nodes, striped size counters (so disjoint-key writers do not
-// serialize on one size Var), and a load-factor-triggered resize whose
-// rehash runs as a deferred operation under the map's implicit lock.
+// ds.HashMap but keyed for the store's API: per-bucket chain Vars whose
+// box is the chain's first (immutable) node, striped size counters (so
+// disjoint-key writers do not serialize on one size Var), and a resize,
+// triggered by the entry count, whose rehash runs as a deferred operation
+// under the map's implicit lock.
 // Every operation subscribes to that lock first, which orders it against
 // the deferred rehash's direct stores.
 type smap struct {
@@ -33,8 +34,8 @@ type smap struct {
 // Outside a migration old is nil; during one, old[frontier:] holds the
 // chains not yet moved into buckets.
 type stable struct {
-	buckets  []stm.Var[*snode]
-	old      []stm.Var[*snode]
+	buckets  []stm.Var[snode]
+	old      []stm.Var[snode]
 	frontier int
 }
 
@@ -44,6 +45,10 @@ type countStripe struct {
 	_ [128 - unsafe.Sizeof(stm.Var[int]{})%128]byte // pad to a multiple of 128
 }
 
+// snode is one immutable chain node. A bucket is a Var[snode]: the Var's
+// box is the head node itself (nil for an empty bucket), so a lookup that
+// hits the head costs one dependent load after the bucket, and an insert
+// or overwrite allocates the node and nothing else.
 type snode struct {
 	key  string
 	val  string
@@ -51,9 +56,13 @@ type snode struct {
 }
 
 const (
-	smapMinBuckets   = 16
-	smapMaxChain     = 8
-	smapGrowFactor   = 4
+	smapMinBuckets = 16
+	// smapMaxLoad is the entries-per-bucket ratio past which the map
+	// doubles, so it runs between smapMaxLoad/2 and smapMaxLoad and a hit
+	// walks one or two nodes. At 1 the benchmark's point and scan
+	// workloads measured no faster (buckets are 32 bytes each, and a scan
+	// reads every one), for 32 bytes more per key.
+	smapMaxLoad      = 2
 	smapMigrateChunk = 64
 )
 
@@ -62,7 +71,7 @@ func newSmap(nBuckets int) *smap {
 		nBuckets = smapMinBuckets
 	}
 	m := &smap{seed: maphash.MakeSeed(), stripes: make([]countStripe, smapStripes())}
-	m.table.Init(&stable{buckets: make([]stm.Var[*snode], nBuckets)})
+	m.table.Init(&stable{buckets: make([]stm.Var[snode], nBuckets)})
 	return m
 }
 
@@ -88,7 +97,7 @@ func (m *smap) view(tx *stm.Tx) *stable {
 	return m.table.Get(tx)
 }
 
-func (t *stable) bucketFor(h uint64) *stm.Var[*snode] {
+func (t *stable) bucketFor(h uint64) *stm.Var[snode] {
 	if t.old != nil {
 		if oi := int(h % uint64(len(t.old))); oi >= t.frontier {
 			return &t.old[oi]
@@ -99,7 +108,7 @@ func (t *stable) bucketFor(h uint64) *stm.Var[*snode] {
 
 func (m *smap) get(tx *stm.Tx, k string) (string, bool) {
 	h := m.hash(k)
-	for n := m.view(tx).bucketFor(h).Get(tx); n != nil; n = n.next {
+	for n := m.view(tx).bucketFor(h).GetPtr(tx); n != nil; n = n.next {
 		if n.key == k {
 			return n.val, true
 		}
@@ -115,23 +124,21 @@ func (m *smap) put(tx *stm.Tx, k, v string) {
 	t := m.view(tx)
 	h := m.hash(k)
 	b := t.bucketFor(h)
-	head := b.Get(tx)
-	chain := 0
+	head := b.GetPtr(tx)
 	for n := head; n != nil; n = n.next {
-		chain++
 		if n.key == k {
 			if n.val == v {
 				return
 			}
-			b.Set(tx, replaceSnode(head, k, v))
+			b.SetPtr(tx, replaceSnode(head, k, v))
 			return
 		}
 	}
-	b.Set(tx, &snode{key: k, val: v, next: head})
+	b.SetPtr(tx, &snode{key: k, val: v, next: head})
 	s := m.stripeFor(h)
-	s.Set(tx, s.Get(tx)+1)
-	m.maybeGrow(tx, t, chain+1)
-	return
+	n := s.Get(tx) + 1
+	s.Set(tx, n)
+	m.maybeGrow(tx, t, n)
 }
 
 func replaceSnode(head *snode, k, v string) *snode {
@@ -147,11 +154,11 @@ func (m *smap) delete(tx *stm.Tx, k string) bool {
 	t := m.view(tx)
 	h := m.hash(k)
 	b := t.bucketFor(h)
-	nh, ok := removeSnode(b.Get(tx), k)
+	nh, ok := removeSnode(b.GetPtr(tx), k)
 	if !ok {
 		return false
 	}
-	b.Set(tx, nh)
+	b.SetPtr(tx, nh)
 	s := m.stripeFor(h)
 	s.Set(tx, s.Get(tx)-1)
 	return true
@@ -184,7 +191,7 @@ func (m *smap) length(tx *stm.Tx) int {
 func (m *smap) rangeAll(tx *stm.Tx, fn func(k, v string) bool) {
 	t := m.view(tx)
 	for i := range t.buckets {
-		for n := t.buckets[i].Get(tx); n != nil; n = n.next {
+		for n := t.buckets[i].GetPtr(tx); n != nil; n = n.next {
 			if !fn(n.key, n.val) {
 				return
 			}
@@ -194,7 +201,7 @@ func (m *smap) rangeAll(tx *stm.Tx, fn func(k, v string) bool) {
 		return
 	}
 	for i := t.frontier; i < len(t.old); i++ {
-		for n := t.old[i].Get(tx); n != nil; n = n.next {
+		for n := t.old[i].GetPtr(tx); n != nil; n = n.next {
 			if !fn(n.key, n.val) {
 				return
 			}
@@ -202,25 +209,17 @@ func (m *smap) rangeAll(tx *stm.Tx, fn func(k, v string) bool) {
 	}
 }
 
-// approxLen sums the stripes non-transactionally: a trigger heuristic.
-// Reading the stripes with Get here would put every stripe in the read
-// set and recreate the single-counter hotspot.
-func (m *smap) approxLen() int {
-	total := 0
-	for i := range m.stripes {
-		total += m.stripes[i].n.Load()
-	}
-	return total
-}
-
-// maybeGrow triggers a resize after an insert left a chain of chainLen:
-// the inserting transaction flips the resizing flag and defers the rehash
-// under the map lock (see ds.HashMap.maybeGrow).
-func (m *smap) maybeGrow(tx *stm.Tx, t *stable, chainLen int) {
-	if chainLen <= smapMaxChain || t.old != nil {
-		return
-	}
-	if m.approxLen() <= smapGrowFactor*len(t.buckets) {
+// maybeGrow triggers a resize once the map holds more than smapMaxLoad
+// entries per bucket: the inserting transaction flips the resizing flag
+// and defers the rehash under the map lock (see ds.HashMap.maybeGrow).
+// The entry count is estimated from stripeLen, the one stripe the insert
+// has just written, times the number of stripes — stripes split the keys
+// evenly, by hash bits the bucket index does not use — so the decision
+// reads nothing the insert had not read already. (On a map of a few dozen
+// keys the estimate is coarse and may double it early; it is beginResize,
+// with the exact count, that sizes the table.)
+func (m *smap) maybeGrow(tx *stm.Tx, t *stable, stripeLen int) {
+	if stripeLen*len(m.stripes) <= smapMaxLoad*len(t.buckets) || t.old != nil {
 		return
 	}
 	if m.resizing.Get(tx) {
@@ -232,27 +231,40 @@ func (m *smap) maybeGrow(tx *stm.Tx, t *stable, chainLen int) {
 
 // beginResize runs as a deferred operation holding the map lock; it
 // installs the migrating table, moves the first chunk, and hands the rest
-// to a background migrator goroutine.
+// to a background migrator goroutine. The trigger was an estimate, so the
+// table at least doubles whatever the exact count says.
 func (m *smap) beginResize(ctx *core.OpCtx) {
 	t := core.Load(ctx, &m.table)
 	if t.old != nil {
 		return
 	}
-	newLen := 2 * len(t.buckets)
-	for m.approxLen() > smapGrowFactor*newLen {
-		newLen *= 2
-	}
-	nt := &stable{buckets: make([]stm.Var[*snode], newLen), old: t.buckets}
+	nt := &stable{buckets: make([]stm.Var[snode], m.fitLen(ctx, 2*len(t.buckets))), old: t.buckets}
 	if m.migrateChunk(ctx, nt) {
 		go m.migrateLoop(ctx.Runtime())
 	}
+}
+
+// fitLen doubles n until the map's entries fit n buckets at smapMaxLoad.
+// Must run holding the map lock: no insert can commit under it, so the
+// stripes sum to the exact count, and one resize covers it however many
+// keys arrived since the last.
+func (m *smap) fitLen(ctx *core.OpCtx, n int) int {
+	entries := 0
+	for i := range m.stripes {
+		entries += core.Load(ctx, &m.stripes[i].n)
+	}
+	for entries > smapMaxLoad*n {
+		n *= 2
+	}
+	return n
 }
 
 // migrateChunk moves up to smapMigrateChunk old chains and installs the
 // advanced-frontier (or final) table. Must run holding the map lock.
 // Reports whether chains remain.
 func (m *smap) migrateChunk(ctx *core.OpCtx, t *stable) bool {
-	if met := ctx.Runtime().Metrics(); met != nil {
+	rt := ctx.Runtime()
+	if met := rt.Metrics(); met != nil {
 		defer func(t0 time.Time) { met.ResizeChunk.Observe(time.Since(t0)) }(time.Now())
 	}
 	end := t.frontier + smapMigrateChunk
@@ -260,16 +272,22 @@ func (m *smap) migrateChunk(ctx *core.OpCtx, t *stable) bool {
 		end = len(t.old)
 	}
 	for i := t.frontier; i < end; i++ {
-		for n := core.Load(ctx, &t.old[i]); n != nil; n = n.next {
-			j := m.hash(n.key) % uint64(len(t.buckets))
-			core.Store(ctx, &t.buckets[j],
-				&snode{key: n.key, val: n.val, next: core.Load(ctx, &t.buckets[j])})
+		for n := t.old[i].LoadPtr(); n != nil; n = n.next {
+			b := &t.buckets[m.hash(n.key)%uint64(len(t.buckets))]
+			b.StoreDirectPtr(rt, &snode{key: n.key, val: n.val, next: b.LoadPtr()})
 		}
 	}
 	if end == len(t.old) {
+		m.resizes.Add(1)
+		if n := m.fitLen(ctx, len(t.buckets)); n > len(t.buckets) {
+			// Inserts outran the migration (they trigger nothing while one
+			// is in flight): go straight on to the table they need, so a
+			// settled map is never over its load.
+			core.Store(ctx, &m.table, &stable{buckets: make([]stm.Var[snode], n), old: t.buckets})
+			return true
+		}
 		core.Store(ctx, &m.table, &stable{buckets: t.buckets})
 		core.Store(ctx, &m.resizing, false)
-		m.resizes.Add(1)
 		return false
 	}
 	core.Store(ctx, &m.table, &stable{buckets: t.buckets, old: t.old, frontier: end})

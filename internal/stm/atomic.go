@@ -312,7 +312,6 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 			return 0, false
 		}
 		e.prevW = w
-		e.m.owner.Store(tx)
 		acquired++
 	}
 
@@ -349,7 +348,6 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 					Owner: tx.owner, Var: e.m.idLoad(), Ver: horizon, Aux: uint64(dropped)})
 			}
 		}
-		e.m.owner.Store(nil)
 		e.m.lock.Store(packVersion(wv))
 	}
 	if truncated > 0 {
@@ -377,7 +375,6 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 func (tx *Tx) releaseLocks(n int, wv uint64) {
 	for i := 0; i < n; i++ {
 		e := &tx.writes[i]
-		e.m.owner.Store(nil)
 		if wv != 0 {
 			e.m.lock.Store(packVersion(wv))
 		} else {

@@ -370,7 +370,7 @@ func TestSnapshotIdleChainsCleared(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v.m.hist.Load() == nil {
+	if v.m.histHead() == nil {
 		t.Fatal("no chain retained while a snapshot was registered")
 	}
 	close(block)
@@ -383,7 +383,7 @@ func TestSnapshotIdleChainsCleared(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v.m.hist.Load() != nil {
+	if v.m.histHead() != nil {
 		t.Fatal("chain not dropped by the first publish after the last snapshot ended")
 	}
 }

@@ -401,8 +401,11 @@ func (tx *Tx) extend() bool {
 	return true
 }
 
-// validateReads checks the read set at commit time: every entry must be
-// unchanged, and unlocked or locked by this transaction.
+// validateReads checks the read set at commit time, with the whole write
+// set locked: every entry must be unchanged, and unlocked or locked by
+// this transaction — which holds exactly the locks of its write set, so a
+// locked entry with the version unchanged beneath the bit is ours if and
+// only if the var is one we are writing.
 func (tx *Tx) validateReads() bool {
 	for i := range tx.reads {
 		e := &tx.reads[i]
@@ -410,8 +413,8 @@ func (tx *Tx) validateReads() bool {
 		if cur == e.ver {
 			continue
 		}
-		if wordLocked(cur) && e.m.owner.Load() == tx && (cur&^lockedBit) == e.ver {
-			continue // we hold the lock; version unchanged beneath it
+		if cur == e.ver|lockedBit && tx.findWrite(e.m) >= 0 {
+			continue
 		}
 		return false
 	}
@@ -422,9 +425,9 @@ func (tx *Tx) validateReads() bool {
 // acquisition is globally ordered (deadlock- and livelock-free against
 // other committers). Small sets use insertion sort — allocation-free,
 // unlike sort.Slice, whose interface conversion and closure cost two
-// heap allocations per writing commit. Lookups never happen after
-// sorting (the user closure has returned), so wmap is left stale; it
-// is discarded by reset.
+// heap allocations per writing commit. After sorting, wmap's indices
+// are stale but its keys are not: validateReads still asks findWrite
+// whether a var is in the write set, never where.
 func (tx *Tx) sortWrites() {
 	w := tx.writes
 	if len(w) <= 32 {
@@ -442,6 +445,7 @@ func (tx *Tx) sortWrites() {
 
 // reset prepares the descriptor for another attempt or for reuse.
 func (tx *Tx) reset() {
+	clear(tx.reads) // a stale entry would pin its Var, and the array it sits in
 	tx.reads = tx.reads[:0]
 	clear(tx.writes) // drop pending-value boxes so the GC can reclaim them
 	tx.writes = tx.writes[:0]

@@ -9,8 +9,8 @@ import (
 //	word = version<<1 | locked
 //
 // While locked, the version bits still hold the pre-lock version; the
-// owning transaction is recorded in varMeta.owner. Versions are drawn from
-// the runtime's global clock.
+// holder is a committing transaction with the var in its write set, or a
+// StoreDirect. Versions are drawn from the runtime's global clock.
 const lockedBit uint64 = 1
 
 func wordLocked(w uint64) bool    { return w&lockedBit != 0 }
@@ -19,21 +19,46 @@ func packVersion(v uint64) uint64 { return v << 1 }
 
 var varIDCtr atomic.Uint64
 
-// varMeta is the type-erased portion of a Var: the versioned lock and the
-// commit-time owner. It is what read sets, write sets and lock-ordering
-// operate on.
+// varMeta is the type-erased portion of a Var: its identity, the versioned
+// lock, and the way to what few Vars need. It is what read sets, write
+// sets and lock-ordering operate on. With the value pointer a Var is 32
+// bytes — two to a cache line in a bucket array — and TestVarLayout keeps
+// it there.
 type varMeta struct {
-	id    uint64 // unique, allocation-ordered; used to sort write sets
-	lock  atomic.Uint64
-	owner atomic.Pointer[Tx] // non-nil only while locked
-	// watch is the lazily installed retry-watcher set (nil until the
-	// first retry parks on this var; see watch.go).
-	watch atomic.Pointer[watchSet]
+	id   uint64 // unique, allocation-ordered; used to sort write sets
+	lock atomic.Uint64
+	// side is nil until a retry first parks on the var or a commit first
+	// supersedes its value under a live snapshot, and then stays for the
+	// var's lifetime (the watcher protocol needs a stable set).
+	side atomic.Pointer[varSide]
+}
+
+// varSide is the cold part of a Var, allocated on first need.
+type varSide struct {
 	// hist is the var's version chain: superseded values kept for active
 	// snapshot readers, newest first (nil while no snapshot needs them;
 	// see snapshot.go). Only publishers holding the var's lock bit link
 	// or cut nodes; snapshot readers walk it lock-free.
 	hist atomic.Pointer[histNode]
+	// watch is the retry-watcher set (see watch.go).
+	watch watchSet
+}
+
+// ensureSide returns the var's side struct, installing one on first use.
+func (m *varMeta) ensureSide() *varSide {
+	if s := m.side.Load(); s != nil {
+		return s
+	}
+	m.side.CompareAndSwap(nil, new(varSide))
+	return m.side.Load()
+}
+
+// histHead returns the newest node of the var's version chain, or nil.
+func (m *varMeta) histHead() *histNode {
+	if s := m.side.Load(); s != nil {
+		return s.hist.Load()
+	}
+	return nil
 }
 
 // txVar is the type-erased interface a Var presents to the commit path.
@@ -86,9 +111,10 @@ func (v *Var[T]) pushHist(wv, horizon uint64, depth int) int {
 	if horizon == noSnapshotHorizon || depth <= 0 {
 		// No active snapshot anywhere: nobody can ever read the old
 		// value again, and any retained chain is garbage — drop it so
-		// idle memory is exactly one value per var.
-		if v.m.hist.Load() != nil {
-			v.m.hist.Store(nil)
+		// idle memory is one value per var (and the side struct, on a
+		// var that ever needed one).
+		if s := v.m.side.Load(); s != nil && s.hist.Load() != nil {
+			s.hist.Store(nil)
 		}
 		return 0
 	}
@@ -101,9 +127,10 @@ func (v *Var[T]) pushHist(wv, horizon uint64, depth int) int {
 		// with horizon < wv trims them.)
 		return 0
 	}
+	s := v.m.ensureSide()
 	n := &histNode{val: v.val.Load(), ver: wordVersion(v.m.lock.Load()), until: wv}
-	n.next.Store(v.m.hist.Load())
-	v.m.hist.Store(n)
+	n.next.Store(s.hist.Load())
+	s.hist.Store(n)
 	return trimHist(n, horizon, depth)
 }
 
@@ -173,11 +200,20 @@ func (v *Var[T]) Init(x T) { v.val.Store(&x) }
 // Get never returns an inconsistent value; if consistency cannot be
 // established the transaction aborts (via panic, caught by Atomic) and
 // re-executes.
-func (v *Var[T]) Get(tx *Tx) T {
+func (v *Var[T]) Get(tx *Tx) T { return deref(v.GetPtr(tx)) }
+
+// GetPtr is Get without the copy: it returns the Var's box itself — nil
+// for a Var that holds no box (the zero Var, or one SetPtr emptied). A
+// box is immutable from the moment it is handed to the Var: whoever gets
+// one from GetPtr or LoadPtr must never write through it, and whoever
+// passes one to SetPtr or StoreDirectPtr must never write through it
+// again. In exchange a reader of a large T, or of a T that is the head of
+// an immutable linked structure, pays no copy and no second indirection.
+func (v *Var[T]) GetPtr(tx *Tx) *T {
 	tx.mustBeActive()
 	if len(tx.writes) != 0 {
 		if idx := tx.findWrite(&v.m); idx >= 0 {
-			return *(tx.writes[idx].pending.(*T))
+			return tx.writes[idx].pending.(*T)
 		}
 	}
 	if tx.snap {
@@ -185,22 +221,11 @@ func (v *Var[T]) Get(tx *Tx) T {
 	}
 	if tx.serial {
 		// Serial transactions run alone; direct read.
-		p := v.val.Load()
-		if p == nil {
-			var zero T
-			return zero
-		}
-		return *p
+		return v.val.Load()
 	}
 	for {
 		w1 := v.m.lock.Load()
 		if wordLocked(w1) {
-			if v.m.owner.Load() == tx {
-				// Only possible during commit write-back, which
-				// never calls Get; defensive.
-				p := v.val.Load()
-				return deref(p)
-			}
 			tx.abortConflict()
 		}
 		p := v.val.Load()
@@ -217,19 +242,19 @@ func (v *Var[T]) Get(tx *Tx) T {
 			continue
 		}
 		tx.recordRead(&v.m, w1)
-		return deref(p)
+		return p
 	}
 }
 
 // snapGet resolves a read at the transaction's pinned snapshot version:
-// the current value if it is old enough, else the newest version-chain
+// the current box if it is old enough, else the newest version-chain
 // entry whose validity window [ver, until) covers the pin. It never
 // validates, never extends and never aborts on conflict — a concurrent
 // commit's lock bit is only spun through, exactly like Load. If the
 // chain was depth-truncated past the pin, it misses and aborts the
 // attempt with abortSnapshot, and the Atomic loop re-runs fn on the
 // validating read-only path (never a wrong value).
-func (v *Var[T]) snapGet(tx *Tx) T {
+func (v *Var[T]) snapGet(tx *Tx) *T {
 	sv := tx.rv
 	for {
 		w1 := v.m.lock.Load()
@@ -245,7 +270,7 @@ func (v *Var[T]) snapGet(tx *Tx) T {
 				continue // concurrent commit touched v; re-read
 			}
 			tx.snapRead(&v.m, wordVersion(w1))
-			return deref(p)
+			return p
 		}
 		// Current value is newer than the pin: resolve through the
 		// chain. Having observed the lock word unlocked at a version
@@ -254,13 +279,13 @@ func (v *Var[T]) snapGet(tx *Tx) T {
 		// if the committed-at-sv value is retained at all, it is here.
 		// Windows descend strictly, so the walk stops at the first node
 		// too old to matter.
-		for n := v.m.hist.Load(); n != nil; n = n.next.Load() {
+		for n := v.m.histHead(); n != nil; n = n.next.Load() {
 			if n.until <= sv {
 				break
 			}
 			if n.ver <= sv {
 				tx.snapRead(&v.m, n.ver)
-				return deref(n.val.(*T))
+				return n.val.(*T)
 			}
 		}
 		panic(txSignal{abortSnapshot})
@@ -277,16 +302,20 @@ func deref[T any](p *T) T {
 
 // Set buffers a transactional write of x to the Var. The write becomes
 // visible to other transactions only if tx commits.
-func (v *Var[T]) Set(tx *Tx, x T) {
+func (v *Var[T]) Set(tx *Tx, x T) { v.SetPtr(tx, &x) }
+
+// SetPtr is Set of a box the caller built (nil empties the Var: it then
+// reads as the zero T). See GetPtr for the aliasing contract.
+func (v *Var[T]) SetPtr(tx *Tx, p *T) {
 	tx.mustBeActive()
 	if len(tx.writes) != 0 {
 		if idx := tx.findWrite(&v.m); idx >= 0 {
-			tx.writes[idx].pending = &x
+			tx.writes[idx].pending = p
 			return
 		}
 	}
 	v.ensureID()
-	tx.recordWrite(v, &v.m, &x)
+	tx.recordWrite(v, &v.m, p)
 }
 
 // Update applies f to the current value and stores the result, all within
@@ -301,7 +330,10 @@ func (v *Var[T]) Update(tx *Tx, f func(T) T) {
 // 2, non-transactional access is only safe once every transaction that may
 // access the var has completed — which is what the runtime's post-commit
 // quiescence guarantees for data privatized by a committed transaction.
-func (v *Var[T]) Load() T {
+func (v *Var[T]) Load() T { return deref(v.LoadPtr()) }
+
+// LoadPtr is Load without the copy; see GetPtr for the aliasing contract.
+func (v *Var[T]) LoadPtr() *T {
 	for {
 		w1 := v.m.lock.Load()
 		if wordLocked(w1) {
@@ -311,7 +343,7 @@ func (v *Var[T]) Load() T {
 		p := v.val.Load()
 		w2 := v.m.lock.Load()
 		if w1 == w2 {
-			return deref(p)
+			return p
 		}
 	}
 }
@@ -325,7 +357,11 @@ func (v *Var[T]) Load() T {
 // the version bump makes the update visible to TL2 validation immediately.
 //
 // rt must be the runtime whose transactions access v.
-func (v *Var[T]) StoreDirect(rt *Runtime, x T) {
+func (v *Var[T]) StoreDirect(rt *Runtime, x T) { v.StoreDirectPtr(rt, &x) }
+
+// StoreDirectPtr is StoreDirect of a box the caller built (nil empties
+// the Var). See GetPtr for the aliasing contract.
+func (v *Var[T]) StoreDirectPtr(rt *Runtime, p *T) {
 	v.ensureID()
 	for {
 		w := v.m.lock.Load()
@@ -341,7 +377,7 @@ func (v *Var[T]) StoreDirect(rt *Runtime, x T) {
 				rt.recEvent(Event{Kind: EvSnapTruncate, Var: v.m.idLoad(),
 					Ver: horizon, Aux: uint64(dropped)})
 			}
-			v.val.Store(&x)
+			v.val.Store(p)
 			v.m.lock.Store(packVersion(wv))
 			rt.recEvent(Event{Kind: EvDirectWrite, Var: v.m.idLoad(), Ver: wv})
 			v.m.wakeWatchers()
@@ -356,8 +392,8 @@ func (v *Var[T]) Version() uint64 { return wordVersion(v.m.lock.Load()) }
 // Watchers reports how many retry waiters are currently registered on
 // the Var (diagnostics and watcher-leak tests; see watch.go).
 func (v *Var[T]) Watchers() int {
-	if ws := v.m.watch.Load(); ws != nil {
-		return int(ws.n.Load())
+	if s := v.m.side.Load(); s != nil {
+		return int(s.watch.n.Load())
 	}
 	return 0
 }

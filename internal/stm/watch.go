@@ -64,27 +64,15 @@ func (w *retryWaiter) wake() {
 	w.mu.Unlock()
 }
 
-// watchSet is the lazily installed per-var watcher registry. It is
-// created the first time a retry parks on the var and then lives for the
-// var's lifetime, so the committer fast path for a never-watched var is
-// one nil pointer load, and for a previously-watched one an additional
-// counter load.
+// watchSet is the per-var watcher registry. It lives in the var's side
+// struct (varSide), which is allocated the first time a retry parks on
+// the var and then stays for the var's lifetime, so the committer fast
+// path for a var with no side struct is one nil pointer load, and
+// otherwise an additional counter load.
 type watchSet struct {
 	n  atomic.Int32 // registered waiters; the committer's fast-path check
 	mu sync.Mutex
-	m  map[*retryWaiter]struct{}
-}
-
-// watchers returns the var's watchSet, installing one on first use.
-func (m *varMeta) watchers() *watchSet {
-	if ws := m.watch.Load(); ws != nil {
-		return ws
-	}
-	ws := &watchSet{m: make(map[*retryWaiter]struct{}, 2)}
-	if m.watch.CompareAndSwap(nil, ws) {
-		return ws
-	}
-	return m.watch.Load()
+	m  map[*retryWaiter]struct{} // made by the first add
 }
 
 // add registers w, reporting whether it was newly added (a read set may
@@ -95,6 +83,9 @@ func (ws *watchSet) add(w *retryWaiter) bool {
 	ws.mu.Lock()
 	_, dup := ws.m[w]
 	if !dup {
+		if ws.m == nil {
+			ws.m = make(map[*retryWaiter]struct{}, 2)
+		}
 		ws.m[w] = struct{}{}
 	}
 	ws.mu.Unlock()
@@ -128,8 +119,8 @@ func (ws *watchSet) wakeAll() {
 // after the commit has published. The common case (no watcher ever, or
 // none registered now) is one or two atomic loads.
 func (m *varMeta) wakeWatchers() {
-	if ws := m.watch.Load(); ws != nil && ws.n.Load() > 0 {
-		ws.wakeAll()
+	if s := m.side.Load(); s != nil && s.watch.n.Load() > 0 {
+		s.watch.wakeAll()
 	}
 }
 
@@ -165,7 +156,7 @@ func (rt *Runtime) parkOnReadSet(ctx context.Context, tx *Tx) error {
 	added := 0
 	for i := range tx.reads {
 		e := &tx.reads[i]
-		if e.m.watchers().add(w) {
+		if e.m.ensureSide().watch.add(w) {
 			added++
 			if rt.rec != nil {
 				// A read of a never-written zero-value Var has no ID yet;
@@ -226,9 +217,7 @@ func (rt *Runtime) parkOnReadSet(ctx context.Context, tx *Tx) error {
 	// Unregister from every watched var (cancellation must not leak
 	// watcher entries; normal wakes must not accumulate dead sessions).
 	for i := range tx.reads {
-		if ws := tx.reads[i].m.watch.Load(); ws != nil {
-			ws.remove(w)
-		}
+		tx.reads[i].m.side.Load().watch.remove(w) // registered above on every entry
 	}
 	if met != nil {
 		met.WatcherCount.Add(int64(-added))

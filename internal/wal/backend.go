@@ -156,18 +156,27 @@ func (b OSBackend) Names() ([]string, error) {
 	return names, nil
 }
 
-// readWhole reads all of name through the backend.
+// readWhole reads all of name through the backend into one buffer sized
+// from the file's length, with a byte to spare so the read that reports
+// EOF needs no growth. A file that grew since Size was taken (a live
+// segment under a tailing reader) is still read to its end.
 func readWhole(b Backend, name string) ([]byte, error) {
 	f, err := b.Open(name)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var out []byte
-	buf := make([]byte, 32*1024)
+	size, err := f.Size()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]byte, 0, size+1)
 	for {
-		n, err := f.Read(buf)
-		out = append(out, buf[:n]...)
+		if len(out) == cap(out) {
+			out = append(out, 0)[:len(out)]
+		}
+		n, err := f.Read(out[len(out):cap(out)])
+		out = out[:len(out)+n]
 		if err == io.EOF {
 			return out, nil
 		}

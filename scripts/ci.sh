@@ -168,8 +168,8 @@ go run ./cmd/stmtorture -duration 300ms -threads 4 -workload defer -check \
 grep -q '"traceEvents"' "$tmptrace" || { echo "trace output malformed"; exit 1; }
 
 # The width ladder (scripts/ladder.sh, also the tail of `make test`): stm,
-# core, txlock, ds, wal, kv, server and repl uncached at GOMAXPROCS 1 and
-# 2 and once under the race detector, then the scanner, kvstore and
+# core, txlock, ds, wal, kv, server, repl, check and history uncached at
+# GOMAXPROCS 1 and 2 and once under the race detector, then the scanner, kvstore and
 # replica torture workloads, checked and stall-injected, at both widths.
 ./scripts/ladder.sh
 

@@ -12,13 +12,17 @@
 # (wal appender/flusher hand-off, sharded kv, pipelined server,
 # replication stream) is scheduling-sensitive end to end — the flusher's
 # exit races appends, its lock hand-off races checkpoints and cross-lane
-# commits.
+# commits. The recorder and the checker (history, check) judge all of the
+# above, so they run at the same widths: their tests record from several
+# goroutines, and a checker that is only right on one core proves nothing
+# about two.
 set -eu
 
 cd "$(dirname "$0")/.."
 
 pkgs="./internal/stm ./internal/core ./internal/txlock ./internal/ds \
-./internal/wal ./internal/kv ./internal/server ./internal/repl"
+./internal/wal ./internal/kv ./internal/server ./internal/repl \
+./internal/check ./internal/history"
 for procs in 1 2; do
     echo "==> width ladder: go test at GOMAXPROCS=$procs (uncached)"
     GOMAXPROCS=$procs go test -count=1 $pkgs
