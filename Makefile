@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-kv race-server vet torture kvsmoke servesmoke ci benchmark bench bench-scaling bench-reactive bench-mixed bench-figs benchdiff trace
+.PHONY: all build test race race-kv race-server vet torture servesmoke ci benchmark bench bench-scaling bench-reactive bench-mixed bench-figs trace
 
 all: build test
 
@@ -29,11 +29,6 @@ vet:
 torture:
 	$(GO) run ./cmd/stmtorture -duration 2s -threads 8 -check -inject -seed 1
 
-# Crash-recovery smoke (fixed seeds) + kvbench acceptance run.
-kvsmoke:
-	$(GO) test -race -count=1 -run 'TestCrashRecovery' ./internal/kv
-	$(GO) run ./cmd/kvbench -threads 4,8 -ops 100 -latency pagecache -modes sync,group >/dev/null
-
 # Race gate for the networked front end: protocol codecs, pipelined
 # reader/writer pairs, shutdown under load.
 race-server:
@@ -53,7 +48,7 @@ servesmoke:
 	rc=$$?; kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf $$dir; exit $$rc
 
 # The full CI gate (vet + build + race tests + torture smoke in both
-# modes + kv crash-recovery smoke + kvbench acceptance).
+# modes + the width ladder + kvserver/kvreplica crash smokes).
 ci:
 	./scripts/ci.sh
 
@@ -69,10 +64,11 @@ benchmark:
 		bash benchmark/run.sh --workload $$w --seed $(SEED) --seconds $$secs --trace $(TRACE) || exit 1; \
 	done
 
-# STM hot-path benchmark suite (read-only / small-write / contended /
-# kv-group-commit) plus the reactive suite (blocked-reader wakeup
-# latency, watcher-vs-spin churn, queue handoff), written to
-# stm-bench.json / stm-bench-reactive.json for later benchdiff runs.
+# STM hot-path benchmark suite (read-only / small-write / contended)
+# plus the reactive suite (blocked-reader wakeup latency,
+# watcher-vs-spin churn, queue handoff), written to stm-bench.json /
+# stm-bench-reactive.json; `stmbench -baseline <file>` diffs a later run
+# against either.
 bench:
 	$(GO) run ./cmd/stmbench -json stm-bench.json
 	$(GO) run ./cmd/stmbench -suite reactive -json stm-bench-reactive.json
@@ -108,9 +104,3 @@ bench-figs:
 # no events.)
 trace:
 	$(GO) run ./cmd/stmtorture -duration 1s -threads 4 -workload defer -check -trace stm-trace.json
-
-# Re-run a suite and diff against a saved baseline JSON
-# (BASELINE=path, default stm-bench.json from a previous `make bench`;
-# SUITE=hot|scaling|all selects which workloads re-run).
-benchdiff:
-	SUITE=$(SUITE) ./scripts/benchdiff.sh $(BASELINE)

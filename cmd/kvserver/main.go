@@ -21,7 +21,7 @@
 //	kvserver -dir D -verify -ackfile F additionally check the recovered
 //	                                   LSN against the loadgen's record
 //	                                   of acked LSNs via
-//	                                   check.RecoveredPrefix
+//	                                   check.RecoveredPrefixLanes
 package main
 
 import (

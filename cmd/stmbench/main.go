@@ -1,14 +1,13 @@
 // Command stmbench runs the STM benchmark suites and emits a JSON
 // document that future PRs diff against — the committed BENCH_*.json
-// trajectory files. Three suites exist: "hot" (read-only, small-write,
-// contended-counter, kv-group-commit — per-transaction constant
-// factors), "scaling" (map-read, map-write, resize-storm across a
-// 1..NumCPU thread ladder — throughput vs. thread count), and
-// "reactive" (blocked-reader wakeup-latency ladder, watcher-vs-spin
-// churn ablation, bounded-queue handoff — the watcher-based retry
-// path), and "mixed" (TPC-B-style writer ladder against one long
-// scanner, validating vs. snapshot mode — the MVCC snapshot-read
-// story; see internal/bench/mixed.go).
+// trajectory files. Four suites exist: "hot" (read-only, small-write,
+// contended-counter — per-transaction constant factors), "scaling"
+// (map-read, map-write, resize-storm across a 1..NumCPU thread ladder —
+// throughput vs. thread count), "reactive" (blocked-reader
+// wakeup-latency ladder, watcher-vs-spin churn ablation, bounded-queue
+// handoff — the watcher-based retry path), and "mixed" (TPC-B-style
+// writer ladder against one long scanner, validating vs. snapshot mode
+// — the MVCC snapshot-read story; see internal/bench/mixed.go).
 //
 // Usage:
 //

@@ -17,22 +17,18 @@
 // Each workload runs at every requested thread count and emits one
 // StmResult per (workload, threads) pair, named "<workload>/<t>", into
 // the same versioned JSON document as the hot-path suite, so scaling
-// curves ride the existing benchdiff trajectory. On a single-core
+// curves diff row for row under `stmbench -baseline`. On a single-core
 // machine the curves collapse (no parallel speedup is physically
 // available); the structural counters — aborts per op at t>1 — still
 // distinguish a serializing map from a striped one.
 package bench
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 
 	"deferstm/internal/ds"
-	"deferstm/internal/kv"
-	"deferstm/internal/simio"
 	"deferstm/internal/stm"
-	"deferstm/internal/wal"
 )
 
 // ScalingOptions configures a scaling-suite run.
@@ -93,87 +89,7 @@ func RunScalingSuite(opts ScalingOptions) []StmResult {
 			out = append(out, r)
 		}
 	}
-	for _, lanes := range []int{1, 2, 4, 8} {
-		for _, t := range walLaneThreadCounts(opts.MaxThreads) {
-			w := stmWorkload{
-				name:    fmt.Sprintf("wal-lanes-%d/%d", lanes, t),
-				threads: t,
-				setup:   setupWALLanes(lanes),
-			}
-			var r StmResult
-			withProcs(t, func() { r = measureStm(w, opts.StmOptions) })
-			if opts.Logf != nil {
-				fpc := 0.0
-				if r.WALRecords > 0 {
-					fpc = float64(r.WALFsyncs) / float64(r.WALRecords)
-				}
-				opts.Logf("%-18s threads=%-2d %10.1f ns/op %12.0f commits/s %6.3f fsyncs/commit",
-					r.Name, r.Threads, r.NsPerOp, r.CommitsPerSec, fpc)
-			}
-			out = append(out, r)
-		}
-	}
 	return out
-}
-
-// walLaneThreadCounts is the connection ladder for the wal-lanes
-// workloads: sparser than the map ladder (each rung pays real simulated
-// fsync time) but always reaching 8, the point the shard-scaling
-// acceptance compares — parallel lanes only separate from a single lane
-// once several writers commit concurrently.
-func walLaneThreadCounts(max int) []int {
-	out := []int{1}
-	for _, t := range []int{4, 8} {
-		if max <= 0 || t <= max {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// setupWALLanes builds the shard-ladder workload: a durable KV store
-// with the given number of WAL lanes over a page-cache-speed simulated
-// disk, driven by windowed pipelining — each worker keeps up to 32
-// commits in flight before blocking on the oldest token, the way a
-// pipelined connection drives kvserver. Single-lane, this is the
-// group-commit baseline (one fsync queue); with more lanes the same
-// offered load splits across independent queues whose write and fsync
-// sleeps overlap, which is the whole bet of the sharded store.
-func setupWALLanes(lanes int) func(threads int) (*stm.Runtime, func(uint64)) {
-	return func(threads int) (*stm.Runtime, func(uint64)) {
-		fs := simio.NewFS(simio.PageCacheLatency())
-		rt := stm.NewDefault()
-		s, _, err := kv.Open(rt, wal.NewSimBackend(fs), kv.Options{Mode: kv.ModeGroup, Shards: lanes})
-		if err != nil {
-			panic(fmt.Sprintf("bench: kv.Open: %v", err))
-		}
-		value := "v-0123456789abcdef"
-		const window = 32
-		return rt, func(n uint64) {
-			runParallel(threads, n, func(g int, per uint64) {
-				rng := seedRng(g)
-				pending := make([]uint64, 0, window)
-				for i := uint64(0); i < per; i++ {
-					key := fmt.Sprintf("k%03d", xorshift(&rng)%256)
-					tok, err := s.Update(func(tx *stm.Tx, b *kv.Batch) error {
-						b.Put(key, value)
-						return nil
-					})
-					if err != nil {
-						panic(fmt.Sprintf("bench: kv.Update: %v", err))
-					}
-					pending = append(pending, tok)
-					if len(pending) >= window {
-						s.WaitDurable(pending[0])
-						pending = pending[1:]
-					}
-				}
-				for _, tok := range pending {
-					s.WaitDurable(tok)
-				}
-			})
-		}
-	}
 }
 
 // withProcs runs f with GOMAXPROCS raised to min(want, NumCPU),
@@ -220,7 +136,7 @@ const (
 // pre-sized map. Writers touch one bucket each; no size movement.
 func setupMapRead(threads int) (*stm.Runtime, func(uint64)) {
 	rt := stm.NewDefault()
-	m := ds.NewHashMap[int](scalingBuckets)
+	m := ds.NewHashMap[int64, int](scalingBuckets)
 	populate(rt, m, scalingKeyspace)
 	return rt, func(n uint64) {
 		runParallel(threads, n, func(g int, per uint64) {
@@ -250,7 +166,7 @@ func setupMapRead(threads int) (*stm.Runtime, func(uint64)) {
 // toggles conflict only on genuine same-stripe collisions.
 func setupMapWrite(threads int) (*stm.Runtime, func(uint64)) {
 	rt := stm.NewDefault()
-	m := ds.NewHashMap[int](scalingBuckets)
+	m := ds.NewHashMap[int64, int](scalingBuckets)
 	populate(rt, m, scalingKeyspace/2)
 	return rt, func(n uint64) {
 		runParallel(threads, n, func(g int, per uint64) {
@@ -285,7 +201,7 @@ func setupMapWrite(threads int) (*stm.Runtime, func(uint64)) {
 func setupResizeStorm(threads int) (*stm.Runtime, func(uint64)) {
 	rt := stm.NewDefault()
 	return rt, func(n uint64) {
-		m := ds.NewHashMap[int](16)
+		m := ds.NewHashMap[int64, int](16)
 		runParallel(threads, n, func(g int, per uint64) {
 			base := int64(g) << 40
 			for i := uint64(0); i < per; i++ {
@@ -299,7 +215,7 @@ func setupResizeStorm(threads int) (*stm.Runtime, func(uint64)) {
 	}
 }
 
-func populate(rt *stm.Runtime, m *ds.HashMap[int], n int) {
+func populate(rt *stm.Runtime, m *ds.HashMap[int64, int], n int) {
 	const chunk = 256
 	for lo := 0; lo < n; lo += chunk {
 		hi := lo + chunk

@@ -20,11 +20,8 @@ import (
 	"runtime"
 	"time"
 
-	"deferstm/internal/kv"
 	"deferstm/internal/obs"
-	"deferstm/internal/simio"
 	"deferstm/internal/stm"
-	"deferstm/internal/wal"
 )
 
 // StmResult is one workload measurement.
@@ -152,7 +149,7 @@ type stmWorkload struct {
 	setup func(threads int) (rt *stm.Runtime, run func(n uint64))
 }
 
-// RunStmSuite executes the four hot-path workloads and returns their
+// RunStmSuite executes the three hot-path workloads and returns their
 // results in order.
 func RunStmSuite(opts StmOptions) []StmResult {
 	nThreads := runtime.GOMAXPROCS(0)
@@ -163,7 +160,6 @@ func RunStmSuite(opts StmOptions) []StmResult {
 		{name: "read-only", threads: 1, setup: setupReadOnly},
 		{name: "small-write", threads: 1, setup: setupSmallWrite},
 		{name: "contended-counter", threads: nThreads, setup: setupContended},
-		{name: "kv-group-commit", threads: 4, setup: setupKVGroupCommit},
 	}
 	out := make([]StmResult, 0, len(workloads))
 	for _, w := range workloads {
@@ -334,39 +330,6 @@ func setupContended(threads int) (*stm.Runtime, func(uint64)) {
 					v.Set(tx, v.Get(tx)+1)
 					return nil
 				})
-			}
-		})
-	}
-}
-
-// setupKVGroupCommit: 4 threads appending through the durable KV store
-// in group-commit mode over a page-cache-speed simulated disk; each op
-// is one Update + WaitDurable, so the measurement covers WAL append,
-// the hand-off to the lane's flusher and the group-commit fsync batch.
-func setupKVGroupCommit(threads int) (*stm.Runtime, func(uint64)) {
-	fs := simio.NewFS(simio.PageCacheLatency())
-	rt := stm.NewDefault()
-	s, _, err := kv.Open(rt, wal.NewSimBackend(fs), kv.Options{Mode: kv.ModeGroup})
-	if err != nil {
-		panic(fmt.Sprintf("bench: kv.Open: %v", err))
-	}
-	value := "v-0123456789abcdef"
-	return rt, func(n uint64) {
-		runParallel(threads, n, func(g int, per uint64) {
-			rng := uint64(g)*0x9e3779b97f4a7c15 + 1
-			for i := uint64(0); i < per; i++ {
-				rng ^= rng << 13
-				rng ^= rng >> 7
-				rng ^= rng << 17
-				key := fmt.Sprintf("k%03d", rng%256)
-				lsn, err := s.Update(func(tx *stm.Tx, b *kv.Batch) error {
-					b.Put(key, value)
-					return nil
-				})
-				if err != nil {
-					panic(fmt.Sprintf("bench: kv.Update: %v", err))
-				}
-				s.WaitDurable(lsn)
 			}
 		})
 	}

@@ -19,7 +19,7 @@ import (
 //     retreats, and is never published before the record it covers was
 //     committed.
 //
-//   - RecoveredPrefix relates a recovered state to the history it was
+//   - RecoveredPrefixLanes relates a recovered state to the history it was
 //     recovered from: everything acknowledged durable before the crash
 //     must be present after replay, and the recovered state must be a
 //     prefix of the serialization order — no gap, and nothing beyond
@@ -164,63 +164,6 @@ func checkDurability(p *parsed) []Violation {
 	return out
 }
 
-// RecoveredPrefix checks a recovered state against the pre-crash history
-// it was recovered from: recoveredLastLSN is what recovery reports as the
-// highest LSN its state covers (wal.Recovery.LastLSN / kv's
-// RecoveryInfo.LastLSN). The axiom has two halves:
-//
-//   - completeness: every record acknowledged durable in the history
-//     (any EvWALDurable watermark) is present after replay;
-//   - prefix-ness: the recovered state is a prefix of the serialization
-//     order — it does not extend past the appended history, and every
-//     LSN up to recoveredLastLSN was appended (no holes).
-//
-// The history must contain a single log's WAL events (the usual case:
-// one store per runtime); baseLSN is the LSN the log started at in this
-// history (0 for a log created fresh).
-func RecoveredPrefix(events []stm.Event, baseLSN, recoveredLastLSN uint64) []Violation {
-	var out []Violation
-	acked := uint64(0)
-	appended := make(map[uint64]bool)
-	maxLSN := baseLSN
-	for _, ev := range events {
-		switch ev.Kind {
-		case stm.EvWALAppend:
-			appended[ev.Aux] = true
-			if ev.Aux > maxLSN {
-				maxLSN = ev.Aux
-			}
-		case stm.EvWALDurable:
-			if ev.Aux > acked {
-				acked = ev.Aux
-			}
-		}
-	}
-	if recoveredLastLSN < acked {
-		out = append(out, Violation{
-			Rule: RuleDurability,
-			Msg: fmt.Sprintf("recovery lost acknowledged records: recovered through LSN %d but LSN %d was acked durable",
-				recoveredLastLSN, acked),
-		})
-	}
-	if recoveredLastLSN > maxLSN {
-		out = append(out, Violation{
-			Rule: RuleDurability,
-			Msg: fmt.Sprintf("recovered state (through LSN %d) extends past the appended history (through LSN %d) — not a prefix",
-				recoveredLastLSN, maxLSN),
-		})
-	}
-	for lsn := baseLSN + 1; lsn <= recoveredLastLSN; lsn++ {
-		if !appended[lsn] {
-			out = append(out, Violation{
-				Rule: RuleDurability,
-				Msg:  fmt.Sprintf("recovered state covers LSN %d, which no committed transaction appended — not a prefix of the serialization order", lsn),
-			})
-		}
-	}
-	return out
-}
-
 // RecoveredLane names one WAL lane's recovery cut for
 // RecoveredPrefixLanes: LogVar is the lane's log lock variable in the
 // events, BaseLSN the LSN the lane started at in this history (0 for a
@@ -232,13 +175,18 @@ type RecoveredLane struct {
 	LastLSN uint64
 }
 
-// RecoveredPrefixLanes is RecoveredPrefix for a sharded store: the
-// history holds several lanes' WAL events, distinguished by log lock
-// variable, and the recovered state names a cut per lane. Three axioms:
+// RecoveredPrefixLanes checks a recovered state against the pre-crash
+// history it was recovered from. The history holds one or several lanes'
+// WAL events, distinguished by log lock variable, and the recovered state
+// names a cut per lane (wal.Recovery.LastLSN / kv's LaneRecovery.LastLSN);
+// an unsharded store is the one-lane case. The axioms:
 //
-//   - per lane, the single-log prefix axioms hold (nothing acked lost,
-//     no extension past the appended history, no holes — lanes recover
-//     by tail truncation, never by hole-punching);
+//   - completeness, per lane: every record acknowledged durable in the
+//     history (any EvWALDurable watermark) is present after replay;
+//   - prefix-ness, per lane: the recovered state is a prefix of the
+//     serialization order — it does not extend past the appended
+//     history, and every LSN up to the cut was appended (no holes —
+//     lanes recover by tail truncation, never by hole-punching);
 //   - cross-shard commits (several EvWALAppend sharing a TxID and a
 //     GSN) are atomic across the cuts: all of a commit's records are
 //     inside their lanes' cuts, or all are outside. A half-recovered

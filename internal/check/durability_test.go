@@ -87,21 +87,22 @@ func TestDurabilityAckBeforeAppendFlushed(t *testing.T) {
 	wantViolation(t, r.Violations, "before the appending transaction")
 }
 
+// TestRecoveredPrefix: the prefix axioms on an unsharded store — one lane.
 func TestRecoveredPrefix(t *testing.T) {
 	hist := []stm.Event{app(1, 1, 10), app(2, 2, 20), app(3, 3, 30), ack(2)}
-	if vs := RecoveredPrefix(hist, 0, 2); len(vs) != 0 {
+	recovered := func(events []stm.Event, lastLSN uint64) []Violation {
+		return RecoveredPrefixLanes(events, []RecoveredLane{{LogVar: logVar, LastLSN: lastLSN}})
+	}
+	if vs := recovered(hist, 2); len(vs) != 0 {
 		t.Fatalf("recovering exactly the acked prefix flagged: %v", vs)
 	}
-	if vs := RecoveredPrefix(hist, 0, 3); len(vs) != 0 {
+	if vs := recovered(hist, 3); len(vs) != 0 {
 		t.Fatalf("recovering beyond the ack but within appends flagged: %v", vs)
 	}
-	vs := RecoveredPrefix(hist, 0, 1)
-	wantViolation(t, vs, "lost acknowledged records")
-	vs = RecoveredPrefix(hist, 0, 4)
-	wantViolation(t, vs, "not a prefix")
+	wantViolation(t, recovered(hist, 1), "lost acknowledged records")
+	wantViolation(t, recovered(hist, 4), "not a prefix")
 	// A hole: LSN 2 missing from the appended history.
-	vs = RecoveredPrefix([]stm.Event{app(1, 1, 10), app(3, 3, 30)}, 0, 3)
-	wantViolation(t, vs, "no committed transaction appended")
+	wantViolation(t, recovered([]stm.Event{app(1, 1, 10), app(3, 3, 30)}, 3), "no committed transaction appended")
 }
 
 // appg is app on an explicit lane var, carrying a GSN in Aux2.
@@ -266,6 +267,7 @@ func TestKVHistoryDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	logLock := s.Log().Lock().VarID()
 	const goroutines = 4
 	const perG = 15
 	var wg sync.WaitGroup
@@ -307,7 +309,8 @@ func TestKVHistoryDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if vs := RecoveredPrefix(events, 0, info.LastLSN); len(vs) != 0 {
+	lane := []RecoveredLane{{LogVar: logLock, LastLSN: info.LastLSN}}
+	if vs := RecoveredPrefixLanes(events, lane); len(vs) != 0 {
 		t.Fatalf("recovered state violates the durability axiom: %v", vs)
 	}
 }

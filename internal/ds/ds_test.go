@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -124,7 +125,7 @@ func TestListOracleProperty(t *testing.T) {
 
 func TestHashMapBasic(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[string](16)
+	m := NewHashMap[int64, string](16)
 	atomically(t, rt, func(tx *stm.Tx) {
 		if !m.Put(tx, 1, "one") {
 			t.Error("new key reported as existing")
@@ -150,7 +151,7 @@ func TestHashMapBasic(t *testing.T) {
 
 func TestHashMapRange(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	atomically(t, rt, func(tx *stm.Tx) {
 		for i := int64(0); i < 20; i++ {
 			m.Put(tx, i, int(i*10))
@@ -182,7 +183,7 @@ func TestHashMapRange(t *testing.T) {
 
 func TestHashMapConcurrent(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](64)
+	m := NewHashMap[int64, int](64)
 	var wg sync.WaitGroup
 	const workers, per = 8, 100
 	for w := 0; w < workers; w++ {
@@ -207,26 +208,44 @@ func TestHashMapConcurrent(t *testing.T) {
 }
 
 func TestHashMapMinBuckets(t *testing.T) {
-	m := NewHashMap[int](1)
+	m := NewHashMap[int64, int](1)
 	if m.BucketCount() != 16 {
 		t.Errorf("bucket floor = %d", m.BucketCount())
 	}
 }
 
-// Property: map behaves like the builtin map.
+// Property: the map behaves like the builtin map — contents, length, and
+// what Put and Delete report — whatever the key type.
 func TestHashMapOracleProperty(t *testing.T) {
+	t.Run("int64 keys", func(t *testing.T) {
+		hashMapOracleProperty(t, func(i int16) int64 { return int64(i) })
+	})
+	t.Run("string keys", func(t *testing.T) {
+		hashMapOracleProperty(t, func(i int16) string { return fmt.Sprintf("k%02d", i) })
+	})
+}
+
+func hashMapOracleProperty[K comparable](t *testing.T, key func(int16) K) {
 	rt := stm.NewDefault()
 	f := func(ops []int16) bool {
-		m := NewHashMap[int16](32)
-		oracle := map[int64]int16{}
+		m := NewHashMap[K, int16](32)
+		oracle := map[K]int16{}
 		for i, op := range ops {
-			k := int64(op % 32)
+			k := key(op % 32)
+			_, had := oracle[k]
+			var isNew, removed bool
 			switch i % 3 {
 			case 0, 1:
-				_ = rt.Atomic(func(tx *stm.Tx) error { m.Put(tx, k, op); return nil })
+				_ = rt.Atomic(func(tx *stm.Tx) error { isNew = m.Put(tx, k, op); return nil })
+				if isNew == had {
+					return false
+				}
 				oracle[k] = op
 			case 2:
-				_ = rt.Atomic(func(tx *stm.Tx) error { m.Delete(tx, k); return nil })
+				_ = rt.Atomic(func(tx *stm.Tx) error { removed = m.Delete(tx, k); return nil })
+				if removed != had {
+					return false
+				}
 				delete(oracle, k)
 			}
 		}

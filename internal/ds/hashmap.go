@@ -2,6 +2,7 @@ package ds
 
 import (
 	"context"
+	"hash/maphash"
 	"runtime"
 	"runtime/pprof"
 	"sync/atomic"
@@ -35,9 +36,10 @@ import (
 // what makes the deferred rehash's direct stores safe: any transaction
 // that could observe an intermediate table conflicts with the lock
 // acquisition and aborts.
-type HashMap[V any] struct {
+type HashMap[K, V comparable] struct {
 	core.Deferrable
-	table    stm.Var[*hmTable[V]]
+	seed     maphash.Seed
+	table    stm.Var[*hmTable[K, V]]
 	resizing stm.Var[bool] // a resize is triggered or in progress
 	stripes  []sizeStripe
 	resizes  atomic.Uint64 // completed resizes (diagnostics/tests)
@@ -49,9 +51,9 @@ type HashMap[V any] struct {
 // old[frontier:] are the chains not yet moved: a key whose old index is
 // >= frontier still lives in old, everything else lives in buckets. Each
 // migrated chunk installs a fresh hmTable with an advanced frontier.
-type hmTable[V any] struct {
-	buckets  []stm.Var[mapNode[V]]
-	old      []stm.Var[mapNode[V]]
+type hmTable[K, V comparable] struct {
+	buckets  []stm.Var[mapNode[K, V]]
+	old      []stm.Var[mapNode[K, V]]
 	frontier int
 }
 
@@ -62,16 +64,22 @@ type sizeStripe struct {
 	_ [128 - unsafe.Sizeof(stm.Var[int]{})%128]byte // pad to a multiple of 128
 }
 
-type mapNode[V any] struct {
-	key  int64
+// mapNode is one immutable chain node. A bucket is a Var[mapNode]: the
+// Var's box is the head node itself (nil for an empty bucket), so an insert
+// or overwrite allocates the node and nothing else.
+type mapNode[K, V comparable] struct {
+	key  K
 	val  V
-	next *mapNode[V]
+	next *mapNode[K, V]
 }
 
 const (
 	minBuckets = 16
 	// maxLoad is the entries-per-bucket ratio past which the map doubles,
-	// so it runs between maxLoad/2 and maxLoad (kv's smapMaxLoad).
+	// so it runs between maxLoad/2 and maxLoad and a hit walks one or two
+	// nodes. At 1 the benchmark's point and scan workloads measured no
+	// faster (buckets are 32 bytes each, and a scan reads every one), for
+	// 32 bytes more per key.
 	maxLoad = 2
 	// migrateChunkBuckets bounds the work done under the map lock by one
 	// deferral unit; between chunks the lock is free and blocked
@@ -80,12 +88,12 @@ const (
 )
 
 // NewHashMap creates a map with nBuckets buckets (minimum 16).
-func NewHashMap[V any](nBuckets int) *HashMap[V] {
+func NewHashMap[K, V comparable](nBuckets int) *HashMap[K, V] {
 	if nBuckets < minBuckets {
 		nBuckets = minBuckets
 	}
-	m := &HashMap[V]{stripes: make([]sizeStripe, stripeCount())}
-	m.table.Init(&hmTable[V]{buckets: make([]stm.Var[mapNode[V]], nBuckets)})
+	m := &HashMap[K, V]{seed: maphash.MakeSeed(), stripes: make([]sizeStripe, stripeCount())}
+	m.table.Init(&hmTable[K, V]{buckets: make([]stm.Var[mapNode[K, V]], nBuckets)})
 	return m
 }
 
@@ -99,25 +107,25 @@ func stripeCount() int {
 	return n
 }
 
-func hashKey(k int64) uint64 { return uint64(k) * 0x9E3779B97F4A7C15 }
+func (m *HashMap[K, V]) hash(k K) uint64 { return maphash.Comparable(m.seed, k) }
 
 // stripeFor picks a size stripe from high hash bits, decorrelated from
 // the bucket index (low bits) so same-stripe and same-bucket conflicts
 // are independent.
-func (m *HashMap[V]) stripeFor(h uint64) *stm.Var[int] {
+func (m *HashMap[K, V]) stripeFor(h uint64) *stm.Var[int] {
 	return &m.stripes[(h>>32)%uint64(len(m.stripes))].n
 }
 
 // view subscribes to the map's lock and returns the current table. The
 // subscription is mandatory before any table access: it orders the
 // transaction against deferred rehash operations.
-func (m *HashMap[V]) view(tx *stm.Tx) *hmTable[V] {
+func (m *HashMap[K, V]) view(tx *stm.Tx) *hmTable[K, V] {
 	m.Subscribe(tx)
 	return m.table.Get(tx)
 }
 
 // bucketFor returns the chain Var holding key hash h under table t.
-func (t *hmTable[V]) bucketFor(h uint64) *stm.Var[mapNode[V]] {
+func (t *hmTable[K, V]) bucketFor(h uint64) *stm.Var[mapNode[K, V]] {
 	if t.old != nil {
 		if oi := int(h % uint64(len(t.old))); oi >= t.frontier {
 			return &t.old[oi]
@@ -127,8 +135,8 @@ func (t *hmTable[V]) bucketFor(h uint64) *stm.Var[mapNode[V]] {
 }
 
 // Get returns the value for k and whether it was present.
-func (m *HashMap[V]) Get(tx *stm.Tx, k int64) (V, bool) {
-	h := hashKey(k)
+func (m *HashMap[K, V]) Get(tx *stm.Tx, k K) (V, bool) {
+	h := m.hash(k)
 	for n := m.view(tx).bucketFor(h).GetPtr(tx); n != nil; n = n.next {
 		if n.key == k {
 			return n.val, true
@@ -138,21 +146,27 @@ func (m *HashMap[V]) Get(tx *stm.Tx, k int64) (V, bool) {
 	return zero, false
 }
 
-// Put inserts or replaces k's value, returning true if the key was new.
-// Chains are immutable nodes: updates rebuild the chain prefix, so readers
-// of other keys in the same bucket conflict only via the bucket head Var.
-func (m *HashMap[V]) Put(tx *stm.Tx, k int64, v V) bool {
+// Put inserts or replaces k's value in a single chain pass, returning true
+// if the key was new. Chains are immutable nodes: updates rebuild the chain
+// prefix, so readers of other keys in the same bucket conflict only via the
+// bucket head Var. Overwriting a key with an equal value is a no-op: the
+// bucket is left untouched, so the transaction stays read-only on that
+// bucket, its version does not move, and concurrent readers of the chain
+// are not invalidated.
+func (m *HashMap[K, V]) Put(tx *stm.Tx, k K, v V) bool {
 	t := m.view(tx)
-	h := hashKey(k)
+	h := m.hash(k)
 	b := t.bucketFor(h)
 	head := b.GetPtr(tx)
 	for n := head; n != nil; n = n.next {
 		if n.key == k {
-			b.SetPtr(tx, replaceNode(head, k, v))
+			if n.val != v {
+				b.SetPtr(tx, replaceNode(head, k, v))
+			}
 			return false
 		}
 	}
-	b.SetPtr(tx, &mapNode[V]{key: k, val: v, next: head})
+	b.SetPtr(tx, &mapNode[K, V]{key: k, val: v, next: head})
 	s := m.stripeFor(h)
 	n := s.Get(tx) + 1
 	s.Set(tx, n)
@@ -161,18 +175,18 @@ func (m *HashMap[V]) Put(tx *stm.Tx, k int64, v V) bool {
 }
 
 // replaceNode rebuilds chain head..k with k's value replaced.
-func replaceNode[V any](head *mapNode[V], k int64, v V) *mapNode[V] {
+func replaceNode[K, V comparable](head *mapNode[K, V], k K, v V) *mapNode[K, V] {
 	if head.key == k {
-		return &mapNode[V]{key: k, val: v, next: head.next}
+		return &mapNode[K, V]{key: k, val: v, next: head.next}
 	}
-	return &mapNode[V]{key: head.key, val: head.val, next: replaceNode(head.next, k, v)}
+	return &mapNode[K, V]{key: head.key, val: head.val, next: replaceNode(head.next, k, v)}
 }
 
 // Delete removes k, returning whether it was present. One pass: removeNode
 // walks the chain once, rebuilding the prefix only if the key exists.
-func (m *HashMap[V]) Delete(tx *stm.Tx, k int64) bool {
+func (m *HashMap[K, V]) Delete(tx *stm.Tx, k K) bool {
 	t := m.view(tx)
-	h := hashKey(k)
+	h := m.hash(k)
 	b := t.bucketFor(h)
 	nh, ok := removeNode(b.GetPtr(tx), k)
 	if !ok {
@@ -186,7 +200,7 @@ func (m *HashMap[V]) Delete(tx *stm.Tx, k int64) bool {
 
 // removeNode returns the chain with k removed and whether k was found,
 // copying only the prefix before k and only when k is present.
-func removeNode[V any](head *mapNode[V], k int64) (*mapNode[V], bool) {
+func removeNode[K, V comparable](head *mapNode[K, V], k K) (*mapNode[K, V], bool) {
 	if head == nil {
 		return nil, false
 	}
@@ -197,12 +211,12 @@ func removeNode[V any](head *mapNode[V], k int64) (*mapNode[V], bool) {
 	if !ok {
 		return head, false
 	}
-	return &mapNode[V]{key: head.key, val: head.val, next: rest}, true
+	return &mapNode[K, V]{key: head.key, val: head.val, next: rest}, true
 }
 
 // Len returns the number of entries: the transactional sum of the size
 // stripes, exact under serializability.
-func (m *HashMap[V]) Len(tx *stm.Tx) int {
+func (m *HashMap[K, V]) Len(tx *stm.Tx) int {
 	m.Subscribe(tx)
 	total := 0
 	for i := range m.stripes {
@@ -212,7 +226,7 @@ func (m *HashMap[V]) Len(tx *stm.Tx) int {
 }
 
 // Range calls fn for each entry (inside tx) until fn returns false.
-func (m *HashMap[V]) Range(tx *stm.Tx, fn func(k int64, v V) bool) {
+func (m *HashMap[K, V]) Range(tx *stm.Tx, fn func(k K, v V) bool) {
 	t := m.view(tx)
 	for i := range t.buckets {
 		for n := t.buckets[i].GetPtr(tx); n != nil; n = n.next {
@@ -246,15 +260,20 @@ func (m *HashMap[V]) Range(tx *stm.Tx, fn func(k int64, v V) bool) {
 // transaction used to double-observe keys whenever a mid-resize scan
 // was re-run. The buffer costs O(n) memory; fn returning false stops
 // the delivery early (the cut itself is always collected in full).
-func (m *HashMap[V]) SnapshotRange(rt *stm.Runtime, fn func(k int64, v V) bool) error {
+func (m *HashMap[K, V]) SnapshotRange(rt *stm.Runtime, fn func(k K, v V) bool) error {
 	type entry struct {
-		k int64
+		k K
 		v V
 	}
 	var cut []entry
 	err := rt.AtomicSnapshot(func(tx *stm.Tx) error {
+		// Len is read at the same pin as the entries, so it is the cut's
+		// exact size: one allocation, never grown.
+		if n := m.Len(tx); n > cap(cut) {
+			cut = make([]entry, 0, n)
+		}
 		cut = cut[:0] // re-execution restarts the iteration from scratch
-		m.Range(tx, func(k int64, v V) bool {
+		m.Range(tx, func(k K, v V) bool {
 			cut = append(cut, entry{k: k, v: v})
 			return true
 		})
@@ -272,13 +291,13 @@ func (m *HashMap[V]) SnapshotRange(rt *stm.Runtime, fn func(k int64, v V) bool) 
 }
 
 // Resizes reports how many resizes have completed (snapshot).
-func (m *HashMap[V]) Resizes() uint64 { return m.resizes.Load() }
+func (m *HashMap[K, V]) Resizes() uint64 { return m.resizes.Load() }
 
 // Migrating reports whether a migration is in progress (snapshot).
-func (m *HashMap[V]) Migrating() bool { return m.table.Load().old != nil }
+func (m *HashMap[K, V]) Migrating() bool { return m.table.Load().old != nil }
 
 // BucketCount reports the current bucket array length (snapshot).
-func (m *HashMap[V]) BucketCount() int { return len(m.table.Load().buckets) }
+func (m *HashMap[K, V]) BucketCount() int { return len(m.table.Load().buckets) }
 
 // maybeGrow decides, after an insert, whether this transaction should
 // trigger a resize: once the map holds more than maxLoad entries per
@@ -287,11 +306,13 @@ func (m *HashMap[V]) BucketCount() int { return len(m.table.Load().buckets) }
 // keys evenly, by hash bits the bucket index does not use — so the
 // decision reads nothing the insert had not read already (summing the
 // stripes would put every one of them in the read set and recreate the
-// single-counter hotspot). The trigger transaction flips the resizing flag
+// single-counter hotspot). On a map of a few dozen keys the estimate is
+// coarse and may double it early; it is beginResize, with the exact count,
+// that sizes the table. The trigger transaction flips the resizing flag
 // (so exactly one committed transaction triggers) and defers beginResize
 // under the map lock — the paper's pattern of moving a long operation out
 // of the transaction while keeping it atomic.
-func (m *HashMap[V]) maybeGrow(tx *stm.Tx, t *hmTable[V], stripeLen int) {
+func (m *HashMap[K, V]) maybeGrow(tx *stm.Tx, t *hmTable[K, V], stripeLen int) {
 	if stripeLen*len(m.stripes) <= maxLoad*len(t.buckets) || t.old != nil {
 		return
 	}
@@ -308,12 +329,12 @@ func (m *HashMap[V]) maybeGrow(tx *stm.Tx, t *hmTable[V], stripeLen int) {
 // background migrator. Direct stores are safe here because every map
 // operation subscribes to the lock this operation holds. The trigger was
 // an estimate, so the table at least doubles whatever the exact count says.
-func (m *HashMap[V]) beginResize(ctx *core.OpCtx) {
+func (m *HashMap[K, V]) beginResize(ctx *core.OpCtx) {
 	t := core.Load(ctx, &m.table)
 	if t.old != nil {
 		return // already migrating (defensive; the resizing flag gates)
 	}
-	nt := &hmTable[V]{buckets: make([]stm.Var[mapNode[V]], m.fitLen(ctx, 2*len(t.buckets))), old: t.buckets}
+	nt := &hmTable[K, V]{buckets: make([]stm.Var[mapNode[K, V]], m.fitLen(ctx, 2*len(t.buckets))), old: t.buckets}
 	if m.migrateChunk(ctx, nt) {
 		go m.migrateLoop(ctx.Runtime())
 	}
@@ -323,7 +344,7 @@ func (m *HashMap[V]) beginResize(ctx *core.OpCtx) {
 // run holding the map lock: no insert can commit under it, so the stripes
 // sum to the exact count, and one resize covers it however many keys
 // arrived since the last.
-func (m *HashMap[V]) fitLen(ctx *core.OpCtx, n int) int {
+func (m *HashMap[K, V]) fitLen(ctx *core.OpCtx, n int) int {
 	entries := 0
 	for i := range m.stripes {
 		entries += core.Load(ctx, &m.stripes[i].n)
@@ -338,7 +359,7 @@ func (m *HashMap[V]) fitLen(ctx *core.OpCtx, n int) int {
 // bucket array and installs the advanced-frontier table (or the final
 // table, ending the migration). Must run holding the map lock. Reports
 // whether chains remain.
-func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
+func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
 	rt := ctx.Runtime()
 	if met := rt.Metrics(); met != nil {
 		defer func(t0 time.Time) { met.ResizeChunk.Observe(time.Since(t0)) }(time.Now())
@@ -351,8 +372,8 @@ func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
 		for n := t.old[i].LoadPtr(); n != nil; n = n.next {
 			// Rehash into the new array. The target bucket may already
 			// hold keys from other (migrated) old buckets, so prepend.
-			b := &t.buckets[hashKey(n.key)%uint64(len(t.buckets))]
-			b.StoreDirectPtr(rt, &mapNode[V]{key: n.key, val: n.val, next: b.LoadPtr()})
+			b := &t.buckets[m.hash(n.key)%uint64(len(t.buckets))]
+			b.StoreDirectPtr(rt, &mapNode[K, V]{key: n.key, val: n.val, next: b.LoadPtr()})
 		}
 	}
 	if end == len(t.old) {
@@ -361,14 +382,14 @@ func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
 			// Inserts outran the migration (they trigger nothing while one
 			// is in flight): go straight on to the table they need, so a
 			// settled map is never over its load.
-			core.Store(ctx, &m.table, &hmTable[V]{buckets: make([]stm.Var[mapNode[V]], n), old: t.buckets})
+			core.Store(ctx, &m.table, &hmTable[K, V]{buckets: make([]stm.Var[mapNode[K, V]], n), old: t.buckets})
 			return true
 		}
-		core.Store(ctx, &m.table, &hmTable[V]{buckets: t.buckets})
+		core.Store(ctx, &m.table, &hmTable[K, V]{buckets: t.buckets})
 		core.Store(ctx, &m.resizing, false)
 		return false
 	}
-	core.Store(ctx, &m.table, &hmTable[V]{buckets: t.buckets, old: t.old, frontier: end})
+	core.Store(ctx, &m.table, &hmTable[K, V]{buckets: t.buckets, old: t.old, frontier: end})
 	return true
 }
 
@@ -379,7 +400,7 @@ func (m *HashMap[V]) migrateChunk(ctx *core.OpCtx, t *hmTable[V]) bool {
 // failed TryAcquire means another owner holds the lock (a user-visible
 // Lock() holder, or a second migrator after back-to-back resizes); we
 // yield and retry, and stop as soon as a table with old == nil is seen.
-func (m *HashMap[V]) migrateLoop(rt *stm.Runtime) {
+func (m *HashMap[K, V]) migrateLoop(rt *stm.Runtime) {
 	if rt.Metrics() != nil {
 		// Label the migrator so goroutine/CPU profiles from the debug
 		// endpoint separate background rehashing from foreground work.
@@ -390,7 +411,7 @@ func (m *HashMap[V]) migrateLoop(rt *stm.Runtime) {
 	m.migrateChunks(rt)
 }
 
-func (m *HashMap[V]) migrateChunks(rt *stm.Runtime) {
+func (m *HashMap[K, V]) migrateChunks(rt *stm.Runtime) {
 	me := rt.NewOwner()
 	for {
 		migrating := false

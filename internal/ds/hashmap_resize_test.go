@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -15,7 +16,7 @@ import (
 // waitSettled blocks until no migration is in flight and the map lock is
 // free, so tests can inspect final state (and read the history log)
 // without racing the background migrator.
-func waitSettled[V any](t *testing.T, m *HashMap[V]) {
+func waitSettled[K, V comparable](t *testing.T, m *HashMap[K, V]) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for m.Migrating() || m.Lock().OwnerSnapshot() != 0 {
@@ -30,7 +31,7 @@ func waitSettled[V any](t *testing.T, m *HashMap[V]) {
 // every key must survive the (chunked, deferred) migrations.
 func TestHashMapResizeGrows(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	const n = 4000
 	for lo := 0; lo < n; lo += 100 {
 		if err := rt.Atomic(func(tx *stm.Tx) error {
@@ -72,7 +73,7 @@ func TestHashMapResizeGrows(t *testing.T) {
 // striped length must stay exact and resizes must not lose entries.
 func TestHashMapStripedLenConcurrent(t *testing.T) {
 	rt := stm.NewDefault()
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	const workers, per = 8, 400
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -111,13 +112,27 @@ func TestHashMapStripedLenConcurrent(t *testing.T) {
 // settled map holds between maxLoad/2 and maxLoad entries per bucket and a
 // hit walks at most 1 + maxLoad/2 nodes on average — after one insert per
 // transaction, after one bulk transaction, and after a storm of concurrent
-// inserts across back-to-back resizes. (Growing on chain length let it run
-// at 4–8 per bucket.) Same band and same slack as kv's TestSmapLoadFactorBand: the
-// trigger estimates the count from one stripe, so it may fire a few
-// percent early.
+// inserts across back-to-back resizes, for integer keys and for the
+// store's string keys. (Growing on chain length let it run at 4–8 per
+// bucket.) The trigger estimates the count from one stripe, so it may fire
+// a few percent early: the band allows that much below maxLoad/2.
 func TestHashMapLoadFactorBand(t *testing.T) {
+	// Scattered integers (splitmix64), so the band does not lean on how the
+	// hash treats consecutive ones.
+	loadFactorBand(t, func(i int) int64 {
+		z := uint64(i+1) * 0x9E3779B97F4A7C15
+		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+		z = (z ^ z>>27) * 0x94D049BB133111EB
+		return int64(z ^ z>>31)
+	})
+	t.Run("string keys", func(t *testing.T) {
+		loadFactorBand(t, func(i int) string { return fmt.Sprintf("key-%06d", i) })
+	})
+}
+
+func loadFactorBand[K comparable](t *testing.T, key func(int) K) {
 	const n, lo, hi = 20000, 0.45 * maxLoad, 1.0 * maxLoad
-	check := func(t *testing.T, m *HashMap[int]) {
+	check := func(t *testing.T, rt *stm.Runtime, m *HashMap[K, int]) {
 		t.Helper()
 		waitSettled(t, m)
 		tab := m.table.Load()
@@ -133,6 +148,13 @@ func TestHashMapLoadFactorBand(t *testing.T) {
 		if entries != n {
 			t.Fatalf("buckets hold %d entries, want %d", entries, n)
 		}
+		var counted int
+		if err := rt.Atomic(func(tx *stm.Tx) error { counted = m.Len(tx); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if counted != entries {
+			t.Fatalf("stripes count %d entries, buckets hold %d", counted, entries)
+		}
 		if lf := float64(entries) / float64(len(tab.buckets)); lf < lo || lf > hi {
 			t.Errorf("%.3f entries per bucket, want within [%.2f, %.2f]", lf, lo, hi)
 		}
@@ -140,15 +162,7 @@ func TestHashMapLoadFactorBand(t *testing.T) {
 			t.Errorf("a hit walks %.3f nodes on average, want <= %.2f", walked, max)
 		}
 	}
-	// Scattered keys (splitmix64): hashKey is multiplicative, so consecutive
-	// integers would fill the buckets more evenly than any real key set.
-	key := func(i int) int64 {
-		z := uint64(i+1) * 0x9E3779B97F4A7C15
-		z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
-		z = (z ^ z>>27) * 0x94D049BB133111EB
-		return int64(z ^ z>>31)
-	}
-	put := func(rt *stm.Runtime, m *HashMap[int], from, to int) {
+	put := func(rt *stm.Runtime, m *HashMap[K, int], from, to int) {
 		if err := rt.Atomic(func(tx *stm.Tx) error {
 			for i := from; i < to; i++ {
 				m.Put(tx, key(i), i)
@@ -159,19 +173,19 @@ func TestHashMapLoadFactorBand(t *testing.T) {
 		}
 	}
 	t.Run("one insert per transaction", func(t *testing.T) {
-		rt, m := stm.NewDefault(), NewHashMap[int](16)
+		rt, m := stm.NewDefault(), NewHashMap[K, int](16)
 		for i := 0; i < n; i++ {
 			put(rt, m, i, i+1)
 		}
-		check(t, m)
+		check(t, rt, m)
 	})
 	t.Run("one bulk transaction", func(t *testing.T) {
-		rt, m := stm.NewDefault(), NewHashMap[int](16)
+		rt, m := stm.NewDefault(), NewHashMap[K, int](16)
 		put(rt, m, 0, n)
-		check(t, m)
+		check(t, rt, m)
 	})
 	t.Run("resize storm", func(t *testing.T) {
-		rt, m := stm.NewDefault(), NewHashMap[int](16)
+		rt, m := stm.NewDefault(), NewHashMap[K, int](16)
 		const workers = 4
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -184,11 +198,46 @@ func TestHashMapLoadFactorBand(t *testing.T) {
 			}(w)
 		}
 		wg.Wait()
-		check(t, m)
+		check(t, rt, m)
 		if m.Resizes() < 5 {
 			t.Errorf("%d resizes completed, want a storm of them", m.Resizes())
 		}
 	})
+}
+
+// TestHashMapNoopPutSkipsBucketWrite: overwriting a key with an equal value
+// must leave the bucket untouched — no chain rebuild, no version bump — so
+// concurrent readers of the chain are not invalidated.
+func TestHashMapNoopPutSkipsBucketWrite(t *testing.T) {
+	rt := stm.NewDefault()
+	m := NewHashMap[string, string](64)
+	write := func(k, v string) {
+		if err := rt.Atomic(func(tx *stm.Tx) error {
+			m.Put(tx, k, v)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write("a", "1")
+	write("b", "2") // same map, exercises chains too
+	b := m.table.Load().bucketFor(m.hash("a"))
+	ver := b.Version()
+
+	write("a", "1") // equal: must be a pure read
+	if got := b.Version(); got != ver {
+		t.Fatalf("no-op put bumped bucket version: %d -> %d", ver, got)
+	}
+	write("a", "9") // real overwrite: must bump
+	if got := b.Version(); got == ver {
+		t.Fatal("real overwrite did not bump bucket version")
+	}
+	var v string
+	var ok bool
+	_ = rt.Atomic(func(tx *stm.Tx) error { v, ok = m.Get(tx, "a"); return nil })
+	if !ok || v != "9" {
+		t.Fatalf("get a = (%q,%v)", v, ok)
+	}
 }
 
 // runResizeChecked drives concurrent put/get/delete through at least one
@@ -210,7 +259,7 @@ func runResizeChecked(t *testing.T, seed uint64, workers, opsPerWorker int) {
 			StallSpins:        256,
 		},
 	})
-	m := NewHashMap[int](16)
+	m := NewHashMap[int64, int](16)
 	oracleKeys := int64(opsPerWorker) // per-worker key range; overlapping across workers
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -286,7 +335,7 @@ func TestSizeStripeLayout(t *testing.T) {
 	if sz := unsafe.Sizeof(sizeStripe{}); sz%128 != 0 {
 		t.Errorf("sizeStripe is %d bytes, want a multiple of 128 (Var[int] is %d)", sz, unsafe.Sizeof(stm.Var[int]{}))
 	}
-	stripes := NewHashMap[int](16).stripes
+	stripes := NewHashMap[int64, int](16).stripes
 	if len(stripes) < 2 {
 		t.Fatalf("%d stripes, want at least 2", len(stripes))
 	}

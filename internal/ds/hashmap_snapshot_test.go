@@ -39,7 +39,7 @@ func TestSnapshotRangeDuringResize(t *testing.T) {
 	)
 	log := history.New()
 	rt := stm.New(stm.Config{Recorder: log})
-	m := NewHashMap[int64](16)
+	m := NewHashMap[int64, int64](16)
 	if err := rt.Atomic(func(tx *stm.Tx) error {
 		m.Put(tx, epochKey, 0)
 		for k := int64(0); k < accounts; k++ {
@@ -187,5 +187,41 @@ func TestSnapshotRangeDuringResize(t *testing.T) {
 	rep := check.History(log.Events())
 	if !rep.OK() {
 		t.Fatalf("checker rejected the snapshot-scan history:\n%s", rep)
+	}
+}
+
+// TestSnapshotRangeAllocConstant: a scan sizes its cut once, so its
+// allocation count does not depend on how many keys it returns.
+func TestSnapshotRangeAllocConstant(t *testing.T) {
+	const n = 1 << 16
+	rt, m := stm.NewDefault(), NewHashMap[int64, int64](16)
+	for lo := int64(0); lo < n; lo += 1024 {
+		if err := rt.Atomic(func(tx *stm.Tx) error {
+			for k := lo; k < lo+1024; k++ {
+				m.Put(tx, k, k)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitSettled(t, m)
+	seen := 0
+	scan := func() {
+		seen = 0
+		if err := m.SnapshotRange(rt, func(_, _ int64) bool { seen++; return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	scan()
+	if seen != n {
+		t.Fatalf("scan saw %d keys, want %d", seen, n)
+	}
+	// One for the cut, plus a transaction descriptor and its slices whenever
+	// a collection (each scan's cut is 1 MiB) has emptied the pool; a buffer
+	// grown by append took 29 for this many keys.
+	const bound = 8
+	if got := testing.AllocsPerRun(5, scan); got > bound {
+		t.Fatalf("scan of %d keys performs %.0f allocations, want <= %d", n, got, bound)
 	}
 }

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 
 	"deferstm/internal/stm"
@@ -18,7 +17,7 @@ func hotStore(t *testing.T, n int) (*Store, []string) {
 		keys[i] = fmt.Sprintf("key-%06d", i)
 		put(t, s, keys[i], "v0")
 	}
-	smapSettled(t, s.shards[0].m)
+	mapSettled(t, s)
 	return s, keys
 }
 
@@ -111,96 +110,4 @@ func TestScanAllocConstant(t *testing.T) {
 	if n := testing.AllocsPerRun(5, scan); n > bound {
 		t.Fatalf("scan of %d keys performs %.0f allocations, want <= %d", len(keys), n, bound)
 	}
-}
-
-// loadFactor reports a settled map's entries per bucket and the mean
-// number of nodes a successful lookup walks.
-func loadFactor(t *testing.T, rt *stm.Runtime, m *smap) (perBucket, walked float64) {
-	t.Helper()
-	smapSettled(t, m)
-	tab := m.table.Load()
-	entries, steps := 0, 0
-	for i := range tab.buckets {
-		depth := 0
-		for n := tab.buckets[i].LoadPtr(); n != nil; n = n.next {
-			depth++
-			entries++
-			steps += depth
-		}
-	}
-	var n int
-	if err := rt.Atomic(func(tx *stm.Tx) error { n = m.length(tx); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if n != entries {
-		t.Fatalf("stripes count %d entries, buckets hold %d", n, entries)
-	}
-	return float64(entries) / float64(len(tab.buckets)), float64(steps) / float64(entries)
-}
-
-// TestSmapLoadFactorBand: the map grows on its entry count, so however the
-// keys arrive — one per transaction, thousands in one transaction, or from
-// several goroutines across back-to-back resizes — a settled map holds
-// between smapMaxLoad/2 and smapMaxLoad entries per bucket and a hit walks
-// at most 1 + smapMaxLoad/2 nodes on average. (Growing on chain length let
-// it run at 4–8 per bucket.)
-func TestSmapLoadFactorBand(t *testing.T) {
-	// The trigger estimates the count from one stripe, so it may fire a few
-	// percent early: allow that much below the band.
-	const lo, hi = 0.45 * smapMaxLoad, 1.0 * smapMaxLoad
-	check := func(t *testing.T, rt *stm.Runtime, m *smap) {
-		t.Helper()
-		lf, walked := loadFactor(t, rt, m)
-		if lf < lo || lf > hi {
-			t.Errorf("%.3f entries per bucket, want within [%.2f, %.2f]", lf, lo, hi)
-		}
-		if max := 1 + hi/2 + 0.05; walked > max {
-			t.Errorf("a hit walks %.3f nodes on average, want <= %.2f", walked, max)
-		}
-	}
-	key := func(i int) string { return fmt.Sprintf("key-%06d", i) }
-
-	t.Run("one insert per transaction", func(t *testing.T) {
-		rt, m := stm.NewDefault(), newSmap(16)
-		for i := 0; i < 20000; i++ {
-			if err := rt.Atomic(func(tx *stm.Tx) error { m.put(tx, key(i), "v"); return nil }); err != nil {
-				t.Fatal(err)
-			}
-		}
-		check(t, rt, m)
-	})
-	t.Run("one bulk transaction", func(t *testing.T) {
-		rt, m := stm.NewDefault(), newSmap(16)
-		if err := rt.Atomic(func(tx *stm.Tx) error {
-			for i := 0; i < 20000; i++ {
-				m.put(tx, key(i), "v")
-			}
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		check(t, rt, m)
-	})
-	t.Run("resize storm", func(t *testing.T) {
-		rt, m := stm.NewDefault(), newSmap(16)
-		const workers, per = 4, 5000
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 0; i < per; i++ {
-					if err := rt.Atomic(func(tx *stm.Tx) error { m.put(tx, key(w*per+i), "v"); return nil }); err != nil {
-						t.Error(err)
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		check(t, rt, m)
-		if m.resizes.Load() < 5 {
-			t.Errorf("%d resizes completed, want a storm of them", m.resizes.Load())
-		}
-	})
 }

@@ -53,6 +53,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"deferstm/internal/ds"
 	"deferstm/internal/stm"
 	"deferstm/internal/wal"
 )
@@ -130,7 +131,7 @@ type RecoveryInfo struct {
 
 // shard pairs one key-space partition with its WAL lane.
 type shard struct {
-	m   *smap
+	m   *ds.HashMap[string, string]
 	log *wal.Log // nil in ModeNone
 }
 
@@ -239,7 +240,7 @@ func newStore(rt *stm.Runtime, opts Options, lanes int) *Store {
 	s := &Store{rt: rt, mode: opts.Mode, mask: uint64(lanes - 1)}
 	s.shards = make([]shard, lanes)
 	for i := range s.shards {
-		s.shards[i].m = newSmap(perShard)
+		s.shards[i].m = ds.NewHashMap[string, string](perShard)
 	}
 	return s
 }
@@ -314,7 +315,7 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 			m := s.shards[i].m
 			if err := s.rt.Atomic(func(tx *stm.Tx) error {
 				for k, v := range kvs {
-					m.put(tx, k, v)
+					m.Put(tx, k, v)
 				}
 				return nil
 			}); err != nil {
@@ -432,12 +433,12 @@ func crossLaneCuts(recs []*wal.Recovery) ([]uint64, error) {
 	return cut, nil
 }
 
-func applyOps(tx *stm.Tx, m *smap, ops []Op) {
+func applyOps(tx *stm.Tx, m *ds.HashMap[string, string], ops []Op) {
 	for _, op := range ops {
 		if op.Put {
-			m.put(tx, op.Key, op.Value)
+			m.Put(tx, op.Key, op.Value)
 		} else {
-			m.delete(tx, op.Key)
+			m.Delete(tx, op.Key)
 		}
 	}
 }
@@ -473,13 +474,13 @@ func (b *Batch) add(sh int, op Op) {
 
 // Get reads key inside the batch's transaction.
 func (b *Batch) Get(key string) (string, bool) {
-	return b.s.shards[b.s.shardOf(key)].m.get(b.tx, key)
+	return b.s.shards[b.s.shardOf(key)].m.Get(b.tx, key)
 }
 
 // Put sets key to value.
 func (b *Batch) Put(key, value string) {
 	sh := b.s.shardOf(key)
-	b.s.shards[sh].m.put(b.tx, key, value)
+	b.s.shards[sh].m.Put(b.tx, key, value)
 	b.add(sh, Op{Put: true, Key: key, Value: value})
 }
 
@@ -487,7 +488,7 @@ func (b *Batch) Put(key, value string) {
 // idempotent about it).
 func (b *Batch) Delete(key string) {
 	sh := b.s.shardOf(key)
-	b.s.shards[sh].m.delete(b.tx, key)
+	b.s.shards[sh].m.Delete(b.tx, key)
 	b.add(sh, Op{Key: key})
 }
 
@@ -670,14 +671,14 @@ func (s *Store) Scan(fn func(k, v string) bool) error {
 
 // Get reads key inside tx (for composing with other transactional state).
 func (s *Store) Get(tx *stm.Tx, key string) (string, bool) {
-	return s.shards[s.shardOf(key)].m.get(tx, key)
+	return s.shards[s.shardOf(key)].m.Get(tx, key)
 }
 
 // Len reports the number of keys inside tx.
 func (s *Store) Len(tx *stm.Tx) int {
 	n := 0
 	for i := range s.shards {
-		n += s.shards[i].m.length(tx)
+		n += s.shards[i].m.Len(tx)
 	}
 	return n
 }
@@ -687,7 +688,7 @@ func (s *Store) Len(tx *stm.Tx) int {
 func (s *Store) Range(tx *stm.Tx, fn func(k, v string) bool) {
 	for i := range s.shards {
 		done := false
-		s.shards[i].m.rangeAll(tx, func(k, v string) bool {
+		s.shards[i].m.Range(tx, func(k, v string) bool {
 			if !fn(k, v) {
 				done = true
 				return false
@@ -753,7 +754,7 @@ func (s *Store) Checkpoint() (uint64, error) {
 		m, log := s.shards[i].m, s.shards[i].log
 		covered, err := log.Checkpoint(func(tx *stm.Tx) ([]byte, uint64, error) {
 			kvs := make(map[string]string)
-			m.rangeAll(tx, func(k, v string) bool {
+			m.Range(tx, func(k, v string) bool {
 				kvs[k] = v
 				return true
 			})

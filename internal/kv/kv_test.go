@@ -240,6 +240,64 @@ func TestGroupModeSharesFlushes(t *testing.T) {
 	}
 }
 
+// TestFsyncCountersMatchDisk: the fsyncs the lanes account for are the
+// fsyncs the disk saw after Open, and the runtime's WAL record counter is
+// the commit count — in both durable modes, on one lane and on four. (A
+// path that fsyncs without counting, or counts one it never issued, would
+// corrupt every fsyncs-per-commit figure reported from these counters.)
+// Sync mode pays exactly one fsync per commit; group mode, with eight
+// committers on one lane, fewer.
+func TestFsyncCountersMatchDisk(t *testing.T) {
+	for _, mode := range []Mode{ModeSync, ModeGroup} {
+		for _, shards := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d lanes", mode, shards), func(t *testing.T) {
+				fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
+				s, _ := openStore(t, fs, Options{Mode: mode, Shards: shards})
+				defer s.Close()
+				base := fs.Stats().Fsyncs // the manifest and segment creation are Open's
+				const goroutines, perG = 8, 20
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						for i := 0; i < perG; i++ {
+							tok, err := s.Update(func(_ *stm.Tx, b *Batch) error {
+								b.Put(fmt.Sprintf("g%d-%d", g, i%5), fmt.Sprintf("%d", i))
+								return nil
+							})
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							s.WaitDurable(tok)
+						}
+					}(g)
+				}
+				wg.Wait()
+				const commits = goroutines * perG
+				var counted uint64
+				for _, l := range s.Logs() {
+					counted += l.BatchStats().Fsyncs
+				}
+				onDisk := fs.Stats().Fsyncs - base
+				if counted != onDisk {
+					t.Errorf("lanes counted %d fsyncs, the disk saw %d", counted, onDisk)
+				}
+				if got := s.rt.Snapshot().WALRecords; got != commits {
+					t.Errorf("runtime counted %d WAL records for %d commits", got, commits)
+				}
+				switch {
+				case mode == ModeSync && onDisk != commits:
+					t.Errorf("sync mode: %d fsyncs for %d commits, want one each", onDisk, commits)
+				case mode == ModeGroup && shards == 1 && onDisk >= commits:
+					t.Errorf("group mode: %d fsyncs for %d commits, want fewer", onDisk, commits)
+				}
+			})
+		}
+	}
+}
+
 // TestUpdateAbortLogsNothing: a failed Update leaves no trace in the
 // store or the log.
 func TestUpdateAbortLogsNothing(t *testing.T) {

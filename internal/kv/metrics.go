@@ -4,16 +4,12 @@ import (
 	"fmt"
 
 	"deferstm/internal/obs"
-	"deferstm/internal/wal"
 )
 
-// RegisterLaneMetrics exposes per-lane WAL series on reg — one labeled
-// series per lane index up to maxLanes — reading from whatever store
-// cur returns at scrape time. Taking a func instead of a *Store lets
-// callers that rebuild stores per phase (cmd/kvbench) keep one stable
-// set of series across runs; the registry has no deduplication, so
-// registering per store would stack duplicate series. Lanes a current
-// store does not have report zero.
+// RegisterMetrics exposes the store's per-lane WAL series on reg — one
+// labeled series per lane, bound for the store's lifetime (the registry
+// has no deduplication, so register a store once). A store without a
+// log (ModeNone) registers nothing.
 //
 // Series (lane label = lane index):
 //
@@ -22,61 +18,30 @@ import (
 //	deferstm_wal_lane_fsyncs_total   every fsync (flushes, rotations, checkpoints)
 //	deferstm_wal_lane_durable_lsn    the lane's published durable watermark
 //	deferstm_wal_lane_lag_records    assigned-but-not-durable records on the lane
-func RegisterLaneMetrics(reg *obs.Registry, maxLanes int, cur func() *Store) {
-	if reg == nil {
+func (s *Store) RegisterMetrics(reg *obs.Registry) {
+	if reg == nil || s.shards[0].log == nil {
 		return
 	}
-	for lane := 0; lane < maxLanes; lane++ {
-		lane := lane
-		log := func() *wal.Log {
-			s := cur()
-			if s == nil || lane >= len(s.shards) {
-				return nil
-			}
-			return s.shards[lane].log
-		}
+	for lane := range s.shards {
+		l := s.shards[lane].log
 		reg.Counter(fmt.Sprintf(`deferstm_wal_lane_records_total{lane="%d"}`, lane),
-			"Committed records appended to this WAL lane.", func() uint64 {
-				if l := log(); l != nil {
-					return l.BatchStats().Records
-				}
-				return 0
-			})
+			"Committed records appended to this WAL lane.",
+			func() uint64 { return l.BatchStats().Records })
 		reg.Counter(fmt.Sprintf(`deferstm_wal_lane_flushes_total{lane="%d"}`, lane),
-			"Group-commit flush cycles on this WAL lane.", func() uint64 {
-				if l := log(); l != nil {
-					return l.BatchStats().Flushes
-				}
-				return 0
-			})
+			"Group-commit flush cycles on this WAL lane.",
+			func() uint64 { return l.BatchStats().Flushes })
 		reg.Counter(fmt.Sprintf(`deferstm_wal_lane_fsyncs_total{lane="%d"}`, lane),
-			"Fsyncs issued by this WAL lane (flushes, rotations, checkpoints).", func() uint64 {
-				if l := log(); l != nil {
-					return l.BatchStats().Fsyncs
-				}
-				return 0
-			})
+			"Fsyncs issued by this WAL lane (flushes, rotations, checkpoints).",
+			func() uint64 { return l.BatchStats().Fsyncs })
 		reg.GaugeFunc(fmt.Sprintf(`deferstm_wal_lane_durable_lsn{lane="%d"}`, lane),
-			"Published durable watermark of this WAL lane.", func() float64 {
-				if l := log(); l != nil {
-					return float64(l.DurableWatermark())
-				}
-				return 0
-			})
+			"Published durable watermark of this WAL lane.",
+			func() float64 { return float64(l.DurableWatermark()) })
 		reg.GaugeFunc(fmt.Sprintf(`deferstm_wal_lane_lag_records{lane="%d"}`, lane),
 			"Assigned-but-not-yet-durable records on this WAL lane.", func() float64 {
-				if l := log(); l != nil {
-					if a, d := l.AssignedWatermark(), l.DurableWatermark(); a > d {
-						return float64(a - d)
-					}
+				if a, d := l.AssignedWatermark(), l.DurableWatermark(); a > d {
+					return float64(a - d)
 				}
 				return 0
 			})
 	}
-}
-
-// RegisterMetrics is RegisterLaneMetrics for one long-lived store
-// (cmd/kvserver): every lane the store has, bound for its lifetime.
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	RegisterLaneMetrics(reg, len(s.shards), func() *Store { return s })
 }

@@ -49,17 +49,17 @@ func (s *Store) ResetShardContents(tx *stm.Tx, lane int, kvs map[string]string) 
 	}
 	m := s.shards[lane].m
 	var stale []string
-	m.rangeAll(tx, func(k, _ string) bool {
+	m.Range(tx, func(k, _ string) bool {
 		if _, ok := kvs[k]; !ok {
 			stale = append(stale, k)
 		}
 		return true
 	})
 	for _, k := range stale {
-		m.delete(tx, k)
+		m.Delete(tx, k)
 	}
 	for k, v := range kvs {
-		m.put(tx, k, v)
+		m.Put(tx, k, v)
 	}
 	return nil
 }

@@ -333,9 +333,29 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 		tx.rt.stats.InjectedFaults.Add(1)
 	}
 
-	// The truncation horizon and chain depth are loaded once per commit:
-	// publish links each superseded value onto its var's version chain
-	// when some active snapshot may still need it (see snapshot.go).
+	tx.publishLocked(wv)
+	tx.flushCommitEvents(wv, 0)
+	// Injected delay in the publish→wake window: parked readers' data is
+	// already new but their wakeup is still pending.
+	if tx.rt.inj.stallWake() {
+		tx.rt.stats.InjectedFaults.Add(1)
+	}
+	// Wake retry waiters watching any written var. This runs after every
+	// version store above, so a waiter registered too late to be seen
+	// here necessarily validates against the new versions and never
+	// parks (see watch.go).
+	for i := range tx.writes {
+		tx.writes[i].m.wakeWatchers()
+	}
+	return wv, true
+}
+
+// publishLocked publishes every write at version wv and releases its
+// commit lock at that version; the caller holds all of the write set's
+// locks. The truncation horizon and chain depth are loaded once per
+// commit: publish links each superseded value onto its var's version
+// chain when some active snapshot may still need it (see snapshot.go).
+func (tx *Tx) publishLocked(wv uint64) {
 	horizon := tx.rt.snapHorizon.Load()
 	depth := tx.rt.cfg.SnapshotChainDepth
 	var truncated uint64
@@ -353,20 +373,6 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 	if truncated > 0 {
 		tx.rt.stats.SnapshotTruncations.Add(truncated)
 	}
-	tx.flushCommitEvents(wv, 0)
-	// Injected delay in the publish→wake window: parked readers' data is
-	// already new but their wakeup is still pending.
-	if tx.rt.inj.stallWake() {
-		tx.rt.stats.InjectedFaults.Add(1)
-	}
-	// Wake retry waiters watching any written var. This runs after every
-	// version store above, so a waiter registered too late to be seen
-	// here necessarily validates against the new versions and never
-	// parks (see watch.go).
-	for i := range tx.writes {
-		tx.writes[i].m.wakeWatchers()
-	}
-	return wv, true
 }
 
 // releaseLocks rolls back the first n acquired commit locks. If wv is
@@ -460,23 +466,7 @@ func (rt *Runtime) runSerial(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 			}
 		}
 		wv = tx.rt.clock.Add(1)
-		horizon := rt.snapHorizon.Load()
-		depth := rt.cfg.SnapshotChainDepth
-		var truncated uint64
-		for i := range tx.writes {
-			e := &tx.writes[i]
-			if dropped := e.v.publish(e.pending, wv, horizon, depth); dropped > 0 {
-				truncated += uint64(dropped)
-				if tx.slow {
-					rt.rec.Record(Event{Kind: EvSnapTruncate, TxID: tx.id,
-						Owner: tx.owner, Var: e.m.idLoad(), Ver: horizon, Aux: uint64(dropped)})
-				}
-			}
-			e.m.lock.Store(packVersion(wv))
-		}
-		if truncated > 0 {
-			rt.stats.SnapshotTruncations.Add(truncated)
-		}
+		tx.publishLocked(wv)
 	}
 	tx.flushCommitEvents(wv, AuxSerial)
 	tx.active = false
