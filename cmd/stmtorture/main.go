@@ -8,7 +8,9 @@
 //     validated periodically;
 //   - defer: transactions update a deferrable pair (a transactionally,
 //     b in the deferred operation); subscribing readers must never
-//     observe a != b;
+//     observe a != b. One writer in four defers two operations and has
+//     the first panic: the second must still run and the panic still
+//     reach the worker;
 //   - locks: opposite-order multi-lock acquisition through transactions
 //     (deadlock-freedom check);
 //   - kvstore: concurrent counters in the durable KV store (WAL group
@@ -52,6 +54,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -375,6 +378,9 @@ func tortureTree(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 	}
 }
 
+// errTortureOp is what the defer workload's failing λ panics with.
+var errTortureOp = errors.New("torture: deferred operation failed")
+
 type torturePair struct {
 	core.Deferrable
 	a, b stm.Var[int]
@@ -385,18 +391,45 @@ func tortureDefer(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 	for i := range pairs {
 		pairs[i] = &torturePair{}
 	}
+	// bump is a writer's half of a transaction: a transactionally, b
+	// deferred; with fail set, λ panics once b is stored.
+	bump := func(tx *stm.Tx, p *torturePair, fail bool) {
+		p.Subscribe(tx)
+		v := p.a.Get(tx) + 1
+		p.a.Set(tx, v)
+		core.AtomicDefer(tx, func(ctx *core.OpCtx) {
+			core.Store(ctx, &p.b, v)
+			if fail {
+				panic(errTortureOp)
+			}
+		}, p)
+	}
 	h.runFor(threads, d, func(tid int, rng func(int) int64) {
 		p := pairs[rng(len(pairs))]
-		if rng(4) == 0 { // writer: a transactionally, b deferred
-			_ = rt.Atomic(func(tx *stm.Tx) error {
-				p.Subscribe(tx)
-				v := p.a.Get(tx) + 1
-				p.a.Set(tx, v)
-				core.AtomicDefer(tx, func(ctx *core.OpCtx) {
-					core.Store(ctx, &p.b, v)
-				}, p)
-				return nil
-			})
+		switch rng(16) {
+		case 0, 1, 2:
+			_ = rt.Atomic(func(tx *stm.Tx) error { bump(tx, p, false); return nil })
+			return
+		case 3:
+			// Two deferred operations, the first of which panics: the
+			// committed transaction still owes the second (or q.b lags q.a
+			// and q stays locked for good), and the panic still reaches
+			// the worker.
+			q := pairs[rng(len(pairs))]
+			func() {
+				defer func() {
+					if r := recover(); r != errTortureOp {
+						h.failf("defer: recovered %v from a transaction whose λ panicked", r)
+					}
+				}()
+				_ = rt.Atomic(func(tx *stm.Tx) error {
+					bump(tx, p, true)
+					if q != p {
+						bump(tx, q, false)
+					}
+					return nil
+				})
+			}()
 			return
 		}
 		var a, b int

@@ -271,31 +271,45 @@ func TestRejectsGroupCommitJoin(t *testing.T) {
 	wantRule(t, History(h), RuleDeferral)
 }
 
-// The same schedule without the illegal observer is exactly how the
-// runtime behaves and must be accepted, including the owner's own
-// release transaction reading the held lock.
+// The same schedule without the illegal observer must be accepted in both
+// shapes a release takes: the holder's direct publish, which is what a
+// deferral's own release is (the lock event sequenced before the direct
+// write), and a Listing 2 release transaction reading the held lock.
 func TestAcceptsCorrectDeferralSchedule(t *testing.T) {
-	h := []stm.Event{
-		ev(stm.EvBegin, 1, 7, 0, 0, 0),
-		ev(stm.EvWrite, 1, 7, 5, 1, 0),
-		ev(stm.EvLockAcquire, 1, 7, 5, 1, 1),
-		ev(stm.EvDeferEnqueue, 1, 7, 0, 1, 1),
-		ev(stm.EvDeferLock, 1, 7, 5, 1, 1),
-		ev(stm.EvCommit, 1, 7, 0, 1, 0),
-		ev(stm.EvDeferStart, 0, 7, 0, 0, 1),
-		ev(stm.EvBegin, 3, 7, 0, 1, 0),
-		ev(stm.EvRead, 3, 7, 5, 1, 0),
-		ev(stm.EvWrite, 3, 7, 5, 2, 0),
-		ev(stm.EvLockRelease, 3, 7, 5, 2, 0),
-		ev(stm.EvCommit, 3, 7, 0, 2, 0),
-		ev(stm.EvDeferEnd, 0, 7, 0, 0, 1),
-		// a reader that correctly waited for the release:
-		ev(stm.EvBegin, 4, 9, 0, 2, 0),
-		ev(stm.EvRead, 4, 9, 5, 2, 0),
-		ev(stm.EvCommit, 4, 9, 0, 0, 0),
+	releases := map[string][]stm.Event{
+		"direct publish": {
+			ev(stm.EvLockRelease, 0, 7, 5, 0, 0),
+			ev(stm.EvDirectWrite, 0, 0, 5, 2, 0),
+		},
+		"release transaction": {
+			ev(stm.EvBegin, 3, 7, 0, 1, 0),
+			ev(stm.EvRead, 3, 7, 5, 1, 0),
+			ev(stm.EvWrite, 3, 7, 5, 2, 0),
+			ev(stm.EvLockRelease, 3, 7, 5, 2, 0),
+			ev(stm.EvCommit, 3, 7, 0, 2, 0),
+		},
 	}
-	if r := History(h); !r.OK() {
-		t.Fatalf("correct deferral schedule rejected: %s", r)
+	for name, release := range releases {
+		h := []stm.Event{
+			ev(stm.EvBegin, 1, 7, 0, 0, 0),
+			ev(stm.EvWrite, 1, 7, 5, 1, 0),
+			ev(stm.EvLockAcquire, 1, 7, 5, 1, 1),
+			ev(stm.EvDeferEnqueue, 1, 7, 0, 1, 1),
+			ev(stm.EvDeferLock, 1, 7, 5, 1, 1),
+			ev(stm.EvCommit, 1, 7, 0, 1, 0),
+			ev(stm.EvDeferStart, 0, 7, 0, 0, 1),
+		}
+		h = append(h, release...)
+		h = append(h,
+			ev(stm.EvDeferEnd, 0, 7, 0, 0, 1),
+			// a reader that correctly waited for the release:
+			ev(stm.EvBegin, 4, 9, 0, 2, 0),
+			ev(stm.EvRead, 4, 9, 5, 2, 0),
+			ev(stm.EvCommit, 4, 9, 0, 0, 0),
+		)
+		if r := History(h); !r.OK() {
+			t.Errorf("correct deferral schedule (%s) rejected: %s", name, r)
+		}
 	}
 }
 

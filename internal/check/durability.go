@@ -2,9 +2,9 @@ package check
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
-	"sort"
 
 	"deferstm/internal/stm"
 )

@@ -64,7 +64,7 @@ func (d *Deferrable) deferrableLock() *txlock.Lock { return &d.lock }
 
 // Subscribe elides the object's implicit lock inside tx: it blocks (via
 // retry) until the lock is free or held by tx's owner, and leaves the
-// lock's owner field in tx's read set so any later acquisition aborts tx.
+// lock's variable in tx's read set so any later acquisition aborts tx.
 // The compiler extension described in the paper injects this call at the
 // start of every transaction-safe method of a deferrable class; in Go,
 // call it explicitly at the top of each method that touches shared fields.
@@ -151,16 +151,16 @@ func Store[T any](c *OpCtx, v *stm.Var[T], x T) { v.StoreDirect(c.rt, x) }
 func AtomicDefer(tx *stm.Tx, op Op, objs ...Object) {
 	// Acquire phase (two-phase locking): all locks the operation needs,
 	// acquired within the transaction.
-	locks := make([]*txlock.Lock, 0, len(objs))
+	d := newDeferred(tx, op)
 	for _, o := range objs {
 		if o == nil {
 			continue
 		}
 		l := o.deferrableLock()
-		l.AcquireAs(tx, tx.Owner())
-		locks = append(locks, l)
+		l.AcquireAs(tx, d.ctx.owner)
+		d.locks = append(d.locks, l)
 	}
-	deferWithLocks(tx, op, locks)
+	d.enqueue(tx)
 }
 
 // AtomicDeferTry is AtomicDefer with non-blocking lock acquisition: if
@@ -171,15 +171,15 @@ func AtomicDefer(tx *stm.Tx, op Op, objs ...Object) {
 // map migration, where a busy lock means another helper holds the
 // critical section and this transaction need not wait for it.
 func AtomicDeferTry(tx *stm.Tx, op Op, objs ...Object) bool {
-	me := tx.Owner()
-	locks := make([]*txlock.Lock, 0, len(objs))
+	d := newDeferred(tx, op)
+	me := d.ctx.owner
 	for _, o := range objs {
 		if o == nil {
 			continue
 		}
 		l := o.deferrableLock()
 		if !l.TryAcquireAs(tx, me) {
-			for _, held := range locks {
+			for _, held := range d.locks {
 				// Acquired earlier in this same transaction, so the
 				// release cannot fail.
 				if err := held.ReleaseAs(tx, me); err != nil {
@@ -188,73 +188,88 @@ func AtomicDeferTry(tx *stm.Tx, op Op, objs ...Object) bool {
 			}
 			return false
 		}
-		locks = append(locks, l)
+		d.locks = append(d.locks, l)
 	}
-	deferWithLocks(tx, op, locks)
+	d.enqueue(tx)
 	return true
 }
 
-// deferWithLocks queues op to run after tx commits, holding locks (all
-// already acquired inside tx) and releasing them as it completes.
-func deferWithLocks(tx *stm.Tx, op Op, locks []*txlock.Lock) {
-	me := tx.Owner()
-	rt := tx.Runtime()
-	var opID uint64
-	if rt.Recording() {
-		opID = opIDCtr.Add(1)
-		tx.RecordOnCommit(stm.Event{Kind: stm.EvDeferEnqueue, Owner: me, Aux: opID})
-		for _, l := range locks {
-			tx.RecordOnCommit(stm.Event{Kind: stm.EvDeferLock, Owner: me, Aux: opID, Var: l.VarID()})
-		}
-	}
-	tx.AfterCommit(func() {
-		if opID != 0 {
-			rt.RecordEvent(stm.Event{Kind: stm.EvDeferStart, Owner: me, Aux: opID})
-		}
-		ctx := &OpCtx{rt: rt, owner: me}
-		met := rt.Metrics()
-		var h0 time.Time
-		if met != nil {
-			h0 = time.Now()
-		}
-		defer func() {
-			// Release phase: even if the operation panics, the locks
-			// must not leak (concurrent subscribers would block
-			// forever); release, then let the panic propagate.
-			releaseAll(rt, me, locks)
-			if met != nil {
-				// Lock hold time spans the operation *and* its release
-				// transaction: that whole window is what concurrent
-				// subscribers of these objects wait out.
-				met.DeferLockHold.Observe(time.Since(h0))
-			}
-			rt.Stats().DeferredOps.Add(1)
-			if opID != 0 {
-				rt.RecordEvent(stm.Event{Kind: stm.EvDeferEnd, Owner: me, Aux: opID})
-			}
-		}()
-		if met != nil {
-			pprof.Do(context.Background(), pprofLabels, func(context.Context) { op(ctx) })
-		} else {
-			op(ctx)
-		}
-	})
+// deferred is one deferred operation: everything its post-commit run needs,
+// in one allocation. locks starts out backed by inline, which holds the
+// usual one or two objects without a second.
+type deferred struct {
+	ctx    OpCtx
+	op     Op
+	opID   uint64 // nonzero while a recorder is attached
+	locks  []*txlock.Lock
+	inline [2]*txlock.Lock
 }
 
-func releaseAll(rt *stm.Runtime, me stm.OwnerID, locks []*txlock.Lock) {
-	if len(locks) == 0 {
-		return
-	}
-	_ = rt.AtomicAs(me, func(tx *stm.Tx) error {
-		for _, l := range locks {
-			// The release cannot fail: the locks were acquired under
-			// `me` by the committed transaction. A reentrant depth >1
-			// (the same object deferred by a later operation of the
-			// same transaction) just decrements.
-			if err := l.ReleaseAs(tx, me); err != nil {
-				panic("core: deferred release failed: " + err.Error())
-			}
+func newDeferred(tx *stm.Tx, op Op) *deferred {
+	d := &deferred{ctx: OpCtx{rt: tx.Runtime(), owner: tx.Owner()}, op: op}
+	d.locks = d.inline[:0]
+	return d
+}
+
+// enqueue queues d to run after tx commits; d.locks are all acquired
+// inside tx by now.
+func (d *deferred) enqueue(tx *stm.Tx) {
+	rt, me := d.ctx.rt, d.ctx.owner
+	if rt.Recording() {
+		d.opID = opIDCtr.Add(1)
+		tx.RecordOnCommit(stm.Event{Kind: stm.EvDeferEnqueue, Owner: me, Aux: d.opID})
+		for _, l := range d.locks {
+			tx.RecordOnCommit(stm.Event{Kind: stm.EvDeferLock, Owner: me, Aux: d.opID, Var: l.VarID()})
 		}
-		return nil
-	})
+	}
+	tx.AfterCommit(d.run)
+}
+
+// run is the post-commit hook: the operation, holding d.locks, then their
+// release.
+func (d *deferred) run() {
+	rt, me := d.ctx.rt, d.ctx.owner
+	if d.opID != 0 {
+		rt.RecordEvent(stm.Event{Kind: stm.EvDeferStart, Owner: me, Aux: d.opID})
+	}
+	met := rt.Metrics()
+	var h0 time.Time
+	if met != nil {
+		h0 = time.Now()
+	}
+	defer func() {
+		// Release phase: even if the operation panics, the locks
+		// must not leak (concurrent subscribers would block
+		// forever); release, then let the panic propagate.
+		releaseAll(rt, me, d.locks)
+		if met != nil {
+			// Lock hold time spans the operation *and* the release
+			// publish: that whole window is what concurrent
+			// subscribers of these objects wait out.
+			met.DeferLockHold.Observe(time.Since(h0))
+		}
+		rt.Stats().DeferredOps.Add(1)
+		if d.opID != 0 {
+			rt.RecordEvent(stm.Event{Kind: stm.EvDeferEnd, Owner: me, Aux: d.opID})
+		}
+	}()
+	if met != nil {
+		pprof.Do(context.Background(), pprofLabels, func(context.Context) { d.op(&d.ctx) })
+	} else {
+		d.op(&d.ctx)
+	}
+}
+
+// releaseAll gives the operation's locks up one by one, each a direct
+// publish by their holder (txlock.ReleaseOutside): the shrink phase of the
+// two-phase-locking unit. The releases cannot fail: the locks were acquired
+// under me by the committed transaction. A reentrant depth >1 (the same
+// object deferred by a later operation of the same transaction) just
+// decrements.
+func releaseAll(rt *stm.Runtime, me stm.OwnerID, locks []*txlock.Lock) {
+	for _, l := range locks {
+		if err := l.ReleaseOutside(rt, me); err != nil {
+			panic("core: deferred release failed: " + err.Error())
+		}
+	}
 }

@@ -528,3 +528,82 @@ func TestDeferEscalatedTransaction(t *testing.T) {
 		t.Error("lock leaked")
 	}
 }
+
+// TestPanicInOpRunsLaterOps: the transaction committed, so all of its
+// deferred operations are part of it. One that panics must not keep a
+// later one from running — nobody else would ever release that one's
+// locks — nor the queued frees; the panic still reaches the caller.
+func TestPanicInOpRunsLaterOps(t *testing.T) {
+	rt := stm.NewDefault()
+	a, b := &counter{}, &counter{}
+	secondRan, freed := false, false
+	func() {
+		defer func() {
+			if r := recover(); r != "first op failed" {
+				t.Errorf("recovered %v, want the first op's panic", r)
+			}
+		}()
+		_ = rt.Atomic(func(tx *stm.Tx) error {
+			tx.QueueFree(func() { freed = true })
+			AtomicDefer(tx, func(*OpCtx) { panic("first op failed") }, a)
+			AtomicDefer(tx, func(*OpCtx) { secondRan = true }, b)
+			AtomicDefer(tx, func(*OpCtx) { panic("third op failed") }, a, b)
+			return nil
+		})
+	}()
+	if !secondRan {
+		t.Error("the op after the panicking one never ran")
+	}
+	if !freed {
+		t.Error("queued free never ran")
+	}
+	if a.Locked() || b.Locked() {
+		t.Errorf("locks leaked: a.Locked()=%v b.Locked()=%v", a.Locked(), b.Locked())
+	}
+}
+
+// TestDeferralIsOneCommit: a deferral is its transaction and nothing more —
+// the release is a publish by the lock's holder, not a second transaction.
+func TestDeferralIsOneCommit(t *testing.T) {
+	rt := stm.NewDefault()
+	a, b := &counter{}, &counter{}
+	for _, objs := range [][]Object{{a}, {a, b}, {a, b, a}} {
+		before := rt.Snapshot()
+		if err := rt.Atomic(func(tx *stm.Tx) error {
+			AtomicDefer(tx, func(*OpCtx) {}, objs...)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		d := rt.Snapshot().Sub(before)
+		if d.Starts != 1 || d.Commits != 1 || d.DeferredOps != 1 {
+			t.Errorf("%d objects: %d starts, %d commits, %d deferred ops, want 1 of each",
+				len(objs), d.Starts, d.Commits, d.DeferredOps)
+		}
+		if a.Locked() || b.Locked() {
+			t.Fatalf("%d objects: lock left held", len(objs))
+		}
+	}
+}
+
+// TestAtomicDeferAllocs pins what a deferral allocates beyond its
+// transaction: the lock's state box, the deferred record and the record's
+// bound run method. (The release installs no box: depth 1 goes to none.)
+func TestAtomicDeferAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; bound holds only unraced")
+	}
+	rt := stm.NewDefault()
+	c := &counter{}
+	op := func(*OpCtx) {}
+	body := func(tx *stm.Tx) error {
+		AtomicDefer(tx, op, c)
+		return nil
+	}
+	for i := 0; i < 32; i++ { // warm the descriptor pool and slice capacity
+		_ = rt.Atomic(body)
+	}
+	if n := testing.AllocsPerRun(200, func() { _ = rt.Atomic(body) }); n > 3 {
+		t.Fatalf("a one-object deferral allocates %.1f objects, want <= 3", n)
+	}
+}

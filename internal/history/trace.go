@@ -135,12 +135,12 @@ func (t *TraceWriter) WriteJSON(w io.Writer) error {
 	copy(evs, t.evs)
 	t.mu.Unlock()
 
-	txChain := map[uint64]*traceChain{}  // TxID → chain
-	opChain := map[uint64]*traceChain{}  // deferred-op ID → deferring tx's chain
-	txBegin := map[uint64]int64{}        // TxID → attempt start
-	quiesceBegin := map[uint64]int64{}   // TxID → quiesce start
-	opStart := map[uint64]int64{}        // op ID → λ start
-	opOwner := map[uint64]stm.OwnerID{}  // op ID → deferring owner
+	txChain := map[uint64]*traceChain{} // TxID → chain
+	opChain := map[uint64]*traceChain{} // deferred-op ID → deferring tx's chain
+	txBegin := map[uint64]int64{}       // TxID → attempt start
+	quiesceBegin := map[uint64]int64{}  // TxID → quiesce start
+	opStart := map[uint64]int64{}       // op ID → λ start
+	opOwner := map[uint64]stm.OwnerID{} // op ID → deferring owner
 	var chains []*traceChain
 
 	for _, te := range evs {

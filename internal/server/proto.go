@@ -92,8 +92,8 @@ var errFrameTooBig = errors.New("server: frame exceeds size limit")
 
 // Request is one decoded client request.
 type Request struct {
-	Op  byte
-	ID  uint64
+	Op      byte
+	ID      uint64
 	Key     string   // GET, PUT, DEL
 	Val     string   // PUT
 	Ops     []kv.Op  // BATCH

@@ -101,40 +101,29 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 				rt.txPool.Put(tx)
 				return outcome.userErr
 			}
-			// Post-commit pipeline (Listing 1's TxEnd tail): move the
-			// deferred operations and the free list into locals, reset
-			// the descriptor so hooks can start fresh transactions,
-			// then run hooks in order, then reclaim.
-			hooks := tx.hooks
-			frees := tx.frees
-			tx.hooks, tx.frees = nil, nil
+			// Post-commit pipeline (Listing 1's TxEnd tail): take the
+			// deferred operations and the free list, reset the descriptor,
+			// run hooks in order, then reclaim. The descriptor keeps the
+			// two lists' backing arrays for its next commit and stays
+			// checked out until they have been run through — a hook's own
+			// transactions draw another from the pool.
+			hooks, frees := tx.hooks, tx.frees
+			tx.hooks, tx.frees = hooks[:0], frees[:0]
 			tx.reset()
 			rt.stats.Commits.addAt(tx.slot, 1)
-			rt.txPool.Put(tx)
 			if met != nil {
 				// Commit latency stops here, before the deferred tail:
 				// the hooks are exactly the work the paper moved out of
 				// the caller-visible critical window.
 				met.TxLatency.Observe(time.Since(t0))
-				met.DeferDepth.Add(int64(len(hooks)))
 			}
-			// Injected stall in the commit→λ window: deferral locks are
-			// held but the deferred operations have not yet run.
-			if len(hooks) > 0 && rt.inj.stallPreHook() {
-				rt.stats.InjectedFaults.Add(1)
+			var panicked any
+			if len(hooks) != 0 || len(frees) != 0 {
+				panicked = rt.postCommit(hooks, frees, met)
 			}
-			for _, h := range hooks {
-				if met != nil {
-					h0 := time.Now()
-					h()
-					met.DeferExec.Observe(time.Since(h0))
-					met.DeferDepth.Add(-1)
-				} else {
-					h()
-				}
-			}
-			for _, f := range frees {
-				f()
+			rt.txPool.Put(tx)
+			if panicked != nil {
+				panic(panicked)
 			}
 			return nil
 		}
@@ -186,6 +175,49 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 		}
 		tx.reset()
 	}
+}
+
+// postCommit runs a committed transaction's hooks in order and then its
+// frees, and empties both lists. The transaction committed, so every hook
+// is part of it: one that panics does not stop the later ones (whose
+// deferral locks nobody else would ever release) nor the frees. The first
+// panic is returned, for the caller to re-raise.
+func (rt *Runtime) postCommit(hooks, frees []func(), met *Metrics) (panicked any) {
+	if met != nil {
+		met.DeferDepth.Add(int64(len(hooks)))
+	}
+	// Injected stall in the commit→λ window: deferral locks are held but
+	// the deferred operations have not yet run.
+	if len(hooks) > 0 && rt.inj.stallPreHook() {
+		rt.stats.InjectedFaults.Add(1)
+	}
+	for _, h := range hooks {
+		if met != nil {
+			h0 := time.Now()
+			runGuarded(h, &panicked)
+			met.DeferExec.Observe(time.Since(h0))
+			met.DeferDepth.Add(-1)
+		} else {
+			runGuarded(h, &panicked)
+		}
+	}
+	for _, f := range frees {
+		runGuarded(f, &panicked)
+	}
+	clear(hooks)
+	clear(frees)
+	return panicked
+}
+
+// runGuarded calls f, catching a panic into *first unless one is already
+// there.
+func runGuarded(f func(), first *any) {
+	defer func() {
+		if r := recover(); r != nil && *first == nil {
+			*first = r
+		}
+	}()
+	f()
 }
 
 type txOutcome struct {

@@ -3,6 +3,7 @@ package stm
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -613,4 +614,36 @@ func ExampleRuntime_Atomic() {
 	})
 	fmt.Println(balance.Load())
 	// Output: 75
+}
+
+// A committed transaction's post-commit pipeline runs to the end even if a
+// hook panics: later hooks, then the frees, then the first panic again.
+func TestPanickingHookStillRunsLaterHooksAndFrees(t *testing.T) {
+	rt := NewDefault()
+	var order []string
+	func() {
+		defer func() {
+			if r := recover(); r != "hook 1" {
+				t.Errorf("recovered %v, want the first hook's panic", r)
+			}
+		}()
+		_ = rt.Atomic(func(tx *Tx) error {
+			tx.QueueFree(func() { order = append(order, "free") })
+			tx.AfterCommit(func() { order = append(order, "hook 1"); panic("hook 1") })
+			tx.AfterCommit(func() { order = append(order, "hook 2"); panic("hook 2") })
+			tx.AfterCommit(func() { order = append(order, "hook 3") })
+			return nil
+		})
+	}()
+	if got, want := strings.Join(order, ", "), "hook 1, hook 2, hook 3, free"; got != want {
+		t.Errorf("post-commit order %q, want %q", got, want)
+	}
+	// The descriptor went back to the pool clean.
+	ran := false
+	if err := rt.Atomic(func(tx *Tx) error {
+		tx.AfterCommit(func() { ran = true })
+		return nil
+	}); err != nil || !ran {
+		t.Errorf("transaction after the panic: err %v, hook ran %v", err, ran)
+	}
 }

@@ -453,8 +453,14 @@ func (tx *Tx) reset() {
 		clear(tx.wmap)
 		tx.wmap = nil // back to the linear-scan fast path
 	}
-	tx.hooks = nil // moved out or discarded; never reused across attempts
-	tx.frees = nil
+	if len(tx.hooks) != 0 || len(tx.frees) != 0 {
+		// An aborted attempt's: discarded, the arrays kept. (A commit
+		// takes its own before it resets; see run.)
+		clear(tx.hooks)
+		tx.hooks = tx.hooks[:0]
+		clear(tx.frees)
+		tx.frees = tx.frees[:0]
+	}
 	tx.pendEvs = tx.pendEvs[:0]
 	tx.htmReadLines = 0
 	tx.htmWriteLines = 0

@@ -2,12 +2,28 @@ package txlock
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"deferstm/internal/stm"
 )
+
+// TestLockLayout pins a Lock at one stm.Var — 32 bytes, the whole cost a
+// Deferrable adds to an object — in the style of stm's TestVarLayout: a
+// second field (owner and depth apart again, a cached flag) would bring
+// back the two-location release and the torn owner/depth read.
+func TestLockLayout(t *testing.T) {
+	typ := reflect.TypeOf(Lock{})
+	if typ.NumField() != 1 || typ.Field(0).Type != reflect.TypeOf(stm.Var[state]{}) {
+		t.Errorf("Lock has %d fields (first %s), want exactly one stm.Var[state]", typ.NumField(), typ.Field(0).Type)
+	}
+	if sz := unsafe.Sizeof(Lock{}); sz != 32 {
+		t.Errorf("Lock is %d bytes, want 32", sz)
+	}
+}
 
 func TestAcquireRelease(t *testing.T) {
 	rt := stm.NewDefault()
@@ -86,22 +102,39 @@ func TestReleaseByNonOwner(t *testing.T) {
 	}
 }
 
-func TestHandoffFatal(t *testing.T) {
+// TestReentrantDirectRelease: a lock held at depth 2 outside any
+// transaction takes two direct releases, the first of which leaves it held.
+func TestReentrantDirectRelease(t *testing.T) {
 	rt := stm.NewDefault()
 	l := NewLock()
-	a, b := rt.NewOwner(), rt.NewOwner()
-	l.AcquireOutside(rt, a)
-	defer l.ReleaseOutside(rt, a) //nolint:errcheck
-	HandoffFatal = true
-	defer func() { HandoffFatal = false }()
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic with HandoffFatal")
-		}
-	}()
-	_ = rt.AtomicAs(b, func(tx *stm.Tx) error {
-		return l.Release(tx)
-	})
+	me, other := rt.NewOwner(), rt.NewOwner()
+	l.AcquireOutside(rt, me)
+	l.AcquireOutside(rt, me)
+	peek := func() (o stm.OwnerID, d int) {
+		_ = rt.Atomic(func(tx *stm.Tx) error { o, d = l.Peek(tx); return nil })
+		return
+	}
+	if o, d := peek(); o != me || d != 2 {
+		t.Fatalf("after two acquires: owner %d depth %d, want %d at 2", o, d, me)
+	}
+	if err := l.ReleaseOutside(rt, me); err != nil {
+		t.Fatal(err)
+	}
+	if o, d := peek(); o != me || d != 1 {
+		t.Fatalf("after one release: owner %d depth %d, want %d at 1", o, d, me)
+	}
+	if err := l.ReleaseOutside(rt, other); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("release by a non-owner: %v, want ErrNotOwner", err)
+	}
+	if err := l.ReleaseOutside(rt, me); err != nil {
+		t.Fatal(err)
+	}
+	if o, d := peek(); o != 0 || d != 0 {
+		t.Fatalf("after both releases: owner %d depth %d, want unheld", o, d)
+	}
+	if err := l.ReleaseOutside(rt, me); !errors.Is(err, ErrNotOwner) {
+		t.Fatalf("release of an unheld lock: %v, want ErrNotOwner", err)
+	}
 }
 
 func TestZeroOwnerPanics(t *testing.T) {

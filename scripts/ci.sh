@@ -1,6 +1,8 @@
 #!/bin/sh
-# CI gate: vet, build, race-enabled tests, and a short adversarial
-# torture run with full history checking. Run from the repo root:
+# CI gate: gofmt, vet, build, race-enabled tests, a short adversarial
+# torture run with full history checking, the service smokes, and the
+# paper's figures (quick sizes) against their shape checks. Run from the
+# repo root:
 #
 #   ./scripts/ci.sh
 #
@@ -8,6 +10,10 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+echo "==> gofmt"
+unformatted="$(gofmt -l .)"
+test -z "$unformatted" || { echo "gofmt -l prints:"; echo "$unformatted"; exit 1; }
 
 echo "==> go vet"
 go vet ./...
@@ -292,5 +298,14 @@ kill "$r1pid" "$r2pid" 2>/dev/null || true
 wait "$r1pid" "$r2pid" 2>/dev/null || true
 kill -9 "$kvsrvpid" 2>/dev/null || true
 wait "$kvsrvpid" 2>/dev/null || true
+
+# Figures 2 and 3 at quick sizes against the paper's qualitative claims
+# (24 shape checks, about 5 minutes on 2 cores — too long for tier-1).
+# Every Figure 2 series runs on atomic deferral, so a change to the
+# primitive is a change to the figures.
+echo "==> reproduce -quick (Figures 2-3, shape checks)"
+reprodir="$(mktemp -d)"
+trap 'rm -f "$tmpjson" "$tmpmetrics" "$tmptrace"; rm -rf "$kvdir" "$reprodir"' EXIT
+go run ./cmd/reproduce -quick -out "$reprodir"
 
 echo "CI green"
