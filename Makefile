@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-kv race-server vet torture servesmoke ci benchmark bench bench-scaling bench-reactive bench-mixed bench-figs trace
+.PHONY: all build test race vet ci benchmark bench-figs trace
 
 all: build test
 
@@ -17,38 +17,13 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Race gate for the durable store: the WAL group-commit paths and the
-# seeded crash-recovery property tests must be race-clean.
-race-kv:
-	$(GO) test -race -count=1 ./internal/wal ./internal/kv
-
 vet:
 	$(GO) vet ./...
 
-# Short adversarial soak: fault injection + full history checking.
-torture:
-	$(GO) run ./cmd/stmtorture -duration 2s -threads 8 -check -inject -seed 1
-
-# Race gate for the networked front end: protocol codecs, pipelined
-# reader/writer pairs, shutdown under load.
-race-server:
-	$(GO) test -race -count=1 ./internal/server
-
-# Networked smoke by hand: boot kvserver on an ephemeral port and run
-# the kvloadgen connection ladder against it (no crash injection; the
-# kill -9 + recovery-verify version lives in scripts/ci.sh).
-servesmoke:
-	@dir=$$(mktemp -d); \
-	$(GO) build -o $$dir/kvserver ./cmd/kvserver; \
-	$(GO) build -o $$dir/kvloadgen ./cmd/kvloadgen; \
-	$$dir/kvserver -addr 127.0.0.1:0 -addrfile $$dir/addr.txt -dir $$dir/wal -mode group & \
-	pid=$$!; \
-	for i in $$(seq 1 50); do [ -s $$dir/addr.txt ] && break; sleep 0.1; done; \
-	$$dir/kvloadgen -addr "$$(head -n1 $$dir/addr.txt)" -conns 1,4,8 -ops 400 -reads 20 -check; \
-	rc=$$?; kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; rm -rf $$dir; exit $$rc
-
-# The full CI gate (vet + build + race tests + torture smoke in both
-# modes + the width ladder + kvserver/kvreplica crash smokes).
+# The full CI gate (gofmt + vet + build + race tests + torture smokes +
+# the width ladder + kvserver/kvreplica crash smokes + reproduce -quick).
+# Its steps are not copied into targets here: run one by hand from
+# scripts/ci.sh or scripts/ladder.sh.
 ci:
 	./scripts/ci.sh
 
@@ -64,34 +39,8 @@ benchmark:
 		bash benchmark/run.sh --workload $$w --seed $(SEED) --seconds $$secs --trace $(TRACE) || exit 1; \
 	done
 
-# STM hot-path benchmark suite (read-only / small-write / contended)
-# plus the reactive suite (blocked-reader wakeup latency,
-# watcher-vs-spin churn, queue handoff), written to stm-bench.json /
-# stm-bench-reactive.json; `stmbench -baseline <file>` diffs a later run
-# against either.
-bench:
-	$(GO) run ./cmd/stmbench -json stm-bench.json
-	$(GO) run ./cmd/stmbench -suite reactive -json stm-bench-reactive.json
-
-# The reactive suite alone (wakeup-latency ladder and churn ablation).
-bench-reactive:
-	$(GO) run ./cmd/stmbench -suite reactive -json stm-bench-reactive.json
-
-# Thread-scaling suite (map-read / map-write / resize-storm across the
-# 1..NumCPU ladder), written to stm-bench-scaling.json.
-bench-scaling:
-	$(GO) run ./cmd/stmbench -suite scaling -json stm-bench-scaling.json
-
-# Mixed suite: the TPC-B-style writer ladder against one long scanner,
-# both scan variants (validating vs snapshot), written to
-# stm-bench-mixed.json. SCANNER=validate|snapshot emits a single-variant
-# document whose rows are named mixed-scan/N, so a validate run and a
-# snapshot run diff row-for-row (the BENCH_PR9.json recipe).
-SCANNER ?= both
-bench-mixed:
-	$(GO) run ./cmd/stmbench -suite mixed -scanner $(SCANNER) -json stm-bench-mixed.json
-
-# Go testing-framework microbenchmarks (figure pipelines etc.).
+# Go testing-framework microbenchmarks: the figure pipelines, the
+# ablations (A1-A4) and the blocked-reader wake-up ladder.
 bench-figs:
 	$(GO) test -bench=. -benchmem ./...
 

@@ -270,6 +270,59 @@ func BenchmarkAblationRetry(b *testing.B) {
 	}
 }
 
+// BenchmarkRetryWakeup — beside A3, the blocked-reader wake-up ladder:
+// 1, 4 and 16 readers park on a counter while one writer increments it
+// b.N times, and every commit wakes all of them. wake_p99_ns is the
+// propagation delay (the waking commit's broadcast → the parked
+// transaction running again, stm.Metrics.WakeLatency) — what a
+// server's tail latency inherits from the blocking retry path.
+func BenchmarkRetryWakeup(b *testing.B) {
+	for _, readers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("readers=%d", readers), func(b *testing.B) {
+			rt := stm.NewDefault()
+			met := stm.NewMetrics(nil)
+			rt.SetMetrics(met)
+			v := stm.NewVar(uint64(0))
+			chase := func(n uint64) {
+				start := v.Load()
+				target := start + n
+				var wg sync.WaitGroup
+				for r := 0; r < readers; r++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for seen := start; seen < target; {
+							_ = rt.Atomic(func(tx *stm.Tx) error {
+								cur := v.Get(tx)
+								if cur <= seen {
+									tx.Retry()
+								}
+								seen = cur
+								return nil
+							})
+						}
+					}()
+				}
+				for i := uint64(0); i < n; i++ {
+					_ = rt.Atomic(func(tx *stm.Tx) error {
+						v.Set(tx, v.Get(tx)+1)
+						return nil
+					})
+				}
+				wg.Wait()
+			}
+			chase(16) // warm-up: descriptor pools, the Var's watch set
+			before := met.WakeLatency.Snapshot()
+			b.ResetTimer()
+			chase(uint64(b.N))
+			b.StopTimer()
+			if wake := met.WakeLatency.Snapshot().Delta(before); wake.Count > 0 {
+				b.ReportMetric(wake.Quantile(0.99), "wake_p99_ns")
+			}
+		})
+	}
+}
+
 // BenchmarkAblationHTMCapacity — A4: a fixed in-transaction buffer
 // footprint against varying simulated HTM capacities: once the footprint
 // exceeds capacity every transaction serializes; deferring the touch

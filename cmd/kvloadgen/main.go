@@ -9,19 +9,16 @@
 //
 //	kvloadgen -addr 127.0.0.1:7070 -conns 1,2,4,8 -ops 2000 -reads 50
 //
-// The ladder is the networked version of kvbench's thread ladder — the
-// paper's group-commit claim restated over TCP: as connections grow,
-// commits/s should scale while fsyncs/commit falls, because concurrent
-// connections' records share flushes — and so should one connection's
-// own pipelined requests: the server's reader commits the next PUT while
-// the previous ones wait for their fsync. With -check, the run fails
-// unless a group-mode rung with >= 8 connections observed fsyncs/commit
-// < 1, and fails if a group-mode 1-connection rung with writes and
-// -window >= 16 observed fsyncs/commit >= 0.5.
+// The ladder is the paper's group-commit claim restated over TCP: as
+// connections grow, commits/s should scale while fsyncs/commit falls,
+// because concurrent connections' records share flushes — and so should
+// one connection's own pipelined requests: the server's reader commits
+// the next PUT while the previous ones wait for their fsync. With
+// -check, the run fails unless a group-mode rung with >= 8 connections
+// observed fsyncs/commit < 1, and fails if a group-mode 1-connection
+// rung with writes and -window >= 16 observed fsyncs/commit >= 0.5.
 //
-// -json writes a bench.StmDoc (schema deferstm/bench/v1), so
-// scripts/benchdiff.go compares kvloadgen runs exactly like stmbench
-// runs. -ackfile records the highest durably-acked LSN per WAL lane for
+// -ackfile records the highest durably-acked LSN per WAL lane for
 // the crash-recovery smoke (a bare decimal for a single-lane server,
 // "lane lsn" lines for a sharded one — the formats kvserver -verify
 // accepts); -tolerate-disconnect makes a mid-run connection
@@ -40,7 +37,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deferstm/internal/bench"
 	"deferstm/internal/kv"
 	"deferstm/internal/obs"
 	"deferstm/internal/server"
@@ -55,9 +51,7 @@ type rung struct {
 	ops      uint64 // responses received (commits for writes, reads for gets)
 	writes   uint64
 	elapsed  time.Duration
-	maxLSN   uint64
 	records  uint64 // WAL records appended during the rung (all lanes)
-	flushes  uint64 // WAL flushes during the rung (all lanes)
 	fsyncs   uint64 // WAL fsyncs during the rung (all lanes)
 	p50, p99 time.Duration
 	mode     string
@@ -118,8 +112,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reads    = fs.Int("reads", 0, "percentage of requests that are GETs (0 = all writes)")
 		window   = fs.Int("window", 64, "requests kept in flight per connection")
 		seed     = fs.Int64("seed", 1, "workload RNG seed")
-		jsonPath = fs.String("json", "", "write a bench.StmDoc to this file")
-		label    = fs.String("label", "", "label recorded in the JSON doc")
 		ackfile  = fs.String("ackfile", "", "write the highest durably-acked LSN to this file (crash smoke)")
 		tolerate = fs.Bool("tolerate-disconnect", false, "treat a mid-run connection loss as a clean early exit")
 		checkFC  = fs.Bool("check", false, "fail unless a group-mode rung with >= 8 conns and writes saw fsyncs/commit < 1, and every 1-conn rung (at -window >= 16) saw < 0.5")
@@ -182,34 +174,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			r.mode, r.conns, r.ops,
 			float64(r.ops)/r.elapsed.Seconds(),
 			r.records, fpc, r.p50, r.p99)
-	}
-
-	if *jsonPath != "" && len(rungs) > 0 {
-		var results []bench.StmResult
-		for _, r := range rungs {
-			results = append(results, bench.StmResult{
-				Name:          "kvload/" + r.mode,
-				Threads:       r.conns,
-				N:             r.ops,
-				NsPerOp:       float64(r.elapsed.Nanoseconds()) / float64(r.ops),
-				CommitsPerSec: float64(r.ops) / r.elapsed.Seconds(),
-				Commits:       r.ops,
-				WALRecords:    r.records,
-				WALFlushes:    r.flushes,
-				WALFsyncs:     r.fsyncs,
-				TxP50Ns:       float64(r.p50.Nanoseconds()),
-				TxP99Ns:       float64(r.p99.Nanoseconds()),
-			})
-		}
-		doc := bench.NewStmDoc(*label, bench.GitCommit(), false, results)
-		if err := bench.ValidateStmDoc(doc); err != nil {
-			fmt.Fprintf(stderr, "kvloadgen: self-check: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteJSON(*jsonPath, doc); err != nil {
-			fmt.Fprintf(stderr, "kvloadgen: -json: %v\n", err)
-			return 1
-		}
 	}
 
 	if *checkFC && !disconnected {
@@ -333,9 +297,7 @@ func runRung(addr string, n, ops, keys, valueLen, readPct, window int, seed int6
 	}
 	r.ops = totalOps.Load()
 	r.writes = totalWrites.Load()
-	r.maxLSN = after.Durable
 	r.records = after.WALRecords - before.WALRecords
-	r.flushes = after.WALFlushes - before.WALFlushes
 	r.fsyncs = after.WALFsyncs - before.WALFsyncs
 	snap := hist.Snapshot()
 	r.p50 = time.Duration(snap.Quantile(0.50))

@@ -20,13 +20,13 @@
 // -statusfile periodically writes the replication Status JSON
 // (atomically, via rename). The ci.sh replica smoke reads it back with
 //
-//	kvreplica -verify -statusfile S -ackfile F [-json out.json]
+//	kvreplica -verify -statusfile S -ackfile F
 //
 // which checks the applied cursors against the loadgen's record of
 // durably-acked LSNs (check.AckedPrefixLanes: nothing acked on the
 // primary may be missing from a caught-up replica), insists the
-// snapshot read path never fell back to validation, and optionally
-// emits the replication-lag percentiles as a bench document.
+// snapshot read path never fell back to validation, and prints the
+// replication-lag percentiles.
 package main
 
 import (
@@ -39,7 +39,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -68,14 +67,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		window     = fs.Int("window", 128, "per-connection in-flight response window")
 		verify     = fs.Bool("verify", false, "read -statusfile back and verify it instead of serving")
 		ackfile    = fs.String("ackfile", "", "with -verify: loadgen ack record to check the applied cursors against")
-		jsonOut    = fs.String("json", "", "with -verify: write replication-lag percentiles as a bench JSON document")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 
 	if *verify {
-		return runVerify(stdout, stderr, *statusfile, *ackfile, *jsonOut)
+		return runVerify(stdout, stderr, *statusfile, *ackfile)
 	}
 	if *primary == "" {
 		fmt.Fprintln(stderr, "kvreplica: -primary is required")
@@ -218,7 +216,7 @@ func writeStatus(r *repl.Replica, path string, logger *log.Logger) {
 // cursor on that lane (check.AckedPrefixLanes), and the read path must
 // never have fallen back from the snapshot fast path to validation —
 // replica reads are supposed to be abort-free by construction.
-func runVerify(stdout, stderr io.Writer, statusfile, ackfile, jsonOut string) int {
+func runVerify(stdout, stderr io.Writer, statusfile, ackfile string) int {
 	if statusfile == "" {
 		fmt.Fprintln(stderr, "kvreplica: -verify needs -statusfile")
 		return 2
@@ -275,34 +273,5 @@ func runVerify(stdout, stderr io.Writer, statusfile, ackfile, jsonOut string) in
 		"replica verify ok: %d lanes, %d records (%d batches), lag p50 %.3fms p99 %.3fms over %d samples, %d snapshot reads, 0 fallbacks\n",
 		st.Lanes, st.AppliedRecords, st.AppliedBatches,
 		st.LagP50Ns/1e6, st.LagP99Ns/1e6, st.LagSamples, st.SnapshotReads)
-
-	if jsonOut != "" {
-		if st.LagSamples == 0 || st.AppliedRecords == 0 {
-			fmt.Fprintln(stderr, "kvreplica: -json: no lag samples recorded")
-			return 1
-		}
-		doc := bench.NewStmDoc("kvreplica", bench.GitCommit(), false, []bench.StmResult{{
-			Name:    "replica-lag",
-			Threads: 1,
-			N:       st.LagSamples,
-			NsPerOp: st.LagP50Ns,
-			Commits: st.AppliedRecords,
-			TxP50Ns: st.LagP50Ns,
-			TxP99Ns: st.LagP99Ns,
-		}})
-		if err := bench.ValidateStmDoc(doc); err != nil {
-			fmt.Fprintf(stderr, "kvreplica: -json: %v\n", err)
-			return 1
-		}
-		if err := os.MkdirAll(filepath.Dir(jsonOut), 0o755); err != nil && filepath.Dir(jsonOut) != "." {
-			fmt.Fprintf(stderr, "kvreplica: -json: %v\n", err)
-			return 1
-		}
-		if err := bench.WriteJSON(jsonOut, doc); err != nil {
-			fmt.Fprintf(stderr, "kvreplica: -json: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", jsonOut)
-	}
 	return 0
 }

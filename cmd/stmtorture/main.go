@@ -148,8 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Workloads each build a fresh runtime, so shared instruments plus an
-	// atomic runtime pointer keep the exported series stable across them
-	// (same scheme as kvbench).
+	// atomic runtime pointer keep the exported series stable across them.
 	var met *stm.Metrics
 	var curRT atomic.Pointer[stm.Runtime]
 	if *metrics != "" {

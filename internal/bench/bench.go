@@ -1,8 +1,16 @@
-// Package bench is the measurement harness shared by the benchmark
-// binaries (cmd/iobench, cmd/dedupbench) and the root bench_test.go: it
-// runs repeated trials, aggregates mean and standard deviation, and
-// renders the same rows/series the paper's figures report, as aligned
-// text tables or CSV.
+// Package bench is the table harness of the paper reproduction, and
+// nothing else: cmd/iobench, cmd/dedupbench, cmd/reproduce and the root
+// bench_test.go use it to run repeated trials (Measure, TimeTrials),
+// aggregate mean and standard deviation, and render the rows and series
+// of Figures 2-3 (Table, Series, Speedup) as aligned text or CSV.
+// GitCommit (gitinfo.go) labels build-info gauges with the working
+// tree's commit.
+//
+// Performance of the runtime itself is not measured here. The
+// repository's benchmark (BENCHMARK.json, benchmark/) owns the
+// end-to-end and per-layer metrics, and the allocation pins are tier-1
+// tests beside the code they pin (EXPERIMENTS.md, "Where each
+// microbenchmark row is measured now").
 package bench
 
 import (

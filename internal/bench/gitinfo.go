@@ -8,9 +8,9 @@ import (
 )
 
 // GitCommit best-effort resolves the working tree's HEAD short hash for
-// document metadata and build-info gauges; empty when git (or a repo)
-// is unavailable. Shared by cmd/stmbench, cmd/kvbench and the metrics
-// endpoints so every artifact of one build carries the same identifier.
+// the build-info gauge of the metrics endpoints (cmd/kvserver,
+// cmd/kvreplica, cmd/stmtorture); empty when git (or a repo) is
+// unavailable.
 func GitCommit() string {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

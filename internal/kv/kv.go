@@ -326,7 +326,7 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		// small. The store is not shared yet, so these commit without
 		// contention.
 		for _, r := range rec.Records {
-			ops, gsn, err := s.decodePayload(r.Payload)
+			gsn, _, ops, err := s.DecodeLaneRecord(r.Payload)
 			if err != nil {
 				return fmt.Errorf("kv: lane %d record %d: %w", i, r.LSN, err)
 			}
@@ -350,18 +350,6 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 	}
 	s.gsn.Store(info.MaxGSN)
 	return nil
-}
-
-// decodePayload parses one lane record: multi-lane stores carry the
-// GSN+vector header, single-lane stores the bare op list (byte-identical
-// to the pre-lane format).
-func (s *Store) decodePayload(payload []byte) ([]Op, uint64, error) {
-	if len(s.shards) == 1 {
-		ops, err := DecodeOps(payload)
-		return ops, 0, err
-	}
-	gsn, _, ops, err := decodeLaneRecord(payload)
-	return ops, gsn, err
 }
 
 // crossLaneCuts decides, per lane, the first LSN to drop: the lane's

@@ -60,6 +60,34 @@ func TestLaneRecordCodec(t *testing.T) {
 	}
 }
 
+// TestDecodeLaneRecordSingleLane: the one decoder recovery and the
+// replica share reads a single-lane store's payload as the bare op list
+// (gsn 0, no vector) and a multi-lane store's as header + ops; a bare op
+// list is not a lane record.
+func TestDecodeLaneRecordSingleLane(t *testing.T) {
+	ops := []Op{{Put: true, Key: "a", Value: "1"}, {Key: "b"}}
+	open := func(shards int) *Store {
+		s, _, err := Open(stm.NewDefault(), nil, Options{Mode: ModeNone, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { s.Close() })
+		return s
+	}
+	gsn, pts, got, err := open(1).DecodeLaneRecord(EncodeOps(ops))
+	if err != nil || gsn != 0 || pts != nil || len(got) != 2 || got[0] != ops[0] || got[1] != ops[1] {
+		t.Fatalf("single-lane decode = gsn %d pts %v ops %v err %v", gsn, pts, got, err)
+	}
+	four := open(4)
+	gsn, pts, got, err = four.DecodeLaneRecord(EncodeLaneRecord(7, []LanePoint{{Lane: 2, LSN: 9}}, ops))
+	if err != nil || gsn != 7 || len(pts) != 1 || len(got) != 2 {
+		t.Fatalf("multi-lane decode = gsn %d pts %v ops %v err %v", gsn, pts, got, err)
+	}
+	if _, _, _, err := four.DecodeLaneRecord(EncodeOps(ops)); err == nil {
+		t.Fatal("a 4-lane store decoded a bare op list as a lane record")
+	}
+}
+
 // TestShardedRoundTrip: a 4-lane store routes keys, commits cross-shard
 // batches through the multi-lock deferral, acks tokens, and recovers to
 // identical contents with the lane count adopted from the manifest.

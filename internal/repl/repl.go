@@ -24,23 +24,10 @@ type Options struct {
 	Registry *obs.Registry
 	// Logf, when non-nil, receives one line per stream lifecycle event.
 	Logf func(format string, args ...any)
-	// MaxFrame bounds one stream frame. 0 means server.DefaultMaxFrame.
-	// Checkpoint blobs ride single frames, so this must exceed the
-	// primary's largest lane snapshot.
-	MaxFrame int
 	// Backoff and MaxBackoff bound the reconnect backoff (exponential,
 	// reset after a stream that shipped frames). 0 means 50ms / 5s.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// Buckets sizes the replica store's hash table. 0 means 1024.
-	Buckets int
-}
-
-func (o Options) maxFrame() int {
-	if o.MaxFrame <= 0 {
-		return server.DefaultMaxFrame
-	}
-	return o.MaxFrame
 }
 
 func (o Options) backoff() (time.Duration, time.Duration) {
@@ -281,7 +268,7 @@ func (r *Replica) streamOnce(ctx context.Context) (int, error) {
 		return 0, err
 	}
 	br := bufio.NewReaderSize(nc, 64<<10)
-	payload, err := server.ReadFrame(br, r.opts.maxFrame())
+	payload, err := server.ReadFrame(br, server.DefaultMaxFrame)
 	if err != nil {
 		return 0, err
 	}
@@ -300,7 +287,7 @@ func (r *Replica) streamOnce(ctx context.Context) (int, error) {
 
 	frames := 0
 	for {
-		payload, err := server.ReadFrame(br, r.opts.maxFrame())
+		payload, err := server.ReadFrame(br, server.DefaultMaxFrame)
 		if err != nil {
 			return frames, err
 		}
@@ -341,9 +328,7 @@ func (r *Replica) ensureState(lanes int) (*engine, error) {
 		}
 		return r.eng, nil
 	}
-	store, _, err := kv.Open(r.rt, nil, kv.Options{
-		Mode: kv.ModeNone, Shards: lanes, Buckets: r.opts.Buckets,
-	})
+	store, _, err := kv.Open(r.rt, nil, kv.Options{Mode: kv.ModeNone, Shards: lanes})
 	if err != nil {
 		return nil, err
 	}

@@ -2,14 +2,12 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
-
-	"deferstm/internal/kv"
-	"deferstm/internal/stm"
 )
 
 // RegisterHTTP mounts a JSON fallback API onto mux — in cmd/kvserver,
@@ -35,25 +33,33 @@ func (s *Server) RegisterHTTP(mux *http.ServeMux) {
 		writeJSON(w, code, map[string]string{"error": err.Error()})
 	}
 
-	mux.HandleFunc("/kv/get", func(w http.ResponseWriter, r *http.Request) {
-		key := r.URL.Query().Get("key")
-		var val string
-		var found bool
-		view := s.store.View
-		if s.opts.ReadOnly {
-			// Same rule as the wire protocol: replica reads ride the
-			// snapshot path, ordered at the applied cut.
-			view = s.store.SnapshotView
-		}
-		err := view(func(tx *stm.Tx) error {
-			val, found = s.store.Get(tx, key)
-			return nil
-		})
+	// do answers one op through the wire protocol's handler, so the
+	// read-only refusal, the replica snapshot-read rule and the per-op
+	// request and error counters have one copy, then holds a mutation's
+	// answer until the durable watermark covers its LSN.
+	do := func(w http.ResponseWriter, r *http.Request, req Request) (Response, bool) {
+		p, err := s.execute(req)
 		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
+			code := http.StatusInternalServerError
+			if errors.Is(err, errReadOnly) {
+				code = http.StatusForbidden
+			}
+			fail(w, code, err)
+			return p.resp, false
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"found": found, "value": val})
+		if p.resp.LSN > 0 {
+			if err := s.store.WaitDurableCtx(r.Context(), p.resp.LSN); err != nil {
+				fail(w, http.StatusServiceUnavailable, err)
+				return p.resp, false
+			}
+		}
+		return p.resp, true
+	}
+
+	mux.HandleFunc("/kv/get", func(w http.ResponseWriter, r *http.Request) {
+		if resp, ok := do(w, r, Request{Op: OpGet, Key: r.URL.Query().Get("key")}); ok {
+			writeJSON(w, http.StatusOK, map[string]any{"found": resp.Found, "value": resp.Val})
+		}
 	})
 
 	mux.HandleFunc("/kv/put", func(w http.ResponseWriter, r *http.Request) {
@@ -61,29 +67,14 @@ func (s *Server) RegisterHTTP(mux *http.ServeMux) {
 			http.Error(w, "PUT or POST", http.StatusMethodNotAllowed)
 			return
 		}
-		if s.opts.ReadOnly {
-			fail(w, http.StatusForbidden, errReadOnly)
-			return
-		}
-		key := r.URL.Query().Get("key")
-		body, err := io.ReadAll(io.LimitReader(r.Body, int64(s.opts.maxFrame())))
+		body, err := io.ReadAll(io.LimitReader(r.Body, DefaultMaxFrame))
 		if err != nil {
 			fail(w, http.StatusBadRequest, err)
 			return
 		}
-		lsn, err := s.store.Update(func(tx *stm.Tx, b *kv.Batch) error {
-			b.Put(key, string(body))
-			return nil
-		})
-		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
+		if resp, ok := do(w, r, Request{Op: OpPut, Key: r.URL.Query().Get("key"), Val: string(body)}); ok {
+			writeJSON(w, http.StatusOK, map[string]any{"lsn": resp.LSN})
 		}
-		if err := s.store.WaitDurableCtx(r.Context(), lsn); err != nil {
-			fail(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"lsn": lsn})
 	})
 
 	mux.HandleFunc("/kv/del", func(w http.ResponseWriter, r *http.Request) {
@@ -91,24 +82,9 @@ func (s *Server) RegisterHTTP(mux *http.ServeMux) {
 			http.Error(w, "POST or DELETE", http.StatusMethodNotAllowed)
 			return
 		}
-		if s.opts.ReadOnly {
-			fail(w, http.StatusForbidden, errReadOnly)
-			return
+		if resp, ok := do(w, r, Request{Op: OpDel, Key: r.URL.Query().Get("key")}); ok {
+			writeJSON(w, http.StatusOK, map[string]any{"lsn": resp.LSN})
 		}
-		key := r.URL.Query().Get("key")
-		lsn, err := s.store.Update(func(tx *stm.Tx, b *kv.Batch) error {
-			b.Delete(key)
-			return nil
-		})
-		if err != nil {
-			fail(w, http.StatusInternalServerError, err)
-			return
-		}
-		if err := s.store.WaitDurableCtx(r.Context(), lsn); err != nil {
-			fail(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"lsn": lsn})
 	})
 
 	mux.HandleFunc("/kv/scan", func(w http.ResponseWriter, r *http.Request) {

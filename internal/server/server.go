@@ -27,8 +27,6 @@ type Options struct {
 	// the bounded queue, and TCP flow control pushes the stall back to
 	// the client. 0 means 128.
 	Window int
-	// MaxFrame bounds one wire frame. 0 means DefaultMaxFrame.
-	MaxFrame int
 	// Registry, when non-nil, receives the server's instruments
 	// (request counters, connection gauge, ack-latency histogram,
 	// durable-lag gauge).
@@ -53,13 +51,6 @@ func (o Options) window() int {
 		return 128
 	}
 	return o.Window
-}
-
-func (o Options) maxFrame() int {
-	if o.MaxFrame <= 0 {
-		return DefaultMaxFrame
-	}
-	return o.MaxFrame
 }
 
 // Server serves the store over TCP. Create with New, run with Serve,
@@ -436,7 +427,7 @@ func (s *Server) handleConn(nc net.Conn) {
 
 	br := bufio.NewReaderSize(nc, 32<<10)
 	for {
-		payload, err := readFrame(br, s.opts.maxFrame())
+		payload, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil && !s.stopping() {
 				s.logf("server: %s: read: %v", nc.RemoteAddr(), err)
@@ -469,7 +460,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			s.serveRepl(nc, req)
 			break
 		}
-		p := s.execute(req)
+		p, _ := s.execute(req) // a failure travels in p.resp
 		if acks.PutCtx(ctx, s.rt, p) != nil {
 			break // shutdown while parked on a full window
 		}
@@ -498,16 +489,18 @@ func (s *Server) takeNoWait(acks *ds.BoundedQueue[pend]) (pend, bool) {
 
 // execute runs one request against the store and returns its pending
 // response. Mutations commit here; their durability is the writer's
-// problem (that is the whole design).
-func (s *Server) execute(req Request) pend {
+// problem (that is the whole design). A failed request's error is
+// already in the response; it is also returned, for the HTTP fallback
+// to pick a status code from.
+func (s *Server) execute(req Request) (pend, error) {
 	p := pend{received: time.Now()}
 	if int(req.Op) < len(s.reqs) {
 		s.reqs[req.Op].Add(1)
 	}
-	fail := func(err error) pend {
+	fail := func(err error) (pend, error) {
 		s.reqErrs.Add(1)
 		p.resp = Response{Status: StatusErr, Op: req.Op, ID: req.ID, Err: err.Error()}
-		return p
+		return p, err
 	}
 	p.resp = Response{Status: StatusOK, Op: req.Op, ID: req.ID}
 	if s.opts.ReadOnly && (req.Op == OpPut || req.Op == OpDel || req.Op == OpBatch) {
@@ -569,7 +562,7 @@ func (s *Server) execute(req Request) pend {
 			if req.LSN > 0 {
 				return fail(errors.New("server: WATCH on a store with no WAL"))
 			}
-			return p
+			return p, nil
 		}
 		// The watched value is a durability token: its top bits route to
 		// a WAL lane. A token naming a lane the store does not have is a
@@ -599,5 +592,5 @@ func (s *Server) execute(req Request) pend {
 	default:
 		return fail(fmt.Errorf("server: unknown op %d", req.Op))
 	}
-	return p
+	return p, nil
 }

@@ -458,7 +458,7 @@ func TestCloseDuringLoad(t *testing.T) {
 
 // TestHTTPFallback exercises the JSON API mounted on the metrics mux.
 func TestHTTPFallback(t *testing.T) {
-	srv, store, _ := startServer(t, kv.ModeGroup, simio.Latency{}, Options{Registry: obs.NewRegistry()})
+	srv, store, addr := startServer(t, kv.ModeGroup, simio.Latency{}, Options{Registry: obs.NewRegistry()})
 	mux := http.NewServeMux()
 	srv.RegisterHTTP(mux)
 	ts := httptest.NewServer(mux)
@@ -523,5 +523,62 @@ func TestHTTPFallback(t *testing.T) {
 		if resp.StatusCode != http.StatusMethodNotAllowed {
 			t.Fatalf("GET /kv/put = %d", resp.StatusCode)
 		}
+	}
+
+	// The fallback runs the wire protocol's op handler: a PUT over HTTP
+	// and a PUT over the wire bump the same request counter.
+	before := srv.Stats().Requests["put"]
+	put("h2", "again")
+	if _, err := dial(t, addr).Put("h3", "wire"); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.Stats().Requests["put"]; got != before+2 {
+		t.Fatalf("put counter moved %d -> %d over one HTTP and one wire PUT, want +2", before, got)
+	}
+}
+
+// TestHTTPFallbackReadOnly: a read-only server refuses HTTP mutations
+// with 403 through the same path that refuses them on the wire — the
+// refusal is counted as a request and as a request error — and still
+// answers reads.
+func TestHTTPFallbackReadOnly(t *testing.T) {
+	srv, store, _ := startServer(t, kv.ModeNone, simio.Latency{}, Options{ReadOnly: true})
+	if _, err := store.Update(func(tx *stm.Tx, b *kv.Batch) error {
+		b.Put("a", "1")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mux := http.NewServeMux()
+	srv.RegisterHTTP(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+
+	for _, m := range []struct{ method, path string }{
+		{http.MethodPut, "/kv/put?key=a"},
+		{http.MethodDelete, "/kv/del?key=a"},
+	} {
+		req, _ := http.NewRequest(m.method, ts.URL+m.path, strings.NewReader("2"))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusForbidden || !strings.Contains(string(body), errReadOnly.Error()) {
+			t.Fatalf("%s %s on a read-only server = %d %s, want 403 %q", m.method, m.path, resp.StatusCode, body, errReadOnly)
+		}
+	}
+	if st := srv.Stats(); st.Requests["put"] != 1 || st.Requests["del"] != 1 || st.RequestErrs != 2 {
+		t.Fatalf("refusals not counted by the shared handler: requests %v, errors %d", st.Requests, st.RequestErrs)
+	}
+	resp, err := http.Get(ts.URL + "/kv/get?key=a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), `"value":"1"`) {
+		t.Fatalf("get on a read-only server = %d %s", resp.StatusCode, body)
 	}
 }

@@ -528,16 +528,13 @@ func (tx *Tx) readSetChanged() bool {
 }
 
 // backoff performs randomized exponential backoff proportional to the
-// number of failed attempts.
+// number of failed attempts, capped at 1 << 14 busy-wait iterations.
 func (tx *Tx) backoff() {
 	shift := tx.attempts
 	if shift > 14 {
 		shift = 14
 	}
 	max := uint64(1) << shift
-	if m := uint64(tx.rt.cfg.BackoffMaxSpins); max > m {
-		max = m
-	}
 	n := tx.nextRand() % (max + 1)
 	for i := uint64(0); i < n; i++ {
 		if i%64 == 63 {

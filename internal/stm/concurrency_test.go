@@ -298,40 +298,6 @@ func TestQuiescenceOrdersHooksAfterConcurrentReaders(t *testing.T) {
 	}
 }
 
-// TestDisableQuiescence verifies the ablation switch: with quiescence off,
-// the writer's hook runs without waiting for the concurrent reader.
-func TestDisableQuiescence(t *testing.T) {
-	rt := New(Config{DisableQuiescence: true})
-	v := NewVar(0)
-	other := NewVar(0)
-	readerIn := make(chan struct{})
-	readerRelease := make(chan struct{})
-	var readerOnce sync.Once
-	go func() {
-		_ = rt.Atomic(func(tx *Tx) error {
-			_ = other.Get(tx)
-			readerOnce.Do(func() { close(readerIn) })
-			<-readerRelease
-			return nil
-		})
-	}()
-	<-readerIn
-	hookRan := make(chan struct{})
-	if err := rt.Atomic(func(tx *Tx) error {
-		v.Set(tx, 1)
-		tx.AfterCommit(func() { close(hookRan) })
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-hookRan:
-	case <-time.After(2 * time.Second):
-		t.Fatal("hook did not run promptly with quiescence disabled")
-	}
-	close(readerRelease)
-}
-
 // TestConcurrentCommittersNoDeadlock: many writers committing (and thus
 // quiescing) simultaneously must not deadlock on each other's registry
 // slots.

@@ -68,13 +68,13 @@ type Metrics struct {
 	RetryBlocked *obs.Histogram
 	// WakeLatency is the wakeup propagation delay: the waking commit's
 	// broadcast → the parked transaction running again. This is the
-	// latency the reactive bench ladder reports at p99.
+	// latency BenchmarkRetryWakeup's ladder reports at p99.
 	WakeLatency *obs.Histogram
 }
 
 // NewMetrics builds the full instrument set, registered on reg. A nil
-// registry is legal: the instruments still record (for StmResult
-// percentiles in internal/bench) but are exposed nowhere.
+// registry is legal: the instruments still record (a benchmark reads
+// their snapshots directly) but are exposed nowhere.
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		TxLatency: reg.NewHistogram("deferstm_tx_latency_seconds",
@@ -123,7 +123,7 @@ type metricsPtr = atomic.Pointer[Metrics]
 // RegisterStats exposes the runtime's monotonic counters as Prometheus
 // series on reg, reading each value on demand from snap. Taking a
 // snapshot function rather than a *Runtime lets callers that rebuild
-// runtimes per phase (cmd/kvbench) swap the underlying runtime behind a
+// runtimes per phase (cmd/stmtorture) swap the underlying runtime behind a
 // stable set of series.
 func RegisterStats(reg *obs.Registry, snap func() StatsSnapshot) {
 	if reg == nil {

@@ -81,9 +81,6 @@ func (rt *Runtime) releaseSlot(idx int) {
 //
 // selfIdx is the committer's own slot (skipped); pass -1 if none.
 func (rt *Runtime) quiesce(wv uint64, selfIdx int) {
-	if rt.cfg.DisableQuiescence {
-		return
-	}
 	// Injected stall inside quiescence: lengthen the privatization wait
 	// so deferred operations run later relative to concurrent readers.
 	if rt.inj.stallQuiesce() {

@@ -294,7 +294,7 @@ func (rt *Runtime) Snapshot() StatsSnapshot {
 
 // Delta returns the per-field difference s - prev: the counter activity of
 // the interval between the two snapshots. It is the canonical way to report
-// per-workload or per-phase statistics (cmd/stmtorture, cmd/kvbench).
+// per-workload or per-phase statistics (cmd/stmtorture).
 func (s StatsSnapshot) Delta(prev StatsSnapshot) StatsSnapshot {
 	return StatsSnapshot{
 		Starts:         s.Starts - prev.Starts,

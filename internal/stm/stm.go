@@ -97,18 +97,14 @@ type Config struct {
 	// transaction aborts and immediately re-executes, burning CPU
 	// re-evaluating its condition. This is the paper's polling
 	// implementation — Section 6.1 attributes part of the defer
-	// overhead to exactly this — kept as a config so ablation A3 and
-	// the reactive bench suite can measure the difference.
+	// overhead to exactly this — kept as a config so ablation A3
+	// (BenchmarkAblationRetry) can measure the difference.
 	SpinRetry bool
 
 	// HTMReadLines and HTMWriteLines bound the simulated HTM footprint,
 	// in cache lines. 0 selects the defaults above. Ignored in ModeSTM.
 	HTMReadLines  int
 	HTMWriteLines int
-
-	// BackoffMaxSpins caps the contention manager's randomized
-	// exponential backoff, in busy-wait iterations. 0 means 1 << 14.
-	BackoffMaxSpins int
 
 	// SnapshotChainDepth bounds each Var's version chain: how many
 	// superseded values writers retain for active snapshot readers
@@ -119,12 +115,6 @@ type Config struct {
 	// disables chains entirely (snapshots fall back on the first read
 	// of a var overwritten since their pin).
 	SnapshotChainDepth int
-
-	// DisableQuiescence turns off post-commit quiescence. Real STMs
-	// cannot do this safely (it is what makes privatization sound); it
-	// exists for the Figure 1 ablation that measures how much of the
-	// baseline's stall is quiescence.
-	DisableQuiescence bool
 
 	// Recorder, when non-nil, receives an Event for every transactional
 	// action (begin, read, write, commit, abort, quiesce, lock and
@@ -158,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HTMWriteLines <= 0 {
 		c.HTMWriteLines = DefaultHTMWriteLines
-	}
-	if c.BackoffMaxSpins <= 0 {
-		c.BackoffMaxSpins = 1 << 14
 	}
 	if c.SnapshotChainDepth == 0 {
 		c.SnapshotChainDepth = 8

@@ -138,8 +138,8 @@ func (rt *Runtime) waitForRetry(ctx context.Context, tx *Tx) error {
 	if rt.cfg.SpinRetry {
 		// Explicit opt-out: the paper's polling retry. The attempt
 		// re-executes immediately, burning CPU re-evaluating its
-		// condition (Section 6.1 measures this; ablation A3 and the
-		// reactive bench suite compare it against parking).
+		// condition (Section 6.1 measures this; ablation A3 and
+		// TestBlockedReadersIdleCPU compare it against parking).
 		runtime.Gosched()
 		return ctxErr(ctx)
 	}
