@@ -21,8 +21,7 @@
 // -ackfile records the highest durably-acked LSN per WAL lane for
 // the crash-recovery smoke (a bare decimal for a single-lane server,
 // "lane lsn" lines for a sharded one — the formats kvserver -verify
-// accepts); -tolerate-disconnect makes a mid-run connection
-// loss (the smoke's kill -9) a clean exit instead of a failure.
+// accepts).
 package main
 
 import (
@@ -104,17 +103,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("kvloadgen", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:7070", "kvserver address")
-		conns    = fs.String("conns", "1,2,4,8", "comma-separated connection-count ladder")
-		ops      = fs.Int("ops", 2000, "requests per connection per rung")
-		keys     = fs.Int("keys", 256, "distinct keys")
-		value    = fs.Int("value", 64, "value bytes")
-		reads    = fs.Int("reads", 0, "percentage of requests that are GETs (0 = all writes)")
-		window   = fs.Int("window", 64, "requests kept in flight per connection")
-		seed     = fs.Int64("seed", 1, "workload RNG seed")
-		ackfile  = fs.String("ackfile", "", "write the highest durably-acked LSN to this file (crash smoke)")
-		tolerate = fs.Bool("tolerate-disconnect", false, "treat a mid-run connection loss as a clean early exit")
-		checkFC  = fs.Bool("check", false, "fail unless a group-mode rung with >= 8 conns and writes saw fsyncs/commit < 1, and every 1-conn rung (at -window >= 16) saw < 0.5")
+		addr    = fs.String("addr", "127.0.0.1:7070", "kvserver address")
+		conns   = fs.String("conns", "1,2,4,8", "comma-separated connection-count ladder")
+		ops     = fs.Int("ops", 2000, "requests per connection per rung")
+		keys    = fs.Int("keys", 256, "distinct keys")
+		value   = fs.Int("value", 64, "value bytes")
+		reads   = fs.Int("reads", 0, "percentage of requests that are GETs (0 = all writes)")
+		window  = fs.Int("window", 64, "requests kept in flight per connection")
+		seed    = fs.Int64("seed", 1, "workload RNG seed")
+		ackfile = fs.String("ackfile", "", "write the highest durably-acked LSN to this file (crash smoke)")
+		checkFC = fs.Bool("check", false, "fail unless a group-mode rung with >= 8 conns and writes saw fsyncs/commit < 1, and every 1-conn rung (at -window >= 16) saw < 0.5")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -141,15 +139,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	defer writeAck()
 
 	var rungs []rung
-	disconnected := false
 	for _, n := range connCounts {
 		r, err := runRung(*addr, n, *ops, *keys, *value, *reads, *window, *seed, &acks)
 		if err != nil {
-			if *tolerate {
-				fmt.Fprintf(stderr, "kvloadgen: disconnected at %d conns (tolerated): %v\n", n, err)
-				disconnected = true
-				break
-			}
 			fmt.Fprintf(stderr, "kvloadgen: %d conns: %v\n", n, err)
 			return 1
 		}
@@ -176,7 +168,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			r.records, fpc, r.p50, r.p99)
 	}
 
-	if *checkFC && !disconnected {
+	if *checkFC {
 		ok := false
 		for _, r := range rungs {
 			if r.mode != "group" || r.writes == 0 || r.records == 0 {

@@ -307,10 +307,85 @@ func (rt *Runtime) beginSlot(first int) (int, uint64) {
 	return idx, rv
 }
 
-// commitWriteBack performs TL2 commit: lock the write set in global (var
-// ID) order, increment the clock, validate the read set, publish, release.
-// It returns the write version (0 for read-only transactions) and whether
-// the commit succeeded.
+// The publish protocol. Every writer — optimistic commit, serial commit,
+// StoreDirect (a write set of one entry) — runs lock → tick → publish →
+// record → unlock → wake. An optimistic commit try-locks and draws GV4's
+// nextWriteVersion (commitWriteBack); the others wait for locks and tick
+// the clock (lockAndTick). The rest is shared: because every event is
+// recorded before the first lock bit is released, whatever another
+// goroutine records after acting on a write (reading it, fsyncing the WAL
+// record it published) is sequenced after the write's own events.
+
+// lockAndTick locks every var of ws, waiting out a holder — which is
+// mid-publish and never waits while holding — then draws the version.
+func (rt *Runtime) lockAndTick(ws []writeEntry) uint64 {
+	for i := range ws {
+		m := ws[i].m
+		for {
+			w := m.lock.Load()
+			if !wordLocked(w) && m.lock.CompareAndSwap(w, w|lockedBit) {
+				break
+			}
+			spinPause()
+		}
+	}
+	return rt.clock.Add(1)
+}
+
+// publishAndUnlock publishes every write of ws at wv, records the commit
+// (tx's events tagged aux; one EvDirectWrite per entry when tx is nil),
+// and only then releases the locks at wv. Publish links a superseded
+// value onto its var's version chain when an active snapshot may still
+// need it (see snapshot.go).
+func (rt *Runtime) publishAndUnlock(ws []writeEntry, wv uint64, tx *Tx, aux uint64) {
+	var id uint64
+	var owner OwnerID
+	if tx != nil {
+		id, owner = tx.id, tx.owner
+	}
+	horizon := rt.snapHorizon.Load()
+	var truncated uint64
+	for i := range ws {
+		e := &ws[i]
+		if dropped := e.v.publish(e.pending, wv, horizon, rt.cfg.SnapshotChainDepth); dropped > 0 {
+			truncated += uint64(dropped)
+			rt.recEvent(Event{Kind: EvSnapTruncate, TxID: id, Owner: owner,
+				Var: e.m.idLoad(), Ver: horizon, Aux: uint64(dropped)})
+		}
+	}
+	if truncated > 0 {
+		rt.stats.SnapshotTruncations.Add(truncated)
+	}
+	if tx != nil {
+		tx.flushCommitEvents(wv, aux)
+	} else if rt.rec != nil {
+		for i := range ws {
+			rt.rec.Record(Event{Kind: EvDirectWrite, Var: ws[i].m.idLoad(), Ver: wv})
+		}
+	}
+	for i := range ws {
+		ws[i].m.lock.Store(packVersion(wv))
+	}
+}
+
+// wake wakes the retry waiters watching any var of ws. It runs after the
+// version stores, so a waiter registered too late to be seen here
+// validates against the new versions and never parks (see watch.go).
+func (rt *Runtime) wake(ws []writeEntry) {
+	// Injected delay in the publish→wake window: parked readers' data is
+	// already new but their wakeup is still pending.
+	if rt.inj.stallWake() {
+		rt.stats.InjectedFaults.Add(1)
+	}
+	for i := range ws {
+		ws[i].m.wakeWatchers()
+	}
+}
+
+// commitWriteBack performs TL2 commit: try-lock the write set in global
+// (var ID) order, increment the clock, validate the read set, then the
+// shared publish → record → unlock → wake. It returns the write version
+// (0 for read-only transactions) and whether the commit succeeded.
 func (tx *Tx) commitWriteBack() (uint64, bool) {
 	if len(tx.writes) == 0 {
 		// Read-only: reads were validated incrementally (opacity), so
@@ -335,16 +410,14 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 	}
 
 	tx.sortWrites()
-	acquired := 0
 	for i := range tx.writes {
 		e := &tx.writes[i]
 		w := e.m.lock.Load()
 		if wordLocked(w) || !e.m.lock.CompareAndSwap(w, w|lockedBit) {
-			tx.releaseLocks(acquired, 0)
+			tx.releaseLocks(i)
 			return 0, false
 		}
 		e.prevW = w
-		acquired++
 	}
 
 	wv, own := tx.rt.nextWriteVersion()
@@ -355,7 +428,7 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 	// a concurrent writer committed while we held our locks, so the
 	// read set must always be revalidated.
 	if (!own || wv != tx.rv+1) && !tx.validateReads() {
-		tx.releaseLocks(acquired, 0)
+		tx.releaseLocks(len(tx.writes))
 		return 0, false
 	}
 
@@ -365,59 +438,16 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 		tx.rt.stats.InjectedFaults.Add(1)
 	}
 
-	tx.publishLocked(wv)
-	tx.flushCommitEvents(wv, 0)
-	// Injected delay in the publish→wake window: parked readers' data is
-	// already new but their wakeup is still pending.
-	if tx.rt.inj.stallWake() {
-		tx.rt.stats.InjectedFaults.Add(1)
-	}
-	// Wake retry waiters watching any written var. This runs after every
-	// version store above, so a waiter registered too late to be seen
-	// here necessarily validates against the new versions and never
-	// parks (see watch.go).
-	for i := range tx.writes {
-		tx.writes[i].m.wakeWatchers()
-	}
+	tx.rt.publishAndUnlock(tx.writes, wv, tx, 0)
+	tx.rt.wake(tx.writes)
 	return wv, true
 }
 
-// publishLocked publishes every write at version wv and releases its
-// commit lock at that version; the caller holds all of the write set's
-// locks. The truncation horizon and chain depth are loaded once per
-// commit: publish links each superseded value onto its var's version
-// chain when some active snapshot may still need it (see snapshot.go).
-func (tx *Tx) publishLocked(wv uint64) {
-	horizon := tx.rt.snapHorizon.Load()
-	depth := tx.rt.cfg.SnapshotChainDepth
-	var truncated uint64
-	for i := range tx.writes {
-		e := &tx.writes[i]
-		if dropped := e.v.publish(e.pending, wv, horizon, depth); dropped > 0 {
-			truncated += uint64(dropped)
-			if tx.slow && tx.rt.rec != nil {
-				tx.rt.rec.Record(Event{Kind: EvSnapTruncate, TxID: tx.id,
-					Owner: tx.owner, Var: e.m.idLoad(), Ver: horizon, Aux: uint64(dropped)})
-			}
-		}
-		e.m.lock.Store(packVersion(wv))
-	}
-	if truncated > 0 {
-		tx.rt.stats.SnapshotTruncations.Add(truncated)
-	}
-}
-
-// releaseLocks rolls back the first n acquired commit locks. If wv is
-// nonzero the locks are released at that version (successful path);
-// otherwise the pre-lock word is restored (abort path).
-func (tx *Tx) releaseLocks(n int, wv uint64) {
-	for i := 0; i < n; i++ {
-		e := &tx.writes[i]
-		if wv != 0 {
-			e.m.lock.Store(packVersion(wv))
-		} else {
-			e.m.lock.Store(e.prevW)
-		}
+// releaseLocks rolls back the first n acquired commit locks, restoring
+// each pre-lock word (the abort path).
+func (tx *Tx) releaseLocks(n int) {
+	for _, e := range tx.writes[:n] {
+		e.m.lock.Store(e.prevW)
 	}
 }
 
@@ -487,31 +517,15 @@ func (rt *Runtime) runSerial(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 		// commit either locked (it spins) or already at wv. Ticking first
 		// and locking one var at a time let such a snapshot read the
 		// not-yet-locked tail at its old version — a torn serial commit.
-		for i := range tx.writes {
-			m := tx.writes[i].m
-			for {
-				w := m.lock.Load()
-				if !wordLocked(w) && m.lock.CompareAndSwap(w, w|lockedBit) {
-					break
-				}
-				spinPause() // a StoreDirect mid-publish; it never blocks
-			}
-		}
-		wv = tx.rt.clock.Add(1)
-		tx.publishLocked(wv)
+		wv = rt.lockAndTick(tx.writes)
 	}
-	tx.flushCommitEvents(wv, AuxSerial)
+	rt.publishAndUnlock(tx.writes, wv, tx, AuxSerial)
 	tx.active = false
 	release()
 	// Wake watchers after the gate reopens so woken transactions can
 	// begin immediately.
-	if len(tx.writes) > 0 {
-		if rt.inj.stallWake() {
-			rt.stats.InjectedFaults.Add(1)
-		}
-		for i := range tx.writes {
-			tx.writes[i].m.wakeWatchers()
-		}
+	if wv != 0 {
+		rt.wake(tx.writes)
 	}
 	// No quiesce: nothing else was running.
 	return txOutcome{committed: true}

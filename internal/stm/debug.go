@@ -14,7 +14,6 @@ type RuntimeState struct {
 	ActiveRVs      []uint64 // their begin timestamps (ascending)
 	SerialPending  bool     // a serial transaction is pending or running
 	RetryWaiters   int64    // goroutines blocked in retry
-	MaxThreads     int
 	Mode           Mode
 	SerializeAfter int
 }
@@ -27,7 +26,6 @@ func (rt *Runtime) State() RuntimeState {
 		Clock:          rt.clock.Load(),
 		SerialPending:  rt.serialWant.Load() != 0,
 		RetryWaiters:   rt.parked.Load(),
-		MaxThreads:     rt.cfg.MaxThreads,
 		Mode:           rt.cfg.Mode,
 		SerializeAfter: rt.cfg.SerializeAfter,
 	}
@@ -51,8 +49,8 @@ func (rt *Runtime) State() RuntimeState {
 // clock, active transactions, waiters, and the statistics counters.
 func (rt *Runtime) DumpState(w io.Writer) {
 	st := rt.State()
-	fmt.Fprintf(w, "stm runtime: mode=%s maxThreads=%d serializeAfter=%d\n",
-		st.Mode, st.MaxThreads, st.SerializeAfter)
+	fmt.Fprintf(w, "stm runtime: mode=%s serializeAfter=%d\n",
+		st.Mode, st.SerializeAfter)
 	fmt.Fprintf(w, "  clock=%d activeTxs=%d serialPending=%v retryWaiters=%d\n",
 		st.Clock, st.ActiveTxs, st.SerialPending, st.RetryWaiters)
 	if len(st.ActiveRVs) > 0 {

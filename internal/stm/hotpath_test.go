@@ -73,6 +73,19 @@ func TestSmallWriteAtomicAllocBound(t *testing.T) {
 	}
 }
 
+// TestStoreDirectAllocFree pins a direct store of a caller-built box at
+// zero heap allocations: its one-entry write set lives on the stack.
+func TestStoreDirectAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; bound holds only unraced")
+	}
+	rt := NewDefault()
+	v, p := NewVar(0), new(int)
+	if n := testing.AllocsPerRun(200, func() { v.StoreDirectPtr(rt, p) }); n != 0 {
+		t.Fatalf("StoreDirectPtr allocates %.1f objects/op, want 0", n)
+	}
+}
+
 // TestWriteSetSpillLookup exercises the map spill past smallWriteSet:
 // read-after-write and write-after-write must resolve through the
 // overflow map exactly as they do through the linear scan.

@@ -50,8 +50,8 @@ type Inject struct {
 	// wakeup would have to slip through (see watch.go).
 	RetryRegisterStallPct int
 
-	// WakeDelayPct stalls this percentage of writing commits between
-	// publishing their writes and waking watchers, widening the window
+	// WakeDelayPct stalls this percentage of writing commits and direct
+	// stores between publishing and waking watchers, widening the window
 	// in which a parked reader's data is already new but its wakeup is
 	// still pending.
 	WakeDelayPct int

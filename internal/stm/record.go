@@ -168,10 +168,13 @@ const (
 
 // Event is one entry of a recorded execution history. Fields not
 // meaningful for a kind are zero. Seq is assigned by the Recorder (the
-// runtime leaves it 0); within one goroutine's emission order it is
-// monotonic, but events of concurrent transactions interleave in
-// recorder-arrival order, so checkers order cross-transaction facts by
-// Ver (version-clock timestamps), not Seq.
+// runtime leaves it 0) in arrival order. Every event of a commit or
+// direct store is recorded before any of its writes is visible (the
+// publish protocol records while the write set is locked; see
+// atomic.go), so whatever another goroutine records after acting on
+// such a write has a larger Seq. Commits that never observe each other
+// still interleave in arrival order; checkers order those by Ver
+// (version-clock timestamps), not Seq.
 type Event struct {
 	Seq   uint64
 	Kind  EventKind

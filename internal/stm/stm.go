@@ -79,12 +79,6 @@ type Config struct {
 	// Mode selects STM or simulated HTM execution.
 	Mode Mode
 
-	// MaxThreads bounds the number of concurrently executing
-	// transactions (the size of the active-transaction registry used for
-	// quiescence and serial-mode draining). 0 means 4 * GOMAXPROCS,
-	// with a floor of 64.
-	MaxThreads int
-
 	// SerializeAfter is the number of failed attempts after which the
 	// contention manager escalates a transaction to serial (irrevocable)
 	// mode. 0 selects the GCC default for the mode: 100 for STM, 2 for
@@ -130,12 +124,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxThreads <= 0 {
-		c.MaxThreads = 4 * runtime.GOMAXPROCS(0)
-		if c.MaxThreads < 64 {
-			c.MaxThreads = 64
-		}
-	}
 	if c.SerializeAfter <= 0 {
 		if c.Mode == ModeHTM {
 			c.SerializeAfter = 2
@@ -236,9 +224,12 @@ const cacheLine = 64
 // New creates a Runtime with the given configuration.
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
+	// The active-transaction registry (quiescence, serial-mode draining)
+	// has 4 slots per P, at least 64.
+	slots := max(4*runtime.GOMAXPROCS(0), 64)
 	rt := &Runtime{
 		cfg:        cfg,
-		slots:      make([]slot, cfg.MaxThreads),
+		slots:      make([]slot, slots),
 		rec:        cfg.Recorder,
 		snapActive: make(map[uint64]uint64),
 	}

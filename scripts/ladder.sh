@@ -2,7 +2,9 @@
 # The width ladder: the packages whose behaviour depends on how goroutines
 # interleave, uncached at GOMAXPROCS 1 and 2 and once under the race
 # detector, then the torture workloads that drive the same paths with
-# injected stalls and full history checking, on one core and on two.
+# injected stalls and full history checking, on one core and on two (the
+# kvstore workload in HTM mode too: no quiescence, so the WAL flusher
+# races the appender's commit hardest there).
 # `make test` and scripts/ci.sh both run this file; it is the only place
 # the package list and the loop live.
 #
@@ -34,4 +36,6 @@ for procs in 1 2; do
         echo "==> width ladder: stmtorture -workload $wl -check -inject at GOMAXPROCS=$procs"
         GOMAXPROCS=$procs go run ./cmd/stmtorture -duration 400ms -workload $wl -check -inject -seed 1 >/dev/null
     done
+    echo "==> width ladder: stmtorture -mode htm -workload kvstore -check -inject at GOMAXPROCS=$procs"
+    GOMAXPROCS=$procs go run ./cmd/stmtorture -duration 400ms -mode htm -workload kvstore -check -inject -seed 1 >/dev/null
 done
