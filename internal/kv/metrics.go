@@ -18,6 +18,7 @@ import (
 //	deferstm_wal_lane_fsyncs_total   every fsync (flushes, rotations, checkpoints)
 //	deferstm_wal_lane_durable_lsn    the lane's published durable watermark
 //	deferstm_wal_lane_lag_records    assigned-but-not-durable records on the lane
+//	deferstm_wal_lane_stream_read_bytes_total  segment bytes replication tails read
 func (s *Store) RegisterMetrics(reg *obs.Registry) {
 	if reg == nil || s.shards[0].log == nil {
 		return
@@ -43,5 +44,8 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 				}
 				return 0
 			})
+		reg.Counter(fmt.Sprintf(`deferstm_wal_lane_stream_read_bytes_total{lane="%d"}`, lane),
+			"Segment bytes replication streams read from this WAL lane's storage.",
+			func() uint64 { return l.StreamReadBytes() })
 	}
 }

@@ -24,25 +24,14 @@ type Options struct {
 	Registry *obs.Registry
 	// Logf, when non-nil, receives one line per stream lifecycle event.
 	Logf func(format string, args ...any)
-	// Backoff and MaxBackoff bound the reconnect backoff (exponential,
-	// reset after a stream that shipped frames). 0 means 50ms / 5s.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// Backoff is the first reconnect delay. It doubles per failed
+	// attempt up to backoffCeiling times itself and resets after a
+	// stream that shipped frames. 0 means 50ms (a 5s ceiling).
+	Backoff time.Duration
 }
 
-func (o Options) backoff() (time.Duration, time.Duration) {
-	lo, hi := o.Backoff, o.MaxBackoff
-	if lo <= 0 {
-		lo = 50 * time.Millisecond
-	}
-	if hi <= 0 {
-		hi = 5 * time.Second
-	}
-	if hi < lo {
-		hi = lo
-	}
-	return lo, hi
-}
+// backoffCeiling caps the reconnect delay, as a multiple of Backoff.
+const backoffCeiling = 100
 
 // Status is one observation of the replica's replication state (the
 // kvreplica -statusfile payload).
@@ -226,7 +215,11 @@ func (r *Replica) logf(format string, args ...any) {
 // backoff; the applied cursors survive disconnects, so every
 // re-handshake resumes exactly where the replica's state left off.
 func (r *Replica) Run(ctx context.Context) error {
-	lo, hi := r.opts.backoff()
+	lo := r.opts.Backoff
+	if lo <= 0 {
+		lo = 50 * time.Millisecond
+	}
+	hi := backoffCeiling * lo
 	backoff := lo
 	for {
 		frames, err := r.streamOnce(ctx)

@@ -54,8 +54,8 @@ func startReplica(t *testing.T, ctx context.Context, addr string) *Replica {
 	t.Helper()
 	r := New(stm.NewDefault(), Options{
 		Primary: addr,
-		Backoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond,
-		Logf: t.Logf,
+		Backoff: time.Millisecond, // reconnects within 100ms at the ceiling
+		Logf:    t.Logf,
 	})
 	runDone := make(chan struct{})
 	go func() { defer close(runDone); r.Run(ctx) }()

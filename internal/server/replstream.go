@@ -13,10 +13,11 @@ import (
 	"deferstm/internal/wal"
 )
 
-// replReadChunk bounds the payload bytes one ReadRange call returns.
-// The scan holds the lane's file mutex (segment files are append-shared
-// with the flusher), so this is also the bound on how long one stream
-// round can stall that lane's group commit.
+// replReadChunk bounds the payload bytes one Tail.Read returns. The
+// read holds the lane's file mutex (segment files are append-shared
+// with the flusher), so this is also the bound on how long one catch-up
+// round can stall that lane's group commit; a caught-up stream reads
+// only what the last flushes appended.
 const replReadChunk = 1 << 20
 
 // serveRepl runs the replication stream on a connection whose writer
@@ -45,6 +46,11 @@ func (s *Server) serveRepl(nc net.Conn, req Request) {
 	}
 	cursors := make([]uint64, len(logs))
 	copy(cursors, req.Cursors)
+	tails := make([]*wal.Tail, len(logs))
+	for lane, log := range logs {
+		tails[lane] = log.NewTail()
+		defer tails[lane].Close()
+	}
 
 	ctx, cancel := context.WithCancel(s.streamCtx)
 	defer cancel()
@@ -98,7 +104,7 @@ func (s *Server) serveRepl(nc net.Conn, req Request) {
 			if d <= cursors[lane] {
 				continue
 			}
-			recs, err := log.ReadRange(cursors[lane], d, replReadChunk)
+			recs, err := tails[lane].Read(cursors[lane], d, replReadChunk)
 			if errors.Is(err, wal.ErrPruned) {
 				// A checkpoint pruned the tail out from under the
 				// cursor: re-base the lane and resume from its upTo.

@@ -1,0 +1,192 @@
+package server
+
+import (
+	"bufio"
+	"bytes"
+	"net"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"deferstm/internal/kv"
+	"deferstm/internal/simio"
+	"deferstm/internal/stm"
+	"deferstm/internal/wal"
+)
+
+// countingListener counts the socket writes the server makes on every
+// connection it accepts.
+type countingListener struct {
+	net.Listener
+	writes *atomic.Int64
+}
+
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, l.writes}, nil
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// startCountingServer is startServer on a group-mode store whose
+// listener counts socket writes.
+func startCountingServer(t *testing.T, lat simio.Latency) (*Server, *kv.Store, string, *atomic.Int64) {
+	t.Helper()
+	store, _, err := kv.Open(stm.NewDefault(), wal.NewSimBackend(simio.NewFS(lat)), kv.Options{Mode: kv.ModeGroup})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(store, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := new(atomic.Int64)
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(countingListener{ln, writes}) }()
+	t.Cleanup(func() {
+		srv.Close()
+		<-serveDone
+		store.Close()
+	})
+	return srv, store, ln.Addr().String(), writes
+}
+
+// sendFrames writes reqs to nc in ONE socket write.
+func sendFrames(t *testing.T, nc net.Conn, reqs ...Request) {
+	t.Helper()
+	var buf bytes.Buffer
+	for _, r := range reqs {
+		_ = writeFrame(&buf, EncodeRequest(r))
+	}
+	if _, err := nc.Write(buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func recvResponse(t *testing.T, nc net.Conn, br *bufio.Reader) Response {
+	t.Helper()
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	payload, err := ReadFrame(br, DefaultMaxFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := DecodeResponse(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestIdleGetOneTransaction: a GET on an idle connection runs exactly
+// one STM transaction — its own read. The reader answers it; through the
+// ack queue and the writer goroutine the same GET cost 5 transaction
+// starts and 4 commits (enqueue, dequeue, the writer's empty poll and
+// its park).
+func TestIdleGetOneTransaction(t *testing.T) {
+	srv, store, addr := startServer(t, kv.ModeGroup, simio.Latency{}, Options{})
+	c := dial(t, addr)
+	if _, err := c.Put("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get("k"); err != nil { // warm the connection
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // let the writer park
+	rt := store.Runtime()
+	before, readerBefore := rt.Snapshot(), srv.readerResps.Load()
+	if v, found, err := c.Get("k"); err != nil || !found || v != "v" {
+		t.Fatalf("Get = %q %v %v", v, found, err)
+	}
+	time.Sleep(20 * time.Millisecond) // count anything the GET left running
+	d := rt.Snapshot().Delta(before)
+	if d.Starts != 1 || d.Commits != 1 {
+		t.Fatalf("an idle GET ran %d transaction starts and %d commits, want 1 and 1", d.Starts, d.Commits)
+	}
+	if got := srv.readerResps.Load() - readerBefore; got != 1 {
+		t.Fatalf("reader-written responses moved by %d, want 1", got)
+	}
+}
+
+// TestResponsesInArrivalOrder: on one connection, a PUT held by a 20 ms
+// fsync and then 8 GETs — all sent in one write — are answered in send
+// order: no GET overtakes the PUT whose durability it is queued behind,
+// and the PUT is acknowledged only once durable.
+func TestResponsesInArrivalOrder(t *testing.T) {
+	_, store, addr := startServer(t, kv.ModeGroup, simio.Latency{Fsync: 20 * time.Millisecond}, Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	for round := 0; round < 3; round++ {
+		base := uint64(round * 100)
+		reqs := []Request{{Op: OpGet, ID: base + 1, Key: "k"}, {Op: OpPut, ID: base + 2, Key: "k", Val: "v"}}
+		for i := uint64(3); i <= 10; i++ {
+			reqs = append(reqs, Request{Op: OpGet, ID: base + i, Key: "k"})
+		}
+		sendFrames(t, nc, reqs...)
+		for _, want := range reqs {
+			resp := recvResponse(t, nc, br)
+			if resp.ID != want.ID || resp.Status != StatusOK {
+				t.Fatalf("round %d: got response %d (status %d), want %d: responses left arrival order", round, resp.ID, resp.Status, want.ID)
+			}
+			if want.Op == OpPut {
+				if w := store.Log().DurableWatermark(); w < resp.LSN {
+					t.Fatalf("PUT lsn %d acknowledged at watermark %d", resp.LSN, w)
+				}
+			}
+		}
+	}
+}
+
+// TestReaderFlushRule: a burst of 64 GETs in one client write is
+// answered in a handful of socket writes, not one per response; and a
+// GET the reader answered just before a PUT is on the wire while that
+// PUT's fsync is still running, not held behind it.
+func TestReaderFlushRule(t *testing.T) {
+	_, store, addr, writes := startCountingServer(t, simio.Latency{Fsync: 300 * time.Millisecond})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+
+	var burst []Request
+	for i := 1; i <= 64; i++ {
+		burst = append(burst, Request{Op: OpGet, ID: uint64(i), Key: "absent"})
+	}
+	sendFrames(t, nc, burst...)
+	for i := 1; i <= 64; i++ {
+		if resp := recvResponse(t, nc, br); resp.ID != uint64(i) {
+			t.Fatalf("burst response %d has id %d", i, resp.ID)
+		}
+	}
+	if n := writes.Load(); n > 4 {
+		t.Fatalf("64 pipelined GETs took %d socket writes, want <= 4", n)
+	}
+
+	sendFrames(t, nc, Request{Op: OpGet, ID: 100, Key: "k"}, Request{Op: OpPut, ID: 101, Key: "k", Val: "v"})
+	if resp := recvResponse(t, nc, br); resp.ID != 100 {
+		t.Fatalf("first response id %d, want the GET's 100", resp.ID)
+	}
+	if w := store.Log().DurableWatermark(); w != 0 {
+		t.Fatalf("the GET arrived only after the PUT's fsync (watermark %d)", w)
+	}
+	if resp := recvResponse(t, nc, br); resp.ID != 101 || resp.LSN != 1 {
+		t.Fatalf("PUT response = %+v", resp)
+	}
+}

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -78,6 +79,8 @@ type Server struct {
 	totalConns atomic.Uint64
 	reqs       [OpReplHello + 1]atomic.Uint64
 	reqErrs    atomic.Uint64
+	// Responses written, by the goroutine that wrote them (handleConn).
+	readerResps, writerResps atomic.Uint64
 
 	ackLatency *obs.Histogram
 }
@@ -149,6 +152,11 @@ func New(store *kv.Store, opts Options) *Server {
 	}
 	reg.Counter("deferstm_server_request_errors_total",
 		"Requests answered with an error status.", func() uint64 { return s.reqErrs.Load() })
+	const respHelp = "Responses written, by path: the connection's reader (waited for nothing, nothing owed ahead of it) or its writer goroutine."
+	reg.Counter(`deferstm_server_responses_total{path="reader"}`, respHelp,
+		func() uint64 { return s.readerResps.Load() })
+	reg.Counter(`deferstm_server_responses_total{path="writer"}`, respHelp,
+		func() uint64 { return s.writerResps.Load() })
 	return s
 }
 
@@ -341,12 +349,79 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// pend is one queued response: decoded, executed, waiting for its
-// durability condition and its in-order turn on the wire.
+// pend is one executed request's response, on its way to the wire.
 type pend struct {
 	resp     Response
 	received time.Time
 	sentinel bool // reader finished cleanly: flush and stop
+}
+
+// waits reports whether p's response must wait for the durable
+// watermark: a mutation's (it carries an LSN) or a WATCH's.
+func (p *pend) waits() bool {
+	return p.resp.LSN > 0 || (p.resp.Status == StatusOK && p.resp.Op == OpWatch)
+}
+
+// connOut is a connection's response side, shared by its reader and its
+// writer goroutine: both write responses into bw under mu. owed counts
+// the responses the reader has handed to the writer that are not yet in
+// bw. The reader writes a response itself only when owed is 0 — every
+// earlier response is then already in bw — so responses leave in
+// arrival order whichever goroutine writes them.
+type connOut struct {
+	mu   sync.Mutex
+	bw   *bufio.Writer
+	owed atomic.Int64
+}
+
+func (o *connOut) flush() error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.bw.Flush()
+}
+
+// respond writes p's response into o's buffer, flushing it when flush is
+// set, and counts it on path.
+func (s *Server) respond(o *connOut, p *pend, flush bool, path *atomic.Uint64) error {
+	frame := EncodeResponse(p.resp)
+	o.mu.Lock()
+	err := writeFrame(o.bw, frame)
+	if err == nil && flush {
+		err = o.bw.Flush()
+	}
+	o.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	s.ackLatency.Observe(time.Since(p.received))
+	path.Add(1)
+	return nil
+}
+
+// await blocks until p's response may be written: the durability-ack
+// rule. A mutation's response exists only once the watermark covers its
+// LSN; a WATCH waits for the watched token, then reports the fresh
+// watermark of the token's lane (as a token, so a sharded client can
+// keep chaining watches). Cancellation (shutdown) abandons the
+// response, never early-acks it.
+func (s *Server) await(ctx context.Context, p *pend) error {
+	if p.resp.Status == StatusOK && p.resp.Op == OpWatch {
+		if err := s.store.WaitDurableCtx(ctx, p.resp.Water); err != nil {
+			return err
+		}
+		if p.resp.Water > 0 {
+			lane := kv.TokenLane(p.resp.Water)
+			if log := s.store.Logs()[lane]; log != nil {
+				p.resp.Water = kv.PackToken(lane, log.DurableWatermark())
+			}
+		} else if log := s.store.Log(); log != nil {
+			p.resp.Water = log.DurableWatermark()
+		}
+	}
+	if p.resp.LSN > 0 {
+		return s.store.WaitDurableCtx(ctx, p.resp.LSN)
+	}
+	return nil
 }
 
 // handleConn runs a connection's reader loop, with a paired writer
@@ -359,28 +434,35 @@ type pend struct {
 // RESPONSE is held back, until the durable watermark covers the
 // request's LSN. The contract holds within ONE connection: the PUTs it
 // sends during one fsync ride the next, so a single pipelined client
-// fills group-commit batches by itself. Requests are answered strictly in arrival
-// order; per-connection LSNs are therefore monotone and the writer's
-// durability waits are cumulative, not redundant. The ack queue's
-// capacity is the in-flight window: when durability lags, the queue
-// fills, the reader parks (a watcher-based retry, no spinning), the
-// socket stops being read, and TCP pushes the backpressure to the
+// fills group-commit batches by itself. Requests are answered strictly
+// in arrival order; per-connection LSNs are therefore monotone and the
+// writer's durability waits are cumulative, not redundant. The ack
+// queue's capacity is the in-flight window: when durability lags, the
+// queue fills, the reader parks (a watcher-based retry, no spinning),
+// the socket stops being read, and TCP pushes the backpressure to the
 // client.
+//
+// A response that waits for nothing (a GET, STATS, an error) with
+// nothing owed ahead of it is written by the reader itself, with no
+// queue transaction and no writer wake-up. The reader flushes only when
+// no further request is already buffered, and flushes what it wrote
+// before it hands the next response to the writer: a pipelined GET burst
+// costs one socket write, and no GET waits out a later PUT's fsync.
 func (s *Server) handleConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	acks := ds.NewBoundedQueue[pend](s.opts.window())
+	out := &connOut{bw: bufio.NewWriterSize(nc, 32<<10)}
 	writerDone := make(chan struct{})
 
 	go func() {
 		defer close(writerDone)
 		defer cancel() // a writer exit must unpark the reader
-		bw := bufio.NewWriterSize(nc, 32<<10)
 		for {
 			p, ok := s.takeNoWait(acks)
 			if !ok {
 				// Nothing pending: flush buffered responses before
 				// parking so a half-full buffer never stalls a client.
-				if err := bw.Flush(); err != nil {
+				if err := out.flush(); err != nil {
 					return
 				}
 				var err error
@@ -390,49 +472,51 @@ func (s *Server) handleConn(nc net.Conn) {
 				}
 			}
 			if p.sentinel {
-				bw.Flush()
+				out.flush()
 				return
 			}
-			if p.resp.Status == StatusOK && p.resp.Op == OpWatch {
-				// WATCH resolves here, in response order, like any
-				// mutation ack: wait for the watched token, then report
-				// the fresh watermark of the token's lane (as a token,
-				// so a sharded client can keep chaining watches).
-				if s.store.WaitDurableCtx(ctx, p.resp.Water) != nil {
-					return
-				}
-				if p.resp.Water > 0 {
-					lane := kv.TokenLane(p.resp.Water)
-					if log := s.store.Logs()[lane]; log != nil {
-						p.resp.Water = kv.PackToken(lane, log.DurableWatermark())
-					}
-				} else if log := s.store.Log(); log != nil {
-					p.resp.Water = log.DurableWatermark()
-				}
-			}
-			if p.resp.LSN > 0 {
-				// The durability-ack rule: a mutation's response exists
-				// only once the watermark covers its LSN. Cancellation
-				// (shutdown) abandons the response, never early-acks it.
-				if s.store.WaitDurableCtx(ctx, p.resp.LSN) != nil {
-					return
-				}
-			}
-			if err := writeFrame(bw, EncodeResponse(p.resp)); err != nil {
+			if s.await(ctx, &p) != nil {
 				return
 			}
-			s.ackLatency.Observe(time.Since(p.received))
+			if s.respond(out, &p, false, &s.writerResps) != nil {
+				return
+			}
+			out.owed.Add(-1)
 		}
 	}()
 
 	br := bufio.NewReaderSize(nc, 32<<10)
+	unflushed := false // the reader wrote responses it has not flushed yet
+	handOff := func(p pend) error {
+		if unflushed {
+			unflushed = false
+			if err := out.flush(); err != nil {
+				return err
+			}
+		}
+		if !p.sentinel {
+			out.owed.Add(1)
+		}
+		return acks.PutCtx(ctx, s.rt, p)
+	}
+	answer := func(p pend) error {
+		if p.waits() || out.owed.Load() != 0 {
+			return handOff(p)
+		}
+		flush := !frameBuffered(br)
+		if err := s.respond(out, &p, flush, &s.readerResps); err != nil {
+			return err
+		}
+		unflushed = !flush
+		return nil
+	}
 	for {
 		payload, err := readFrame(br, DefaultMaxFrame)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil && !s.stopping() {
 				s.logf("server: %s: read: %v", nc.RemoteAddr(), err)
 			}
-			_ = acks.PutCtx(ctx, s.rt, pend{sentinel: true})
+			_ = handOff(pend{sentinel: true})
 			break
 		}
 		req, err := DecodeRequest(payload)
@@ -442,11 +526,11 @@ func (s *Server) handleConn(nc net.Conn) {
 			// close.
 			s.reqErrs.Add(1)
 			s.logf("server: %s: %v", nc.RemoteAddr(), err)
-			_ = acks.PutCtx(ctx, s.rt, pend{
+			_ = answer(pend{
 				received: time.Now(),
 				resp:     Response{Status: StatusErr, Op: req.Op, ID: req.ID, Err: err.Error()},
 			})
-			_ = acks.PutCtx(ctx, s.rt, pend{sentinel: true})
+			_ = handOff(pend{sentinel: true})
 			break
 		}
 		if req.Op == OpReplHello {
@@ -455,14 +539,17 @@ func (s *Server) handleConn(nc net.Conn) {
 			// waits included), retire it, and hand the socket to the
 			// replication stream.
 			s.reqs[OpReplHello].Add(1)
-			_ = acks.PutCtx(ctx, s.rt, pend{sentinel: true})
+			_ = handOff(pend{sentinel: true})
 			<-writerDone
 			s.serveRepl(nc, req)
 			break
 		}
 		p, _ := s.execute(req) // a failure travels in p.resp
-		if acks.PutCtx(ctx, s.rt, p) != nil {
-			break // shutdown while parked on a full window
+		if answer(p) != nil {
+			// A dead socket, or shutdown while parked on a full window:
+			// either way the writer must stop too.
+			cancel()
+			break
 		}
 	}
 
@@ -474,6 +561,16 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.mu.Unlock()
 	s.nConns.Add(-1)
 	s.wg.Done()
+}
+
+// frameBuffered reports whether br already holds the whole next frame,
+// so reading it will not block on the socket.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.LittleEndian.Uint32(hdr))
 }
 
 // takeNoWait is BoundedQueue.TryTake in its own transaction.

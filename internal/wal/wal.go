@@ -173,7 +173,8 @@ type Log struct {
 	maxBatch atomic.Uint64
 	hist     [17]atomic.Uint64
 
-	lastCkpt atomic.Uint64 // upTo of the newest fsynced checkpoint (0 when none)
+	lastCkpt   atomic.Uint64 // upTo of the newest fsynced checkpoint (0 when none)
+	streamRead atomic.Uint64 // segment bytes Tails read from the backend
 }
 
 const (

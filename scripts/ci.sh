@@ -113,7 +113,8 @@ grep -q '"traceEvents"' "$tmptrace" || { echo "trace output malformed"; exit 1; 
 # connection must fill batches by itself. Before the kill, the live
 # server's /metrics is scraped: every key family must be exposed —
 # commit-latency buckets, abort-reason counters, deferred-queue depth,
-# and the WAL fsync, per-lane and append→durable lag series.
+# the WAL fsync, per-lane, stream-read and append→durable lag series, and
+# the responses-by-path counters, with a non-zero reader count.
 echo "==> kvserver crash smoke (kvloadgen ladder + /metrics scrape + kill -9 + recovery verify)"
 kvdir="$(mktemp -d)"
 trap 'rm -f "$tmpmetrics" "$tmptrace"; rm -rf "$kvdir"' EXIT
@@ -143,9 +144,15 @@ for series in \
     deferstm_defer_queue_depth \
     deferstm_wal_fsyncs_total \
     'deferstm_wal_lane_records_total{lane="0"}' \
+    'deferstm_wal_lane_stream_read_bytes_total{lane="0"}' \
+    'deferstm_server_responses_total{path="writer"}' \
     deferstm_wal_append_durable_seconds; do
     grep -q "$series" "$tmpmetrics" || { echo "missing series: $series"; exit 1; }
 done
+# The ladder's GETs and STATS on idle connections are answered by the
+# connection's reader, not through the ack queue and writer goroutine.
+grep -Eq '^deferstm_server_responses_total\{path="reader"\} [1-9]' "$tmpmetrics" \
+    || { echo "no response was written by a connection's reader"; grep deferstm_server_responses_total "$tmpmetrics"; exit 1; }
 kill -9 "$kvsrvpid" 2>/dev/null || true
 wait "$kvsrvpid" 2>/dev/null || true
 "$kvdir/kvserver" -dir "$kvdir/wal" -verify -ackfile "$kvdir/ack.txt"
