@@ -13,9 +13,10 @@
 //     reach the worker;
 //   - locks: opposite-order multi-lock acquisition through transactions
 //     (deadlock-freedom check);
-//   - kvstore: concurrent counters in the durable KV store (WAL group
-//     commit, checkpoints, durability waits); the live view must match
-//     per-thread tallies and a post-close recovery must reproduce it;
+//   - kvstore: concurrent counters and cross-lane transfers in a 2-lane
+//     durable KV store (WAL group commit, checkpoints, durability waits);
+//     the live view must match per-thread tallies and a post-close
+//     recovery must reproduce it, transfer sum included;
 //   - watcher: producers and consumers blocking on a bounded queue via
 //     watcher-based Retry (park on full/empty, wake on commit); every
 //     produced value must be consumed exactly once and in per-producer
@@ -496,29 +497,53 @@ func tortureLocks(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 	}
 }
 
-// tortureKVStore hammers the durable KV store (WAL group commit via
+// tortureKVStore hammers a 2-lane durable KV store (WAL group commit via
 // atomic deferral) with per-thread counters on a simulated disk, taking
 // occasional checkpoints, then closes the store and recovers it on a
 // fresh runtime: the recovered contents must equal the live contents at
 // close. Each thread increments only its own keys, so every counter's
 // final value must equal the thread's local count — a lost or duplicated
-// WAL replay shows up as a counter mismatch. Under -check the recorded
-// history additionally passes through the durability axioms
+// WAL replay shows up as a counter mismatch. One update in four is
+// instead a cross-lane transfer between an account on each lane, whose
+// balances must still sum to zero after recovery. Under -check the
+// recorded history additionally passes through the durability axioms
 // (internal/check's EvWALAppend/EvWALDurable rules).
 func tortureKVStore(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 	const slots = 8
 	fs := simio.NewFS(simio.Latency{})
-	s, _, err := kv.Open(rt, wal.NewSimBackend(fs), kv.Options{WAL: wal.Options{SegmentBytes: 1 << 16}})
+	s, _, err := kv.Open(rt, wal.NewSimBackend(fs), kv.Options{Shards: 2, WAL: wal.Options{SegmentBytes: 1 << 16}})
 	if err != nil {
 		h.failf("kvstore: open: %v", err)
 		return
+	}
+	// One account per lane: a one-key update's token names its key's lane.
+	var accts [2]string
+	for i := 0; accts[0] == "" || accts[1] == ""; i++ {
+		key := fmt.Sprintf("acct-%d", i)
+		tok, err := s.Update(func(tx *stm.Tx, b *kv.Batch) error { b.Put(key, "0"); return nil })
+		if err != nil {
+			h.failf("kvstore: open account: %v", err)
+			return
+		}
+		if lane := kv.TokenLane(tok); accts[lane] == "" {
+			accts[lane] = key
+		}
 	}
 	counts := make([][slots]int, threads)
 	var ckptMu sync.Mutex
 	h.runFor(threads, d, func(tid int, rng func(int) int64) {
 		slot := rng(slots)
 		key := fmt.Sprintf("t%d-c%d", tid, slot)
+		transfer, amount := rng(4) == 0, int(rng(21))-10
 		lsn, err := s.Update(func(tx *stm.Tx, b *kv.Batch) error {
+			if transfer {
+				for i, delta := range [2]int{-amount, amount} {
+					cur, _ := b.Get(accts[i])
+					n, _ := strconv.Atoi(cur)
+					b.Put(accts[i], strconv.Itoa(n+delta))
+				}
+				return nil
+			}
 			cur, _ := b.Get(key)
 			n, _ := strconv.Atoi(cur)
 			b.Put(key, strconv.Itoa(n+1))
@@ -528,7 +553,9 @@ func tortureKVStore(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 			h.failf("kvstore: update: %v", err)
 			return
 		}
-		counts[tid][slot]++
+		if !transfer {
+			counts[tid][slot]++
+		}
 		if rng(64) == 0 {
 			s.WaitDurable(lsn)
 		}
@@ -585,6 +612,11 @@ func tortureKVStore(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 		if recovered[k] != v {
 			h.failf("kvstore: recovered %s = %q, want %q", k, recovered[k], v)
 		}
+	}
+	a, _ := strconv.Atoi(recovered[accts[0]])
+	b, _ := strconv.Atoi(recovered[accts[1]])
+	if a+b != 0 {
+		h.failf("kvstore: recovered accounts %s = %d and %s = %d do not sum to 0 (half a cross-lane transfer)", accts[0], a, accts[1], b)
 	}
 	if err := s2.Close(); err != nil {
 		h.failf("kvstore: recovered close: %v", err)

@@ -116,10 +116,13 @@ func tortureReplica(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 		}
 	})
 
-	// Writers stopped. Wait for the replica to drain: every lane's
-	// applied cursor must reach the primary's durable watermark. The
-	// watermark is still advancing (the last group flush lands after the
-	// last Update returns), so poll both sides.
+	// Writers stopped. The primary's scan below sees every committed
+	// record, so first let every lane's assigned LSN become durable (the
+	// stream ships only durable records), then wait for the replica to
+	// drain: every lane's applied cursor must reach the watermark.
+	for _, lg := range s.Logs() {
+		lg.WaitDurable(lg.AssignedWatermark())
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		caughtUp := true

@@ -190,7 +190,7 @@ type RecoveredLane struct {
 //   - cross-shard commits (several EvWALAppend sharing a TxID and a
 //     GSN) are atomic across the cuts: all of a commit's records are
 //     inside their lanes' cuts, or all are outside. A half-recovered
-//     batch is exactly the state the multi-lock atomic deferral plus
+//     batch is exactly the state the lane flushers' frontier gate plus
 //     presumed-abort truncation exist to rule out.
 func RecoveredPrefixLanes(events []stm.Event, lanes []RecoveredLane) []Violation {
 	var out []Violation

@@ -21,106 +21,6 @@ func atomically(t *testing.T, rt *stm.Runtime, fn func(tx *stm.Tx)) {
 	}
 }
 
-// ---------- List ----------
-
-func TestListBasic(t *testing.T) {
-	rt := stm.NewDefault()
-	l := NewList()
-	atomically(t, rt, func(tx *stm.Tx) {
-		if !l.Insert(tx, 5) || !l.Insert(tx, 1) || !l.Insert(tx, 9) {
-			t.Error("insert failed")
-		}
-		if l.Insert(tx, 5) {
-			t.Error("duplicate insert succeeded")
-		}
-		if !l.Contains(tx, 5) || l.Contains(tx, 4) {
-			t.Error("contains wrong")
-		}
-		if l.Len(tx) != 3 {
-			t.Errorf("len = %d", l.Len(tx))
-		}
-		keys := l.Keys(tx)
-		if len(keys) != 3 || keys[0] != 1 || keys[1] != 5 || keys[2] != 9 {
-			t.Errorf("keys = %v", keys)
-		}
-		if !l.Remove(tx, 5) || l.Remove(tx, 5) {
-			t.Error("remove wrong")
-		}
-		if l.Len(tx) != 2 {
-			t.Errorf("len after remove = %d", l.Len(tx))
-		}
-	})
-}
-
-func TestListConcurrentDisjoint(t *testing.T) {
-	rt := stm.NewDefault()
-	l := NewList()
-	var wg sync.WaitGroup
-	const workers, per = 8, 50
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := int64(w*per + i)
-				_ = rt.Atomic(func(tx *stm.Tx) error {
-					l.Insert(tx, k)
-					return nil
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	atomically(t, rt, func(tx *stm.Tx) {
-		if n := l.Len(tx); n != workers*per {
-			t.Errorf("len = %d, want %d", n, workers*per)
-		}
-		keys := l.Keys(tx)
-		if !sort.SliceIsSorted(keys, func(i, j int) bool { return keys[i] < keys[j] }) {
-			t.Error("keys not sorted")
-		}
-	})
-}
-
-// Property: the list behaves like a sorted set.
-func TestListOracleProperty(t *testing.T) {
-	rt := stm.NewDefault()
-	f := func(ops []int16) bool {
-		l := NewList()
-		oracle := map[int64]bool{}
-		for _, op := range ops {
-			k := int64(op % 64)
-			ins := op >= 0
-			var got bool
-			_ = rt.Atomic(func(tx *stm.Tx) error {
-				if ins {
-					got = l.Insert(tx, k)
-				} else {
-					got = l.Remove(tx, k)
-				}
-				return nil
-			})
-			var want bool
-			if ins {
-				want = !oracle[k]
-				oracle[k] = true
-			} else {
-				want = oracle[k]
-				delete(oracle, k)
-			}
-			if got != want {
-				return false
-			}
-		}
-		var n int
-		_ = rt.Atomic(func(tx *stm.Tx) error { n = l.Len(tx); return nil })
-		return n == len(oracle)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 // ---------- HashMap ----------
 
 func TestHashMapBasic(t *testing.T) {

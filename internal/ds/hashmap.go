@@ -1,3 +1,8 @@
+// Package ds provides transactional data structures built on the STM
+// runtime: a hash map (the store's map), a bounded FIFO queue (the
+// server's ack window), and a red-black tree (the paper's introduction
+// motivates TM with exactly such irregular pointer structures — "the
+// rebalancing operations of a red-black tree mutation").
 package ds
 
 import (

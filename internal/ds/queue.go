@@ -6,81 +6,6 @@ import (
 	"deferstm/internal/stm"
 )
 
-// Queue is an unbounded transactional FIFO queue (two persistent stacks,
-// the classic functional-queue construction): Put appends, Take removes
-// the oldest element or retries until one exists. Because Take uses
-// retry, a consumer transaction composes with arbitrary other
-// transactional work — the "composable blocking" of Harris et al. that
-// the paper's Section 2 reviews.
-type Queue[T any] struct {
-	front stm.Var[*qNode[T]] // next to take, oldest first
-	back  stm.Var[*qNode[T]] // most recent put first
-	size  stm.Var[int]
-}
-
-type qNode[T any] struct {
-	v    T
-	next *qNode[T]
-}
-
-// NewQueue returns an empty queue.
-func NewQueue[T any]() *Queue[T] { return &Queue[T]{} }
-
-// Put appends v.
-func (q *Queue[T]) Put(tx *stm.Tx, v T) {
-	q.back.Set(tx, &qNode[T]{v: v, next: q.back.Get(tx)})
-	q.size.Set(tx, q.size.Get(tx)+1)
-}
-
-// TryTake removes and returns the oldest element, or ok=false when empty.
-func (q *Queue[T]) TryTake(tx *stm.Tx) (T, bool) {
-	if f := q.front.Get(tx); f != nil {
-		q.front.Set(tx, f.next)
-		q.size.Set(tx, q.size.Get(tx)-1)
-		return f.v, true
-	}
-	// Reverse the back list into the front.
-	b := q.back.Get(tx)
-	if b == nil {
-		var zero T
-		return zero, false
-	}
-	var front *qNode[T]
-	for n := b; n != nil; n = n.next {
-		front = &qNode[T]{v: n.v, next: front}
-	}
-	q.back.Set(tx, nil)
-	q.front.Set(tx, front.next)
-	q.size.Set(tx, q.size.Get(tx)-1)
-	return front.v, true
-}
-
-// Take removes and returns the oldest element, retrying (blocking and
-// re-executing the transaction) while the queue is empty.
-func (q *Queue[T]) Take(tx *stm.Tx) T {
-	v, ok := q.TryTake(tx)
-	if !ok {
-		tx.Retry()
-	}
-	return v
-}
-
-// Len reports the queue length.
-func (q *Queue[T]) Len(tx *stm.Tx) int { return q.size.Get(tx) }
-
-// TakeCtx runs its own transaction that blocks (parked on watchers,
-// consuming no CPU) until an element is available or ctx ends, in which
-// case it returns ctx.Err(). Use Take to block inside an existing
-// transaction; TakeCtx is the top-level consumer entry point.
-func (q *Queue[T]) TakeCtx(ctx context.Context, rt *stm.Runtime) (T, error) {
-	var v T
-	err := rt.AtomicCtx(ctx, func(tx *stm.Tx) error {
-		v = q.Take(tx)
-		return nil
-	})
-	return v, err
-}
-
 // BoundedQueue is a fixed-capacity transactional FIFO ring. Put retries
 // while full; Take retries while empty. It is the data structure behind
 // reorder windows and bounded pipelines (compare internal/dedup's ring).

@@ -170,25 +170,6 @@ func TestBoundedQueuePutCtxCancelWhenFull(t *testing.T) {
 	}
 }
 
-// TestQueueTakeCtxCancel covers the unbounded queue's blocking take.
-func TestQueueTakeCtxCancel(t *testing.T) {
-	rt := stm.NewDefault()
-	q := NewQueue[string]()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := q.TakeCtx(ctx, rt); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("TakeCtx = %v, want context.DeadlineExceeded", err)
-	}
-	// A later put/take pair must work normally.
-	if err := rt.Atomic(func(tx *stm.Tx) error { q.Put(tx, "x"); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	v, err := q.TakeCtx(context.Background(), rt)
-	if err != nil || v != "x" {
-		t.Fatalf("TakeCtx = %q, %v", v, err)
-	}
-}
-
 // waitParkedDS spins until n transactions are parked on watchers.
 func waitParkedDS(t *testing.T, rt *stm.Runtime, n int64) {
 	t.Helper()

@@ -1,156 +1,11 @@
 package ds
 
 import (
-	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"deferstm/internal/stm"
 )
-
-func TestQueueFIFO(t *testing.T) {
-	rt := stm.NewDefault()
-	q := NewQueue[int]()
-	atomically(t, rt, func(tx *stm.Tx) {
-		for i := 1; i <= 5; i++ {
-			q.Put(tx, i)
-		}
-		if q.Len(tx) != 5 {
-			t.Errorf("len = %d", q.Len(tx))
-		}
-	})
-	var got []int
-	atomically(t, rt, func(tx *stm.Tx) {
-		got = got[:0]
-		for i := 0; i < 5; i++ {
-			v, ok := q.TryTake(tx)
-			if !ok {
-				t.Fatal("queue empty early")
-			}
-			got = append(got, v)
-		}
-		if _, ok := q.TryTake(tx); ok {
-			t.Error("take from empty succeeded")
-		}
-	})
-	for i, v := range got {
-		if v != i+1 {
-			t.Errorf("got[%d] = %d", i, v)
-		}
-	}
-}
-
-func TestQueueInterleavedPutTake(t *testing.T) {
-	rt := stm.NewDefault()
-	q := NewQueue[int]()
-	var out []int
-	for i := 0; i < 20; i++ {
-		atomically(t, rt, func(tx *stm.Tx) { q.Put(tx, i) })
-		if i%2 == 1 {
-			atomically(t, rt, func(tx *stm.Tx) {
-				v, _ := q.TryTake(tx)
-				out = append(out, v)
-			})
-		}
-	}
-	for i := 1; i < len(out); i++ {
-		if out[i] <= out[i-1] {
-			t.Errorf("FIFO order violated: %v", out)
-		}
-	}
-}
-
-func TestQueueTakeBlocks(t *testing.T) {
-	rt := stm.NewDefault()
-	q := NewQueue[string]()
-	got := make(chan string, 1)
-	go func() {
-		var v string
-		_ = rt.Atomic(func(tx *stm.Tx) error {
-			v = q.Take(tx)
-			return nil
-		})
-		got <- v
-	}()
-	select {
-	case v := <-got:
-		t.Fatalf("Take returned %q from empty queue", v)
-	case <-time.After(20 * time.Millisecond):
-	}
-	atomically(t, rt, func(tx *stm.Tx) { q.Put(tx, "x") })
-	select {
-	case v := <-got:
-		if v != "x" {
-			t.Errorf("got %q", v)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Take never woke")
-	}
-}
-
-func TestQueueConcurrentProducersConsumers(t *testing.T) {
-	rt := stm.NewDefault()
-	q := NewQueue[int]()
-	const producers, per = 4, 100
-	total := producers * per
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				v := p*per + i
-				_ = rt.Atomic(func(tx *stm.Tx) error { q.Put(tx, v); return nil })
-			}
-		}(p)
-	}
-	seen := make([]bool, total)
-	var mu sync.Mutex
-	var cg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				var v int
-				var ok bool
-				_ = rt.Atomic(func(tx *stm.Tx) error {
-					v, ok = q.TryTake(tx)
-					return nil
-				})
-				if !ok {
-					mu.Lock()
-					n := 0
-					for _, s := range seen {
-						if s {
-							n++
-						}
-					}
-					mu.Unlock()
-					if n == total {
-						return
-					}
-					continue
-				}
-				mu.Lock()
-				if seen[v] {
-					t.Errorf("duplicate element %d", v)
-				}
-				seen[v] = true
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	done := make(chan struct{})
-	go func() { cg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(60 * time.Second):
-		t.Fatal("consumers never drained the queue")
-	}
-}
 
 func TestBoundedQueueBasics(t *testing.T) {
 	rt := stm.NewDefault()
@@ -249,43 +104,5 @@ func TestBoundedQueuePipeline(t *testing.T) {
 		if v != i {
 			t.Fatalf("got[%d] = %d (order broken)", i, v)
 		}
-	}
-}
-
-// Property: queue contents equal the oracle slice under any op sequence.
-func TestQueueOracleProperty(t *testing.T) {
-	rt := stm.NewDefault()
-	f := func(ops []int8) bool {
-		q := NewQueue[int8]()
-		var oracle []int8
-		for _, op := range ops {
-			if op >= 0 {
-				_ = rt.Atomic(func(tx *stm.Tx) error { q.Put(tx, op); return nil })
-				oracle = append(oracle, op)
-			} else {
-				var v int8
-				var ok bool
-				_ = rt.Atomic(func(tx *stm.Tx) error {
-					v, ok = q.TryTake(tx)
-					return nil
-				})
-				if len(oracle) == 0 {
-					if ok {
-						return false
-					}
-				} else {
-					if !ok || v != oracle[0] {
-						return false
-					}
-					oracle = oracle[1:]
-				}
-			}
-		}
-		var n int
-		_ = rt.Atomic(func(tx *stm.Tx) error { n = q.Len(tx); return nil })
-		return n == len(oracle)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
 	}
 }

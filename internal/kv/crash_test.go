@@ -2,8 +2,11 @@ package kv
 
 import (
 	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"deferstm/internal/simio"
 	"deferstm/internal/stm"
@@ -184,5 +187,136 @@ func TestCrashRecoverySyncMode(t *testing.T) {
 				crashScenario(t, ModeSync, point, n, seed)
 			}
 		}
+	}
+}
+
+// holdBackend holds the first fsync of any file it creates under prefix
+// until release is closed, and closes entered when that fsync arrives;
+// every later fsync passes straight through.
+type holdBackend struct {
+	wal.Backend
+	prefix           string
+	once             *sync.Once
+	entered, release chan struct{}
+}
+
+func (b holdBackend) Create(name string) (wal.File, error) {
+	f, err := b.Backend.Create(name)
+	if err != nil || !strings.HasPrefix(name, b.prefix) {
+		return f, err
+	}
+	return heldFile{File: f, b: b}, nil
+}
+
+type heldFile struct {
+	wal.File
+	b holdBackend
+}
+
+func (f heldFile) Fsync() error {
+	f.b.once.Do(func() { close(f.b.entered) })
+	<-f.b.release
+	return f.File.Fsync()
+}
+
+// TestDependentCommitSurvivesCrash: a cross-shard commit X on lanes 0
+// and 1, then a single-lane commit Y on lane 0 that reads X's write.
+// Lane 1's fsync of X is held, and the crash is captured just before it
+// takes effect. Lane 0 alone holds X's lane-0 record and Y; recovery
+// cuts lane 0 at X (its lane-1 sibling is gone, or torn, on most image
+// seeds) and so drops Y too. Y must therefore not be acked until lane 1
+// has fsynced X — the frontier gate — and an acked Y must be recovered.
+// A lane flusher that published its watermark without the gate acks Y
+// here and loses it.
+func TestDependentCommitSurvivesCrash(t *testing.T) {
+	fs := simio.NewFS(simio.Latency{})
+	hold := holdBackend{Backend: wal.NewSimBackend(fs), prefix: wal.LanePrefix(1),
+		once: new(sync.Once), entered: make(chan struct{}), release: make(chan struct{})}
+	opts := Options{Mode: ModeGroup, Shards: 2}
+	rt := stm.NewDefault()
+	s, _, err := Open(rt, hold, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k0, k1, y := keyFor(s, 0, "x"), keyFor(s, 1, "x"), keyFor(s, 0, "y")
+	if _, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+		b.Put(k0, "x")
+		b.Put(k1, "x")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	tokY, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+		if v, _ := b.Get(k0); v != "x" {
+			return fmt.Errorf("Y read %q, not X's write", v)
+		}
+		b.Put(y, "y")
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if TokenLane(tokY) != 0 {
+		t.Fatalf("Y's token names lane %d, want 0", TokenLane(tokY))
+	}
+	select {
+	case <-hold.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("lane 1 never fsynced X")
+	}
+	// Lane 0 fsyncs X's record, and then either waits at the frontier
+	// gate (a parked retry: nothing else here parks) or, were it not
+	// gated, goes on to ack Y.
+	lane0 := s.Logs()[0]
+	for deadline := time.Now().Add(5 * time.Second); lane0.DurableWatermark() < TokenLSN(tokY) && rt.RetryParked() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("lane 0 neither acked Y nor waited for lane 1")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	var ackedAtCrash atomic.Uint64
+	fs.SetCrashPlan(simio.CrashPlan{Point: simio.CrashPreFsync, N: 1, OnCrash: func() {
+		ackedAtCrash.Store(lane0.DurableWatermark())
+	}})
+	close(hold.release)
+	for _, l := range s.Logs() {
+		l.WaitDurable(l.AssignedWatermark())
+	}
+	img := fs.CrashImage()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if img == nil {
+		t.Fatal("the crash plan never fired")
+	}
+	acked := ackedAtCrash.Load() >= TokenLSN(tokY)
+	if acked {
+		t.Errorf("Y was acked (lane 0 watermark %d) before lane 1 fsynced X", ackedAtCrash.Load())
+	}
+	cut := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		s2, info, err := Open(stm.NewDefault(), wal.NewSimBackend(simio.FSFromImage(img, simio.Latency{}, seed)), opts)
+		if err != nil {
+			t.Fatalf("seed %d: recovery: %v", seed, err)
+		}
+		got := dump(t, s2)
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if info.SkippedRecords > 0 {
+			cut++
+		}
+		if _, ok := got[k0]; ok != (got[k1] != "") {
+			t.Fatalf("seed %d: X recovered on one lane only: %v", seed, got)
+		}
+		if got[y] != "" && got[k0] == "" {
+			t.Fatalf("seed %d: Y recovered without the write it read: %v", seed, got)
+		}
+		if acked && got[y] == "" {
+			t.Fatalf("seed %d: dependent commit was acked, then lost", seed)
+		}
+	}
+	if cut == 0 {
+		t.Fatal("no image seed lost X's lane-1 record: the test is vacuous")
 	}
 }

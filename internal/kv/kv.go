@@ -25,17 +25,17 @@
 // fixed FNV-1a hash (deterministic across restarts, so a key's records
 // always live in one lane and per-lane LSN order is per-key order).
 //
-// A commit touching one shard takes exactly the unsharded fast path on
-// its lane. A commit touching several shards splits its ops per lane
-// and commits via ONE atomic deferral that acquires every touched
-// lane's TxLock (in ascending lane order) at the commit and flushes the
-// lanes together, publishing no watermark until every lane's fsync has
-// returned. Each of its records is stamped with a global commit
-// sequence number (GSN) and the full lane/LSN vector of the batch, so
-// recovery can tell a complete cross-shard batch from one a crash cut
-// in half — incomplete batches are presumed aborted and their lanes'
-// tails truncated (such records were never acked: acks wait on
-// watermarks the interrupted flush never published).
+// Every commit, on one shard or several, enqueues one record per touched
+// lane and returns; each lane's own flusher fsyncs its part. A sharded
+// store stamps each record with a global commit sequence number (GSN)
+// and the full lane/LSN vector of its commit, so recovery can tell a
+// complete cross-shard batch from one a crash cut in half and presume
+// the latter aborted, truncating its lanes' tails. Nothing acked is
+// lost: a lane publishes a watermark over a cross-shard record only once
+// every lane has fsynced everything at or below its GSN (the frontier
+// gate of package wal). TestCrossShardCrashAtomicity,
+// TestDependentCommitSurvivesCrash and TestCrossShardStressNoDeadlock
+// pin it.
 //
 // Recovery (Open) replays, per lane, the newest checkpoint plus all
 // intact WAL records after it, in LSN order. Because LSNs are assigned
@@ -349,6 +349,7 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		info.Lanes = append(info.Lanes, lr)
 	}
 	s.gsn.Store(info.MaxGSN)
+	wal.JoinLanes(s.Logs())
 	return nil
 }
 
@@ -356,11 +357,11 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 // earliest record of a cross-shard batch missing a sibling. A sibling
 // point is satisfied if its lane recovered that LSN below its own cut,
 // or already folded it into a checkpoint (checkpoints never contain
-// incomplete batches: the cross-lane flush holds every touched lane's
-// TxLock from commit to last fsync, and Checkpoint serializes on that
-// same lock). Cutting one lane can orphan a batch another lane thought
-// complete, so the cuts iterate to a fixed point; each pass only
-// lowers cuts, so it terminates.
+// incomplete batches: a lane checkpoint fsyncs what it covers through
+// the frontier gate before it writes the file, so every sibling of a
+// covered record is on disk). Cutting one lane can orphan a batch
+// another lane thought complete, so the cuts iterate to a fixed point;
+// each pass only lowers cuts, so it terminates.
 func crossLaneCuts(recs []*wal.Recovery) ([]uint64, error) {
 	type rec struct {
 		lsn uint64
@@ -498,15 +499,14 @@ func (b *Batch) touched() []int {
 // returns a durability token for its WAL record(s) — 0 for a read-only
 // fn or in ModeNone. On a single-shard store the token is the plain
 // LSN; on a sharded store it packs the home lane (the lowest touched
-// lane) and that lane's LSN (see PackToken). In ModeGroup a
-// single-shard Update returns at commit: the record is queued, the
-// lane's flusher goroutine owes the fsync, and the token is not yet
-// durable — call WaitDurable(token) for a synchronous guarantee. A
-// cross-shard Update still runs its multi-lane flush in the committing
-// goroutine (and waits for the touched lanes' locks first); waiting on
-// its token covers the whole batch, because the cross-lane flush
-// publishes no watermark until every touched lane is fsynced. In
-// ModeSync the record(s) are durable on return.
+// lane) and that lane's LSN (see PackToken). In ModeGroup every Update
+// returns at commit, on one shard or several: the records are queued,
+// each touched lane's flusher goroutine owes its fsync, and the token is
+// not yet durable — call WaitDurable(token) for a synchronous guarantee.
+// Waiting on a cross-shard commit's token covers the whole batch: the
+// home lane publishes no watermark over a cross-shard record until the
+// frontier passes it (see the package comment). In ModeSync the
+// record(s) are durable on return.
 //
 // fn may re-execute (optimistic retry); it must be idempotent apart from
 // its Batch mutations, which reset on retry.
@@ -550,8 +550,9 @@ func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
 }
 
 // commitLanes appends a sharded commit's per-lane records. Every record
-// carries the commit's GSN and full lane/LSN vector; a commit touching
-// several lanes flushes them through one multi-lock atomic deferral.
+// carries the commit's GSN and full lane/LSN vector, and is queued on
+// its lane like any single-lane record; a commit touching several lanes
+// marks them cross, which is what the lane flushers' frontier gate keys on.
 func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 	touched := b.touched()
 
@@ -588,19 +589,7 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 	}
 	gsn := s.gsn.Add(1)
 	for i, sh := range touched {
-		s.shards[sh].log.EnqueueReserved(tx, pts[i].LSN, gsn, encodeLaneRecord(gsn, pts, b.perShard[sh]))
-	}
-	if len(touched) == 1 {
-		// Single-shard commit: the lane's ordinary group-commit path —
-		// the record is queued and this commit returns; the lane's
-		// flusher owes the fsync.
-		s.shards[touched[0]].log.DeferFlush(tx)
-	} else {
-		logs := make([]*wal.Log, len(touched))
-		for i, sh := range touched {
-			logs[i] = s.shards[sh].log
-		}
-		wal.DeferFlushGroup(tx, logs)
+		s.shards[sh].log.EnqueueReserved(tx, pts[i].LSN, gsn, len(touched) > 1, encodeLaneRecord(gsn, pts, b.perShard[sh]))
 	}
 	return PackToken(touched[0], pts[0].LSN), nil
 }
@@ -731,8 +720,9 @@ func (s *Store) LastDurable(tx *stm.Tx) uint64 {
 // Checkpoint snapshots every shard into its lane's new recovery base
 // and prunes covered segments, one lane at a time. Returns the sum of
 // the covered LSNs. A lane checkpoint can never capture half of a
-// cross-shard batch: the batch's flush holds the lane's TxLock from
-// commit to its last fsync, and Checkpoint serializes on that lock.
+// cross-shard batch: wal.Log.Checkpoint fsyncs what it covers through
+// the frontier gate before it writes the file, so every sibling record
+// of a covered batch is already on disk.
 func (s *Store) Checkpoint() (uint64, error) {
 	if s.shards[0].log == nil {
 		return 0, errors.New("kv: checkpoint without a WAL")

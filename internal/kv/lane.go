@@ -36,8 +36,9 @@ type LanePoint struct {
 // format — on the wire and in ackfiles.
 //
 // Waiting on the token of a cross-shard commit suffices for the whole
-// batch: the cross-lane flush publishes no watermark (and therefore
-// satisfies no wait) until every touched lane's fsync has returned.
+// batch: the home lane publishes no watermark over a cross-shard record
+// (and therefore satisfies no wait) until every lane has fsynced
+// everything at or below its GSN — the frontier gate of package wal.
 
 const tokenLSNBits = 56
 

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -89,8 +90,8 @@ func TestDecodeLaneRecordSingleLane(t *testing.T) {
 }
 
 // TestShardedRoundTrip: a 4-lane store routes keys, commits cross-shard
-// batches through the multi-lock deferral, acks tokens, and recovers to
-// identical contents with the lane count adopted from the manifest.
+// batches, acks tokens, and recovers to identical contents with the lane
+// count adopted from the manifest.
 func TestShardedRoundTrip(t *testing.T) {
 	for _, mode := range []Mode{ModeGroup, ModeSync} {
 		t.Run(mode.String(), func(t *testing.T) {
@@ -475,11 +476,122 @@ func TestUpdateReturnsAtCommit(t *testing.T) {
 	s.WaitDurable(tok) // nothing else is appended: the flusher alone must get it there
 }
 
+// TestCrossShardUpdateReturnsAtCommit: a cross-shard Update is a commit
+// too. It returns while another owner holds one touched lane's TxLock,
+// and becomes durable once that owner lets go. (While a cross-shard
+// commit acquired every touched lane's lock, it blocked here.)
+func TestCrossShardUpdateReturnsAtCommit(t *testing.T) {
+	rt := stm.NewDefault()
+	s, _, err := Open(rt, wal.NewSimBackend(simio.NewFS(simio.Latency{})), Options{Mode: ModeGroup, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	lane1, me := s.Logs()[1], rt.NewOwner()
+	lane1.Lock().AcquireOutside(rt, me)
+	done := make(chan uint64, 1)
+	go func() {
+		tok, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+			b.Put(keyFor(s, 0, "cross"), "v")
+			b.Put(keyFor(s, 1, "cross"), "v")
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		done <- tok
+	}()
+	var tok uint64
+	select {
+	case tok = <-done:
+	case <-time.After(5 * time.Second):
+		_ = lane1.Lock().ReleaseOutside(rt, me)
+		t.Fatal("cross-shard Update blocked on a lane lock another owner holds")
+	}
+	if d := s.Logs()[0].DurableWatermark(); d >= TokenLSN(tok) {
+		t.Fatalf("home lane acked (watermark %d) while lane 1 could not flush", d)
+	}
+	if err := lane1.Lock().ReleaseOutside(rt, me); err != nil {
+		t.Fatal(err)
+	}
+	s.WaitDurable(tok)
+}
+
+// TestCrossShardStressNoDeadlock: 8 writers on 4 lanes commit random
+// 1–3-lane batches, each waiting for its own token, with a store
+// checkpoint every 50 commits. Lane flushers wait on each other at the
+// frontier gate; the run must finish (no cycle of waits) and recover to
+// what it committed, at GOMAXPROCS 1, 2 and 4.
+func TestCrossShardStressNoDeadlock(t *testing.T) {
+	const writers, perWriter = 8, 60
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		fs := simio.NewFS(simio.Latency{Fsync: 50 * time.Microsecond})
+		s, _ := openStore(t, fs, Options{Mode: ModeGroup, Shards: 4, WAL: wal.Options{SegmentBytes: 4 << 10}})
+		var commits atomic.Int64
+		errs := make(chan error, writers)
+		for w := 0; w < writers; w++ {
+			go func() {
+				r := rand.New(rand.NewPCG(uint64(procs), uint64(w)))
+				for i := 0; i < perWriter; i++ {
+					lanes := r.Perm(4)[:1+r.IntN(3)]
+					tok, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+						for _, lane := range lanes {
+							b.Put(keyFor(s, lane, fmt.Sprintf("w%d-%d", w, r.IntN(8))), fmt.Sprintf("%d", i))
+						}
+						return nil
+					})
+					if err == nil {
+						s.WaitDurable(tok)
+						if commits.Add(1)%50 == 0 {
+							_, err = s.Checkpoint()
+						}
+					}
+					if err != nil {
+						errs <- err
+						return
+					}
+				}
+				errs <- nil
+			}()
+		}
+		timeout := time.After(60 * time.Second)
+		for w := 0; w < writers; w++ {
+			select {
+			case err := <-errs:
+				if err != nil {
+					t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+				}
+			case <-timeout:
+				t.Fatalf("GOMAXPROCS %d: stuck after %d of %d commits", procs, commits.Load(), writers*perWriter)
+			}
+		}
+		want := dump(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s2, _ := openStore(t, fs, Options{})
+		got := dump(t, s2)
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("GOMAXPROCS %d: recovered %d keys, want %d", procs, len(got), len(want))
+		}
+		for k, v := range want {
+			if got[k] != v {
+				t.Fatalf("GOMAXPROCS %d: recovered %q = %q, want %q", procs, k, got[k], v)
+			}
+		}
+	}
+}
+
 // TestSaturatedLaneCrossShardAndCheckpoint: while single-shard Updates
-// keep one lane's flusher permanently busy, a cross-shard Update (which
-// must take that lane's lock together with another's) and a store
-// Checkpoint (which takes every lane's lock in turn) still complete, each
-// within a few of the busy lane's flushes.
+// keep one lane's flusher permanently busy, a cross-shard Update (whose
+// record on the busy lane must pass the frontier gate) becomes durable
+// and a store Checkpoint (which takes every lane's lock in turn)
+// completes, each within a few of the busy lane's flushes.
 func TestSaturatedLaneCrossShardAndCheckpoint(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
 	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), Options{Mode: ModeGroup, Shards: 2})

@@ -9,8 +9,8 @@ import (
 // The replica apply surface: a follower process replaying a primary's
 // WAL stream needs to decode shipped record payloads and apply them to
 // the matching lane of its own (WAL-less) store, atomically across
-// lanes for cross-shard batches — the replica-side mirror of the
-// multi-lane atomic deferral. The primary routes keys to lanes by hash
+// lanes for cross-shard batches, as the primary committed them. The
+// primary routes keys to lanes by hash
 // at commit time and the stream frames carry the lane, so replay never
 // re-routes: it applies each op list to exactly the lane it was logged
 // under.
@@ -30,8 +30,8 @@ func (s *Store) DecodeLaneRecord(payload []byte) (gsn uint64, pts []LanePoint, o
 // ApplyReplicated applies one shipped record's ops to lane inside the
 // caller's transaction. The caller supplies the transaction so a
 // cross-shard batch can apply all its lanes in ONE commit: partial
-// batches are never observable, matching what the primary's multi-lock
-// deferral guaranteed writers there.
+// batches are never observable, as on the primary, where a cross-shard
+// commit is one transaction.
 func (s *Store) ApplyReplicated(tx *stm.Tx, lane int, ops []Op) error {
 	if lane < 0 || lane >= len(s.shards) {
 		return fmt.Errorf("kv: apply to lane %d of a %d-lane store", lane, len(s.shards))

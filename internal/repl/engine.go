@@ -214,7 +214,7 @@ func (e *engine) fireProbes() {
 // base), or sitting at that lane's queue head — and then all its
 // still-pending lane records commit in ONE transaction: readers of the
 // replica can never observe half a batch, exactly as on the primary,
-// where the batch's lanes flushed under one multi-lock deferral.
+// where the batch committed in one transaction.
 //
 // The fixed-point loop terminates: every pass either applies a record
 // (finitely many are queued) or changes nothing. It cannot deadlock

@@ -69,7 +69,6 @@ type Replica struct {
 	store   *kv.Store
 	eng     *engine
 
-	ready    chan struct{} // closed once the store exists (first hello)
 	caughtUp chan struct{} // closed once every lane applied its horizon
 
 	reconnects   atomic.Uint64
@@ -85,7 +84,6 @@ func New(rt *stm.Runtime, opts Options) *Replica {
 		rt:       rt,
 		opts:     opts,
 		primary:  opts.Primary,
-		ready:    make(chan struct{}),
 		caughtUp: make(chan struct{}),
 	}
 	r.lag = opts.Registry.NewHistogram("deferstm_repl_lag_seconds",
@@ -131,22 +129,11 @@ func (r *Replica) setConn(c net.Conn) {
 }
 
 // Store returns the replica's store, nil before the first successful
-// handshake (WaitReady blocks for exactly that).
+// handshake.
 func (r *Replica) Store() *kv.Store {
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
 	return r.store
-}
-
-// WaitReady blocks until the store exists (lane count learned from the
-// first hello) or ctx ends.
-func (r *Replica) WaitReady(ctx context.Context) error {
-	select {
-	case <-r.ready:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
 }
 
 // WaitCaughtUp blocks until the replica has, at least once, applied
@@ -161,7 +148,8 @@ func (r *Replica) WaitCaughtUp(ctx context.Context) error {
 	}
 }
 
-// Cursors snapshots the per-lane applied LSNs (nil before ready).
+// Cursors snapshots the per-lane applied LSNs (nil before the first
+// hello).
 func (r *Replica) Cursors() []uint64 {
 	r.stateMu.Lock()
 	defer r.stateMu.Unlock()
@@ -328,7 +316,6 @@ func (r *Replica) ensureState(lanes int) (*engine, error) {
 	r.store = store
 	r.eng = newEngine(r.rt, store, lanes, r.lag)
 	r.registerLaneMetrics(lanes)
-	close(r.ready)
 	return r.eng, nil
 }
 

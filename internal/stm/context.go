@@ -26,34 +26,10 @@ func (rt *Runtime) AtomicCtx(ctx context.Context, fn func(tx *Tx) error) error {
 	return rt.run(ctx, 0, fn, false, false)
 }
 
-// AtomicAsCtx is AtomicCtx with an explicit lock-owner identity.
-func (rt *Runtime) AtomicAsCtx(ctx context.Context, owner OwnerID, fn func(tx *Tx) error) error {
-	return rt.run(ctx, owner, fn, false, false)
-}
-
 // AtomicSerialCtx is AtomicSerial with cancellation and deadline
 // support. The serial drain itself is not interruptible (it is bounded
 // by in-flight transactions finishing), but a Retry raised in serial
 // mode re-runs optimistically and honors ctx while parked.
 func (rt *Runtime) AtomicSerialCtx(ctx context.Context, fn func(tx *Tx) error) error {
 	return rt.run(ctx, 0, fn, true, false)
-}
-
-// AtomicSerialAsCtx is AtomicSerialCtx with an explicit lock-owner
-// identity.
-func (rt *Runtime) AtomicSerialAsCtx(ctx context.Context, owner OwnerID, fn func(tx *Tx) error) error {
-	return rt.run(ctx, owner, fn, true, false)
-}
-
-// SnapshotCtx is AtomicSnapshot with cancellation and deadline support:
-// a pinned snapshot read of any length whose fallback path (chain
-// overflow or Retry) honors ctx between attempts and while parked. The
-// snapshot execution itself is never interrupted mid-read.
-func (rt *Runtime) SnapshotCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return rt.run(ctx, 0, fn, false, true)
-}
-
-// SnapshotAsCtx is SnapshotCtx with an explicit lock-owner identity.
-func (rt *Runtime) SnapshotAsCtx(ctx context.Context, owner OwnerID, fn func(tx *Tx) error) error {
-	return rt.run(ctx, owner, fn, false, true)
 }

@@ -164,9 +164,3 @@ func (rt *Runtime) runSnapshot(tx *Tx, fn func(tx *Tx) error) (out txOutcome) {
 func (rt *Runtime) AtomicSnapshot(fn func(tx *Tx) error) error {
 	return rt.run(nil, 0, fn, false, true)
 }
-
-// AtomicSnapshotAs is AtomicSnapshot with an explicit lock-owner
-// identity (zero draws a fresh one).
-func (rt *Runtime) AtomicSnapshotAs(owner OwnerID, fn func(tx *Tx) error) error {
-	return rt.run(nil, owner, fn, false, true)
-}

@@ -144,11 +144,7 @@ func (l *Lock) ReleaseAs(tx *stm.Tx, me stm.OwnerID) error {
 // invalidates and aborts tx. Multiple transactions may subscribe
 // concurrently: subscription only reads.
 func (l *Lock) Subscribe(tx *stm.Tx) {
-	l.SubscribeAs(tx, tx.Owner())
-}
-
-// SubscribeAs is Subscribe with an explicit owner identity.
-func (l *Lock) SubscribeAs(tx *stm.Tx, me stm.OwnerID) {
+	me := tx.Owner()
 	cur := l.st.GetPtr(tx).ownerOrZero()
 	if cur != 0 && cur != me {
 		tx.Retry()

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,8 +86,9 @@ func saturate(rt *stm.Runtime, l *Log, window uint64, stop <-chan struct{}) {
 // waiting for durability, until stop is closed. Records arrive during
 // every fsync, so the queue is never empty when the flusher looks: the
 // flusher never goes idle and the log lock is never free for longer than
-// the flusher takes to come back for it.
-func openLoop(rt *stm.Runtime, l *Log, stop <-chan struct{}) {
+// the flusher takes to come back for it. Each record draws its GSN from
+// gsn after reserving its LSN, as a store's commits do.
+func openLoop(rt *stm.Runtime, l *Log, gsn *atomic.Uint64, stop <-chan struct{}) {
 	for {
 		select {
 		case <-stop:
@@ -94,7 +96,7 @@ func openLoop(rt *stm.Runtime, l *Log, stop <-chan struct{}) {
 		default:
 		}
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			l.Append(tx, []byte("open-loop-record"))
+			l.EnqueueReserved(tx, l.Reserve(tx), gsn.Add(1), false, []byte("open-loop-record"))
 			return nil
 		})
 		for t0 := time.Now(); time.Since(t0) < 20*time.Microsecond; {
@@ -241,9 +243,11 @@ func TestAtMostOneFlusher(t *testing.T) {
 
 // TestSaturatedLaneDoesNotStarveTheLock (invariant 4): while an open-loop
 // appender keeps the lane's queue non-empty — so the flusher never goes
-// idle — a LastDurable subscriber, a Checkpoint and a cross-lane flush
-// each get the log lock after waiting out, typically, one flush of the
-// saturated lane. TxLocks have no queue (acquisition is a transactional
+// idle — a LastDurable subscriber and a Checkpoint each get the log lock
+// after waiting out, typically, one flush of the saturated lane, and a
+// cross-lane commit with an idle lane is durable on both lanes just as
+// soon: its records pass the frontier gate although the busy lane never
+// stops receiving records. TxLocks have no queue (acquisition is a transactional
 // write that wins or retries), so the guarantee is the paper's: the lock
 // is actually free between flushes and the flusher lets the owners its
 // release woke run before it competes again. A flusher that held the
@@ -261,10 +265,12 @@ func TestSaturatedLaneDoesNotStarveTheLock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	JoinLanes([]*Log{busy, idle})
+	var gsn atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { defer wg.Done(); openLoop(rt, busy, stop) }()
+	go func() { defer wg.Done(); openLoop(rt, busy, &gsn, stop) }()
 	defer func() {
 		close(stop)
 		wg.Wait()
@@ -281,8 +287,7 @@ func TestSaturatedLaneDoesNotStarveTheLock(t *testing.T) {
 	}
 
 	// waited runs fn and returns how many flushes the saturated lane
-	// completed meanwhile (a Checkpoint's or cross-lane flush's own drain
-	// counts as one).
+	// completed meanwhile (a Checkpoint's own drain counts as one).
 	waited := func(what string, fn func()) uint64 {
 		t.Helper()
 		before := busy.BatchStats().Flushes
@@ -307,18 +312,17 @@ func TestSaturatedLaneDoesNotStarveTheLock(t *testing.T) {
 				t.Error(err)
 			}
 		}))
-		waits["cross-lane flush"] = append(waits["cross-lane flush"], waited("cross-lane flush", func() {
+		waits["cross-lane commit"] = append(waits["cross-lane commit"], waited("cross-lane commit", func() {
 			var a, b uint64
 			_ = rt.Atomic(func(tx *stm.Tx) error {
 				a, b = busy.Reserve(tx), idle.Reserve(tx)
-				busy.EnqueueReserved(tx, a, 0, []byte("cross-a"))
-				idle.EnqueueReserved(tx, b, 0, []byte("cross-b"))
-				DeferFlushGroup(tx, []*Log{busy, idle})
+				g := gsn.Add(1)
+				busy.EnqueueReserved(tx, a, g, true, []byte("cross-a"))
+				idle.EnqueueReserved(tx, b, g, true, []byte("cross-b"))
 				return nil
 			})
-			if busy.DurableWatermark() < a || idle.DurableWatermark() < b {
-				t.Errorf("cross-lane flush returned before its records were durable")
-			}
+			busy.WaitDurable(a)
+			idle.WaitDurable(b)
 		}))
 	}
 	for what, w := range waits {
@@ -378,10 +382,8 @@ func TestOneWritePerBatch(t *testing.T) {
 	const n = 64 // 64 × 116 B ≈ 7.3 KiB: the batch spans two segments
 	_ = rt.Atomic(func(tx *stm.Tx) error {
 		for i := 0; i < n; i++ {
-			lsn := l.Reserve(tx)
-			l.EnqueueReserved(tx, lsn, 0, payload)
+			l.EnqueueReserved(tx, l.Reserve(tx), 0, false, payload)
 		}
-		l.DeferFlush(tx)
 		return nil
 	})
 	l.WaitDurable(n)

@@ -1,6 +1,7 @@
 // Lane plumbing for sharded stores: several Logs share one Backend
 // (and therefore one crash domain — a simio crash plan's fsync counter
-// spans every lane) by namespacing their files with a per-lane prefix.
+// spans every lane) by namespacing their files with a per-lane prefix,
+// and JoinLanes (wal.go) ties their flushes to one GSN frontier.
 // The KV store's recovery additionally needs to drop a suffix of a lane
 // when a cross-shard batch turns out to be incomplete on a sibling
 // lane; TruncateTail performs that surgical cut on storage.
@@ -65,11 +66,11 @@ func (p prefixBackend) Names() ([]string, error) {
 //
 // The KV store uses this for presumed-abort of cross-shard batches: a
 // batch whose record is missing from a sibling lane was never fully
-// durable — and, because the flushing deferral holds every touched
-// lane's lock and publishes no watermark until all lanes are fsynced,
-// it was never acked either — so dropping its records (and the lane's
-// tail after them, which likewise cannot have been acked) restores a
-// consistent per-lane prefix.
+// durable — and, because a flush covering a multi-lane record publishes
+// no watermark until the frontier passes it (drainAndFlush), neither it
+// nor anything after it on the lane was ever acked — so dropping its
+// records and the lane's tail after them restores a consistent
+// per-lane prefix.
 func TruncateTail(b Backend, rec *Recovery, cut uint64) error {
 	if cut == 0 || cut <= rec.CheckpointLSN {
 		return fmt.Errorf("wal: truncate tail at %d would cut into checkpoint %d", cut, rec.CheckpointLSN)

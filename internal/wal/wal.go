@@ -39,9 +39,15 @@
 //     on nextLSN) = on-disk order (drains hold the lock).
 //  4. The lock is held per fsync, not per busy period: the flusher
 //     re-acquires it for every batch and yields the processor after every
-//     release, so LastDurable subscribers, cross-lane flushes
-//     (DeferFlushGroup), Checkpoint and Flush get their turn on a
-//     saturated lane — and whichever of them drains, drains this queue.
+//     release, so LastDurable subscribers, Checkpoint and Flush get their
+//     turn on a saturated lane — and whichever of them drains, drains
+//     this queue through the same drainAndFlush.
+//
+// Lanes of one store (JoinLanes) flush independently, and a commit
+// spanning several enqueues one record on each. One gate keeps it
+// all-or-nothing across a crash: a batch holding a multi-lane record
+// with GSN g publishes its watermark only once every lane has fsynced
+// all of its records with GSN ≤ g (awaitFrontier).
 //
 // Records carry CRC-32C and their LSN (record.go); recovery (Open)
 // replays segments in order, verifies every record, truncates a torn
@@ -115,10 +121,15 @@ type Recovery struct {
 // newest first; drains reverse it).
 type pnode struct {
 	lsn     uint64
+	gsn     uint64 // global commit sequence number; 0 on a lone log
+	cross   bool   // one of several records of a multi-lane commit
 	payload []byte
 	born    time.Time // enqueue time; zero unless metrics are attached
 	next    *pnode
 }
+
+// syncPoint is the last record a lane has fsynced: its LSN and GSN.
+type syncPoint struct{ lsn, gsn uint64 }
 
 type segMeta struct {
 	name  string
@@ -152,10 +163,13 @@ type Log struct {
 	b    Backend
 	opts Options
 
-	nextLSN  stm.Var[uint64] // next LSN to reserve
-	pending  stm.Var[*pnode] // committed-but-unflushed records
-	flushing stm.Var[bool]   // the lane's flusher goroutine is live
-	durable  stm.Var[uint64] // published watermark; writes hold the log lock
+	nextLSN  stm.Var[uint64]    // next LSN to reserve
+	pending  stm.Var[*pnode]    // committed-but-unflushed records
+	flushing stm.Var[bool]      // the lane's flusher goroutine is live
+	durable  stm.Var[uint64]    // published watermark; writes hold the log lock
+	synced   stm.Var[syncPoint] // last fsynced record; writes hold the log lock
+
+	lanes []*Log // the store's lane set (JoinLanes); nil for a lone log
 
 	// File state. Mutators hold the log's TxLock; fmu makes the
 	// happens-before explicit for the race detector and for Close.
@@ -278,6 +292,7 @@ func Open(rt *stm.Runtime, b Backend, opts Options) (*Log, *Recovery, error) {
 	l := &Log{rt: rt, b: b, opts: opts, segs: segs}
 	l.nextLSN.Init(rec.LastLSN + 1)
 	l.durable.Init(rec.LastLSN)
+	l.synced.Init(syncPoint{lsn: rec.LastLSN})
 	l.lastCkpt.Store(rec.CheckpointLSN)
 	if len(segs) == 0 {
 		l.segs = []segMeta{{name: segName(rec.LastLSN + 1), start: rec.LastLSN + 1}}
@@ -310,12 +325,11 @@ func (l *Log) Runtime() *stm.Runtime { return l.rt }
 // blocks for exactly that; the returned LSN is the handle).
 //
 // Append never waits for I/O: the lane's flusher goroutine (started by
-// DeferFlush when none is live) writes and fsyncs the record, together
+// deferFlush when none is live) writes and fsyncs the record, together
 // with everything else committed since the previous fsync began.
 func (l *Log) Append(tx *stm.Tx, payload []byte) uint64 {
 	lsn := l.Reserve(tx)
-	l.EnqueueReserved(tx, lsn, 0, payload)
-	l.DeferFlush(tx)
+	l.EnqueueReserved(tx, lsn, 0, false, payload)
 	return lsn
 }
 
@@ -336,14 +350,16 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 	return lsn
 }
 
-// EnqueueReserved enqueues payload under a previously Reserved lsn and
-// records the append event (gsn, the global commit sequence number of a
-// multi-lane store, rides Event.Aux2; pass 0 on a single-lane log). It
-// does not schedule a flush — follow with DeferFlush or DeferFlushGroup
-// in the same tx.
-func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, payload []byte) {
+// EnqueueReserved enqueues payload under a previously Reserved lsn,
+// records the append event and makes sure the lane's flusher will write
+// it. gsn is the global commit sequence number of a multi-lane store
+// (it rides Event.Aux2; pass 0 on a lone log); on joined lanes every
+// record carries one, and per lane GSN must rise with LSN. cross marks
+// one of several records of the same commit: the flush covering it
+// waits for the frontier (awaitFrontier) before it publishes.
+func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, cross bool, payload []byte) {
 	cp := append([]byte(nil), payload...)
-	node := &pnode{lsn: lsn, payload: cp, next: l.pending.Get(tx)}
+	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, payload: cp, next: l.pending.Get(tx)}
 	if l.rt.Metrics() != nil {
 		// Stamp the enqueue so the covering flush can observe the
 		// append→durable lag. Re-executions of an aborted tx restamp.
@@ -353,14 +369,15 @@ func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, payload []byte) {
 	if l.rt.Recording() {
 		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALAppend, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn, Aux2: gsn})
 	}
+	l.deferFlush(tx)
 }
 
-// DeferFlush makes sure a flusher will pick up the record tx enqueued:
+// deferFlush makes sure a flusher will pick up the record tx enqueued:
 // if none is live in tx's snapshot, tx raises the flushing flag and
 // starts one after it commits. The flag is transactional, so the raise
 // serializes against the flusher's "queue empty → clear the flag" exit
 // (see flusher) and a committed record is never left without one.
-func (l *Log) DeferFlush(tx *stm.Tx) {
+func (l *Log) deferFlush(tx *stm.Tx) {
 	if l.flushing.Get(tx) {
 		return
 	}
@@ -392,37 +409,12 @@ func (l *Log) flusher() {
 			return
 		}
 		// The release just woke whoever was parked on the lock
-		// (subscribers, a cross-lane commit, a checkpoint). Let them run
-		// before competing for it again: the records that arrived during
-		// the fsync are already queued, so without this the loop would
+		// (subscribers, a checkpoint, Flush). Let them run before
+		// competing for it again: the records that arrived during the
+		// fsync are already queued, so without this the loop would
 		// re-acquire within a microsecond, every time.
 		runtime.Gosched()
 	}
-}
-
-// DeferFlushGroup schedules ONE atomic deferral that acquires every
-// log's TxLock at tx's commit — logs must be in canonical (ascending
-// lane) order, so concurrent cross-shard commits cannot deadlock even
-// in the waiting-outside-transactions sense — and flushes them together
-// via FlushGroup. This is the cross-shard commit of a sharded store:
-// the paper's 2PL argument is indifferent to how many locks the
-// deferral protects, because all acquisitions happen atomically at one
-// commit and the deferred operation releases them only when it ends.
-//
-// Unlike DeferFlush the committing goroutine runs the flush itself: a
-// lane whose lock is held by an in-flight flush makes the committing
-// transaction wait (via retry) until that flush releases it. Holding ALL
-// touched locks from commit to the last fsync is what makes the
-// cross-shard batch atomic with respect to both observers and
-// checkpoints.
-func DeferFlushGroup(tx *stm.Tx, logs []*Log) {
-	objs := make([]core.Object, len(logs))
-	for i, l := range logs {
-		objs[i] = l
-	}
-	core.AtomicDefer(tx, func(ctx *core.OpCtx) {
-		FlushGroup(ctx, logs)
-	}, objs...)
 }
 
 // AppendSync appends and fsyncs payload immediately, inside a serial
@@ -519,12 +511,14 @@ func (l *Log) Flush() {
 }
 
 // drainAndFlush drains the batch queue, appends the records in LSN order,
-// fsyncs once, and publishes the new watermark. The caller must hold the
-// log's TxLock (via AtomicDefer or AcquireOutside) under ctx.Owner().
-// An unwritable backend is fatal: the log cannot lose a record it
-// promised to flush, so a persistent write error panics — on the
-// flusher goroutine for single-lane commits, so it takes the process
-// down rather than unwinding into some unlucky committer.
+// fsyncs once, publishes synced, waits for the frontier if the batch
+// holds a multi-lane record, and publishes the new watermark. It is the
+// only flush path: the flusher, Flush and Checkpoint all come here. The
+// caller must hold the log's TxLock (via AtomicDefer or AcquireOutside)
+// under ctx.Owner(). An unwritable backend is fatal: the log cannot lose
+// a record it promised to flush, so a persistent write error panics —
+// on the flusher goroutine, so it takes the process down rather than
+// unwinding into some unlucky committer.
 func (l *Log) drainAndFlush(ctx *core.OpCtx) {
 	head, batch := l.drain(ctx)
 	if head == nil {
@@ -537,69 +531,44 @@ func (l *Log) drainAndFlush(ctx *core.OpCtx) {
 	if err := l.flushBatch(batch); err != nil {
 		panic(fmt.Sprintf("wal: flush failed, log would lose committed records: %v", err))
 	}
-	l.publish(ctx, head, batch, flushStart)
-}
-
-// FlushGroup flushes several logs whose TxLocks the caller's deferral
-// already holds (see DeferFlushGroup): it drains every queue, runs the
-// write+fsync of each lane CONCURRENTLY — parallel lane fsyncs are the
-// point of sharding the log — and publishes the watermarks only after
-// every lane's fsync returned. The publish barrier is what recovery's
-// atomicity argument leans on: no observer can be acked (acks wait on a
-// watermark) for any record of this round until the whole cross-lane
-// round is on stable storage, so a crash between lane fsyncs can only
-// lose records that were never promised.
-func FlushGroup(ctx *core.OpCtx, logs []*Log) {
-	heads := make([]*pnode, len(logs))
-	batches := make([][]Record, len(logs))
-	work := 0
-	for i, l := range logs {
-		heads[i], batches[i] = l.drain(ctx)
-		if heads[i] != nil {
-			work++
-		}
-	}
-	if work == 0 {
-		return
-	}
-	var flushStart time.Time
-	for _, l := range logs {
-		if l.rt.Metrics() != nil {
-			flushStart = time.Now()
+	// synced goes out before any wait: a lane that is waiting has
+	// already told the others how far it got (see awaitFrontier).
+	core.Store(ctx, &l.synced, syncPoint{lsn: head.lsn, gsn: head.gsn})
+	for p := head; p != nil; p = p.next {
+		if p.cross { // the newest multi-lane record has the batch's highest such GSN
+			l.awaitFrontier(ctx, p.gsn)
 			break
 		}
 	}
-	errs := make([]error, len(logs))
-	if work == 1 {
-		for i, l := range logs {
-			if heads[i] != nil {
-				errs[i] = l.flushBatch(batches[i])
+	l.publish(ctx, head, batch, flushStart)
+}
+
+// JoinLanes makes logs the lanes of one store, so that a flush covering
+// a multi-lane record waits for the frontier across all of them. Call
+// it once, before the first append; a log never joined never waits.
+func JoinLanes(logs []*Log) {
+	for _, l := range logs {
+		l.lanes = logs
+	}
+}
+
+// awaitFrontier blocks, in one retry transaction, until the frontier
+// reaches g: every lane has fsynced all of its records with GSN ≤ g. A
+// lane with a committed record past its synced point holds the frontier
+// at synced.gsn (per lane GSN rises with LSN); a lane with none does
+// not. No chain of these waits closes into a cycle: every drainer
+// publishes synced before it waits, so a lane waited on has
+// synced.gsn < g, and its own wait is for at most its synced.gsn — GSN
+// falls strictly along the chain (DESIGN.md §12).
+func (l *Log) awaitFrontier(ctx *core.OpCtx, g uint64) {
+	_ = ctx.Atomic(func(tx *stm.Tx) error {
+		for _, o := range l.lanes {
+			if s := o.synced.Get(tx); s.gsn < g && o.nextLSN.Get(tx)-1 > s.lsn {
+				tx.Retry()
 			}
 		}
-	} else {
-		var wg sync.WaitGroup
-		for i, l := range logs {
-			if heads[i] == nil {
-				continue
-			}
-			wg.Add(1)
-			go func(i int, l *Log) {
-				defer wg.Done()
-				errs[i] = l.flushBatch(batches[i])
-			}(i, l)
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			panic(fmt.Sprintf("wal: cross-lane flush failed, log would lose committed records: %v", err))
-		}
-	}
-	for i, l := range logs {
-		if heads[i] != nil {
-			l.publish(ctx, heads[i], batches[i], flushStart)
-		}
-	}
+		return nil
+	})
 }
 
 // drain empties the batch queue within a small transaction and returns
@@ -797,15 +766,17 @@ func (l *Log) BatchStats() BatchStats {
 //
 // The checkpoint holds the log lock throughout, so it excludes flushes —
 // and, like a flush, transactions reading durability state wait behind
-// it. Pruning happens only after the checkpoint record is fsynced, so a
-// crash at any point leaves either the old or the new recovery base
-// intact, never neither.
+// it. After the snapshot it drains and fsyncs the queue through the
+// frontier gate, so every record the checkpoint covers is on disk and
+// past the frontier before the checkpoint file exists: a checkpoint never
+// holds half of a multi-lane commit. Pruning happens only after the
+// checkpoint record is fsynced, so a crash at any point leaves either
+// the old or the new recovery base intact, never neither.
 func (l *Log) Checkpoint(snap func(tx *stm.Tx) (blob []byte, upTo uint64, err error)) (uint64, error) {
 	me := l.rt.NewOwner()
 	l.Lock().AcquireOutside(l.rt, me)
 	defer func() { _ = l.Lock().ReleaseOutside(l.rt, me) }()
 	ctx := core.NewOpCtx(l.rt, me)
-	l.drainAndFlush(ctx) // bound the queue before snapshotting
 
 	var blob []byte
 	var upTo uint64
@@ -817,6 +788,7 @@ func (l *Log) Checkpoint(snap func(tx *stm.Tx) (blob []byte, upTo uint64, err er
 	if err != nil {
 		return 0, err
 	}
+	l.drainAndFlush(ctx)
 
 	// Re-checkpointing an already-covered upTo would Create() the same
 	// file name and truncate the only durable recovery base in place: a

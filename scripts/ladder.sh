@@ -13,8 +13,8 @@
 # ds) interleave differently on one core and on two; the durability path
 # (wal appender/flusher hand-off, sharded kv, pipelined server,
 # replication stream) is scheduling-sensitive end to end — the flusher's
-# exit races appends, its lock hand-off races checkpoints and cross-lane
-# commits. The recorder and the checker (history, check) judge all of the
+# exit races appends, its lock hand-off races checkpoints, and cross-lane
+# commits make lane flushers wait on each other. The recorder and the checker (history, check) judge all of the
 # above, so they run at the same widths: their tests record from several
 # goroutines, and a checker that is only right on one core proves nothing
 # about two.
