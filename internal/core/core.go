@@ -23,11 +23,16 @@
 // needed by a deferred operation is acquired before the transaction's
 // conceptual global lock is released at commit, so there is a pure
 // acquire phase followed by a pure release phase.
+//
+// A deferral's record is recycled once its operation has run, so the
+// *OpCtx an operation receives must not be used after the operation
+// returns (see OpCtx).
 package core
 
 import (
 	"context"
 	"runtime/pprof"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -85,7 +90,12 @@ func (d *Deferrable) Locked() bool { return d.lock.OwnerSnapshot() != 0 }
 // can run follow-up transactions that reenter those locks.
 type Op func(ctx *OpCtx)
 
-// OpCtx is the execution context of a deferred operation.
+// OpCtx is the execution context of a deferred operation. The *OpCtx an
+// operation receives is valid only until the operation returns: it lives
+// in the deferral's record, which is reused by a later deferral. Code that
+// outlives the operation (a goroutine it starts) takes what it needs from
+// ctx first, e.g. ctx.Runtime(). A context from NewOpCtx is the caller's
+// and has no such limit.
 type OpCtx struct {
 	rt    *stm.Runtime
 	owner stm.OwnerID
@@ -195,19 +205,29 @@ func AtomicDeferTry(tx *stm.Tx, op Op, objs ...Object) bool {
 }
 
 // deferred is one deferred operation: everything its post-commit run needs,
-// in one allocation. locks starts out backed by inline, which holds the
-// usual one or two objects without a second.
+// in one object. locks starts out backed by inline, which holds the usual
+// one or two objects without a second. A committed deferral's object goes
+// back to deferredPool once it has run; an aborted attempt's is dropped.
 type deferred struct {
 	ctx    OpCtx
 	op     Op
 	opID   uint64 // nonzero while a recorder is attached
 	locks  []*txlock.Lock
 	inline [2]*txlock.Lock
+	runFn  func() // d.run, bound once per object
 }
 
+var deferredPool sync.Pool
+
 func newDeferred(tx *stm.Tx, op Op) *deferred {
-	d := &deferred{ctx: OpCtx{rt: tx.Runtime(), owner: tx.Owner()}, op: op}
-	d.locks = d.inline[:0]
+	d, _ := deferredPool.Get().(*deferred)
+	if d == nil {
+		d = &deferred{}
+		d.locks = d.inline[:0]
+		d.runFn = d.run
+	}
+	d.ctx = OpCtx{rt: tx.Runtime(), owner: tx.Owner()}
+	d.op = op
 	return d
 }
 
@@ -222,11 +242,12 @@ func (d *deferred) enqueue(tx *stm.Tx) {
 			tx.RecordOnCommit(stm.Event{Kind: stm.EvDeferLock, Owner: me, Aux: d.opID, Var: l.VarID()})
 		}
 	}
-	tx.AfterCommit(d.run)
+	tx.AfterCommit(d.runFn)
 }
 
 // run is the post-commit hook: the operation, holding d.locks, then their
-// release.
+// release. Then d is recycled, which is why an OpCtx must not outlive its
+// operation.
 func (d *deferred) run() {
 	rt, me := d.ctx.rt, d.ctx.owner
 	if d.opID != 0 {
@@ -252,6 +273,9 @@ func (d *deferred) run() {
 		if d.opID != 0 {
 			rt.RecordEvent(stm.Event{Kind: stm.EvDeferEnd, Owner: me, Aux: d.opID})
 		}
+		clear(d.locks)
+		d.ctx, d.op, d.opID, d.locks = OpCtx{}, nil, 0, d.locks[:0]
+		deferredPool.Put(d)
 	}()
 	if met != nil {
 		pprof.Do(context.Background(), pprofLabels, func(context.Context) { d.op(&d.ctx) })

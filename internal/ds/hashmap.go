@@ -341,6 +341,8 @@ func (m *HashMap[K, V]) beginResize(ctx *core.OpCtx) {
 	}
 	nt := &hmTable[K, V]{buckets: make([]stm.Var[mapNode[K, V]], m.fitLen(ctx, 2*len(t.buckets))), old: t.buckets}
 	if m.migrateChunk(ctx, nt) {
+		// The migrator gets the runtime, not ctx: ctx is valid only until
+		// this operation returns (core.OpCtx).
 		go m.migrateLoop(ctx.Runtime())
 	}
 }

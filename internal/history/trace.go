@@ -20,14 +20,17 @@ import (
 //
 // The span model follows the paper's timeline: each transaction attempt
 // is one "tx" span (begin → commit/abort), a committer's privatization
-// wait is a nested "quiesce" span, and every deferred operation is a
-// "defer" span linked to its deferring transaction through the
-// defer-enqueue event's operation ID. A transaction and its deferred
-// tail form one chain, and chains are packed onto tracks by greedy
-// interval partitioning, so concurrent chains land on distinct tracks —
-// the rendered picture is one lane per concurrently-executing goroutine,
-// which is how a stuck deferred λ or an over-long quiesce shows up as an
-// obvious long bar.
+// wait is a nested "quiesce" span, a Retry that parks is a "park" span
+// after its aborted attempt (first watcher registration → wake, with the
+// wake cause and the number of Vars watched), and every deferred
+// operation is a "defer" span linked to its deferring transaction
+// through the defer-enqueue event's operation ID. A transaction and its
+// deferred tail or park form one chain, and chains are packed onto
+// tracks by greedy interval partitioning, so concurrent chains land on
+// distinct tracks — the rendered picture is one lane per
+// concurrently-executing goroutine, which is how a stuck deferred λ, an
+// over-long quiesce or a waiter nobody wakes shows up as an obvious long
+// bar.
 type TraceWriter struct {
 	mu    sync.Mutex
 	start time.Time
@@ -89,7 +92,7 @@ type traceSpan struct {
 }
 
 // traceChain is one transaction attempt plus everything causally tied to
-// it (its quiesce, its deferred operations). Chains are the unit of
+// it (its quiesce, its deferred operations, its park). Chains are the unit of
 // track assignment.
 type traceChain struct {
 	spans      []traceSpan
@@ -103,6 +106,19 @@ func (c *traceChain) add(s traceSpan) {
 	}
 	if s.start < c.start {
 		c.start = s.start
+	}
+}
+
+func wakeCauseName(aux uint64) string {
+	switch aux {
+	case stm.AuxWakeCommit:
+		return "commit"
+	case stm.AuxWakeImmediate:
+		return "immediate"
+	case stm.AuxWakeCancel:
+		return "cancel"
+	default:
+		return "unknown"
 	}
 }
 
@@ -141,6 +157,8 @@ func (t *TraceWriter) WriteJSON(w io.Writer) error {
 	quiesceBegin := map[uint64]int64{}  // TxID → quiesce start
 	opStart := map[uint64]int64{}       // op ID → λ start
 	opOwner := map[uint64]stm.OwnerID{} // op ID → deferring owner
+	parkBegin := map[uint64]int64{}     // TxID → first watcher registration
+	parkVars := map[uint64]int{}        // TxID → vars registered on
 	var chains []*traceChain
 
 	for _, te := range evs {
@@ -181,6 +199,21 @@ func (t *TraceWriter) WriteJSON(w io.Writer) error {
 			}
 			c.add(traceSpan{name: "quiesce", cat: "quiesce", start: b, end: at,
 				args: map[string]any{"txID": ev.TxID, "ver": ev.Ver}})
+		case stm.EvWatchRegister:
+			if _, ok := parkBegin[ev.TxID]; !ok {
+				parkBegin[ev.TxID] = at
+			}
+			parkVars[ev.TxID]++
+		case stm.EvWake:
+			c := txChain[ev.TxID]
+			b, ok := parkBegin[ev.TxID]
+			if c == nil || !ok {
+				continue
+			}
+			delete(parkBegin, ev.TxID)
+			cause := wakeCauseName(ev.Aux)
+			c.add(traceSpan{name: "park (" + cause + ")", cat: "park", start: b, end: at,
+				args: map[string]any{"txID": ev.TxID, "cause": cause, "vars": parkVars[ev.TxID]}})
 		case stm.EvDeferEnqueue:
 			opOwner[ev.Aux] = ev.Owner
 			if c := txChain[ev.TxID]; c != nil {
@@ -215,12 +248,20 @@ func (t *TraceWriter) WriteJSON(w io.Writer) error {
 	}
 
 	// Close chains whose attempt never ended (still running at export):
-	// synthesize the open span so the work is visible.
+	// synthesize the open span so the work is visible. A session still
+	// parked at export is drawn up to the last event: a stuck waiter is
+	// exactly what the trace must show.
 	for txID, b := range txBegin {
 		c := txChain[txID]
 		if c != nil && len(c.spans) == 0 {
 			c.add(traceSpan{name: "tx (unfinished)", cat: "tx", start: b, end: c.end,
 				args: map[string]any{"txID": txID}})
+		}
+	}
+	for txID, b := range parkBegin {
+		if c := txChain[txID]; c != nil {
+			c.add(traceSpan{name: "park (unfinished)", cat: "park", start: b, end: evs[len(evs)-1].at,
+				args: map[string]any{"txID": txID, "vars": parkVars[txID]}})
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+	"time"
 
 	"deferstm/internal/core"
 	"deferstm/internal/stm"
@@ -151,6 +152,34 @@ func TestRecorderEventOrdering(t *testing.T) {
 	}
 }
 
+// exportedEvent is one entry of an exported trace, as a viewer reads it.
+type exportedEvent struct {
+	Name string         `json:"name"`
+	Cat  string         `json:"cat"`
+	Ph   string         `json:"ph"`
+	Ts   float64        `json:"ts"`
+	Dur  float64        `json:"dur"`
+	Pid  int            `json:"pid"`
+	Tid  int            `json:"tid"`
+	Args map[string]any `json:"args"`
+}
+
+// exportTrace renders tw's events and parses them back.
+func exportTrace(t *testing.T, tw *TraceWriter) []exportedEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tw.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []exportedEvent `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("exported trace is not valid JSON: %v", err)
+	}
+	return doc.TraceEvents
+}
+
 // TestTraceWriterJSON drives the same workload through a TraceWriter
 // (teed into a Log to prove the chain works) and checks the exported
 // document is valid Chrome trace JSON with the expected span kinds.
@@ -166,28 +195,9 @@ func TestTraceWriterJSON(t *testing.T) {
 		t.Fatalf("tee dropped events: trace=%d log=%d", tw.Len(), log.Len())
 	}
 
-	var buf bytes.Buffer
-	if err := tw.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string         `json:"name"`
-			Cat  string         `json:"cat"`
-			Ph   string         `json:"ph"`
-			Ts   float64        `json:"ts"`
-			Dur  float64        `json:"dur"`
-			Pid  int            `json:"pid"`
-			Tid  int            `json:"tid"`
-			Args map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("exported trace is not valid JSON: %v", err)
-	}
 	cats := map[string]int{}
 	maxTid := 0
-	for _, ev := range doc.TraceEvents {
+	for _, ev := range exportTrace(t, tw) {
 		cats[ev.Cat]++
 		if ev.Ph == "X" && ev.Dur < 0 {
 			t.Errorf("span %q has negative duration %g", ev.Name, ev.Dur)
@@ -209,5 +219,75 @@ func TestTraceWriterJSON(t *testing.T) {
 	}
 	if maxTid < 2 {
 		t.Errorf("concurrent chains packed onto %d track(s), want >= 2", maxTid)
+	}
+}
+
+// TestTraceWriterParkSpan: a Retry that parks is one park span on its
+// aborted attempt's track, from its first watcher registration to its
+// wake, naming the wake cause and how many Vars it watched. A waiter still
+// parked at export is drawn unfinished.
+func TestTraceWriterParkSpan(t *testing.T) {
+	tw := NewTraceWriter()
+	rt := stm.New(stm.Config{Recorder: tw})
+	a, b := stm.NewVar(0), stm.NewVar(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = rt.Atomic(func(tx *stm.Tx) error {
+			if a.Get(tx)+b.Get(tx) == 0 {
+				tx.Retry()
+			}
+			return nil
+		})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.RetryParked() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the reader never parked")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	parks := func() []exportedEvent {
+		var out []exportedEvent
+		for _, ev := range exportTrace(t, tw) {
+			if ev.Cat == "park" {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	if p := parks(); len(p) != 1 || p[0].Name != "park (unfinished)" || p[0].Args["vars"] != 2.0 {
+		t.Fatalf("while parked: park spans %+v, want one unfinished span over 2 vars", p)
+	}
+
+	if err := rt.Atomic(func(tx *stm.Tx) error { b.Set(tx, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	evs := exportTrace(t, tw)
+	var park, abort *exportedEvent
+	for i := range evs {
+		switch ev := &evs[i]; {
+		case ev.Cat == "park":
+			if park != nil {
+				t.Fatalf("two park spans: %+v and %+v", *park, *ev)
+			}
+			park = ev
+		case ev.Name == "tx abort (retry)":
+			abort = ev
+		}
+	}
+	if park == nil || abort == nil {
+		t.Fatalf("park span %v, retry-abort span %v; want both", park, abort)
+	}
+	if park.Name != "park (commit)" || park.Args["cause"] != "commit" || park.Args["vars"] != 2.0 {
+		t.Errorf("park span %q args %v, want \"park (commit)\" with cause commit over 2 vars", park.Name, park.Args)
+	}
+	if park.Args["txID"] != abort.Args["txID"] || park.Tid != abort.Tid {
+		t.Errorf("park span (tx %v, track %d) is not on its aborted attempt's chain (tx %v, track %d)",
+			park.Args["txID"], park.Tid, abort.Args["txID"], abort.Tid)
+	}
+	if park.Ts < abort.Ts+abort.Dur || park.Dur <= 0 {
+		t.Errorf("park span [%g, +%g] does not follow the abort ending at %g", park.Ts, park.Dur, abort.Ts+abort.Dur)
 	}
 }

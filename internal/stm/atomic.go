@@ -283,7 +283,7 @@ func (rt *Runtime) runOptimistic(tx *Tx, fn func(tx *Tx) error) (out txOutcome) 
 			if rt.rec != nil {
 				rt.recEvent(Event{Kind: EvQuiesceStart, TxID: tx.id, Owner: tx.owner, Ver: wv})
 			}
-			rt.quiesce(wv, -1)
+			rt.quiesce(wv)
 			if rt.rec != nil {
 				rt.recEvent(Event{Kind: EvQuiesceEnd, TxID: tx.id, Owner: tx.owner, Ver: wv})
 			}
@@ -347,7 +347,7 @@ func (rt *Runtime) publishAndUnlock(ws []writeEntry, wv uint64, tx *Tx, aux uint
 	var truncated uint64
 	for i := range ws {
 		e := &ws[i]
-		if dropped := e.v.publish(e.pending, wv, horizon, rt.cfg.SnapshotChainDepth); dropped > 0 {
+		if dropped := e.v.publish(e.pending, wv, horizon, rt.snapDepth); dropped > 0 {
 			truncated += uint64(dropped)
 			rt.recEvent(Event{Kind: EvSnapTruncate, TxID: id, Owner: owner,
 				Var: e.m.idLoad(), Ver: horizon, Aux: uint64(dropped)})

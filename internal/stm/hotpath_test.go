@@ -86,6 +86,58 @@ func TestStoreDirectAllocFree(t *testing.T) {
 	}
 }
 
+// TestRetryChangedReadSetAllocFree pins step 0 of the retry protocol: a
+// Retry whose read set changed before waitForRetry re-executes at once,
+// allocating nothing, registering no watcher and never parking. Each run's
+// first attempt reads v, moves it with a direct store and retries; the
+// second attempt reads the new value and commits.
+func TestRetryChangedReadSetAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; bound holds only unraced")
+	}
+	rt := NewDefault()
+	v := NewVar(0)
+	boxes := [2]*int{new(int), new(int)}
+	*boxes[1] = 1
+	var attempts int
+	var retried bool
+	body := func(tx *Tx) error {
+		attempts++
+		p := v.GetPtr(tx)
+		if v.Watchers() != 0 || v.m.side.Load() != nil {
+			t.Error("a watcher was registered on v")
+		}
+		if !retried {
+			retried = true
+			v.StoreDirectPtr(rt, boxes[1-*p])
+			tx.Retry()
+		}
+		return nil
+	}
+	run := func() {
+		retried = false
+		if err := rt.Atomic(body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v.StoreDirectPtr(rt, boxes[0])
+	for i := 0; i < 32; i++ { // warm the descriptor pool and slice capacity
+		run()
+	}
+	before := rt.Snapshot()
+	attempts = 0
+	if n := testing.AllocsPerRun(200, run); n != 0 {
+		t.Fatalf("a Retry whose read set already changed allocates %.1f objects/op, want 0", n)
+	}
+	d := rt.Snapshot().Sub(before)
+	if d.Retries == 0 || attempts != 2*int(d.Retries) {
+		t.Fatalf("%d attempts for %d retries, want two attempts per retry", attempts, d.Retries)
+	}
+	if d.RetryParks != 0 || v.Watchers() != 0 {
+		t.Fatalf("%d parks, %d watchers left on v; want 0 and 0", d.RetryParks, v.Watchers())
+	}
+}
+
 // TestWriteSetSpillLookup exercises the map spill past smallWriteSet:
 // read-after-write and write-after-write must resolve through the
 // overflow map exactly as they do through the linear scan.

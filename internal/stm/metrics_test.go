@@ -19,11 +19,11 @@ func TestQuiesceNoSpinNotCounted(t *testing.T) {
 	rt := NewDefault()
 	// A transaction registered with read version 1 — quiesce(5) must
 	// snapshot it as pending.
-	rt.slots[0].activate(1)
+	activateSlot(t, rt, 0, 1)
 	// ...but it finishes in the window between the snapshot pass and
 	// the first re-poll, i.e. before any spin could happen.
-	rt.quiesceTestHook = func() { rt.slots[0].deactivate() }
-	rt.quiesce(5, -1)
+	rt.quiesceTestHook = func() { rt.releaseSlot(0) }
+	rt.quiesce(5)
 	s := rt.Snapshot()
 	if s.QuiesceWaits != 0 {
 		t.Fatalf("QuiesceWaits = %d after a spin-free quiesce, want 0", s.QuiesceWaits)
@@ -41,17 +41,17 @@ func TestQuiesceRealWaitCounted(t *testing.T) {
 	rt := NewDefault()
 	met := NewMetrics(nil)
 	rt.SetMetrics(met)
-	rt.slots[0].activate(1)
+	activateSlot(t, rt, 0, 1)
 	var wg sync.WaitGroup
 	rt.quiesceTestHook = func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			time.Sleep(2 * time.Millisecond)
-			rt.slots[0].deactivate()
+			rt.releaseSlot(0)
 		}()
 	}
-	rt.quiesce(5, -1)
+	rt.quiesce(5)
 	wg.Wait()
 	s := rt.Snapshot()
 	if s.QuiesceWaits != 1 {

@@ -14,9 +14,8 @@ type slot struct {
 	_    [cacheLine - 8]byte
 }
 
-func (s *slot) activate(rv uint64) { s.word.Store(rv<<1 | 1) }
-func (s *slot) setRV(rv uint64)    { s.word.Store(rv<<1 | 1) }
-func (s *slot) deactivate()        { s.word.Store(0) }
+func (s *slot) setRV(rv uint64) { s.word.Store(rv<<1 | 1) }
+func (s *slot) deactivate()     { s.word.Store(0) }
 func (s *slot) activeBefore(v uint64) bool {
 	w := s.word.Load()
 	return w&1 == 1 && w>>1 < v
@@ -32,6 +31,10 @@ func (s *slot) isActive() bool { return s.word.Load()&1 == 1 }
 // when first is occupied — another descriptor last used it too and is
 // running now — does the scan move on; the caller remembers wherever it
 // lands, so two descriptors collide on a slot at most once.
+//
+// A claimed slot is covered by slotsUsed before acquireSlot returns, and so
+// before the transaction's first read: that is what lets quiesce sweep only
+// the slots below the mark (see quiesce).
 func (rt *Runtime) acquireSlot(first int, rv uint64) int {
 	n := len(rt.slots)
 	spins := 0
@@ -49,6 +52,7 @@ func (rt *Runtime) acquireSlot(first int, rv uint64) int {
 		for i := 0; i < n; i++ {
 			s := &rt.slots[idx]
 			if s.word.Load() == 0 && s.word.CompareAndSwap(0, rv<<1|1) {
+				rt.markSlotUsed(idx)
 				// Re-check the serial gate: a serial transaction
 				// may have begun draining between our check and
 				// the CAS. If so, back out and wait, otherwise a
@@ -68,6 +72,18 @@ func (rt *Runtime) acquireSlot(first int, rv uint64) int {
 	}
 }
 
+// markSlotUsed raises slotsUsed past idx: a CAS-max that stores only when
+// idx is a new highest slot, so the mark's line stays read-mostly.
+func (rt *Runtime) markSlotUsed(idx int) {
+	n := int32(idx) + 1
+	for {
+		cur := rt.slotsUsed.Load()
+		if cur >= n || rt.slotsUsed.CompareAndSwap(cur, n) {
+			return
+		}
+	}
+}
+
 func (rt *Runtime) releaseSlot(idx int) {
 	rt.slots[idx].deactivate()
 }
@@ -77,10 +93,19 @@ func (rt *Runtime) releaseSlot(idx int) {
 // privatization-safety wait of the paper's Section 2: a committed writer
 // may have privatized memory, so it must not proceed — and in particular
 // must not run deferred operations or reclaim memory — until no concurrent
-// transaction can still be reading pre-commit state.
+// transaction can still be reading pre-commit state. The caller has
+// published at wv and holds no slot.
 //
-// selfIdx is the committer's own slot (skipped); pass -1 if none.
-func (rt *Runtime) quiesce(wv uint64, selfIdx int) {
+// Only the slots below slotsUsed are swept: a slot no transaction has ever
+// claimed cannot be active. The mark can be stale by the time it is used,
+// and that is safe. If this load misses the raise covering a slot, it
+// precedes that raise in the seq-cst order of atomics, and the raise
+// precedes the claiming transaction's first read (acquireSlot). So the
+// publish at wv precedes that read, which finds a version above the
+// transaction's rv if rv < wv, and extends or aborts: it cannot hold
+// pre-commit state. This is the argument beginSlot makes for a slot the
+// sweep read before its CAS.
+func (rt *Runtime) quiesce(wv uint64) {
 	// Injected stall inside quiescence: lengthen the privatization wait
 	// so deferred operations run later relative to concurrent readers.
 	if rt.inj.stallQuiesce() {
@@ -90,18 +115,15 @@ func (rt *Runtime) quiesce(wv uint64, selfIdx int) {
 	// transaction at entry. Slots that activate later sample a read
 	// version from the already-advanced clock, so only this snapshot
 	// can ever block us — the wait loop below re-polls the shrinking
-	// snapshot instead of rescanning the whole slot array each spin.
-	// The fast path (nothing active) is one scan with no timestamp
-	// reads at all.
+	// snapshot instead of rescanning the slots each spin. The fast path
+	// (nothing active) is one sweep with no timestamp reads at all.
 	var buf [quiesceSnapshotCap]int32
 	pending := buf[:0]
 	waited := false
 	var start time.Time
-	for i := range rt.slots {
-		if i == selfIdx {
-			continue
-		}
-		s := &rt.slots[i]
+	used := rt.slots[:rt.slotsUsed.Load()]
+	for i := range used {
+		s := &used[i]
 		if !s.activeBefore(wv) {
 			continue
 		}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 	"unsafe"
 )
 
@@ -231,13 +232,99 @@ func TestOwnerIdentitiesUnique(t *testing.T) {
 	}
 }
 
+// activateSlot begins a stand-in transaction on slot idx at read version
+// rv through the real begin path, acquireSlot, so the slot is covered by
+// the in-use mark exactly as a transaction's is.
+func activateSlot(t *testing.T, rt *Runtime, idx int, rv uint64) {
+	t.Helper()
+	if got := rt.acquireSlot(idx, rv); got != idx {
+		t.Fatalf("slot %d is busy: the stand-in began on slot %d", idx, got)
+	}
+}
+
+// TestQuiesceSlotAboveMark: quiesce sweeps only the slots below
+// slotsUsed, yet no transaction may hold a commit's pre-commit state once
+// that commit's quiesce has returned.
+//
+//   - Waited for: B begins on a slot far above every slot in use, reads x
+//     and stays running; then A writes x. B's begin raised the mark, so A's
+//     sweep covers B's slot and A waits until B ends. With the raise moved
+//     after B's first read, A returns while B still holds x's old value.
+//   - Extends: C draws its read version before A publishes, but claims its
+//     slot only after A has loaded the mark and swept. A never sees C, and
+//     C's first read of x finds a version above its rv and extends to A's
+//     value.
+func TestQuiesceSlotAboveMark(t *testing.T) {
+	rt := NewDefault()
+	x := NewVar(0)
+	const high = 40
+
+	b := newTx(rt)
+	b.slot = high
+	read, release := make(chan int, 1), make(chan struct{})
+	bDone := make(chan txOutcome, 1)
+	go func() {
+		bDone <- rt.runOptimistic(b, func(tx *Tx) error {
+			read <- x.Get(tx)
+			<-release
+			return nil
+		})
+	}()
+	if got := <-read; got != 0 {
+		t.Fatalf("B read x = %d before any commit, want 0", got)
+	}
+	var released atomic.Bool
+	rt.quiesceTestHook = func() {
+		go func() {
+			time.Sleep(20 * time.Millisecond)
+			released.Store(true)
+			close(release)
+		}()
+	}
+	before := rt.Snapshot()
+	if err := rt.Atomic(func(tx *Tx) error { x.Set(tx, 1); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !released.Load() {
+		t.Errorf("A's quiesce returned while B (slot %d, mark %d) still held x's pre-commit value", b.slot, rt.slotsUsed.Load())
+	}
+	if out := <-bDone; !out.committed || b.slot != high {
+		t.Fatalf("B on slot %d: %+v, want a commit on slot %d", b.slot, out, high)
+	}
+	if d := rt.Snapshot().Sub(before); d.QuiesceWaits != 1 {
+		t.Errorf("A's quiesce counted %d waits, want 1 (for B)", d.QuiesceWaits)
+	}
+
+	rv := rt.GlobalClock()
+	var mark int32
+	var slotC, got int
+	rt.quiesceTestHook = func() {
+		mark = rt.slotsUsed.Load()
+		c := newTx(rt)
+		c.rv, c.slot, c.active = rv, rt.acquireSlot(high+10, rv), true
+		slotC = c.slot
+		got = x.Get(c)
+		rt.releaseSlot(c.slot)
+	}
+	before = rt.Snapshot()
+	if err := rt.Atomic(func(tx *Tx) error { x.Set(tx, 2); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if slotC < int(mark) {
+		t.Fatalf("C began on slot %d, under A's mark %d", slotC, mark)
+	}
+	if d := rt.Snapshot().Sub(before); got != 2 || d.Extensions != 1 || d.QuiesceWaits != 0 {
+		t.Errorf("C read x = %d with %d extensions, A waited %d times; want 2, 1, 0", got, d.Extensions, d.QuiesceWaits)
+	}
+}
+
 // TestRuntimeLayout pins which Runtime fields share cache lines. The clock
 // is stored to by every writing commit, so nothing else may sit on its
 // line; the fields every begin and commit only loads must share lines with
 // nothing a running transaction stores to.
 func TestRuntimeLayout(t *testing.T) {
 	const (
-		readMostly = " cfg slots serialWant serialClear rec inj met quiesceTestHook txPool stats "
+		readMostly = " cfg slots slotsUsed snapDepth serialWant serialClear rec inj met quiesceTestHook txPool stats "
 		written    = " clock serialMu parked snapMu snapActive snapCtr snapHorizon ownerCtr txIDCtr "
 	)
 	// Addresses in a live Runtime, not bare offsets: the allocator places

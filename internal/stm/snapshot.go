@@ -25,7 +25,7 @@ import "sync/atomic"
 // pinned version over all active snapshots, maintained below — lets
 // writers drop chain entries no active snapshot can need (and drop the
 // chain entirely while no snapshot is active). The configured depth
-// bound (Config.SnapshotChainDepth) caps each chain regardless; a
+// bound (snapshotChainDepth) caps each chain regardless; a
 // snapshot that reads past a depth-truncated chain never sees a wrong
 // value — it misses, aborts with abortSnapshot, and the Atomic loop
 // falls back to the ordinary validating read-only path.

@@ -18,10 +18,10 @@ import (
 func runSnapshotMix(t *testing.T, depth int, seed uint64) {
 	t.Helper()
 	log := history.New()
-	rt := stm.New(stm.Config{
-		Recorder:           log,
-		SnapshotChainDepth: depth,
-	})
+	rt := stm.New(stm.Config{Recorder: log})
+	if depth != 0 {
+		stm.SetSnapshotChainDepth(rt, depth)
+	}
 	const nVars = 5
 	vars := make([]*stm.Var[int], nVars)
 	for i := range vars {

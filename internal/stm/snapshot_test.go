@@ -63,7 +63,8 @@ func TestSnapshotPinnedValueBasic(t *testing.T) {
 // pin needs; the attempt aborts with abortSnapshot and fn re-runs on
 // the ordinary read-only path, observing the latest value.
 func TestSnapshotOverflowFallback(t *testing.T) {
-	rt := New(Config{SnapshotChainDepth: 1})
+	rt := NewDefault()
+	rt.snapDepth = 1
 	a := NewVar(0)
 	runs := 0
 	var got int
@@ -112,7 +113,8 @@ func TestSnapshotOverflowFallback(t *testing.T) {
 // aborts and zero fallbacks (the chain is deep enough), and every scan
 // observes a consistent cut (writers preserve the bank invariant).
 func TestSnapshotZeroAbortScanUnderWriters(t *testing.T) {
-	rt := New(Config{SnapshotChainDepth: 4096})
+	rt := NewDefault()
+	rt.snapDepth = 4096
 	const nVars, each = 16, 1000
 	vars := make([]*Var[int], nVars)
 	for i := range vars {
@@ -180,7 +182,8 @@ func TestSnapshotZeroAbortScanUnderWriters(t *testing.T) {
 // the invariant; run with -race this doubles as the chain-mutation
 // memory-model check.
 func TestSnapshotTruncationSoak(t *testing.T) {
-	rt := New(Config{SnapshotChainDepth: 2})
+	rt := NewDefault()
+	rt.snapDepth = 2
 	const nVars = 8
 	vars := make([]*Var[int], nVars)
 	var direct Var[int] // StoreDirect target, outside the invariant

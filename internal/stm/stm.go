@@ -100,16 +100,6 @@ type Config struct {
 	HTMReadLines  int
 	HTMWriteLines int
 
-	// SnapshotChainDepth bounds each Var's version chain: how many
-	// superseded values writers retain for active snapshot readers
-	// (AtomicSnapshot; see snapshot.go). Deeper chains let slower
-	// snapshots survive more overwrites of a hot var before falling
-	// back to the validating path; each retained version costs one
-	// small node plus the value box it pins. 0 means 8; negative
-	// disables chains entirely (snapshots fall back on the first read
-	// of a var overwritten since their pin).
-	SnapshotChainDepth int
-
 	// Recorder, when non-nil, receives an Event for every transactional
 	// action (begin, read, write, commit, abort, quiesce, lock and
 	// deferral transitions), timestamped with version-clock values so
@@ -137,11 +127,15 @@ func (c Config) withDefaults() Config {
 	if c.HTMWriteLines <= 0 {
 		c.HTMWriteLines = DefaultHTMWriteLines
 	}
-	if c.SnapshotChainDepth == 0 {
-		c.SnapshotChainDepth = 8
-	}
 	return c
 }
+
+// snapshotChainDepth bounds each Var's version chain: how many superseded
+// values writers retain for active snapshot readers (see snapshot.go). A
+// snapshot slower than that many overwrites of a var it reads falls back
+// to the validating path; each retained version costs one small node plus
+// the value box it pins.
+const snapshotChainDepth = 8
 
 // OwnerID identifies a lock-owning agent to transaction-friendly locks
 // (package txlock). Each top-level Atomic execution is assigned a fresh
@@ -164,6 +158,11 @@ type Runtime struct {
 	// nothing a begin or a commit stores to (TestRuntimeLayout).
 	cfg   Config
 	slots []slot // active-transaction registry (quiescence, draining)
+	// slotsUsed is the highest slot ever claimed, plus one: quiesce sweeps
+	// slots[:slotsUsed]. It only grows, and only the first claim of a new
+	// highest slot stores to it (markSlotUsed).
+	slotsUsed atomic.Int32
+	snapDepth int // version-chain bound: snapshotChainDepth, or a test's own
 
 	serialWant atomic.Int32 // >0: a serial transaction is pending/running
 	// serialClear is closed when serialWant drops to zero, so blocked
@@ -230,6 +229,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:        cfg,
 		slots:      make([]slot, slots),
+		snapDepth:  snapshotChainDepth,
 		rec:        cfg.Recorder,
 		snapActive: make(map[uint64]uint64),
 	}

@@ -18,6 +18,9 @@ import (
 //
 // The no-lost-wakeup protocol (see DESIGN.md §10):
 //
+//  0. if the aborted attempt's reads have already changed, no commit is
+//     left to wait for: the transaction re-executes at once and registers
+//     and records nothing (most retries on a busy lock leave here);
 //  1. the aborted attempt's read set is frozen in tx.reads;
 //  2. the waiter registers on every read-set var. Registration ends with
 //     a seq-cst counter increment (watchSet.n), making the waiter
@@ -142,6 +145,9 @@ func (rt *Runtime) waitForRetry(ctx context.Context, tx *Tx) error {
 		// TestBlockedReadersIdleCPU compare it against parking).
 		runtime.Gosched()
 		return ctxErr(ctx)
+	}
+	if tx.readSetChanged() {
+		return ctxErr(ctx) // step 0: nothing to wait for, no park session
 	}
 	return rt.parkOnReadSet(ctx, tx)
 }

@@ -97,8 +97,9 @@ grep -q '"traceEvents"' "$tmptrace" || { echo "trace output malformed"; exit 1; 
 
 # The width ladder (scripts/ladder.sh, also the tail of `make test`): stm,
 # core, txlock, ds, wal, kv, server, repl, check and history uncached at
-# GOMAXPROCS 1 and 2 and once under the race detector, then the scanner, kvstore and
-# replica torture workloads, and kvstore in HTM mode, checked and
+# GOMAXPROCS 1 and 2 and once under the race detector, then the defer,
+# watcher, scanner, kvstore and replica torture workloads, and kvstore in
+# HTM mode, checked and
 # stall-injected, at both widths.
 ./scripts/ladder.sh
 

@@ -14,7 +14,10 @@
 # (wal appender/flusher hand-off, sharded kv, pipelined server,
 # replication stream) is scheduling-sensitive end to end — the flusher's
 # exit races appends, its lock hand-off races checkpoints, and cross-lane
-# commits make lane flushers wait on each other. The recorder and the checker (history, check) judge all of the
+# commits make lane flushers wait on each other. The defer and watcher
+# workloads drive the deferral's acquire → quiesce → λ → release and
+# retry's register → revalidate → park. The recorder and the checker
+# (history, check) judge all of the
 # above, so they run at the same widths: their tests record from several
 # goroutines, and a checker that is only right on one core proves nothing
 # about two.
@@ -32,7 +35,7 @@ done
 echo "==> width ladder: go test -race (uncached)"
 go test -race -count=1 $pkgs
 for procs in 1 2; do
-    for wl in scanner kvstore replica; do
+    for wl in defer watcher scanner kvstore replica; do
         echo "==> width ladder: stmtorture -workload $wl -check -inject at GOMAXPROCS=$procs"
         GOMAXPROCS=$procs go run ./cmd/stmtorture -duration 400ms -workload $wl -check -inject -seed 1 >/dev/null
     done
