@@ -46,9 +46,9 @@ func applyPrefix(log []committed, upTo uint64) map[string]string {
 	return state
 }
 
-func crashScenario(t *testing.T, mode Mode, point simio.CrashPoint, n uint64, seed uint64) (fired bool, torn int) {
+func crashScenario(t *testing.T, mode Mode, segBytes int, point simio.CrashPoint, n uint64, seed uint64) (fired bool, torn int) {
 	t.Helper()
-	opts := Options{Mode: mode, WAL: wal.Options{SegmentBytes: 256}}
+	opts := Options{Mode: mode, WAL: wal.Options{SegmentBytes: segBytes}}
 	fs := simio.NewFS(simio.Latency{})
 	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), opts)
 	if err != nil {
@@ -152,13 +152,31 @@ func crashScenario(t *testing.T, mode Mode, point simio.CrashPoint, n uint64, se
 	return true, info.TornBytes
 }
 
+// crashPoints are the instants a crash plan can capture.
+var crashPoints = []simio.CrashPoint{simio.CrashMidWrite, simio.CrashPreFsync, simio.CrashPostFsync}
+
+// A segment of rotateFirstSeg bytes holds one record of the single-lane
+// crash workload (23–30 bytes each), so every flush after a segment's
+// first starts the next segment before it writes — the path a segment
+// sized for many records takes once every few flushes.
+const rotateFirstSeg = 40
+
+// everyCrashPoint runs scenario at the 1st, 2nd, … write or fsync of the
+// run until the plan no longer fires, and returns how many fired.
+func everyCrashPoint(scenario func(n uint64) bool) int {
+	n := uint64(1)
+	for scenario(n) {
+		n++
+	}
+	return int(n - 1)
+}
+
 func TestCrashRecoveryPrefixConsistent(t *testing.T) {
-	points := []simio.CrashPoint{simio.CrashMidWrite, simio.CrashPreFsync, simio.CrashPostFsync}
 	fired, tornRuns := 0, 0
-	for _, point := range points {
+	for _, point := range crashPoints {
 		for _, n := range []uint64{1, 3, 7, 12, 26} {
 			for seed := uint64(1); seed <= 3; seed++ {
-				ok, torn := crashScenario(t, ModeGroup, point, n, seed)
+				ok, torn := crashScenario(t, ModeGroup, 256, point, n, seed)
 				if ok {
 					fired++
 					if torn > 0 {
@@ -168,7 +186,19 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 			}
 		}
 	}
-	if fired < 20 {
+	// Rotate-first segments, at every crash point.
+	for _, point := range crashPoints {
+		for seed := uint64(1); seed <= 2; seed++ {
+			fired += everyCrashPoint(func(n uint64) bool {
+				ok, torn := crashScenario(t, ModeGroup, rotateFirstSeg, point, n, seed)
+				if torn > 0 {
+					tornRuns++
+				}
+				return ok
+			})
+		}
+	}
+	if fired < 200 {
 		t.Fatalf("only %d crash scenarios actually fired", fired)
 	}
 	if tornRuns == 0 {
@@ -181,10 +211,10 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 // obeys the same prefix property — and, stronger, every completed Update
 // survives (it was acked before returning).
 func TestCrashRecoverySyncMode(t *testing.T) {
-	for _, point := range []simio.CrashPoint{simio.CrashMidWrite, simio.CrashPreFsync, simio.CrashPostFsync} {
+	for _, point := range crashPoints {
 		for _, n := range []uint64{1, 5, 17} {
 			for seed := uint64(1); seed <= 2; seed++ {
-				crashScenario(t, ModeSync, point, n, seed)
+				crashScenario(t, ModeSync, 256, point, n, seed)
 			}
 		}
 	}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"deferstm/internal/simio"
 	"deferstm/internal/stm"
+	"deferstm/internal/wal"
 )
 
 // hotStore is an in-memory store preloaded with n keys, one Update each,
@@ -47,6 +49,45 @@ func TestUpdateAllocPin(t *testing.T) {
 	const want = 2
 	if n := testing.AllocsPerRun(2000, op); n > want {
 		t.Fatalf("1-key Update allocates %.2f objects/op, want <= %d", n, want)
+	}
+}
+
+// TestDurableUpdateAllocPin pins the durable write path: a one-key
+// Update plus WaitDurable on a 2-lane group-commit store, over a device
+// with no latency, so every op is one commit, one flusher goroutine and
+// one flush. The log owns the payload it is handed (no copy), the record
+// CRC reads the encoded LSN in place, and the batch finds its touched
+// lanes without a slice of its own; the op measures 21 allocations.
+func TestDurableUpdateAllocPin(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; bound holds only unraced")
+	}
+	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(simio.NewFS(simio.Latency{})), Options{Mode: ModeGroup, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([]string, 64)
+	for j := range keys {
+		keys[j] = fmt.Sprintf("key-%06d", j)
+	}
+	i := 0
+	vals := [2]string{"v1", "v2"} // alternate, or the map put is a no-op
+	op := func() {
+		i++
+		k, v := keys[i%len(keys)], vals[(i/len(keys))%2]
+		tok, err := s.Update(func(_ *stm.Tx, b *Batch) error { b.Put(k, v); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.WaitDurable(tok)
+	}
+	for j := 0; j < 64; j++ {
+		op()
+	}
+	const want = 22
+	if n := testing.AllocsPerRun(2000, op); n > want {
+		t.Fatalf("durable 1-key Update allocates %.2f objects/op, want <= %d", n, want)
 	}
 }
 

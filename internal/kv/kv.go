@@ -441,9 +441,11 @@ type Batch struct {
 	tx *stm.Tx
 	n  int
 	// single holds the ops of a 1-shard store (the unsharded layout);
-	// perShard, indexed by shard, those of a sharded one.
+	// perShard, indexed by shard, those of a sharded one, and lanes counts
+	// its non-empty entries.
 	single   []Op
 	perShard [][]Op
+	lanes    int
 }
 
 func (b *Batch) add(sh int, op Op) {
@@ -457,6 +459,9 @@ func (b *Batch) add(sh int, op Op) {
 	}
 	if b.perShard == nil {
 		b.perShard = make([][]Op, len(b.s.shards))
+	}
+	if len(b.perShard[sh]) == 0 {
+		b.lanes++
 	}
 	b.perShard[sh] = append(b.perShard[sh], op)
 }
@@ -483,17 +488,6 @@ func (b *Batch) Delete(key string) {
 
 // Len reports the number of mutations so far.
 func (b *Batch) Len() int { return b.n }
-
-// touched returns the ascending shard indices the batch mutated.
-func (b *Batch) touched() []int {
-	var t []int
-	for sh, ops := range b.perShard {
-		if len(ops) > 0 {
-			t = append(t, sh)
-		}
-	}
-	return t
-}
 
 // Update runs fn as one atomic, durable mutation of the store and
 // returns a durability token for its WAL record(s) — 0 for a read-only
@@ -554,26 +548,31 @@ func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
 // its lane like any single-lane record; a commit touching several lanes
 // marks them cross, which is what the lane flushers' frontier gate keys on.
 func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
-	touched := b.touched()
+	// One point per touched lane, ascending: pts[0] is the home lane.
+	pts := make([]LanePoint, 0, b.lanes)
+	for sh, ops := range b.perShard {
+		if len(ops) > 0 {
+			pts = append(pts, LanePoint{Lane: sh})
+		}
+	}
 
 	if s.mode == ModeSync {
 		// Serial transactions run exclusively, so each lane's next LSN
 		// is exactly LastAssigned+1 — predict the vector, then append.
-		pts := make([]LanePoint, len(touched))
-		for i, sh := range touched {
-			pts[i] = LanePoint{Lane: sh, LSN: s.shards[sh].log.LastAssigned(tx) + 1}
+		for i := range pts {
+			pts[i].LSN = s.shards[pts[i].Lane].log.LastAssigned(tx) + 1
 		}
 		gsn := s.gsn.Add(1)
-		for i, sh := range touched {
-			lsn, err := s.shards[sh].log.AppendSyncWith(tx, gsn, encodeLaneRecord(gsn, pts, b.perShard[sh]))
+		for _, p := range pts {
+			lsn, err := s.shards[p.Lane].log.AppendSyncWith(tx, gsn, encodeLaneRecord(gsn, pts, b.perShard[p.Lane]))
 			if err != nil {
 				return 0, err
 			}
-			if lsn != pts[i].LSN {
-				panic(fmt.Sprintf("kv: serial lane %d assigned LSN %d, predicted %d", sh, lsn, pts[i].LSN))
+			if lsn != p.LSN {
+				panic(fmt.Sprintf("kv: serial lane %d assigned LSN %d, predicted %d", p.Lane, lsn, p.LSN))
 			}
 		}
-		return PackToken(touched[0], pts[0].LSN), nil
+		return PackToken(pts[0].Lane, pts[0].LSN), nil
 	}
 
 	// Reserve every touched lane's LSN first (the payload header needs
@@ -583,15 +582,14 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 	// touched lane has already drawn its (smaller) GSN — GSNs are
 	// monotone in LSN within every lane. Aborted attempts leave GSN
 	// gaps; nothing cares.
-	pts := make([]LanePoint, len(touched))
-	for i, sh := range touched {
-		pts[i] = LanePoint{Lane: sh, LSN: s.shards[sh].log.Reserve(tx)}
+	for i := range pts {
+		pts[i].LSN = s.shards[pts[i].Lane].log.Reserve(tx)
 	}
 	gsn := s.gsn.Add(1)
-	for i, sh := range touched {
-		s.shards[sh].log.EnqueueReserved(tx, pts[i].LSN, gsn, len(touched) > 1, encodeLaneRecord(gsn, pts, b.perShard[sh]))
+	for _, p := range pts {
+		s.shards[p.Lane].log.EnqueueReserved(tx, p.LSN, gsn, len(pts) > 1, encodeLaneRecord(gsn, pts, b.perShard[p.Lane]))
 	}
-	return PackToken(touched[0], pts[0].LSN), nil
+	return PackToken(pts[0].Lane, pts[0].LSN), nil
 }
 
 // View runs fn as a read-only transaction over the store.

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -296,6 +297,46 @@ func TestFsyncCountersMatchDisk(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestBulkLoadOneFsyncPerFlush: a bulk load shaped like the benchmark's
+// preload — 128 cross-shard batches of 512 keys with 64-byte values, each
+// waited for, on 2 lanes with 64 KiB segments — flushes each lane once
+// per batch, and each flush is one fsync: a batch that does not fit in
+// what is left of a segment starts the next one, and that rotation costs
+// no fsync because the previous flush left the old segment clean.
+func TestBulkLoadOneFsyncPerFlush(t *testing.T) {
+	fs := simio.NewFS(simio.Latency{})
+	s, _ := openStore(t, fs, Options{Mode: ModeGroup, Shards: 2, WAL: wal.Options{SegmentBytes: 64 << 10}})
+	defer s.Close()
+	const batches, perBatch = 128, 512
+	value := strings.Repeat("v", 64)
+	for lo := 0; lo < batches*perBatch; lo += perBatch {
+		tok, err := s.Update(func(_ *stm.Tx, b *Batch) error {
+			for i := lo; i < lo+perBatch; i++ {
+				b.Put(fmt.Sprintf("k%07d", i), value)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.WaitDurable(tok)
+	}
+	var st wal.BatchStats
+	for _, l := range s.Logs() {
+		l.WaitDurable(l.AssignedWatermark()) // a lane's flush is counted before it publishes
+		ls := l.BatchStats()
+		st.Flushes += ls.Flushes
+		st.Fsyncs += ls.Fsyncs
+		st.Rotations += ls.Rotations
+	}
+	if st.Flushes != 2*batches || st.Fsyncs != st.Flushes || st.Rotations == 0 {
+		t.Fatalf("%d flushes, %d fsyncs, %d rotations; want %d flushes, one fsync each, and some rotations",
+			st.Flushes, st.Fsyncs, st.Rotations, 2*batches)
+	}
+	t.Logf("%d flushes, %d fsyncs, %d rotations", st.Flushes, st.Fsyncs, st.Rotations)
+	mapSettled(t, s) // leave no resize running into the next test's alloc counts
 }
 
 // TestUpdateAbortLogsNothing: a failed Update leaves no trace in the

@@ -263,10 +263,10 @@ func TestLegacyDirAdoption(t *testing.T) {
 func TestCrossShardCrashAtomicity(t *testing.T) {
 	const updates = 30
 	fired, truncated := 0, 0
-	for _, point := range []simio.CrashPoint{simio.CrashPreFsync, simio.CrashPostFsync, simio.CrashMidWrite} {
+	for _, point := range crashPoints {
 		for n := uint64(1); n <= 41; n += 4 {
 			for seed := uint64(1); seed <= 2; seed++ {
-				ok, cut := crossShardCrashScenario(t, point, n, seed, updates)
+				ok, cut := crossShardCrashScenario(t, 512, point, n, seed, updates)
 				if ok {
 					fired++
 				}
@@ -276,7 +276,21 @@ func TestCrossShardCrashAtomicity(t *testing.T) {
 			}
 		}
 	}
-	if fired < 30 {
+	// At 100-byte segments a lane's segment holds one record of this
+	// workload (61–79 bytes), so every lane flush after a segment's first
+	// rotates first: tried at every crash point the run reaches.
+	for _, point := range crashPoints {
+		for seed := uint64(1); seed <= 2; seed++ {
+			fired += everyCrashPoint(func(n uint64) bool {
+				ok, cut := crossShardCrashScenario(t, 100, point, n, seed, updates)
+				if cut {
+					truncated++
+				}
+				return ok
+			})
+		}
+	}
+	if fired < 300 {
 		t.Fatalf("only %d crash scenarios fired", fired)
 	}
 	if truncated == 0 {
@@ -285,9 +299,9 @@ func TestCrossShardCrashAtomicity(t *testing.T) {
 	t.Logf("%d scenarios fired, %d with presumed-abort truncation", fired, truncated)
 }
 
-func crossShardCrashScenario(t *testing.T, point simio.CrashPoint, n, seed uint64, updates int) (fired, truncated bool) {
+func crossShardCrashScenario(t *testing.T, segBytes int, point simio.CrashPoint, n, seed uint64, updates int) (fired, truncated bool) {
 	t.Helper()
-	opts := Options{Shards: 4, WAL: wal.Options{SegmentBytes: 512}}
+	opts := Options{Shards: 4, WAL: wal.Options{SegmentBytes: segBytes}}
 	fs := simio.NewFS(simio.Latency{})
 	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), opts)
 	if err != nil {

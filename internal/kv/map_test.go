@@ -13,18 +13,19 @@ import (
 	"deferstm/internal/wal"
 )
 
-// mapSettled blocks until shard 0's map has no migration in flight and its
-// lock is free, so a test can inspect final state without racing the
-// background migrator.
+// mapSettled blocks until no shard's map has a migration in flight and
+// every map lock is free, so a test can inspect final state without
+// racing the background migrator (or leave none behind it).
 func mapSettled(t *testing.T, s *Store) {
 	t.Helper()
-	m := s.shards[0].m
 	deadline := time.Now().Add(10 * time.Second)
-	for m.Migrating() || m.Lock().OwnerSnapshot() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("map migration did not settle")
+	for _, sh := range s.shards {
+		for sh.m.Migrating() || sh.m.Lock().OwnerSnapshot() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("map migration did not settle")
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 //
 //	deferstm_wal_lane_records_total  committed records appended to the lane
 //	deferstm_wal_lane_flushes_total  group-commit drain+fsync cycles
-//	deferstm_wal_lane_fsyncs_total   every fsync (flushes, rotations, checkpoints)
+//	deferstm_wal_lane_fsyncs_total   every fsync (flushes, rotations of a dirty segment, checkpoints)
+//	deferstm_wal_lane_rotations_total  segments the lane started since Open
 //	deferstm_wal_lane_durable_lsn    the lane's published durable watermark
 //	deferstm_wal_lane_lag_records    assigned-but-not-durable records on the lane
 //	deferstm_wal_lane_stream_read_bytes_total  segment bytes replication tails read
@@ -32,8 +33,11 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 			"Group-commit flush cycles on this WAL lane.",
 			func() uint64 { return l.BatchStats().Flushes })
 		reg.Counter(fmt.Sprintf(`deferstm_wal_lane_fsyncs_total{lane="%d"}`, lane),
-			"Fsyncs issued by this WAL lane (flushes, rotations, checkpoints).",
+			"Fsyncs issued by this WAL lane (flushes, rotations of a dirty segment, checkpoints).",
 			func() uint64 { return l.BatchStats().Fsyncs })
+		reg.Counter(fmt.Sprintf(`deferstm_wal_lane_rotations_total{lane="%d"}`, lane),
+			"Segments this WAL lane started since it was opened.",
+			func() uint64 { return l.BatchStats().Rotations })
 		reg.GaugeFunc(fmt.Sprintf(`deferstm_wal_lane_durable_lsn{lane="%d"}`, lane),
 			"Published durable watermark of this WAL lane.",
 			func() float64 { return float64(l.DurableWatermark()) })

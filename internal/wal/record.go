@@ -26,21 +26,22 @@ const maxPayload = 1 << 30
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func recordCRC(lsn uint64, payload []byte) uint32 {
-	var l [8]byte
-	binary.LittleEndian.PutUint64(l[:], lsn)
-	c := crc32.Update(0, castagnoli, l[:])
-	return crc32.Update(c, castagnoli, payload)
-}
+// recordCRC returns the CRC of an encoded record: the LSN field and the
+// payload are its last bytes and contiguous, so the checksum reads them
+// in place (a scratch copy of the LSN would escape to the heap through
+// crc32's indirect update call).
+func recordCRC(rec []byte) uint32 { return crc32.Checksum(rec[8:], castagnoli) }
 
 // appendRecord appends the encoding of (lsn, payload) to dst.
 func appendRecord(dst []byte, lsn uint64, payload []byte) []byte {
+	start := len(dst)
 	var hdr [recordHeader]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], recordCRC(lsn, payload))
 	binary.LittleEndian.PutUint64(hdr[8:16], lsn)
 	dst = append(dst, hdr[:]...)
-	return append(dst, payload...)
+	dst = append(dst, payload...)
+	binary.LittleEndian.PutUint32(dst[start+4:start+8], recordCRC(dst[start:]))
+	return dst
 }
 
 // recordSize returns the encoded size of a record with the given payload
@@ -62,7 +63,7 @@ func decodeNext(b []byte) (lsn uint64, payload []byte, rest []byte, ok bool) {
 	crc := binary.LittleEndian.Uint32(b[4:8])
 	lsn = binary.LittleEndian.Uint64(b[8:16])
 	payload = b[recordHeader : recordHeader+int(plen)]
-	if recordCRC(lsn, payload) != crc {
+	if recordCRC(b[:recordHeader+int(plen)]) != crc {
 		return 0, nil, b, false
 	}
 	return lsn, payload, b[recordHeader+int(plen):], true

@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 )
 
@@ -24,6 +26,20 @@ func TestRecordRoundtrip(t *testing.T) {
 	}
 	if len(rest) != 0 {
 		t.Fatalf("%d trailing bytes", len(rest))
+	}
+}
+
+// TestRecordCRCCoversLSNThenPayload pins the on-disk checksum: CRC-32C
+// over the little-endian LSN followed by the payload, however it is
+// computed.
+func TestRecordCRCCoversLSNThenPayload(t *testing.T) {
+	payload := []byte("checksummed payload")
+	rec := appendRecord([]byte("prefix"), 0x0102030405060708, payload)[len("prefix"):]
+	var lsn [8]byte
+	binary.LittleEndian.PutUint64(lsn[:], 0x0102030405060708)
+	want := crc32.Update(crc32.Checksum(lsn[:], castagnoli), castagnoli, payload)
+	if got := binary.LittleEndian.Uint32(rec[4:8]); got != want {
+		t.Fatalf("record CRC %#x, want %#x", got, want)
 	}
 }
 

@@ -76,9 +76,11 @@ import (
 
 // Options parameterizes a Log. The zero value is usable.
 type Options struct {
-	// SegmentBytes is the rotation threshold: a flush that would grow the
-	// current segment past this many bytes rotates to a new segment
-	// first. 0 means 1 MiB.
+	// SegmentBytes bounds a segment file. A flush whose batch does not
+	// fit in what is left of the current segment starts the next one and
+	// writes the whole batch there, so segments may end short of this
+	// size; only a batch larger than SegmentBytes is split, filling each
+	// segment before it rotates. 0 means 1 MiB.
 	SegmentBytes int
 }
 
@@ -138,11 +140,12 @@ type segMeta struct {
 
 // BatchStats summarizes group-commit behaviour since the Log was opened.
 type BatchStats struct {
-	Flushes  uint64     // drain+fsync cycles
-	Records  uint64     // records written through those flushes
-	Fsyncs   uint64     // every fsync the log issued (flush + rotate + checkpoint)
-	MaxBatch uint64     // largest single batch
-	Hist     [17]uint64 // Hist[i] counts batches with bits.Len64(size) == i
+	Flushes   uint64     // drain+fsync cycles
+	Records   uint64     // records written through those flushes
+	Fsyncs    uint64     // every fsync: flushes + rotations of a dirty segment + checkpoints
+	Rotations uint64     // segments started after Open
+	MaxBatch  uint64     // largest single batch
+	Hist      [17]uint64 // Hist[i] counts batches with bits.Len64(size) == i
 }
 
 // Mean returns the mean batch size (0 when no flush happened).
@@ -177,15 +180,20 @@ type Log struct {
 	cur      File
 	curName  string
 	curBytes int
-	segs     []segMeta // ascending by start; last is cur
-	wbuf     []byte    // batch encode buffer, reused across flushes
-	closed   bool
+	// dirty: cur may hold bytes no fsync has covered. A write sets it,
+	// an fsync of cur clears it, and Open sets it for a reopened segment
+	// (see rotateLocked).
+	dirty  bool
+	segs   []segMeta // ascending by start; last is cur
+	wbuf   []byte    // batch encode buffer, reused across flushes
+	closed bool
 
-	flushes  atomic.Uint64
-	records  atomic.Uint64
-	fsyncs   atomic.Uint64
-	maxBatch atomic.Uint64
-	hist     [17]atomic.Uint64
+	flushes   atomic.Uint64
+	records   atomic.Uint64
+	fsyncs    atomic.Uint64
+	rotations atomic.Uint64
+	maxBatch  atomic.Uint64
+	hist      [17]atomic.Uint64
 
 	lastCkpt   atomic.Uint64 // upTo of the newest fsynced checkpoint (0 when none)
 	streamRead atomic.Uint64 // segment bytes Tails read from the backend
@@ -311,6 +319,11 @@ func Open(rt *stm.Runtime, b Backend, opts Options) (*Log, *Recovery, error) {
 			return nil, nil, fmt.Errorf("wal: segment size: %w", err)
 		}
 		l.curBytes = int(sz)
+		// Recovery may have truncated a torn tail here, or TruncateTail
+		// cut it; on a real filesystem neither is durable before an
+		// fsync. So the segment is not known to be durable, and the first
+		// rotation fsyncs it before the next segment exists.
+		l.dirty = true
 	}
 	return l, rec, nil
 }
@@ -323,6 +336,10 @@ func (l *Log) Runtime() *stm.Runtime { return l.rt }
 // becomes readable in the log's serialization order the moment tx
 // commits, and durable when a group-commit flush covers it (WaitDurable
 // blocks for exactly that; the returned LSN is the handle).
+//
+// The log takes ownership of payload: it is written as it stands when
+// the flush encodes it, so the caller must not modify it after the call
+// (pass a fresh buffer; sharing one that nobody mutates is fine).
 //
 // Append never waits for I/O: the lane's flusher goroutine (started by
 // deferFlush when none is live) writes and fsyncs the record, together
@@ -356,10 +373,11 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 // (it rides Event.Aux2; pass 0 on a lone log); on joined lanes every
 // record carries one, and per lane GSN must rise with LSN. cross marks
 // one of several records of the same commit: the flush covering it
-// waits for the frontier (awaitFrontier) before it publishes.
+// waits for the frontier (awaitFrontier) before it publishes. As with
+// Append, the log takes ownership of payload: the caller must not modify
+// it after the call.
 func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, cross bool, payload []byte) {
-	cp := append([]byte(nil), payload...)
-	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, payload: cp, next: l.pending.Get(tx)}
+	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, payload: payload, next: l.pending.Get(tx)}
 	if l.rt.Metrics() != nil {
 		// Stamp the enqueue so the covering flush can observe the
 		// append→durable lag. Re-executions of an aborted tx restamp.
@@ -647,18 +665,32 @@ func (l *Log) publish(ctx *core.OpCtx, head *pnode, batch []Record, flushStart t
 	l.rt.RecordEvent(stm.Event{Kind: stm.EvWALDurable, Owner: ctx.Owner(), Var: l.Lock().VarID(), Aux: watermark})
 }
 
-// writeLocked appends batch to the current segment (rotating as needed)
-// and fsyncs. The batch is encoded into one buffer and handed to the
-// backend in one write per segment it touches. Caller holds fmu.
+// writeLocked appends batch to the segment files and fsyncs. The batch
+// is encoded into one buffer and handed to the backend in one write per
+// segment it touches. A batch that fits in a segment touches one: if it
+// does not fit in what is left of the current segment, it rotates first
+// — a rotation that costs no fsync, because the previous flush's fsync
+// left cur clean — and so the flush is one write and one fsync. Only a
+// batch larger than a segment is split, rotating wherever a segment
+// fills. Caller holds fmu.
 func (l *Log) writeLocked(batch []Record) error {
 	if l.closed {
 		return errors.New("wal: log closed")
+	}
+	size := 0
+	for _, r := range batch {
+		size += recordSize(len(r.Payload))
+	}
+	if l.curBytes > 0 && l.curBytes+size > l.opts.SegmentBytes && size <= l.opts.SegmentBytes {
+		if err := l.rotateLocked(batch[0].LSN); err != nil {
+			return err
+		}
 	}
 	buf := l.wbuf[:0]
 	for _, r := range batch {
 		sz := recordSize(len(r.Payload))
 		if l.curBytes > 0 && l.curBytes+sz > l.opts.SegmentBytes {
-			if err := writeFull(l.cur, buf); err != nil {
+			if err := l.writeCur(buf); err != nil {
 				return err
 			}
 			buf = buf[:0]
@@ -670,21 +702,42 @@ func (l *Log) writeLocked(batch []Record) error {
 		l.curBytes += sz
 	}
 	l.wbuf = buf[:0]
-	if err := writeFull(l.cur, buf); err != nil {
+	if err := l.writeCur(buf); err != nil {
 		return err
 	}
 	l.noteFsync()
-	return l.cur.Fsync()
-}
-
-// rotateLocked fsyncs and closes the current segment, then starts a new
-// one whose name records the first LSN it will hold. The fsync-before-
-// create ordering is what recovery relies on: a later segment exists only
-// if every earlier segment is fully durable.
-func (l *Log) rotateLocked(nextLSN uint64) error {
-	l.noteFsync()
 	if err := l.cur.Fsync(); err != nil {
 		return err
+	}
+	l.dirty = false
+	return nil
+}
+
+// writeCur writes buf to the current segment, marking it dirty first: a
+// failed write may have left bytes there too. Caller holds fmu.
+func (l *Log) writeCur(buf []byte) error {
+	if len(buf) == 0 {
+		return nil
+	}
+	l.dirty = true
+	return writeFull(l.cur, buf)
+}
+
+// rotateLocked closes the current segment and starts a new one whose
+// name records the first LSN it will hold. Recovery relies on one
+// invariant: a later segment exists only if every earlier segment is
+// fully durable (an invalid record is a torn tail only in the last
+// segment). So a dirty segment is fsynced before the next is created. A
+// clean one needs no fsync: every byte in it, and its length, were
+// covered by an earlier fsync — which is what lets a flush rotate before
+// it writes at no extra cost. A segment Open reopened counts as dirty.
+func (l *Log) rotateLocked(nextLSN uint64) error {
+	if l.dirty {
+		l.noteFsync()
+		if err := l.cur.Fsync(); err != nil {
+			return err
+		}
+		l.dirty = false
 	}
 	if err := l.cur.Close(); err != nil {
 		return err
@@ -696,6 +749,7 @@ func (l *Log) rotateLocked(nextLSN uint64) error {
 	}
 	l.cur, l.curName, l.curBytes = f, name, 0
 	l.segs = append(l.segs, segMeta{name: name, start: nextLSN})
+	l.rotations.Add(1)
 	return nil
 }
 
@@ -747,10 +801,11 @@ func (l *Log) noteBatch(n uint64) {
 // BatchStats returns group-commit statistics since Open.
 func (l *Log) BatchStats() BatchStats {
 	s := BatchStats{
-		Flushes:  l.flushes.Load(),
-		Records:  l.records.Load(),
-		Fsyncs:   l.fsyncs.Load(),
-		MaxBatch: l.maxBatch.Load(),
+		Flushes:   l.flushes.Load(),
+		Records:   l.records.Load(),
+		Fsyncs:    l.fsyncs.Load(),
+		Rotations: l.rotations.Load(),
+		MaxBatch:  l.maxBatch.Load(),
 	}
 	for i := range l.hist {
 		s.Hist[i] = l.hist[i].Load()

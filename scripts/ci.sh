@@ -1,6 +1,6 @@
 #!/bin/sh
-# CI gate: gofmt, vet, build, race-enabled tests, short adversarial
-# torture runs with full history checking, the wake-up benchmark smoke,
+# CI gate: gofmt, vet, build, race-enabled tests, the WAL rotation and
+# crash batteries repeated, short adversarial torture runs with full history checking, the wake-up benchmark smoke,
 # the metrics and trace smokes, the width ladder (scripts/ladder.sh),
 # the kvserver/kvreplica crash smokes, and the paper's figures (quick
 # sizes) against their shape checks. Each recipe lives here or in
@@ -25,6 +25,12 @@ go build ./...
 
 echo "==> go test -race"
 go test -race ./...
+
+# The WAL's rotation, crash-recovery, torn-tail and fsync-accounting
+# batteries, ten times over: a Create/Fsync ordering bug that one
+# schedule in ten exposes turns the gate red here. About 12 s on 2 cores.
+echo "==> rotation and crash batteries (-count=10)"
+go test -count=10 -run 'Crash|Rotat|Torn|Fsync' ./internal/wal ./internal/kv
 
 echo "==> stmtorture -check smoke (2s, fault injection, seed 1)"
 go run ./cmd/stmtorture -duration 2s -threads 8 -check -inject -seed 1
@@ -145,6 +151,7 @@ for series in \
     deferstm_defer_queue_depth \
     deferstm_wal_fsyncs_total \
     'deferstm_wal_lane_records_total{lane="0"}' \
+    'deferstm_wal_lane_rotations_total{lane="0"}' \
     'deferstm_wal_lane_stream_read_bytes_total{lane="0"}' \
     'deferstm_server_responses_total{path="writer"}' \
     deferstm_wal_append_durable_seconds; do
