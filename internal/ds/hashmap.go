@@ -252,49 +252,6 @@ func (m *HashMap[K, V]) Range(tx *stm.Tx, fn func(k K, v V) bool) {
 	}
 }
 
-// SnapshotRange calls fn for every entry of one consistent cut of the
-// map — a snapshot-mode transaction (stm.AtomicSnapshot) that sees the
-// map as of a single version-clock instant, never aborts on conflicting
-// writers and never forces them to wait. fn observes each key exactly
-// once per call, even when the scan internally re-executes: the runtime
-// falls back to the validating read-only path when the version chains
-// cannot serve the snapshot (depth overflow, or a migration chunk held
-// the map's lock at the pin), and that path may run the iteration more
-// than once. The cut is therefore collected inside the transaction and
-// handed to fn only after it succeeded — streaming fn directly from the
-// transaction used to double-observe keys whenever a mid-resize scan
-// was re-run. The buffer costs O(n) memory; fn returning false stops
-// the delivery early (the cut itself is always collected in full).
-func (m *HashMap[K, V]) SnapshotRange(rt *stm.Runtime, fn func(k K, v V) bool) error {
-	type entry struct {
-		k K
-		v V
-	}
-	var cut []entry
-	err := rt.AtomicSnapshot(func(tx *stm.Tx) error {
-		// Len is read at the same pin as the entries, so it is the cut's
-		// exact size: one allocation, never grown.
-		if n := m.Len(tx); n > cap(cut) {
-			cut = make([]entry, 0, n)
-		}
-		cut = cut[:0] // re-execution restarts the iteration from scratch
-		m.Range(tx, func(k K, v V) bool {
-			cut = append(cut, entry{k: k, v: v})
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, e := range cut {
-		if !fn(e.k, e.v) {
-			return nil
-		}
-	}
-	return nil
-}
-
 // Resizes reports how many resizes have completed (snapshot).
 func (m *HashMap[K, V]) Resizes() uint64 { return m.resizes.Load() }
 

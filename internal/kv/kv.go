@@ -144,6 +144,12 @@ type Store struct {
 	mask   uint64
 	gsn    atomic.Uint64 // last GSN issued; multi-lane stores only
 
+	// batches recycles Update's *Batch and cuts Scan's *scanCut. Each is
+	// per store, so a pooled Batch always belongs to this store and its
+	// perShard to this lane count.
+	batches sync.Pool
+	cuts    sync.Pool
+
 	closeOnce sync.Once
 	closeErr  error
 }
@@ -436,6 +442,10 @@ func applyOps(tx *stm.Tx, m *ds.HashMap[string, string], ops []Op) {
 // to the store immediately (inside the transaction, so the transaction
 // reads its own writes) and, when the store has a log, is recorded — per
 // touched shard — for the commit's WAL record(s).
+//
+// A Batch is valid only while the fn it was handed to runs: Update
+// recycles it, so a caller must not keep it, or call its methods, after
+// fn returns.
 type Batch struct {
 	s  *Store
 	tx *stm.Tx
@@ -446,6 +456,19 @@ type Batch struct {
 	single   []Op
 	perShard [][]Op
 	lanes    int
+}
+
+// reset starts an attempt on tx. It truncates the op lists, keeping
+// their capacity, and clears the entries it drops so the pool holds no
+// caller string; reset(nil) is the release when Update returns.
+func (b *Batch) reset(tx *stm.Tx) {
+	b.tx, b.n, b.lanes = tx, 0, 0
+	clear(b.single)
+	b.single = b.single[:0]
+	for i, ops := range b.perShard {
+		clear(ops)
+		b.perShard[i] = ops[:0]
+	}
 }
 
 func (b *Batch) add(sh int, op Op) {
@@ -503,12 +526,22 @@ func (b *Batch) Len() int { return b.n }
 // record(s) are durable on return.
 //
 // fn may re-execute (optimistic retry); it must be idempotent apart from
-// its Batch mutations, which reset on retry.
+// its Batch mutations, which reset on retry. b is valid only while fn
+// runs: the store reuses it for a later Update once this one returns.
 func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
+	b, _ := s.batches.Get().(*Batch)
+	if b == nil {
+		b = &Batch{s: s}
+	}
+	// Released on every way out, a panic in fn included.
+	defer func() {
+		b.reset(nil)
+		s.batches.Put(b)
+	}()
 	var token uint64
 	run := func(tx *stm.Tx) error {
 		token = 0
-		b := &Batch{s: s, tx: tx}
+		b.reset(tx)
 		if err := fn(tx, b); err != nil {
 			return err
 		}
@@ -617,32 +650,45 @@ func (s *Store) SnapshotView(fn func(tx *stm.Tx) error) error {
 // transaction — resetting on re-execution — and delivered to fn only
 // after it succeeded. Callers composing their own transactional scans
 // via SnapshotView must do that reset themselves.
+//
+// The cut's buffer comes from the store's pool and goes back to it,
+// cleared, after delivery.
 func (s *Store) Scan(fn func(k, v string) bool) error {
-	type entry struct{ k, v string }
-	var cut []entry
+	c, _ := s.cuts.Get().(*scanCut)
+	if c == nil {
+		c = new(scanCut)
+	}
 	err := s.SnapshotView(func(tx *stm.Tx) error {
 		// Len is read at the same pin as the entries, so it is the cut's
-		// exact size: one allocation, never grown.
-		if n := s.Len(tx); n > cap(cut) {
-			cut = make([]entry, 0, n)
+		// exact size: a buffer too small is replaced once, never grown.
+		if n := s.Len(tx); n > cap(c.e) {
+			c.e = make([]scanEntry, 0, n)
 		}
-		cut = cut[:0]
+		c.e = c.e[:0]
 		s.Range(tx, func(k, v string) bool {
-			cut = append(cut, entry{k: k, v: v})
+			c.e = append(c.e, scanEntry{k: k, v: v})
 			return true
 		})
 		return nil
 	})
-	if err != nil {
-		return err
-	}
-	for _, e := range cut {
-		if !fn(e.k, e.v) {
-			return nil
+	if err == nil {
+		for _, e := range c.e {
+			if !fn(e.k, e.v) {
+				break
+			}
 		}
 	}
-	return nil
+	clear(c.e)
+	c.e = c.e[:0]
+	s.cuts.Put(c)
+	return err
 }
+
+// scanCut is Scan's pooled cut buffer, behind a pointer so that putting
+// it back allocates nothing.
+type scanCut struct{ e []scanEntry }
+
+type scanEntry struct{ k, v string }
 
 // Get reads key inside tx (for composing with other transactional state).
 func (s *Store) Get(tx *stm.Tx, key string) (string, bool) {

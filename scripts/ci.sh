@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: gofmt, vet, build, race-enabled tests, the WAL rotation and
-# crash batteries repeated, short adversarial torture runs with full history checking, the wake-up benchmark smoke,
+# crash batteries and the kv reuse tests repeated, short adversarial torture runs with full history checking, the wake-up benchmark smoke,
 # the metrics and trace smokes, the width ladder (scripts/ladder.sh),
 # the kvserver/kvreplica crash smokes, and the paper's figures (quick
 # sizes) against their shape checks. Each recipe lives here or in
@@ -31,6 +31,14 @@ go test -race ./...
 # schedule in ten exposes turns the gate red here. About 12 s on 2 cores.
 echo "==> rotation and crash batteries (-count=10)"
 go test -count=10 -run 'Crash|Rotat|Torn|Fsync' ./internal/wal ./internal/kv
+
+# kv.Store.Update recycles its Batch and Scan its cut buffer: forced
+# conflict aborts, failed and panicking fns, and stores of 1, 2 and 4
+# lanes side by side must each leave a record with exactly the committed
+# attempt's ops. Ten times over, then once under the race detector.
+echo "==> Batch and scan-cut reuse tests (-count=10, then -race)"
+go test -count=10 -run 'Reuse' ./internal/kv
+go test -race -count=1 -run 'Reuse' ./internal/kv
 
 echo "==> stmtorture -check smoke (2s, fault injection, seed 1)"
 go run ./cmd/stmtorture -duration 2s -threads 8 -check -inject -seed 1
