@@ -81,15 +81,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	logger := log.New(stderr, "kvreplica: ", log.LstdFlags)
-	reg := obs.NewRegistry()
-	reg.SetBuildInfo("commit", bench.GitCommit(), "go", runtime.Version(), "binary", "kvreplica")
-	rt := stm.NewDefault()
-	rt.SetMetrics(stm.NewMetrics(reg))
-	r := repl.New(rt, repl.Options{
-		Primary:  *primary,
-		Registry: reg,
-		Logf:     func(format string, a ...any) { logger.Printf(format, a...) },
-	})
+	reg, r := newReplica(*primary, func(format string, a ...any) { logger.Printf(format, a...) })
 
 	// The stream owns ctx; signals cancel it, which ends Run.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -115,8 +107,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	store := r.Store()
-	stm.RegisterStats(reg, rt.Snapshot)
-	store.RegisterMetrics(reg)
 	st := r.Status()
 	logger.Printf("caught up: %d lanes, applied %v", st.Lanes, st.Applied)
 
@@ -174,6 +164,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// last tick's.
 	writeStatus(r, *statusfile, logger)
 	return 0
+}
+
+// newReplica builds the metrics registry and a replica of primary whose
+// runtime, and the store it opens, are instrumented on it; run adds the
+// server's own instruments once the replica has caught up.
+func newReplica(primary string, logf func(format string, a ...any)) (*obs.Registry, *repl.Replica) {
+	reg := obs.NewRegistry()
+	reg.SetBuildInfo("commit", bench.GitCommit(), "go", runtime.Version(), "binary", "kvreplica")
+	rt := stm.NewDefault()
+	rt.SetMetrics(stm.NewMetrics(reg))
+	stm.RegisterStats(reg, rt.Snapshot)
+	return reg, repl.New(rt, repl.Options{Primary: primary, Registry: reg, Logf: logf})
 }
 
 // statusWriter publishes r.Status() to path every 200ms. Writes go

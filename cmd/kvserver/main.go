@@ -95,18 +95,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		backend = b
 	}
 
-	reg := obs.NewRegistry()
-	reg.SetBuildInfo("commit", bench.GitCommit(), "go", runtime.Version(), "binary", "kvserver")
-	rt := stm.NewDefault()
-	rt.SetMetrics(stm.NewMetrics(reg))
-	store, info, err := kv.Open(rt, backend, kv.Options{Mode: kvMode, Shards: *shards})
+	reg, store, info, err := open(backend, kv.Options{Mode: kvMode, Shards: *shards})
 	if err != nil {
 		fmt.Fprintf(stderr, "kvserver: open: %v\n", err)
 		return 1
 	}
 	defer store.Close()
-	stm.RegisterStats(reg, rt.Snapshot)
-	store.RegisterMetrics(reg)
 
 	if *verify {
 		return runVerify(stdout, stderr, info, *ackfile)
@@ -177,6 +171,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// open builds the metrics registry and a runtime and store instrumented
+// on it; run adds the server's own instruments.
+func open(backend wal.Backend, opts kv.Options) (*obs.Registry, *kv.Store, *kv.RecoveryInfo, error) {
+	reg := obs.NewRegistry()
+	reg.SetBuildInfo("commit", bench.GitCommit(), "go", runtime.Version(), "binary", "kvserver")
+	rt := stm.NewDefault()
+	rt.SetMetrics(stm.NewMetrics(reg))
+	stm.RegisterStats(reg, rt.Snapshot)
+	opts.Registry = reg
+	store, info, err := kv.Open(rt, backend, opts)
+	return reg, store, info, err
 }
 
 // runVerify prints what recovery found and, given an ackfile, checks

@@ -2,7 +2,7 @@
 // nothing else: cmd/iobench, cmd/dedupbench, cmd/reproduce and the root
 // bench_test.go use it to run repeated trials (Measure, TimeTrials),
 // aggregate mean and standard deviation, and render the rows and series
-// of Figures 2-3 (Table, Series, Speedup) as aligned text or CSV.
+// of Figures 2-3 (Table, Series) as aligned text or CSV.
 // GitCommit (gitinfo.go) labels build-info gauges with the working
 // tree's commit.
 //
@@ -230,17 +230,4 @@ func TimeTrials(trials int, fn func()) []float64 {
 func Measure(s *Series, x float64, trials int, fn func()) {
 	mean, dev := MeanStd(TimeTrials(trials, fn))
 	s.Add(x, mean, dev)
-}
-
-// Speedup returns a derived series base/other at matching X values
-// (e.g. "times faster than the TM baseline" in Section 6.2).
-func Speedup(name string, base, other *Series) *Series {
-	out := &Series{Name: name}
-	for _, p := range base.Points {
-		o := other.At(p.X)
-		if !math.IsNaN(o) && o > 0 {
-			out.Add(p.X, p.Y/o, 0)
-		}
-	}
-	return out
 }

@@ -88,23 +88,6 @@ func TestTimeTrialsAndMeasure(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	base := &Series{Name: "stm"}
-	base.Add(8, 20, 0)
-	best := &Series{Name: "best"}
-	best.Add(8, 2, 0)
-	sp := Speedup("stm/best", base, best)
-	if sp.At(8) != 10 {
-		t.Errorf("speedup = %v, want 10", sp.At(8))
-	}
-	// Missing or zero denominators are skipped.
-	base.Add(16, 5, 0)
-	sp = Speedup("s", base, best)
-	if len(sp.Points) != 1 {
-		t.Errorf("points = %d", len(sp.Points))
-	}
-}
-
 func TestFormatX(t *testing.T) {
 	if formatX(4) != "4" || formatX(2.5) != "2.5" {
 		t.Error("formatX wrong")

@@ -216,38 +216,27 @@ func CompressLevel(dst, src []byte, effort int) []byte {
 	return appendSequence(dst, src[litStart:], 0, 0)
 }
 
-// DecompressedLen reports the decompressed size recorded in a compressed
-// stream without decompressing it.
-func DecompressedLen(src []byte) (int, error) {
+// Decompress decodes src (produced by Compress) and returns the original
+// bytes. It never panics on corrupt input.
+func Decompress(src []byte) ([]byte, error) {
 	if len(src) < len(magic)+1 {
-		return 0, ErrTooShort
+		return nil, ErrTooShort
 	}
 	for i := range magic {
 		if src[i] != magic[i] {
-			return 0, fmt.Errorf("%w: bad magic", ErrCorrupt)
+			return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 		}
 	}
 	n, k := binary.Uvarint(src[len(magic):])
 	if k <= 0 {
-		return 0, fmt.Errorf("%w: bad length", ErrCorrupt)
+		return nil, fmt.Errorf("%w: bad length", ErrCorrupt)
 	}
 	if n > 1<<32 {
-		return 0, fmt.Errorf("%w: implausible length %d", ErrCorrupt, n)
+		return nil, fmt.Errorf("%w: implausible length %d", ErrCorrupt, n)
 	}
-	return int(n), nil
-}
+	want, pos := int(n), len(magic)+k
 
-// Decompress decodes src (produced by Compress) and returns the original
-// bytes. It never panics on corrupt input.
-func Decompress(src []byte) ([]byte, error) {
-	want, err := DecompressedLen(src)
-	if err != nil {
-		return nil, err
-	}
-	pos := len(magic)
-	_, k := binary.Uvarint(src[pos:])
-	pos += k
-
+	var err error
 	out := make([]byte, 0, want)
 	for pos < len(src) {
 		token := src[pos]
@@ -312,13 +301,4 @@ func readExtLen(src []byte, pos, base int) (int, int, error) {
 			return n, pos, nil
 		}
 	}
-}
-
-// Ratio returns compressedLen/originalLen for reporting (1.0 when the
-// original is empty).
-func Ratio(original, compressed int) float64 {
-	if original == 0 {
-		return 1
-	}
-	return float64(compressed) / float64(original)
 }

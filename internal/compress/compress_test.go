@@ -21,6 +21,9 @@ func roundTrip(t *testing.T, src []byte) []byte {
 	return c
 }
 
+// ratio is the compressed size over the original's.
+func ratio(src, c []byte) float64 { return float64(len(c)) / float64(len(src)) }
+
 func TestRoundTripBasic(t *testing.T) {
 	cases := [][]byte{
 		nil,
@@ -42,7 +45,7 @@ func TestRoundTripBasic(t *testing.T) {
 func TestCompressibleDataShrinks(t *testing.T) {
 	src := bytes.Repeat([]byte("abcdefgh"), 4096)
 	c := roundTrip(t, src)
-	if r := Ratio(len(src), len(c)); r > 0.2 {
+	if r := ratio(src, c); r > 0.2 {
 		t.Errorf("ratio = %.2f for highly repetitive data", r)
 	}
 }
@@ -60,7 +63,7 @@ func TestIncompressibleDataBounded(t *testing.T) {
 	if len(c) > MaxCompressedLen(len(src)) {
 		t.Errorf("compressed %d > bound %d", len(c), MaxCompressedLen(len(src)))
 	}
-	if r := Ratio(len(src), len(c)); r > 1.1 {
+	if r := ratio(src, c); r > 1.1 {
 		t.Errorf("expansion ratio = %.3f too large", r)
 	}
 }
@@ -85,17 +88,23 @@ func TestLongMatchExtendedLengths(t *testing.T) {
 func TestTextRatio(t *testing.T) {
 	text := strings.Repeat("Transactional memory simplifies concurrent programming. ", 2000)
 	c := roundTrip(t, []byte(text))
-	if r := Ratio(len(text), len(c)); r > 0.25 {
+	if r := ratio([]byte(text), c); r > 0.25 {
 		t.Errorf("text ratio = %.3f, expected < 0.25 for repetitive text", r)
 	}
 }
 
+// TestDecompressedLen: the length a stream's header records is the length
+// Decompress must produce; a header that disagrees with the body is
+// corruption.
 func TestDecompressedLen(t *testing.T) {
 	src := []byte("some content to compress")
 	c := Compress(nil, src)
-	n, err := DecompressedLen(c)
-	if err != nil || n != len(src) {
-		t.Errorf("DecompressedLen = %d,%v want %d", n, err, len(src))
+	if got, err := Decompress(c); err != nil || len(got) != len(src) {
+		t.Fatalf("Decompress = %d bytes, %v; want %d", len(got), err, len(src))
+	}
+	c[len(magic)]++ // the one-byte varint length
+	if _, err := Decompress(c); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("header length one more than the body: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -146,15 +155,6 @@ func TestErrorsAreClassified(t *testing.T) {
 	}
 	if _, err := Decompress([]byte("XXXXXXXX")); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic: %v", err)
-	}
-}
-
-func TestRatioHelper(t *testing.T) {
-	if Ratio(0, 10) != 1 {
-		t.Error("empty original should report 1")
-	}
-	if Ratio(100, 50) != 0.5 {
-		t.Error("ratio math wrong")
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"unsafe"
 
 	"deferstm/internal/core"
+	"deferstm/internal/obs"
 	"deferstm/internal/stm"
 )
 
@@ -47,7 +48,8 @@ type HashMap[K, V comparable] struct {
 	table    stm.Var[*hmTable[K, V]]
 	resizing stm.Var[bool] // a resize is triggered or in progress
 	stripes  []sizeStripe
-	resizes  atomic.Uint64 // completed resizes (diagnostics/tests)
+	resizes  atomic.Uint64  // completed resizes (diagnostics/tests)
+	chunks   *obs.Histogram // migration chunk latency; nil: untimed (TimeResizes)
 }
 
 // hmTable is one immutable view of the map's bucket layout. Outside a
@@ -101,6 +103,11 @@ func NewHashMap[K, V comparable](nBuckets int) *HashMap[K, V] {
 	m.table.Init(&hmTable[K, V]{buckets: make([]stm.Var[mapNode[K, V]], nBuckets)})
 	return m
 }
+
+// TimeResizes makes the map observe the latency of each resize-migration
+// chunk on h and run its migrator under a pprof label. Call it before the
+// map is shared: the map reads h unsynchronized.
+func (m *HashMap[K, V]) TimeResizes(h *obs.Histogram) { m.chunks = h }
 
 // stripeCount sizes the stripe array to the core count (power of two,
 // clamped to [8, 64]) so concurrent size movers rarely collide.
@@ -325,8 +332,8 @@ func (m *HashMap[K, V]) fitLen(ctx *core.OpCtx, n int) int {
 // whether chains remain.
 func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
 	rt := ctx.Runtime()
-	if met := rt.Metrics(); met != nil {
-		defer func(t0 time.Time) { met.ResizeChunk.Observe(time.Since(t0)) }(time.Now())
+	if h := m.chunks; h != nil {
+		defer func(t0 time.Time) { h.Observe(time.Since(t0)) }(time.Now())
 	}
 	end := t.frontier + migrateChunkBuckets
 	if end > len(t.old) {
@@ -365,7 +372,7 @@ func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
 // Lock() holder, or a second migrator after back-to-back resizes); we
 // yield and retry, and stop as soon as a table with old == nil is seen.
 func (m *HashMap[K, V]) migrateLoop(rt *stm.Runtime) {
-	if rt.Metrics() != nil {
+	if m.chunks != nil {
 		// Label the migrator so goroutine/CPU profiles from the debug
 		// endpoint separate background rehashing from foreground work.
 		pprof.Do(context.Background(), pprof.Labels("deferstm", "map-migrator"),

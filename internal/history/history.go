@@ -19,30 +19,17 @@ import (
 
 // Log is a thread-safe, append-only event log implementing stm.Recorder.
 type Log struct {
-	mu      sync.Mutex
-	events  []stm.Event
-	seq     uint64
-	limit   int // 0 = unbounded
-	dropped uint64
+	mu     sync.Mutex
+	events []stm.Event
+	seq    uint64
 }
 
-// New returns an unbounded Log.
+// New returns an empty Log.
 func New() *Log { return &Log{} }
-
-// NewBounded returns a Log that stops recording after limit events,
-// counting the overflow in Dropped. A truncated history can produce
-// checker false positives (e.g. a lock release falling past the limit),
-// so Dropped should be checked before trusting a verdict.
-func NewBounded(limit int) *Log { return &Log{limit: limit} }
 
 // Record implements stm.Recorder.
 func (l *Log) Record(ev stm.Event) {
 	l.mu.Lock()
-	if l.limit > 0 && len(l.events) >= l.limit {
-		l.dropped++
-		l.mu.Unlock()
-		return
-	}
 	l.seq++
 	ev.Seq = l.seq
 	l.events = append(l.events, ev)
@@ -65,19 +52,11 @@ func (l *Log) Len() int {
 	return len(l.events)
 }
 
-// Dropped reports how many events were discarded due to the bound.
-func (l *Log) Dropped() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
 // Reset discards all recorded events (the sequence counter keeps
 // advancing so sequence numbers stay unique across resets).
 func (l *Log) Reset() {
 	l.mu.Lock()
 	l.events = l.events[:0]
-	l.dropped = 0
 	l.mu.Unlock()
 }
 

@@ -15,18 +15,8 @@ func TestRecordAssignsSequence(t *testing.T) {
 	if len(evs) != 2 || evs[0].Seq != 1 || evs[1].Seq != 2 {
 		t.Fatalf("bad sequence assignment: %+v", evs)
 	}
-	if l.Len() != 2 || l.Dropped() != 0 {
-		t.Fatalf("Len=%d Dropped=%d", l.Len(), l.Dropped())
-	}
-}
-
-func TestBoundedLogDrops(t *testing.T) {
-	l := NewBounded(2)
-	for i := 0; i < 5; i++ {
-		l.Record(stm.Event{Kind: stm.EvBegin, TxID: uint64(i)})
-	}
-	if l.Len() != 2 || l.Dropped() != 3 {
-		t.Fatalf("Len=%d Dropped=%d, want 2/3", l.Len(), l.Dropped())
+	if l.Len() != 2 {
+		t.Fatalf("Len=%d", l.Len())
 	}
 }
 

@@ -52,16 +52,6 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// ParseMode resolves a mode name.
-func ParseMode(s string) (Mode, error) {
-	for m, name := range modeNames {
-		if name == s {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("iobench: unknown mode %q", s)
-}
-
 // Config parameterizes a run.
 type Config struct {
 	Mode    Mode

@@ -106,18 +106,14 @@ func TestOpenCloseCounts(t *testing.T) {
 	}
 }
 
-func TestModeParsing(t *testing.T) {
+func TestModeString(t *testing.T) {
 	for _, m := range []Mode{CGL, FGL, Irrevoc, Defer} {
-		got, err := ParseMode(m.String())
-		if err != nil || got != m {
-			t.Errorf("ParseMode(%q) = %v,%v", m.String(), got, err)
+		if m.String() != modeNames[m] {
+			t.Errorf("%d.String() = %q, want %q", int(m), m.String(), modeNames[m])
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("expected error")
-	}
-	if Mode(42).String() == "" {
-		t.Error("unknown mode string empty")
+	if Mode(42).String() != "Mode(42)" {
+		t.Errorf("unknown mode string %q", Mode(42).String())
 	}
 }
 

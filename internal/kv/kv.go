@@ -54,6 +54,7 @@ import (
 	"sync/atomic"
 
 	"deferstm/internal/ds"
+	"deferstm/internal/obs"
 	"deferstm/internal/stm"
 	"deferstm/internal/wal"
 )
@@ -95,6 +96,11 @@ type Options struct {
 	// error — lane routing is baked into the on-disk layout.
 	Shards int
 	WAL    wal.Options
+	// Registry, when non-nil, receives the store's instruments: the
+	// maps' resize-chunk histogram and, with a log, the WAL series
+	// (registerWAL). Without one the store observes nothing. Give a
+	// registry to one store only: it does not deduplicate names.
+	Registry *obs.Registry
 }
 
 // LaneRecovery is one lane's slice of RecoveryInfo.
@@ -231,6 +237,7 @@ func Open(rt *stm.Runtime, b wal.Backend, opts Options) (*Store, *RecoveryInfo, 
 	if err := s.recover(b, opts.WAL, info); err != nil {
 		return nil, nil, err
 	}
+	s.registerWAL(opts.Registry)
 	_ = rt.Atomic(func(tx *stm.Tx) error {
 		info.Keys = s.Len(tx)
 		return nil
@@ -244,9 +251,16 @@ func newStore(rt *stm.Runtime, opts Options, lanes int) *Store {
 		perShard = 64
 	}
 	s := &Store{rt: rt, mode: opts.Mode, mask: uint64(lanes - 1)}
+	// The maps are timed from the start: recovery replay can resize them.
+	var chunks *obs.Histogram
+	if opts.Registry != nil {
+		chunks = opts.Registry.NewHistogram("deferstm_resize_chunk_seconds",
+			"Latency of one hashmap resize-migration chunk transaction.")
+	}
 	s.shards = make([]shard, lanes)
 	for i := range s.shards {
 		s.shards[i].m = ds.NewHashMap[string, string](perShard)
+		s.shards[i].m.TimeResizes(chunks)
 	}
 	return s
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"deferstm/internal/obs"
 	"deferstm/internal/simio"
 	"deferstm/internal/stm"
 	"deferstm/internal/wal"
@@ -242,18 +243,20 @@ func TestGroupModeSharesFlushes(t *testing.T) {
 }
 
 // TestFsyncCountersMatchDisk: the fsyncs the lanes account for are the
-// fsyncs the disk saw after Open, and the runtime's WAL record counter is
-// the commit count — in both durable modes, on one lane and on four. (A
-// path that fsyncs without counting, or counts one it never issued, would
-// corrupt every fsyncs-per-commit figure reported from these counters.)
-// Sync mode pays exactly one fsync per commit; group mode, with eight
-// committers on one lane, fewer.
+// fsyncs the disk saw after Open, the store-wide WAL series the registry
+// exposes are those lanes' sums, and the record count is the commit
+// count — in both durable modes, on one lane and on four. (A path that
+// fsyncs without counting, or counts one it never issued, would corrupt
+// every fsyncs-per-commit figure reported from these counters.) Sync mode
+// pays exactly one fsync per commit; group mode, with eight committers on
+// one lane, fewer.
 func TestFsyncCountersMatchDisk(t *testing.T) {
 	for _, mode := range []Mode{ModeSync, ModeGroup} {
 		for _, shards := range []int{1, 4} {
 			t.Run(fmt.Sprintf("%s/%d lanes", mode, shards), func(t *testing.T) {
 				fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
-				s, _ := openStore(t, fs, Options{Mode: mode, Shards: shards})
+				reg := obs.NewRegistry()
+				s, _ := openStore(t, fs, Options{Mode: mode, Shards: shards, Registry: reg})
 				defer s.Close()
 				base := fs.Stats().Fsyncs // the manifest and segment creation are Open's
 				const goroutines, perG = 8, 20
@@ -277,16 +280,30 @@ func TestFsyncCountersMatchDisk(t *testing.T) {
 				}
 				wg.Wait()
 				const commits = goroutines * perG
-				var counted uint64
+				var lanes wal.BatchStats
 				for _, l := range s.Logs() {
-					counted += l.BatchStats().Fsyncs
+					b := l.BatchStats()
+					lanes.Fsyncs += b.Fsyncs
+					lanes.Flushes += b.Flushes
+					lanes.Records += b.Records
 				}
 				onDisk := fs.Stats().Fsyncs - base
-				if counted != onDisk {
-					t.Errorf("lanes counted %d fsyncs, the disk saw %d", counted, onDisk)
+				if lanes.Fsyncs != onDisk {
+					t.Errorf("lanes counted %d fsyncs, the disk saw %d", lanes.Fsyncs, onDisk)
 				}
-				if got := s.rt.Snapshot().WALRecords; got != commits {
-					t.Errorf("runtime counted %d WAL records for %d commits", got, commits)
+				if lanes.Records != commits {
+					t.Errorf("lanes counted %d records for %d commits", lanes.Records, commits)
+				}
+				exposed := reg.Snapshot()
+				for name, want := range map[string]uint64{
+					"deferstm_wal_fsyncs_total":      lanes.Fsyncs,
+					"deferstm_wal_flushes_total":     lanes.Flushes,
+					"deferstm_wal_records_total":     lanes.Records,
+					"deferstm_wal_checkpoints_total": 0,
+				} {
+					if got := exposed[name]; got != want {
+						t.Errorf("%s = %v, want the lanes' sum %d", name, got, want)
+					}
 				}
 				switch {
 				case mode == ModeSync && onDisk != commits:
@@ -296,6 +313,31 @@ func TestFsyncCountersMatchDisk(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestRegistryInstrumentsTheStore: a store registers its instruments on
+// the registry it is opened with — a store without a log only its maps'
+// resize-chunk histogram — and its lanes observe every record's
+// append→durable lag there. (Without a registry a lane stamps and
+// observes nothing: wal.TestMetricsOnlyWhenAttached.)
+func TestRegistryInstrumentsTheStore(t *testing.T) {
+	reg := obs.NewRegistry()
+	openStore(t, nil, Options{Mode: ModeNone, Registry: reg})
+	if got := reg.Names(); len(got) != 1 || got[0] != "deferstm_resize_chunk_seconds" {
+		t.Fatalf("a store without a log registered %q, want only the resize-chunk histogram", got)
+	}
+
+	reg = obs.NewRegistry()
+	s, _ := openStore(t, simio.NewFS(simio.Latency{}), Options{Mode: ModeGroup, Shards: 2, Registry: reg})
+	defer s.Close()
+	const n = 20
+	for i := 0; i < n; i++ {
+		s.WaitDurable(put(t, s, fmt.Sprintf("k%d", i), "v"))
+	}
+	lag := reg.Snapshot()["deferstm_wal_append_durable_seconds"].(map[string]any)
+	if got := lag["count"]; got != uint64(n) {
+		t.Fatalf("append->durable lag observed %v times for %d records", got, n)
 	}
 }
 

@@ -4,14 +4,19 @@ import (
 	"fmt"
 
 	"deferstm/internal/obs"
+	"deferstm/internal/wal"
 )
 
-// RegisterMetrics exposes the store's per-lane WAL series on reg — one
-// labeled series per lane, bound for the store's lifetime (the registry
-// has no deduplication, so register a store once). A store without a
-// log (ModeNone) registers nothing.
+// registerWAL hands every lane one wal.Metrics set and exposes the
+// store's WAL series on reg. Open calls it once, for a store with a log,
+// before the store is shared; with a nil reg the lanes observe nothing.
 //
-// Series (lane label = lane index):
+// Runtime-wide series, each a sum over lanes (WALStats):
+//
+//	deferstm_wal_{records,flushes,fsyncs,checkpoints}_total
+//	deferstm_wal_append_durable_seconds, deferstm_wal_batch_wait_seconds
+//
+// Per-lane series (lane label = lane index):
 //
 //	deferstm_wal_lane_records_total  committed records appended to the lane
 //	deferstm_wal_lane_flushes_total  group-commit drain+fsync cycles
@@ -20,9 +25,28 @@ import (
 //	deferstm_wal_lane_durable_lsn    the lane's published durable watermark
 //	deferstm_wal_lane_lag_records    assigned-but-not-durable records on the lane
 //	deferstm_wal_lane_stream_read_bytes_total  segment bytes replication tails read
-func (s *Store) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil || s.shards[0].log == nil {
+func (s *Store) registerWAL(reg *obs.Registry) {
+	if reg == nil {
 		return
+	}
+	met := wal.NewMetrics(reg)
+	for i := range s.shards {
+		s.shards[i].log.SetMetrics(met)
+	}
+	for _, c := range []struct {
+		name, help string
+		get        func(wal.BatchStats) uint64
+	}{
+		{"deferstm_wal_records_total", "Records appended to the WAL, summed over lanes.",
+			func(b wal.BatchStats) uint64 { return b.Records }},
+		{"deferstm_wal_flushes_total", "Group-commit flush cycles (one fsync each), summed over lanes.",
+			func(b wal.BatchStats) uint64 { return b.Flushes }},
+		{"deferstm_wal_fsyncs_total", "Fsyncs issued (flushes, rotations of a dirty segment, checkpoints), summed over lanes.",
+			func(b wal.BatchStats) uint64 { return b.Fsyncs }},
+		{"deferstm_wal_checkpoints_total", "Checkpoints written, summed over lanes.",
+			func(b wal.BatchStats) uint64 { return b.Checkpoints }},
+	} {
+		reg.Counter(c.name, c.help, func() uint64 { return c.get(s.WALStats()) })
 	}
 	for lane := range s.shards {
 		l := s.shards[lane].log
@@ -52,4 +76,27 @@ func (s *Store) RegisterMetrics(reg *obs.Registry) {
 			"Segment bytes replication streams read from this WAL lane's storage.",
 			func() uint64 { return l.StreamReadBytes() })
 	}
+}
+
+// WALStats sums the lanes' group-commit statistics (MaxBatch is the
+// largest batch on any lane). It is zero for a store without a log.
+func (s *Store) WALStats() wal.BatchStats {
+	var t wal.BatchStats
+	for i := range s.shards {
+		l := s.shards[i].log
+		if l == nil {
+			break
+		}
+		b := l.BatchStats()
+		t.Flushes += b.Flushes
+		t.Records += b.Records
+		t.Fsyncs += b.Fsyncs
+		t.Rotations += b.Rotations
+		t.Checkpoints += b.Checkpoints
+		t.MaxBatch = max(t.MaxBatch, b.MaxBatch)
+		for j := range t.Hist {
+			t.Hist[j] += b.Hist[j]
+		}
+	}
+	return t
 }

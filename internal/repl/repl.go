@@ -20,7 +20,8 @@ type Options struct {
 	// Primary is the kvserver address to stream from. It can be changed
 	// at runtime with SetPrimary (the next (re)connect uses it).
 	Primary string
-	// Registry, when non-nil, receives the deferstm_repl_* instruments.
+	// Registry, when non-nil, receives the deferstm_repl_* instruments and
+	// those of the store the replica opens.
 	Registry *obs.Registry
 	// Logf, when non-nil, receives one line per stream lifecycle event.
 	Logf func(format string, args ...any)
@@ -309,7 +310,7 @@ func (r *Replica) ensureState(lanes int) (*engine, error) {
 		}
 		return r.eng, nil
 	}
-	store, _, err := kv.Open(r.rt, nil, kv.Options{Mode: kv.ModeNone, Shards: lanes})
+	store, _, err := kv.Open(r.rt, nil, kv.Options{Mode: kv.ModeNone, Shards: lanes, Registry: r.opts.Registry})
 	if err != nil {
 		return nil, err
 	}

@@ -314,25 +314,14 @@ func (s *Server) Stats() Stats {
 		}
 		return nil
 	})
-	var batchSum, flushSum uint64
 	for _, log := range s.store.Logs() {
-		if log == nil {
-			continue
-		}
-		st.Durable += log.DurableWatermark()
-		bs := log.BatchStats()
-		st.WALFlushes += bs.Flushes
-		st.WALFsyncs += bs.Fsyncs
-		st.WALRecords += bs.Records
-		batchSum += bs.Records
-		flushSum += bs.Flushes
-		if bs.MaxBatch > st.WALMaxBatch {
-			st.WALMaxBatch = bs.MaxBatch
+		if log != nil {
+			st.Durable += log.DurableWatermark()
 		}
 	}
-	if flushSum > 0 {
-		st.WALMeanBatch = float64(batchSum) / float64(flushSum)
-	}
+	ws := s.store.WALStats()
+	st.WALFlushes, st.WALFsyncs, st.WALRecords = ws.Flushes, ws.Fsyncs, ws.Records
+	st.WALMeanBatch, st.WALMaxBatch = ws.Mean(), ws.MaxBatch
 	return st
 }
 

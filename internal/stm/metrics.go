@@ -10,11 +10,13 @@ import (
 // Metrics is the runtime's latency-distribution instrumentation: one
 // histogram or gauge per phase the paper's argument cares about — the
 // transaction's critical window, the deferred tail that was moved out of
-// it, and the quiesce/backoff stalls in between. The struct also carries
-// the instruments for the cooperating layers (core's deferral lock hold,
-// wal's group commit, ds/kv's resize migration): they live here for the
-// same reason the WAL counters live in Stats — every layer already
-// reaches the Runtime, so one attach point instruments the whole stack.
+// it, and the quiesce/backoff stalls in between.
+//
+// It carries the STM's instruments and those of its deferral hooks only.
+// DeferLockHold is measured by core: an atomic deferral runs as an stm
+// commit hook, and core has no object of its own to hang an instrument
+// on. The layers above (wal, ds, kv, server, repl) build their own
+// instruments on the registry they are opened with.
 //
 // All fields are nil-safe instruments: a Metrics built with a nil
 // registry records but exposes nothing, and a Runtime with no Metrics
@@ -43,18 +45,6 @@ type Metrics struct {
 	// friendly locks after commit: λ start → all locks released
 	// (measured by package core).
 	DeferLockHold *obs.Histogram
-
-	// WALAppendDurable is the append→durable lag of one WAL record:
-	// Append enqueued → covering fsync returned (measured by package
-	// wal; this is the latency PR 2's group commit trades for batching).
-	WALAppendDurable *obs.Histogram
-	// WALBatchWait is how long a group-commit batch waited for its
-	// flush: oldest enqueued record → flush start.
-	WALBatchWait *obs.Histogram
-
-	// ResizeChunk is the latency of one resize-migration chunk
-	// transaction in the transactional hashmaps (ds, kv).
-	ResizeChunk *obs.Histogram
 
 	// RetryWaiters is the number of transactions currently parked in
 	// watcher-based retry (watch.go).
@@ -89,12 +79,6 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Post-commit execution latency of one deferred operation."),
 		DeferLockHold: reg.NewHistogram("deferstm_defer_lock_hold_seconds",
 			"Time a deferred operation holds its transaction-friendly locks after commit."),
-		WALAppendDurable: reg.NewHistogram("deferstm_wal_append_durable_seconds",
-			"WAL append->durable lag per record (group commit batching delay plus fsync)."),
-		WALBatchWait: reg.NewHistogram("deferstm_wal_batch_wait_seconds",
-			"Group-commit batch wait: oldest enqueued record to flush start."),
-		ResizeChunk: reg.NewHistogram("deferstm_resize_chunk_seconds",
-			"Latency of one hashmap resize-migration chunk transaction."),
 		RetryWaiters: reg.NewGauge("deferstm_retry_waiters",
 			"Transactions currently parked in watcher-based retry."),
 		WatcherCount: reg.NewGauge("deferstm_retry_watchers",
@@ -112,8 +96,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 // benchmark can attach metrics to an already-warm runtime.
 func (rt *Runtime) SetMetrics(m *Metrics) { rt.met.Store(m) }
 
-// Metrics returns the attached metrics set, or nil. Cooperating
-// packages (core, wal, ds, kv) use this to reach their instruments.
+// Metrics returns the attached metrics set, or nil. Package core uses
+// this to reach the deferral instruments.
 func (rt *Runtime) Metrics() *Metrics { return rt.met.Load() }
 
 // metricsPtr is the Runtime field type (kept out of stm.go's struct
@@ -151,10 +135,6 @@ func RegisterStats(reg *obs.Registry, snap func() StatsSnapshot) {
 		{"deferstm_deferred_ops_total", func(s StatsSnapshot) uint64 { return s.DeferredOps }},
 		{"deferstm_deferred_frees_total", func(s StatsSnapshot) uint64 { return s.DeferredFrees }},
 		{"deferstm_injected_faults_total", func(s StatsSnapshot) uint64 { return s.InjectedFaults }},
-		{"deferstm_wal_records_total", func(s StatsSnapshot) uint64 { return s.WALRecords }},
-		{"deferstm_wal_flushes_total", func(s StatsSnapshot) uint64 { return s.WALFlushes }},
-		{"deferstm_wal_fsyncs_total", func(s StatsSnapshot) uint64 { return s.WALFsyncs }},
-		{"deferstm_wal_checkpoints_total", func(s StatsSnapshot) uint64 { return s.WALCheckpoints }},
 		{"deferstm_snapshot_txs_total", func(s StatsSnapshot) uint64 { return s.Snapshots }},
 		{"deferstm_snapshot_reads_total", func(s StatsSnapshot) uint64 { return s.SnapshotReads }},
 		{"deferstm_snapshot_fallbacks_total", func(s StatsSnapshot) uint64 { return s.SnapshotFallbacks }},
@@ -162,8 +142,11 @@ func RegisterStats(reg *obs.Registry, snap func() StatsSnapshot) {
 	} {
 		get := sr.get
 		help := "Runtime counter (see stm.StatsSnapshot)."
-		if strings.HasPrefix(sr.name, "deferstm_aborts_total") {
+		switch {
+		case strings.HasPrefix(sr.name, "deferstm_aborts_total"):
 			help = "Aborted transaction attempts by reason."
+		case sr.name == "deferstm_deferred_ops_total":
+			help = "Atomic deferrals finished, one per AtomicDefer operation (other commit hooks are not counted)."
 		}
 		reg.Counter(sr.name, help, func() uint64 { return get(snap()) })
 	}

@@ -37,10 +37,6 @@ const (
 	cDeferredOps
 	cDeferredFrees
 	cInjectedFaults
-	cWALRecords
-	cWALFlushes
-	cWALFsyncs
-	cWALCheckpoints
 	cSnapshots
 	cSnapshotReads
 	cSnapshotFallbacks
@@ -64,7 +60,7 @@ type statShard struct {
 
 // Counter is one striped runtime counter. It keeps the incrementing
 // API the unpadded atomic fields had (`rt.Stats().Commits.Add(1)`),
-// so cooperating packages (core, mempool, wal) did not change. The
+// so cooperating packages (core, mempool) did not change. The
 // zero Counter is invalid; counters live inside a Runtime's Stats.
 type Counter struct {
 	s *Stats
@@ -116,6 +112,11 @@ func stripeIdx() uint32 {
 // updated atomically; Snapshot produces a consistent-enough copy for
 // reporting (individual counters are exact; cross-counter skew is
 // bounded by in-flight transactions).
+//
+// Every counter is the STM's own, except DeferredOps and DeferredFrees:
+// an atomic deferral and a deferred free run as stm commit hooks, and
+// core and mempool have no object of their own to hang a counter on.
+// The layers above the STM (wal, kv, server, repl) count their own work.
 type Stats struct {
 	shards []statShard
 	mask   uint32
@@ -134,19 +135,9 @@ type Stats struct {
 	SerialRuns     Counter // serial-mode executions (incl. AtomicSerial)
 	QuiesceWaits   Counter // quiesce calls that actually waited
 	QuiesceNanos   Counter // total nanoseconds spent waiting in quiesce
-	DeferredOps    Counter // AfterCommit hooks executed (set by core)
+	DeferredOps    Counter // atomic deferrals finished, one per AtomicDefer op (set by core)
 	DeferredFrees  Counter // QueueFree actions executed (set by mempool)
 	InjectedFaults Counter // faults fired by Config.Inject
-
-	// WAL counters, incremented by package wal. A "flush" is one drain
-	// of the log's batch queue followed by one fsync; WALRecords /
-	// WALFlushes is therefore the mean group-commit batch size. The
-	// striping preserves exactness (Load sums every stripe), so the
-	// group-commit batch-size arithmetic in cmd/kvbench is unchanged.
-	WALRecords     Counter // records appended to log segments
-	WALFlushes     Counter // batch flushes (one fsync each)
-	WALFsyncs      Counter // every fsync issued (flushes + rotations + checkpoints)
-	WALCheckpoints Counter // checkpoints written
 
 	// Snapshot-mode counters (snapshot.go). SnapshotFallbacks counts
 	// snapshot attempts that re-ran on the validating path (chain
@@ -203,10 +194,6 @@ func (s *Stats) init() {
 		cDeferredOps:         &s.DeferredOps,
 		cDeferredFrees:       &s.DeferredFrees,
 		cInjectedFaults:      &s.InjectedFaults,
-		cWALRecords:          &s.WALRecords,
-		cWALFlushes:          &s.WALFlushes,
-		cWALFsyncs:           &s.WALFsyncs,
-		cWALCheckpoints:      &s.WALCheckpoints,
 		cSnapshots:           &s.Snapshots,
 		cSnapshotReads:       &s.SnapshotReads,
 		cSnapshotFallbacks:   &s.SnapshotFallbacks,
@@ -236,10 +223,6 @@ type StatsSnapshot struct {
 	DeferredOps    uint64
 	DeferredFrees  uint64
 	InjectedFaults uint64
-	WALRecords     uint64
-	WALFlushes     uint64
-	WALFsyncs      uint64
-	WALCheckpoints uint64
 
 	Snapshots           uint64
 	SnapshotReads       uint64
@@ -280,10 +263,6 @@ func (rt *Runtime) Snapshot() StatsSnapshot {
 		DeferredOps:    t[cDeferredOps],
 		DeferredFrees:  t[cDeferredFrees],
 		InjectedFaults: t[cInjectedFaults],
-		WALRecords:     t[cWALRecords],
-		WALFlushes:     t[cWALFlushes],
-		WALFsyncs:      t[cWALFsyncs],
-		WALCheckpoints: t[cWALCheckpoints],
 
 		Snapshots:           t[cSnapshots],
 		SnapshotReads:       t[cSnapshotReads],
@@ -314,10 +293,6 @@ func (s StatsSnapshot) Delta(prev StatsSnapshot) StatsSnapshot {
 		DeferredOps:    s.DeferredOps - prev.DeferredOps,
 		DeferredFrees:  s.DeferredFrees - prev.DeferredFrees,
 		InjectedFaults: s.InjectedFaults - prev.InjectedFaults,
-		WALRecords:     s.WALRecords - prev.WALRecords,
-		WALFlushes:     s.WALFlushes - prev.WALFlushes,
-		WALFsyncs:      s.WALFsyncs - prev.WALFsyncs,
-		WALCheckpoints: s.WALCheckpoints - prev.WALCheckpoints,
 
 		Snapshots:           s.Snapshots - prev.Snapshots,
 		SnapshotReads:       s.SnapshotReads - prev.SnapshotReads,
@@ -349,10 +324,6 @@ func (s StatsSnapshot) String() string {
 	if s.Snapshots != 0 || s.SnapshotFallbacks != 0 {
 		base += fmt.Sprintf(" snapshot(txs=%d reads=%d fallbacks=%d truncations=%d)",
 			s.Snapshots, s.SnapshotReads, s.SnapshotFallbacks, s.SnapshotTruncations)
-	}
-	if s.WALRecords != 0 || s.WALFlushes != 0 || s.WALCheckpoints != 0 {
-		base += fmt.Sprintf(" wal(records=%d flushes=%d fsyncs=%d ckpts=%d)",
-			s.WALRecords, s.WALFlushes, s.WALFsyncs, s.WALCheckpoints)
 	}
 	return base
 }

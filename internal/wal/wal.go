@@ -71,6 +71,7 @@ import (
 	"time"
 
 	"deferstm/internal/core"
+	"deferstm/internal/obs"
 	"deferstm/internal/stm"
 )
 
@@ -126,7 +127,7 @@ type pnode struct {
 	gsn     uint64 // global commit sequence number; 0 on a lone log
 	cross   bool   // one of several records of a multi-lane commit
 	payload []byte
-	born    time.Time // enqueue time; zero unless metrics are attached
+	born    time.Time // enqueue time; zero unless the log has Metrics
 	next    *pnode
 }
 
@@ -139,13 +140,16 @@ type segMeta struct {
 }
 
 // BatchStats summarizes group-commit behaviour since the Log was opened.
+// The log's own counters are the only count of its work: a store's
+// runtime-wide WAL series are sums of these over its lanes.
 type BatchStats struct {
-	Flushes   uint64     // drain+fsync cycles
-	Records   uint64     // records written through those flushes
-	Fsyncs    uint64     // every fsync: flushes + rotations of a dirty segment + checkpoints
-	Rotations uint64     // segments started after Open
-	MaxBatch  uint64     // largest single batch
-	Hist      [17]uint64 // Hist[i] counts batches with bits.Len64(size) == i
+	Flushes     uint64     // drain+fsync cycles
+	Records     uint64     // records written through those flushes
+	Fsyncs      uint64     // every fsync: flushes + rotations of a dirty segment + checkpoints
+	Rotations   uint64     // segments started after Open
+	Checkpoints uint64     // checkpoints written
+	MaxBatch    uint64     // largest single batch
+	Hist        [17]uint64 // Hist[i] counts batches with bits.Len64(size) == i
 }
 
 // Mean returns the mean batch size (0 when no flush happened).
@@ -154,6 +158,29 @@ func (s BatchStats) Mean() float64 {
 		return 0
 	}
 	return float64(s.Records) / float64(s.Flushes)
+}
+
+// Metrics is a log's latency instrumentation. A store builds one set and
+// attaches it to every lane, so each histogram stays a single series.
+type Metrics struct {
+	// AppendDurable is the append→durable lag of one record: enqueued →
+	// covering fsync returned (the latency group commit trades for
+	// batching).
+	AppendDurable *obs.Histogram
+	// BatchWait is how long a group-commit batch waited for its flush:
+	// oldest enqueued record → flush start.
+	BatchWait *obs.Histogram
+}
+
+// NewMetrics builds the set, registered on reg (nil: recorded but
+// exposed nowhere).
+func NewMetrics(reg *obs.Registry) *Metrics {
+	return &Metrics{
+		AppendDurable: reg.NewHistogram("deferstm_wal_append_durable_seconds",
+			"WAL append->durable lag per record (group commit batching delay plus fsync)."),
+		BatchWait: reg.NewHistogram("deferstm_wal_batch_wait_seconds",
+			"Group-commit batch wait: oldest enqueued record to flush start."),
+	}
 }
 
 // Log is a durable, group-committing write-ahead log. Create one with
@@ -165,6 +192,7 @@ type Log struct {
 	rt   *stm.Runtime
 	b    Backend
 	opts Options
+	met  *Metrics // nil: the log stamps, times and labels nothing (SetMetrics)
 
 	nextLSN  stm.Var[uint64]    // next LSN to reserve
 	pending  stm.Var[*pnode]    // committed-but-unflushed records
@@ -188,12 +216,13 @@ type Log struct {
 	wbuf   []byte    // batch encode buffer, reused across flushes
 	closed bool
 
-	flushes   atomic.Uint64
-	records   atomic.Uint64
-	fsyncs    atomic.Uint64
-	rotations atomic.Uint64
-	maxBatch  atomic.Uint64
-	hist      [17]atomic.Uint64
+	flushes     atomic.Uint64
+	records     atomic.Uint64
+	fsyncs      atomic.Uint64
+	rotations   atomic.Uint64
+	checkpoints atomic.Uint64
+	maxBatch    atomic.Uint64
+	hist        [17]atomic.Uint64
 
 	lastCkpt   atomic.Uint64 // upTo of the newest fsynced checkpoint (0 when none)
 	streamRead atomic.Uint64 // segment bytes Tails read from the backend
@@ -331,6 +360,10 @@ func Open(rt *stm.Runtime, b Backend, opts Options) (*Log, *Recovery, error) {
 // Runtime returns the runtime the log's transactions run on.
 func (l *Log) Runtime() *stm.Runtime { return l.rt }
 
+// SetMetrics attaches met to the log. Call it before the first append:
+// the log reads it unsynchronized.
+func (l *Log) SetMetrics(met *Metrics) { l.met = met }
+
 // Append reserves the next LSN for payload and schedules it for durable
 // append, all within tx: if tx aborts, nothing happened. The record
 // becomes readable in the log's serialization order the moment tx
@@ -378,7 +411,7 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 // it after the call.
 func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, cross bool, payload []byte) {
 	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, payload: payload, next: l.pending.Get(tx)}
-	if l.rt.Metrics() != nil {
+	if l.met != nil {
 		// Stamp the enqueue so the covering flush can observe the
 		// append→durable lag. Re-executions of an aborted tx restamp.
 		node.born = time.Now()
@@ -543,7 +576,7 @@ func (l *Log) drainAndFlush(ctx *core.OpCtx) {
 		return
 	}
 	var flushStart time.Time
-	if l.rt.Metrics() != nil {
+	if l.met != nil {
 		flushStart = time.Now()
 	}
 	if err := l.flushBatch(batch); err != nil {
@@ -618,10 +651,9 @@ func (l *Log) drain(ctx *core.OpCtx) (*pnode, []Record) {
 
 // flushBatch writes batch to the segment files and fsyncs, under fmu.
 func (l *Log) flushBatch(batch []Record) error {
-	met := l.rt.Metrics()
 	l.fmu.Lock()
 	var err error
-	if met != nil {
+	if l.met != nil {
 		// Label the I/O so profiles taken through the debug endpoint
 		// attribute fsync time to the group-commit flush.
 		pprof.Do(context.Background(), pprof.Labels("deferstm", "wal-flush"),
@@ -637,24 +669,19 @@ func (l *Log) flushBatch(batch []Record) error {
 // latency metrics, and the EvWALDurable history event. Caller holds the
 // log's TxLock under ctx.Owner() and must have fsynced batch already.
 func (l *Log) publish(ctx *core.OpCtx, head *pnode, batch []Record, flushStart time.Time) {
-	if met := l.rt.Metrics(); met != nil {
+	if met := l.met; met != nil {
 		// Per-record append→durable lag, and how long the oldest record
 		// of this batch waited for the flush to even start (the pure
 		// group-commit batching delay, fsync excluded).
 		end := time.Now()
-		var oldest time.Time
+		oldest := head.born
 		for p := head; p != nil; p = p.next {
-			if p.born.IsZero() {
-				continue // enqueued before metrics were attached
-			}
-			if oldest.IsZero() || p.born.Before(oldest) {
+			if p.born.Before(oldest) {
 				oldest = p.born
 			}
-			met.WALAppendDurable.Observe(end.Sub(p.born))
+			met.AppendDurable.Observe(end.Sub(p.born))
 		}
-		if !oldest.IsZero() {
-			met.WALBatchWait.Observe(flushStart.Sub(oldest))
-		}
+		met.BatchWait.Observe(flushStart.Sub(oldest))
 	}
 
 	// Counters first: whoever the watermark wakes (the committer is no
@@ -769,16 +796,10 @@ func writeFull(f File, buf []byte) error {
 }
 
 // noteFsync counts one fsync issued by this log, on whichever path —
-// batch flush, segment rotation, or checkpoint. Group-commit flush
-// metrics used to count only drain cycles (WALFlushes), so a rotation-
-// or checkpoint-heavy run issued more fsyncs than the counters admitted
-// and kvbench's fsyncs/commit arithmetic could not be reconciled
-// against the filesystem's ground truth; Fsyncs closes that gap
-// per lane (BatchStats.Fsyncs) and runtime-wide (Stats.WALFsyncs).
-func (l *Log) noteFsync() {
-	l.fsyncs.Add(1)
-	l.rt.Stats().WALFsyncs.Add(1)
-}
+// batch flush, segment rotation, or checkpoint — so that fsyncs per
+// commit reconcile with the filesystem's ground truth, not just with the
+// drain cycles (Flushes).
+func (l *Log) noteFsync() { l.fsyncs.Add(1) }
 
 func (l *Log) noteBatch(n uint64) {
 	l.flushes.Add(1)
@@ -794,18 +815,17 @@ func (l *Log) noteBatch(n uint64) {
 		b = len(l.hist) - 1
 	}
 	l.hist[b].Add(1)
-	l.rt.Stats().WALFlushes.Add(1)
-	l.rt.Stats().WALRecords.Add(n)
 }
 
 // BatchStats returns group-commit statistics since Open.
 func (l *Log) BatchStats() BatchStats {
 	s := BatchStats{
-		Flushes:   l.flushes.Load(),
-		Records:   l.records.Load(),
-		Fsyncs:    l.fsyncs.Load(),
-		Rotations: l.rotations.Load(),
-		MaxBatch:  l.maxBatch.Load(),
+		Flushes:     l.flushes.Load(),
+		Records:     l.records.Load(),
+		Fsyncs:      l.fsyncs.Load(),
+		Rotations:   l.rotations.Load(),
+		Checkpoints: l.checkpoints.Load(),
+		MaxBatch:    l.maxBatch.Load(),
 	}
 	for i := range l.hist {
 		s.Hist[i] = l.hist[i].Load()
@@ -897,7 +917,7 @@ func (l *Log) Checkpoint(snap func(tx *stm.Tx) (blob []byte, upTo uint64, err er
 	l.segs = kept
 	l.fmu.Unlock()
 
-	l.rt.Stats().WALCheckpoints.Add(1)
+	l.checkpoints.Add(1)
 	return upTo, nil
 }
 

@@ -104,9 +104,6 @@ func TestGroupCommit(t *testing.T) {
 	if st.MaxBatch < 2 {
 		t.Fatalf("no batch ever exceeded 1 record (max=%d)", st.MaxBatch)
 	}
-	if got := rt.Snapshot().WALRecords; got != total {
-		t.Fatalf("runtime stats WALRecords=%d, want %d", got, total)
-	}
 	t.Logf("%d commits, %d flushes (mean batch %.1f, max %d)",
 		total, st.Flushes, st.Mean(), st.MaxBatch)
 
@@ -116,6 +113,44 @@ func TestGroupCommit(t *testing.T) {
 	_, _, rec := openSim(t, fs, Options{})
 	if rec.LastLSN != total || len(rec.Records) != int(total) {
 		t.Fatalf("recovered LastLSN=%d, %d records", rec.LastLSN, len(rec.Records))
+	}
+}
+
+// TestMetricsOnlyWhenAttached: a log without Metrics never stamps a
+// record's enqueue time, so its flushes observe nothing; with a set
+// attached, every record's append→durable lag and every batch's wait is
+// observed.
+func TestMetricsOnlyWhenAttached(t *testing.T) {
+	for _, attach := range []bool{false, true} {
+		rt, l, _ := openSim(t, simio.NewFS(simio.Latency{}), Options{})
+		met := NewMetrics(nil)
+		if attach {
+			l.SetMetrics(met)
+		}
+		const n = 5
+		for i := 0; i < n; i++ {
+			var stamped bool
+			_ = rt.Atomic(func(tx *stm.Tx) error {
+				l.Append(tx, []byte("x"))
+				stamped = !l.pending.Get(tx).born.IsZero()
+				return nil
+			})
+			if stamped != attach {
+				t.Fatalf("attached=%v: record stamped=%v", attach, stamped)
+			}
+		}
+		l.WaitDurable(n)
+		flushes := l.BatchStats().Flushes
+		var want [2]uint64
+		if attach {
+			want = [2]uint64{n, flushes}
+		}
+		if got := [2]uint64{met.AppendDurable.Snapshot().Count, met.BatchWait.Snapshot().Count}; got != want {
+			t.Errorf("attached=%v: observed %d lags and %d batch waits over %d flushes, want %v", attach, got[0], got[1], flushes, want)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -299,8 +334,8 @@ func TestCheckpointPrune(t *testing.T) {
 			t.Fatalf("post-checkpoint record %d has LSN %d", i, r.LSN)
 		}
 	}
-	if got := rt.Snapshot().WALCheckpoints; got != 2 {
-		t.Fatalf("WALCheckpoints=%d, want 2", got)
+	if got := l.BatchStats().Checkpoints; got != 2 {
+		t.Fatalf("Checkpoints=%d, want 2", got)
 	}
 }
 

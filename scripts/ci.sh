@@ -128,8 +128,10 @@ grep -q '"traceEvents"' "$tmptrace" || { echo "trace output malformed"; exit 1; 
 # connection must fill batches by itself. Before the kill, the live
 # server's /metrics is scraped: every key family must be exposed —
 # commit-latency buckets, abort-reason counters, deferred-queue depth,
-# the WAL fsync, per-lane, stream-read and append→durable lag series, and
-# the responses-by-path counters, with a non-zero reader count.
+# the WAL fsync, checkpoint, per-lane, stream-read and append→durable lag
+# series, the map's resize-chunk histogram, and the responses-by-path
+# counters, with a non-zero reader count; the store-wide fsync count must
+# equal the lanes' sum.
 echo "==> kvserver crash smoke (kvloadgen ladder + /metrics scrape + kill -9 + recovery verify)"
 kvdir="$(mktemp -d)"
 trap 'rm -f "$tmpmetrics" "$tmptrace"; rm -rf "$kvdir"' EXIT
@@ -158,6 +160,8 @@ for series in \
     'deferstm_aborts_total{reason="conflict"}' \
     deferstm_defer_queue_depth \
     deferstm_wal_fsyncs_total \
+    deferstm_wal_checkpoints_total \
+    deferstm_resize_chunk_seconds \
     'deferstm_wal_lane_records_total{lane="0"}' \
     'deferstm_wal_lane_rotations_total{lane="0"}' \
     'deferstm_wal_lane_stream_read_bytes_total{lane="0"}' \
@@ -165,6 +169,12 @@ for series in \
     deferstm_wal_append_durable_seconds; do
     grep -q "$series" "$tmpmetrics" || { echo "missing series: $series"; exit 1; }
 done
+# Each fsync is counted once, by its lane: the store-wide series is the
+# lanes' sum.
+awk '/^deferstm_wal_fsyncs_total / { total = $2 }
+     /^deferstm_wal_lane_fsyncs_total\{/ { lanes += $2 }
+     END { if (total == "" || total != lanes) { print "deferstm_wal_fsyncs_total " total " != lane sum " lanes; exit 1 } }' \
+    "$tmpmetrics" || exit 1
 # The ladder's GETs and STATS on idle connections are answered by the
 # connection's reader, not through the ack queue and writer goroutine.
 grep -Eq '^deferstm_server_responses_total\{path="reader"\} [1-9]' "$tmpmetrics" \
