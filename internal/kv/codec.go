@@ -30,9 +30,7 @@ type Op struct {
 }
 
 func appendStr(dst []byte, s string) []byte {
-	var l [4]byte
-	binary.LittleEndian.PutUint32(l[:], uint32(len(s)))
-	dst = append(dst, l[:]...)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
 
@@ -47,23 +45,40 @@ func takeStr(b []byte) (string, []byte, error) {
 	return string(b[4 : 4+n]), b[4+n:], nil
 }
 
-// EncodeOps serializes a mutation list. It is the WAL commit-record
-// payload format, and — exported — the BATCH body of the wire protocol
-// (internal/server): one framing discipline end to end, so a batch that
-// arrived over a socket is byte-identical to the record that replays it.
+// EncodeOps serializes a mutation list, in one allocation. It is the WAL
+// commit-record payload format, and — exported — the BATCH body of the
+// wire protocol (internal/server): one framing discipline end to end, so
+// a batch that arrived over a socket is byte-identical to the record that
+// replays it.
 func EncodeOps(ops []Op) []byte {
-	var out []byte
+	return AppendOps(make([]byte, 0, OpsSize(ops)), ops)
+}
+
+// AppendOps appends the EncodeOps bytes of ops to dst.
+func AppendOps(dst []byte, ops []Op) []byte {
 	for _, op := range ops {
 		if op.Put {
-			out = append(out, opPut)
-			out = appendStr(out, op.Key)
-			out = appendStr(out, op.Value)
+			dst = append(dst, opPut)
+			dst = appendStr(dst, op.Key)
+			dst = appendStr(dst, op.Value)
 		} else {
-			out = append(out, opDelete)
-			out = appendStr(out, op.Key)
+			dst = append(dst, opDelete)
+			dst = appendStr(dst, op.Key)
 		}
 	}
-	return out
+	return dst
+}
+
+// OpsSize is the length of the EncodeOps bytes of ops.
+func OpsSize(ops []Op) int {
+	n := 0
+	for _, op := range ops {
+		n += 5 + len(op.Key)
+		if op.Put {
+			n += 4 + len(op.Value)
+		}
+	}
+	return n
 }
 
 // DecodeOps parses a commit-record (or wire BATCH) payload. It

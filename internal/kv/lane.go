@@ -61,19 +61,17 @@ func TokenLSN(t uint64) uint64 { return t & (1<<tokenLSNBits - 1) }
 // Single-lane stores write bare EncodeOps payloads (no header), which
 // keeps their on-disk format identical to the pre-lane store.
 
-// encodeLaneRecord serializes one lane's record of a commit.
+// encodeLaneRecord serializes one lane's record of a commit, header and
+// ops in one allocation.
 func encodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
-	out := make([]byte, 0, 9+9*len(pts))
-	var u [8]byte
-	binary.LittleEndian.PutUint64(u[:], gsn)
-	out = append(out, u[:]...)
+	out := make([]byte, 0, 9+9*len(pts)+OpsSize(ops))
+	out = binary.LittleEndian.AppendUint64(out, gsn)
 	out = append(out, byte(len(pts)))
 	for _, p := range pts {
 		out = append(out, byte(p.Lane))
-		binary.LittleEndian.PutUint64(u[:], p.LSN)
-		out = append(out, u[:]...)
+		out = binary.LittleEndian.AppendUint64(out, p.LSN)
 	}
-	return append(out, EncodeOps(ops)...)
+	return AppendOps(out, ops)
 }
 
 // decodeLaneRecord parses a multi-lane record payload.

@@ -18,17 +18,28 @@ import (
 // synchronous methods (Get, Put, …) are one-request windows over the
 // async core; a load generator keeps N requests in flight with
 // Send/Recv pairs.
+//
+// Send only buffers its frame; a flusher goroutine writes the buffer
+// out. A Send kicks the flusher unless a kick is already pending, and
+// the Sends that follow before it runs join that flush, so a burst of
+// pipelined requests costs one socket write. A synchronous call flushes
+// inline: it is about to block on the response anyway.
 type Client struct {
 	nc net.Conn
 	br *bufio.Reader
 
-	mu      sync.Mutex // guards bw, pending, nextID, err
+	mu      sync.Mutex // guards bw, frame, pending, nextID, err
 	bw      *bufio.Writer
+	frame   []byte // the frame being encoded
 	pending map[uint64]chan Response
 	nextID  uint64
 	err     error // sticky: first transport failure
 
-	readerDone chan struct{}
+	kick        chan struct{} // capacity 1: a pending kick is a flush owed
+	stop        chan struct{} // closed by Close: stops the flusher
+	closeOnce   sync.Once
+	readerDone  chan struct{}
+	flusherDone chan struct{}
 }
 
 // Dial connects to a kvserver at addr.
@@ -37,24 +48,35 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newClient(nc), nil
+}
+
+// newClient starts a Client's reader and flusher on nc.
+func newClient(nc net.Conn) *Client {
 	c := &Client{
-		nc:         nc,
-		br:         bufio.NewReaderSize(nc, 32<<10),
-		bw:         bufio.NewWriterSize(nc, 32<<10),
-		pending:    map[uint64]chan Response{},
-		readerDone: make(chan struct{}),
+		nc:          nc,
+		br:          bufio.NewReaderSize(nc, 32<<10),
+		bw:          bufio.NewWriterSize(nc, 32<<10),
+		pending:     map[uint64]chan Response{},
+		kick:        make(chan struct{}, 1),
+		stop:        make(chan struct{}),
+		readerDone:  make(chan struct{}),
+		flusherDone: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	go c.flushLoop()
+	return c
 }
 
 // readLoop demultiplexes responses to their waiting callers. On
 // transport failure it fails every in-flight call and every later one.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
+	var buf []byte
 	for {
-		payload, err := readFrame(c.br, DefaultMaxFrame)
+		payload, err := readFrameInto(c.br, DefaultMaxFrame, buf)
 		if err == nil {
+			buf = reusable(payload)
 			var resp Response
 			if resp, err = DecodeResponse(payload); err == nil {
 				c.mu.Lock()
@@ -82,10 +104,46 @@ func (c *Client) readLoop() {
 	}
 }
 
-// Send issues req asynchronously: it assigns the id, writes the frame,
-// and returns a channel that will carry the response. The channel is
-// closed without a value if the connection fails first.
+// flushLoop writes out what Send buffered, once per kick.
+func (c *Client) flushLoop() {
+	defer close(c.flusherDone)
+	for {
+		select {
+		case <-c.kick:
+		case <-c.stop:
+			return
+		}
+		c.mu.Lock()
+		if c.err == nil {
+			if err := c.bw.Flush(); err != nil {
+				c.failLocked(err)
+			}
+		}
+		c.mu.Unlock()
+	}
+}
+
+// failLocked records a write failure and closes the connection, so that
+// readLoop fails every pending call: the requests buffered behind the
+// failed write would otherwise wait for responses that never come.
+// c.mu must be held.
+func (c *Client) failLocked(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.nc.Close()
+}
+
+// Send issues req asynchronously: it assigns the id, buffers the frame
+// for the flusher, and returns a channel that will carry the response.
+// The channel is closed without a value if the connection fails first.
 func (c *Client) Send(req Request) (<-chan Response, error) {
+	return c.send(req, false)
+}
+
+// send buffers req's frame and, when now is set, writes the buffer out
+// before it returns; otherwise it leaves the write to the flusher.
+func (c *Client) send(req Request, now bool) (<-chan Response, error) {
 	ch := make(chan Response, 1)
 	c.mu.Lock()
 	if c.err != nil {
@@ -95,19 +153,24 @@ func (c *Client) Send(req Request) (<-chan Response, error) {
 	c.nextID++
 	req.ID = c.nextID
 	c.pending[req.ID] = ch
-	err := writeFrame(c.bw, EncodeRequest(req))
-	if err == nil {
+	c.frame = requestFrame(reusable(c.frame), req)
+	_, err := c.bw.Write(c.frame)
+	if err == nil && now {
 		err = c.bw.Flush()
 	}
 	if err != nil {
-		if c.err == nil {
-			c.err = err
-		}
+		c.failLocked(err)
 		delete(c.pending, req.ID)
 		c.mu.Unlock()
 		return nil, err
 	}
 	c.mu.Unlock()
+	if !now {
+		select {
+		case c.kick <- struct{}{}:
+		default: // a flush is already owed, and will carry this frame too
+		}
+	}
 	return ch, nil
 }
 
@@ -134,7 +197,7 @@ func (c *Client) transportErr() error {
 }
 
 func (c *Client) call(req Request) (Response, error) {
-	ch, err := c.Send(req)
+	ch, err := c.send(req, true)
 	if err != nil {
 		return Response{}, err
 	}
@@ -187,9 +250,14 @@ func (c *Client) Stats() (Stats, error) {
 	return st, nil
 }
 
-// Close tears the connection down and releases every waiter.
+// Close tears the connection down, releases every waiter and stops the
+// flusher. A request Sent but not yet flushed may never reach the
+// server; Close does not wait to write it, because a flush blocked on a
+// peer that stopped reading is exactly what closing must break.
 func (c *Client) Close() error {
 	err := c.nc.Close()
+	c.closeOnce.Do(func() { close(c.stop) })
 	<-c.readerDone
+	<-c.flusherDone
 	return err
 }

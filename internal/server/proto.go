@@ -115,20 +115,8 @@ type Response struct {
 	Err    string // status Err
 }
 
-func appendU32(dst []byte, v uint32) []byte {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	return append(dst, b[:]...)
-}
-
-func appendU64(dst []byte, v uint64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], v)
-	return append(dst, b[:]...)
-}
-
 func appendStr(dst []byte, s string) []byte {
-	dst = appendU32(dst, uint32(len(s)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
 
@@ -157,10 +145,18 @@ func takeStr(b []byte) (string, []byte, error) {
 	return string(b[4 : 4+n]), b[4+n:], nil
 }
 
-// EncodeRequest renders req as a frame payload (no length prefix).
+// EncodeRequest renders req as a frame payload (no length prefix), in
+// one allocation: its capacity covers the header and every field any op
+// carries.
 func EncodeRequest(req Request) []byte {
-	out := []byte{req.Op}
-	out = appendU64(out, req.ID)
+	n := 29 + len(req.Key) + len(req.Val) + kv.OpsSize(req.Ops) + 8*len(req.Cursors)
+	return appendRequest(make([]byte, 0, n), req)
+}
+
+// appendRequest appends req's payload to dst.
+func appendRequest(dst []byte, req Request) []byte {
+	out := append(dst, req.Op)
+	out = binary.LittleEndian.AppendUint64(out, req.ID)
 	switch req.Op {
 	case OpGet, OpDel:
 		out = appendStr(out, req.Key)
@@ -168,14 +164,14 @@ func EncodeRequest(req Request) []byte {
 		out = appendStr(out, req.Key)
 		out = appendStr(out, req.Val)
 	case OpBatch:
-		out = append(out, kv.EncodeOps(req.Ops)...)
+		out = kv.AppendOps(out, req.Ops)
 	case OpWatch:
-		out = appendU64(out, req.LSN)
+		out = binary.LittleEndian.AppendUint64(out, req.LSN)
 	case OpStats:
 	case OpReplHello:
-		out = appendU32(out, uint32(len(req.Cursors)))
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(req.Cursors)))
 		for _, c := range req.Cursors {
-			out = appendU64(out, c)
+			out = binary.LittleEndian.AppendUint64(out, c)
 		}
 	}
 	return out
@@ -235,10 +231,18 @@ func DecodeRequest(b []byte) (Request, error) {
 	return req, nil
 }
 
-// EncodeResponse renders resp as a frame payload (no length prefix).
+// EncodeResponse renders resp as a frame payload (no length prefix), in
+// one allocation: its capacity covers the header and every field any op
+// carries.
 func EncodeResponse(resp Response) []byte {
-	out := []byte{resp.Status, resp.Op}
-	out = appendU64(out, resp.ID)
+	n := 31 + len(resp.Val) + len(resp.Stats) + len(resp.Err)
+	return appendResponse(make([]byte, 0, n), resp)
+}
+
+// appendResponse appends resp's payload to dst.
+func appendResponse(dst []byte, resp Response) []byte {
+	out := append(dst, resp.Status, resp.Op)
+	out = binary.LittleEndian.AppendUint64(out, resp.ID)
 	if resp.Status != StatusOK {
 		return appendStr(out, resp.Err)
 	}
@@ -251,13 +255,13 @@ func EncodeResponse(resp Response) []byte {
 		out = append(out, found)
 		out = appendStr(out, resp.Val)
 	case OpPut, OpDel, OpBatch:
-		out = appendU64(out, resp.LSN)
+		out = binary.LittleEndian.AppendUint64(out, resp.LSN)
 	case OpWatch:
-		out = appendU64(out, resp.Water)
+		out = binary.LittleEndian.AppendUint64(out, resp.Water)
 	case OpStats:
 		out = appendStr(out, resp.Stats)
 	case OpReplHello:
-		out = appendU32(out, uint32(resp.Shards))
+		out = binary.LittleEndian.AppendUint32(out, uint32(resp.Shards))
 	}
 	return out
 }
@@ -323,7 +327,8 @@ func DecodeResponse(b []byte) (Response, error) {
 // request/response Client).
 func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
 
-// ReadFrame reads one length-prefixed frame, enforcing maxFrame.
+// ReadFrame reads one length-prefixed frame into a buffer of its own,
+// enforcing maxFrame.
 func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) { return readFrame(r, maxFrame) }
 
 // writeFrame writes one length-prefixed frame.
@@ -337,18 +342,58 @@ func writeFrame(w io.Writer, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, enforcing the size limit BEFORE allocating
-// the payload buffer — a lying header must not cost memory.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// requestFrame renders req into buf as one whole frame: the length
+// prefix, then the payload.
+func requestFrame(buf []byte, req Request) []byte {
+	b := appendRequest(append(buf[:0], 0, 0, 0, 0), req)
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// responseFrame renders resp into buf as one whole frame.
+func responseFrame(buf []byte, resp Response) []byte {
+	b := appendResponse(append(buf[:0], 0, 0, 0, 0), resp)
+	binary.LittleEndian.PutUint32(b, uint32(len(b)-4))
+	return b
+}
+
+// readFrame reads one frame into a buffer of its own.
+func readFrame(r io.Reader, maxFrame int) ([]byte, error) { return readFrameInto(r, maxFrame, nil) }
+
+// maxKeptFrame bounds the frame buffers a connection keeps between
+// frames: one huge BATCH or value must not pin its size for the
+// connection's lifetime.
+const maxKeptFrame = 64 << 10
+
+// reusable returns buf for the next frame to reuse, or nil if one large
+// frame grew it past maxKeptFrame.
+func reusable(buf []byte) []byte {
+	if cap(buf) > maxKeptFrame {
+		return nil
+	}
+	return buf
+}
+
+// readFrameInto reads one frame into buf, growing it if the frame does
+// not fit, and returns the payload — valid until buf's next use. The
+// size limit is checked BEFORE anything is allocated or grown: a lying
+// header must not cost memory.
+func readFrameInto(r io.Reader, maxFrame int, buf []byte) ([]byte, error) {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4)
+	}
+	hdr := buf[:4]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if int(n) > maxFrame {
 		return nil, fmt.Errorf("%w: %d > %d", errFrameTooBig, n, maxFrame)
 	}
-	payload := make([]byte, n)
+	if int(n) > cap(buf) {
+		buf = make([]byte, n)
+	}
+	payload := buf[:n]
 	if _, err := io.ReadFull(r, payload); err != nil {
 		return nil, err
 	}

@@ -46,7 +46,7 @@ type ReplFrame struct {
 func EncodeReplFrame(f ReplFrame) []byte {
 	out := make([]byte, 0, replFrameHeader+len(f.Payload))
 	out = append(out, f.Kind, byte(f.Lane))
-	out = appendU64(out, f.LSN)
+	out = binary.LittleEndian.AppendUint64(out, f.LSN)
 	return append(out, f.Payload...)
 }
 

@@ -81,6 +81,8 @@ type Server struct {
 	reqErrs    atomic.Uint64
 	// Responses written, by the goroutine that wrote them (handleConn).
 	readerResps, writerResps atomic.Uint64
+	// Read calls on served connections' sockets.
+	socketReads atomic.Uint64
 
 	ackLatency *obs.Histogram
 }
@@ -157,6 +159,9 @@ func New(store *kv.Store, opts Options) *Server {
 		func() uint64 { return s.readerResps.Load() })
 	reg.Counter(`deferstm_server_responses_total{path="writer"}`, respHelp,
 		func() uint64 { return s.writerResps.Load() })
+	reg.Counter("deferstm_server_socket_reads_total",
+		"Read calls on served connections' sockets: a pipelined burst of requests arrives in one.",
+		func() uint64 { return s.socketReads.Load() })
 	return s
 }
 
@@ -352,15 +357,16 @@ func (p *pend) waits() bool {
 }
 
 // connOut is a connection's response side, shared by its reader and its
-// writer goroutine: both write responses into bw under mu. owed counts
-// the responses the reader has handed to the writer that are not yet in
-// bw. The reader writes a response itself only when owed is 0 — every
-// earlier response is then already in bw — so responses leave in
-// arrival order whichever goroutine writes them.
+// writer goroutine: both encode responses into frame and write them into
+// bw under mu. owed counts the responses the reader has handed to the
+// writer that are not yet in bw. The reader writes a response itself
+// only when owed is 0 — every earlier response is then already in bw —
+// so responses leave in arrival order whichever goroutine writes them.
 type connOut struct {
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	owed atomic.Int64
+	mu    sync.Mutex
+	bw    *bufio.Writer
+	frame []byte
+	owed  atomic.Int64
 }
 
 func (o *connOut) flush() error {
@@ -372,9 +378,9 @@ func (o *connOut) flush() error {
 // respond writes p's response into o's buffer, flushing it when flush is
 // set, and counts it on path.
 func (s *Server) respond(o *connOut, p *pend, flush bool, path *atomic.Uint64) error {
-	frame := EncodeResponse(p.resp)
 	o.mu.Lock()
-	err := writeFrame(o.bw, frame)
+	o.frame = responseFrame(reusable(o.frame), p.resp)
+	_, err := o.bw.Write(o.frame)
 	if err == nil && flush {
 		err = o.bw.Flush()
 	}
@@ -474,7 +480,8 @@ func (s *Server) handleConn(nc net.Conn) {
 		}
 	}()
 
-	br := bufio.NewReaderSize(nc, 32<<10)
+	br := bufio.NewReaderSize(countReads{nc, &s.socketReads}, 32<<10)
+	var buf []byte     // the frame buffer, reused: decoding copies out of it
 	unflushed := false // the reader wrote responses it has not flushed yet
 	handOff := func(p pend) error {
 		if unflushed {
@@ -500,7 +507,7 @@ func (s *Server) handleConn(nc net.Conn) {
 		return nil
 	}
 	for {
-		payload, err := readFrame(br, DefaultMaxFrame)
+		payload, err := readFrameInto(br, DefaultMaxFrame, buf)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) && ctx.Err() == nil && !s.stopping() {
 				s.logf("server: %s: read: %v", nc.RemoteAddr(), err)
@@ -508,6 +515,7 @@ func (s *Server) handleConn(nc net.Conn) {
 			_ = handOff(pend{sentinel: true})
 			break
 		}
+		buf = reusable(payload)
 		req, err := DecodeRequest(payload)
 		if err != nil {
 			// Framing survived but the payload didn't parse: the stream
@@ -550,6 +558,17 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.mu.Unlock()
 	s.nConns.Add(-1)
 	s.wg.Done()
+}
+
+// countReads counts the Read calls made on a connection's socket.
+type countReads struct {
+	r io.Reader
+	n *atomic.Uint64
+}
+
+func (c countReads) Read(p []byte) (int, error) {
+	c.n.Add(1)
+	return c.r.Read(p)
 }
 
 // frameBuffered reports whether br already holds the whole next frame,

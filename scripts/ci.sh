@@ -179,6 +179,13 @@ awk '/^deferstm_wal_fsyncs_total / { total = $2 }
 # connection's reader, not through the ack queue and writer goroutine.
 grep -Eq '^deferstm_server_responses_total\{path="reader"\} [1-9]' "$tmpmetrics" \
     || { echo "no response was written by a connection's reader"; grep deferstm_server_responses_total "$tmpmetrics"; exit 1; }
+# The client coalesces a pipelined burst into one socket write, so the
+# server reads the ladder's requests in fewer reads than there are
+# requests.
+awk '/^deferstm_server_socket_reads_total / { reads = $2 }
+     /^deferstm_server_requests_total\{op="(put|get)"\} / { reqs += $2 }
+     END { if (reads == "" || reads + 0 >= reqs + 0) { print "socket reads " reads " not fewer than PUT+GET requests " reqs; exit 1 } }' \
+    "$tmpmetrics" || exit 1
 kill -9 "$kvsrvpid" 2>/dev/null || true
 wait "$kvsrvpid" 2>/dev/null || true
 "$kvdir/kvserver" -dir "$kvdir/wal" -verify -ackfile "$kvdir/ack.txt"
