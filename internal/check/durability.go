@@ -30,7 +30,7 @@ const RuleDurability = "durability"
 
 type walAppend struct {
 	lsn   uint64
-	gsn   uint64 // global commit sequence number (0 on single-lane logs)
+	gsn   uint64 // global commit sequence number (0: the appender drew none)
 	ver   uint64 // commit version of the appending transaction
 	seq   uint64
 	txID  uint64
@@ -78,10 +78,10 @@ func checkDurability(p *parsed) []Violation {
 				})
 			}
 		}
-		// GSN order must agree with lane LSN order: a multi-lane store
+		// GSN order must agree with lane LSN order: a kv store
 		// draws each commit's GSN after reserving every touched lane's
 		// LSN, so within one lane ascending LSN ⇒ strictly ascending GSN
-		// (records without a GSN — single-lane logs — are exempt).
+		// (records without a GSN — a bare log's — are exempt).
 		var prevG *walAppend
 		for _, a := range sorted {
 			if a.gsn == 0 {

@@ -25,17 +25,19 @@
 // fixed FNV-1a hash (deterministic across restarts, so a key's records
 // always live in one lane and per-lane LSN order is per-key order).
 //
-// Every commit, on one shard or several, enqueues one record per touched
-// lane and returns; each lane's own flusher fsyncs its part. A sharded
-// store stamps each record with a global commit sequence number (GSN)
-// and the full lane/LSN vector of its commit, so recovery can tell a
-// complete cross-shard batch from one a crash cut in half and presume
-// the latter aborted, truncating its lanes' tails. Nothing acked is
-// lost: a lane publishes a watermark over a cross-shard record only once
-// every lane has fsynced everything at or below its GSN (the frontier
-// gate of package wal). TestCrossShardCrashAtomicity,
-// TestDependentCommitSurvivesCrash and TestCrossShardStressNoDeadlock
-// pin it.
+// Every commit, on one shard or several, takes one path (commitLanes):
+// it reserves an LSN on each touched lane, draws a global commit
+// sequence number (GSN), and hands each lane one record — queued for the
+// lane's own flusher in ModeGroup, written and fsynced before the commit
+// in ModeSync. A sharded store's record carries the GSN and the full
+// lane/LSN vector of its commit, so recovery can tell a complete
+// cross-shard batch from one a crash cut in half and presume the latter
+// aborted, truncating its lanes' tails; a 1-lane store's record is the
+// bare op list (encodeRecord). Nothing acked is lost: a lane publishes a
+// watermark over a cross-shard record only once every lane has fsynced
+// everything at or below its GSN (the frontier gate of package wal).
+// TestCrossShardCrashAtomicity, TestDependentCommitSurvivesCrash and
+// TestCrossShardStressNoDeadlock pin it.
 //
 // Recovery (Open) replays, per lane, the newest checkpoint plus all
 // intact WAL records after it, in LSN order. Because LSNs are assigned
@@ -50,6 +52,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -148,7 +151,6 @@ type Store struct {
 	mode   Mode
 	shards []shard
 	mask   uint64
-	gsn    atomic.Uint64 // last GSN issued; multi-lane stores only
 
 	// batches recycles Update's *Batch and cuts Scan's *scanCut. Each is
 	// per store, so a pooled Batch always belongs to this store and its
@@ -265,12 +267,38 @@ func newStore(rt *stm.Runtime, opts Options, lanes int) *Store {
 	return s
 }
 
+// lastGSN is the last GSN issued, by any store in the process. One
+// counter for all of them keeps a GSN unique across a reopen on the same
+// runtime, which the history checker requires: a 1-lane store writes no
+// GSN to disk, and aborted attempts leave gaps, so no recovered number
+// bounds the GSNs a previous store issued. Recovery raises it past every
+// GSN it replays (raiseGSN).
+var lastGSN atomic.Uint64
+
+func raiseGSN(g uint64) {
+	for {
+		cur := lastGSN.Load()
+		if cur >= g || lastGSN.CompareAndSwap(cur, g) {
+			return
+		}
+	}
+}
+
+// laneRecord is one recovered record, decoded once: recovery decides the
+// cross-lane cuts from these and replays them.
+type laneRecord struct {
+	lsn, gsn uint64
+	pts      []LanePoint
+	ops      []Op
+}
+
 // recover opens every lane, presumes incomplete cross-shard batches
 // aborted (truncating lane tails), and replays checkpoint images and
 // surviving records into the shard maps.
 func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) error {
 	lanes := len(s.shards)
 	recs := make([]*wal.Recovery, lanes)
+	decoded := make([][]laneRecord, lanes)
 	for i := range s.shards {
 		log, rec, err := wal.Open(s.rt, laneBackend(b, i, lanes), wopts)
 		if err != nil {
@@ -278,43 +306,45 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		}
 		s.shards[i].log = log
 		recs[i] = rec
+		decoded[i] = make([]laneRecord, len(rec.Records))
+		for j, r := range rec.Records {
+			gsn, pts, ops, err := s.DecodeLaneRecord(r.Payload)
+			if err != nil {
+				return fmt.Errorf("kv: lane %d record %d: %w", i, r.LSN, err)
+			}
+			decoded[i][j] = laneRecord{lsn: r.LSN, gsn: gsn, pts: pts, ops: ops}
+		}
 	}
 
-	var cuts []uint64
-	if lanes > 1 {
-		var err error
-		cuts, err = crossLaneCuts(recs)
+	cuts, err := crossLaneCuts(recs, decoded)
+	if err != nil {
+		return err
+	}
+	for i, cut := range cuts {
+		if cut == 0 {
+			continue
+		}
+		// Drop the incomplete batch and the lane's tail after it, then
+		// reopen the lane so LSN assignment resumes below the cut. The
+		// dropped records were never acked (the flush that would have
+		// published their watermark never finished), so presuming them
+		// aborted loses nothing that was promised.
+		kept := slices.IndexFunc(decoded[i], func(r laneRecord) bool { return r.lsn >= cut })
+		info.SkippedRecords += len(decoded[i]) - kept
+		decoded[i] = decoded[i][:kept]
+		if err := s.shards[i].log.Close(); err != nil {
+			return fmt.Errorf("kv: lane %d: close for truncation: %w", i, err)
+		}
+		lb := laneBackend(b, i, lanes)
+		if err := wal.TruncateTail(lb, recs[i], cut); err != nil {
+			return fmt.Errorf("kv: lane %d: %w", i, err)
+		}
+		log, rec, err := wal.Open(s.rt, lb, wopts)
 		if err != nil {
-			return err
+			return fmt.Errorf("kv: lane %d: reopen after truncation: %w", i, err)
 		}
-		for i, cut := range cuts {
-			if cut == 0 {
-				continue
-			}
-			// Drop the incomplete batch and the lane's tail after it,
-			// then reopen the lane so LSN assignment resumes below the
-			// cut. The dropped records were never acked (the flush that
-			// would have published their watermark never finished), so
-			// presuming them aborted loses nothing that was promised.
-			for _, r := range recs[i].Records {
-				if r.LSN >= cut {
-					info.SkippedRecords++
-				}
-			}
-			if err := s.shards[i].log.Close(); err != nil {
-				return fmt.Errorf("kv: lane %d: close for truncation: %w", i, err)
-			}
-			lb := laneBackend(b, i, lanes)
-			if err := wal.TruncateTail(lb, recs[i], cut); err != nil {
-				return fmt.Errorf("kv: lane %d: %w", i, err)
-			}
-			log, rec, err := wal.Open(s.rt, lb, wopts)
-			if err != nil {
-				return fmt.Errorf("kv: lane %d: reopen after truncation: %w", i, err)
-			}
-			s.shards[i].log = log
-			recs[i] = rec
-		}
+		s.shards[i].log = log
+		recs[i] = rec
 	}
 
 	for i, rec := range recs {
@@ -323,16 +353,14 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 			CheckpointLSN: rec.CheckpointLSN,
 			LastLSN:       rec.LastLSN,
 			TornBytes:     rec.TornBytes,
+			TruncatedAt:   cuts[i],
 		}
-		if cuts != nil {
-			lr.TruncatedAt = cuts[i]
-		}
+		m := s.shards[i].m
 		if rec.Checkpoint != nil {
 			kvs, err := decodeSnapshot(rec.Checkpoint)
 			if err != nil {
 				return fmt.Errorf("kv: lane %d checkpoint: %w", i, err)
 			}
-			m := s.shards[i].m
 			if err := s.rt.Atomic(func(tx *stm.Tx) error {
 				for k, v := range kvs {
 					m.Put(tx, k, v)
@@ -345,17 +373,10 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		// Replay: one transaction per record so replay transactions stay
 		// small. The store is not shared yet, so these commit without
 		// contention.
-		for _, r := range rec.Records {
-			gsn, _, ops, err := s.DecodeLaneRecord(r.Payload)
-			if err != nil {
-				return fmt.Errorf("kv: lane %d record %d: %w", i, r.LSN, err)
-			}
-			if gsn > info.MaxGSN {
-				info.MaxGSN = gsn
-			}
-			m := s.shards[i].m
+		for _, r := range decoded[i] {
+			info.MaxGSN = max(info.MaxGSN, r.gsn)
 			if err := s.rt.Atomic(func(tx *stm.Tx) error {
-				applyOps(tx, m, ops)
+				applyOps(tx, m, r.ops)
 				return nil
 			}); err != nil {
 				return err
@@ -368,45 +389,36 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		info.Replayed += lr.Replayed
 		info.Lanes = append(info.Lanes, lr)
 	}
-	s.gsn.Store(info.MaxGSN)
+	raiseGSN(info.MaxGSN)
 	wal.JoinLanes(s.Logs())
 	return nil
 }
 
 // crossLaneCuts decides, per lane, the first LSN to drop: the lane's
-// earliest record of a cross-shard batch missing a sibling. A sibling
+// earliest record of a cross-shard batch missing a sibling. recs gives
+// each lane's checkpoint and decoded its records, ascending. A sibling
 // point is satisfied if its lane recovered that LSN below its own cut,
 // or already folded it into a checkpoint (checkpoints never contain
 // incomplete batches: a lane checkpoint fsyncs what it covers through
 // the frontier gate before it writes the file, so every sibling of a
 // covered record is on disk). Cutting one lane can orphan a batch
 // another lane thought complete, so the cuts iterate to a fixed point;
-// each pass only lowers cuts, so it terminates.
-func crossLaneCuts(recs []*wal.Recovery) ([]uint64, error) {
-	type rec struct {
-		lsn uint64
-		pts []LanePoint
-	}
-	decoded := make([][]rec, len(recs))
-	present := make([]map[uint64]bool, len(recs))
-	for i, r := range recs {
-		present[i] = make(map[uint64]bool, len(r.Records))
-		for _, rr := range r.Records {
-			gsn, pts, _, err := decodeLaneRecord(rr.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("kv: lane %d record %d: %w", i, rr.LSN, err)
-			}
-			_ = gsn
-			for _, p := range pts {
-				if p.Lane < 0 || p.Lane >= len(recs) {
-					return nil, fmt.Errorf("kv: lane %d record %d: vector names lane %d of %d", i, rr.LSN, p.Lane, len(recs))
+// each pass only lowers cuts, so it terminates. A record without a
+// vector — every record of a 1-lane store — has no sibling to miss.
+func crossLaneCuts(recs []*wal.Recovery, decoded [][]laneRecord) ([]uint64, error) {
+	present := make([]map[uint64]bool, len(decoded))
+	for i, lane := range decoded {
+		present[i] = make(map[uint64]bool, len(lane))
+		for _, r := range lane {
+			for _, p := range r.pts {
+				if p.Lane < 0 || p.Lane >= len(decoded) {
+					return nil, fmt.Errorf("kv: lane %d record %d: vector names lane %d of %d", i, r.lsn, p.Lane, len(decoded))
 				}
 			}
-			decoded[i] = append(decoded[i], rec{lsn: rr.LSN, pts: pts})
-			present[i][rr.LSN] = true
+			present[i][r.lsn] = true
 		}
 	}
-	cut := make([]uint64, len(recs))
+	cut := make([]uint64, len(decoded))
 	kept := func(lane int, lsn uint64) bool {
 		if lsn <= recs[lane].CheckpointLSN {
 			return true
@@ -416,25 +428,17 @@ func crossLaneCuts(recs []*wal.Recovery) ([]uint64, error) {
 	for changed := true; changed; {
 		changed = false
 		for i, lane := range decoded {
+		records:
 			for _, r := range lane {
 				if cut[i] != 0 && r.lsn >= cut[i] {
 					break // already dropped; records are ascending
 				}
-				if len(r.pts) <= 1 {
-					continue
-				}
 				for _, p := range r.pts {
-					if p.Lane == i {
-						continue
-					}
-					if !kept(p.Lane, p.LSN) {
+					if p.Lane != i && !kept(p.Lane, p.LSN) {
 						cut[i] = r.lsn
 						changed = true
-						break
+						break records
 					}
-				}
-				if cut[i] != 0 && r.lsn >= cut[i] {
-					break
 				}
 			}
 		}
@@ -464,10 +468,8 @@ type Batch struct {
 	s  *Store
 	tx *stm.Tx
 	n  int
-	// single holds the ops of a 1-shard store (the unsharded layout);
-	// perShard, indexed by shard, those of a sharded one, and lanes counts
-	// its non-empty entries.
-	single   []Op
+	// perShard holds the ops, indexed by shard; lanes counts its
+	// non-empty entries.
 	perShard [][]Op
 	lanes    int
 }
@@ -477,8 +479,6 @@ type Batch struct {
 // caller string; reset(nil) is the release when Update returns.
 func (b *Batch) reset(tx *stm.Tx) {
 	b.tx, b.n, b.lanes = tx, 0, 0
-	clear(b.single)
-	b.single = b.single[:0]
 	for i, ops := range b.perShard {
 		clear(ops)
 		b.perShard[i] = ops[:0]
@@ -489,10 +489,6 @@ func (b *Batch) add(sh int, op Op) {
 	b.n++
 	if b.s.shards[0].log == nil {
 		return // ModeNone: no record will be written
-	}
-	if len(b.s.shards) == 1 {
-		b.single = append(b.single, op)
-		return
 	}
 	if b.perShard == nil {
 		b.perShard = make([][]Op, len(b.s.shards))
@@ -528,9 +524,9 @@ func (b *Batch) Len() int { return b.n }
 
 // Update runs fn as one atomic, durable mutation of the store and
 // returns a durability token for its WAL record(s) — 0 for a read-only
-// fn or in ModeNone. On a single-shard store the token is the plain
-// LSN; on a sharded store it packs the home lane (the lowest touched
-// lane) and that lane's LSN (see PackToken). In ModeGroup every Update
+// fn or in ModeNone. The token packs the home lane (the lowest touched
+// lane) and that lane's LSN (see PackToken); on a 1-lane store it is the
+// plain LSN. In ModeGroup every Update
 // returns at commit, on one shard or several: the records are queued,
 // each touched lane's flusher goroutine owes its fsync, and the token is
 // not yet durable — call WaitDurable(token) for a synchronous guarantee.
@@ -562,18 +558,6 @@ func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
 		if s.shards[0].log == nil || b.n == 0 {
 			return nil
 		}
-		if len(s.shards) == 1 {
-			// The unsharded fast path, untouched: one log, bare payload,
-			// no GSN.
-			payload := EncodeOps(b.single)
-			if s.mode == ModeSync {
-				var err error
-				token, err = s.shards[0].log.AppendSync(tx, payload)
-				return err
-			}
-			token = s.shards[0].log.Append(tx, payload)
-			return nil
-		}
 		var err error
 		token, err = s.commitLanes(tx, b)
 		return err
@@ -590,10 +574,12 @@ func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
 	return token, nil
 }
 
-// commitLanes appends a sharded commit's per-lane records. Every record
-// carries the commit's GSN and full lane/LSN vector, and is queued on
-// its lane like any single-lane record; a commit touching several lanes
-// marks them cross, which is what the lane flushers' frontier gate keys on.
+// commitLanes writes a commit's records, one per touched lane, and
+// returns its token. Each record is handed to its lane like any other:
+// queued for the lane's flusher in ModeGroup, written and fsynced at
+// once in ModeSync (a serial transaction). A commit touching several
+// lanes marks its records cross, which is what the lane flushers'
+// frontier gate keys on.
 func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 	// One point per touched lane, ascending: pts[0] is the home lane.
 	pts := make([]LanePoint, 0, b.lanes)
@@ -601,25 +587,6 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 		if len(ops) > 0 {
 			pts = append(pts, LanePoint{Lane: sh})
 		}
-	}
-
-	if s.mode == ModeSync {
-		// Serial transactions run exclusively, so each lane's next LSN
-		// is exactly LastAssigned+1 — predict the vector, then append.
-		for i := range pts {
-			pts[i].LSN = s.shards[pts[i].Lane].log.LastAssigned(tx) + 1
-		}
-		gsn := s.gsn.Add(1)
-		for _, p := range pts {
-			lsn, err := s.shards[p.Lane].log.AppendSyncWith(tx, gsn, encodeLaneRecord(gsn, pts, b.perShard[p.Lane]))
-			if err != nil {
-				return 0, err
-			}
-			if lsn != p.LSN {
-				panic(fmt.Sprintf("kv: serial lane %d assigned LSN %d, predicted %d", p.Lane, lsn, p.LSN))
-			}
-		}
-		return PackToken(pts[0].Lane, pts[0].LSN), nil
 	}
 
 	// Reserve every touched lane's LSN first (the payload header needs
@@ -632,9 +599,16 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 	for i := range pts {
 		pts[i].LSN = s.shards[pts[i].Lane].log.Reserve(tx)
 	}
-	gsn := s.gsn.Add(1)
+	gsn := lastGSN.Add(1)
 	for _, p := range pts {
-		s.shards[p.Lane].log.EnqueueReserved(tx, p.LSN, gsn, len(pts) > 1, encodeLaneRecord(gsn, pts, b.perShard[p.Lane]))
+		log, payload := s.shards[p.Lane].log, s.encodeRecord(gsn, pts, b.perShard[p.Lane])
+		if s.mode == ModeSync {
+			if err := log.SyncReserved(tx, p.LSN, gsn, payload); err != nil {
+				return 0, err
+			}
+		} else {
+			log.EnqueueReserved(tx, p.LSN, gsn, len(pts) > 1, payload)
+		}
 	}
 	return PackToken(pts[0].Lane, pts[0].LSN), nil
 }
@@ -763,16 +737,6 @@ func (s *Store) laneOf(token uint64) *wal.Log {
 		panic(fmt.Sprintf("kv: token names lane %d of a %d-lane store", lane, len(s.shards)))
 	}
 	return s.shards[lane].log
-}
-
-// LastDurable returns lane 0's durability watermark inside tx,
-// serializing behind any in-flight flush on that lane (0 in ModeNone).
-// Sharded callers that want the full picture iterate Logs().
-func (s *Store) LastDurable(tx *stm.Tx) uint64 {
-	if s.shards[0].log == nil {
-		return 0
-	}
-	return s.shards[0].log.LastDurable(tx)
 }
 
 // Checkpoint snapshots every shard into its lane's new recovery base

@@ -1,8 +1,8 @@
-// Lane support for the sharded store: the record-header codec that
-// stamps every multi-lane WAL record with its global commit sequence
-// number (GSN) and the full lane/LSN vector of its commit, the
-// durability token that routes waits to the right lane, and the
-// manifest file that pins a directory to its lane count.
+// Lane support: the record codec that stamps every multi-lane WAL
+// record with its global commit sequence number (GSN) and the full
+// lane/LSN vector of its commit, the durability token that routes waits
+// to the right lane, and the manifest file that pins a directory to its
+// lane count.
 package kv
 
 import (
@@ -59,7 +59,31 @@ func TokenLSN(t uint64) uint64 { return t & (1<<tokenLSNBits - 1) }
 //	u64 gsn, u8 nLanes, repeat nLanes { u8 lane, u64 lsn }, ops...
 //
 // Single-lane stores write bare EncodeOps payloads (no header), which
-// keeps their on-disk format identical to the pre-lane store.
+// keeps their on-disk format identical to the pre-lane store. The rule
+// lives in one encode/decode pair, encodeRecord and DecodeLaneRecord;
+// TestRecordFormatPinned pins it.
+
+// encodeRecord renders one lane's record of a commit in this store's
+// format: the bare op list on a 1-lane store, which has no vector to
+// carry and drops the GSN, the lane record otherwise.
+func (s *Store) encodeRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
+	if len(s.shards) == 1 {
+		return EncodeOps(ops)
+	}
+	return encodeLaneRecord(gsn, pts, ops)
+}
+
+// DecodeLaneRecord parses one record payload of this store, for its
+// recovery and for a replica applying a shipped record alike — the
+// inverse of encodeRecord: a 1-lane store's bare op list decodes as gsn
+// 0 with a nil vector.
+func (s *Store) DecodeLaneRecord(payload []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
+	if len(s.shards) == 1 {
+		ops, err = DecodeOps(payload)
+		return 0, nil, ops, err
+	}
+	return decodeLaneRecord(payload)
+}
 
 // encodeLaneRecord serializes one lane's record of a commit, header and
 // ops in one allocation.

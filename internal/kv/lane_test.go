@@ -250,10 +250,12 @@ func TestLegacyDirAdoption(t *testing.T) {
 	}
 }
 
-// TestCrossShardCrashAtomicity is satellite 3: crash plans kill the
-// store between lane flushes of cross-shard batches — after one lane's
-// fsync returned and before a sibling's — and recovery must present
-// every batch all-or-nothing, never a half.
+// TestCrossShardCrashAtomicity: crash plans kill the store between lane
+// flushes of cross-shard batches — after one lane's fsync returned and
+// before a sibling's — and recovery must present every batch
+// all-or-nothing, never a half. Both durable modes run it: in ModeGroup
+// each lane's flusher fsyncs its records, in ModeSync the committing
+// serial transaction fsyncs one lane's record after another.
 //
 // The workload is all cross-shard (every update touches both of two
 // specific lanes plus sometimes a third), so batch atomicity plus
@@ -262,46 +264,51 @@ func TestLegacyDirAdoption(t *testing.T) {
 // a batch" is directly visible.
 func TestCrossShardCrashAtomicity(t *testing.T) {
 	const updates = 30
-	fired, truncated := 0, 0
-	for _, point := range crashPoints {
-		for n := uint64(1); n <= 41; n += 4 {
-			for seed := uint64(1); seed <= 2; seed++ {
-				ok, cut := crossShardCrashScenario(t, 512, point, n, seed, updates)
-				if ok {
-					fired++
-				}
-				if cut {
-					truncated++
+	for _, mode := range []Mode{ModeGroup, ModeSync} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fired, truncated := 0, 0
+			for _, point := range crashPoints {
+				for n := uint64(1); n <= 41; n += 4 {
+					for seed := uint64(1); seed <= 2; seed++ {
+						ok, cut := crossShardCrashScenario(t, mode, 512, point, n, seed, updates)
+						if ok {
+							fired++
+						}
+						if cut {
+							truncated++
+						}
+					}
 				}
 			}
-		}
-	}
-	// At 100-byte segments a lane's segment holds one record of this
-	// workload (61–79 bytes), so every lane flush after a segment's first
-	// rotates first: tried at every crash point the run reaches.
-	for _, point := range crashPoints {
-		for seed := uint64(1); seed <= 2; seed++ {
-			fired += everyCrashPoint(func(n uint64) bool {
-				ok, cut := crossShardCrashScenario(t, 100, point, n, seed, updates)
-				if cut {
-					truncated++
+			// At 100-byte segments a lane's segment holds one record of
+			// this workload (61–79 bytes), so every lane write after a
+			// segment's first rotates first: tried at every crash point
+			// the run reaches.
+			for _, point := range crashPoints {
+				for seed := uint64(1); seed <= 2; seed++ {
+					fired += everyCrashPoint(func(n uint64) bool {
+						ok, cut := crossShardCrashScenario(t, mode, 100, point, n, seed, updates)
+						if cut {
+							truncated++
+						}
+						return ok
+					})
 				}
-				return ok
-			})
-		}
+			}
+			if fired < 300 {
+				t.Fatalf("only %d crash scenarios fired", fired)
+			}
+			if truncated == 0 {
+				t.Fatal("no scenario exercised cross-lane presumed abort — the test is vacuous")
+			}
+			t.Logf("%d scenarios fired, %d with presumed-abort truncation", fired, truncated)
+		})
 	}
-	if fired < 300 {
-		t.Fatalf("only %d crash scenarios fired", fired)
-	}
-	if truncated == 0 {
-		t.Fatal("no scenario exercised cross-lane presumed abort — the test is vacuous")
-	}
-	t.Logf("%d scenarios fired, %d with presumed-abort truncation", fired, truncated)
 }
 
-func crossShardCrashScenario(t *testing.T, segBytes int, point simio.CrashPoint, n, seed uint64, updates int) (fired, truncated bool) {
+func crossShardCrashScenario(t *testing.T, mode Mode, segBytes int, point simio.CrashPoint, n, seed uint64, updates int) (fired, truncated bool) {
 	t.Helper()
-	opts := Options{Shards: 4, WAL: wal.Options{SegmentBytes: segBytes}}
+	opts := Options{Mode: mode, Shards: 4, WAL: wal.Options{SegmentBytes: segBytes}}
 	fs := simio.NewFS(simio.Latency{})
 	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), opts)
 	if err != nil {
@@ -360,7 +367,7 @@ func crossShardCrashScenario(t *testing.T, segBytes int, point simio.CrashPoint,
 	}
 
 	fs2 := simio.FSFromImage(img, simio.Latency{}, seed)
-	s2, info, err := Open(stm.NewDefault(), wal.NewSimBackend(fs2), Options{WAL: opts.WAL})
+	s2, info, err := Open(stm.NewDefault(), wal.NewSimBackend(fs2), Options{Mode: mode, WAL: opts.WAL})
 	if err != nil {
 		t.Fatalf("%v N=%d seed=%d: recovery failed: %v", point, n, seed, err)
 	}
@@ -431,23 +438,24 @@ func crossShardCrashScenario(t *testing.T, segBytes int, point simio.CrashPoint,
 // lane 1's incomplete batch orphans a later batch lane 0 holds complete
 // records of, which must then be cut too.
 func TestCrossLaneCutsCascade(t *testing.T) {
-	rec := func(lsn uint64, pts ...LanePoint) wal.Record {
-		return wal.Record{LSN: lsn, Payload: encodeLaneRecord(lsn, pts, []Op{{Put: true, Key: "k", Value: "v"}})}
+	rec := func(lsn uint64, pts ...LanePoint) laneRecord {
+		return laneRecord{lsn: lsn, gsn: lsn, pts: pts, ops: []Op{{Put: true, Key: "k", Value: "v"}}}
 	}
 	// Lane 0: solo(1), batchA(2 ↔ lane1:2-missing), batchB(3 ↔ lane1:1).
 	// Lane 1: batchB(1). Batch A is incomplete → cut lane0 at 2, which
 	// also drops batchB's lane-0 record (tail) → lane 1 must cut at 1.
-	recs := []*wal.Recovery{
-		{Records: []wal.Record{
+	recs := []*wal.Recovery{{}, {}}
+	decoded := [][]laneRecord{
+		{
 			rec(1, LanePoint{0, 1}),
 			rec(2, LanePoint{0, 2}, LanePoint{1, 2}),
 			rec(3, LanePoint{0, 3}, LanePoint{1, 1}),
-		}},
-		{Records: []wal.Record{
+		},
+		{
 			rec(1, LanePoint{0, 3}, LanePoint{1, 1}),
-		}},
+		},
 	}
-	cuts, err := crossLaneCuts(recs)
+	cuts, err := crossLaneCuts(recs, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,8 +465,8 @@ func TestCrossLaneCutsCascade(t *testing.T) {
 	// A checkpointed sibling counts as present: same layout, but lane 1
 	// checkpointed past LSN 2 — no cuts anywhere.
 	recs[1].CheckpointLSN = 2
-	recs[1].Records = []wal.Record{}
-	cuts, err = crossLaneCuts(recs)
+	decoded[1] = nil
+	cuts, err = crossLaneCuts(recs, decoded)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,18 +15,6 @@ import (
 // re-routes: it applies each op list to exactly the lane it was logged
 // under.
 
-// DecodeLaneRecord parses one lane record's payload, for this store's
-// recovery and for a replica applying a shipped record alike: multi-lane
-// stores carry the GSN + lane-vector header, single-lane stores the bare
-// op list (gsn 0, nil vector; byte-identical to the pre-lane format).
-func (s *Store) DecodeLaneRecord(payload []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
-	if len(s.shards) == 1 {
-		ops, err = DecodeOps(payload)
-		return 0, nil, ops, err
-	}
-	return decodeLaneRecord(payload)
-}
-
 // ApplyReplicated applies one shipped record's ops to lane inside the
 // caller's transaction. The caller supplies the transaction so a
 // cross-shard batch can apply all its lanes in ONE commit: partial

@@ -22,16 +22,9 @@ import (
 // rendered "key=value" (or "key" for a delete), sorted.
 func loggedOps(t *testing.T, s *Store, fs *simio.FS) []string {
 	t.Helper()
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
 	var got []string
-	for lane := range s.Shards() {
-		log, rec, err := wal.Open(stm.NewDefault(), laneBackend(wal.NewSimBackend(fs), lane, s.Shards()), wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range rec.Records {
+	for lane, recs := range laneRecords(t, s, fs) {
+		for _, r := range recs {
 			_, _, ops, err := s.DecodeLaneRecord(r.Payload)
 			if err != nil {
 				t.Fatalf("lane %d record %d: %v", lane, r.LSN, err)
@@ -39,9 +32,6 @@ func loggedOps(t *testing.T, s *Store, fs *simio.FS) []string {
 			for _, op := range ops {
 				got = append(got, renderOp(op))
 			}
-		}
-		if err := log.Close(); err != nil {
-			t.Fatal(err)
 		}
 	}
 	slices.Sort(got)
@@ -186,7 +176,7 @@ func assertReleased(t *testing.T, s *Store) {
 	if b.tx != nil || b.n != 0 || b.lanes != 0 {
 		t.Fatalf("released Batch still has tx %p, n %d, lanes %d", b.tx, b.n, b.lanes)
 	}
-	for i, ops := range append([][]Op{b.single}, b.perShard...) {
+	for i, ops := range b.perShard {
 		if len(ops) != 0 {
 			t.Fatalf("released Batch op list %d has length %d", i, len(ops))
 		}

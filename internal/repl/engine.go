@@ -20,9 +20,9 @@ import (
 	"deferstm/internal/stm"
 )
 
-// pendingRec is one shipped record held back until it can apply: for a
-// single-lane record that is immediately, for a cross-shard batch once
-// every sibling lane's record (same GSN) is available.
+// pendingRec is one shipped record held back until it can apply: a
+// record with no sibling at once, a cross-shard batch's once every
+// sibling lane's record (same GSN) is available.
 type pendingRec struct {
 	lsn uint64
 	gsn uint64
@@ -208,13 +208,13 @@ func (e *engine) fireProbes() {
 }
 
 // drain applies every head record that is allowed to apply, to a fixed
-// point. Single-lane records apply immediately in lane-LSN order. A
-// cross-shard batch head applies only when every (lane, LSN) in its
-// vector is satisfied — already applied (or folded into a checkpoint
-// base), or sitting at that lane's queue head — and then all its
-// still-pending lane records commit in ONE transaction: readers of the
-// replica can never observe half a batch, exactly as on the primary,
-// where the batch committed in one transaction.
+// point. A head applies only when every (lane, LSN) in its vector is
+// satisfied — already applied (or folded into a checkpoint base), or
+// sitting at that lane's queue head — and then it and all its
+// still-pending sibling records commit in ONE transaction: readers of
+// the replica can never observe half a batch, exactly as on the
+// primary, where the batch committed in one transaction. A record with
+// no sibling is a batch of one and applies at once, in lane-LSN order.
 //
 // The fixed-point loop terminates: every pass either applies a record
 // (finitely many are queued) or changes nothing. It cannot deadlock
@@ -232,22 +232,6 @@ func (e *engine) drain() error {
 					changed = true
 					continue
 				}
-				if len(head.pts) <= 1 {
-					err := e.rt.Atomic(func(tx *stm.Tx) error {
-						return e.store.ApplyReplicated(tx, lane, head.ops)
-					})
-					if err != nil {
-						return err
-					}
-					e.applied[lane].Store(head.lsn)
-					e.pop(lane)
-					e.appliedRecords.Add(1)
-					if head.gsn > e.gsnHorizon.Load() {
-						e.gsnHorizon.Store(head.gsn)
-					}
-					changed = true
-					continue
-				}
 				ready, err := e.batchReady(lane, head)
 				if err != nil {
 					return err
@@ -255,7 +239,7 @@ func (e *engine) drain() error {
 				if !ready {
 					break // lane stalls until the missing sibling arrives
 				}
-				if err := e.applyBatch(head); err != nil {
+				if err := e.applyBatch(lane, head); err != nil {
 					return err
 				}
 				changed = true
@@ -270,9 +254,9 @@ func (e *engine) pop(lane int) {
 	e.pendingRecords.Add(-1)
 }
 
-// batchReady reports whether every lane point of a cross-shard batch is
-// satisfied: applied already, or pending at its lane's queue head with
-// the matching GSN.
+// batchReady reports whether every sibling point of lane's head record
+// is satisfied: applied already, or pending at its lane's queue head
+// with the matching GSN. A record with no sibling is always ready.
 func (e *engine) batchReady(lane int, head pendingRec) (bool, error) {
 	for _, p := range head.pts {
 		if p.Lane == lane {
@@ -295,17 +279,18 @@ func (e *engine) batchReady(lane int, head pendingRec) (bool, error) {
 	return true, nil
 }
 
-// applyBatch commits every still-pending lane record of the batch in
-// one transaction and advances their cursors.
-func (e *engine) applyBatch(head pendingRec) error {
+// applyBatch commits lane's head record and every still-pending sibling
+// of it in one transaction and advances their cursors.
+// appliedBatches counts only the heads of cross-shard batches.
+func (e *engine) applyBatch(lane int, head pendingRec) error {
 	type part struct {
 		lane int
 		rec  pendingRec
 	}
-	parts := make([]part, 0, len(head.pts))
+	parts := []part{{lane: lane, rec: head}}
 	for _, p := range head.pts {
-		if p.LSN <= e.applied[p.Lane].Load() {
-			continue // that lane's slice is inside a checkpoint base
+		if p.Lane == lane || p.LSN <= e.applied[p.Lane].Load() {
+			continue // the head itself, or a slice inside a checkpoint base
 		}
 		parts = append(parts, part{lane: p.Lane, rec: e.q[p.Lane][0]})
 	}
@@ -325,7 +310,9 @@ func (e *engine) applyBatch(head pendingRec) error {
 		e.pop(pt.lane)
 		e.appliedRecords.Add(1)
 	}
-	e.appliedBatches.Add(1)
+	if len(head.pts) > 1 {
+		e.appliedBatches.Add(1)
+	}
 	if head.gsn > e.gsnHorizon.Load() {
 		e.gsnHorizon.Store(head.gsn)
 	}

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -77,6 +78,39 @@ func TestEngineCrossShardBarrier(t *testing.T) {
 	}
 	if e.pendingRecords.Load() != 0 {
 		t.Fatalf("pending = %d after drain", e.pendingRecords.Load())
+	}
+}
+
+// TestEngineLoneRecords: a record with no sibling — a 1-lane store's
+// bare op list, or a sharded store's single-lane commit — is a batch of
+// one: it applies as soon as it arrives, and appliedBatches, which
+// counts cross-shard batches only, stays 0.
+func TestEngineLoneRecords(t *testing.T) {
+	one, store1 := newTestEngine(t, 1)
+	for lsn := uint64(1); lsn <= 2; lsn++ {
+		f := server.ReplFrame{Kind: server.ReplRecord, Lane: 0, LSN: lsn, Payload: kv.EncodeOps([]kv.Op{put("k", fmt.Sprint(lsn))})}
+		if err := one.frame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v, _ := storeVal(t, store1, "k"); v != "2" || one.applied[0].Load() != 2 {
+		t.Fatalf("1-lane: k = %q, cursor %d", v, one.applied[0].Load())
+	}
+
+	two, store2 := newTestEngine(t, 2)
+	if err := two.frame(recFrame(1, 1, 5, []kv.LanePoint{{Lane: 1, LSN: 1}}, put("b", "1"))); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := storeVal(t, store2, "b"); !ok || two.applied[1].Load() != 1 || two.gsnHorizon.Load() != 5 {
+		t.Fatalf("2-lane: b present %v, cursors %v, gsn %d", ok, two.cursors(), two.gsnHorizon.Load())
+	}
+	for _, e := range []*engine{one, two} {
+		if e.appliedBatches.Load() != 0 || e.pendingRecords.Load() != 0 {
+			t.Fatalf("batches=%d pending=%d", e.appliedBatches.Load(), e.pendingRecords.Load())
+		}
+	}
+	if one.appliedRecords.Load() != 2 || two.appliedRecords.Load() != 1 {
+		t.Fatalf("records applied: %d and %d", one.appliedRecords.Load(), two.appliedRecords.Load())
 	}
 }
 

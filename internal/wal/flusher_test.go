@@ -73,7 +73,7 @@ func saturate(rt *stm.Runtime, l *Log, window uint64, stop <-chan struct{}) {
 		}
 		var lsn uint64
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			lsn = l.Append(tx, []byte("saturating-record"))
+			lsn = enqueue(tx, l, []byte("saturating-record"))
 			return nil
 		})
 		if lsn > window {
@@ -153,7 +153,7 @@ func TestNoStrandedRecord(t *testing.T) {
 		}
 		appendRaw := func() (lsn uint64) {
 			_ = rt.Atomic(func(tx *stm.Tx) error {
-				lsn = l.Append(tx, []byte("aimed-at-the-exit"))
+				lsn = enqueue(tx, l, []byte("aimed-at-the-exit"))
 				return nil
 			})
 			return lsn

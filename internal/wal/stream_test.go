@@ -297,7 +297,7 @@ func TestTailAcrossRotation(t *testing.T) {
 		defer close(done)
 		for i := 1; i <= n; i++ {
 			_ = rt.Atomic(func(tx *stm.Tx) error {
-				l.Append(tx, []byte(fmt.Sprintf("%03d-%s", i, strings.Repeat("x", 60))))
+				enqueue(tx, l, []byte(fmt.Sprintf("%03d-%s", i, strings.Repeat("x", 60))))
 				return nil
 			})
 		}

@@ -364,31 +364,13 @@ func (l *Log) Runtime() *stm.Runtime { return l.rt }
 // the log reads it unsynchronized.
 func (l *Log) SetMetrics(met *Metrics) { l.met = met }
 
-// Append reserves the next LSN for payload and schedules it for durable
-// append, all within tx: if tx aborts, nothing happened. The record
-// becomes readable in the log's serialization order the moment tx
-// commits, and durable when a group-commit flush covers it (WaitDurable
-// blocks for exactly that; the returned LSN is the handle).
-//
-// The log takes ownership of payload: it is written as it stands when
-// the flush encodes it, so the caller must not modify it after the call
-// (pass a fresh buffer; sharing one that nobody mutates is fine).
-//
-// Append never waits for I/O: the lane's flusher goroutine (started by
-// deferFlush when none is live) writes and fsyncs the record, together
-// with everything else committed since the previous fsync began.
-func (l *Log) Append(tx *stm.Tx, payload []byte) uint64 {
-	lsn := l.Reserve(tx)
-	l.EnqueueReserved(tx, lsn, 0, false, payload)
-	return lsn
-}
-
-// Reserve reserves the next LSN within tx without enqueueing a record.
-// Multi-lane commits use it to learn every touched lane's LSN before
-// building the payloads (whose headers carry the full lane/LSN vector);
-// single-lane callers want Append. A Reserve must be followed by
-// EnqueueReserved in the same tx — a reserved-but-unenqueued LSN would
-// leave a permanent hole in the log.
+// Reserve reserves the next LSN within tx without writing a record. A
+// commit reserves every touched lane's LSN first, because a multi-lane
+// record's header carries the full lane/LSN vector, and then hands each
+// lane its record: EnqueueReserved, or SyncReserved in a serial
+// transaction. A Reserve must be followed by one of them in the same tx
+// — a reserved-but-unwritten LSN would leave a permanent hole in the
+// log.
 //
 // Reserving reads and writes the lane's nextLSN Var, so two commits
 // appending to the same lane conflict and serialize: per lane, LSN
@@ -402,12 +384,19 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 
 // EnqueueReserved enqueues payload under a previously Reserved lsn,
 // records the append event and makes sure the lane's flusher will write
-// it. gsn is the global commit sequence number of a multi-lane store
-// (it rides Event.Aux2; pass 0 on a lone log); on joined lanes every
-// record carries one, and per lane GSN must rise with LSN. cross marks
-// one of several records of the same commit: the flush covering it
-// waits for the frontier (awaitFrontier) before it publishes. As with
-// Append, the log takes ownership of payload: the caller must not modify
+// it. If tx aborts, nothing happened; once it commits, the record is
+// durable when a group-commit flush covers it (WaitDurable blocks for
+// exactly that). EnqueueReserved never waits for I/O: the lane's flusher
+// goroutine (started by deferFlush when none is live) writes and fsyncs
+// the record, together with everything else committed since the
+// previous fsync began.
+//
+// gsn is the commit's global commit sequence number (it rides
+// Event.Aux2); on joined lanes every record carries one, and per lane
+// GSN must rise with LSN. cross marks one of several records of the same
+// commit: the flush covering it waits for the frontier (awaitFrontier)
+// before it publishes. The log takes ownership of payload: it is written
+// as it stands when the flush encodes it, so the caller must not modify
 // it after the call.
 func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, cross bool, payload []byte) {
 	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, payload: payload, next: l.pending.Get(tx)}
@@ -468,25 +457,17 @@ func (l *Log) flusher() {
 	}
 }
 
-// AppendSync appends and fsyncs payload immediately, inside a serial
-// (irrevocable) transaction — the fsync-per-commit baseline the paper's
-// irrevocability sections describe. tx must be serial (call
+// SyncReserved writes and fsyncs payload under a previously Reserved
+// lsn at once, inside a serial (irrevocable) transaction — the
+// fsync-per-commit baseline the paper's irrevocability sections describe
+// and the sync counterpart of EnqueueReserved. tx must be serial (call
 // tx.Irrevocable() first); the write is safe exactly because the
-// transaction can no longer abort. A log driven through AppendSync must
-// not also be driven through Append.
-func (l *Log) AppendSync(tx *stm.Tx, payload []byte) (uint64, error) {
-	return l.AppendSyncWith(tx, 0, payload)
-}
-
-// AppendSyncWith is AppendSync carrying a global commit sequence number
-// for the append event (multi-lane stores in sync mode; pass 0 on a
-// single-lane log).
-func (l *Log) AppendSyncWith(tx *stm.Tx, gsn uint64, payload []byte) (uint64, error) {
+// transaction can no longer abort. A log driven through SyncReserved
+// must not also be driven through EnqueueReserved.
+func (l *Log) SyncReserved(tx *stm.Tx, lsn, gsn uint64, payload []byte) error {
 	if !tx.Serial() {
-		panic("wal: AppendSync outside a serial transaction")
+		panic("wal: SyncReserved outside a serial transaction")
 	}
-	lsn := l.nextLSN.Get(tx)
-	l.nextLSN.Set(tx, lsn+1)
 	if l.rt.Recording() {
 		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALAppend, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn, Aux2: gsn})
 	}
@@ -494,14 +475,14 @@ func (l *Log) AppendSyncWith(tx *stm.Tx, gsn uint64, payload []byte) (uint64, er
 	err := l.writeLocked([]Record{{LSN: lsn, Payload: payload}})
 	l.fmu.Unlock()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	l.durable.Set(tx, lsn)
 	l.noteBatch(1)
 	if l.rt.Recording() {
 		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALDurable, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn})
 	}
-	return lsn, nil
+	return nil
 }
 
 // LastDurable returns the durability watermark inside tx, subscribing to

@@ -22,11 +22,20 @@ func openSim(t *testing.T, fs *simio.FS, opts Options) (*stm.Runtime, *Log, *Rec
 	return rt, l, rec
 }
 
+// enqueue appends payload within tx the way a store commit does:
+// Reserve the next LSN, then EnqueueReserved under it (no GSN, not
+// cross-lane).
+func enqueue(tx *stm.Tx, l *Log, payload []byte) uint64 {
+	lsn := l.Reserve(tx)
+	l.EnqueueReserved(tx, lsn, 0, false, payload)
+	return lsn
+}
+
 func appendOne(t *testing.T, rt *stm.Runtime, l *Log, payload string) uint64 {
 	t.Helper()
 	var lsn uint64
 	if err := rt.Atomic(func(tx *stm.Tx) error {
-		lsn = l.Append(tx, []byte(payload))
+		lsn = enqueue(tx, l, []byte(payload))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -84,7 +93,7 @@ func TestGroupCommit(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				var lsn uint64
 				_ = rt.Atomic(func(tx *stm.Tx) error {
-					lsn = l.Append(tx, []byte(fmt.Sprintf("g%d-%d", g, i)))
+					lsn = enqueue(tx, l, []byte(fmt.Sprintf("g%d-%d", g, i)))
 					return nil
 				})
 				l.WaitDurable(lsn)
@@ -131,7 +140,7 @@ func TestMetricsOnlyWhenAttached(t *testing.T) {
 		for i := 0; i < n; i++ {
 			var stamped bool
 			_ = rt.Atomic(func(tx *stm.Tx) error {
-				l.Append(tx, []byte("x"))
+				enqueue(tx, l, []byte("x"))
 				stamped = !l.pending.Get(tx).born.IsZero()
 				return nil
 			})
@@ -339,18 +348,18 @@ func TestCheckpointPrune(t *testing.T) {
 	}
 }
 
-// TestAppendSyncSerial: AppendSync works inside serial transactions (one
-// fsync per commit) and panics outside them.
-func TestAppendSyncSerial(t *testing.T) {
+// TestSyncReservedSerial: SyncReserved writes and fsyncs inside serial
+// transactions (one fsync per commit) and panics outside them.
+func TestSyncReservedSerial(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{})
 	rt, l, _ := openSim(t, fs, Options{})
 	for i := 1; i <= 5; i++ {
 		if err := rt.AtomicSerial(func(tx *stm.Tx) error {
-			lsn, err := l.AppendSync(tx, []byte(fmt.Sprintf("sync-%d", i)))
-			if err == nil && lsn != uint64(i) {
-				t.Errorf("AppendSync got LSN %d, want %d", lsn, i)
+			lsn := l.Reserve(tx)
+			if lsn != uint64(i) {
+				t.Errorf("Reserve got LSN %d, want %d", lsn, i)
 			}
-			return err
+			return l.SyncReserved(tx, lsn, 0, []byte(fmt.Sprintf("sync-%d", i)))
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -365,11 +374,11 @@ func TestAppendSyncSerial(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("AppendSync outside serial tx did not panic")
+				t.Fatal("SyncReserved outside serial tx did not panic")
 			}
 		}()
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			_, _ = l.AppendSync(tx, []byte("x"))
+			_ = l.SyncReserved(tx, l.Reserve(tx), 0, []byte("x"))
 			return nil
 		})
 	}()
@@ -422,7 +431,7 @@ func TestConcurrentStress(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				var lsn uint64
 				_ = rt.Atomic(func(tx *stm.Tx) error {
-					lsn = l.Append(tx, []byte(fmt.Sprintf("g%d", g)))
+					lsn = enqueue(tx, l, []byte(fmt.Sprintf("g%d", g)))
 					return nil
 				})
 				if i%8 == 0 {
