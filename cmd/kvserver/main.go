@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		addr     = fs.String("addr", "127.0.0.1:7070", "TCP listen address (\":0\" for an ephemeral port)")
 		addrfile = fs.String("addrfile", "", "write the bound address to this file once listening")
 		dir      = fs.String("dir", "", "WAL directory (required unless -mode none)")
-		mode     = fs.String("mode", "group", "durability mode: group|sync|none")
+		mode     = fs.String("mode", "group", "durability mode: group|none (group: WAL group commit; none: in-memory, no WAL)")
 		shards   = fs.Int("shards", 0, "key-space shards = parallel WAL lanes (power of two; 0 adopts the store's manifest)")
 		window   = fs.Int("window", 128, "per-connection in-flight response window")
 		metrics  = fs.String("metrics", "", "serve /metrics, /debug/pprof and the /kv/* JSON API on this address")
@@ -73,8 +73,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	switch *mode {
 	case "group":
 		kvMode = kv.ModeGroup
-	case "sync":
-		kvMode = kv.ModeSync
 	case "none":
 		kvMode = kv.ModeNone
 	default:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"slices"
 	"strings"
@@ -28,5 +29,18 @@ func TestMetricNames(t *testing.T) {
 	}
 	if got, want := reg.Names(), strings.Fields(string(b)); !slices.Equal(got, want) {
 		t.Errorf("metric names changed:\ngot  %q\nwant %q", got, want)
+	}
+}
+
+// TestSyncModeUnknown: group commit is the only durable mode; the
+// serial fsync-per-commit mode is gone, and asking for it is a usage
+// error, not a silent fallback.
+func TestSyncModeUnknown(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-mode", "sync", "-dir", t.TempDir()}, &stdout, &stderr); code != 2 {
+		t.Fatalf("-mode sync exited %d, want 2 (stderr %q)", code, stderr.String())
+	}
+	if want := `unknown mode "sync"`; !strings.Contains(stderr.String(), want) {
+		t.Fatalf("stderr %q does not say %s", stderr.String(), want)
 	}
 }

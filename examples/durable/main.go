@@ -165,7 +165,7 @@ func groupCommit() {
 	}
 	wg.Wait()
 
-	st := s.Log().BatchStats()
+	st := s.WALStats()
 	commits := uint64(writers * updates)
 	fmt.Printf("group commit: %d durable updates, %d fsyncs (mean batch %.1f, max %d)\n",
 		commits, fs.Stats().Fsyncs, st.Mean(), st.MaxBatch)

@@ -310,7 +310,7 @@ func parse(events []stm.Event) *parsed {
 				walAppend{lsn: ev.Aux, gsn: ev.Aux2, ver: ev.Ver, seq: seq, txID: ev.TxID, owner: ev.Owner})
 		case stm.EvWALDurable:
 			p.walDurables[ev.Var] = append(p.walDurables[ev.Var],
-				walDurable{watermark: ev.Aux, seq: seq})
+				walDurable{watermark: ev.Aux, seq: seq, owner: ev.Owner})
 		case stm.EvWatchRegister:
 			p.watchRegs[ev.TxID] = append(p.watchRegs[ev.TxID],
 				watchReg{varID: ev.Var, ver: ev.Ver, seq: seq})

@@ -16,8 +16,12 @@ import (
 //     LSNs are unique and their order agrees with the serialization
 //     order (commit-version order) of the appending transactions; the
 //     durable watermark only ever covers appended records, never
-//     retreats, and is never published before the record it covers was
-//     committed.
+//     retreats, is never published before the record it covers was
+//     committed, and is published only by the holder of the log's lock.
+//     The last makes the lane's flush path the watermark's one writer:
+//     a publisher outside the lock races the flush that holds it, and
+//     the two can publish out of order — the watermark retreats, or
+//     covers records that flush has not yet fsynced.
 //
 //   - RecoveredPrefixLanes relates a recovered state to the history it was
 //     recovered from: everything acknowledged durable before the crash
@@ -40,6 +44,7 @@ type walAppend struct {
 type walDurable struct {
 	watermark uint64
 	seq       uint64
+	owner     stm.OwnerID
 }
 
 // checkDurability verifies the live-history WAL axioms, per log (events
@@ -102,6 +107,7 @@ func checkDurability(p *parsed) []Violation {
 				maxLSN = lsn
 			}
 		}
+		out = append(out, unheldPublishes(p, logVar)...)
 		prevWM := uint64(0)
 		for _, d := range p.walDurables[logVar] {
 			if d.watermark < prevWM {
@@ -159,6 +165,37 @@ func checkDurability(p *parsed) []Violation {
 				continue
 			}
 			txOfGSN[a.gsn] = a.txID
+		}
+	}
+	return out
+}
+
+// unheldPublishes replays logVar's lock events in sequence order and
+// flags every EvWALDurable whose Owner did not hold the lock at that
+// point. Every acquisition is recorded at its commit, before the lock
+// is visibly held, and every release before it is visibly given up, so
+// the replay never shows a holder later, or a release earlier, than the
+// runtime did.
+func unheldPublishes(p *parsed, logVar uint64) []Violation {
+	var out []Violation
+	var holder stm.OwnerID
+	locks := p.lockEvs
+	for _, d := range p.walDurables[logVar] {
+		for ; len(locks) > 0 && locks[0].Seq < d.seq; locks = locks[1:] {
+			switch ev := locks[0]; {
+			case ev.Var != logVar:
+			case ev.Kind == stm.EvLockAcquire:
+				holder = ev.Owner
+			case ev.Aux == 0: // a release that leaves depth 0
+				holder = 0
+			}
+		}
+		if d.owner == 0 || d.owner != holder {
+			out = append(out, Violation{
+				Rule: RuleDurability, Seq: d.seq,
+				Msg: fmt.Sprintf("owner %d published log %d's watermark %d without holding the log's lock (held by %d)",
+					d.owner, logVar, d.watermark, holder),
+			})
 		}
 	}
 	return out

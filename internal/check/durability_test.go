@@ -19,8 +19,20 @@ func app(tx, lsn, ver uint64) stm.Event {
 	return stm.Event{Kind: stm.EvWALAppend, TxID: tx, Owner: stm.OwnerID(tx), Var: logVar, Aux: lsn, Ver: ver}
 }
 
+// flusher is the owner that publishes the hand-built histories'
+// watermarks; held gives it the log's lock for the whole history.
+const flusher stm.OwnerID = 77
+
 func ack(watermark uint64) stm.Event {
-	return stm.Event{Kind: stm.EvWALDurable, Var: logVar, Aux: watermark}
+	return stm.Event{Kind: stm.EvWALDurable, Owner: flusher, Var: logVar, Aux: watermark}
+}
+
+func lockEv(kind stm.EventKind, owner stm.OwnerID, depth uint64) stm.Event {
+	return stm.Event{Kind: kind, Owner: owner, Var: logVar, Aux: depth}
+}
+
+func held(evs ...stm.Event) []stm.Event {
+	return append([]stm.Event{lockEv(stm.EvLockAcquire, flusher, 1)}, evs...)
 }
 
 func wantViolation(t *testing.T, vs []Violation, substr string) {
@@ -34,13 +46,13 @@ func wantViolation(t *testing.T, vs []Violation, substr string) {
 }
 
 func TestDurabilityCleanHistory(t *testing.T) {
-	r := History([]stm.Event{
+	r := History(held(
 		app(1, 1, 10),
 		app(2, 2, 20),
 		ack(1),
 		app(3, 3, 30),
 		ack(3),
-	})
+	))
 	if !r.OK() {
 		t.Fatalf("clean history flagged: %v", r.Violations)
 	}
@@ -50,13 +62,43 @@ func TestDurabilityCleanHistory(t *testing.T) {
 }
 
 // The watermark's publisher is the lane's flusher, an owner that never
-// appends: the axioms key on LSNs and sequence order only, never on who
-// published.
+// appends: what the axioms ask of it is that it holds the log's lock,
+// not that it appended anything.
 func TestDurabilityFlusherOwnerNeverAppends(t *testing.T) {
-	flush := ack(2)
-	flush.Owner = 77 // no EvWALAppend carries this owner
-	if r := History([]stm.Event{app(1, 1, 10), app(2, 2, 20), flush}); !r.OK() {
+	// No EvWALAppend carries the flusher's owner.
+	if r := History(held(app(1, 1, 10), app(2, 2, 20), ack(2))); !r.OK() {
 		t.Fatalf("ack by a non-appending owner flagged: %v", r.Violations)
+	}
+}
+
+// TestDurabilityPublisherHoldsLock: a watermark is published only by
+// the owner holding the log's lock — as the lock events of the same Var
+// replay it, reentrant depth included.
+func TestDurabilityPublisherHoldsLock(t *testing.T) {
+	const other stm.OwnerID = 5
+	acquire := func(o stm.OwnerID, depth uint64) stm.Event { return lockEv(stm.EvLockAcquire, o, depth) }
+	release := func(o stm.OwnerID, depth uint64) stm.Event { return lockEv(stm.EvLockRelease, o, depth) }
+	// Two flushes, each under its own acquisition, one of them reentrant.
+	clean := []stm.Event{
+		app(1, 1, 10), acquire(flusher, 1), ack(1), release(flusher, 0),
+		app(2, 2, 20), acquire(other, 1), acquire(other, 2), release(other, 1),
+		{Kind: stm.EvWALDurable, Owner: other, Var: logVar, Aux: 2}, release(other, 0),
+	}
+	if r := History(clean); !r.OK() {
+		t.Fatalf("publishes under the lock flagged: %v", r.Violations)
+	}
+	for name, h := range map[string][]stm.Event{
+		// The publisher never held the lock; another owner does.
+		"other holder": {app(1, 1, 10), acquire(other, 1), ack(1), release(other, 0)},
+		// Nobody holds it: the publish comes after the release.
+		"after release": {app(1, 1, 10), acquire(flusher, 1), release(flusher, 0), ack(1)},
+		// The lock held is another log's.
+		"other log": {app(1, 1, 10), {Kind: stm.EvLockAcquire, Owner: flusher, Var: logVar + 1, Aux: 1}, ack(1)},
+	} {
+		r := History(h)
+		if len(r.Violations) != 1 || !strings.Contains(r.Violations[0].Msg, "without holding the log's lock") {
+			t.Errorf("%s: want exactly the unheld-publish violation, got %v", name, r.Violations)
+		}
 	}
 }
 
@@ -73,17 +115,17 @@ func TestDurabilityLSNOrderVsSerialization(t *testing.T) {
 }
 
 func TestDurabilityWatermarkRetreat(t *testing.T) {
-	r := History([]stm.Event{app(1, 1, 10), app(2, 2, 20), ack(2), ack(1)})
+	r := History(held(app(1, 1, 10), app(2, 2, 20), ack(2), ack(1)))
 	wantViolation(t, r.Violations, "retreated")
 }
 
 func TestDurabilityAckBeyondAppended(t *testing.T) {
-	r := History([]stm.Event{app(1, 1, 10), ack(2)})
+	r := History(held(app(1, 1, 10), ack(2)))
 	wantViolation(t, r.Violations, "ever appended")
 }
 
 func TestDurabilityAckBeforeAppendFlushed(t *testing.T) {
-	r := History([]stm.Event{app(1, 1, 10), ack(2), app(2, 2, 20)})
+	r := History(held(app(1, 1, 10), ack(2), app(2, 2, 20)))
 	wantViolation(t, r.Violations, "before the appending transaction")
 }
 
@@ -267,7 +309,7 @@ func TestKVHistoryDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logLock := s.Log().Lock().VarID()
+	logLock := s.Logs()[0].Lock().VarID()
 	const goroutines = 4
 	const perG = 15
 	var wg sync.WaitGroup

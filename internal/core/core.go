@@ -127,12 +127,6 @@ func (c *OpCtx) Atomic(fn func(tx *stm.Tx) error) error {
 	return c.rt.AtomicAs(c.owner, fn)
 }
 
-// AtomicSerial runs fn as a serial (irrevocable) transaction inheriting
-// the owner identity.
-func (c *OpCtx) AtomicSerial(fn func(tx *stm.Tx) error) error {
-	return c.rt.AtomicSerialAs(c.owner, fn)
-}
-
 // Load reads a Var non-transactionally from a deferred operation. It is
 // safe for fields of Deferrable objects whose locks the operation holds.
 func Load[T any](c *OpCtx, v *stm.Var[T]) T { return v.Load() }

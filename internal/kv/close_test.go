@@ -11,7 +11,7 @@ import (
 // deferred cleanup), so Close must tolerate being called from several
 // goroutines and repeatedly, with every caller seeing the first result.
 func TestCloseIdempotent(t *testing.T) {
-	for _, mode := range []Mode{ModeGroup, ModeSync, ModeNone} {
+	for _, mode := range []Mode{ModeGroup, ModeNone} {
 		t.Run(mode.String(), func(t *testing.T) {
 			var fs *simio.FS
 			if mode != ModeNone {

@@ -46,9 +46,9 @@ func applyPrefix(log []committed, upTo uint64) map[string]string {
 	return state
 }
 
-func crashScenario(t *testing.T, mode Mode, segBytes int, point simio.CrashPoint, n uint64, seed uint64) (fired bool, torn int) {
+func crashScenario(t *testing.T, segBytes int, point simio.CrashPoint, n uint64, seed uint64) (fired bool, torn int) {
 	t.Helper()
-	opts := Options{Mode: mode, WAL: wal.Options{SegmentBytes: segBytes}}
+	opts := Options{WAL: wal.Options{SegmentBytes: segBytes}}
 	fs := simio.NewFS(simio.Latency{})
 	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), opts)
 	if err != nil {
@@ -59,7 +59,7 @@ func crashScenario(t *testing.T, mode Mode, segBytes int, point simio.CrashPoint
 	// acknowledged durable before the crash, so it must survive recovery.
 	var acked atomic.Uint64
 	fs.SetCrashPlan(simio.CrashPlan{Point: point, N: n, OnCrash: func() {
-		acked.Store(s.Log().DurableWatermark())
+		acked.Store(s.Logs()[0].DurableWatermark())
 	}})
 
 	const updates = 40
@@ -176,7 +176,7 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 	for _, point := range crashPoints {
 		for _, n := range []uint64{1, 3, 7, 12, 26} {
 			for seed := uint64(1); seed <= 3; seed++ {
-				ok, torn := crashScenario(t, ModeGroup, 256, point, n, seed)
+				ok, torn := crashScenario(t, 256, point, n, seed)
 				if ok {
 					fired++
 					if torn > 0 {
@@ -190,7 +190,7 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 	for _, point := range crashPoints {
 		for seed := uint64(1); seed <= 2; seed++ {
 			fired += everyCrashPoint(func(n uint64) bool {
-				ok, torn := crashScenario(t, ModeGroup, rotateFirstSeg, point, n, seed)
+				ok, torn := crashScenario(t, rotateFirstSeg, point, n, seed)
 				if torn > 0 {
 					tornRuns++
 				}
@@ -205,19 +205,6 @@ func TestCrashRecoveryPrefixConsistent(t *testing.T) {
 		t.Fatal("no scenario recovered from a torn tail — the test is vacuous")
 	}
 	t.Logf("%d crash scenarios fired, %d with torn tails", fired, tornRuns)
-}
-
-// TestCrashRecoverySyncMode: the irrevocable fsync-per-commit baseline
-// obeys the same prefix property — and, stronger, every completed Update
-// survives (it was acked before returning).
-func TestCrashRecoverySyncMode(t *testing.T) {
-	for _, point := range crashPoints {
-		for _, n := range []uint64{1, 5, 17} {
-			for seed := uint64(1); seed <= 2; seed++ {
-				crashScenario(t, ModeSync, 256, point, n, seed)
-			}
-		}
-	}
 }
 
 // holdBackend holds the first fsync of any file it creates under prefix

@@ -43,98 +43,96 @@ func laneRecords(t *testing.T, s *Store, fs *simio.FS) [][]wal.Record {
 	return out
 }
 
-// TestRecordFormatPinned pins the on-disk record format in both durable
-// modes. A 1-lane store writes each commit as the bare EncodeOps list,
-// and its token is the plain LSN. A sharded store writes a lane record
-// per touched lane (GSN, the commit's lane/LSN vector, then the ops),
-// and the token names the vector's first point.
+// TestRecordFormatPinned pins the on-disk record format. A 1-lane store
+// writes each commit as the bare EncodeOps list, and its token is the
+// plain LSN. A sharded store writes a lane record per touched lane (GSN,
+// the commit's lane/LSN vector, then the ops), and the token names the
+// vector's first point.
 func TestRecordFormatPinned(t *testing.T) {
-	for _, mode := range []Mode{ModeGroup, ModeSync} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%v/shards=%d", mode, shards), func(t *testing.T) {
-				fs := simio.NewFS(simio.Latency{})
-				s, _ := openStore(t, fs, Options{Mode: mode, Shards: shards})
-				toks := make([]uint64, len(formatCommits))
-				for i, ops := range formatCommits {
-					tok, err := s.Update(func(_ *stm.Tx, b *Batch) error {
-						for _, op := range ops {
-							if op.Put {
-								b.Put(op.Key, op.Value)
-							} else {
-								b.Delete(op.Key)
-							}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("group/shards=%d", shards), func(t *testing.T) {
+			fs := simio.NewFS(simio.Latency{})
+			s, _ := openStore(t, fs, Options{Shards: shards})
+			toks := make([]uint64, len(formatCommits))
+			for i, ops := range formatCommits {
+				tok, err := s.Update(func(_ *stm.Tx, b *Batch) error {
+					for _, op := range ops {
+						if op.Put {
+							b.Put(op.Key, op.Value)
+						} else {
+							b.Delete(op.Key)
 						}
-						return nil
-					})
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.WaitDurable(tok)
+				toks[i] = tok
+			}
+			lanes := laneRecords(t, s, fs)
+
+			if shards == 1 {
+				recs := lanes[0]
+				if len(recs) != len(formatCommits) {
+					t.Fatalf("%d records, want %d", len(recs), len(formatCommits))
+				}
+				for i, r := range recs {
+					if toks[i] != r.LSN {
+						t.Errorf("commit %d: token %d, record LSN %d", i, toks[i], r.LSN)
+					}
+					if want := EncodeOps(formatCommits[i]); !bytes.Equal(r.Payload, want) {
+						t.Errorf("commit %d: payload %x, want the bare op list %x", i, r.Payload, want)
+					}
+				}
+				return
+			}
+
+			// Sharded: every payload is a lane record whose vector
+			// names its own lane and LSN; the records of commit i all
+			// carry one GSN, and together hold exactly its ops.
+			type part struct {
+				gsn uint64
+				pts []LanePoint
+				ops []Op
+			}
+			byHome := map[uint64][]part{} // home token -> the commit's records
+			for lane, recs := range lanes {
+				for _, r := range recs {
+					gsn, pts, ops, err := decodeLaneRecord(r.Payload)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("lane %d record %d: %v", lane, r.LSN, err)
 					}
-					s.WaitDurable(tok)
-					toks[i] = tok
+					if gsn == 0 || !slices.Contains(pts, LanePoint{Lane: lane, LSN: r.LSN}) {
+						t.Fatalf("lane %d record %d: gsn %d, vector %v", lane, r.LSN, gsn, pts)
+					}
+					home := PackToken(pts[0].Lane, pts[0].LSN)
+					byHome[home] = append(byHome[home], part{gsn: gsn, pts: pts, ops: ops})
 				}
-				lanes := laneRecords(t, s, fs)
-
-				if shards == 1 {
-					recs := lanes[0]
-					if len(recs) != len(formatCommits) {
-						t.Fatalf("%d records, want %d", len(recs), len(formatCommits))
-					}
-					for i, r := range recs {
-						if toks[i] != r.LSN {
-							t.Errorf("commit %d: token %d, record LSN %d", i, toks[i], r.LSN)
-						}
-						if want := EncodeOps(formatCommits[i]); !bytes.Equal(r.Payload, want) {
-							t.Errorf("commit %d: payload %x, want the bare op list %x", i, r.Payload, want)
-						}
-					}
-					return
+			}
+			for i, ops := range formatCommits {
+				parts := byHome[toks[i]]
+				if len(parts) == 0 || len(parts) != len(parts[0].pts) {
+					t.Fatalf("commit %d (token %x): %d records", i, toks[i], len(parts))
 				}
-
-				// Sharded: every payload is a lane record whose vector
-				// names its own lane and LSN; the records of commit i all
-				// carry one GSN, and together hold exactly its ops.
-				type part struct {
-					gsn uint64
-					pts []LanePoint
-					ops []Op
+				var got []Op
+				for _, p := range parts {
+					if p.gsn != parts[0].gsn {
+						t.Fatalf("commit %d: GSNs %d and %d", i, parts[0].gsn, p.gsn)
+					}
+					got = append(got, p.ops...)
 				}
-				byHome := map[uint64][]part{} // home token -> the commit's records
-				for lane, recs := range lanes {
-					for _, r := range recs {
-						gsn, pts, ops, err := decodeLaneRecord(r.Payload)
-						if err != nil {
-							t.Fatalf("lane %d record %d: %v", lane, r.LSN, err)
-						}
-						if gsn == 0 || !slices.Contains(pts, LanePoint{Lane: lane, LSN: r.LSN}) {
-							t.Fatalf("lane %d record %d: gsn %d, vector %v", lane, r.LSN, gsn, pts)
-						}
-						home := PackToken(pts[0].Lane, pts[0].LSN)
-						byHome[home] = append(byHome[home], part{gsn: gsn, pts: pts, ops: ops})
-					}
+				if len(got) != len(ops) {
+					t.Fatalf("commit %d: records hold %v, want %v", i, got, ops)
 				}
-				for i, ops := range formatCommits {
-					parts := byHome[toks[i]]
-					if len(parts) == 0 || len(parts) != len(parts[0].pts) {
-						t.Fatalf("commit %d (token %x): %d records", i, toks[i], len(parts))
-					}
-					var got []Op
-					for _, p := range parts {
-						if p.gsn != parts[0].gsn {
-							t.Fatalf("commit %d: GSNs %d and %d", i, parts[0].gsn, p.gsn)
-						}
-						got = append(got, p.ops...)
-					}
-					if len(got) != len(ops) {
+				for _, op := range ops {
+					if !slices.Contains(got, op) {
 						t.Fatalf("commit %d: records hold %v, want %v", i, got, ops)
 					}
-					for _, op := range ops {
-						if !slices.Contains(got, op) {
-							t.Fatalf("commit %d: records hold %v, want %v", i, got, ops)
-						}
-					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 

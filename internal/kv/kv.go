@@ -6,14 +6,16 @@
 // the deferred operation, so commits never block on I/O and concurrent
 // commits share flushes.
 //
-// Three durability modes bracket the design space:
+// Two durability modes:
 //
 //   - ModeGroup (default): the WAL append is transactional and the flush
-//     is deferred via the log's atomic deferral — group commit.
-//   - ModeSync: every update runs as a serial (irrevocable) transaction
-//     and fsyncs before returning — the classic irrevocability baseline,
-//     exactly one fsync per commit.
+//     is deferred via the log's atomic deferral — group commit. An
+//     Update returns at commit; Update followed by WaitDurable(token) is
+//     "durable on return".
 //   - ModeNone: no WAL at all; an in-memory upper bound.
+//
+// The irrevocable fsync-per-commit baseline the paper measures against
+// lives where the figures measure it (package iobench), not here.
 //
 // # Shards and WAL lanes
 //
@@ -27,10 +29,9 @@
 //
 // Every commit, on one shard or several, takes one path (commitLanes):
 // it reserves an LSN on each touched lane, draws a global commit
-// sequence number (GSN), and hands each lane one record — queued for the
-// lane's own flusher in ModeGroup, written and fsynced before the commit
-// in ModeSync. A sharded store's record carries the GSN and the full
-// lane/LSN vector of its commit, so recovery can tell a complete
+// sequence number (GSN), and queues one record on each lane for the
+// lane's own flusher. A sharded store's record carries the GSN and the
+// full lane/LSN vector of its commit, so recovery can tell a complete
 // cross-shard batch from one a crash cut in half and presume the latter
 // aborted, truncating its lanes' tails; a 1-lane store's record is the
 // bare op list (encodeRecord). Nothing acked is lost: a lane publishes a
@@ -69,8 +70,6 @@ const (
 	// ModeGroup appends transactionally and defers the fsync through the
 	// log's atomic deferral (group commit). The default.
 	ModeGroup Mode = iota
-	// ModeSync makes each update a serial transaction with its own fsync.
-	ModeSync
 	// ModeNone disables the WAL entirely.
 	ModeNone
 )
@@ -79,8 +78,6 @@ func (m Mode) String() string {
 	switch m {
 	case ModeGroup:
 		return "group"
-	case ModeSync:
-		return "sync"
 	case ModeNone:
 		return "none"
 	default:
@@ -532,8 +529,7 @@ func (b *Batch) Len() int { return b.n }
 // not yet durable — call WaitDurable(token) for a synchronous guarantee.
 // Waiting on a cross-shard commit's token covers the whole batch: the
 // home lane publishes no watermark over a cross-shard record until the
-// frontier passes it (see the package comment). In ModeSync the
-// record(s) are durable on return.
+// frontier passes it (see the package comment).
 //
 // fn may re-execute (optimistic retry); it must be idempotent apart from
 // its Batch mutations, which reset on retry. b is valid only while fn
@@ -555,32 +551,22 @@ func (s *Store) Update(fn func(tx *stm.Tx, b *Batch) error) (uint64, error) {
 		if err := fn(tx, b); err != nil {
 			return err
 		}
-		if s.shards[0].log == nil || b.n == 0 {
-			return nil
+		if s.shards[0].log != nil && b.n > 0 {
+			token = s.commitLanes(tx, b)
 		}
-		var err error
-		token, err = s.commitLanes(tx, b)
-		return err
+		return nil
 	}
-	var err error
-	if s.mode == ModeSync {
-		err = s.rt.AtomicSerial(run)
-	} else {
-		err = s.rt.Atomic(run)
-	}
-	if err != nil {
+	if err := s.rt.Atomic(run); err != nil {
 		return 0, err
 	}
 	return token, nil
 }
 
 // commitLanes writes a commit's records, one per touched lane, and
-// returns its token. Each record is handed to its lane like any other:
-// queued for the lane's flusher in ModeGroup, written and fsynced at
-// once in ModeSync (a serial transaction). A commit touching several
-// lanes marks its records cross, which is what the lane flushers'
-// frontier gate keys on.
-func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
+// returns its token. Each record is queued for its lane's flusher like
+// any other. A commit touching several lanes marks its records cross,
+// which is what the lane flushers' frontier gate keys on.
+func (s *Store) commitLanes(tx *stm.Tx, b *Batch) uint64 {
 	// One point per touched lane, ascending: pts[0] is the home lane.
 	pts := make([]LanePoint, 0, b.lanes)
 	for sh, ops := range b.perShard {
@@ -601,16 +587,10 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) (uint64, error) {
 	}
 	gsn := lastGSN.Add(1)
 	for _, p := range pts {
-		log, payload := s.shards[p.Lane].log, s.encodeRecord(gsn, pts, b.perShard[p.Lane])
-		if s.mode == ModeSync {
-			if err := log.SyncReserved(tx, p.LSN, gsn, payload); err != nil {
-				return 0, err
-			}
-		} else {
-			log.EnqueueReserved(tx, p.LSN, gsn, len(pts) > 1, payload)
-		}
+		payload := s.encodeRecord(gsn, pts, b.perShard[p.Lane])
+		s.shards[p.Lane].log.EnqueueReserved(tx, p.LSN, gsn, len(pts) > 1, payload)
 	}
-	return PackToken(pts[0].Lane, pts[0].LSN), nil
+	return PackToken(pts[0].Lane, pts[0].LSN)
 }
 
 // View runs fn as a read-only transaction over the store.
@@ -767,10 +747,6 @@ func (s *Store) Checkpoint() (uint64, error) {
 	}
 	return total, nil
 }
-
-// Log exposes lane 0's WAL (nil in ModeNone) for stats and waits;
-// sharded callers usually want Logs.
-func (s *Store) Log() *wal.Log { return s.shards[0].log }
 
 // Logs returns every lane's WAL in lane order (nils in ModeNone).
 func (s *Store) Logs() []*wal.Log {

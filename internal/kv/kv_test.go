@@ -69,48 +69,46 @@ func dump(t *testing.T, s *Store) map[string]string {
 
 // TestBasicRecovery: puts and deletes across a close/reopen cycle.
 func TestBasicRecovery(t *testing.T) {
-	for _, mode := range []Mode{ModeGroup, ModeSync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			fs := simio.NewFS(simio.Latency{})
-			s, _ := openStore(t, fs, Options{Mode: mode})
-			put(t, s, "a", "1")
-			put(t, s, "b", "2")
-			lsn, err := s.Update(func(tx *stm.Tx, b *Batch) error {
-				if v, ok := b.Get("a"); !ok || v != "1" {
-					t.Errorf("read-own-store: a=%q ok=%v", v, ok)
-				}
-				b.Put("a", "1.1")
-				b.Delete("b")
-				b.Put("c", "3")
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
+	t.Run("group", func(t *testing.T) {
+		fs := simio.NewFS(simio.Latency{})
+		s, _ := openStore(t, fs, Options{})
+		put(t, s, "a", "1")
+		put(t, s, "b", "2")
+		lsn, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+			if v, ok := b.Get("a"); !ok || v != "1" {
+				t.Errorf("read-own-store: a=%q ok=%v", v, ok)
 			}
-			s.WaitDurable(lsn)
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
+			b.Put("a", "1.1")
+			b.Delete("b")
+			b.Put("c", "3")
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.WaitDurable(lsn)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-			s2, info := openStore(t, fs, Options{Mode: mode})
-			if info.Replayed != 3 || info.LastLSN != 3 || info.Keys != 2 {
-				t.Fatalf("recovery info %+v", info)
-			}
-			want := map[string]string{"a": "1.1", "c": "3"}
-			got := dump(t, s2)
-			if len(got) != len(want) {
+		s2, info := openStore(t, fs, Options{})
+		if info.Replayed != 3 || info.LastLSN != 3 || info.Keys != 2 {
+			t.Fatalf("recovery info %+v", info)
+		}
+		want := map[string]string{"a": "1.1", "c": "3"}
+		got := dump(t, s2)
+		if len(got) != len(want) {
+			t.Fatalf("recovered %v, want %v", got, want)
+		}
+		for k, v := range want {
+			if got[k] != v {
 				t.Fatalf("recovered %v, want %v", got, want)
 			}
-			for k, v := range want {
-				if got[k] != v {
-					t.Fatalf("recovered %v, want %v", got, want)
-				}
-			}
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestModeNone: no WAL files, no durability, but a working store.
@@ -145,7 +143,7 @@ func TestReadOnlyUpdateNoRecord(t *testing.T) {
 	if lsn != 0 {
 		t.Fatalf("read-only update got LSN %d", lsn)
 	}
-	if st := s.Log().BatchStats(); st.Records != 0 {
+	if st := s.Logs()[0].BatchStats(); st.Records != 0 {
 		t.Fatalf("%d records logged by read-only update", st.Records)
 	}
 	if err := s.Close(); err != nil {
@@ -218,7 +216,7 @@ func TestGroupModeSharesFlushes(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	st := s.Log().BatchStats()
+	st := s.Logs()[0].BatchStats()
 	total := uint64(goroutines * perG)
 	if st.Records != total || st.Flushes >= total {
 		t.Fatalf("%d flushes for %d commits (records=%d)", st.Flushes, total, st.Records)
@@ -245,74 +243,68 @@ func TestGroupModeSharesFlushes(t *testing.T) {
 // TestFsyncCountersMatchDisk: the fsyncs the lanes account for are the
 // fsyncs the disk saw after Open, the store-wide WAL series the registry
 // exposes are those lanes' sums, and the record count is the commit
-// count — in both durable modes, on one lane and on four. (A path that
-// fsyncs without counting, or counts one it never issued, would corrupt
-// every fsyncs-per-commit figure reported from these counters.) Sync mode
-// pays exactly one fsync per commit; group mode, with eight committers on
-// one lane, fewer.
+// count — on one lane and on four. (A path that fsyncs without
+// counting, or counts one it never issued, would corrupt every
+// fsyncs-per-commit figure reported from these counters.) With eight
+// committers on one lane, group commit pays fewer fsyncs than commits.
 func TestFsyncCountersMatchDisk(t *testing.T) {
-	for _, mode := range []Mode{ModeSync, ModeGroup} {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/%d lanes", mode, shards), func(t *testing.T) {
-				fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
-				reg := obs.NewRegistry()
-				s, _ := openStore(t, fs, Options{Mode: mode, Shards: shards, Registry: reg})
-				defer s.Close()
-				base := fs.Stats().Fsyncs // the manifest and segment creation are Open's
-				const goroutines, perG = 8, 20
-				var wg sync.WaitGroup
-				for g := 0; g < goroutines; g++ {
-					wg.Add(1)
-					go func(g int) {
-						defer wg.Done()
-						for i := 0; i < perG; i++ {
-							tok, err := s.Update(func(_ *stm.Tx, b *Batch) error {
-								b.Put(fmt.Sprintf("g%d-%d", g, i%5), fmt.Sprintf("%d", i))
-								return nil
-							})
-							if err != nil {
-								t.Error(err)
-								return
-							}
-							s.WaitDurable(tok)
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("group/%d lanes", shards), func(t *testing.T) {
+			fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
+			reg := obs.NewRegistry()
+			s, _ := openStore(t, fs, Options{Shards: shards, Registry: reg})
+			defer s.Close()
+			base := fs.Stats().Fsyncs // the manifest and segment creation are Open's
+			const goroutines, perG = 8, 20
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < perG; i++ {
+						tok, err := s.Update(func(_ *stm.Tx, b *Batch) error {
+							b.Put(fmt.Sprintf("g%d-%d", g, i%5), fmt.Sprintf("%d", i))
+							return nil
+						})
+						if err != nil {
+							t.Error(err)
+							return
 						}
-					}(g)
-				}
-				wg.Wait()
-				const commits = goroutines * perG
-				var lanes wal.BatchStats
-				for _, l := range s.Logs() {
-					b := l.BatchStats()
-					lanes.Fsyncs += b.Fsyncs
-					lanes.Flushes += b.Flushes
-					lanes.Records += b.Records
-				}
-				onDisk := fs.Stats().Fsyncs - base
-				if lanes.Fsyncs != onDisk {
-					t.Errorf("lanes counted %d fsyncs, the disk saw %d", lanes.Fsyncs, onDisk)
-				}
-				if lanes.Records != commits {
-					t.Errorf("lanes counted %d records for %d commits", lanes.Records, commits)
-				}
-				exposed := reg.Snapshot()
-				for name, want := range map[string]uint64{
-					"deferstm_wal_fsyncs_total":      lanes.Fsyncs,
-					"deferstm_wal_flushes_total":     lanes.Flushes,
-					"deferstm_wal_records_total":     lanes.Records,
-					"deferstm_wal_checkpoints_total": 0,
-				} {
-					if got := exposed[name]; got != want {
-						t.Errorf("%s = %v, want the lanes' sum %d", name, got, want)
+						s.WaitDurable(tok)
 					}
+				}(g)
+			}
+			wg.Wait()
+			const commits = goroutines * perG
+			var lanes wal.BatchStats
+			for _, l := range s.Logs() {
+				b := l.BatchStats()
+				lanes.Fsyncs += b.Fsyncs
+				lanes.Flushes += b.Flushes
+				lanes.Records += b.Records
+			}
+			onDisk := fs.Stats().Fsyncs - base
+			if lanes.Fsyncs != onDisk {
+				t.Errorf("lanes counted %d fsyncs, the disk saw %d", lanes.Fsyncs, onDisk)
+			}
+			if lanes.Records != commits {
+				t.Errorf("lanes counted %d records for %d commits", lanes.Records, commits)
+			}
+			exposed := reg.Snapshot()
+			for name, want := range map[string]uint64{
+				"deferstm_wal_fsyncs_total":      lanes.Fsyncs,
+				"deferstm_wal_flushes_total":     lanes.Flushes,
+				"deferstm_wal_records_total":     lanes.Records,
+				"deferstm_wal_checkpoints_total": 0,
+			} {
+				if got := exposed[name]; got != want {
+					t.Errorf("%s = %v, want the lanes' sum %d", name, got, want)
 				}
-				switch {
-				case mode == ModeSync && onDisk != commits:
-					t.Errorf("sync mode: %d fsyncs for %d commits, want one each", onDisk, commits)
-				case mode == ModeGroup && shards == 1 && onDisk >= commits:
-					t.Errorf("group mode: %d fsyncs for %d commits, want fewer", onDisk, commits)
-				}
-			})
-		}
+			}
+			if shards == 1 && onDisk >= commits {
+				t.Errorf("group mode: %d fsyncs for %d commits, want fewer", onDisk, commits)
+			}
+		})
 	}
 }
 

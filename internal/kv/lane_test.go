@@ -93,77 +93,75 @@ func TestDecodeLaneRecordSingleLane(t *testing.T) {
 // batches, acks tokens, and recovers to identical contents with the lane
 // count adopted from the manifest.
 func TestShardedRoundTrip(t *testing.T) {
-	for _, mode := range []Mode{ModeGroup, ModeSync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			fs := simio.NewFS(simio.Latency{})
-			opts := Options{Mode: mode, Shards: 4}
-			s, info := openStore(t, fs, opts)
-			if info.Shards != 4 {
-				t.Fatalf("opened with %d shards, want 4", info.Shards)
-			}
-			// Single-shard commits on every lane.
-			keys := make([]string, 4)
-			for lane := 0; lane < 4; lane++ {
-				keys[lane] = keyFor(s, lane, fmt.Sprintf("solo%d", lane))
-				tok := put(t, s, keys[lane], fmt.Sprintf("v%d", lane))
-				if TokenLane(tok) != lane {
-					t.Fatalf("token lane %d, want %d", TokenLane(tok), lane)
-				}
-				s.WaitDurable(tok)
-			}
-			// A cross-shard batch touching all four lanes at once.
-			tok, err := s.Update(func(tx *stm.Tx, b *Batch) error {
-				for lane := 0; lane < 4; lane++ {
-					b.Put(keyFor(s, lane, "cross"), "x")
-				}
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if TokenLane(tok) != 0 {
-				t.Fatalf("cross-shard home lane %d, want 0 (lowest touched)", TokenLane(tok))
+	t.Run("group", func(t *testing.T) {
+		fs := simio.NewFS(simio.Latency{})
+		opts := Options{Shards: 4}
+		s, info := openStore(t, fs, opts)
+		if info.Shards != 4 {
+			t.Fatalf("opened with %d shards, want 4", info.Shards)
+		}
+		// Single-shard commits on every lane.
+		keys := make([]string, 4)
+		for lane := 0; lane < 4; lane++ {
+			keys[lane] = keyFor(s, lane, fmt.Sprintf("solo%d", lane))
+			tok := put(t, s, keys[lane], fmt.Sprintf("v%d", lane))
+			if TokenLane(tok) != lane {
+				t.Fatalf("token lane %d, want %d", TokenLane(tok), lane)
 			}
 			s.WaitDurable(tok)
-			// Cross-shard read-modify-write sees its own writes.
-			if _, err := s.Update(func(tx *stm.Tx, b *Batch) error {
-				b.Put(keys[1], "updated")
-				if v, ok := b.Get(keys[1]); !ok || v != "updated" {
-					t.Errorf("read-own-write: %q %v", v, ok)
-				}
-				b.Delete(keys[2])
-				return nil
-			}); err != nil {
-				t.Fatal(err)
+		}
+		// A cross-shard batch touching all four lanes at once.
+		tok, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+			for lane := 0; lane < 4; lane++ {
+				b.Put(keyFor(s, lane, "cross"), "x")
 			}
-			before := dump(t, s)
-			if _, ok := before[keys[2]]; ok {
-				t.Fatal("deleted key still present")
-			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			// Reopen with Shards 0: the manifest supplies the count.
-			s2, info2 := openStore(t, fs, Options{Mode: mode})
-			defer s2.Close()
-			if info2.Shards != 4 || s2.Shards() != 4 {
-				t.Fatalf("reopen adopted %d shards, want 4", info2.Shards)
-			}
-			if mode == ModeGroup && info2.MaxGSN == 0 {
-				t.Fatal("no GSN recovered from a multi-lane store")
-			}
-			after := dump(t, s2)
-			if len(after) != len(before) {
-				t.Fatalf("recovered %d keys, want %d", len(after), len(before))
-			}
-			for k, v := range before {
-				if after[k] != v {
-					t.Fatalf("recovered %q=%q, want %q", k, after[k], v)
-				}
-			}
+			return nil
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if TokenLane(tok) != 0 {
+			t.Fatalf("cross-shard home lane %d, want 0 (lowest touched)", TokenLane(tok))
+		}
+		s.WaitDurable(tok)
+		// Cross-shard read-modify-write sees its own writes.
+		if _, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+			b.Put(keys[1], "updated")
+			if v, ok := b.Get(keys[1]); !ok || v != "updated" {
+				t.Errorf("read-own-write: %q %v", v, ok)
+			}
+			b.Delete(keys[2])
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		before := dump(t, s)
+		if _, ok := before[keys[2]]; ok {
+			t.Fatal("deleted key still present")
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		// Reopen with Shards 0: the manifest supplies the count.
+		s2, info2 := openStore(t, fs, Options{})
+		defer s2.Close()
+		if info2.Shards != 4 || s2.Shards() != 4 {
+			t.Fatalf("reopen adopted %d shards, want 4", info2.Shards)
+		}
+		if info2.MaxGSN == 0 {
+			t.Fatal("no GSN recovered from a multi-lane store")
+		}
+		after := dump(t, s2)
+		if len(after) != len(before) {
+			t.Fatalf("recovered %d keys, want %d", len(after), len(before))
+		}
+		for k, v := range before {
+			if after[k] != v {
+				t.Fatalf("recovered %q=%q, want %q", k, after[k], v)
+			}
+		}
+	})
 }
 
 // TestManifestPinsLaneCount: the satellite-1 contract. Reopening with a
@@ -253,9 +251,8 @@ func TestLegacyDirAdoption(t *testing.T) {
 // TestCrossShardCrashAtomicity: crash plans kill the store between lane
 // flushes of cross-shard batches — after one lane's fsync returned and
 // before a sibling's — and recovery must present every batch
-// all-or-nothing, never a half. Both durable modes run it: in ModeGroup
-// each lane's flusher fsyncs its records, in ModeSync the committing
-// serial transaction fsyncs one lane's record after another.
+// all-or-nothing, never a half: each lane's flusher fsyncs its own
+// records, so a crash can land between two lanes' fsyncs of one batch.
 //
 // The workload is all cross-shard (every update touches both of two
 // specific lanes plus sometimes a third), so batch atomicity plus
@@ -264,51 +261,49 @@ func TestLegacyDirAdoption(t *testing.T) {
 // a batch" is directly visible.
 func TestCrossShardCrashAtomicity(t *testing.T) {
 	const updates = 30
-	for _, mode := range []Mode{ModeGroup, ModeSync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			fired, truncated := 0, 0
-			for _, point := range crashPoints {
-				for n := uint64(1); n <= 41; n += 4 {
-					for seed := uint64(1); seed <= 2; seed++ {
-						ok, cut := crossShardCrashScenario(t, mode, 512, point, n, seed, updates)
-						if ok {
-							fired++
-						}
-						if cut {
-							truncated++
-						}
+	t.Run("group", func(t *testing.T) {
+		fired, truncated := 0, 0
+		for _, point := range crashPoints {
+			for n := uint64(1); n <= 41; n += 4 {
+				for seed := uint64(1); seed <= 2; seed++ {
+					ok, cut := crossShardCrashScenario(t, 512, point, n, seed, updates)
+					if ok {
+						fired++
+					}
+					if cut {
+						truncated++
 					}
 				}
 			}
-			// At 100-byte segments a lane's segment holds one record of
-			// this workload (61–79 bytes), so every lane write after a
-			// segment's first rotates first: tried at every crash point
-			// the run reaches.
-			for _, point := range crashPoints {
-				for seed := uint64(1); seed <= 2; seed++ {
-					fired += everyCrashPoint(func(n uint64) bool {
-						ok, cut := crossShardCrashScenario(t, mode, 100, point, n, seed, updates)
-						if cut {
-							truncated++
-						}
-						return ok
-					})
-				}
+		}
+		// At 100-byte segments a lane's segment holds one record of
+		// this workload (61–79 bytes), so every lane write after a
+		// segment's first rotates first: tried at every crash point
+		// the run reaches.
+		for _, point := range crashPoints {
+			for seed := uint64(1); seed <= 2; seed++ {
+				fired += everyCrashPoint(func(n uint64) bool {
+					ok, cut := crossShardCrashScenario(t, 100, point, n, seed, updates)
+					if cut {
+						truncated++
+					}
+					return ok
+				})
 			}
-			if fired < 300 {
-				t.Fatalf("only %d crash scenarios fired", fired)
-			}
-			if truncated == 0 {
-				t.Fatal("no scenario exercised cross-lane presumed abort — the test is vacuous")
-			}
-			t.Logf("%d scenarios fired, %d with presumed-abort truncation", fired, truncated)
-		})
-	}
+		}
+		if fired < 300 {
+			t.Fatalf("only %d crash scenarios fired", fired)
+		}
+		if truncated == 0 {
+			t.Fatal("no scenario exercised cross-lane presumed abort — the test is vacuous")
+		}
+		t.Logf("%d scenarios fired, %d with presumed-abort truncation", fired, truncated)
+	})
 }
 
-func crossShardCrashScenario(t *testing.T, mode Mode, segBytes int, point simio.CrashPoint, n, seed uint64, updates int) (fired, truncated bool) {
+func crossShardCrashScenario(t *testing.T, segBytes int, point simio.CrashPoint, n, seed uint64, updates int) (fired, truncated bool) {
 	t.Helper()
-	opts := Options{Mode: mode, Shards: 4, WAL: wal.Options{SegmentBytes: segBytes}}
+	opts := Options{Shards: 4, WAL: wal.Options{SegmentBytes: segBytes}}
 	fs := simio.NewFS(simio.Latency{})
 	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), opts)
 	if err != nil {
@@ -367,7 +362,7 @@ func crossShardCrashScenario(t *testing.T, mode Mode, segBytes int, point simio.
 	}
 
 	fs2 := simio.FSFromImage(img, simio.Latency{}, seed)
-	s2, info, err := Open(stm.NewDefault(), wal.NewSimBackend(fs2), Options{Mode: mode, WAL: opts.WAL})
+	s2, info, err := Open(stm.NewDefault(), wal.NewSimBackend(fs2), Options{WAL: opts.WAL})
 	if err != nil {
 		t.Fatalf("%v N=%d seed=%d: recovery failed: %v", point, n, seed, err)
 	}

@@ -144,7 +144,7 @@ func TestResponsesInArrivalOrder(t *testing.T) {
 				t.Fatalf("round %d: got response %d (status %d), want %d: responses left arrival order", round, resp.ID, resp.Status, want.ID)
 			}
 			if want.Op == OpPut {
-				if w := store.Log().DurableWatermark(); w < resp.LSN {
+				if w := store.Logs()[0].DurableWatermark(); w < resp.LSN {
 					t.Fatalf("PUT lsn %d acknowledged at watermark %d", resp.LSN, w)
 				}
 			}
@@ -183,7 +183,7 @@ func TestReaderFlushRule(t *testing.T) {
 	if resp := recvResponse(t, nc, br); resp.ID != 100 {
 		t.Fatalf("first response id %d, want the GET's 100", resp.ID)
 	}
-	if w := store.Log().DurableWatermark(); w != 0 {
+	if w := store.Logs()[0].DurableWatermark(); w != 0 {
 		t.Fatalf("the GET arrived only after the PUT's fsync (watermark %d)", w)
 	}
 	if resp := recvResponse(t, nc, br); resp.ID != 101 || resp.LSN != 1 {

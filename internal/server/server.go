@@ -404,13 +404,9 @@ func (s *Server) await(ctx context.Context, p *pend) error {
 		if err := s.store.WaitDurableCtx(ctx, p.resp.Water); err != nil {
 			return err
 		}
-		if p.resp.Water > 0 {
-			lane := kv.TokenLane(p.resp.Water)
-			if log := s.store.Logs()[lane]; log != nil {
-				p.resp.Water = kv.PackToken(lane, log.DurableWatermark())
-			}
-		} else if log := s.store.Log(); log != nil {
-			p.resp.Water = log.DurableWatermark()
+		lane := kv.TokenLane(p.resp.Water)
+		if log := s.store.Logs()[lane]; log != nil {
+			p.resp.Water = kv.PackToken(lane, log.DurableWatermark())
 		}
 	}
 	if p.resp.LSN > 0 {
@@ -663,7 +659,7 @@ func (s *Server) execute(req Request) (pend, error) {
 		}
 		p.resp.LSN = lsn
 	case OpWatch:
-		if s.store.Log() == nil {
+		if s.store.Logs()[0] == nil {
 			if req.LSN > 0 {
 				return fail(errors.New("server: WATCH on a store with no WAL"))
 			}

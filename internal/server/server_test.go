@@ -75,7 +75,7 @@ func TestEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := store.Log().DurableWatermark(); w < lsn {
+	if w := store.Logs()[0].DurableWatermark(); w < lsn {
 		t.Fatalf("acked PUT lsn=%d before durable watermark %d", lsn, w)
 	}
 	if v, found, err := c.Get("a"); err != nil || !found || v != "1" {
@@ -93,7 +93,7 @@ func TestEndToEnd(t *testing.T) {
 	if blsn <= lsn {
 		t.Fatalf("batch lsn %d not after put lsn %d", blsn, lsn)
 	}
-	if w := store.Log().DurableWatermark(); w < blsn {
+	if w := store.Logs()[0].DurableWatermark(); w < blsn {
 		t.Fatalf("acked BATCH lsn=%d before durable watermark %d", blsn, w)
 	}
 	if _, found, _ := c.Get("a"); found {
@@ -183,7 +183,7 @@ func TestPipelinedGroupCommit(t *testing.T) {
 		}
 	}
 
-	bs := store.Log().BatchStats()
+	bs := store.Logs()[0].BatchStats()
 	if bs.Records < conns*perConn {
 		t.Fatalf("records = %d, want >= %d", bs.Records, conns*perConn)
 	}
@@ -217,7 +217,7 @@ func TestOneConnectionFillsBatch(t *testing.T) {
 		if resp.LSN <= last {
 			t.Fatalf("non-monotone LSNs on one connection: %d after %d", resp.LSN, last)
 		}
-		if d := store.Log().DurableWatermark(); d < resp.LSN {
+		if d := store.Logs()[0].DurableWatermark(); d < resp.LSN {
 			t.Fatalf("LSN %d acknowledged at watermark %d", resp.LSN, d)
 		}
 		last = resp.LSN
@@ -235,7 +235,7 @@ func TestOneConnectionFillsBatch(t *testing.T) {
 		recv()
 	}
 
-	bs := store.Log().BatchStats()
+	bs := store.Logs()[0].BatchStats()
 	if bs.Records != puts {
 		t.Fatalf("records = %d, want %d", bs.Records, puts)
 	}
@@ -492,7 +492,7 @@ func TestHTTPFallback(t *testing.T) {
 	}
 
 	put("h1", "hello")
-	if w := store.Log().DurableWatermark(); w == 0 {
+	if w := store.Logs()[0].DurableWatermark(); w == 0 {
 		t.Fatal("HTTP put acked before anything was durable")
 	}
 	if body := get("/kv/get?key=h1"); !strings.Contains(body, `"found":true`) || !strings.Contains(body, "hello") {

@@ -69,7 +69,7 @@ func TestShutdownDrainsAcks(t *testing.T) {
 		if resp.Status != StatusOK || resp.ID != uint64(i+1) {
 			t.Fatalf("ack %d = %+v", i, resp)
 		}
-		if w := store.Log().DurableWatermark(); w < resp.LSN {
+		if w := store.Logs()[0].DurableWatermark(); w < resp.LSN {
 			t.Fatalf("drained ack lsn=%d above durable watermark %d", resp.LSN, w)
 		}
 	}
@@ -127,7 +127,7 @@ func TestCloseMidFlushKeepsAckedRecords(t *testing.T) {
 	if err := <-served; err != nil {
 		t.Fatal(err)
 	}
-	executed := store.Log().AssignedWatermark()
+	executed := store.Logs()[0].AssignedWatermark()
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestReplStreamShipsRecords(t *testing.T) {
 			t.Fatalf("record %d payload: %v (%d ops)", i, err, len(ops))
 		}
 	}
-	if w := store.Log().DurableWatermark(); recs[len(recs)-1].LSN > w {
+	if w := store.Logs()[0].DurableWatermark(); recs[len(recs)-1].LSN > w {
 		t.Fatalf("stream shipped lsn %d past durable watermark %d", recs[len(recs)-1].LSN, w)
 	}
 	// The follower hanging up must not wedge the server.

@@ -42,11 +42,6 @@ func (rt *Runtime) AtomicSerial(fn func(tx *Tx) error) error {
 	return rt.run(nil, 0, fn, true, false)
 }
 
-// AtomicSerialAs is AtomicSerial with an explicit lock-owner identity.
-func (rt *Runtime) AtomicSerialAs(owner OwnerID, fn func(tx *Tx) error) error {
-	return rt.run(nil, owner, fn, true, false)
-}
-
 // run is the shared transaction loop. ctx may be nil (the non-Ctx entry
 // points), which costs the hot path nothing but a nil test. A non-nil
 // ctx is consulted only at attempt boundaries and while parked in Retry:

@@ -54,13 +54,14 @@ const (
 	// WAL events are emitted by package wal. EvWALAppend is queued on the
 	// appending transaction (flushed only if it commits): Aux is the LSN
 	// it reserved, Var the log's lock owner-variable ID, and Aux2 the
-	// global commit sequence number when the store runs with multiple
-	// WAL lanes (0 on a single-lane store — GSNs start at 1). A commit
-	// that touches several lanes emits one EvWALAppend per lane, all
-	// sharing the TxID and the GSN. EvWALDurable is emitted by a flush
-	// after its fsync returned: Aux is the new durable watermark — every
-	// record with LSN ≤ Aux is on stable storage. The durability checker
-	// (internal/check) consumes both.
+	// commit's global commit sequence number, which every kv store
+	// commit draws, on one lane or many (0 only for a bare wal.Log
+	// append — GSNs start at 1). A commit that touches several lanes
+	// emits one EvWALAppend per lane, all sharing the TxID and the GSN.
+	// EvWALDurable is emitted by a flush after its fsync returned: Aux is
+	// the new durable watermark — every record with LSN ≤ Aux is on
+	// stable storage — and Owner the flusher, which holds the log's lock
+	// (Var). The durability checker (internal/check) consumes both.
 	EvWALAppend
 	EvWALDurable
 

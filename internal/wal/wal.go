@@ -197,13 +197,16 @@ type Log struct {
 	nextLSN  stm.Var[uint64]    // next LSN to reserve
 	pending  stm.Var[*pnode]    // committed-but-unflushed records
 	flushing stm.Var[bool]      // the lane's flusher goroutine is live
-	durable  stm.Var[uint64]    // published watermark; writes hold the log lock
-	synced   stm.Var[syncPoint] // last fsynced record; writes hold the log lock
+	durable  stm.Var[uint64]    // published watermark; written only by drainAndFlush
+	synced   stm.Var[syncPoint] // last fsynced record; written only by drainAndFlush
 
 	lanes []*Log // the store's lane set (JoinLanes); nil for a lone log
 
-	// File state. Mutators hold the log's TxLock; fmu makes the
-	// happens-before explicit for the race detector and for Close.
+	// File state. Mutators hold the log's TxLock: segment writes come
+	// only from drainAndFlush (the flusher, Flush or Checkpoint), the
+	// prune from Checkpoint. fmu makes the happens-before explicit for
+	// the race detector, for Tails and for Close, which runs after its
+	// own Flush.
 	fmu      sync.Mutex
 	cur      File
 	curName  string
@@ -367,10 +370,9 @@ func (l *Log) SetMetrics(met *Metrics) { l.met = met }
 // Reserve reserves the next LSN within tx without writing a record. A
 // commit reserves every touched lane's LSN first, because a multi-lane
 // record's header carries the full lane/LSN vector, and then hands each
-// lane its record: EnqueueReserved, or SyncReserved in a serial
-// transaction. A Reserve must be followed by one of them in the same tx
-// — a reserved-but-unwritten LSN would leave a permanent hole in the
-// log.
+// lane its record through EnqueueReserved. A Reserve must be followed by
+// an EnqueueReserved in the same tx — a reserved-but-unwritten LSN would
+// leave a permanent hole in the log.
 //
 // Reserving reads and writes the lane's nextLSN Var, so two commits
 // appending to the same lane conflict and serialize: per lane, LSN
@@ -457,34 +459,6 @@ func (l *Log) flusher() {
 	}
 }
 
-// SyncReserved writes and fsyncs payload under a previously Reserved
-// lsn at once, inside a serial (irrevocable) transaction — the
-// fsync-per-commit baseline the paper's irrevocability sections describe
-// and the sync counterpart of EnqueueReserved. tx must be serial (call
-// tx.Irrevocable() first); the write is safe exactly because the
-// transaction can no longer abort. A log driven through SyncReserved
-// must not also be driven through EnqueueReserved.
-func (l *Log) SyncReserved(tx *stm.Tx, lsn, gsn uint64, payload []byte) error {
-	if !tx.Serial() {
-		panic("wal: SyncReserved outside a serial transaction")
-	}
-	if l.rt.Recording() {
-		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALAppend, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn, Aux2: gsn})
-	}
-	l.fmu.Lock()
-	err := l.writeLocked([]Record{{LSN: lsn, Payload: payload}})
-	l.fmu.Unlock()
-	if err != nil {
-		return err
-	}
-	l.durable.Set(tx, lsn)
-	l.noteBatch(1)
-	if l.rt.Recording() {
-		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALDurable, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn})
-	}
-	return nil
-}
-
 // LastDurable returns the durability watermark inside tx, subscribing to
 // the log lock first: while a flush is in flight the transaction waits
 // (via retry), and once it reads the watermark, any later flush conflicts
@@ -545,9 +519,11 @@ func (l *Log) Flush() {
 // drainAndFlush drains the batch queue, appends the records in LSN order,
 // fsyncs once, publishes synced, waits for the frontier if the batch
 // holds a multi-lane record, and publishes the new watermark. It is the
-// only flush path: the flusher, Flush and Checkpoint all come here. The
-// caller must hold the log's TxLock (via AtomicDefer or AcquireOutside)
-// under ctx.Owner(). An unwritable backend is fatal: the log cannot lose
+// only flush path — the flusher, Flush and Checkpoint all come here —
+// and so the only writer of the segments, synced and durable. The caller
+// must hold the log's TxLock (via AtomicDefer or AcquireOutside) under
+// ctx.Owner(); the history checker's durability rule holds every
+// EvWALDurable to that (internal/check). An unwritable backend is fatal: the log cannot lose
 // a record it promised to flush, so a persistent write error panics —
 // on the flusher goroutine, so it takes the process down rather than
 // unwinding into some unlucky committer.

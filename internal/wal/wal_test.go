@@ -348,50 +348,6 @@ func TestCheckpointPrune(t *testing.T) {
 	}
 }
 
-// TestSyncReservedSerial: SyncReserved writes and fsyncs inside serial
-// transactions (one fsync per commit) and panics outside them.
-func TestSyncReservedSerial(t *testing.T) {
-	fs := simio.NewFS(simio.Latency{})
-	rt, l, _ := openSim(t, fs, Options{})
-	for i := 1; i <= 5; i++ {
-		if err := rt.AtomicSerial(func(tx *stm.Tx) error {
-			lsn := l.Reserve(tx)
-			if lsn != uint64(i) {
-				t.Errorf("Reserve got LSN %d, want %d", lsn, i)
-			}
-			return l.SyncReserved(tx, lsn, 0, []byte(fmt.Sprintf("sync-%d", i)))
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if st := l.BatchStats(); st.Flushes != 5 || st.Records != 5 || st.MaxBatch != 1 {
-		t.Fatalf("sync mode stats %+v, want 5 flushes of 1", st)
-	}
-	if l.DurableWatermark() != 5 {
-		t.Fatalf("watermark %d after 5 sync appends", l.DurableWatermark())
-	}
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("SyncReserved outside serial tx did not panic")
-			}
-		}()
-		_ = rt.Atomic(func(tx *stm.Tx) error {
-			_ = l.SyncReserved(tx, l.Reserve(tx), 0, []byte("x"))
-			return nil
-		})
-	}()
-
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	_, _, rec := openSim(t, fs, Options{})
-	if rec.LastLSN != 5 || len(rec.Records) != 5 {
-		t.Fatalf("recovered LastLSN=%d, %d records", rec.LastLSN, len(rec.Records))
-	}
-}
-
 // TestLastDurableSubscribes: a transaction reading LastDurable while a
 // flush is in flight waits for it rather than seeing a stale watermark.
 func TestLastDurableSubscribes(t *testing.T) {

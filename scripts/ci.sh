@@ -216,31 +216,6 @@ awk 'NF == 2' "$kvdir/ack4.txt" | grep -q . \
 "$kvdir/kvserver" -dir "$kvdir/wal4" -verify -ackfile "$kvdir/ack4.txt" \
     | grep -q 'verify ok: 4 lanes' || { echo "per-lane verify failed"; exit 1; }
 
-# Same smoke in sync mode across two lanes, the only end-to-end run of
-# the sharded sync path: each PUT is a serial transaction that writes
-# and fsyncs its lane's record (wal.SyncReserved) before it commits and
-# acks. No -check: the fsyncs/commit ratio is 1 in sync mode by
-# definition. -verify must prove every acked LSN survived on both lanes.
-echo "==> sync-mode kvserver crash smoke (-mode sync -shards 2 + kill -9 + per-lane verify)"
-"$kvdir/kvserver" -addr 127.0.0.1:0 -addrfile "$kvdir/addrs.txt" \
-    -dir "$kvdir/wals" -mode sync -shards 2 2>"$kvdir/servers.log" &
-kvsrvpid=$!
-bound=""
-for _ in $(seq 1 50); do
-    if [ -s "$kvdir/addrs.txt" ]; then
-        bound="$(head -n1 "$kvdir/addrs.txt")"
-        break
-    fi
-    sleep 0.1
-done
-[ -n "$bound" ] || { echo "sync-mode kvserver never published its address"; cat "$kvdir/servers.log"; exit 1; }
-"$kvdir/kvloadgen" -addr "$bound" -conns 1,4 -ops 100 \
-    -ackfile "$kvdir/acks.txt" >/dev/null
-kill -9 "$kvsrvpid" 2>/dev/null || true
-wait "$kvsrvpid" 2>/dev/null || true
-"$kvdir/kvserver" -dir "$kvdir/wals" -verify -ackfile "$kvdir/acks.txt" \
-    | grep -q 'verify ok: 2 lanes' || { echo "sync-mode per-lane verify failed"; exit 1; }
-
 # In-process replication torture: primary + server + replica in one
 # binary, writer threads with cross-lane batches, checkpoints rotating
 # lanes under the stream, seeded Kick() partitions — then prefix
