@@ -39,8 +39,9 @@ benchmark:
 		bash benchmark/run.sh --workload $$w --seed $(SEED) --seconds $$secs --trace $(TRACE) || exit 1; \
 	done
 
-# Go testing-framework microbenchmarks: the figure pipelines, the
-# ablations (A1-A4) and the blocked-reader wake-up ladder.
+# Go testing-framework microbenchmarks: Figure 1's quiescence stall, the
+# ablations (A1-A4) and the blocked-reader wake-up ladder. Figures 2-3
+# are run by cmd/reproduce (`go run ./cmd/reproduce -figure 2a`, ...).
 bench-figs:
 	$(GO) test -bench=. -benchmem ./...
 

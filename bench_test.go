@@ -1,11 +1,9 @@
-// Benchmarks regenerating the paper's figures (see DESIGN.md §4 for the
-// experiment index, and cmd/iobench / cmd/dedupbench for the full-size
-// sweeps with table output). Each figure panel is a benchmark with
-// sub-benchmarks per series and thread count; the metric of interest is
-// ns/op for a fixed batch of work, which is proportional to the paper's
-// "execution time" axis.
+// Go benchmarks beside the paper's figures: the motivation figure's
+// quiescence stall (Figure 1), the ablations A1-A4, the blocked-reader
+// wake-up ladder and runtime micro-benchmarks. Figures 2 and 3 are run
+// by cmd/reproduce (DESIGN.md §4 indexes every experiment).
 //
-// Run: go test -bench=. -benchmem
+// Run: go test -run xxx -bench=. -benchmem
 package deferstm_test
 
 import (
@@ -14,118 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"deferstm/internal/chunker"
 	"deferstm/internal/core"
-	"deferstm/internal/dedup"
-	"deferstm/internal/iobench"
-	"deferstm/internal/simio"
 	"deferstm/internal/stm"
 	"deferstm/internal/txlock"
 )
-
-// benchLatency is the harness I/O profile: every operation above the
-// time.Sleep floor so the fsync/write/open ratios hold (see
-// simio.SlowDiskLatency).
-func benchLatency() simio.Latency { return simio.SlowDiskLatency() }
-
-// dedupOutputLatency keeps the sequential output stage off the critical
-// path (cheap-ish writes and fsyncs) so the worker-stage differences the
-// paper measures are visible; see cmd/dedupbench.
-func dedupOutputLatency() simio.Latency {
-	l := simio.SlowDiskLatency()
-	l.Fsync = 2 * time.Millisecond
-	return l
-}
-
-func fig2(b *testing.B, files int, keepOpen bool, withFGL bool) {
-	const ops = 200
-	modes := []iobench.Mode{iobench.CGL, iobench.Irrevoc, iobench.Defer}
-	if withFGL {
-		modes = append(modes, iobench.FGL)
-	}
-	for _, mode := range modes {
-		for _, threads := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/threads=%d", mode, threads), func(b *testing.B) {
-				cfg := iobench.Config{
-					Mode: mode, Files: files, Threads: threads, Ops: ops,
-					KeepOpen: keepOpen, Latency: benchLatency(),
-				}
-				for i := 0; i < b.N; i++ {
-					if _, _, err := iobench.Run(cfg); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig2a — I/O microbenchmark, 1 file (no concurrency available):
-// defer pays instrumentation overhead, irrevoc ≈ CGL.
-func BenchmarkFig2a(b *testing.B) { fig2(b, 1, false, false) }
-
-// BenchmarkFig2b — 2 files, +FGL: defer tracks FGL up to 2 threads.
-func BenchmarkFig2b(b *testing.B) { fig2(b, 2, false, true) }
-
-// BenchmarkFig2c — 4 files: defer scales with available concurrency.
-func BenchmarkFig2c(b *testing.B) { fig2(b, 4, false, true) }
-
-// BenchmarkFig2d — 4 files kept open (short critical sections): irrevoc
-// degrades below CGL; FGL flat; defer competitive with FGL.
-func BenchmarkFig2d(b *testing.B) { fig2(b, 4, true, true) }
-
-func fig3(b *testing.B, backends map[string]dedup.Backend, order []string, threadCounts []int, inputBytes int) {
-	input := dedup.GenInput(inputBytes, 0.5, 42)
-	for _, name := range order {
-		backend := backends[name]
-		for _, threads := range threadCounts {
-			b.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(b *testing.B) {
-				cfg := dedup.Config{
-					Backend: backend, Threads: threads,
-					InputRead:      20 * time.Millisecond,
-					CompressEffort: 128,
-					Chunk:          chunker.Config{AvgBits: 16},
-				}
-				b.SetBytes(int64(len(input)))
-				for i := 0; i < b.N; i++ {
-					fs := simio.NewFS(dedupOutputLatency())
-					if _, err := dedup.Run(cfg, input, fs, "out"); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig3a — PARSEC dedup, the seven series of Figure 3(a).
-func BenchmarkFig3a(b *testing.B) {
-	fig3(b,
-		map[string]dedup.Backend{
-			"STM": dedup.STM, "HTM": dedup.HTM,
-			"STM+DeferIO": dedup.STMDeferIO, "HTM+DeferIO": dedup.HTMDeferIO,
-			"STM+DeferAll": dedup.STMDeferAll, "HTM+DeferAll": dedup.HTMDeferAll,
-			"Pthread": dedup.Pthread,
-		},
-		[]string{"STM", "HTM", "STM+DeferIO", "HTM+DeferIO", "STM+DeferAll", "HTM+DeferAll", "Pthread"},
-		[]int{1, 2, 4, 8},
-		2<<20,
-	)
-}
-
-// BenchmarkFig3b — dedup at higher thread counts: baselines vs "Best"
-// (=+DeferAll) vs Pthread.
-func BenchmarkFig3b(b *testing.B) {
-	fig3(b,
-		map[string]dedup.Backend{
-			"STM": dedup.STM, "STM-Best": dedup.STMDeferAll,
-			"HTM-Best": dedup.HTMDeferAll, "Pthread": dedup.Pthread,
-		},
-		[]string{"STM", "STM-Best", "HTM-Best", "Pthread"},
-		[]int{4, 8, 16, 32},
-		2<<20,
-	)
-}
 
 // BenchmarkFig1Quiesce — the motivation figure: how long an unrelated
 // transaction (T3) stalls in quiescence while another thread (T1) runs a

@@ -1,12 +1,18 @@
-// Command reproduce regenerates every experiment in the paper's
+// Command reproduce regenerates the experiments of the paper's
 // evaluation section (Figures 2 and 3), writes the result tables to a
 // directory, and checks the qualitative claims ("who wins, by roughly
-// what factor, where the crossovers fall") automatically.
+// what factor, where the crossovers fall") automatically. No other
+// command runs the figures.
 //
-//	reproduce -out results          # full run (~10-20 min on 1 CPU)
-//	reproduce -out results -quick   # reduced ops/trials (~3 min)
+//	reproduce -out results              # every panel (~21 min on 2 CPUs)
+//	reproduce -out results -quick       # reduced ops/trials (~5 min)
+//	reproduce -out results -figure 3a   # one panel: 2a|2b|2c|2d|3a|3b
 //
-// Exit status is nonzero if any shape check fails.
+// Each panel writes its table as <panel>.txt and <panel>.csv (3a also
+// fig3a_structural.txt) and runs only its own shape checks; a full run
+// (-figure all, the default) also writes every check's verdict to
+// checks.txt. Exit status is 1 if any shape check fails, 2 on a usage
+// error.
 package main
 
 import (
@@ -14,6 +20,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,35 +45,50 @@ func check(name string, ok bool, detail string) {
 	fmt.Fprintln(os.Stderr, line)
 }
 
+var panelNames = []string{"2a", "2b", "2c", "2d", "3a", "3b"}
+
 func main() {
 	var (
 		outDir = flag.String("out", "results", "output directory for result tables")
 		quick  = flag.Bool("quick", false, "smaller runs (fewer ops, 1 trial)")
+		figure = flag.String("figure", "all", "panel to run: "+strings.Join(panelNames, "|")+"|all")
 	)
 	flag.Parse()
+	run := panelNames
+	if *figure != "all" {
+		if !slices.Contains(panelNames, *figure) {
+			fmt.Fprintf(os.Stderr, "reproduce: unknown -figure %q (want %s|all)\n",
+				*figure, strings.Join(panelNames, "|"))
+			os.Exit(2)
+		}
+		run = []string{*figure}
+	}
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 
-	trials := 2
-	ioOps := 1200
-	dedupSize := 8 << 20
+	trials, ioOps, dedupSize := 2, 1200, 8<<20
 	if *quick {
-		trials = 1
-		ioOps = 600
-		dedupSize = 4 << 20
+		trials, ioOps, dedupSize = 1, 600, 4<<20
 	}
+	input := dedup.GenInput(dedupSize, 0.5, 42) // Figure 3's, for both panels
 
 	start := time.Now()
-	fig2(*outDir, ioOps, trials)
-	fig3(*outDir, dedupSize, trials)
+	for _, name := range run {
+		switch name {
+		case "3a":
+			fig3a(*outDir, input, trials)
+		case "3b":
+			fig3b(*outDir, input, trials)
+		default:
+			fig2(*outDir, name, ioOps, trials)
+		}
+	}
 	fmt.Fprintf(os.Stderr, "total: %.1f min\n", time.Since(start).Minutes())
 
-	// Write the check summary.
-	sum := strings.Join(checks, "\n") + "\n"
-	if err := os.WriteFile(filepath.Join(*outDir, "checks.txt"), []byte(sum), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	if *figure == "all" {
+		writeFile(*outDir, "checks.txt", strings.Join(checks, "\n")+"\n")
 	}
 	if failures > 0 {
 		fmt.Fprintf(os.Stderr, "%d shape checks FAILED\n", failures)
@@ -76,64 +98,56 @@ func main() {
 }
 
 func writeTable(dir, name string, tbl *bench.Table) {
-	var sb strings.Builder
-	tbl.Render(&sb)
-	if err := os.WriteFile(filepath.Join(dir, name+".txt"), []byte(sb.String()), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
-	var csv strings.Builder
+	var txt, csv strings.Builder
+	tbl.Render(&txt)
 	tbl.RenderCSV(&csv)
-	if err := os.WriteFile(filepath.Join(dir, name+".csv"), []byte(csv.String()), 0o644); err != nil {
+	writeFile(dir, name+".txt", txt.String())
+	writeFile(dir, name+".csv", csv.String())
+}
+
+func writeFile(dir, name, data string) {
+	if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 	}
 }
 
 // ---------- Figure 2 ----------
 
-func fig2(dir string, ops, trials int) {
-	panels := []struct {
-		name     string
-		files    int
-		keepOpen bool
-		withFGL  bool
-	}{
-		{"fig2a", 1, false, false},
-		{"fig2b", 2, false, true},
-		{"fig2c", 4, false, true},
-		{"fig2d", 4, true, true},
+// fig2 runs one panel of Figure 2: files files, kept open in 2(d), with
+// the FGL baseline from 2(b) on.
+func fig2(dir, panel string, ops, trials int) {
+	files := map[string]int{"2a": 1, "2b": 2, "2c": 4, "2d": 4}[panel]
+	keepOpen := panel == "2d"
+	modes := []iobench.Mode{iobench.CGL, iobench.Irrevoc, iobench.Defer}
+	if panel != "2a" {
+		modes = append(modes, iobench.FGL)
 	}
-	threadCounts := []int{1, 2, 4, 8}
-	for _, p := range panels {
-		modes := []iobench.Mode{iobench.CGL, iobench.Irrevoc, iobench.Defer}
-		if p.withFGL {
-			modes = append(modes, iobench.FGL)
-		}
-		title := fmt.Sprintf("Figure 2(%s): %d file(s)%s, %d ops", p.name[4:],
-			p.files, map[bool]string{true: " kept open"}[p.keepOpen], ops)
-		tbl := bench.NewTable(title, "threads", "execution time (s)")
-		for _, mode := range modes {
-			series := tbl.SeriesByName(mode.String())
-			for _, t := range threadCounts {
-				cfg := iobench.Config{
-					Mode: mode, Files: p.files, Threads: t, Ops: ops,
-					KeepOpen: p.keepOpen, Latency: simio.SlowDiskLatency(),
-				}
-				bench.Measure(series, float64(t), trials, func() {
-					if _, _, err := iobench.Run(cfg); err != nil {
-						fmt.Fprintf(os.Stderr, "reproduce: %v: %v\n", mode, err)
-						os.Exit(1)
-					}
-				})
-				fmt.Fprintf(os.Stderr, ".")
+	name := "fig" + panel
+	title := fmt.Sprintf("Figure 2(%s): %d file(s)%s, %d ops", panel[1:],
+		files, map[bool]string{true: " kept open"}[keepOpen], ops)
+	tbl := bench.NewTable(title, "threads", "execution time (s)")
+	for _, mode := range modes {
+		series := tbl.SeriesByName(mode.String())
+		for _, t := range []int{1, 2, 4, 8} {
+			cfg := iobench.Config{
+				Mode: mode, Files: files, Threads: t, Ops: ops,
+				KeepOpen: keepOpen, Latency: simio.SlowDiskLatency(),
 			}
+			bench.Measure(series, float64(t), trials, func() {
+				if _, _, err := iobench.Run(cfg); err != nil {
+					fmt.Fprintf(os.Stderr, "reproduce: %v: %v\n", mode, err)
+					os.Exit(1)
+				}
+			})
+			fmt.Fprintf(os.Stderr, ".")
 		}
-		fmt.Fprintf(os.Stderr, " %s done\n", p.name)
-		writeTable(dir, p.name, tbl)
-		checkFig2(p.name, tbl, p.withFGL)
 	}
+	fmt.Fprintf(os.Stderr, " %s done\n", name)
+	writeTable(dir, name, tbl)
+	checkFig2(name, tbl)
 }
 
-func checkFig2(name string, tbl *bench.Table, withFGL bool) {
+func checkFig2(name string, tbl *bench.Table) {
 	cgl := tbl.SeriesByName("CGL")
 	irr := tbl.SeriesByName("irrevoc")
 	def := tbl.SeriesByName("defer")
@@ -164,12 +178,14 @@ func checkFig2(name string, tbl *bench.Table, withFGL bool) {
 		ok = def.At(8) < irr.At(8)*0.75
 		check(name+": defer beats irrevoc at 8 threads", ok,
 			fmt.Sprintf("defer@8=%.2fs irrevoc@8=%.2fs", def.At(8), irr.At(8)))
-		_ = withFGL
 	}
 }
 
 // ---------- Figure 3 ----------
 
+// dedupOutputLatency is the output file's cost model: above the sleep
+// floor, but cheap enough that the sequential output stage does not bind
+// the pipeline (the figure's signal is in the worker stage).
 func dedupOutputLatency() simio.Latency {
 	return simio.Latency{
 		Open:       2 * time.Millisecond,
@@ -181,74 +197,70 @@ func dedupOutputLatency() simio.Latency {
 	}
 }
 
-func fig3(dir string, size, trials int) {
-	input := dedup.GenInput(size, 0.5, 42)
-	run := func(b dedup.Backend, threads int) (float64, dedup.Result) {
-		cfg := dedup.Config{
-			Backend: b, Threads: threads,
-			InputRead:      20 * time.Millisecond,
-			CompressEffort: 128,
-			Chunk:          chunker.Config{AvgBits: 16},
-		}
-		var last dedup.Result
-		samples := bench.TimeTrials(trials, func() {
-			fs := simio.NewFS(dedupOutputLatency())
-			res, err := dedup.Run(cfg, input, fs, "out")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: dedup %v: %v\n", b, err)
-				os.Exit(1)
-			}
-			last = res
-		})
-		mean, _ := bench.MeanStd(samples)
-		return mean, last
-	}
+type series struct {
+	name string
+	b    dedup.Backend
+}
 
-	// Figure 3(a)
-	aBackends := []struct {
-		name string
-		b    dedup.Backend
-	}{
+// dedupPanel runs each backend at each thread count (trials runs per
+// point, mean wall-clock time), writes the table as <name>.txt/.csv, and
+// returns it with each backend's last result at the highest count.
+func dedupPanel(dir, name string, input []byte, trials int, backends []series, threads []int) (*bench.Table, map[string]dedup.Result) {
+	tbl := bench.NewTable(fmt.Sprintf("Figure 3(%s): dedup, %d MiB", name[4:], len(input)>>20),
+		"threads", "execution time (s)")
+	last := map[string]dedup.Result{}
+	for _, e := range backends {
+		s := tbl.SeriesByName(e.name)
+		for _, t := range threads {
+			cfg := dedup.Config{
+				Backend: e.b, Threads: t,
+				InputRead:      20 * time.Millisecond,
+				CompressEffort: 128,
+				Chunk:          chunker.Config{AvgBits: 16},
+			}
+			bench.Measure(s, float64(t), trials, func() {
+				res, err := dedup.Run(cfg, input, simio.NewFS(dedupOutputLatency()), "out")
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "reproduce: dedup %v: %v\n", e.b, err)
+					os.Exit(1)
+				}
+				last[e.name] = res
+			})
+			fmt.Fprintf(os.Stderr, ".")
+		}
+	}
+	fmt.Fprintf(os.Stderr, " %s done\n", name)
+	writeTable(dir, name, tbl)
+	return tbl, last
+}
+
+// fig3a runs Figure 3(a): the seven series at 1-8 threads, plus the
+// structural TM counters of each series' 8-thread run.
+func fig3a(dir string, input []byte, trials int) {
+	backends := []series{
 		{"STM", dedup.STM}, {"HTM", dedup.HTM},
 		{"STM+DeferIO", dedup.STMDeferIO}, {"HTM+DeferIO", dedup.HTMDeferIO},
 		{"STM+DeferAll", dedup.STMDeferAll}, {"HTM+DeferAll", dedup.HTMDeferAll},
 		{"Pthread", dedup.Pthread},
 	}
-	tblA := bench.NewTable(fmt.Sprintf("Figure 3(a): dedup, %d MiB", size>>20), "threads", "execution time (s)")
-	structural := map[string]dedup.Result{}
-	for _, e := range aBackends {
-		s := tblA.SeriesByName(e.name)
-		for _, t := range []int{1, 2, 4, 8} {
-			mean, res := run(e.b, t)
-			s.Add(float64(t), mean, 0)
-			if t == 8 {
-				structural[e.name] = res
-			}
-			fmt.Fprintf(os.Stderr, ".")
-		}
-	}
-	fmt.Fprintln(os.Stderr, " fig3a done")
-	writeTable(dir, "fig3a", tblA)
+	tbl, structural := dedupPanel(dir, "fig3a", input, trials, backends, []int{1, 2, 4, 8})
 
 	// Structural metrics table (the mechanism story).
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "# structural TM metrics at 8 threads (Figure 3a runs)\n")
-	fmt.Fprintf(&sb, "%-14s %8s %8s %10s %10s %10s %8s\n",
-		"backend", "packets", "uniques", "serialRuns", "capAborts", "quiesceMs", "defOps")
-	for _, e := range aBackends {
+	fmt.Fprintf(&sb, "%-14s %8s %8s %10s %10s %10s %10s %8s\n",
+		"backend", "packets", "uniques", "serialRuns", "capAborts", "conflicts", "quiesceMs", "defOps")
+	for _, e := range backends {
 		r := structural[e.name]
-		fmt.Fprintf(&sb, "%-14s %8d %8d %10d %10d %10.1f %8d\n",
+		fmt.Fprintf(&sb, "%-14s %8d %8d %10d %10d %10d %10.1f %8d\n",
 			e.name, r.Packets, r.Uniques, r.TM.SerialRuns, r.TM.AbortsCapacity,
-			float64(r.TM.QuiesceNanos)/1e6, r.TM.DeferredOps)
+			r.TM.AbortsConflict, float64(r.TM.QuiesceNanos)/1e6, r.TM.DeferredOps)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "fig3a_structural.txt"), []byte(sb.String()), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-	}
+	writeFile(dir, "fig3a_structural.txt", sb.String())
 
-	// Shape checks for 3(a).
-	pt, stm8 := tblA.SeriesByName("Pthread"), tblA.SeriesByName("STM")
-	all8 := tblA.SeriesByName("STM+DeferAll")
-	htmAll := tblA.SeriesByName("HTM+DeferAll")
+	pt, stm8 := tbl.SeriesByName("Pthread"), tbl.SeriesByName("STM")
+	all8 := tbl.SeriesByName("STM+DeferAll")
+	htmAll := tbl.SeriesByName("HTM+DeferAll")
 	check("fig3a: Pthread scales 1->8 threads", pt.At(8) < pt.At(1)*0.45,
 		fmt.Sprintf("pthread@1=%.2fs pthread@8=%.2fs", pt.At(1), pt.At(8)))
 	check("fig3a: STM+DeferAll within 15% of Pthread @8", all8.At(8) < pt.At(8)*1.15,
@@ -262,36 +274,36 @@ func fig3(dir string, size, trials int) {
 		fmt.Sprintf("serialRuns=%d packets=%d", rs.TM.SerialRuns, rs.Packets))
 	check("fig3a: DeferAll never serializes", ra.TM.SerialRuns == 0,
 		fmt.Sprintf("serialRuns=%d", ra.TM.SerialRuns))
+	// An HTM attempt that inserts a fingerprint overflows capacity on the
+	// compressor's working set, and the runtime serializes after
+	// SerializeAfter = 2 failed attempts; no Retry (which resets that
+	// count) follows the first overflow, as a reservable reorder slot
+	// stays so until its packet fills it. So a unique takes 2 capacity
+	// aborts, less any attempt a conflict abort took first, and a
+	// duplicate takes up to 2 when it ran while its twin's insert was
+	// still in an aborting attempt and so found no entry (a packet-level
+	// trace of 12 quick runs found 0-2 such duplicates per run).
 	rh := structural["HTM"]
-	check("fig3a: HTM compress exceeds capacity per unique", rh.TM.AbortsCapacity == 2*rh.Uniques,
-		fmt.Sprintf("capAborts=%d uniques=%d", rh.TM.AbortsCapacity, rh.Uniques))
+	lo := 2*rh.Uniques - min(rh.TM.AbortsConflict, 2*rh.Uniques)
+	check("fig3a: HTM compress exceeds capacity per unique",
+		lo <= rh.TM.AbortsCapacity && rh.TM.AbortsCapacity <= 2*rh.Packets,
+		fmt.Sprintf("capAborts=%d uniques=%d conflicts=%d packets=%d",
+			rh.TM.AbortsCapacity, rh.Uniques, rh.TM.AbortsConflict, rh.Packets))
 	rha := structural["HTM+DeferAll"]
 	check("fig3a: deferred compress fits in HTM", rha.TM.AbortsCapacity == 0,
 		fmt.Sprintf("capAborts=%d", rha.TM.AbortsCapacity))
+}
 
-	// Figure 3(b): higher thread counts, Best vs baseline.
-	bBackends := []struct {
-		name string
-		b    dedup.Backend
-	}{
+// fig3b runs Figure 3(b): the baseline against "Best" (+DeferAll) and
+// Pthread at 4-32 threads.
+func fig3b(dir string, input []byte, trials int) {
+	tbl, _ := dedupPanel(dir, "fig3b", input, trials, []series{
 		{"STM", dedup.STM}, {"STM-Best", dedup.STMDeferAll},
 		{"HTM-Best", dedup.HTMDeferAll}, {"Pthread", dedup.Pthread},
-	}
-	tblB := bench.NewTable(fmt.Sprintf("Figure 3(b): dedup, %d MiB", size>>20), "threads", "execution time (s)")
-	for _, e := range bBackends {
-		s := tblB.SeriesByName(e.name)
-		for _, t := range []int{4, 8, 16, 32} {
-			mean, _ := run(e.b, t)
-			s.Add(float64(t), mean, 0)
-			fmt.Fprintf(os.Stderr, ".")
-		}
-	}
-	fmt.Fprintln(os.Stderr, " fig3b done")
-	writeTable(dir, "fig3b", tblB)
-
-	best := tblB.SeriesByName("STM-Best")
-	base := tblB.SeriesByName("STM")
-	ptb := tblB.SeriesByName("Pthread")
+	}, []int{4, 8, 16, 32})
+	best := tbl.SeriesByName("STM-Best")
+	base := tbl.SeriesByName("STM")
+	ptb := tbl.SeriesByName("Pthread")
 	check("fig3b: STM-Best matches Pthread @32", best.At(32) < ptb.At(32)*1.2,
 		fmt.Sprintf("best@32=%.2fs pthread@32=%.2fs", best.At(32), ptb.At(32)))
 	// The paper reports ~10x at 32 threads on a 36-core machine. This

@@ -9,7 +9,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"deferstm/internal/cache"
@@ -18,11 +20,20 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout, 400); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run serves perClient requests from each of 6 clients, reports to out,
+// and checks that the cache evicted, that every eviction was logged, and
+// that the runtime never serialized.
+func run(out io.Writer, perClient int) error {
 	rt := stm.NewDefault()
 	fs := simio.NewFS(simio.Latency{})
 	logFile, err := fs.Create("evictions.log")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	var logMu sync.Mutex
 	el := cache.NewEvictionLog(func(rec string) {
@@ -36,7 +47,7 @@ func main() {
 
 	// Clients: a zipf-ish mix of gets and puts over a keyspace larger
 	// than the cache.
-	const clients, perClient, keySpace = 6, 400, 200
+	const clients, keySpace = 6, 200
 	var wg sync.WaitGroup
 	for cl := 0; cl < clients; cl++ {
 		wg.Add(1)
@@ -79,16 +90,20 @@ func main() {
 			logLines++
 		}
 	}
-	fmt.Printf("requests: %d   hits: %d   misses: %d   hit rate: %.1f%%\n",
+	fmt.Fprintf(out, "requests: %d   hits: %d   misses: %d   hit rate: %.1f%%\n",
 		clients*perClient, st.Hits, st.Misses,
 		100*float64(st.Hits)/float64(st.Hits+st.Misses))
-	fmt.Printf("evictions: %d (all logged: %d lines)\n", st.Evictions, logLines)
-	fmt.Printf("runtime: %s\n", snap.String())
+	fmt.Fprintf(out, "evictions: %d (all logged: %d lines)\n", st.Evictions, logLines)
+	fmt.Fprintf(out, "runtime: %s\n", snap.String())
+	if st.Evictions == 0 {
+		return fmt.Errorf("no evictions: the workload never filled the cache")
+	}
 	if uint64(logLines) != st.Evictions {
-		log.Fatalf("eviction log incomplete: %d lines for %d evictions", logLines, st.Evictions)
+		return fmt.Errorf("eviction log incomplete: %d lines for %d evictions", logLines, st.Evictions)
 	}
 	if snap.SerialRuns != 0 {
-		log.Fatal("logging serialized the runtime — deferral failed")
+		return fmt.Errorf("logging serialized the runtime %d times — deferral failed", snap.SerialRuns)
 	}
-	fmt.Println("ok: every eviction logged, zero serializations")
+	fmt.Fprintln(out, "ok: every eviction logged, zero serializations")
+	return nil
 }

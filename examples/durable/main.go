@@ -20,8 +20,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 	"time"
 
@@ -33,25 +36,30 @@ import (
 )
 
 func main() {
-	listing4()
+	if err := listing4(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println()
-	groupCommit()
+	if err := groupCommit(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
 }
 
 // listing4 is the paper's Listing 4: two files, the second gated on the
-// first's durability through a deferrable completion flag.
-func listing4() {
+// first's durability through a deferrable completion flag. It fails if
+// F2 is written before F1's fsync returned.
+func listing4(out io.Writer) error {
 	rt := stm.NewDefault()
 	// A filesystem with a slow, visible fsync.
 	fs := simio.NewFS(simio.Latency{Fsync: 3 * time.Millisecond})
 
 	f1, err := fs.Create("wal-1")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	f2, err := fs.Create("wal-2")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fd1 := simio.NewDeferFD(f1)
 	fd2 := simio.NewDeferFD(f2)
@@ -59,6 +67,7 @@ func listing4() {
 	buf2 := simio.NewDeferBuffer([]byte("record-B: only after A is on disk\n"))
 
 	var wg sync.WaitGroup
+	var t2err error
 
 	// T2 — conditional durable output to F2, gated on buf1's flag
 	// (Listing 4, right side). Started first to show the retry blocking.
@@ -76,9 +85,9 @@ func listing4() {
 			f := fd2.FD(tx)
 			core.AtomicDefer(tx, func(ctx *core.OpCtx) {
 				durable, _ := fs.SyncedLen("wal-1")
-				fmt.Printf("T2 deferred write begins; wal-1 durable bytes: %d\n", durable)
+				fmt.Fprintf(out, "T2 deferred write begins; wal-1 durable bytes: %d\n", durable)
 				if durable == 0 {
-					log.Fatal("ordering violated: wal-1 not durable before wal-2 write")
+					t2err = errors.New("ordering violated: wal-1 not durable before wal-2 write")
 				}
 				if _, err := f.Write(b); err != nil {
 					log.Fatal(err)
@@ -102,7 +111,7 @@ func listing4() {
 		b := buf1.Buf(tx)
 		f := fd1.FD(tx)
 		core.AtomicDefer(tx, func(ctx *core.OpCtx) {
-			fmt.Println("T1 deferred write begins (slow fsync ahead)")
+			fmt.Fprintln(out, "T1 deferred write begins (slow fsync ahead)")
 			if _, err := f.Write(b); err != nil {
 				log.Fatal(err)
 			}
@@ -117,32 +126,38 @@ func listing4() {
 		return nil
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	wg.Wait()
+	if t2err != nil {
+		return t2err
+	}
 
 	d1, _ := fs.SyncedLen("wal-1")
 	d2, _ := fs.SyncedLen("wal-2")
 	c1, _ := fs.ReadAll("wal-1")
 	c2, _ := fs.ReadAll("wal-2")
-	fmt.Printf("wal-1: %d bytes, %d durable\nwal-2: %d bytes, %d durable\n",
+	fmt.Fprintf(out, "wal-1: %d bytes, %d durable\nwal-2: %d bytes, %d durable\n",
 		len(c1), d1, len(c2), d2)
 	if d1 != len(c1) || d2 != len(c2) {
-		log.Fatal("durability accounting wrong")
+		return errors.New("durability accounting wrong")
 	}
-	fmt.Println("ok: wal-2 was written only after wal-1 reached the disk")
+	fmt.Fprintln(out, "ok: wal-2 was written only after wal-1 reached the disk")
+	return nil
 }
 
 // groupCommit drives the durable KV store: every Update appends one WAL
 // record inside its transaction and the fsync is atomically deferred
 // behind the log's lock — the first committer to find the lock free
 // leads the flush, and commits that land during it share the next one.
-func groupCommit() {
+// It fails if every commit took its own fsync, or if the store reopened
+// from the log differs from the live one.
+func groupCommit(out io.Writer) error {
 	fs := simio.NewFS(simio.Latency{Fsync: 2 * time.Millisecond})
 	s, _, err := kv.Open(stm.NewDefault(), wal.NewSimBackend(fs), kv.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	const writers, updates = 4, 25
@@ -167,10 +182,10 @@ func groupCommit() {
 
 	st := s.WALStats()
 	commits := uint64(writers * updates)
-	fmt.Printf("group commit: %d durable updates, %d fsyncs (mean batch %.1f, max %d)\n",
+	fmt.Fprintf(out, "group commit: %d durable updates, %d fsyncs (mean batch %.1f, max %d)\n",
 		commits, fs.Stats().Fsyncs, st.Mean(), st.MaxBatch)
 	if st.Flushes >= commits {
-		log.Fatal("group commit never batched: as many fsyncs as commits")
+		return errors.New("group commit never batched: as many fsyncs as commits")
 	}
 
 	// Snapshot the live contents, "restart", and recover from the log.
@@ -179,14 +194,14 @@ func groupCommit() {
 		s.Range(tx, func(k, v string) bool { live[k] = v; return true })
 		return nil
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := s.Close(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	s2, info, err := kv.Open(stm.NewDefault(), wal.NewSimBackend(fs), kv.Options{})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer s2.Close()
 	recovered := map[string]string{}
@@ -194,15 +209,16 @@ func groupCommit() {
 		s2.Range(tx, func(k, v string) bool { recovered[k] = v; return true })
 		return nil
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if len(recovered) != len(live) {
-		log.Fatalf("recovered %d keys, want %d", len(recovered), len(live))
+		return fmt.Errorf("recovered %d keys, want %d", len(recovered), len(live))
 	}
 	for k, v := range live {
 		if recovered[k] != v {
-			log.Fatalf("key %q diverged after recovery", k)
+			return fmt.Errorf("key %q diverged after recovery", k)
 		}
 	}
-	fmt.Printf("ok: replayed %d records, recovered store matches the live store exactly\n", info.Replayed)
+	fmt.Fprintf(out, "ok: replayed %d records, recovered store matches the live store exactly\n", info.Replayed)
+	return nil
 }

@@ -16,7 +16,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"deferstm/internal/core"
@@ -165,6 +167,16 @@ func (p *filePool) appendRecord(rt *stm.Runtime, node *fileNode, payload []byte)
 var errNotOpen = fmt.Errorf("filepool: not open")
 
 func main() {
+	if err := run(os.Stdout, 150); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run makes perWorker appends from each of 6 workers over 12 files
+// through a pool of 4 descriptors, reports to out, and checks that every
+// file's metadata matches its bytes, the pool never ends over capacity,
+// and the runtime never serialized.
+func run(out io.Writer, perWorker int) error {
 	rt := stm.NewDefault()
 	fs := simio.NewFS(simio.Latency{})
 
@@ -175,14 +187,13 @@ func main() {
 		names[i] = fmt.Sprintf("tablespace-%02d", i)
 		f, err := fs.Create(names[i])
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		_ = f.Close()
 	}
 	pool := newFilePool(fs, maxOpen, names)
 
 	const workers = 6
-	const perWorker = 150
 	var wg sync.WaitGroup
 	var appends [nFiles]int
 	var mu sync.Mutex
@@ -225,27 +236,28 @@ func main() {
 		size := node.size.Load()
 		data, err := fs.ReadAll(node.name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if size != len(data) || size != appends[i] {
-			log.Fatalf("%s: metadata=%d file=%d expected=%d", node.name, size, len(data), appends[i])
+			return fmt.Errorf("%s: metadata=%d file=%d expected=%d", node.name, size, len(data), appends[i])
 		}
 		if node.open.Load() {
 			openNow++
 		}
 	}
 	if openNow > maxOpen {
-		log.Fatalf("pool over capacity: %d > %d", openNow, maxOpen)
+		return fmt.Errorf("pool over capacity: %d > %d", openNow, maxOpen)
 	}
 	st := fs.Stats()
 	snap := rt.Snapshot()
-	fmt.Printf("appended %d records across %d files; pool capacity %d, open now %d\n",
+	fmt.Fprintf(out, "appended %d records across %d files; pool capacity %d, open now %d\n",
 		workers*perWorker, nFiles, maxOpen, openNow)
-	fmt.Printf("filesystem: opens=%d closes=%d writes=%d\n", st.Opens, st.Closes, st.Writes)
-	fmt.Printf("runtime:    serialRuns=%d deferredOps=%d retries=%d\n",
+	fmt.Fprintf(out, "filesystem: opens=%d closes=%d writes=%d\n", st.Opens, st.Closes, st.Writes)
+	fmt.Fprintf(out, "runtime:    serialRuns=%d deferredOps=%d retries=%d\n",
 		snap.SerialRuns, snap.DeferredOps, snap.Retries)
 	if snap.SerialRuns != 0 {
-		log.Fatal("pool management serialized the runtime — deferral failed")
+		return fmt.Errorf("pool management serialized the runtime %d times — deferral failed", snap.SerialRuns)
 	}
-	fmt.Println("ok: open/close ran deferred, appends never serialized, metadata consistent")
+	fmt.Fprintln(out, "ok: open/close ran deferred, appends never serialized, metadata consistent")
+	return nil
 }

@@ -16,7 +16,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"deferstm/internal/core"
@@ -31,12 +33,18 @@ type deferFprintf struct {
 	fd *simio.File
 }
 
-const (
-	workers = 4
-	perW    = 200
-)
+const workers = 4
 
 func main() {
+	if err := run(os.Stdout, 200); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run logs perW events from each worker under every strategy, reports
+// to out, and checks that each strategy logged every event and that only
+// the irrevocable one serialized the runtime — once per event.
+func run(out io.Writer, perW int) error {
 	fs := simio.NewFS(simio.Latency{})
 
 	type strategy struct {
@@ -109,7 +117,7 @@ func main() {
 		rt := stm.NewDefault()
 		f, err := fs.Create("log-" + s.name)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		df := &deferFprintf{fd: f}
 		x := stm.NewVar("cache-miss")
@@ -135,11 +143,19 @@ func main() {
 			}
 		}
 		snap := rt.Snapshot()
-		fmt.Printf("%-16s entries=%d serialRuns=%d deferredOps=%d aborts=%d\n",
+		fmt.Fprintf(out, "%-16s entries=%d serialRuns=%d deferredOps=%d aborts=%d\n",
 			s.name, lines, snap.SerialRuns, snap.DeferredOps, snap.Aborts())
 		if lines != workers*perW {
-			log.Fatalf("%s: lost log entries: %d != %d", s.name, lines, workers*perW)
+			return fmt.Errorf("%s: lost log entries: %d != %d", s.name, lines, workers*perW)
+		}
+		wantSerial := uint64(0)
+		if s.name == "irrevocable" {
+			wantSerial = workers * uint64(perW)
+		}
+		if snap.SerialRuns != wantSerial {
+			return fmt.Errorf("%s: serialized %d times, want %d", s.name, snap.SerialRuns, wantSerial)
 		}
 	}
-	fmt.Println("ok: all strategies logged every event; only 'irrevocable' serialized")
+	fmt.Fprintln(out, "ok: all strategies logged every event; only 'irrevocable' serialized")
+	return nil
 }

@@ -10,7 +10,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"sync"
 
 	"deferstm/internal/core"
@@ -26,6 +28,15 @@ type auditLog struct {
 }
 
 func main() {
+	if _, err := run(os.Stdout, 25); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run makes perWorker transfers from each of 4 workers, reports to out,
+// checks that money is conserved and every transfer was logged, and
+// returns the audit log.
+func run(out io.Writer, perWorker int) ([]byte, error) {
 	rt := stm.NewDefault()
 
 	// Two accounts as transactional variables.
@@ -37,7 +48,7 @@ func main() {
 	fs := simio.NewFS(simio.Latency{})
 	logFile, err := fs.Create("audit.log")
 	if err != nil {
-		log.Fatal(err)
+		return nil, err
 	}
 	audit := &auditLog{fd: logFile}
 
@@ -71,7 +82,7 @@ func main() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			for j := 0; j < 25; j++ {
+			for j := 0; j < perWorker; j++ {
 				if i%2 == 0 {
 					_ = transfer(alice, bob, 1, fmt.Sprintf("a->b[%d.%d]", i, j))
 				} else {
@@ -82,7 +93,7 @@ func main() {
 	}
 	wg.Wait()
 
-	fmt.Printf("final balances: alice=%d bob=%d (total %d)\n",
+	fmt.Fprintf(out, "final balances: alice=%d bob=%d (total %d)\n",
 		alice.Load(), bob.Load(), alice.Load()+bob.Load())
 	data, _ := fs.ReadAll("audit.log")
 	lines := 0
@@ -91,13 +102,14 @@ func main() {
 			lines++
 		}
 	}
-	fmt.Printf("audit log: %d entries, %d bytes\n", lines, len(data))
-	fmt.Printf("runtime:   %s\n", rt.Snapshot())
+	fmt.Fprintf(out, "audit log: %d entries, %d bytes\n", lines, len(data))
+	fmt.Fprintf(out, "runtime:   %s\n", rt.Snapshot())
 	if alice.Load()+bob.Load() != 150 {
-		log.Fatal("money was created or destroyed!")
+		return data, fmt.Errorf("money was created or destroyed")
 	}
-	if lines != 100 {
-		log.Fatalf("expected 100 audit entries, got %d", lines)
+	if lines != 4*perWorker {
+		return data, fmt.Errorf("expected %d audit entries, got %d", 4*perWorker, lines)
 	}
-	fmt.Println("ok: serializability and audit completeness held")
+	fmt.Fprintln(out, "ok: serializability and audit completeness held")
+	return data, nil
 }

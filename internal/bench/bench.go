@@ -1,8 +1,7 @@
 // Package bench is the table harness of the paper reproduction, and
-// nothing else: cmd/iobench, cmd/dedupbench, cmd/reproduce and the root
-// bench_test.go use it to run repeated trials (Measure, TimeTrials),
-// aggregate mean and standard deviation, and render the rows and series
-// of Figures 2-3 (Table, Series) as aligned text or CSV.
+// nothing else: cmd/reproduce uses it to run repeated trials (Measure,
+// TimeTrials), aggregate mean and standard deviation, and render the
+// rows and series of Figures 2-3 (Table, Series) as aligned text or CSV.
 // GitCommit (gitinfo.go) labels build-info gauges with the working
 // tree's commit.
 //
@@ -43,12 +42,19 @@ func (s *Series) Add(x, y, dev float64) {
 
 // At returns the Y value at x (NaN if absent).
 func (s *Series) At(x float64) float64 {
-	for _, p := range s.Points {
-		if p.X == x {
-			return p.Y
-		}
+	if p, ok := s.point(x); ok {
+		return p.Y
 	}
 	return math.NaN()
+}
+
+func (s *Series) point(x float64) (Point, bool) {
+	for _, p := range s.Points {
+		if p.X == x {
+			return p, true
+		}
+	}
+	return Point{}, false
 }
 
 // Table is a figure-shaped result set: one row per X value, one column
@@ -113,21 +119,13 @@ func (t *Table) Render(w io.Writer) {
 	for _, x := range t.xs() {
 		row := []string{formatX(x)}
 		for _, s := range t.Series {
-			y := s.At(x)
-			if math.IsNaN(y) {
+			switch p, ok := s.point(x); {
+			case !ok:
 				row = append(row, "-")
-				continue
-			}
-			var dev float64
-			for _, p := range s.Points {
-				if p.X == x {
-					dev = p.Dev
-				}
-			}
-			if dev > 0 {
-				row = append(row, fmt.Sprintf("%.3f±%.3f", y, dev))
-			} else {
-				row = append(row, fmt.Sprintf("%.3f", y))
+			case p.Dev > 0:
+				row = append(row, fmt.Sprintf("%.3f±%.3f", p.Y, p.Dev))
+			default:
+				row = append(row, fmt.Sprintf("%.3f", p.Y))
 			}
 		}
 		rows = append(rows, row)
@@ -168,28 +166,15 @@ func (t *Table) RenderCSV(w io.Writer) {
 	fmt.Fprintln(w, strings.Join(cols, ","))
 	for _, x := range t.xs() {
 		row := []string{formatX(x)}
-		for _, s := range t.Series {
-			y := s.At(x)
-			if math.IsNaN(y) {
-				row = append(row, "")
-			} else {
-				row = append(row, fmt.Sprintf("%.6f", y))
+		devs := make([]string, len(t.Series))
+		for i, s := range t.Series {
+			cell := ""
+			if p, ok := s.point(x); ok {
+				cell, devs[i] = fmt.Sprintf("%.6f", p.Y), fmt.Sprintf("%.6f", p.Dev)
 			}
+			row = append(row, cell)
 		}
-		for _, s := range t.Series {
-			var dev float64
-			found := false
-			for _, p := range s.Points {
-				if p.X == x {
-					dev, found = p.Dev, true
-				}
-			}
-			if found {
-				row = append(row, fmt.Sprintf("%.6f", dev))
-			} else {
-				row = append(row, "")
-			}
-		}
+		row = append(row, devs...)
 		fmt.Fprintln(w, strings.Join(row, ","))
 	}
 }

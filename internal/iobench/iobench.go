@@ -61,8 +61,6 @@ type Config struct {
 	// KeepOpen selects Figure 2(d): files stay open and operations are
 	// bare appends (short critical sections).
 	KeepOpen bool
-	// Payload is the formatted-content size per append. 0 means 64.
-	Payload int
 	// Latency overrides the filesystem latency model (zero value =
 	// simio.PageCacheLatency()). Set NoLatency to force a free
 	// filesystem instead (unit tests).
@@ -81,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Ops < 1 {
 		c.Ops = 1000
-	}
-	if c.Payload <= 0 {
-		c.Payload = 64
 	}
 	if !c.NoLatency && c.Latency == (simio.Latency{}) {
 		c.Latency = simio.PageCacheLatency()
@@ -150,7 +145,7 @@ func Run(cfg Config) (Result, *simio.FS, error) {
 	}
 	var glock sync.Mutex
 
-	payload := make([]byte, cfg.Payload)
+	payload := make([]byte, 64) // the formatted content of one append
 	for i := range payload {
 		payload[i] = 'a' + byte(i%26)
 	}

@@ -119,7 +119,7 @@ func TestModeString(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.Files != 1 || c.Threads != 1 || c.Ops != 1000 || c.Payload != 64 {
+	if c.Files != 1 || c.Threads != 1 || c.Ops != 1000 {
 		t.Errorf("defaults = %+v", c)
 	}
 	if c.Latency.Open == 0 {

@@ -17,8 +17,7 @@ import (
 
 // Options configures a Replica. Primary is required.
 type Options struct {
-	// Primary is the kvserver address to stream from. It can be changed
-	// at runtime with SetPrimary (the next (re)connect uses it).
+	// Primary is the kvserver address to stream from.
 	Primary string
 	// Registry, when non-nil, receives the deferstm_repl_* instruments and
 	// those of the store the replica opens.
@@ -97,13 +96,6 @@ func New(rt *stm.Runtime, opts Options) *Replica {
 	return r
 }
 
-// SetPrimary changes the address the next (re)connect dials.
-func (r *Replica) SetPrimary(addr string) {
-	r.mu.Lock()
-	r.primary = addr
-	r.mu.Unlock()
-}
-
 // Primary returns the current primary address.
 func (r *Replica) Primary() string {
 	r.mu.Lock()
@@ -113,7 +105,7 @@ func (r *Replica) Primary() string {
 
 // Kick drops the current stream connection, forcing a reconnect and
 // re-handshake from the applied cursors — fault injection for
-// partition tests, and the way to make SetPrimary take effect now.
+// partition tests.
 func (r *Replica) Kick() {
 	r.mu.Lock()
 	c := r.conn

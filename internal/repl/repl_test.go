@@ -305,7 +305,9 @@ func TestReplicaPrimaryCrashRestart(t *testing.T) {
 	}
 	p2.store.WaitDurable(last)
 
-	r.SetPrimary(p2.addr)
+	r.mu.Lock()
+	r.primary = p2.addr // the restarted primary listens elsewhere
+	r.mu.Unlock()
 	r.Kick()
 	waitConverged(t, r, contents(t, p2.store))
 

@@ -39,22 +39,6 @@ func (d *DeferFD) FD(tx *stm.Tx) *File {
 	return d.fd.Get(tx)
 }
 
-// SetFD replaces the handle inside a transaction, subscribing first.
-func (d *DeferFD) SetFD(tx *stm.Tx, f *File) {
-	d.Subscribe(tx)
-	d.fd.Set(tx, f)
-}
-
-// FDDirect returns the handle from a deferred operation that holds the
-// object's lock.
-func (d *DeferFD) FDDirect() *File { return d.fd.Load() }
-
-// SetFDDirect replaces the handle from a deferred operation that holds the
-// object's lock.
-func (d *DeferFD) SetFDDirect(ctx *core.OpCtx, f *File) {
-	core.Store(ctx, &d.fd, f)
-}
-
 // DeferBuffer is Listing 4's defer_buffer: a shared byte buffer and a flag
 // recording whether the buffer has been durably written. The flag is only
 // ever set by a deferred operation, while the object's lock is held, so a
@@ -79,12 +63,6 @@ func (d *DeferBuffer) Buf(tx *stm.Tx) []byte {
 	return d.buf.Get(tx)
 }
 
-// SetBuf replaces the buffer inside a transaction, subscribing first.
-func (d *DeferBuffer) SetBuf(tx *stm.Tx, b []byte) {
-	d.Subscribe(tx)
-	d.buf.Set(tx, b)
-}
-
 // Flag reports the durable-write flag inside a transaction, subscribing
 // first (so an in-flight deferred write blocks the reader until done —
 // case (2) of the paper's Listing 4 discussion).
@@ -92,9 +70,6 @@ func (d *DeferBuffer) Flag(tx *stm.Tx) bool {
 	d.Subscribe(tx)
 	return d.flag.Get(tx)
 }
-
-// BufDirect returns the buffer from a deferred operation holding the lock.
-func (d *DeferBuffer) BufDirect() []byte { return d.buf.Load() }
 
 // SetFlagDirect sets the flag from a deferred operation holding the lock.
 func (d *DeferBuffer) SetFlagDirect(ctx *core.OpCtx, v bool) {

@@ -225,54 +225,3 @@ func TestNewDeferFileCreatesOnce(t *testing.T) {
 		t.Errorf("existing file truncated: %q", got)
 	}
 }
-
-// TestDeferFDSetFD: swapping the wrapped handle transactionally.
-func TestDeferFDSetFD(t *testing.T) {
-	rt := stm.NewDefault()
-	fs := NewFS(Latency{})
-	a, _ := fs.Create("a")
-	b, _ := fs.Create("b")
-	d := NewDeferFD(a)
-	if err := rt.Atomic(func(tx *stm.Tx) error {
-		if d.FD(tx).Name() != "a" {
-			t.Error("initial fd wrong")
-		}
-		d.SetFD(tx, b)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if d.FDDirect().Name() != "b" {
-		t.Error("SetFD not committed")
-	}
-	// Direct swap from a deferred op.
-	if err := rt.Atomic(func(tx *stm.Tx) error {
-		core.AtomicDefer(tx, func(ctx *core.OpCtx) {
-			d.SetFDDirect(ctx, a)
-		}, d)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if d.FDDirect().Name() != "a" {
-		t.Error("SetFDDirect not applied")
-	}
-}
-
-// TestDeferBufferSetBuf: transactional buffer replacement.
-func TestDeferBufferSetBuf(t *testing.T) {
-	rt := stm.NewDefault()
-	d := NewDeferBuffer([]byte("one"))
-	if err := rt.Atomic(func(tx *stm.Tx) error {
-		if string(d.Buf(tx)) != "one" {
-			t.Error("initial buf wrong")
-		}
-		d.SetBuf(tx, []byte("two"))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if string(d.BufDirect()) != "two" {
-		t.Error("SetBuf not committed")
-	}
-}

@@ -25,11 +25,3 @@ import "context"
 func (rt *Runtime) AtomicCtx(ctx context.Context, fn func(tx *Tx) error) error {
 	return rt.run(ctx, 0, fn, false, false)
 }
-
-// AtomicSerialCtx is AtomicSerial with cancellation and deadline
-// support. The serial drain itself is not interruptible (it is bounded
-// by in-flight transactions finishing), but a Retry raised in serial
-// mode re-runs optimistically and honors ctx while parked.
-func (rt *Runtime) AtomicSerialCtx(ctx context.Context, fn func(tx *Tx) error) error {
-	return rt.run(ctx, 0, fn, true, false)
-}

@@ -89,48 +89,6 @@ func TestAtomicCtxCancelWhileParked(t *testing.T) {
 	}
 }
 
-// TestAtomicSerialCtxDeadlineDuringRetry drives a serial (irrevocable)
-// transaction into Retry — which re-runs optimistically and parks — and
-// checks that the deadline unblocks it and that the runtime is not left
-// wedged in serial mode afterwards.
-func TestAtomicSerialCtxDeadlineDuringRetry(t *testing.T) {
-	rt := stm.NewDefault()
-	v := stm.NewVar(0)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	err := rt.AtomicSerialCtx(ctx, func(tx *stm.Tx) error {
-		if v.Get(tx) == 0 {
-			tx.Retry()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if n := rt.RetryParked(); n != 0 {
-		t.Fatalf("RetryParked = %d after deadline, want 0", n)
-	}
-	// The runtime must still run transactions (serial mode fully exited).
-	done := make(chan error, 1)
-	go func() {
-		done <- rt.Atomic(func(tx *stm.Tx) error {
-			v.Set(tx, 1)
-			return nil
-		})
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("follow-up transaction: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("runtime wedged after a serial transaction's deadline")
-	}
-}
-
-// TestAtomicCtxCancelDuringConflictBackoff forces every optimistic
-// attempt to abort with a conflict (injection, serialization disabled)
-// so the transaction lives in the backoff path, then cancels.
 func TestAtomicCtxCancelDuringConflictBackoff(t *testing.T) {
 	rt := stm.New(stm.Config{
 		SerializeAfter: 1 << 30, // keep it in the backoff loop forever

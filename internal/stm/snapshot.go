@@ -92,11 +92,6 @@ func (rt *Runtime) endSnapshot(token uint64) {
 	rt.snapMu.Unlock()
 }
 
-// SnapshotHorizon reports the current truncation horizon: the oldest
-// pinned version any active snapshot may read at, or ^uint64(0) when no
-// snapshot is active (diagnostics and tests).
-func (rt *Runtime) SnapshotHorizon() uint64 { return rt.snapHorizon.Load() }
-
 // ActiveSnapshots reports how many snapshot transactions are currently
 // registered (diagnostics and tests).
 func (rt *Runtime) ActiveSnapshots() int {

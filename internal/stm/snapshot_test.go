@@ -254,7 +254,7 @@ func TestSnapshotTruncationSoak(t *testing.T) {
 	if rt.ActiveSnapshots() != 0 {
 		t.Fatalf("%d snapshots still registered after the soak", rt.ActiveSnapshots())
 	}
-	if h := rt.SnapshotHorizon(); h != ^uint64(0) {
+	if h := rt.snapHorizon.Load(); h != noSnapshotHorizon {
 		t.Fatalf("horizon %d after all snapshots ended, want cleared", h)
 	}
 }

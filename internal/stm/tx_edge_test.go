@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"sync/atomic"
 	"testing"
@@ -76,6 +77,47 @@ func TestSerialRetryDiscardsHooks(t *testing.T) {
 	}
 	if n := hookRuns.Load(); n != 1 {
 		t.Fatalf("hook ran %d times, want exactly 1", n)
+	}
+}
+
+// A serial transaction that calls Retry re-runs optimistically and parks;
+// its context's deadline must unblock it (the serial drain itself is not
+// interruptible) and must not leave the runtime wedged in serial mode.
+// No exported entry point starts serial with a context — a Ctx
+// transaction reaches serial mode by escalation — so this drives run
+// directly.
+func TestSerialRetryHonorsDeadline(t *testing.T) {
+	rt := NewDefault()
+	v := NewVar(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	err := rt.run(ctx, 0, func(tx *Tx) error {
+		if v.Get(tx) == 0 {
+			tx.Retry()
+		}
+		return nil
+	}, true, false)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if n := rt.RetryParked(); n != 0 {
+		t.Fatalf("RetryParked = %d after deadline, want 0", n)
+	}
+	// The runtime must still run transactions (serial mode fully exited).
+	done := make(chan error, 1)
+	go func() {
+		done <- rt.Atomic(func(tx *Tx) error {
+			v.Set(tx, 1)
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("follow-up transaction: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("runtime wedged after a serial transaction's deadline")
 	}
 }
 
