@@ -269,11 +269,22 @@ func fig3a(dir string, input []byte, trials int) {
 		fmt.Sprintf("htm-deferall@8=%.2fs pthread@8=%.2fs", htmAll.At(8), pt.At(8)))
 	check("fig3a: STM baseline slower than DeferAll @8", stm8.At(8) > all8.At(8)*1.05,
 		fmt.Sprintf("stm@8=%.2fs deferall@8=%.2fs", stm8.At(8), all8.At(8)))
+	// The baseline's writer makes each packet's output irrevocable, so
+	// every packet's writer transaction commits in one serial run, and
+	// escalates at most once: the packet it took stays in the ring, so
+	// the serial run never retries. Neither DeferAll stage escalates.
+	// Any other serial run is a contention fallback: a transaction whose
+	// last SerializeAfter = 100 (stm's STM default) attempts all aborted,
+	// which in STM mode with no injection means 100 conflict aborts each.
+	// Scheduling decides how many occur, so the counts are bounds, and
+	// equalities (serialRuns == packets, == 0) whenever none occurs.
 	rs, ra := structural["STM"], structural["STM+DeferAll"]
-	check("fig3a: STM serializes once per output packet", rs.TM.SerialRuns == rs.Packets,
-		fmt.Sprintf("serialRuns=%d packets=%d", rs.TM.SerialRuns, rs.Packets))
-	check("fig3a: DeferAll never serializes", ra.TM.SerialRuns == 0,
-		fmt.Sprintf("serialRuns=%d", ra.TM.SerialRuns))
+	const serializeAfter = 100
+	check("fig3a: STM serializes once per output packet",
+		rs.Packets <= rs.TM.SerialRuns && rs.TM.SerialRuns-rs.Packets <= rs.TM.AbortsConflict/serializeAfter,
+		fmt.Sprintf("serialRuns=%d packets=%d conflicts=%d", rs.TM.SerialRuns, rs.Packets, rs.TM.AbortsConflict))
+	check("fig3a: DeferAll never serializes", ra.TM.SerialRuns <= ra.TM.AbortsConflict/serializeAfter,
+		fmt.Sprintf("serialRuns=%d conflicts=%d", ra.TM.SerialRuns, ra.TM.AbortsConflict))
 	// An HTM attempt that inserts a fingerprint overflows capacity on the
 	// compressor's working set, and the runtime serializes after
 	// SerializeAfter = 2 failed attempts; no Retry (which resets that

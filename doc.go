@@ -9,7 +9,7 @@
 //     best-effort HTM mode
 //   - internal/txlock   — transaction-friendly reentrant locks
 //   - internal/core     — atomic deferral (the paper's contribution)
-//   - internal/mempool  — deferred memory reclamation
+//   - internal/mempool  — size-classed buffer pool (dedup's buffers)
 //   - internal/simio    — simulated filesystem with latency and fault
 //     injection, plus deferrable I/O wrappers
 //   - internal/chunker, internal/compress, internal/dedup — the PARSEC

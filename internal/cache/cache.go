@@ -89,9 +89,6 @@ func (c *Cache[V]) WithEvictionLog(l *EvictionLog) *Cache[V] {
 	return c
 }
 
-// Capacity returns the configured capacity.
-func (c *Cache[V]) Capacity() int { return c.capacity }
-
 func hashKey(k string) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(k); i++ {

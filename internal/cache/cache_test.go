@@ -201,8 +201,8 @@ func TestCacheEmptyKeyPanics(t *testing.T) {
 func TestCacheMinCapacity(t *testing.T) {
 	rt := stm.NewDefault()
 	c := New[int](rt, 0)
-	if c.Capacity() != 1 {
-		t.Errorf("capacity = %d", c.Capacity())
+	if c.capacity != 1 {
+		t.Errorf("capacity = %d", c.capacity)
 	}
 	inTx(t, rt, func(tx *stm.Tx) {
 		c.Put(tx, "a", 1)
@@ -239,8 +239,8 @@ func TestCacheConcurrent(t *testing.T) {
 	// Invariants: size within capacity, index consistent with slots.
 	inTx(t, rt, func(tx *stm.Tx) {
 		n := c.Len(tx)
-		if n < 0 || n > c.Capacity() {
-			t.Errorf("len = %d (capacity %d)", n, c.Capacity())
+		if n < 0 || n > c.capacity {
+			t.Errorf("len = %d (capacity %d)", n, c.capacity)
 		}
 		occupied := 0
 		for i := range c.slots {

@@ -372,33 +372,6 @@ func TestSharedObjectAcrossTwoDefers(t *testing.T) {
 	}
 }
 
-// TestQueueFreeRunsAfterDeferredOps reproduces Listing 1's free-list
-// handling: memory "freed" by the transaction must remain usable by its
-// deferred operations.
-func TestQueueFreeRunsAfterDeferredOps(t *testing.T) {
-	rt := stm.NewDefault()
-	c := &counter{}
-	buf := []byte("payload")
-	freed := false
-	var sawFreed bool
-	if err := rt.Atomic(func(tx *stm.Tx) error {
-		tx.QueueFree(func() { freed = true })
-		AtomicDefer(tx, func(ctx *OpCtx) {
-			sawFreed = freed
-			_ = buf[0] // deferred op touches the "freed" memory
-		}, c)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sawFreed {
-		t.Error("memory reclaimed before deferred op ran")
-	}
-	if !freed {
-		t.Error("free never executed")
-	}
-}
-
 // TestConcurrentDeferStress: many threads defer updates to a small set of
 // objects; per-object monotonic sequence numbers written only by deferred
 // ops must never go backwards and must total correctly.
@@ -532,11 +505,11 @@ func TestDeferEscalatedTransaction(t *testing.T) {
 // TestPanicInOpRunsLaterOps: the transaction committed, so all of its
 // deferred operations are part of it. One that panics must not keep a
 // later one from running — nobody else would ever release that one's
-// locks — nor the queued frees; the panic still reaches the caller.
+// locks; the panic still reaches the caller.
 func TestPanicInOpRunsLaterOps(t *testing.T) {
 	rt := stm.NewDefault()
 	a, b := &counter{}, &counter{}
-	secondRan, freed := false, false
+	secondRan := false
 	func() {
 		defer func() {
 			if r := recover(); r != "first op failed" {
@@ -544,7 +517,6 @@ func TestPanicInOpRunsLaterOps(t *testing.T) {
 			}
 		}()
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			tx.QueueFree(func() { freed = true })
 			AtomicDefer(tx, func(*OpCtx) { panic("first op failed") }, a)
 			AtomicDefer(tx, func(*OpCtx) { secondRan = true }, b)
 			AtomicDefer(tx, func(*OpCtx) { panic("third op failed") }, a, b)
@@ -553,9 +525,6 @@ func TestPanicInOpRunsLaterOps(t *testing.T) {
 	}()
 	if !secondRan {
 		t.Error("the op after the panicking one never ran")
-	}
-	if !freed {
-		t.Error("queued free never ran")
 	}
 	if a.Locked() || b.Locked() {
 		t.Errorf("locks leaked: a.Locked()=%v b.Locked()=%v", a.Locked(), b.Locked())

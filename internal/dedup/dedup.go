@@ -415,7 +415,7 @@ func (p *pipeline) drainOne(seq uint64) {
 
 func (p *pipeline) writeOneLocked(seq uint64) {
 	pkt := p.ring.take(nil, seq)
-	rec := p.buildRecord(pkt, nil)
+	rec := buildRecord(pkt, pkt.compressed.Load())
 	if p.cfg.Backend == CGL {
 		p.glock.Lock()
 		defer p.glock.Unlock()
@@ -436,17 +436,18 @@ func (p *pipeline) writeOneTM(seq uint64) {
 		// compression still holds its lock (+DeferAll); it is a cheap
 		// read otherwise.
 		pkt.Subscribe(tx)
-		rec := p.buildRecord(pkt, tx)
+		comp := pkt.compressed.Get(tx)
 		if b.defersIO() {
 			// Listing 7: the write (with its retry loop and fsync) is
-			// atomically deferred on the packet.
-			comp := pkt.compressed.Get(tx)
+			// atomically deferred on the packet. The λ builds the record
+			// too, so it is the pooled buffer's last reader and returns
+			// it to the pool itself (DESIGN §5, "No free list").
 			core.AtomicDefer(tx, func(ctx *core.OpCtx) {
-				if err := p.emit(rec); err != nil {
+				if err := p.emit(buildRecord(pkt, comp)); err != nil {
 					p.fail(err)
 				}
 				if comp != nil && b.defersCompress() {
-					p.pool.Release(comp)
+					release(p.pool, comp)
 				}
 			}, pkt)
 			return nil
@@ -454,25 +455,25 @@ func (p *pipeline) writeOneTM(seq uint64) {
 		// Baseline: output inside the transaction requires
 		// irrevocability and serializes every concurrent transaction.
 		tx.Irrevocable()
-		return p.emit(rec)
+		return p.emit(buildRecord(pkt, comp))
 	})
 	if err != nil {
 		p.fail(err)
 	}
 }
 
-func (p *pipeline) buildRecord(pkt *packet, tx *stm.Tx) []byte {
+// buildRecord renders pkt's output record; comp is its compressed chunk
+// (unused for a duplicate).
+func buildRecord(pkt *packet, comp []byte) []byte {
 	if !pkt.unique {
 		return buildDupRecord(pkt.seq, pkt.refSeq)
 	}
-	var comp []byte
-	if tx != nil {
-		comp = pkt.compressed.Get(tx)
-	} else {
-		comp = pkt.compressed.Load()
-	}
 	return buildUniqueRecord(pkt.seq, comp)
 }
+
+// release returns a compressed buffer to the pool. It is a variable so
+// that a test can poison the bytes it frees.
+var release = (*mempool.Pool).Release
 
 // emit performs the reliable, durable write of one record.
 func (p *pipeline) emit(rec []byte) error {

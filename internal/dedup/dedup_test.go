@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"deferstm/internal/mempool"
 	"deferstm/internal/simio"
 )
 
@@ -55,6 +56,37 @@ func TestAllBackendsRoundTrip(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestReleaseAfterEmit pins the ordering Listing 1's free list would
+// give: under +DeferAll a compressed buffer goes back to the pool only
+// after its record is written. Every released buffer is poisoned, so a
+// release ahead of the write corrupts the output and the round trip fails.
+func TestReleaseAfterEmit(t *testing.T) {
+	defer func(orig func(*mempool.Pool, []byte)) { release = orig }(release)
+	released := 0
+	release = func(pool *mempool.Pool, buf []byte) {
+		released++
+		for i := range buf {
+			buf[i] = 0xA5
+		}
+		pool.Release(buf)
+	}
+	input := testInput(t)
+	for _, b := range []Backend{STMDeferAll, HTMDeferAll} {
+		for _, threads := range []int{1, 4} {
+			res, data := runOnce(t, Config{Backend: b, Threads: threads}, input)
+			if decoded, err := Decode(data); err != nil || !bytes.Equal(decoded, input) {
+				t.Fatalf("%v/t%d: output does not round-trip once released buffers are poisoned (err %v)", b, threads, err)
+			}
+			if res.PoolOut != 0 {
+				t.Errorf("%v/t%d: %d buffers never released", b, threads, res.PoolOut)
+			}
+		}
+	}
+	if released == 0 {
+		t.Fatal("no buffer was released")
 	}
 }
 

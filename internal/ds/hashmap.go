@@ -341,8 +341,9 @@ func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
 	}
 	for i := t.frontier; i < end; i++ {
 		for n := t.old[i].LoadPtr(); n != nil; n = n.next {
-			// Rehash into the new array. The target bucket may already
-			// hold keys from other (migrated) old buckets, so prepend.
+			// Rehash into the new array. Its length is the old one's
+			// times a power of two, so the target bucket's nodes all
+			// come from this chain; prepend each as it is moved.
 			b := &t.buckets[m.hash(n.key)%uint64(len(t.buckets))]
 			b.StoreDirectPtr(rt, &mapNode[K, V]{key: n.key, val: n.val, next: b.LoadPtr()})
 		}

@@ -23,9 +23,6 @@ func NewBoundedQueue[T any](n int) *BoundedQueue[T] {
 	return &BoundedQueue[T]{slots: make([]stm.Var[T], n)}
 }
 
-// Cap returns the capacity.
-func (q *BoundedQueue[T]) Cap() int { return len(q.slots) }
-
 // Len reports the number of queued elements inside tx.
 func (q *BoundedQueue[T]) Len(tx *stm.Tx) int {
 	return int(q.tail.Get(tx) - q.head.Get(tx))

@@ -10,8 +10,8 @@ import (
 func TestBoundedQueueBasics(t *testing.T) {
 	rt := stm.NewDefault()
 	q := NewBoundedQueue[int](3)
-	if q.Cap() != 3 {
-		t.Errorf("cap = %d", q.Cap())
+	if len(q.slots) != 3 {
+		t.Errorf("cap = %d", len(q.slots))
 	}
 	atomically(t, rt, func(tx *stm.Tx) {
 		for i := 0; i < 3; i++ {
@@ -39,8 +39,8 @@ func TestBoundedQueueBasics(t *testing.T) {
 
 func TestBoundedQueueMinCapacity(t *testing.T) {
 	q := NewBoundedQueue[int](0)
-	if q.Cap() != 1 {
-		t.Errorf("cap = %d, want 1", q.Cap())
+	if len(q.slots) != 1 {
+		t.Errorf("cap = %d, want 1", len(q.slots))
 	}
 }
 

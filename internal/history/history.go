@@ -10,8 +10,6 @@
 package history
 
 import (
-	"fmt"
-	"io"
 	"sync"
 
 	"deferstm/internal/stm"
@@ -21,7 +19,6 @@ import (
 type Log struct {
 	mu     sync.Mutex
 	events []stm.Event
-	seq    uint64
 }
 
 // New returns an empty Log.
@@ -30,8 +27,7 @@ func New() *Log { return &Log{} }
 // Record implements stm.Recorder.
 func (l *Log) Record(ev stm.Event) {
 	l.mu.Lock()
-	l.seq++
-	ev.Seq = l.seq
+	ev.Seq = uint64(len(l.events)) + 1
 	l.events = append(l.events, ev)
 	l.mu.Unlock()
 }
@@ -50,22 +46,4 @@ func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.events)
-}
-
-// Reset discards all recorded events (the sequence counter keeps
-// advancing so sequence numbers stay unique across resets).
-func (l *Log) Reset() {
-	l.mu.Lock()
-	l.events = l.events[:0]
-	l.mu.Unlock()
-}
-
-// Dump writes the history in a line-oriented human-readable form.
-func (l *Log) Dump(w io.Writer) error {
-	for _, ev := range l.Events() {
-		if _, err := fmt.Fprintln(w, ev.String()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package history
 
 import (
-	"strings"
 	"testing"
 
 	"deferstm/internal/stm"
@@ -27,31 +26,6 @@ func TestEventsReturnsCopy(t *testing.T) {
 	evs[0].TxID = 99
 	if l.Events()[0].TxID != 1 {
 		t.Fatal("Events did not return a copy")
-	}
-}
-
-func TestResetKeepsSequenceMonotonic(t *testing.T) {
-	l := New()
-	l.Record(stm.Event{Kind: stm.EvBegin})
-	l.Reset()
-	if l.Len() != 0 {
-		t.Fatal("Reset did not clear")
-	}
-	l.Record(stm.Event{Kind: stm.EvBegin})
-	if got := l.Events()[0].Seq; got != 2 {
-		t.Fatalf("seq after reset = %d, want 2", got)
-	}
-}
-
-func TestDump(t *testing.T) {
-	l := New()
-	l.Record(stm.Event{Kind: stm.EvCommit, TxID: 3, Ver: 7})
-	var b strings.Builder
-	if err := l.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "commit") || !strings.Contains(b.String(), "ver=7") {
-		t.Fatalf("dump missing fields: %q", b.String())
 	}
 }
 

@@ -711,6 +711,14 @@ func (s *Store) WaitDurableCtx(ctx context.Context, token uint64) error {
 	return s.laneOf(token).WaitDurableCtx(ctx, TokenLSN(token))
 }
 
+// Durable reports whether token is already durable, without waiting and
+// without a transaction: one watermark load. True for token 0 and in
+// ModeNone.
+func (s *Store) Durable(token uint64) bool {
+	return s.shards[0].log == nil || token == 0 ||
+		s.laneOf(token).DurableWatermark() >= TokenLSN(token)
+}
+
 func (s *Store) laneOf(token uint64) *wal.Log {
 	lane := TokenLane(token)
 	if lane < 0 || lane >= len(s.shards) {

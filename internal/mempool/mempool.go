@@ -1,24 +1,16 @@
-// Package mempool provides a size-classed buffer pool with transactional
-// deferred reclamation.
+// Package mempool provides a size-classed buffer pool.
 //
-// The paper's Listing 1 keeps a per-transaction tm_free_list: memory freed
-// inside a transaction is not reclaimed at the free call (an aborted
-// transaction must be able to roll back, and concurrent transactions may
-// still be reading it until quiescence), and — the paper's extension —
-// reclamation is delayed "a bit more, until all the deferred operations
-// have completed", because deferred operations may refer to memory the
-// transaction freed.
-//
-// FreeTx implements exactly that pipeline by queuing the reclamation on
-// the transaction: commit → quiesce → deferred operations → reclaim. On
-// abort the queued reclamation is discarded, so the free never happened.
+// The paper's Listing 1 delays a transaction's frees until its deferred
+// operations have completed. Here a buffer that a transaction or a
+// deferred operation can still reach stays alive through the garbage
+// collector, and the pool's only user, dedup, releases each buffer inside
+// the deferred write that last reads it, so no free list is needed
+// (DESIGN §5, "No free list").
 package mempool
 
 import (
 	"sync"
 	"sync/atomic"
-
-	"deferstm/internal/stm"
 )
 
 const (
@@ -81,9 +73,9 @@ func (p *Pool) Alloc(n int) []byte {
 	return make([]byte, n, size)
 }
 
-// Release returns a buffer to the pool immediately. Use only from
-// non-transactional code that owns the buffer exclusively; transactional
-// code must use FreeTx.
+// Release returns a buffer to the pool immediately. Call it only from
+// code that owns the buffer exclusively: never inside a transaction body,
+// which may re-execute, and only once no reader of the buffer is left.
 func (p *Pool) Release(buf []byte) {
 	if buf == nil {
 		return
@@ -112,21 +104,6 @@ func (p *Pool) Release(buf []byte) {
 	p.mu.Unlock()
 }
 
-// FreeTx frees buf as part of transaction tx: the reclamation runs only if
-// tx commits, and only after the runtime has quiesced and all of tx's
-// deferred operations have completed. Until then the buffer remains valid,
-// so deferred operations may safely use memory the transaction logically
-// freed (Listing 1).
-func (p *Pool) FreeTx(tx *stm.Tx, buf []byte) {
-	if buf == nil {
-		return
-	}
-	tx.QueueFree(func() {
-		p.Release(buf)
-		tx.Runtime().Stats().DeferredFrees.Add(1)
-	})
-}
-
 // PoolStats is a snapshot of pool counters.
 type PoolStats struct {
 	Allocs      uint64
@@ -143,15 +120,4 @@ func (p *Pool) Stats() PoolStats {
 		Frees:       p.frees.Load(),
 		Outstanding: p.outstanding.Load(),
 	}
-}
-
-// Cached reports how many buffers are currently parked on free lists.
-func (p *Pool) Cached() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := 0
-	for c := range p.classes {
-		n += len(p.classes[c])
-	}
-	return n
 }

@@ -1,13 +1,21 @@
 package mempool
 
 import (
-	"errors"
 	"sync"
 	"testing"
 	"testing/quick"
-
-	"deferstm/internal/stm"
 )
+
+// cached reports how many buffers are parked on p's free lists.
+func (p *Pool) cached() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := 0
+	for c := range p.classes {
+		n += len(p.classes[c])
+	}
+	return n
+}
 
 func TestAllocBasic(t *testing.T) {
 	p := New()
@@ -29,8 +37,8 @@ func TestReleaseAndReuse(t *testing.T) {
 	buf := p.Alloc(64)
 	buf[0] = 0xAA
 	p.Release(buf)
-	if p.Cached() != 1 {
-		t.Errorf("cached = %d, want 1", p.Cached())
+	if p.cached() != 1 {
+		t.Errorf("cached = %d, want 1", p.cached())
 	}
 	buf2 := p.Alloc(64)
 	if p.Stats().Reuses != 1 {
@@ -74,7 +82,7 @@ func TestOversizedNotCached(t *testing.T) {
 		t.Fatalf("len = %d", len(buf))
 	}
 	p.Release(buf)
-	if p.Cached() != 0 {
+	if p.cached() != 0 {
 		t.Errorf("oversized buffer was cached")
 	}
 	if p.Stats().Outstanding != 0 {
@@ -87,67 +95,6 @@ func TestReleaseNilNoop(t *testing.T) {
 	p.Release(nil)
 	if s := p.Stats(); s.Frees != 0 {
 		t.Errorf("nil release counted: %+v", s)
-	}
-}
-
-func TestFreeTxCommitReclaims(t *testing.T) {
-	p := New()
-	rt := stm.NewDefault()
-	buf := p.Alloc(256)
-	if err := rt.Atomic(func(tx *stm.Tx) error {
-		p.FreeTx(tx, buf)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if p.Cached() != 1 {
-		t.Error("committed FreeTx did not reclaim")
-	}
-	if rt.Snapshot().DeferredFrees != 1 {
-		t.Error("DeferredFrees stat not bumped")
-	}
-}
-
-func TestFreeTxAbortDiscards(t *testing.T) {
-	p := New()
-	rt := stm.NewDefault()
-	buf := p.Alloc(256)
-	sentinel := errors.New("abort")
-	_ = rt.Atomic(func(tx *stm.Tx) error {
-		p.FreeTx(tx, buf)
-		return sentinel
-	})
-	if p.Cached() != 0 {
-		t.Error("aborted FreeTx reclaimed the buffer")
-	}
-	if p.Stats().Outstanding != 1 {
-		t.Errorf("outstanding = %d, want 1", p.Stats().Outstanding)
-	}
-}
-
-// TestFreeTxAfterDeferredOps: the buffer must still be usable inside the
-// transaction's deferred hooks (Listing 1 orders frees last).
-func TestFreeTxAfterDeferredOps(t *testing.T) {
-	p := New()
-	rt := stm.NewDefault()
-	buf := p.Alloc(128)
-	copy(buf, "hello")
-	var reclaimedDuringHook bool
-	if err := rt.Atomic(func(tx *stm.Tx) error {
-		p.FreeTx(tx, buf)
-		tx.AfterCommit(func() {
-			reclaimedDuringHook = p.Cached() != 0
-			_ = buf[:5] // still valid here
-		})
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if reclaimedDuringHook {
-		t.Error("buffer reclaimed before deferred ops completed")
-	}
-	if p.Cached() != 1 {
-		t.Error("buffer not reclaimed after hooks")
 	}
 }
 

@@ -3,7 +3,9 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"net"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -188,5 +190,129 @@ func TestReaderFlushRule(t *testing.T) {
 	}
 	if resp := recvResponse(t, nc, br); resp.ID != 101 || resp.LSN != 1 {
 		t.Fatalf("PUT response = %+v", resp)
+	}
+}
+
+// gateBackend holds every fsync of a lane's files, once armed, until
+// that lane's release channel is closed.
+type gateBackend struct {
+	wal.Backend
+	armed   *atomic.Bool
+	release []chan struct{} // per lane
+}
+
+type gatedFile struct {
+	wal.File
+	release chan struct{}
+	armed   *atomic.Bool
+}
+
+func (b gateBackend) gate(f wal.File, name string, err error) (wal.File, error) {
+	for lane, ch := range b.release {
+		if err == nil && strings.HasPrefix(name, wal.LanePrefix(lane)) {
+			return gatedFile{File: f, release: ch, armed: b.armed}, nil
+		}
+	}
+	return f, err
+}
+
+func (b gateBackend) Create(name string) (wal.File, error) {
+	f, err := b.Backend.Create(name)
+	return b.gate(f, name, err)
+}
+
+func (b gateBackend) OpenAppend(name string) (wal.File, error) {
+	f, err := b.Backend.OpenAppend(name)
+	return b.gate(f, name, err)
+}
+
+func (f gatedFile) Fsync() error {
+	if f.armed.Load() {
+		<-f.release
+	}
+	return f.File.Fsync()
+}
+
+// TestBufferedAckNotHeldByLaterFsync: on a 2-lane store with both lanes'
+// fsyncs held, one connection pipelines a PUT to lane 0 and then a PUT
+// to lane 1. Releasing lane 0 alone must deliver the first ack: the
+// writer flushes it before it blocks on the second PUT's fsync, which is
+// still held.
+func TestBufferedAckNotHeldByLaterFsync(t *testing.T) {
+	gb := gateBackend{Backend: wal.NewSimBackend(simio.NewFS(simio.Latency{})),
+		armed: new(atomic.Bool), release: []chan struct{}{make(chan struct{}), make(chan struct{})}}
+	store, _, err := kv.Open(stm.NewDefault(), gb, kv.Options{Mode: kv.ModeGroup, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var laneKey [2]string // a key on each lane, found through the tokens
+	for i := 0; laneKey[0] == "" || laneKey[1] == ""; i++ {
+		k := fmt.Sprintf("k%d", i)
+		tok, err := store.Update(func(tx *stm.Tx, b *kv.Batch) error { b.Put(k, "v"); return nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		store.WaitDurable(tok)
+		laneKey[kv.TokenLane(tok)] = k
+	}
+	srv := New(store, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	var released [2]bool
+	releaseLane := func(lane int) {
+		if !released[lane] {
+			released[lane] = true
+			close(gb.release[lane])
+		}
+	}
+	t.Cleanup(func() {
+		releaseLane(0)
+		releaseLane(1)
+		srv.Close()
+		<-serveDone
+		store.Close()
+	})
+	gb.armed.Store(true)
+
+	nc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	lane1 := store.Logs()[1]
+	held := lane1.AssignedWatermark() + 1 // the lane-1 PUT's LSN
+	sendFrames(t, nc, Request{Op: OpPut, ID: 1, Key: laneKey[0], Val: "a"},
+		Request{Op: OpPut, ID: 2, Key: laneKey[1], Val: "b"})
+	// Both PUTs have committed once lane 1 has assigned the second one's
+	// LSN; the reader hands its response to the writer right after, so
+	// the writer finds it queued behind the first.
+	for deadline := time.Now().Add(5 * time.Second); lane1.AssignedWatermark() < held; {
+		if time.Now().After(deadline) {
+			t.Fatal("the lane-1 PUT never committed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+
+	releaseLane(0)
+	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
+	payload, err := ReadFrame(br, DefaultMaxFrame)
+	if err != nil {
+		t.Fatalf("no ack for the lane-0 PUT while lane 1's fsync is held: %v", err)
+	}
+	if resp, err := DecodeResponse(payload); err != nil || resp.ID != 1 || resp.Status != StatusOK {
+		t.Fatalf("first response = %+v, %v; want the lane-0 PUT's ack", resp, err)
+	}
+	if w := lane1.DurableWatermark(); w >= held {
+		t.Fatalf("lane 1's fsync was not held (watermark %d)", w)
+	}
+	releaseLane(1)
+	if resp := recvResponse(t, nc, br); resp.ID != 2 || resp.Status != StatusOK {
+		t.Fatalf("second response = %+v, want the lane-1 PUT's ack", resp)
 	}
 }

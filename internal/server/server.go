@@ -415,6 +415,14 @@ func (s *Server) await(ctx context.Context, p *pend) error {
 	return nil
 }
 
+// ready reports whether await would return for p at once.
+func (s *Server) ready(p *pend) bool {
+	if p.resp.Status == StatusOK && p.resp.Op == OpWatch && !s.store.Durable(p.resp.Water) {
+		return false
+	}
+	return s.store.Durable(p.resp.LSN)
+}
+
 // handleConn runs a connection's reader loop, with a paired writer
 // goroutine draining the bounded ack queue.
 //
@@ -426,12 +434,13 @@ func (s *Server) await(ctx context.Context, p *pend) error {
 // request's LSN. The contract holds within ONE connection: the PUTs it
 // sends during one fsync ride the next, so a single pipelined client
 // fills group-commit batches by itself. Requests are answered strictly
-// in arrival order; per-connection LSNs are therefore monotone and the
-// writer's durability waits are cumulative, not redundant. The ack
-// queue's capacity is the in-flight window: when durability lags, the
-// queue fills, the reader parks (a watcher-based retry, no spinning),
-// the socket stops being read, and TCP pushes the backpressure to the
-// client.
+// in arrival order. Before the writer blocks on a response whose fsync
+// is still owed, it flushes what it has buffered: on a sharded store
+// the next response may wait on another lane's fsync, and an ack
+// already written never waits that out. The ack queue's capacity is
+// the in-flight window: when durability lags, the queue fills, the
+// reader parks (a watcher-based retry, no spinning), the socket stops
+// being read, and TCP pushes the backpressure to the client.
 //
 // A response that waits for nothing (a GET, STATS, an error) with
 // nothing owed ahead of it is written by the reader itself, with no
@@ -464,6 +473,9 @@ func (s *Server) handleConn(nc net.Conn) {
 			}
 			if p.sentinel {
 				out.flush()
+				return
+			}
+			if !s.ready(&p) && out.flush() != nil {
 				return
 			}
 			if s.await(ctx, &p) != nil {

@@ -458,13 +458,6 @@ func (f *File) Close() error {
 	return nil
 }
 
-// Closed reports whether the handle has been closed.
-func (f *File) Closed() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.closed
-}
-
 // ReliableWrite implements the paper's pipeline_out (Listing 7): write buf
 // to f, retrying transient errors and resuming after partial writes, then
 // fsync. A fatal error is returned as-is. It is the kind of long-running,

@@ -130,8 +130,8 @@ func TestCloseSemantics(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if !f.Closed() {
-		t.Error("Closed() = false")
+	if !f.closed {
+		t.Error("closed = false")
 	}
 	if err := f.Close(); !errors.Is(err, ErrClosed) {
 		t.Errorf("double close err = %v", err)

@@ -9,8 +9,8 @@ import (
 // Atomic executes fn as a transaction and blocks until it commits or fn
 // returns a non-nil error (which aborts the transaction and is returned).
 // fn may be executed multiple times; it must be safe to re-execute and must
-// confine its side effects to Vars, AfterCommit hooks, and QueueFree
-// actions, all of which are discarded on abort.
+// confine its side effects to Vars and AfterCommit hooks, both of which
+// are discarded on abort.
 //
 // The transaction is assigned a fresh lock-owner identity (drawn from the
 // descriptor's block, see freshOwner); use AtomicAs to supply one (e.g. to
@@ -97,13 +97,12 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 				return outcome.userErr
 			}
 			// Post-commit pipeline (Listing 1's TxEnd tail): take the
-			// deferred operations and the free list, reset the descriptor,
-			// run hooks in order, then reclaim. The descriptor keeps the
-			// two lists' backing arrays for its next commit and stays
-			// checked out until they have been run through — a hook's own
-			// transactions draw another from the pool.
-			hooks, frees := tx.hooks, tx.frees
-			tx.hooks, tx.frees = hooks[:0], frees[:0]
+			// deferred operations, reset the descriptor, run the hooks in
+			// order. The descriptor keeps the list's backing array for
+			// its next commit and stays checked out until the hooks have
+			// run — a hook's own transactions draw another from the pool.
+			hooks := tx.hooks
+			tx.hooks = hooks[:0]
 			tx.reset()
 			rt.stats.Commits.addAt(tx.slot, 1)
 			if met != nil {
@@ -113,8 +112,8 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 				met.TxLatency.Observe(time.Since(t0))
 			}
 			var panicked any
-			if len(hooks) != 0 || len(frees) != 0 {
-				panicked = rt.postCommit(hooks, frees, met)
+			if len(hooks) != 0 {
+				panicked = rt.postCommit(hooks, met)
 			}
 			rt.txPool.Put(tx)
 			if panicked != nil {
@@ -172,12 +171,12 @@ func (rt *Runtime) run(ctx context.Context, owner OwnerID, fn func(tx *Tx) error
 	}
 }
 
-// postCommit runs a committed transaction's hooks in order and then its
-// frees, and empties both lists. The transaction committed, so every hook
-// is part of it: one that panics does not stop the later ones (whose
-// deferral locks nobody else would ever release) nor the frees. The first
-// panic is returned, for the caller to re-raise.
-func (rt *Runtime) postCommit(hooks, frees []func(), met *Metrics) (panicked any) {
+// postCommit runs a committed transaction's hooks in order and empties
+// the list. The transaction committed, so every hook is part of it: one
+// that panics does not stop the later ones (whose deferral locks nobody
+// else would ever release). The first panic is returned, for the caller
+// to re-raise.
+func (rt *Runtime) postCommit(hooks []func(), met *Metrics) (panicked any) {
 	if met != nil {
 		met.DeferDepth.Add(int64(len(hooks)))
 	}
@@ -196,11 +195,7 @@ func (rt *Runtime) postCommit(hooks, frees []func(), met *Metrics) (panicked any
 			runGuarded(h, &panicked)
 		}
 	}
-	for _, f := range frees {
-		runGuarded(f, &panicked)
-	}
 	clear(hooks)
-	clear(frees)
 	return panicked
 }
 
@@ -385,10 +380,10 @@ func (tx *Tx) commitWriteBack() (uint64, bool) {
 	if len(tx.writes) == 0 {
 		// Read-only: reads were validated incrementally (opacity), so
 		// the transaction is serializable at its read version. If it
-		// queued hooks or frees, the caller still quiesces at the
-		// current clock so those run after all concurrent readers of
-		// pre-commit state are done.
-		if len(tx.hooks) != 0 || len(tx.frees) != 0 {
+		// queued hooks, the caller still quiesces at the current clock
+		// so they run after all concurrent readers of pre-commit state
+		// are done.
+		if len(tx.hooks) != 0 {
 			wv := tx.rt.clock.Load()
 			tx.flushCommitEvents(0, 0)
 			return wv, true

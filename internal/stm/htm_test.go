@@ -38,7 +38,7 @@ func TestHTMCapacityAbortFallsBackToSerial(t *testing.T) {
 		for _, v := range vars {
 			v.Set(tx, 1)
 		}
-		wasSerial = tx.Serial()
+		wasSerial = tx.serial
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestHTMTouchOverflow(t *testing.T) {
 	if err := rt.Atomic(func(tx *Tx) error {
 		_ = v.Get(tx)
 		tx.HTMTouch(64*1024, 64*1024) // 1024 lines each way
-		serial = tx.Serial()
+		serial = tx.serial
 		return nil
 	}); err != nil {
 		t.Fatal(err)

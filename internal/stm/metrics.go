@@ -133,7 +133,6 @@ func RegisterStats(reg *obs.Registry, snap func() StatsSnapshot) {
 		{"deferstm_quiesce_waits_total", func(s StatsSnapshot) uint64 { return s.QuiesceWaits }},
 		{"deferstm_quiesce_wait_nanos_total", func(s StatsSnapshot) uint64 { return s.QuiesceNanos }},
 		{"deferstm_deferred_ops_total", func(s StatsSnapshot) uint64 { return s.DeferredOps }},
-		{"deferstm_deferred_frees_total", func(s StatsSnapshot) uint64 { return s.DeferredFrees }},
 		{"deferstm_injected_faults_total", func(s StatsSnapshot) uint64 { return s.InjectedFaults }},
 		{"deferstm_snapshot_txs_total", func(s StatsSnapshot) uint64 { return s.Snapshots }},
 		{"deferstm_snapshot_reads_total", func(s StatsSnapshot) uint64 { return s.SnapshotReads }},

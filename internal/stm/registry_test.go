@@ -398,3 +398,95 @@ func TestDescriptorLayout(t *testing.T) {
 		}
 	}
 }
+
+// TestStateIdle: a fresh runtime has no active registry slot, no serial
+// transaction pending and no parked retry, and runs the STM defaults.
+func TestStateIdle(t *testing.T) {
+	rt := NewDefault()
+	for i := range rt.slots {
+		if rt.slots[i].isActive() {
+			t.Errorf("slot %d active on an idle runtime", i)
+		}
+	}
+	if rt.serialWant.Load() != 0 || rt.RetryParked() != 0 {
+		t.Errorf("idle runtime: serialWant %d, parked %d", rt.serialWant.Load(), rt.RetryParked())
+	}
+	if rt.cfg.SerializeAfter != 100 || rt.cfg.Mode != ModeSTM {
+		t.Errorf("defaults: SerializeAfter %d, mode %v", rt.cfg.SerializeAfter, rt.cfg.Mode)
+	}
+}
+
+// TestStateSeesActiveTransaction: a running optimistic transaction holds
+// exactly one registry slot, active at its begin timestamp, and gives it
+// up when it commits.
+func TestStateSeesActiveTransaction(t *testing.T) {
+	rt := NewDefault()
+	v := NewVar(0)
+	inTx := make(chan int)
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		first := true
+		_ = rt.Atomic(func(tx *Tx) error {
+			_ = v.Get(tx)
+			if first {
+				first = false
+				inTx <- tx.slot
+				<-release
+			}
+			return nil
+		})
+	}()
+	slot := <-inTx
+	active := 0
+	for i := range rt.slots {
+		if rt.slots[i].isActive() {
+			active++
+		}
+	}
+	if active != 1 || !rt.slots[slot].isActive() {
+		t.Errorf("%d active slots (the transaction's slot %d active: %v), want its slot alone",
+			active, slot, rt.slots[slot].isActive())
+	}
+	if rv := rt.slots[slot].word.Load() >> 1; rv > rt.GlobalClock() {
+		t.Errorf("slot holds begin timestamp %d, past the clock %d", rv, rt.GlobalClock())
+	}
+	close(release)
+	<-done
+	if rt.slots[slot].isActive() {
+		t.Error("slot still active after the commit")
+	}
+}
+
+// TestStateSeesRetryWaiter: a transaction blocked in Retry is counted
+// as parked until a commit wakes it.
+func TestStateSeesRetryWaiter(t *testing.T) {
+	rt := NewDefault()
+	flag := NewVar(false)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_ = rt.Atomic(func(tx *Tx) error {
+			if !flag.Get(tx) {
+				tx.Retry()
+			}
+			return nil
+		})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for rt.RetryParked() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("retry waiter never registered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_ = rt.Atomic(func(tx *Tx) error {
+		flag.Set(tx, true)
+		return nil
+	})
+	<-done
+	if n := rt.RetryParked(); n != 0 {
+		t.Errorf("%d retries still parked after the wake-up", n)
+	}
+}

@@ -295,7 +295,6 @@ func TestSnapshotMutationPanics(t *testing.T) {
 	}{
 		{"Set", func(tx *Tx) { v.Set(tx, 1) }, "write inside a snapshot"},
 		{"AfterCommit", func(tx *Tx) { tx.AfterCommit(func() {}) }, "AfterCommit inside a snapshot"},
-		{"QueueFree", func(tx *Tx) { tx.QueueFree(func() {}) }, "QueueFree inside a snapshot"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -35,7 +35,6 @@ const (
 	cQuiesceWaits
 	cQuiesceNanos
 	cDeferredOps
-	cDeferredFrees
 	cInjectedFaults
 	cSnapshots
 	cSnapshotReads
@@ -113,9 +112,9 @@ func stripeIdx() uint32 {
 // reporting (individual counters are exact; cross-counter skew is
 // bounded by in-flight transactions).
 //
-// Every counter is the STM's own, except DeferredOps and DeferredFrees:
-// an atomic deferral and a deferred free run as stm commit hooks, and
-// core and mempool have no object of their own to hang a counter on.
+// Every counter is the STM's own, except DeferredOps: an atomic deferral
+// runs as an stm commit hook, and core has no object of its own to hang
+// a counter on.
 // The layers above the STM (wal, kv, server, repl) count their own work.
 type Stats struct {
 	shards []statShard
@@ -136,7 +135,6 @@ type Stats struct {
 	QuiesceWaits   Counter // quiesce calls that actually waited
 	QuiesceNanos   Counter // total nanoseconds spent waiting in quiesce
 	DeferredOps    Counter // atomic deferrals finished, one per AtomicDefer op (set by core)
-	DeferredFrees  Counter // QueueFree actions executed (set by mempool)
 	InjectedFaults Counter // faults fired by Config.Inject
 
 	// Snapshot-mode counters (snapshot.go). SnapshotFallbacks counts
@@ -192,7 +190,6 @@ func (s *Stats) init() {
 		cQuiesceWaits:        &s.QuiesceWaits,
 		cQuiesceNanos:        &s.QuiesceNanos,
 		cDeferredOps:         &s.DeferredOps,
-		cDeferredFrees:       &s.DeferredFrees,
 		cInjectedFaults:      &s.InjectedFaults,
 		cSnapshots:           &s.Snapshots,
 		cSnapshotReads:       &s.SnapshotReads,
@@ -221,7 +218,6 @@ type StatsSnapshot struct {
 	QuiesceWaits   uint64
 	QuiesceNanos   uint64
 	DeferredOps    uint64
-	DeferredFrees  uint64
 	InjectedFaults uint64
 
 	Snapshots           uint64
@@ -231,7 +227,7 @@ type StatsSnapshot struct {
 }
 
 // Stats returns a pointer to the live counters (for incrementing by
-// cooperating packages such as core and mempool).
+// cooperating packages such as core).
 func (rt *Runtime) Stats() *Stats { return &rt.stats }
 
 // Snapshot copies the current counter values, summing every stripe in
@@ -261,7 +257,6 @@ func (rt *Runtime) Snapshot() StatsSnapshot {
 		QuiesceWaits:   t[cQuiesceWaits],
 		QuiesceNanos:   t[cQuiesceNanos],
 		DeferredOps:    t[cDeferredOps],
-		DeferredFrees:  t[cDeferredFrees],
 		InjectedFaults: t[cInjectedFaults],
 
 		Snapshots:           t[cSnapshots],
@@ -291,7 +286,6 @@ func (s StatsSnapshot) Delta(prev StatsSnapshot) StatsSnapshot {
 		QuiesceWaits:   s.QuiesceWaits - prev.QuiesceWaits,
 		QuiesceNanos:   s.QuiesceNanos - prev.QuiesceNanos,
 		DeferredOps:    s.DeferredOps - prev.DeferredOps,
-		DeferredFrees:  s.DeferredFrees - prev.DeferredFrees,
 		InjectedFaults: s.InjectedFaults - prev.InjectedFaults,
 
 		Snapshots:           s.Snapshots - prev.Snapshots,
@@ -312,11 +306,11 @@ func (s StatsSnapshot) Aborts() uint64 {
 
 func (s StatsSnapshot) String() string {
 	base := fmt.Sprintf(
-		"commits=%d aborts(conflict=%d capacity=%d syscall=%d) retries=%d serializations=%d serialRuns=%d quiesce(waits=%d ms=%.1f) deferred(ops=%d frees=%d) injected=%d",
+		"commits=%d aborts(conflict=%d capacity=%d syscall=%d) retries=%d serializations=%d serialRuns=%d quiesce(waits=%d ms=%.1f) deferred(ops=%d) injected=%d",
 		s.Commits, s.AbortsConflict, s.AbortsCapacity, s.AbortsSyscall,
 		s.Retries, s.Serializations, s.SerialRuns,
 		s.QuiesceWaits, float64(s.QuiesceNanos)/1e6,
-		s.DeferredOps, s.DeferredFrees, s.InjectedFaults)
+		s.DeferredOps, s.InjectedFaults)
 	if s.RetryParks != 0 || s.RetryWakes != 0 {
 		base += fmt.Sprintf(" retryPark(parks=%d wakes=%d)",
 			s.RetryParks, s.RetryWakes)

@@ -398,12 +398,11 @@ func TestAfterCommitOrderingAndDiscard(t *testing.T) {
 		v.Set(tx, 1)
 		tx.AfterCommit(add("first"))
 		tx.AfterCommit(add("second"))
-		tx.QueueFree(add("free"))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"first", "second", "free"}
+	want := []string{"first", "second"}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != len(want) {
@@ -445,7 +444,7 @@ func TestIrrevocableEscalatesSTM(t *testing.T) {
 	sideEffects := 0
 	if err := rt.Atomic(func(tx *Tx) error {
 		tx.Irrevocable()
-		if !tx.Serial() {
+		if !tx.serial {
 			t.Error("expected serial mode after Irrevocable")
 		}
 		sideEffects++ // safe: irrevocable runs at most once past this point
@@ -617,8 +616,8 @@ func ExampleRuntime_Atomic() {
 }
 
 // A committed transaction's post-commit pipeline runs to the end even if a
-// hook panics: later hooks, then the frees, then the first panic again.
-func TestPanickingHookStillRunsLaterHooksAndFrees(t *testing.T) {
+// hook panics: later hooks, then the first panic again.
+func TestPanickingHookStillRunsLaterHooks(t *testing.T) {
 	rt := NewDefault()
 	var order []string
 	func() {
@@ -628,14 +627,13 @@ func TestPanickingHookStillRunsLaterHooksAndFrees(t *testing.T) {
 			}
 		}()
 		_ = rt.Atomic(func(tx *Tx) error {
-			tx.QueueFree(func() { order = append(order, "free") })
 			tx.AfterCommit(func() { order = append(order, "hook 1"); panic("hook 1") })
 			tx.AfterCommit(func() { order = append(order, "hook 2"); panic("hook 2") })
 			tx.AfterCommit(func() { order = append(order, "hook 3") })
 			return nil
 		})
 	}()
-	if got, want := strings.Join(order, ", "), "hook 1, hook 2, hook 3, free"; got != want {
+	if got, want := strings.Join(order, ", "), "hook 1, hook 2, hook 3"; got != want {
 		t.Errorf("post-commit order %q, want %q", got, want)
 	}
 	// The descriptor went back to the pool clean.

@@ -1,8 +1,9 @@
 package stm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // abortReason classifies why an attempt failed; it feeds the contention
@@ -109,9 +110,8 @@ type Tx struct {
 	htmReadLines  int
 	htmWriteLines int
 
-	// post-commit pipeline
-	hooks []func() // ordered deferred operations (package core)
-	frees []func() // deferred reclamation, after hooks (Listing 1)
+	// post-commit pipeline: ordered deferred operations (package core)
+	hooks []func()
 
 	// history recording (Config.Recorder non-nil)
 	id      uint64  // per-attempt transaction ID
@@ -160,10 +160,6 @@ func (tx *Tx) Runtime() *Runtime { return tx.rt }
 // operations inherit it, so transaction-friendly locks acquired by a
 // transaction can be released (and reentered) by its deferred operations.
 func (tx *Tx) Owner() OwnerID { return tx.owner }
-
-// Serial reports whether the transaction is executing in serial
-// (irrevocable) mode.
-func (tx *Tx) Serial() bool { return tx.serial }
 
 // Attempts reports how many times this Atomic call has attempted to run,
 // including the current attempt (1 on the first try).
@@ -360,19 +356,6 @@ func (tx *Tx) AfterCommit(fn func()) {
 	tx.hooks = append(tx.hooks, fn)
 }
 
-// QueueFree schedules fn (a reclamation action) to run after the
-// transaction commits, quiesces, and all AfterCommit hooks have finished —
-// the paper's Listing 1 delays the transactional free list "a bit more,
-// until all the deferred operations have completed", because deferred
-// operations may refer to memory the transaction freed.
-func (tx *Tx) QueueFree(fn func()) {
-	tx.mustBeActive()
-	if tx.ro {
-		panic("stm: QueueFree inside a snapshot (read-only) transaction")
-	}
-	tx.frees = append(tx.frees, fn)
-}
-
 // Nested runs fn as a flat-nested transaction: its reads and writes merge
 // into tx, and an error aborts the whole flattened transaction (Atomic
 // returns the error). This mirrors C++ TM's flattened nesting, which the
@@ -423,23 +406,12 @@ func (tx *Tx) validateReads() bool {
 
 // sortWrites orders the write set by var ID so that commit-time lock
 // acquisition is globally ordered (deadlock- and livelock-free against
-// other committers). Small sets use insertion sort — allocation-free,
-// unlike sort.Slice, whose interface conversion and closure cost two
-// heap allocations per writing commit. After sorting, wmap's indices
-// are stale but its keys are not: validateReads still asks findWrite
-// whether a var is in the write set, never where.
+// other committers). slices.SortFunc allocates nothing at any size. After
+// sorting, wmap's indices are stale but its keys are not: validateReads
+// still asks findWrite whether a var is in the write set, never where.
 func (tx *Tx) sortWrites() {
-	w := tx.writes
-	if len(w) <= 32 {
-		for i := 1; i < len(w); i++ {
-			for j := i; j > 0 && w[j].m.idLoad() < w[j-1].m.idLoad(); j-- {
-				w[j], w[j-1] = w[j-1], w[j]
-			}
-		}
-		return
-	}
-	sort.Slice(w, func(i, j int) bool {
-		return w[i].m.idLoad() < w[j].m.idLoad()
+	slices.SortFunc(tx.writes, func(a, b writeEntry) int {
+		return cmp.Compare(a.m.idLoad(), b.m.idLoad())
 	})
 }
 
@@ -453,13 +425,11 @@ func (tx *Tx) reset() {
 		clear(tx.wmap)
 		tx.wmap = nil // back to the linear-scan fast path
 	}
-	if len(tx.hooks) != 0 || len(tx.frees) != 0 {
-		// An aborted attempt's: discarded, the arrays kept. (A commit
+	if len(tx.hooks) != 0 {
+		// An aborted attempt's: discarded, the array kept. (A commit
 		// takes its own before it resets; see run.)
 		clear(tx.hooks)
 		tx.hooks = tx.hooks[:0]
-		clear(tx.frees)
-		tx.frees = tx.frees[:0]
 	}
 	tx.pendEvs = tx.pendEvs[:0]
 	tx.htmReadLines = 0
