@@ -84,6 +84,7 @@ import (
 // bound recorded histories.
 type torture struct {
 	failures atomic.Int64
+	stdout   io.Writer
 	stderr   io.Writer
 	seed     uint64
 	maxOps   int64
@@ -247,7 +248,7 @@ func runWorkload(name string, fn func(*torture, *stm.Runtime, int, time.Duration
 		}
 		cfg.Recorder = tw
 	}
-	h := &torture{stderr: stderr, seed: seed, maxOps: maxOps}
+	h := &torture{stdout: stdout, stderr: stderr, seed: seed, maxOps: maxOps}
 	rt := stm.New(cfg)
 	if met != nil {
 		rt.SetMetrics(met)
@@ -505,13 +506,16 @@ func tortureLocks(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 // final value must equal the thread's local count — a lost or duplicated
 // WAL replay shows up as a counter mismatch. One update in four is
 // instead a cross-lane transfer between an account on each lane, whose
-// balances must still sum to zero after recovery. Under -check the
-// recorded history additionally passes through the durability axioms
+// balances must still sum to zero after recovery. One in eight inserts a
+// fresh key, and the store starts at kv's minimum of 64 buckets a shard,
+// so its maps resize while the updates, checkpoints and flushes run; every
+// inserted key must be live and recovered. Under -check the recorded
+// history additionally passes through the durability axioms
 // (internal/check's EvWALAppend/EvWALDurable rules).
 func tortureKVStore(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 	const slots = 8
 	fs := simio.NewFS(simio.Latency{})
-	s, _, err := kv.Open(rt, wal.NewSimBackend(fs), kv.Options{Shards: 2, WAL: wal.Options{SegmentBytes: 1 << 16}})
+	s, _, err := kv.Open(rt, wal.NewSimBackend(fs), kv.Options{Shards: 2, Buckets: 128, WAL: wal.Options{SegmentBytes: 1 << 16}})
 	if err != nil {
 		h.failf("kvstore: open: %v", err)
 		return
@@ -530,12 +534,22 @@ func tortureKVStore(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 		}
 	}
 	counts := make([][slots]int, threads)
+	inserted := make([]int, threads) // fresh keys t<tid>-n0 .. n<inserted-1>
 	var ckptMu sync.Mutex
 	h.runFor(threads, d, func(tid int, rng func(int) int64) {
 		slot := rng(slots)
 		key := fmt.Sprintf("t%d-c%d", tid, slot)
-		transfer, amount := rng(4) == 0, int(rng(21))-10
+		kind, amount := rng(8), int(rng(21))-10
+		transfer, insert := kind < 2, kind == 2
+		var fresh string
+		if insert {
+			fresh = fmt.Sprintf("t%d-n%d", tid, inserted[tid])
+		}
 		lsn, err := s.Update(func(tx *stm.Tx, b *kv.Batch) error {
+			if insert {
+				b.Put(fresh, "1")
+				return nil
+			}
 			if transfer {
 				for i, delta := range [2]int{-amount, amount} {
 					cur, _ := b.Get(accts[i])
@@ -553,7 +567,10 @@ func tortureKVStore(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 			h.failf("kvstore: update: %v", err)
 			return
 		}
-		if !transfer {
+		switch {
+		case insert:
+			inserted[tid]++
+		case !transfer:
 			counts[tid][slot]++
 		}
 		if rng(64) == 0 {
@@ -586,6 +603,16 @@ func tortureKVStore(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 			}
 		}
 	}
+	fresh := 0
+	for tid, n := range inserted {
+		fresh += n
+		for i := 0; i < n; i++ {
+			if key := fmt.Sprintf("t%d-n%d", tid, i); live[key] != "1" {
+				h.failf("kvstore: inserted key %s = %q, want \"1\" (lost insert)", key, live[key])
+			}
+		}
+	}
+	fmt.Fprintf(h.stdout, "%-9s          %d keys inserted, %d map resizes completed\n", "kvstore", fresh, s.MapResizes())
 	if err := s.Close(); err != nil {
 		h.failf("kvstore: close: %v", err)
 		return

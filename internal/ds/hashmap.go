@@ -30,7 +30,7 @@ import (
 //     transactionally and stays exact.
 //   - The bucket array lives behind a table indirection Var and doubles
 //     when the entry count passes maxLoad per bucket, so a hit walks one
-//     or two nodes. The inserting transaction flips a
+//     node or a little more. The inserting transaction flips a
 //     resizing flag and uses core.AtomicDefer to acquire the map's lock
 //     and run the rehash as the deferred operation after it commits (the
 //     paper's atomic-deferral idiom: the expensive operation happens
@@ -82,12 +82,13 @@ type mapNode[K, V comparable] struct {
 
 const (
 	minBuckets = 16
-	// maxLoad is the entries-per-bucket ratio past which the map doubles,
-	// so it runs between maxLoad/2 and maxLoad and a hit walks one or two
-	// nodes. At 1 the benchmark's point and scan workloads measured no
-	// faster (buckets are 32 bytes each, and a scan reads every one), for
-	// 32 bytes more per key.
-	maxLoad = 2
+	// maxLoad is the entries-per-bucket ratio past which the map grows,
+	// so it runs between maxLoad/2 and maxLoad and a hit walks 1.25–1.5
+	// nodes on average. At 2 the benchmark's scan-beside-writes workload
+	// paid 13% more CPU per operation (its table held 2 keys per bucket
+	// instead of 1), and each doubling moves two nodes per old bucket
+	// instead of one.
+	maxLoad = 1
 	// migrateChunkBuckets bounds the work done under the map lock by one
 	// deferral unit; between chunks the lock is free and blocked
 	// transactions proceed against the frontier view.
@@ -238,12 +239,25 @@ func (m *HashMap[K, V]) Len(tx *stm.Tx) int {
 }
 
 // Range calls fn for each entry (inside tx) until fn returns false.
+//
+// During a migration it walks only the new buckets whose old index is
+// below the frontier: the others are the targets of chunks not yet
+// published, which migrateChunk fills with unversioned stores, so a
+// reader holding an older table must never look at them.
 func (m *HashMap[K, V]) Range(tx *stm.Tx, fn func(k K, v V) bool) {
 	t := m.view(tx)
-	for i := range t.buckets {
-		for n := t.buckets[i].GetPtr(tx); n != nil; n = n.next {
-			if !fn(n.key, n.val) {
-				return
+	stride, live := len(t.buckets), len(t.buckets)
+	if t.old != nil {
+		// New index i came from old index i % len(old): the migrated
+		// buckets are the first frontier of every len(old)-long block.
+		stride, live = len(t.old), t.frontier
+	}
+	for base := 0; base < len(t.buckets); base += stride {
+		for i := base; i < base+live; i++ {
+			for n := t.buckets[i].GetPtr(tx); n != nil; n = n.next {
+				if !fn(n.key, n.val) {
+					return
+				}
 			}
 		}
 	}
@@ -270,22 +284,23 @@ func (m *HashMap[K, V]) BucketCount() int { return len(m.table.Load().buckets) }
 
 // maybeGrow decides, after an insert, whether this transaction should
 // trigger a resize: once the map holds more than maxLoad entries per
-// bucket. The entry count is estimated from stripeLen, the one stripe the
-// insert has just written, times the number of stripes — stripes split the
-// keys evenly, by hash bits the bucket index does not use — so the
-// decision reads nothing the insert had not read already (summing the
-// stripes would put every one of them in the read set and recreate the
-// single-counter hotspot). On a map of a few dozen keys the estimate is
-// coarse and may double it early; it is beginResize, with the exact count,
-// that sizes the table. The trigger transaction flips the resizing flag
-// (so exactly one committed transaction triggers) and defers beginResize
-// under the map lock — the paper's pattern of moving a long operation out
-// of the transaction while keeping it atomic.
+// bucket. A cheap gate comes first: stripeLen, the one stripe the insert
+// has just written, times the number of stripes — stripes split the keys
+// evenly, by hash bits the bucket index does not use — so almost every
+// insert decides from nothing it had not read already (summing the stripes
+// on each one would put every stripe in its read set and recreate the
+// single-counter hotspot). The estimate scatters around the count, so only
+// an insert it lets through sums the stripes (Len), and only the exact
+// count triggers: a map sized to fit its keys never resizes. The trigger
+// transaction flips the resizing flag (so exactly one committed
+// transaction triggers) and defers beginResize under the map lock — the
+// paper's pattern of moving a long operation out of the transaction while
+// keeping it atomic.
 func (m *HashMap[K, V]) maybeGrow(tx *stm.Tx, t *hmTable[K, V], stripeLen int) {
 	if stripeLen*len(m.stripes) <= maxLoad*len(t.buckets) || t.old != nil {
 		return
 	}
-	if m.resizing.Get(tx) {
+	if m.resizing.Get(tx) || m.Len(tx) <= maxLoad*len(t.buckets) {
 		return
 	}
 	m.resizing.Set(tx, true)
@@ -296,14 +311,16 @@ func (m *HashMap[K, V]) maybeGrow(tx *stm.Tx, t *hmTable[K, V], stripeLen int) {
 // installs the migrating table (new empty buckets, old array, frontier 0),
 // migrates the first chunk, and — if chains remain — hands the rest to a
 // background migrator. Direct stores are safe here because every map
-// operation subscribes to the lock this operation holds. The trigger was
-// an estimate, so the table at least doubles whatever the exact count says.
+// operation subscribes to the lock this operation holds. The table is
+// sized for the count, which the trigger saw exceed maxLoad × buckets and
+// no insert has moved since (the lock was taken at the trigger's commit):
+// it at least doubles, and grows further when a bulk insert needs it.
 func (m *HashMap[K, V]) beginResize(ctx *core.OpCtx) {
 	t := core.Load(ctx, &m.table)
 	if t.old != nil {
 		return // already migrating (defensive; the resizing flag gates)
 	}
-	nt := &hmTable[K, V]{buckets: make([]stm.Var[mapNode[K, V]], m.fitLen(ctx, 2*len(t.buckets))), old: t.buckets}
+	nt := &hmTable[K, V]{buckets: make([]stm.Var[mapNode[K, V]], m.fitLen(ctx, len(t.buckets))), old: t.buckets}
 	if m.migrateChunk(ctx, nt) {
 		// The migrator gets the runtime, not ctx: ctx is valid only until
 		// this operation returns (core.OpCtx).
@@ -330,8 +347,15 @@ func (m *HashMap[K, V]) fitLen(ctx *core.OpCtx, n int) int {
 // bucket array and installs the advanced-frontier table (or the final
 // table, ending the migration). Must run holding the map lock. Reports
 // whether chains remain.
+//
+// The chunk's target buckets are private until that one table store: no
+// operation reaches a new bucket whose old index is >= frontier (bucketFor
+// routes it to old, Range skips it), and no transaction has written one.
+// So they are filled with Init, which takes no lock, ticks no clock and
+// wakes no one, and a reader sees them at version 0 once the table store
+// that follows — a versioned direct store, ordered after every Init —
+// publishes the frontier that covers them.
 func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
-	rt := ctx.Runtime()
 	if h := m.chunks; h != nil {
 		defer func(t0 time.Time) { h.Observe(time.Since(t0)) }(time.Now())
 	}
@@ -345,7 +369,7 @@ func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
 			// times a power of two, so the target bucket's nodes all
 			// come from this chain; prepend each as it is moved.
 			b := &t.buckets[m.hash(n.key)%uint64(len(t.buckets))]
-			b.StoreDirectPtr(rt, &mapNode[K, V]{key: n.key, val: n.val, next: b.LoadPtr()})
+			b.Init(mapNode[K, V]{key: n.key, val: n.val, next: b.LoadPtr()})
 		}
 	}
 	if end == len(t.old) {

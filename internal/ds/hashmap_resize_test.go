@@ -2,7 +2,9 @@ package ds
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -114,8 +116,8 @@ func TestHashMapStripedLenConcurrent(t *testing.T) {
 // transaction, after one bulk transaction, and after a storm of concurrent
 // inserts across back-to-back resizes, for integer keys and for the
 // store's string keys. (Growing on chain length let it run at 4–8 per
-// bucket.) The trigger estimates the count from one stripe, so it may fire
-// a few percent early: the band allows that much below maxLoad/2.
+// bucket.) Only the exact count triggers, and a resize sizes the table for
+// the count, so a grown map is never at or below maxLoad/2.
 func TestHashMapLoadFactorBand(t *testing.T) {
 	// Scattered integers (splitmix64), so the band does not lean on how the
 	// hash treats consecutive ones.
@@ -131,7 +133,7 @@ func TestHashMapLoadFactorBand(t *testing.T) {
 }
 
 func loadFactorBand[K comparable](t *testing.T, key func(int) K) {
-	const n, lo, hi = 20000, 0.45 * maxLoad, 1.0 * maxLoad
+	const n, lo, hi = 20000, 0.5 * maxLoad, 1.0 * maxLoad
 	check := func(t *testing.T, rt *stm.Runtime, m *HashMap[K, int]) {
 		t.Helper()
 		waitSettled(t, m)
@@ -205,6 +207,131 @@ func loadFactorBand[K comparable](t *testing.T, key func(int) K) {
 	})
 }
 
+// TestHashMapExactFitNoResize: a map born with exactly enough buckets for
+// n keys at maxLoad never resizes while they arrive — one per transaction
+// or all in one. The one-stripe estimate alone scatters around the count,
+// so this pins that only the exact count triggers and that beginResize
+// sizes for it.
+func TestHashMapExactFitNoResize(t *testing.T) {
+	const n = 1 << 14
+	for _, perTx := range []int{1, n} {
+		t.Run(fmt.Sprintf("%d per transaction", perTx), func(t *testing.T) {
+			rt, m := stm.NewDefault(), NewHashMap[string, int](n/maxLoad)
+			for lo := 0; lo < n; lo += perTx {
+				if err := rt.Atomic(func(tx *stm.Tx) error {
+					for i := lo; i < lo+perTx; i++ {
+						m.Put(tx, fmt.Sprintf("key-%06d", i), i)
+					}
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitSettled(t, m)
+			if r, b := m.Resizes(), m.BucketCount(); r != 0 || b != n/maxLoad {
+				t.Fatalf("%d keys in %d buckets: %d resizes, %d buckets; want 0 and %d", n, n/maxLoad, r, b, n/maxLoad)
+			}
+			// Past the fit the map grows, once, to the next size up. The
+			// stripe gate lets an insert sum the stripes only when its own
+			// stripe's share is over, so the trigger may take a few keys.
+			extra := 0
+			for ; m.Resizes() == 0 && extra < n/16; extra++ {
+				if err := rt.Atomic(func(tx *stm.Tx) error { m.Put(tx, fmt.Sprintf("extra-%06d", extra), 0); return nil }); err != nil {
+					t.Fatal(err)
+				}
+				waitSettled(t, m)
+			}
+			if r, b := m.Resizes(), m.BucketCount(); r != 1 || b != 2*n/maxLoad {
+				t.Fatalf("%d keys over the fit: %d resizes, %d buckets; want 1 and %d", extra, r, b, 2*n/maxLoad)
+			}
+		})
+	}
+}
+
+// TestHashMapRangeSkipsUnmigratedTargets is the witness for the frontier
+// rule. migrateChunk fills a chunk's target buckets with unversioned
+// stores before it publishes the table that covers them, so a reader
+// holding the previous table can find them filled at version 0 — TL2
+// validation passes such a read. Get routes an unmigrated key to the old
+// array; Range must likewise walk only the new buckets whose old index is
+// below the frontier. The test builds a migrating table by hand, moves the
+// chains below the frontier, plants a node in every new bucket above it,
+// and requires that no read returns a planted node.
+func TestHashMapRangeSkipsUnmigratedTargets(t *testing.T) {
+	const oldLen, newLen, frontier, keys = 16, 64, 5, 8
+	rt, m := stm.NewDefault(), NewHashMap[int64, int64](oldLen)
+	if err := rt.Atomic(func(tx *stm.Tx) error {
+		for k := int64(0); k < keys; k++ {
+			m.Put(tx, k, k)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if m.Resizes() != 0 || m.Migrating() {
+		t.Fatal("the set-up load resized the map")
+	}
+	old := m.table.Load().buckets
+	nt := &hmTable[int64, int64]{buckets: make([]stm.Var[mapNode[int64, int64]], newLen), old: old, frontier: frontier}
+	for i := 0; i < frontier; i++ {
+		for n := old[i].LoadPtr(); n != nil; n = n.next {
+			b := &nt.buckets[m.hash(n.key)%newLen]
+			b.Init(mapNode[int64, int64]{key: n.key, val: n.val, next: b.LoadPtr()})
+		}
+	}
+	// A ghost key that is in no chain, and a stale copy of every key: the
+	// values a chunk not yet published would leave in its targets.
+	const ghost, stale = int64(-1), int64(-99)
+	for i := range nt.buckets {
+		if i%oldLen >= frontier {
+			nt.buckets[i].Init(mapNode[int64, int64]{key: ghost, val: stale})
+		}
+	}
+	for k := int64(0); k < keys; k++ {
+		h := m.hash(k)
+		if int(h%oldLen) >= frontier {
+			b := &nt.buckets[h%newLen]
+			b.Init(mapNode[int64, int64]{key: k, val: stale, next: b.LoadPtr()})
+		}
+	}
+	m.table.Init(nt)
+
+	scan := func(name string, run func(func(tx *stm.Tx) error) error) {
+		seen := map[int64]int64{}
+		if err := run(func(tx *stm.Tx) error {
+			clear(seen)
+			m.Range(tx, func(k, v int64) bool {
+				if _, dup := seen[k]; dup || v == stale {
+					t.Errorf("%s: Range returned key %d = %d, a node in an unmigrated target", name, k, v)
+				}
+				seen[k] = v
+				return true
+			})
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != keys {
+			t.Errorf("%s: Range saw %d keys, want %d", name, len(seen), keys)
+		}
+	}
+	scan("Range", rt.Atomic)
+	scan("snapshot Range", rt.AtomicSnapshot)
+	if err := rt.Atomic(func(tx *stm.Tx) error {
+		if v, ok := m.Get(tx, ghost); ok {
+			t.Errorf("Get(ghost) = %d, want absent", v)
+		}
+		for k := int64(0); k < keys; k++ {
+			if v, ok := m.Get(tx, k); !ok || v != k {
+				t.Errorf("Get(%d) = (%d, %v), want (%d, true)", k, v, ok, k)
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestHashMapNoopPutSkipsBucketWrite: overwriting a key with an equal value
 // must leave the bucket untouched — no chain rebuild, no version bump — so
 // concurrent readers of the chain are not invalidated.
@@ -240,11 +367,14 @@ func TestHashMapNoopPutSkipsBucketWrite(t *testing.T) {
 	}
 }
 
-// runResizeChecked drives concurrent put/get/delete through at least one
-// full resize on a recording runtime with fault injection, then runs the
-// offline checker: the history — including the deferred rehash chunks and
-// the background migrator's transactions — must be serializable, opaque,
-// deferral-atomic and two-phase (satellite of the scaling tentpole).
+// runResizeChecked drives concurrent put/get/delete/range through at least
+// one full resize on a recording runtime with fault injection, then runs
+// the offline checker: the history — including the deferred rehash chunks
+// and the background migrator's transactions — must be serializable,
+// opaque, deferral-atomic and two-phase. The checker sees versions, not
+// values, and a chunk fills its target buckets at version 0, which every
+// read set accepts; so the Range readers check what it cannot — inside one
+// transaction each key appears at most once and the walk counts Len.
 func runResizeChecked(t *testing.T, seed uint64, workers, opsPerWorker int) {
 	t.Helper()
 	log := history.New()
@@ -261,7 +391,36 @@ func runResizeChecked(t *testing.T, seed uint64, workers, opsPerWorker int) {
 	})
 	m := NewHashMap[int64, int](16)
 	oracleKeys := int64(opsPerWorker) // per-worker key range; overlapping across workers
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		done     atomic.Bool
+		rangeErr atomic.Value
+	)
+	// The range reader walks the whole map in one transaction, again and
+	// again while the writers run, so its walks overlap the chunks. Each
+	// walk records a read per bucket; the cap keeps the history small.
+	ranged := make(chan struct{})
+	go func() {
+		defer close(ranged)
+		seen := map[int64]struct{}{}
+		for i := 0; i < 4*opsPerWorker && !done.Load() && rangeErr.Load() == nil; i++ {
+			runtime.Gosched()
+			_ = rt.Atomic(func(tx *stm.Tx) error {
+				clear(seen)
+				m.Range(tx, func(k int64, _ int) bool {
+					if _, dup := seen[k]; dup {
+						rangeErr.Store(fmt.Sprintf("Range returned key %d twice", k))
+					}
+					seen[k] = struct{}{}
+					return true
+				})
+				if n := m.Len(tx); n != len(seen) && rangeErr.Load() == nil {
+					rangeErr.Store(fmt.Sprintf("Range walked %d keys, Len = %d", len(seen), n))
+				}
+				return nil
+			})
+		}
+	}()
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -300,7 +459,12 @@ func runResizeChecked(t *testing.T, seed uint64, workers, opsPerWorker int) {
 		}(w)
 	}
 	wg.Wait()
+	done.Store(true)
+	<-ranged
 	waitSettled(t, m)
+	if msg := rangeErr.Load(); msg != nil {
+		t.Fatalf("seed %d: %s", seed, msg)
+	}
 	if m.Resizes() == 0 {
 		t.Fatal("workload completed without a full resize; test is vacuous")
 	}

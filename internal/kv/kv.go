@@ -768,6 +768,16 @@ func (s *Store) Logs() []*wal.Log {
 // Shards reports the store's shard (= WAL lane) count.
 func (s *Store) Shards() int { return len(s.shards) }
 
+// MapResizes reports how many resizes the shards' maps have completed
+// (diagnostics).
+func (s *Store) MapResizes() uint64 {
+	var n uint64
+	for i := range s.shards {
+		n += s.shards[i].m.Resizes()
+	}
+	return n
+}
+
 // Mode reports the store's durability mode.
 func (s *Store) Mode() Mode { return s.mode }
 

@@ -130,3 +130,65 @@ func TestStoreGroupCommitResizeCheckedHistory(t *testing.T) {
 		}
 	}
 }
+
+// loadKeys writes n keys of the benchmark's shape ("k%07d") the way its
+// preload does — one Update per 512 — and waits for the maps to settle.
+func loadKeys(t *testing.T, s *Store, n int) {
+	t.Helper()
+	const batch = 512
+	for lo := 0; lo < n; lo += batch {
+		if _, err := s.Update(func(tx *stm.Tx, b *Batch) error {
+			for i := lo; i < min(lo+batch, n); i++ {
+				b.Put(fmt.Sprintf("k%07d", i), "v")
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mapSettled(t, s)
+}
+
+// evenSplit fails the test unless FNV-1a routes n of loadKeys' keys to
+// 2 shards n/2 apiece, which the exact-fit tests below rely on.
+func evenSplit(t *testing.T, s *Store, n int) {
+	t.Helper()
+	var per [2]int
+	for i := 0; i < n; i++ {
+		per[s.shardOf(fmt.Sprintf("k%07d", i))]++
+	}
+	if per[0] != n/2 {
+		t.Fatalf("keys split %v across the shards, want %d each", per, n/2)
+	}
+}
+
+// A store sized for its keys at the map's load never resizes while they
+// arrive: 65 536 buckets hold 64 Ki keys on 2 shards, the benchmark's
+// preload at exactly the map's load.
+func TestPresizedStoreLoadsWithoutResize(t *testing.T) {
+	const n = 64 << 10
+	s, _ := openStore(t, nil, Options{Mode: ModeNone, Shards: 2, Buckets: n})
+	defer s.Close()
+	evenSplit(t, s, n)
+	loadKeys(t, s, n)
+	for i, sh := range s.shards {
+		if r, b := sh.m.Resizes(), sh.m.BucketCount(); r != 0 || b != n/2 {
+			t.Errorf("shard %d: %d resizes, %d buckets; want 0 and %d", i, r, b, n/2)
+		}
+	}
+}
+
+// A load from the default size ends at the table that fits it exactly —
+// 32 768 buckets per shard for 64 Ki keys on 2 shards — not at twice that.
+func TestDefaultStoreLoadEndsAtExactFit(t *testing.T) {
+	const n = 64 << 10
+	s, _ := openStore(t, nil, Options{Mode: ModeNone, Shards: 2})
+	defer s.Close()
+	evenSplit(t, s, n)
+	loadKeys(t, s, n)
+	for i, sh := range s.shards {
+		if b := sh.m.BucketCount(); b != n/2 {
+			t.Errorf("shard %d ends at %d buckets (%d resizes), want %d", i, b, sh.m.Resizes(), n/2)
+		}
+	}
+}
