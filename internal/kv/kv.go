@@ -40,12 +40,15 @@
 // TestCrossShardCrashAtomicity, TestDependentCommitSurvivesCrash and
 // TestCrossShardStressNoDeadlock pin it.
 //
-// Recovery (Open) replays, per lane, the newest checkpoint plus all
-// intact WAL records after it, in LSN order. Because LSNs are assigned
-// inside the mutating transactions, lane LSN order IS the lane's
-// serialization order, and a recovered store is always a
-// prefix-consistent image of the committed history — per lane, and
-// all-or-nothing across lanes for cross-shard batches.
+// Recovery (Open) feeds every lane's newest checkpoint and the intact
+// WAL records after it, in LSN order, to an Applier — the same barrier a
+// replica applies the primary's stream through — and drains it once:
+// a record applies together with its cross-shard siblings or not at
+// all, and what stays held is cut. Because LSNs are assigned inside the
+// mutating transactions, lane LSN order IS the lane's serialization
+// order, and a recovered store is always a prefix-consistent image of
+// the committed history — per lane, and all-or-nothing across lanes for
+// cross-shard batches.
 package kv
 
 import (
@@ -53,7 +56,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -281,21 +283,18 @@ func raiseGSN(g uint64) {
 	}
 }
 
-// laneRecord is one recovered record, decoded once: recovery decides the
-// cross-lane cuts from these and replays them.
-type laneRecord struct {
-	lsn, gsn uint64
-	pts      []LanePoint
-	ops      []Op
-}
-
-// recover opens every lane, presumes incomplete cross-shard batches
-// aborted (truncating lane tails), and replays checkpoint images and
-// surviving records into the shard maps.
+// recover opens every lane and replays its checkpoint and records
+// through one Applier. What the Applier still holds after one drain is
+// a lane's cut: a cross-shard batch missing a sibling, and the lane's
+// tail after it. recover presumes those aborted, truncates them and
+// reopens the lane so LSN assignment resumes below the cut. The dropped
+// records were never acked (the flush that would have published their
+// watermark never finished), so presuming them aborted loses nothing
+// that was promised.
 func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) error {
 	lanes := len(s.shards)
 	recs := make([]*wal.Recovery, lanes)
-	decoded := make([][]laneRecord, lanes)
+	a := NewApplier(s)
 	for i := range s.shards {
 		log, rec, err := wal.Open(s.rt, laneBackend(b, i, lanes), wopts)
 		if err != nil {
@@ -303,144 +302,50 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 		}
 		s.shards[i].log = log
 		recs[i] = rec
-		decoded[i] = make([]laneRecord, len(rec.Records))
-		for j, r := range rec.Records {
-			gsn, pts, ops, err := s.DecodeLaneRecord(r.Payload)
-			if err != nil {
-				return fmt.Errorf("kv: lane %d record %d: %w", i, r.LSN, err)
+		if err := a.Base(i, rec.CheckpointLSN, rec.Checkpoint); err != nil {
+			return err
+		}
+		for _, r := range rec.Records {
+			if err := a.Record(i, r.LSN, r.Payload); err != nil {
+				return err
 			}
-			decoded[i][j] = laneRecord{lsn: r.LSN, gsn: gsn, pts: pts, ops: ops}
 		}
 	}
-
-	cuts, err := crossLaneCuts(recs, decoded)
-	if err != nil {
+	if err := a.Drain(); err != nil {
 		return err
-	}
-	for i, cut := range cuts {
-		if cut == 0 {
-			continue
-		}
-		// Drop the incomplete batch and the lane's tail after it, then
-		// reopen the lane so LSN assignment resumes below the cut. The
-		// dropped records were never acked (the flush that would have
-		// published their watermark never finished), so presuming them
-		// aborted loses nothing that was promised.
-		kept := slices.IndexFunc(decoded[i], func(r laneRecord) bool { return r.lsn >= cut })
-		info.SkippedRecords += len(decoded[i]) - kept
-		decoded[i] = decoded[i][:kept]
-		if err := s.shards[i].log.Close(); err != nil {
-			return fmt.Errorf("kv: lane %d: close for truncation: %w", i, err)
-		}
-		lb := laneBackend(b, i, lanes)
-		if err := wal.TruncateTail(lb, recs[i], cut); err != nil {
-			return fmt.Errorf("kv: lane %d: %w", i, err)
-		}
-		log, rec, err := wal.Open(s.rt, lb, wopts)
-		if err != nil {
-			return fmt.Errorf("kv: lane %d: reopen after truncation: %w", i, err)
-		}
-		s.shards[i].log = log
-		recs[i] = rec
 	}
 
 	for i, rec := range recs {
-		lr := LaneRecovery{
-			Lane:          i,
-			CheckpointLSN: rec.CheckpointLSN,
-			LastLSN:       rec.LastLSN,
-			TornBytes:     rec.TornBytes,
-			TruncatedAt:   cuts[i],
-		}
-		m := s.shards[i].m
-		if rec.Checkpoint != nil {
-			kvs, err := decodeSnapshot(rec.Checkpoint)
+		held := a.q[i]
+		lr := LaneRecovery{Lane: i, CheckpointLSN: rec.CheckpointLSN, Replayed: len(rec.Records) - len(held)}
+		if len(held) > 0 {
+			lr.TruncatedAt = held[0].lsn
+			info.SkippedRecords += len(held)
+			if err := s.shards[i].log.Close(); err != nil {
+				return fmt.Errorf("kv: lane %d: close for truncation: %w", i, err)
+			}
+			lb := laneBackend(b, i, lanes)
+			if err := wal.TruncateTail(lb, rec, lr.TruncatedAt); err != nil {
+				return fmt.Errorf("kv: lane %d: %w", i, err)
+			}
+			log, reopened, err := wal.Open(s.rt, lb, wopts)
 			if err != nil {
-				return fmt.Errorf("kv: lane %d checkpoint: %w", i, err)
+				return fmt.Errorf("kv: lane %d: reopen after truncation: %w", i, err)
 			}
-			if err := s.rt.Atomic(func(tx *stm.Tx) error {
-				for k, v := range kvs {
-					m.Put(tx, k, v)
-				}
-				return nil
-			}); err != nil {
-				return err
-			}
+			s.shards[i].log = log
+			rec = reopened
 		}
-		// Replay: one transaction per record so replay transactions stay
-		// small. The store is not shared yet, so these commit without
-		// contention.
-		for _, r := range decoded[i] {
-			info.MaxGSN = max(info.MaxGSN, r.gsn)
-			if err := s.rt.Atomic(func(tx *stm.Tx) error {
-				applyOps(tx, m, r.ops)
-				return nil
-			}); err != nil {
-				return err
-			}
-			lr.Replayed++
-		}
+		lr.LastLSN, lr.TornBytes = rec.LastLSN, rec.TornBytes
 		info.CheckpointLSN += rec.CheckpointLSN
 		info.LastLSN += rec.LastLSN
 		info.TornBytes += rec.TornBytes
 		info.Replayed += lr.Replayed
 		info.Lanes = append(info.Lanes, lr)
 	}
+	info.MaxGSN = a.GSN()
 	raiseGSN(info.MaxGSN)
 	wal.JoinLanes(s.Logs())
 	return nil
-}
-
-// crossLaneCuts decides, per lane, the first LSN to drop: the lane's
-// earliest record of a cross-shard batch missing a sibling. recs gives
-// each lane's checkpoint and decoded its records, ascending. A sibling
-// point is satisfied if its lane recovered that LSN below its own cut,
-// or already folded it into a checkpoint (checkpoints never contain
-// incomplete batches: a lane checkpoint fsyncs what it covers through
-// the frontier gate before it writes the file, so every sibling of a
-// covered record is on disk). Cutting one lane can orphan a batch
-// another lane thought complete, so the cuts iterate to a fixed point;
-// each pass only lowers cuts, so it terminates. A record without a
-// vector — every record of a 1-lane store — has no sibling to miss.
-func crossLaneCuts(recs []*wal.Recovery, decoded [][]laneRecord) ([]uint64, error) {
-	present := make([]map[uint64]bool, len(decoded))
-	for i, lane := range decoded {
-		present[i] = make(map[uint64]bool, len(lane))
-		for _, r := range lane {
-			for _, p := range r.pts {
-				if p.Lane < 0 || p.Lane >= len(decoded) {
-					return nil, fmt.Errorf("kv: lane %d record %d: vector names lane %d of %d", i, r.lsn, p.Lane, len(decoded))
-				}
-			}
-			present[i][r.lsn] = true
-		}
-	}
-	cut := make([]uint64, len(decoded))
-	kept := func(lane int, lsn uint64) bool {
-		if lsn <= recs[lane].CheckpointLSN {
-			return true
-		}
-		return present[lane][lsn] && (cut[lane] == 0 || lsn < cut[lane])
-	}
-	for changed := true; changed; {
-		changed = false
-		for i, lane := range decoded {
-		records:
-			for _, r := range lane {
-				if cut[i] != 0 && r.lsn >= cut[i] {
-					break // already dropped; records are ascending
-				}
-				for _, p := range r.pts {
-					if p.Lane != i && !kept(p.Lane, p.LSN) {
-						cut[i] = r.lsn
-						changed = true
-						break records
-					}
-				}
-			}
-		}
-	}
-	return cut, nil
 }
 
 func applyOps(tx *stm.Tx, m *ds.HashMap[string, string], ops []Op) {

@@ -60,7 +60,7 @@ func TokenLSN(t uint64) uint64 { return t & (1<<tokenLSNBits - 1) }
 //
 // Single-lane stores write bare EncodeOps payloads (no header), which
 // keeps their on-disk format identical to the pre-lane store. The rule
-// lives in one encode/decode pair, encodeRecord and DecodeLaneRecord;
+// lives in one encode/decode pair, encodeRecord and decodeRecord;
 // TestRecordFormatPinned pins it.
 
 // encodeRecord renders one lane's record of a commit in this store's
@@ -73,11 +73,10 @@ func (s *Store) encodeRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
 	return encodeLaneRecord(gsn, pts, ops)
 }
 
-// DecodeLaneRecord parses one record payload of this store, for its
-// recovery and for a replica applying a shipped record alike — the
-// inverse of encodeRecord: a 1-lane store's bare op list decodes as gsn
-// 0 with a nil vector.
-func (s *Store) DecodeLaneRecord(payload []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
+// decodeRecord parses one record payload of this store, for the Applier
+// in recovery and on a replica alike — the inverse of encodeRecord: a
+// 1-lane store's bare op list decodes as gsn 0 with a nil vector.
+func (s *Store) decodeRecord(payload []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
 	if len(s.shards) == 1 {
 		ops, err = DecodeOps(payload)
 		return 0, nil, ops, err
@@ -96,6 +95,12 @@ func encodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
 		out = binary.LittleEndian.AppendUint64(out, p.LSN)
 	}
 	return AppendOps(out, ops)
+}
+
+// EncodeLaneRecord renders a multi-lane WAL record payload, for tests
+// and tools that synthesize stream traffic.
+func EncodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
+	return encodeLaneRecord(gsn, pts, ops)
 }
 
 // decodeLaneRecord parses a multi-lane record payload.

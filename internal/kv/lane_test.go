@@ -75,16 +75,16 @@ func TestDecodeLaneRecordSingleLane(t *testing.T) {
 		t.Cleanup(func() { s.Close() })
 		return s
 	}
-	gsn, pts, got, err := open(1).DecodeLaneRecord(EncodeOps(ops))
+	gsn, pts, got, err := open(1).decodeRecord(EncodeOps(ops))
 	if err != nil || gsn != 0 || pts != nil || len(got) != 2 || got[0] != ops[0] || got[1] != ops[1] {
 		t.Fatalf("single-lane decode = gsn %d pts %v ops %v err %v", gsn, pts, got, err)
 	}
 	four := open(4)
-	gsn, pts, got, err = four.DecodeLaneRecord(EncodeLaneRecord(7, []LanePoint{{Lane: 2, LSN: 9}}, ops))
+	gsn, pts, got, err = four.decodeRecord(EncodeLaneRecord(7, []LanePoint{{Lane: 2, LSN: 9}}, ops))
 	if err != nil || gsn != 7 || len(pts) != 1 || len(got) != 2 {
 		t.Fatalf("multi-lane decode = gsn %d pts %v ops %v err %v", gsn, pts, got, err)
 	}
-	if _, _, _, err := four.DecodeLaneRecord(EncodeOps(ops)); err == nil {
+	if _, _, _, err := four.decodeRecord(EncodeOps(ops)); err == nil {
 		t.Fatal("a 4-lane store decoded a bare op list as a lane record")
 	}
 }
@@ -429,28 +429,31 @@ func crossShardCrashScenario(t *testing.T, segBytes int, point simio.CrashPoint,
 	return true, info.SkippedRecords > 0
 }
 
-// TestCrossLaneCutsCascade exercises the fixed-point directly: cutting
-// lane 1's incomplete batch orphans a later batch lane 0 holds complete
-// records of, which must then be cut too.
+// TestCrossLaneCutsCascade exercises the fixed point directly: holding
+// back lane 1's incomplete batch orphans a later batch lane 0 holds
+// complete records of, which must then be held back too.
 func TestCrossLaneCutsCascade(t *testing.T) {
-	rec := func(lsn uint64, pts ...LanePoint) laneRecord {
-		return laneRecord{lsn: lsn, gsn: lsn, pts: pts, ops: []Op{{Put: true, Key: "k", Value: "v"}}}
+	s, _, err := Open(stm.NewDefault(), nil, Options{Mode: ModeNone, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := func(lsn, gsn uint64, pts ...LanePoint) laneRecord {
+		return laneRecord{lsn: lsn, gsn: gsn, pts: pts, ops: []Op{{Put: true, Key: "k", Value: "v"}}}
 	}
 	// Lane 0: solo(1), batchA(2 ↔ lane1:2-missing), batchB(3 ↔ lane1:1).
 	// Lane 1: batchB(1). Batch A is incomplete → cut lane0 at 2, which
 	// also drops batchB's lane-0 record (tail) → lane 1 must cut at 1.
-	recs := []*wal.Recovery{{}, {}}
-	decoded := [][]laneRecord{
+	lanes := [][]laneRecord{
 		{
-			rec(1, LanePoint{0, 1}),
-			rec(2, LanePoint{0, 2}, LanePoint{1, 2}),
-			rec(3, LanePoint{0, 3}, LanePoint{1, 1}),
+			rec(1, 1, LanePoint{0, 1}),
+			rec(2, 2, LanePoint{0, 2}, LanePoint{1, 2}),
+			rec(3, 3, LanePoint{0, 3}, LanePoint{1, 1}),
 		},
 		{
-			rec(1, LanePoint{0, 3}, LanePoint{1, 1}),
+			rec(1, 3, LanePoint{0, 3}, LanePoint{1, 1}),
 		},
 	}
-	cuts, err := crossLaneCuts(recs, decoded)
+	cuts, err := applierCuts(s, []uint64{0, 0}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,9 +462,8 @@ func TestCrossLaneCutsCascade(t *testing.T) {
 	}
 	// A checkpointed sibling counts as present: same layout, but lane 1
 	// checkpointed past LSN 2 — no cuts anywhere.
-	recs[1].CheckpointLSN = 2
-	decoded[1] = nil
-	cuts, err = crossLaneCuts(recs, decoded)
+	lanes[1] = nil
+	cuts, err = applierCuts(s, []uint64{0, 2}, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}

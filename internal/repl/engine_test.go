@@ -17,7 +17,7 @@ func newTestEngine(t *testing.T, lanes int) (*engine, *kv.Store) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newEngine(rt, store, lanes, nil), store
+	return newEngine(store, lanes, nil), store
 }
 
 func recFrame(lane int, lsn, gsn uint64, pts []kv.LanePoint, ops ...kv.Op) server.ReplFrame {
@@ -55,10 +55,10 @@ func TestEngineCrossShardBarrier(t *testing.T) {
 	if _, ok := storeVal(t, store, "a"); ok {
 		t.Fatal("half a cross-shard batch became visible")
 	}
-	if got := e.pendingRecords.Load(); got != 1 {
+	if got := e.Held(); got != 1 {
 		t.Fatalf("pending = %d, want 1", got)
 	}
-	if e.applied[0].Load() != 0 {
+	if e.Applied(0) != 0 {
 		t.Fatal("cursor advanced past an unapplied batch record")
 	}
 
@@ -70,20 +70,20 @@ func TestEngineCrossShardBarrier(t *testing.T) {
 			t.Fatalf("key %q missing after batch completed", k)
 		}
 	}
-	if e.applied[0].Load() != 1 || e.applied[1].Load() != 1 {
-		t.Fatalf("cursors = %v, want [1 1]", e.cursors())
+	if e.Applied(0) != 1 || e.Applied(1) != 1 {
+		t.Fatalf("cursors = %v, want [1 1]", e.Cursors())
 	}
-	if e.appliedBatches.Load() != 1 || e.gsnHorizon.Load() != 7 {
-		t.Fatalf("batches=%d gsn=%d", e.appliedBatches.Load(), e.gsnHorizon.Load())
+	if e.Batches() != 1 || e.GSN() != 7 {
+		t.Fatalf("batches=%d gsn=%d", e.Batches(), e.GSN())
 	}
-	if e.pendingRecords.Load() != 0 {
-		t.Fatalf("pending = %d after drain", e.pendingRecords.Load())
+	if e.Held() != 0 {
+		t.Fatalf("pending = %d after drain", e.Held())
 	}
 }
 
 // TestEngineLoneRecords: a record with no sibling — a 1-lane store's
 // bare op list, or a sharded store's single-lane commit — is a batch of
-// one: it applies as soon as it arrives, and appliedBatches, which
+// one: it applies as soon as it arrives, and Batches, which
 // counts cross-shard batches only, stays 0.
 func TestEngineLoneRecords(t *testing.T) {
 	one, store1 := newTestEngine(t, 1)
@@ -93,24 +93,24 @@ func TestEngineLoneRecords(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v, _ := storeVal(t, store1, "k"); v != "2" || one.applied[0].Load() != 2 {
-		t.Fatalf("1-lane: k = %q, cursor %d", v, one.applied[0].Load())
+	if v, _ := storeVal(t, store1, "k"); v != "2" || one.Applied(0) != 2 {
+		t.Fatalf("1-lane: k = %q, cursor %d", v, one.Applied(0))
 	}
 
 	two, store2 := newTestEngine(t, 2)
 	if err := two.frame(recFrame(1, 1, 5, []kv.LanePoint{{Lane: 1, LSN: 1}}, put("b", "1"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := storeVal(t, store2, "b"); !ok || two.applied[1].Load() != 1 || two.gsnHorizon.Load() != 5 {
-		t.Fatalf("2-lane: b present %v, cursors %v, gsn %d", ok, two.cursors(), two.gsnHorizon.Load())
+	if _, ok := storeVal(t, store2, "b"); !ok || two.Applied(1) != 1 || two.GSN() != 5 {
+		t.Fatalf("2-lane: b present %v, cursors %v, gsn %d", ok, two.Cursors(), two.GSN())
 	}
 	for _, e := range []*engine{one, two} {
-		if e.appliedBatches.Load() != 0 || e.pendingRecords.Load() != 0 {
-			t.Fatalf("batches=%d pending=%d", e.appliedBatches.Load(), e.pendingRecords.Load())
+		if e.Batches() != 0 || e.Held() != 0 {
+			t.Fatalf("batches=%d pending=%d", e.Batches(), e.Held())
 		}
 	}
-	if one.appliedRecords.Load() != 2 || two.appliedRecords.Load() != 1 {
-		t.Fatalf("records applied: %d and %d", one.appliedRecords.Load(), two.appliedRecords.Load())
+	if one.Records() != 2 || two.Records() != 1 {
+		t.Fatalf("records applied: %d and %d", one.Records(), two.Records())
 	}
 }
 
@@ -129,7 +129,7 @@ func TestEngineBatchDelayedPastReconnect(t *testing.T) {
 	// Disconnect mid-batch: held-back records are dropped, cursors
 	// still read [0 0], so the next hello replays from scratch.
 	e.reset()
-	if got := e.cursors(); got[0] != 0 || got[1] != 0 {
+	if got := e.Cursors(); got[0] != 0 || got[1] != 0 {
 		t.Fatalf("cursors after reset = %v", got)
 	}
 	if err := e.frame(recFrame(0, 1, 3, pts, put("a", "1"))); err != nil {
@@ -141,8 +141,8 @@ func TestEngineBatchDelayedPastReconnect(t *testing.T) {
 	if v, ok := storeVal(t, store, "a"); !ok || v != "1" {
 		t.Fatalf("a = (%q, %v)", v, ok)
 	}
-	if e.appliedBatches.Load() != 1 || e.appliedRecords.Load() != 2 {
-		t.Fatalf("batch applied %d times (%d records)", e.appliedBatches.Load(), e.appliedRecords.Load())
+	if e.Batches() != 1 || e.Records() != 2 {
+		t.Fatalf("batch applied %d times (%d records)", e.Batches(), e.Records())
 	}
 }
 
@@ -159,8 +159,8 @@ func TestEngineCheckpointSatisfiesSibling(t *testing.T) {
 	if err := e.frame(ck); err != nil {
 		t.Fatal(err)
 	}
-	if e.applied[1].Load() != 2 {
-		t.Fatalf("lane 1 cursor = %d, want 2", e.applied[1].Load())
+	if e.Applied(1) != 2 {
+		t.Fatalf("lane 1 cursor = %d, want 2", e.Applied(1))
 	}
 	if v, ok := storeVal(t, store, "b"); !ok || v != "2" {
 		t.Fatalf("checkpoint contents not installed: b = (%q, %v)", v, ok)
@@ -173,8 +173,8 @@ func TestEngineCheckpointSatisfiesSibling(t *testing.T) {
 	if v, ok := storeVal(t, store, "a"); !ok || v != "1" {
 		t.Fatalf("batch half did not apply via cursor rule: a = (%q, %v)", v, ok)
 	}
-	if e.applied[0].Load() != 1 {
-		t.Fatalf("lane 0 cursor = %d, want 1", e.applied[0].Load())
+	if e.Applied(0) != 1 {
+		t.Fatalf("lane 0 cursor = %d, want 1", e.Applied(0))
 	}
 }
 
@@ -211,8 +211,8 @@ func TestEngineStaleFramesIgnored(t *testing.T) {
 }
 
 // encodeBlob builds a checkpoint blob by hand (count, then
-// length-prefixed pairs — the kv snapshot codec) and proves it
-// round-trips through the decoder the engine will use.
+// length-prefixed pairs — the kv snapshot codec); the Applier's
+// checkpoint decode rejects one that does not parse.
 func encodeBlob(t *testing.T, kvs map[string]string) []byte {
 	t.Helper()
 	b := appendU32(nil, uint32(len(kvs)))
@@ -221,9 +221,6 @@ func encodeBlob(t *testing.T, kvs map[string]string) []byte {
 		b = append(b, k...)
 		b = appendU32(b, uint32(len(v)))
 		b = append(b, v...)
-	}
-	if got, err := kv.DecodeSnapshotBlob(b); err != nil || len(got) != len(kvs) {
-		t.Fatalf("test blob does not round-trip: %v", err)
 	}
 	return b
 }

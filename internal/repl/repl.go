@@ -149,7 +149,7 @@ func (r *Replica) Cursors() []uint64 {
 	if r.eng == nil {
 		return nil
 	}
-	return r.eng.cursors()
+	return r.eng.Cursors()
 }
 
 // Status snapshots the replication state.
@@ -172,15 +172,15 @@ func (r *Replica) Status() Status {
 	r.stateMu.Unlock()
 	if eng != nil {
 		st.Lanes = eng.lanes
-		st.Applied = eng.cursors()
+		st.Applied = eng.Cursors()
 		st.Horizon = make([]uint64, eng.lanes)
 		for i := range st.Horizon {
 			st.Horizon[i] = eng.horizon[i].Load()
 		}
-		st.GSNHorizon = eng.gsnHorizon.Load()
-		st.AppliedRecords = eng.appliedRecords.Load()
-		st.AppliedBatches = eng.appliedBatches.Load()
-		st.PendingRecords = eng.pendingRecords.Load()
+		st.GSNHorizon = eng.GSN()
+		st.AppliedRecords = eng.Records()
+		st.AppliedBatches = eng.Batches()
+		st.PendingRecords = eng.Held()
 	}
 	return st
 }
@@ -307,7 +307,7 @@ func (r *Replica) ensureState(lanes int) (*engine, error) {
 		return nil, err
 	}
 	r.store = store
-	r.eng = newEngine(r.rt, store, lanes, r.lag)
+	r.eng = newEngine(store, lanes, r.lag)
 	r.registerLaneMetrics(lanes)
 	return r.eng, nil
 }
@@ -320,22 +320,22 @@ func (r *Replica) registerLaneMetrics(lanes int) {
 			lane := lane
 			reg.GaugeFunc(fmt.Sprintf("deferstm_repl_applied_lsn{lane=\"%d\"}", lane),
 				"Highest lane LSN applied to the replica store.",
-				func() float64 { return float64(eng.applied[lane].Load()) })
+				func() float64 { return float64(eng.Applied(lane)) })
 			reg.GaugeFunc(fmt.Sprintf("deferstm_repl_horizon_lsn{lane=\"%d\"}", lane),
 				"Primary durable watermark last heard for the lane.",
 				func() float64 { return float64(eng.horizon[lane].Load()) })
 		}
 		reg.GaugeFunc("deferstm_repl_gsn_horizon",
 			"Highest global commit sequence number applied atomically.",
-			func() float64 { return float64(eng.gsnHorizon.Load()) })
+			func() float64 { return float64(eng.GSN()) })
 		reg.GaugeFunc("deferstm_repl_pending_records",
 			"Records held back waiting for cross-shard siblings.",
-			func() float64 { return float64(eng.pendingRecords.Load()) })
+			func() float64 { return float64(eng.Held()) })
 		reg.Counter("deferstm_repl_applied_records_total",
 			"Records applied to the replica store.",
-			func() uint64 { return eng.appliedRecords.Load() })
+			func() uint64 { return eng.Records() })
 		reg.Counter("deferstm_repl_applied_batches_total",
 			"Cross-shard batches applied atomically.",
-			func() uint64 { return eng.appliedBatches.Load() })
+			func() uint64 { return eng.Batches() })
 	})
 }
