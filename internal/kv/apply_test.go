@@ -301,3 +301,46 @@ func TestRecoveryInfoAfterCut(t *testing.T) {
 			info.SkippedRecords, info.MaxGSN, info.Replayed, info.Keys)
 	}
 }
+
+// TestTornBytesOfCutLane: a lane whose torn tail recovery truncated and
+// which is then cut reports the torn bytes its first open found, not the
+// reopen's 0. Lane 1's batch at LSN 1 lacks its lane-0 record, and 17
+// garbage bytes follow it on lane 1's segment.
+func TestTornBytesOfCutLane(t *testing.T) {
+	fs := simio.NewFS(simio.Latency{})
+	torn := []LanePoint{{Lane: 0, LSN: 2}, {Lane: 1, LSN: 1}}
+	writeLanes(t, fs, []handLane{
+		{recs: [][]byte{encodeLaneRecord(1, []LanePoint{{Lane: 0, LSN: 1}}, putOp("a", "1"))}},
+		{recs: [][]byte{encodeLaneRecord(2, torn, putOp("b", "2"))}},
+	})
+	lb := laneBackend(wal.NewSimBackend(fs), 1, 2)
+	names, err := lb.Names()
+	if err != nil || len(names) != 1 {
+		t.Fatalf("lane 1 files %v, %v; want one segment", names, err)
+	}
+	f, err := lb.OpenAppend(names[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte("seventeen garbage")); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, info, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	want := []LaneRecovery{
+		{Lane: 0, Replayed: 1, LastLSN: 1},
+		{Lane: 1, LastLSN: 0, TornBytes: 17, TruncatedAt: 1},
+	}
+	if fmt.Sprint(info.Lanes) != fmt.Sprint(want) || info.TornBytes != 17 {
+		t.Fatalf("lanes = %+v (torn bytes %d), want %+v (17)", info.Lanes, info.TornBytes, want)
+	}
+}

@@ -317,7 +317,8 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 
 	for i, rec := range recs {
 		held := a.q[i]
-		lr := LaneRecovery{Lane: i, CheckpointLSN: rec.CheckpointLSN, Replayed: len(rec.Records) - len(held)}
+		// The torn tail was cut by the first open: a reopen finds none.
+		lr := LaneRecovery{Lane: i, CheckpointLSN: rec.CheckpointLSN, Replayed: len(rec.Records) - len(held), TornBytes: rec.TornBytes}
 		if len(held) > 0 {
 			lr.TruncatedAt = held[0].lsn
 			info.SkippedRecords += len(held)
@@ -335,10 +336,10 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 			s.shards[i].log = log
 			rec = reopened
 		}
-		lr.LastLSN, lr.TornBytes = rec.LastLSN, rec.TornBytes
+		lr.LastLSN = rec.LastLSN
 		info.CheckpointLSN += rec.CheckpointLSN
 		info.LastLSN += rec.LastLSN
-		info.TornBytes += rec.TornBytes
+		info.TornBytes += lr.TornBytes
 		info.Replayed += lr.Replayed
 		info.Lanes = append(info.Lanes, lr)
 	}

@@ -14,6 +14,7 @@ import (
 // Runtime-wide series, each a sum over lanes (WALStats):
 //
 //	deferstm_wal_{records,flushes,fsyncs,checkpoints}_total
+//	deferstm_wal_epochs_total, deferstm_wal_epoch_deadlines_total
 //	deferstm_wal_append_durable_seconds, deferstm_wal_batch_wait_seconds
 //
 // Per-lane series (lane label = lane index):
@@ -45,6 +46,10 @@ func (s *Store) registerWAL(reg *obs.Registry) {
 			func(b wal.BatchStats) uint64 { return b.Fsyncs }},
 		{"deferstm_wal_checkpoints_total", "Checkpoints written, summed over lanes.",
 			func(b wal.BatchStats) uint64 { return b.Checkpoints }},
+		{"deferstm_wal_epochs_total", "Flush epochs started: the lanes' batched flushes, started together.",
+			func(b wal.BatchStats) uint64 { return b.Epochs }},
+		{"deferstm_wal_epoch_deadlines_total", "Flush epochs started at the deadline rather than on the returning ack wave.",
+			func(b wal.BatchStats) uint64 { return b.EpochDeadlines }},
 	} {
 		reg.Counter(c.name, c.help, func() uint64 { return c.get(s.WALStats()) })
 	}
@@ -93,6 +98,8 @@ func (s *Store) WALStats() wal.BatchStats {
 		t.Fsyncs += b.Fsyncs
 		t.Rotations += b.Rotations
 		t.Checkpoints += b.Checkpoints
+		t.Epochs += b.Epochs
+		t.EpochDeadlines += b.EpochDeadlines
 		t.MaxBatch = max(t.MaxBatch, b.MaxBatch)
 		for j := range t.Hist {
 			t.Hist[j] += b.Hist[j]

@@ -43,11 +43,13 @@
 //     turn on a saturated lane — and whichever of them drains, drains
 //     this queue through the same drainAndFlush.
 //
-// Lanes of one store (JoinLanes) flush independently, and a commit
-// spanning several enqueues one record on each. One gate keeps it
-// all-or-nothing across a crash: a batch holding a multi-lane record
-// with GSN g publishes its watermark only once every lane has fsynced
-// all of its records with GSN ≤ g (awaitFrontier).
+// Lanes of one store (JoinLanes) flush independently while their
+// traffic is unbatched; once it batches, they flush as one epoch that
+// starts when the wave the last epoch acknowledged has come back
+// (epoch.go). A commit spanning several lanes enqueues one record on
+// each. One gate keeps it all-or-nothing across a crash: a batch holding
+// a multi-lane record with GSN g publishes its watermark only once every
+// lane has fsynced all of its records with GSN ≤ g (awaitFrontier).
 //
 // Records carry CRC-32C and their LSN (record.go); recovery (Open)
 // replays segments in order, verifies every record, truncates a torn
@@ -123,12 +125,14 @@ type Recovery struct {
 // pnode is one entry of the transactional batch queue (a cons list,
 // newest first; drains reverse it).
 type pnode struct {
-	lsn     uint64
-	gsn     uint64 // global commit sequence number; 0 on a lone log
-	cross   bool   // one of several records of a multi-lane commit
-	payload []byte
-	born    time.Time // enqueue time; zero unless the log has Metrics
-	next    *pnode
+	lsn   uint64
+	gsn   uint64 // global commit sequence number; 0 on a lone log
+	cross bool   // one of several records of a multi-lane commit
+	// anyCross: this record or an older one still queued is cross.
+	anyCross bool
+	payload  []byte
+	born     time.Time // enqueue time; zero unless the log has Metrics
+	next     *pnode
 }
 
 // syncPoint is the last record a lane has fsynced: its LSN and GSN.
@@ -150,6 +154,11 @@ type BatchStats struct {
 	Checkpoints uint64     // checkpoints written
 	MaxBatch    uint64     // largest single batch
 	Hist        [17]uint64 // Hist[i] counts batches with bits.Len64(size) == i
+	// Epochs counts the flush epochs this lane started (epoch.go), and
+	// EpochDeadlines those of them its gather started at the deadline
+	// rather than on the returning wave or for a cross-lane record.
+	Epochs         uint64
+	EpochDeadlines uint64
 }
 
 // Mean returns the mean batch size (0 when no flush happened).
@@ -200,7 +209,8 @@ type Log struct {
 	durable  stm.Var[uint64]    // published watermark; written only by drainAndFlush
 	synced   stm.Var[syncPoint] // last fsynced record; written only by drainAndFlush
 
-	lanes []*Log // the store's lane set (JoinLanes); nil for a lone log
+	grp     *group          // the store's lane set (JoinLanes); nil for a lone log
+	inEpoch stm.Var[uint64] // the flush epoch the lane is in; 0 = none (epoch.go)
 
 	// File state. Mutators hold the log's TxLock: segment writes come
 	// only from drainAndFlush (the flusher, Flush or Checkpoint), the
@@ -219,13 +229,16 @@ type Log struct {
 	wbuf   []byte    // batch encode buffer, reused across flushes
 	closed bool
 
-	flushes     atomic.Uint64
-	records     atomic.Uint64
-	fsyncs      atomic.Uint64
-	rotations   atomic.Uint64
-	checkpoints atomic.Uint64
-	maxBatch    atomic.Uint64
-	hist        [17]atomic.Uint64
+	flushes        atomic.Uint64
+	records        atomic.Uint64
+	fsyncs         atomic.Uint64
+	rotations      atomic.Uint64
+	checkpoints    atomic.Uint64
+	maxBatch       atomic.Uint64
+	hist           [17]atomic.Uint64
+	lastBatch      atomic.Uint64 // records in the lane's last flush
+	epochs         atomic.Uint64
+	epochDeadlines atomic.Uint64
 
 	lastCkpt   atomic.Uint64 // upTo of the newest fsynced checkpoint (0 when none)
 	streamRead atomic.Uint64 // segment bytes Tails read from the backend
@@ -401,7 +414,8 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 // as it stands when the flush encodes it, so the caller must not modify
 // it after the call.
 func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, cross bool, payload []byte) {
-	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, payload: payload, next: l.pending.Get(tx)}
+	next := l.pending.Get(tx)
+	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, anyCross: cross || next != nil && next.anyCross, payload: payload, next: next}
 	if l.met != nil {
 		// Stamp the enqueue so the covering flush can observe the
 		// append→durable lag. Re-executions of an aborted tx restamp.
@@ -436,19 +450,43 @@ func (l *Log) deferFlush(tx *stm.Tx) {
 // The emptiness check and the flag's clear are ONE transaction: were they
 // two, an append committing between them would see flushing still set,
 // start nobody, and strand its record until the next append.
+//
+// On joined lanes each flush first waits, outside the lock, for its
+// epoch (gather, epoch.go); the flush then leaves the epoch it joined,
+// and the exit leaves whatever epoch a start enlisted the lane in. A
+// record that arrives after a gather found the queue empty goes back to
+// the gather rather than into an unplanned flush.
 func (l *Log) flusher() {
+	g := l.grp
 	for {
-		var idle bool
+		e, gathered := uint64(0), true
+		if g != nil {
+			e, gathered = g.gather(l)
+		}
+		var idle, regather bool
 		_ = l.rt.Atomic(func(tx *stm.Tx) error {
-			if idle = l.pending.Get(tx) == nil; idle {
+			idle, regather = l.pending.Get(tx) == nil, false
+			switch {
+			case idle:
 				l.flushing.Set(tx, false)
-			} else {
+				if g != nil {
+					g.leave(tx, l)
+				}
+			case !gathered: // a record arrived after the gather found none
+				regather = true
+			default:
 				core.AtomicDefer(tx, l.drainAndFlush, l)
 			}
 			return nil
 		})
 		if idle {
 			return
+		}
+		if regather {
+			continue
+		}
+		if e != 0 {
+			_ = l.rt.Atomic(func(tx *stm.Tx) error { g.leave(tx, l); return nil })
 		}
 		// The release just woke whoever was parked on the lock
 		// (subscribers, a checkpoint, Flush). Let them run before
@@ -551,12 +589,14 @@ func (l *Log) drainAndFlush(ctx *core.OpCtx) {
 	l.publish(ctx, head, batch, flushStart)
 }
 
-// JoinLanes makes logs the lanes of one store, so that a flush covering
-// a multi-lane record waits for the frontier across all of them. Call
-// it once, before the first append; a log never joined never waits.
+// JoinLanes makes logs the lanes of one store: a flush covering a
+// multi-lane record waits for the frontier across all of them, and
+// batched flushes start together as epochs (epoch.go). Call it once,
+// before the first append; a log never joined never waits.
 func JoinLanes(logs []*Log) {
+	g := &group{lanes: logs}
 	for _, l := range logs {
-		l.lanes = logs
+		l.grp = g
 	}
 }
 
@@ -567,16 +607,26 @@ func JoinLanes(logs []*Log) {
 // not. No chain of these waits closes into a cycle: every drainer
 // publishes synced before it waits, so a lane waited on has
 // synced.gsn < g, and its own wait is for at most its synced.gsn — GSN
-// falls strictly along the chain (DESIGN.md §12).
+// falls strictly along the chain (DESIGN.md §12). The wait is announced
+// first: while it lasts, no lane holds records back for an epoch.
 func (l *Log) awaitFrontier(ctx *core.OpCtx, g uint64) {
+	grp := l.grp
+	if grp == nil {
+		return
+	}
+	waiting := func(d int) func(*stm.Tx) error {
+		return func(tx *stm.Tx) error { grp.waiting.Set(tx, grp.waiting.Get(tx)+d); return nil }
+	}
+	_ = ctx.Atomic(waiting(1))
 	_ = ctx.Atomic(func(tx *stm.Tx) error {
-		for _, o := range l.lanes {
+		for _, o := range grp.lanes {
 			if s := o.synced.Get(tx); s.gsn < g && o.nextLSN.Get(tx)-1 > s.lsn {
 				tx.Retry()
 			}
 		}
 		return nil
 	})
+	_ = ctx.Atomic(waiting(-1))
 }
 
 // drain empties the batch queue within a small transaction and returns
@@ -690,8 +740,15 @@ func (l *Log) writeLocked(batch []Record) error {
 		return err
 	}
 	l.noteFsync()
+	var t0 time.Time
+	if l.grp != nil {
+		t0 = time.Now()
+	}
 	if err := l.cur.Fsync(); err != nil {
 		return err
+	}
+	if l.grp != nil {
+		l.grp.fsync.Store(int64(time.Since(t0)))
 	}
 	l.dirty = false
 	return nil
@@ -761,6 +818,7 @@ func (l *Log) noteFsync() { l.fsyncs.Add(1) }
 func (l *Log) noteBatch(n uint64) {
 	l.flushes.Add(1)
 	l.records.Add(n)
+	l.lastBatch.Store(n)
 	for {
 		cur := l.maxBatch.Load()
 		if n <= cur || l.maxBatch.CompareAndSwap(cur, n) {
@@ -777,12 +835,14 @@ func (l *Log) noteBatch(n uint64) {
 // BatchStats returns group-commit statistics since Open.
 func (l *Log) BatchStats() BatchStats {
 	s := BatchStats{
-		Flushes:     l.flushes.Load(),
-		Records:     l.records.Load(),
-		Fsyncs:      l.fsyncs.Load(),
-		Rotations:   l.rotations.Load(),
-		Checkpoints: l.checkpoints.Load(),
-		MaxBatch:    l.maxBatch.Load(),
+		Flushes:        l.flushes.Load(),
+		Records:        l.records.Load(),
+		Fsyncs:         l.fsyncs.Load(),
+		Rotations:      l.rotations.Load(),
+		Checkpoints:    l.checkpoints.Load(),
+		MaxBatch:       l.maxBatch.Load(),
+		Epochs:         l.epochs.Load(),
+		EpochDeadlines: l.epochDeadlines.Load(),
 	}
 	for i := range l.hist {
 		s.Hist[i] = l.hist[i].Load()
