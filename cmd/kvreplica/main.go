@@ -4,7 +4,7 @@
 // binary protocol and HTTP fallback as the primary. Cross-shard batches
 // are applied atomically — a reader never sees half of one — and reads
 // ride the snapshot path, so they are abort-free and ordered at the
-// applied (LastDurable-consistent) cut.
+// applied (watermark-consistent) cut.
 //
 // Usage:
 //

@@ -242,9 +242,9 @@ func TestRejectsDeferralAtomicityViolation(t *testing.T) {
 // a WAL appender on that log (EvWALAppend with the log's lock var). The
 // leader/follower protocol used to elect its durability path by reading
 // the lock owner mid-flush and the checker exempted exactly this shape;
-// appenders no longer read the lock at all (they read the lane's
-// flushing flag), so a committed observer of a held deferral lock is a
-// violation, appender or not.
+// appenders no longer read the lock at all (they only queue their record
+// for the lane's flusher), so a committed observer of a held deferral
+// lock is a violation, appender or not.
 func TestRejectsGroupCommitJoin(t *testing.T) {
 	h := []stm.Event{
 		ev(stm.EvBegin, 1, 7, 0, 0, 0),

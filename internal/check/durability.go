@@ -86,7 +86,7 @@ func checkDurability(p *parsed) []Violation {
 		// GSN order must agree with lane LSN order: a kv store
 		// draws each commit's GSN after reserving every touched lane's
 		// LSN, so within one lane ascending LSN ⇒ strictly ascending GSN
-		// (records without a GSN — a bare log's — are exempt).
+		// (records without a GSN — a test's hand-made ones — are exempt).
 		var prevG *walAppend
 		for _, a := range sorted {
 			if a.gsn == 0 {

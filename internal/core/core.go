@@ -106,8 +106,8 @@ type OpCtx struct {
 // paper's Section 4.2: a plain goroutine that acquired an object's lock
 // via (*txlock.Lock).AcquireOutside gets the same Load/Store/Atomic
 // helpers a deferred operation has. owner must be the identity the locks
-// are held under. Package wal uses this for Log.Flush and Checkpoint,
-// which take the log lock from plain code.
+// are held under. Package wal uses this for Checkpoint, which takes the
+// log lock from plain code.
 func NewOpCtx(rt *stm.Runtime, owner stm.OwnerID) *OpCtx {
 	return &OpCtx{rt: rt, owner: owner}
 }

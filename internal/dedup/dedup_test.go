@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"deferstm/internal/mempool"
@@ -243,10 +244,10 @@ func TestFatalWriteFaultPropagates(t *testing.T) {
 		fs.SetFaults(simio.Faults{FatalOnWrite: 3})
 		_, err := Run(Config{Backend: b, Threads: 2}, input, fs, "out")
 		if b == Pthread || b == STM {
-			if !simio.IsFatal(err) {
+			if !errors.Is(err, simio.ErrFatal) {
 				t.Errorf("%v: err = %v, want fatal", b, err)
 			}
-		} else if err != nil && !simio.IsFatal(err) {
+		} else if err != nil && !errors.Is(err, simio.ErrFatal) {
 			// Deferred writes report the failure via fail(); Run returns it.
 			t.Errorf("%v: err = %v", b, err)
 		}

@@ -213,6 +213,7 @@ func writeLanes(t *testing.T, fs *simio.FS, lanes []handLane) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		wal.JoinLanes([]*wal.Log{log})
 		for j, p := range hl.recs {
 			var lsn uint64
 			_ = rt.Atomic(func(tx *stm.Tx) error {

@@ -21,9 +21,9 @@
 //
 // The key space can be partitioned into N shards (Options.Shards, a
 // power of two), each with its own map partition AND its own WAL lane —
-// a private log with lane-scoped LSNs, its own on-demand flusher, and
-// its own durable watermark — so the fsyncs of commits
-// touching different shards run in parallel. Keys route to shards by a
+// a private log with lane-scoped LSNs, its own flusher goroutine (from
+// Open to Close), and its own durable watermark — so the fsyncs of
+// commits touching different shards run in parallel. Keys route to shards by a
 // fixed FNV-1a hash (deterministic across restarts, so a key's records
 // always live in one lane and per-lane LSN order is per-key order).
 //

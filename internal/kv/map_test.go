@@ -70,11 +70,13 @@ func TestStoreConcurrentUpdatesAcrossResize(t *testing.T) {
 
 // Group-commit mode with a deliberately tiny bucket count: the same
 // transaction can trigger a map resize (a deferral unit holding the map
-// lock) and start the lane's WAL flusher, whose flushes are deferral
+// lock) and wake the lane's WAL flusher, whose flushes are deferral
 // units of their own transactions holding the log lock. The recorded
 // history must satisfy every checker axiom — deferral atomicity without
 // any appender exemption, and two-phase locking — and the store must
-// recover to identical contents.
+// recover to identical contents. Cut after Close, the history holds no
+// park session that never woke: the lane flushers, parked on their
+// queues between flushes, have returned.
 func TestStoreGroupCommitResizeCheckedHistory(t *testing.T) {
 	log := history.New()
 	rt := stm.New(stm.Config{Recorder: log})
@@ -114,9 +116,22 @@ func TestStoreGroupCommitResizeCheckedHistory(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rep := check.History(log.Events())
+	events := log.Events()
+	rep := check.History(events)
 	if !rep.OK() {
 		t.Fatalf("checker rejected group-commit + resize history:\n%s", rep)
+	}
+	parked := map[uint64]bool{}
+	for _, e := range events {
+		switch e.Kind {
+		case stm.EvWatchRegister:
+			parked[e.TxID] = true
+		case stm.EvWake:
+			delete(parked, e.TxID)
+		}
+	}
+	if len(parked) != 0 {
+		t.Fatalf("%d park sessions still open in a history cut after Close", len(parked))
 	}
 	s2, _ := openStore(t, fs, Options{Mode: ModeGroup, Buckets: 16})
 	defer s2.Close()

@@ -131,7 +131,7 @@ func (r *Replica) Store() *kv.Store {
 
 // WaitCaughtUp blocks until the replica has, at least once, applied
 // every lane up to a received watermark — initial catch-up complete;
-// serve reads after this and they are LastDurable-consistent.
+// serve reads after this and they are watermark-consistent.
 func (r *Replica) WaitCaughtUp(ctx context.Context) error {
 	select {
 	case <-r.caughtUp:

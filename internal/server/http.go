@@ -100,8 +100,8 @@ func (s *Server) RegisterHTTP(mux *http.ServeMux) {
 			limit = n
 		}
 		// One consistent snapshot across all shards (Store.Scan pins a
-		// single version) — on a replica this is the LastDurable-
-		// consistent cut the stream applied, abort-free under traffic.
+		// single version) — on a replica this is the watermark-consistent
+		// cut the stream applied, abort-free under traffic.
 		entries := map[string]string{}
 		truncated := false
 		err := s.store.Scan(func(k, v string) bool {

@@ -37,7 +37,7 @@ type Options struct {
 	Logf func(format string, args ...any)
 	// ReadOnly refuses mutations (PUT, DEL, BATCH) and serves GET on the
 	// store's snapshot path — zero validation aborts, reads ordered at
-	// the replica's applied (LastDurable-consistent) cut. This is the
+	// the replica's applied (watermark-consistent) cut. This is the
 	// replica serving mode: its store is written only by the replication
 	// stream.
 	ReadOnly bool
@@ -624,7 +624,7 @@ func (s *Server) execute(req Request) (pend, error) {
 		view := s.store.View
 		if s.opts.ReadOnly {
 			// Replica reads ride the snapshot path: abort-free, ordered
-			// at the applied (LastDurable-consistent) cut.
+			// at the applied (watermark-consistent) cut.
 			view = s.store.SnapshotView
 		}
 		err := view(func(tx *stm.Tx) error {

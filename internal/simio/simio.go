@@ -38,9 +38,6 @@ var (
 // "unreliable media" condition of Listing 7's pipeline_out).
 func IsTransient(err error) bool { return errors.Is(err, ErrTransient) }
 
-// IsFatal reports whether err is a non-retryable write error.
-func IsFatal(err error) bool { return errors.Is(err, ErrFatal) }
-
 // Latency models the cost of each filesystem operation. Zero values mean
 // the operation is free.
 type Latency struct {

@@ -214,7 +214,7 @@ func TestFatalFaultInjection(t *testing.T) {
 	if _, err := f.Write([]byte("a")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write([]byte("b")); !IsFatal(err) {
+	if _, err := f.Write([]byte("b")); !errors.Is(err, ErrFatal) {
 		t.Fatalf("expected fatal, got %v", err)
 	}
 	if fs.Stats().FatalErrors != 1 {
@@ -246,7 +246,7 @@ func TestReliableWriteFatal(t *testing.T) {
 	fs := NewFS(Latency{})
 	fs.SetFaults(Faults{FatalOnWrite: 1})
 	f, _ := fs.Create("out")
-	if err := ReliableWrite(f, []byte("data")); !IsFatal(err) {
+	if err := ReliableWrite(f, []byte("data")); !errors.Is(err, ErrFatal) {
 		t.Errorf("expected fatal error, got %v", err)
 	}
 }

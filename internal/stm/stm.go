@@ -16,9 +16,10 @@
 //     committer waits until all transactions that began before its commit
 //     have completed (committed or aborted),
 //   - an ordered post-commit hook pipeline (used by package core to run
-//     atomically deferred operations after quiescence), followed by
-//     deferred memory reclamation (the tm_free_list of the paper's
-//     Listing 1),
+//     atomically deferred operations after quiescence); Listing 1's
+//     deferred reclamation (tm_free_list) has no counterpart here, as the
+//     garbage collector keeps freed memory alive (DESIGN.md §5, "No free
+//     list"),
 //   - a simulated best-effort hardware TM mode (ModeHTM) with capacity
 //     aborts and no in-transaction irrevocability, modelling Intel TSX as
 //     driven by GCC's HTM fast path.

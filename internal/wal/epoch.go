@@ -5,16 +5,17 @@ import (
 	"sync/atomic"
 	"time"
 
+	"deferstm/internal/core"
 	"deferstm/internal/stm"
 )
 
 // Flush epochs: when the lanes of one store start their flushes.
 //
-// A flush is what it always was — one AtomicDefer(drainAndFlush) under
-// the lane's lock — and this file decides only when the lane's flusher
-// starts it. The decision is made before the flusher's transaction, so
-// outside the lock: LastDurable subscribers, Checkpoint and Flush are
-// never held up by it (invariant 4).
+// A flush is one AtomicDefer(drainAndFlush) under the lane's lock, and
+// this file decides when the lane's flusher commits it. The decision is
+// made in that same transaction, before it acquires the lock, and a wait
+// aborts it: lock subscribers and Checkpoint are never held up by the
+// decision (invariant 4).
 //
 // Started at once, a saturated closed loop settles into two cohorts per
 // lane: an ack wave comes back while the lane already fsyncs the other
@@ -35,13 +36,15 @@ import (
 //  3. Cross-lane records never wait. A lane holding one, or any lane
 //     while a flush waits at the frontier, joins the running epoch (or
 //     starts one) at once: a flush in awaitFrontier may be waiting for
-//     exactly the records the wait would hold back.
+//     exactly the records the wait would hold back. A closing lane does
+//     the same, so Close waits for no wave.
 //
 // A lane is in an epoch from the transaction that enlists it to the one
-// that leaves it (after its flush, or the flusher's exit), and only the
-// lane's own flusher leaves; the last lane to leave ends the epoch.
+// that leaves it: after its flush, or before its flusher parks if the
+// queue was drained under it (a checkpoint). Only the lane's own flusher
+// leaves; the last lane to leave ends the epoch.
 
-// deadlineShare is the part of an fsync a gather may wait past the end
+// deadlineShare is the part of an fsync a flush may wait past the end
 // of the last epoch: a wave returns within the round trip, well under an
 // fsync on any device where group commit matters, so a quarter of one
 // is enough for it to come back whole, and a wave that does not return
@@ -138,61 +141,64 @@ func (g *group) leave(tx *stm.Tx, l *Log) {
 	g.state.Set(tx, s)
 }
 
-// gather blocks until l's flusher may flush and returns the epoch the
-// flush belongs to (0: none, rule 1). It waits in one retry transaction
-// whose context carries the rule-2 deadline. gathered is false when it
-// found the queue empty: the flusher then exits, or gathers again if a
-// record arrived since.
-func (g *group) gather(l *Log) (e uint64, gathered bool) {
-	if e := l.inEpoch.Load(); e != 0 {
-		return e, true
-	}
-	if !g.batched() {
-		return 0, true
-	}
+// next blocks until l's flusher may flush and commits the flush: one
+// transaction parks on an empty queue, waits out rule 2, or commits
+// AtomicDefer(drainAndFlush, l) together with the epoch it starts or
+// joins. It returns the epoch the flush runs in (0: none, rule 1), and
+// false once Close has lowered live and the queue is empty. The idle park
+// reads only the lane's pending, inEpoch and live, so a commit on another
+// lane does not wake it; a lane an epoch still lists leaves it, in a
+// transaction of its own, before it parks. The rule-2 wait runs under a
+// context that carries its deadline.
+func (g *group) next(l *Log) (e uint64, ok bool) {
 	var ctx context.Context
 	cancel := context.CancelFunc(func() {})
 	var armed time.Time // the deadline ctx carries
 	for {
 		var want time.Time
+		var flush, left bool
 		var started, late bool // counted on the starting lane: BatchStats.Epochs, EpochDeadlines
 		err := l.rt.AtomicCtx(ctx, func(tx *stm.Tx) error {
-			e, gathered, want, started, late = 0, true, time.Time{}, false, false
-			head := l.pending.Get(tx)
-			if head == nil {
-				gathered = false
-				return nil
-			}
-			if e = l.inEpoch.Get(tx); e != 0 || !g.batched() {
-				return nil // enlisted by another lane's start, or rule 1
-			}
-			s := g.state.Get(tx)
-			if head.anyCross || g.waiting.Get(tx) > 0 {
+			want, flush, left, started, late = time.Time{}, true, false, false, false
+			head, live := l.pending.Get(tx), l.live.Get(tx)
+			e = l.inEpoch.Get(tx)
+			switch {
+			case head == nil && e != 0: // a checkpoint drained the queue under the epoch
+				g.leave(tx, l)
+				flush, left = false, true
+			case head == nil && live:
+				tx.Retry()
+			case head == nil: // closed and drained
+				flush = false
+			case e != 0 || !g.batched(): // enlisted by another lane's start, or rule 1
+			case head.anyCross || !live || g.waiting.Get(tx) > 0: // rule 3
+				s := g.state.Get(tx)
 				if g.running(tx) {
 					e = s.n
 					l.inEpoch.Set(tx, e)
 				} else {
 					e, started = g.start(tx, s), true
 				}
-				return nil
+			default: // rule 2
+				if g.running(tx) {
+					tx.Retry()
+				}
+				s := g.state.Get(tx)
+				deadline := s.ended.Add(time.Duration(g.fsync.Load() / deadlineShare))
+				switch {
+				case g.backlog(tx) >= s.size:
+					e, started = g.start(tx, s), true
+				case !time.Now().Before(deadline):
+					e, started, late = g.start(tx, s), true, true
+				case !deadline.Equal(armed):
+					want, flush = deadline, false // park again under a context that ends then
+				default:
+					tx.Retry()
+				}
 			}
-			if g.running(tx) {
-				tx.Retry()
+			if flush {
+				core.AtomicDefer(tx, l.drainAndFlush, l)
 			}
-			if g.backlog(tx) >= s.size {
-				e, started = g.start(tx, s), true
-				return nil
-			}
-			deadline := s.ended.Add(time.Duration(g.fsync.Load() / deadlineShare))
-			if !time.Now().Before(deadline) {
-				e, started, late = g.start(tx, s), true, true
-				return nil
-			}
-			if !deadline.Equal(armed) {
-				want = deadline // park again under a context that ends then
-				return nil
-			}
-			tx.Retry()
 			return nil
 		})
 		cancel()
@@ -202,14 +208,16 @@ func (g *group) gather(l *Log) (e uint64, gathered bool) {
 		case !want.IsZero():
 			ctx, cancel = context.WithDeadline(context.Background(), want)
 			armed = want
-		default:
+		case flush:
 			if started {
 				l.epochs.Add(1)
 			}
 			if late {
 				l.epochDeadlines.Add(1)
 			}
-			return e, gathered
+			return e, true
+		case !left:
+			return 0, false
 		}
 	}
 }

@@ -273,7 +273,7 @@ func TestRejoinLeavesTheEpoch(t *testing.T) {
 		t.Fatal("lane 0 is in no epoch while its flush waits for the lock")
 	}
 	second := add(true, 1, 1)
-	waitUntil(t, "lane 1 waits at the frontier", func() bool { return flushersIn("wal.(*Log).awaitFrontier") == 1 })
+	waitUntil(t, "lane 1 waits at the frontier", func() bool { return flushersOf(lanes[1], "wal.(*Log).awaitFrontier") == 1 })
 	if got := lanes[1].inEpoch.Load(); got != e {
 		t.Fatalf("lane 1 flushes its cross-lane record in epoch %d, want the running epoch %d", got, e)
 	}
@@ -283,10 +283,10 @@ func TestRejoinLeavesTheEpoch(t *testing.T) {
 	if err := waitAll(lanes, second, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	waitNoFlusher(t)
 	for i, l := range lanes {
+		waitUntil(t, fmt.Sprintf("lane %d's flusher parks idle", i), func() bool { return idleParked(l) })
 		if got := l.inEpoch.Load(); got != 0 {
-			t.Fatalf("lane %d is still in epoch %d with no flusher live", i, got)
+			t.Fatalf("lane %d is still in epoch %d with its flusher parked idle", i, got)
 		}
 	}
 	// Batched traffic afterwards must not find the epoch still running.
@@ -296,20 +296,33 @@ func TestRejoinLeavesTheEpoch(t *testing.T) {
 	closeLanes(t, lanes)
 }
 
-// TestCloseDuringGather: Close on a lane whose flusher is parked in its
-// gather — lane 1's epoch is running, so lane 0 waits for it — returns:
-// Close's own flush drains the queue, the gather sees it empty, and the
-// flusher takes its exit. Nothing is left enlisted.
+// TestCloseDuringGather: Close on a lane whose flusher is parked waiting
+// for the running epoch returns at once: a closing lane joins the epoch
+// (rule 3), flushes its queue, leaves the epoch and returns. The test
+// holds lane 2's lock, so lane 2 stays in the epoch and the epoch cannot
+// end under the Close: lane 1 starts it with records on lanes 1 and 2,
+// flushes two (the traffic stays batched) and leaves, and lane 2's flush
+// waits for the lock.
+// Nothing is left enlisted once the lock is released, and no flusher
+// outlives its lane's Close.
 func TestCloseDuringGather(t *testing.T) {
 	for round := 0; round < 5; round++ {
-		fs := simio.NewFS(simio.Latency{Fsync: 20 * time.Millisecond})
-		rt, lanes := openLanes(t, fs, 2)
+		fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
+		rt, lanes := openLanes(t, fs, 3)
 		var gsn atomic.Uint64
-		lanes[1].WaitDurable(commit(rt, lanes, &gsn, false, 0, 2)[1]) // a batch of 2: the traffic is batched
-		commit(rt, lanes, &gsn, false, 0, 1)                          // lane 1 starts an epoch and fsyncs for 20 ms
-		waitUntil(t, "lane 1 is in an epoch", func() bool { return lanes[1].inEpoch.Load() != 0 })
-		last := commit(rt, lanes, &gsn, false, 1, 0)[0]
-		waitUntil(t, "lane 0's flusher parks in its gather", func() bool { return flushersIn("wal.(*group).gather") != 0 })
+		lanes[1].WaitDurable(commit(rt, lanes, &gsn, false, 0, 2, 0)[1]) // a batch of 2: the traffic is batched
+		me := rt.NewOwner()
+		lanes[2].Lock().AcquireOutside(rt, me)
+		lanes[1].WaitDurable(commit(rt, lanes, &gsn, false, 0, 2, 1)[1]) // one epoch enlists lanes 1 and 2; lane 1 flushes 2
+		waitUntil(t, "lane 2 waits in the epoch for its lock", func() bool {
+			return lanes[2].inEpoch.Load() != 0 && flushersOf(lanes[2], "stm.(*Runtime).parkOnReadSet") == 1
+		})
+		last := commit(rt, lanes, &gsn, false, 1, 0, 0)[0]
+		// Of the three flushers, only one in a rule-2 wait has read (and
+		// so watches) the group's frontier-wait count.
+		waitUntil(t, "lane 0's flusher parks waiting for the epoch", func() bool {
+			return lanes[0].grp.waiting.Watchers() == 1 && flushersOf(lanes[0], "stm.(*Runtime).parkOnReadSet") == 1
+		})
 		done := make(chan error, 1)
 		go func() { done <- lanes[0].Close() }()
 		select {
@@ -318,15 +331,22 @@ func TestCloseDuringGather(t *testing.T) {
 				t.Fatal(err)
 			}
 		case <-time.After(5 * time.Second):
-			t.Fatalf("round %d: Close of a lane parked in its gather did not return", round)
+			t.Fatalf("round %d: Close of a lane parked waiting for its epoch did not return", round)
 		}
+		stopped(t, lanes[0])
 		if got := lanes[0].DurableWatermark(); got != last {
 			t.Fatalf("round %d: Close returned at watermark %d, want %d", round, got, last)
 		}
-		if err := lanes[1].Close(); err != nil {
+		if lanes[2].inEpoch.Load() == 0 {
+			t.Fatalf("round %d: lane 2 left the epoch while its lock was held: lane 0 closed in no epoch wait", round)
+		}
+		if err := lanes[2].Lock().ReleaseOutside(rt, me); err != nil {
 			t.Fatal(err)
 		}
-		waitNoFlusher(t)
+		for _, l := range lanes[1:] {
+			l.WaitDurable(l.AssignedWatermark())
+			closeStopsFlusher(t, l)
+		}
 		for i, l := range lanes {
 			if e := l.inEpoch.Load(); e != 0 {
 				t.Fatalf("round %d: lane %d left in epoch %d", round, i, e)

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,24 +19,32 @@ import (
 // The appender/flusher hand-off (wal.go, DESIGN.md §6). Each test names
 // the invariant it pins and fails if that invariant is broken.
 
-// flushersIn counts the goroutines currently inside (*Log).flusher —
-// all of them, or only those whose stack also shows one of the given
-// frames — by reading the runtime's own goroutine dump: no hook in the
-// product code. Tests using it must not run in parallel with other
-// flusher-starting tests (none in this package call t.Parallel).
-func flushersIn(frames ...string) int {
-	buf := make([]byte, 1<<20)
-	for {
+// flushersOf counts the goroutines inside l's flusher — all of them, or
+// only those whose stack also shows one of the given frames — by reading
+// the runtime's own goroutine dump, which prints each frame's receiver
+// (wal.(*Log).flusher(0xc000…)): no hook in the product code. A flusher
+// goroutine that has not entered flusher yet (or has just left it) shows
+// only JoinLanes' go wrapper, which names no log; the dump is taken again
+// until there is none.
+func flushersOf(l *Log, frames ...string) int {
+	var gs [][]byte
+	for buf := make([]byte, 1<<20); ; {
 		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			buf = buf[:n]
+		if n == len(buf) {
+			buf = make([]byte, 2*len(buf))
+			continue
+		}
+		gs = bytes.Split(buf[:n], []byte("\n\n"))
+		if !slices.ContainsFunc(gs, func(g []byte) bool {
+			return bytes.Contains(g, []byte("wal.JoinLanes.gowrap")) && !bytes.Contains(g, []byte("wal.(*Log).flusher("))
+		}) {
 			break
 		}
-		buf = make([]byte, 2*len(buf))
+		time.Sleep(50 * time.Microsecond)
 	}
 	n := 0
-	for _, g := range bytes.Split(buf, []byte("\n\n")) {
-		if !bytes.Contains(g, []byte("wal.(*Log).flusher")) {
+	for _, g := range gs {
+		if !hasFrame(g, "wal.(*Log).flusher", l) {
 			continue
 		}
 		match := len(frames) == 0
@@ -48,18 +58,53 @@ func flushersIn(frames ...string) int {
 	return n
 }
 
-func liveFlushers() int { return flushersIn() }
-
-// waitNoFlusher polls until no flusher goroutine is live.
-func waitNoFlusher(t *testing.T) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for liveFlushers() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d flusher goroutine(s) still live with nothing pending", liveFlushers())
+// hasFrame reports whether stack g holds a call of fn whose first
+// argument is p. The dump prints it as "fn(0xc000…" followed by ")", ","
+// or "?" (a value that may be stale), never by another hex digit.
+func hasFrame(g []byte, fn string, p any) bool {
+	call := fmt.Sprintf("%s(%p", fn, p)
+	for rest := string(g); ; {
+		i := strings.Index(rest, call)
+		if i < 0 {
+			return false
 		}
-		time.Sleep(time.Millisecond)
+		rest = rest[i+len(call):]
+		if rest != "" && strings.ContainsRune(")?,", rune(rest[0])) {
+			return true
+		}
 	}
+}
+
+// idleParked reports whether l's flusher is parked with l's queue empty:
+// the idle park, which a lane enters only once it has left its epoch.
+func idleParked(l *Log) bool {
+	return l.pending.Load() == nil && flushersOf(l, "stm.(*Runtime).parkOnReadSet") == 1
+}
+
+// closeStopsFlusher closes l and fails t unless l's flusher was running
+// until then and has stopped once Close returns (stopped).
+func closeStopsFlusher(t *testing.T, l *Log) {
+	t.Helper()
+	if n := flushersOf(l); n != 1 {
+		t.Fatalf("%d flusher goroutines for one joined log, want 1", n)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	stopped(t, l)
+}
+
+// stopped fails t unless l's flusher, the moment l's Close has returned,
+// is past its last transaction: no goroutine of it is in group.next, or
+// in the runtime's transaction code, or anywhere in its loop. Its
+// goroutine may still be between closing done and returning — a window
+// no dump can rule out — so that it exits is then waited for.
+func stopped(t *testing.T, l *Log) {
+	t.Helper()
+	if n := flushersOf(l, "wal.(*group).next", "deferstm/internal/stm.", "runtime.Gosched"); n != 0 {
+		t.Fatalf("%d flusher goroutines still in their loop after Close returned", n)
+	}
+	waitUntil(t, "the flusher goroutine exits", func() bool { return flushersOf(l) == 0 })
 }
 
 // saturate keeps window appends in flight on l from one goroutine — the
@@ -133,17 +178,17 @@ func TestPipelinedAppenderFillsBatch(t *testing.T) {
 
 // TestNoStrandedRecord (invariant 2): an append followed by silence
 // becomes durable — no record may need a later append to be flushed. The
-// dangerous instant is the flusher's exit: it has seen the queue empty
-// and is about to lower the flag. Every round aims appends at exactly
-// that instant — each appender waits for its first record's flush and
-// appends again the moment the publish wakes it, which is the moment the
-// flusher goes to look at the queue — and then falls silent. If the
-// emptiness check and the flag's clear were not one transaction, an
-// append landing between them would start nobody and sit there. The
+// dangerous instant is the flusher's park: it has seen the queue empty
+// and is registering on it. Every round aims appends at exactly that
+// instant — each appender waits for its first record's flush and appends
+// again the moment the publish wakes it, which is the moment the flusher
+// goes to look at the queue — and then falls silent. A park that checked
+// the queue outside the transaction it parks in, or parked on anything
+// but the queue, would sleep through an append landing in between. The
 // stalled variant stretches that instant: injected conflict aborts and
-// write-back, pre-hook and wake delays hit every writing commit, the
-// flusher's exit included, so a clear that is its own transaction backs
-// off and retries while appends commit under the still-raised flag.
+// write-back, pre-hook and wake delays hit every commit, and register
+// stalls widen the park's window between registering on the queue and
+// revalidating it.
 func TestNoStrandedRecord(t *testing.T) {
 	run := func(t *testing.T, rt *stm.Runtime, rounds int) {
 		fs := simio.NewFS(simio.Latency{})
@@ -151,6 +196,7 @@ func TestNoStrandedRecord(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		JoinLanes([]*Log{l})
 		appendRaw := func() (lsn uint64) {
 			_ = rt.Atomic(func(tx *stm.Tx) error {
 				lsn = enqueue(tx, l, []byte("aimed-at-the-exit"))
@@ -163,7 +209,7 @@ func TestNoStrandedRecord(t *testing.T) {
 			for g := 0; g < 2; g++ {
 				go func() {
 					l.WaitDurable(appendRaw())
-					l.WaitDurable(appendRaw()) // lands on the flusher's exit; then silence
+					l.WaitDurable(appendRaw()) // lands on the flusher's park; then silence
 					done <- struct{}{}
 				}()
 			}
@@ -172,29 +218,24 @@ func TestNoStrandedRecord(t *testing.T) {
 				select {
 				case <-done:
 				case <-timeout:
-					t.Fatalf("round %d: stranded: assigned %d, watermark %d, flushing=%v, %d live flusher(s)",
-						round, l.AssignedWatermark(), l.DurableWatermark(), l.flushing.Load(), liveFlushers())
+					t.Fatalf("round %d: stranded: assigned %d, watermark %d, %d idle-parked flusher(s)",
+						round, l.AssignedWatermark(), l.DurableWatermark(), flushersOf(l, "stm.(*Runtime).parkOnReadSet"))
 				}
 			}
 		}
-		waitNoFlusher(t)
-		if l.flushing.Load() {
-			t.Fatal("flushing flag left set with no flusher live")
-		}
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
+		closeStopsFlusher(t, l)
 	}
 	t.Run("quiet", func(t *testing.T) { run(t, stm.NewDefault(), 5000) })
-	t.Run("stalled-exit", func(t *testing.T) {
+	t.Run("stalled-park", func(t *testing.T) {
 		run(t, stm.New(stm.Config{Inject: &stm.Inject{Seed: 42, ConflictPct: 50,
-			WriteBackDelayPct: 30, PreHookStallPct: 30, WakeDelayPct: 30, StallSpins: 512}}), 6000)
+			WriteBackDelayPct: 30, PreHookStallPct: 30, WakeDelayPct: 30,
+			RetryRegisterStallPct: 30, StallSpins: 512}}), 6000)
 	})
 }
 
-// TestAtMostOneFlusher (invariant 3): however many appenders race, at
-// most one flusher goroutine per lane is ever live, none is live once the
-// queue is empty, and the log on disk is in LSN order with no gap.
+// TestAtMostOneFlusher (invariant 3): however many appenders race, the
+// lane has exactly one flusher goroutine at every sample, none the moment
+// Close returns, and the log on disk is in LSN order with no gap.
 func TestAtMostOneFlusher(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{Fsync: 200 * time.Microsecond})
 	rt, l, _ := openSim(t, fs, Options{SegmentBytes: 1 << 12})
@@ -204,32 +245,27 @@ func TestAtMostOneFlusher(t *testing.T) {
 		wg.Add(1)
 		go func() { defer wg.Done(); saturate(rt, l, 8, stop) }()
 	}
-	// A flusher that has committed its exit (flag cleared) is still a
-	// goroutine while that commit quiesces and returns, and its successor
-	// may already be running — so count the flushers that hold the log
-	// lock (inside drainAndFlush) or are parked waiting for it. An exiting
-	// flusher is in neither state; flushers piling up behind the lock are
-	// in nothing else.
-	sawOne, together := false, 0
+	// Sample the lane's flushers while the appenders race, and count the
+	// samples that caught one flushing, so a sampler that never sees the
+	// flusher at work is not mistaken for a pass.
+	flushing := 0
 	deadline := time.Now().Add(300 * time.Millisecond)
 	for time.Now().Before(deadline) {
-		sawOne = sawOne || liveFlushers() > 0
-		together = max(together, flushersIn("wal.(*Log).drainAndFlush", "stm.(*Runtime).parkOnReadSet"))
+		if n := flushersOf(l); n != 1 {
+			t.Fatalf("%d flusher goroutines for one lane, want exactly 1", n)
+		}
+		if flushersOf(l, "wal.(*Log).drainAndFlush") == 1 {
+			flushing++
+		}
 	}
 	close(stop)
 	wg.Wait()
 	l.WaitDurable(l.AssignedWatermark())
-	if together > 1 {
-		t.Fatalf("%d flusher goroutines holding or waiting for one lane's lock at once", together)
+	if flushing == 0 {
+		t.Fatal("never saw the flusher inside a flush: the sampler is not looking at the right thing")
 	}
-	if !sawOne {
-		t.Fatal("never saw a flusher: the sampler is not looking at the right thing")
-	}
-	waitNoFlusher(t)
 	total := l.AssignedWatermark()
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
+	closeStopsFlusher(t, l)
 	_, _, rec := openSim(t, fs, Options{SegmentBytes: 1 << 12})
 	if rec.LastLSN != total || uint64(len(rec.Records)) != total {
 		t.Fatalf("recovered %d records up to LSN %d, want %d", len(rec.Records), rec.LastLSN, total)
@@ -243,7 +279,7 @@ func TestAtMostOneFlusher(t *testing.T) {
 
 // TestSaturatedLaneDoesNotStarveTheLock (invariant 4): while an open-loop
 // appender keeps the lane's queue non-empty — so the flusher never goes
-// idle — a LastDurable subscriber and a Checkpoint each get the log lock
+// idle — a lastDurable subscriber and a Checkpoint each get the log lock
 // after waiting out, typically, one flush of the saturated lane, and a
 // cross-lane commit with an idle lane is durable on both lanes just as
 // soon: its records pass the frontier gate although the busy lane never
@@ -304,8 +340,8 @@ func TestSaturatedLaneDoesNotStarveTheLock(t *testing.T) {
 	const rounds = 15
 	waits := map[string][]uint64{}
 	for round := 0; round < rounds; round++ {
-		waits["LastDurable subscriber"] = append(waits["LastDurable subscriber"], waited("LastDurable subscriber", func() {
-			_ = rt.Atomic(func(tx *stm.Tx) error { _ = busy.LastDurable(tx); return nil })
+		waits["lastDurable subscriber"] = append(waits["lastDurable subscriber"], waited("lastDurable subscriber", func() {
+			_ = rt.Atomic(func(tx *stm.Tx) error { _ = lastDurable(tx, busy); return nil })
 		}))
 		waits["Checkpoint"] = append(waits["Checkpoint"], waited("Checkpoint", func() {
 			if _, err := busy.Checkpoint(ckptSnap(busy, fmt.Sprintf("ckpt-%d", round))); err != nil {
@@ -338,8 +374,8 @@ func TestSaturatedLaneDoesNotStarveTheLock(t *testing.T) {
 // TestCloseWithFlusherMidFsync: Close while the flusher is inside an
 // fsync neither trips "log closed" (that would panic the flusher
 // goroutine and the test binary with it) nor loses a record whose
-// durability was observed: Close's own flush waits for the lock the
-// flusher holds, then drains whatever is left.
+// durability was observed: the flusher finishes its fsync, drains
+// whatever is left, and only then returns and lets Close close the file.
 func TestCloseWithFlusherMidFsync(t *testing.T) {
 	for round := 0; round < 20; round++ {
 		fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
@@ -352,21 +388,44 @@ func TestCloseWithFlusherMidFsync(t *testing.T) {
 		// commit, mid-fsync, between batches.
 		time.Sleep(time.Duration(round%5) * 400 * time.Microsecond)
 		acked := l.DurableWatermark()
-		if err := l.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Close waits for the flusher's last transaction: one still parked
-		// behind Close's own flush would go on recording history events
-		// (its wake-up, its exit) after the caller thinks the log is quiet.
-		if l.flushing.Load() {
-			t.Fatalf("round %d: Close returned while the lane's flusher was still live", round)
-		}
-		waitNoFlusher(t)
+		// Close waits for the flusher to return: one still running would
+		// go on recording history events (its wake-up, its last flush)
+		// after the caller thinks the log is quiet.
+		closeStopsFlusher(t, l)
 		_, _, rec := openSim(t, fs, Options{})
 		if rec.LastLSN < acked {
 			t.Fatalf("round %d: watermark %d was published but recovery ends at %d", round, acked, rec.LastLSN)
 		}
 		if rec.LastLSN != last {
+			t.Fatalf("round %d: Close returned with LSN %d of %d on storage", round, rec.LastLSN, last)
+		}
+	}
+}
+
+// TestConcurrentCloseWaitsForFlusher: two Closes race on a log whose
+// flusher has a flush in flight. Each returns only once the flusher has
+// returned: a Close that found the other's lowered live and went straight
+// to the segment would close it under the flush and panic the flusher.
+func TestConcurrentCloseWaitsForFlusher(t *testing.T) {
+	for round := 0; round < 20; round++ {
+		fs := simio.NewFS(simio.Latency{Fsync: time.Millisecond})
+		rt, l, _ := openSim(t, fs, Options{})
+		var last uint64
+		for i := 0; i < 4; i++ {
+			last = appendOne(t, rt, l, fmt.Sprintf("r%d-%d", round, i))
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i := range errs {
+			wg.Add(1)
+			go func() { defer wg.Done(); errs[i] = l.Close() }()
+		}
+		wg.Wait()
+		if (errs[0] == nil) == (errs[1] == nil) {
+			t.Fatalf("round %d: Close errors %v, want exactly one nil", round, errs)
+		}
+		stopped(t, l)
+		if _, _, rec := openSim(t, fs, Options{}); rec.LastLSN != last {
 			t.Fatalf("round %d: Close returned with LSN %d of %d on storage", round, rec.LastLSN, last)
 		}
 	}

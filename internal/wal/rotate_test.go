@@ -116,6 +116,8 @@ func openRecording(t *testing.T, fs *simio.FS, calls *callLog) *Log {
 	if err != nil {
 		t.Fatal(err)
 	}
+	JoinLanes([]*Log{l})
+	closeAtEnd(t, l)
 	return l
 }
 

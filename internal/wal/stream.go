@@ -32,8 +32,9 @@ func (l *Log) CheckpointLSN() uint64 { return l.lastCkpt.Load() }
 // tails parked in retry: like WaitDurable (see its comment), a tail
 // must wake when a flush publishes — not when the lock frees — or every
 // publish would stampede the parked tails through the lock's release
-// window. Unlike LastDurable it gives no flush-exclusion guarantee,
-// which a tail does not need: it only ever reads bytes ≤ the watermark.
+// window. Unlike a subscribed read it gives no flush-exclusion
+// guarantee, which a tail does not need: it only ever reads bytes ≤ the
+// watermark.
 func (l *Log) PeekDurable(tx *stm.Tx) uint64 { return l.durable.Get(tx) }
 
 // StreamReadBytes returns the segment bytes every Tail of this log has

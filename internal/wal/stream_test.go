@@ -55,6 +55,7 @@ func openCounted(t *testing.T, fs *simio.FS, opts Options, read *atomic.Int64) (
 	if err != nil {
 		t.Fatal(err)
 	}
+	JoinLanes([]*Log{l})
 	t.Cleanup(func() { l.Close() })
 	return rt, l
 }
@@ -514,11 +515,12 @@ func TestCheckpointCrashKeepsOldBase(t *testing.T) {
 	}
 }
 
-// TestWaitDurableCtxCancelNoLeak mirrors the PR 6 retry-cancel path for
-// the durability watermark: cancelling a parked WaitDurableCtx must
+// TestWaitDurableCtxCancelNoLeak mirrors the runtime's retry-cancel path
+// for the durability watermark: cancelling a parked WaitDurableCtx must
 // unregister the waiter from the watermark's watcher set. The gate is
-// RetryParked draining to zero under churn; a leaked registration keeps
-// the count pinned.
+// the watermark Var's watcher count draining to zero under churn; a
+// leaked registration keeps it pinned. (The runtime-wide RetryParked
+// count cannot be the gate: the lane's idle flusher is parked too.)
 func TestWaitDurableCtxCancelNoLeak(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{})
 	rt, l, _ := openSim(t, fs, Options{})
@@ -540,13 +542,13 @@ func TestWaitDurableCtxCancelNoLeak(t *testing.T) {
 		}
 		// Let at least some waiters actually park before cancelling.
 		deadline := time.Now().Add(time.Second)
-		for rt.RetryParked() < waiters/2 && time.Now().Before(deadline) {
+		for l.durable.Watchers() < waiters/2 && time.Now().Before(deadline) {
 			time.Sleep(100 * time.Microsecond)
 		}
 		cancel()
 		wg.Wait()
-		if parked := rt.RetryParked(); parked != 0 {
-			t.Fatalf("round %d: %d waiters still parked after cancel", round, parked)
+		if w := l.durable.Watchers(); w != 0 {
+			t.Fatalf("round %d: %d waiters still registered on the watermark after cancel", round, w)
 		}
 	}
 

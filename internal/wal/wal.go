@@ -6,50 +6,46 @@
 // The construction: a Log is a Deferrable object whose lock (Listing 2)
 // guards the segment files and the published durability watermark. An
 // appending transaction reserves the next LSN and pushes its record onto
-// a transactional queue (pending) — pure Var writes — and, only if the
-// lane's transactional flushing flag is false in its snapshot, sets the
-// flag and starts the lane's flusher goroutine after it commits. It then
-// returns: the append is a commit, never an fsync.
+// a transactional queue (pending) — pure Var writes — and returns: the
+// append is a commit, never an fsync.
 //
-// The flusher loops over one small transaction: if pending is empty it
-// clears flushing and exits; otherwise it defers drain+write+fsync+
-// publish with AtomicDefer(tx, flush, log), acquiring the log lock
-// atomically at its commit and releasing it when the watermark is
-// published. Between a flush's commit and its publish no other owner can
-// observe the log's durability state — the paper's deferral-atomicity
+// Each lane runs one flusher goroutine, from JoinLanes to Close. It loops
+// over one transaction (group.next, epoch.go): on an empty queue it parks
+// in a retry on that queue, which the next append's commit wakes;
+// otherwise it commits AtomicDefer(tx, drainAndFlush, log), acquiring the
+// log lock atomically at its commit and releasing it when the watermark
+// is published. Between a flush's commit and its publish no other owner
+// can observe the log's durability state — the paper's deferral-atomicity
 // guarantee, applied to fsync. Group commit falls out: every record
 // committed while one fsync is in flight rides the next, whether it came
 // from sixteen connections or from one connection sixteen requests deep.
 //
-// Four invariants carry the design (DESIGN.md §6 names the test pinning
-// each):
+// Four invariants carry the design (DESIGN.md §6 names the code, test and
+// checker rule behind each):
 //
 //  1. Ack after durable. Nothing here acknowledges anything; callers wait
 //     on the watermark (WaitDurable), which a flush publishes only after
 //     its fsync returned.
-//  2. No stranded record. flushing is cleared only by a transaction that
-//     read pending == nil, and set by the appender that enqueues while it
-//     is false — one transaction each, so an append serializes either
-//     before the flusher's emptiness check (the flusher sees it) or after
-//     the clear (the appender starts a new flusher). No record needs a
-//     later append to become durable.
-//  3. One flusher per lane. Only the false→true transition starts one,
-//     and only the flusher makes the true→false transition, as its last
-//     act. Per lane, LSN order = serialization order (appenders conflict
-//     on nextLSN) = on-disk order (drains hold the lock).
+//  2. No stranded record. The flusher parks only in a retry that read an
+//     empty queue, so the commit that fills it wakes it, and it returns
+//     only once Close has lowered live and the queue is empty; an append
+//     ordered after Close reads live lowered and panics.
+//  3. One flusher per lane: JoinLanes starts it and nothing else does.
+//     Per lane, LSN order = serialization order (appenders conflict on
+//     nextLSN) = on-disk order (drains hold the lock).
 //  4. The lock is held per fsync, not per busy period: the flusher
 //     re-acquires it for every batch and yields the processor after every
-//     release, so LastDurable subscribers, Checkpoint and Flush get their
-//     turn on a saturated lane — and whichever of them drains, drains
-//     this queue through the same drainAndFlush.
+//     release, so lock subscribers and Checkpoint get their turn on a
+//     saturated lane — and a checkpoint drains this queue through the
+//     same drainAndFlush.
 //
-// Lanes of one store (JoinLanes) flush independently while their
-// traffic is unbatched; once it batches, they flush as one epoch that
-// starts when the wave the last epoch acknowledged has come back
-// (epoch.go). A commit spanning several lanes enqueues one record on
-// each. One gate keeps it all-or-nothing across a crash: a batch holding
-// a multi-lane record with GSN g publishes its watermark only once every
-// lane has fsynced all of its records with GSN ≤ g (awaitFrontier).
+// The lanes of one store flush independently while their traffic is
+// unbatched; once it batches, they flush as one epoch that starts when
+// the wave the last epoch acknowledged has come back (epoch.go). A
+// commit spanning several lanes enqueues one record on each. One gate
+// keeps it all-or-nothing across a crash: a batch holding a multi-lane
+// record with GSN g publishes its watermark only once every lane has
+// fsynced all of its records with GSN ≤ g (awaitFrontier).
 //
 // Records carry CRC-32C and their LSN (record.go); recovery (Open)
 // replays segments in order, verifies every record, truncates a torn
@@ -126,7 +122,7 @@ type Recovery struct {
 // newest first; drains reverse it).
 type pnode struct {
 	lsn   uint64
-	gsn   uint64 // global commit sequence number; 0 on a lone log
+	gsn   uint64 // global commit sequence number
 	cross bool   // one of several records of a multi-lane commit
 	// anyCross: this record or an older one still queued is cross.
 	anyCross bool
@@ -155,7 +151,7 @@ type BatchStats struct {
 	MaxBatch    uint64     // largest single batch
 	Hist        [17]uint64 // Hist[i] counts batches with bits.Len64(size) == i
 	// Epochs counts the flush epochs this lane started (epoch.go), and
-	// EpochDeadlines those of them its gather started at the deadline
+	// EpochDeadlines those of them it started at the deadline
 	// rather than on the returning wave or for a cross-lane record.
 	Epochs         uint64
 	EpochDeadlines uint64
@@ -203,20 +199,21 @@ type Log struct {
 	opts Options
 	met  *Metrics // nil: the log stamps, times and labels nothing (SetMetrics)
 
-	nextLSN  stm.Var[uint64]    // next LSN to reserve
-	pending  stm.Var[*pnode]    // committed-but-unflushed records
-	flushing stm.Var[bool]      // the lane's flusher goroutine is live
-	durable  stm.Var[uint64]    // published watermark; written only by drainAndFlush
-	synced   stm.Var[syncPoint] // last fsynced record; written only by drainAndFlush
+	nextLSN stm.Var[uint64]    // next LSN to reserve
+	pending stm.Var[*pnode]    // committed-but-unflushed records
+	durable stm.Var[uint64]    // published watermark; written only by drainAndFlush
+	synced  stm.Var[syncPoint] // last fsynced record; written only by drainAndFlush
 
-	grp     *group          // the store's lane set (JoinLanes); nil for a lone log
+	grp     *group          // the store's lane set (JoinLanes)
 	inEpoch stm.Var[uint64] // the flush epoch the lane is in; 0 = none (epoch.go)
+	live    stm.Var[bool]   // the flusher takes appends: raised by JoinLanes, lowered by Close
+	done    chan struct{}   // closed when the flusher returns; noFlusher until JoinLanes
 
 	// File state. Mutators hold the log's TxLock: segment writes come
-	// only from drainAndFlush (the flusher, Flush or Checkpoint), the
-	// prune from Checkpoint. fmu makes the happens-before explicit for
-	// the race detector, for Tails and for Close, which runs after its
-	// own Flush.
+	// only from drainAndFlush (the flusher or Checkpoint), the prune from
+	// Checkpoint. fmu makes the happens-before explicit for the race
+	// detector, for Tails and for Close, which runs after the flusher
+	// returned.
 	fmu      sync.Mutex
 	cur      File
 	curName  string
@@ -342,7 +339,7 @@ func Open(rt *stm.Runtime, b Backend, opts Options) (*Log, *Recovery, error) {
 	}
 	rec.LastLSN = max(prev, rec.CheckpointLSN)
 
-	l := &Log{rt: rt, b: b, opts: opts, segs: segs}
+	l := &Log{rt: rt, b: b, opts: opts, segs: segs, done: noFlusher}
 	l.nextLSN.Init(rec.LastLSN + 1)
 	l.durable.Init(rec.LastLSN)
 	l.synced.Init(syncPoint{lsn: rec.LastLSN})
@@ -397,14 +394,14 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 	return lsn
 }
 
-// EnqueueReserved enqueues payload under a previously Reserved lsn,
-// records the append event and makes sure the lane's flusher will write
-// it. If tx aborts, nothing happened; once it commits, the record is
-// durable when a group-commit flush covers it (WaitDurable blocks for
-// exactly that). EnqueueReserved never waits for I/O: the lane's flusher
-// goroutine (started by deferFlush when none is live) writes and fsyncs
-// the record, together with everything else committed since the
-// previous fsync began.
+// EnqueueReserved enqueues payload under a previously Reserved lsn and
+// records the append event. If tx aborts, nothing happened; once it
+// commits, the record is durable when a group-commit flush covers it
+// (WaitDurable blocks for exactly that). EnqueueReserved never waits for
+// I/O: the commit wakes the lane's flusher, which writes and fsyncs the
+// record together with everything else committed since the previous
+// fsync began. On a log whose flusher does not take appends (never
+// joined, or closed) it panics rather than strand the record.
 //
 // gsn is the commit's global commit sequence number (it rides
 // Event.Aux2); on joined lanes every record carries one, and per lane
@@ -414,6 +411,9 @@ func (l *Log) Reserve(tx *stm.Tx) uint64 {
 // as it stands when the flush encodes it, so the caller must not modify
 // it after the call.
 func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, cross bool, payload []byte) {
+	if !l.live.Get(tx) {
+		panic("wal: append to a log with no flusher (not joined, or closed)")
+	}
 	next := l.pending.Get(tx)
 	node := &pnode{lsn: lsn, gsn: gsn, cross: cross, anyCross: cross || next != nil && next.anyCross, payload: payload, next: next}
 	if l.met != nil {
@@ -425,86 +425,31 @@ func (l *Log) EnqueueReserved(tx *stm.Tx, lsn, gsn uint64, cross bool, payload [
 	if l.rt.Recording() {
 		tx.RecordOnCommit(stm.Event{Kind: stm.EvWALAppend, Owner: tx.Owner(), Var: l.Lock().VarID(), Aux: lsn, Aux2: gsn})
 	}
-	l.deferFlush(tx)
 }
 
-// deferFlush makes sure a flusher will pick up the record tx enqueued:
-// if none is live in tx's snapshot, tx raises the flushing flag and
-// starts one after it commits. The flag is transactional, so the raise
-// serializes against the flusher's "queue empty → clear the flag" exit
-// (see flusher) and a committed record is never left without one.
-func (l *Log) deferFlush(tx *stm.Tx) {
-	if l.flushing.Get(tx) {
-		return
-	}
-	l.flushing.Set(tx, true)
-	tx.AfterCommit(func() { go l.flusher() })
-}
-
-// flusher is the lane's on-demand group-commit goroutine: it exists only
-// while records are pending. Every flush is one atomic deferral — the log
-// lock is acquired at the flusher transaction's commit and released when
-// the batch's watermark is published — so the lock is free between
-// batches and the flusher competes for it like any other owner.
-//
-// The emptiness check and the flag's clear are ONE transaction: were they
-// two, an append committing between them would see flushing still set,
-// start nobody, and strand its record until the next append.
-//
-// On joined lanes each flush first waits, outside the lock, for its
-// epoch (gather, epoch.go); the flush then leaves the epoch it joined,
-// and the exit leaves whatever epoch a start enlisted the lane in. A
-// record that arrives after a gather found the queue empty goes back to
-// the gather rather than into an unplanned flush.
+// flusher is the lane's group-commit goroutine, from JoinLanes to Close.
+// Every flush is one atomic deferral, committed by group.next — the log
+// lock is acquired at that commit and released when the batch's
+// watermark is published — so the lock is free between batches and the
+// flusher competes for it like any other owner. A flush in an epoch
+// leaves it once published.
 func (l *Log) flusher() {
-	g := l.grp
+	defer close(l.done)
 	for {
-		e, gathered := uint64(0), true
-		if g != nil {
-			e, gathered = g.gather(l)
-		}
-		var idle, regather bool
-		_ = l.rt.Atomic(func(tx *stm.Tx) error {
-			idle, regather = l.pending.Get(tx) == nil, false
-			switch {
-			case idle:
-				l.flushing.Set(tx, false)
-				if g != nil {
-					g.leave(tx, l)
-				}
-			case !gathered: // a record arrived after the gather found none
-				regather = true
-			default:
-				core.AtomicDefer(tx, l.drainAndFlush, l)
-			}
-			return nil
-		})
-		if idle {
+		e, ok := l.grp.next(l)
+		if !ok {
 			return
 		}
-		if regather {
-			continue
-		}
 		if e != 0 {
-			_ = l.rt.Atomic(func(tx *stm.Tx) error { g.leave(tx, l); return nil })
+			_ = l.rt.Atomic(func(tx *stm.Tx) error { l.grp.leave(tx, l); return nil })
 		}
 		// The release just woke whoever was parked on the lock
-		// (subscribers, a checkpoint, Flush). Let them run before
-		// competing for it again: the records that arrived during the
-		// fsync are already queued, so without this the loop would
-		// re-acquire within a microsecond, every time.
+		// (subscribers, a checkpoint). Let them run before competing for
+		// it again: the records that arrived during the fsync are already
+		// queued, so without this the loop would re-acquire within a
+		// microsecond, every time.
 		runtime.Gosched()
 	}
-}
-
-// LastDurable returns the durability watermark inside tx, subscribing to
-// the log lock first: while a flush is in flight the transaction waits
-// (via retry), and once it reads the watermark, any later flush conflicts
-// with it — the subscription semantics of the paper's Listing 2 applied
-// to durability state.
-func (l *Log) LastDurable(tx *stm.Tx) uint64 {
-	l.Subscribe(tx)
-	return l.durable.Get(tx)
 }
 
 // DurableWatermark returns the published watermark without a transaction
@@ -523,11 +468,11 @@ func (l *Log) AssignedWatermark() uint64 { return l.nextLSN.Load() - 1 }
 // condition synchronization: the waiter sleeps until a flush publishes a
 // new watermark.
 //
-// Unlike LastDurable it deliberately does NOT subscribe to the log lock:
-// the watermark is published (and retriers woken) while the flushing
-// operation still holds the lock, so a waiter whose record is covered
-// resumes immediately instead of also waiting out the release — and is
-// not aborted by the next flush's acquisition while it is still running.
+// It deliberately does NOT subscribe to the log lock: the watermark is
+// published (and retriers woken) while the flushing operation still
+// holds the lock, so a waiter whose record is covered resumes
+// immediately instead of also waiting out the release — and is not
+// aborted by the next flush's acquisition while it is still running.
 func (l *Log) WaitDurable(lsn uint64) {
 	_ = l.WaitDurableCtx(nil, lsn)
 }
@@ -545,19 +490,10 @@ func (l *Log) WaitDurableCtx(ctx context.Context, lsn uint64) error {
 	})
 }
 
-// Flush forces a drain+fsync of everything appended so far (used by
-// Close, checkpoints and tests; normal operation never needs it).
-func (l *Log) Flush() {
-	me := l.rt.NewOwner()
-	l.Lock().AcquireOutside(l.rt, me)
-	defer func() { _ = l.Lock().ReleaseOutside(l.rt, me) }()
-	l.drainAndFlush(core.NewOpCtx(l.rt, me))
-}
-
 // drainAndFlush drains the batch queue, appends the records in LSN order,
 // fsyncs once, publishes synced, waits for the frontier if the batch
 // holds a multi-lane record, and publishes the new watermark. It is the
-// only flush path — the flusher, Flush and Checkpoint all come here —
+// only flush path — the flusher and Checkpoint both come here —
 // and so the only writer of the segments, synced and durable. The caller
 // must hold the log's TxLock (via AtomicDefer or AcquireOutside) under
 // ctx.Owner(); the history checker's durability rule holds every
@@ -589,14 +525,19 @@ func (l *Log) drainAndFlush(ctx *core.OpCtx) {
 	l.publish(ctx, head, batch, flushStart)
 }
 
-// JoinLanes makes logs the lanes of one store: a flush covering a
-// multi-lane record waits for the frontier across all of them, and
-// batched flushes start together as epochs (epoch.go). Call it once,
-// before the first append; a log never joined never waits.
+// JoinLanes makes logs the lanes of one store and starts each lane's
+// flusher: a flush covering a multi-lane record waits for the frontier
+// across all of them, and batched flushes start together as epochs
+// (epoch.go). Call it once, after recovery and before the first append;
+// a log takes appends only once joined, if only as a group of one.
 func JoinLanes(logs []*Log) {
 	g := &group{lanes: logs}
 	for _, l := range logs {
-		l.grp = g
+		l.grp, l.done = g, make(chan struct{})
+		l.live.Init(true)
+	}
+	for _, l := range logs {
+		go l.flusher()
 	}
 }
 
@@ -611,9 +552,6 @@ func JoinLanes(logs []*Log) {
 // first: while it lasts, no lane holds records back for an epoch.
 func (l *Log) awaitFrontier(ctx *core.OpCtx, g uint64) {
 	grp := l.grp
-	if grp == nil {
-		return
-	}
 	waiting := func(d int) func(*stm.Tx) error {
 		return func(tx *stm.Tx) error { grp.waiting.Set(tx, grp.waiting.Get(tx)+d); return nil }
 	}
@@ -740,16 +678,11 @@ func (l *Log) writeLocked(batch []Record) error {
 		return err
 	}
 	l.noteFsync()
-	var t0 time.Time
-	if l.grp != nil {
-		t0 = time.Now()
-	}
+	t0 := time.Now()
 	if err := l.cur.Fsync(); err != nil {
 		return err
 	}
-	if l.grp != nil {
-		l.grp.fsync.Store(int64(time.Since(t0)))
-	}
+	l.grp.fsync.Store(int64(time.Since(t0)))
 	l.dirty = false
 	return nil
 }
@@ -938,23 +871,18 @@ func (l *Log) Checkpoint(snap func(tx *stm.Tx) (blob []byte, upTo uint64, err er
 	return upTo, nil
 }
 
-// Close flushes pending records and closes the current segment. A
-// flusher caught mid-fsync finishes first (Flush waits for the lock it
-// holds) and then finds the queue empty; appends after Close panic the
-// flusher, so stop all writers first.
+// noFlusher is the done channel of a log that was never joined: it has
+// no flusher to wait for.
+var noFlusher = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// Close stops the lane's flusher, which first flushes every record
+// committed before Close, and closes the current segment; nothing of the
+// log runs transactions after it returns, whichever of several
+// concurrent Closes returns first. An append ordered after Close panics,
+// so stop all writers first.
 func (l *Log) Close() error {
-	l.Flush()
-	// The flusher goroutine may still be on its way out: parked behind
-	// the lock Flush held, or not yet at the transaction that finds the
-	// queue empty and clears flushing. Wait for that transaction, so that
-	// nothing of this log runs transactions (or records history events)
-	// after Close returns. Atomic only returns the closure's error.
-	_ = l.rt.Atomic(func(tx *stm.Tx) error {
-		if l.flushing.Get(tx) {
-			tx.Retry()
-		}
-		return nil
-	})
+	_ = l.rt.Atomic(func(tx *stm.Tx) error { l.live.Set(tx, false); return nil })
+	<-l.done
 	l.fmu.Lock()
 	defer l.fmu.Unlock()
 	if l.closed {

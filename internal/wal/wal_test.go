@@ -19,7 +19,28 @@ func openSim(t *testing.T, fs *simio.FS, opts Options) (*stm.Runtime, *Log, *Rec
 	if err != nil {
 		t.Fatal(err)
 	}
+	JoinLanes([]*Log{l})
+	closeAtEnd(t, l)
 	return rt, l, rec
+}
+
+// closeAtEnd closes l when t ends, so that the logs a test opens only to
+// read back what is on storage do not leave their flushers parked for the
+// rest of the test binary: every goroutine dump a flusher test takes
+// would grow with them. A log the test closed itself reports "already
+// closed" here, which is expected.
+func closeAtEnd(t *testing.T, l *Log) {
+	t.Cleanup(func() { _ = l.Close() })
+}
+
+// lastDurable returns l's durability watermark inside tx, subscribing to
+// the log lock first: while a flush is in flight the transaction waits
+// (via retry), and once it reads the watermark, any later flush
+// conflicts with it — the subscription semantics of the paper's Listing
+// 2 applied to durability state.
+func lastDurable(tx *stm.Tx, l *Log) uint64 {
+	l.Subscribe(tx)
+	return l.durable.Get(tx)
 }
 
 // enqueue appends payload within tx the way a store commit does:
@@ -348,7 +369,7 @@ func TestCheckpointPrune(t *testing.T) {
 	}
 }
 
-// TestLastDurableSubscribes: a transaction reading LastDurable while a
+// TestLastDurableSubscribes: a transaction reading lastDurable while a
 // flush is in flight waits for it rather than seeing a stale watermark.
 func TestLastDurableSubscribes(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{Fsync: 5 * time.Millisecond})
@@ -356,7 +377,7 @@ func TestLastDurableSubscribes(t *testing.T) {
 	lsn := appendOne(t, rt, l, "one") // the flusher holds the lock across its fsync
 	var seen uint64
 	if err := rt.Atomic(func(tx *stm.Tx) error {
-		seen = l.LastDurable(tx)
+		seen = lastDurable(tx, l)
 		if seen < lsn {
 			tx.Retry()
 		}
@@ -365,7 +386,7 @@ func TestLastDurableSubscribes(t *testing.T) {
 		t.Fatal(err)
 	}
 	if seen != lsn {
-		t.Fatalf("LastDurable=%d, want %d", seen, lsn)
+		t.Fatalf("lastDurable=%d, want %d", seen, lsn)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)

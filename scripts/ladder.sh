@@ -1,7 +1,9 @@
 #!/bin/sh
 # The width ladder: the packages whose behaviour depends on how goroutines
 # interleave, uncached at GOMAXPROCS 1 and 2 and once under the race
-# detector, then the torture workloads that drive the same paths with
+# detector, the durability packages once more at 4 (oversubscribed on a
+# two-core machine, so goroutines are preempted mid-step as on a loaded
+# server), then the torture workloads that drive the same paths with
 # injected stalls and full history checking, on one core and on two (the
 # kvstore workload in HTM mode too: no quiescence, so the WAL flusher
 # races the appender's commit hardest there).
@@ -13,7 +15,7 @@
 # ds) interleave differently on one core and on two; the durability path
 # (wal appender/flusher hand-off, sharded kv, pipelined server,
 # replication stream) is scheduling-sensitive end to end — the flusher's
-# exit races appends, its lock hand-off races checkpoints, and cross-lane
+# park races appends, its lock hand-off races checkpoints, and cross-lane
 # commits make lane flushers wait on each other. The defer and watcher
 # workloads drive the deferral's acquire → quiesce → λ → release and
 # retry's register → revalidate → park. The recorder and the checker
@@ -34,6 +36,8 @@ for procs in 1 2; do
 done
 echo "==> width ladder: go test -race (uncached)"
 go test -race -count=1 $pkgs
+echo "==> width ladder: durability packages at GOMAXPROCS=4 (uncached)"
+GOMAXPROCS=4 go test -count=1 ./internal/wal ./internal/kv ./internal/server ./internal/repl
 for procs in 1 2; do
     for wl in defer watcher scanner kvstore replica; do
         echo "==> width ladder: stmtorture -workload $wl -check -inject at GOMAXPROCS=$procs"
