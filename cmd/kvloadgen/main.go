@@ -19,9 +19,8 @@
 // rung with writes and -window >= 16 observed fsyncs/commit >= 0.5.
 //
 // -ackfile records the highest durably-acked LSN per WAL lane for
-// the crash-recovery smoke (a bare decimal for a single-lane server,
-// "lane lsn" lines for a sharded one — the formats kvserver -verify
-// accepts).
+// the crash-recovery smoke, one "lane lsn" line per lane — the format
+// kvserver -verify and kvreplica -verify read.
 package main
 
 import (
@@ -57,9 +56,7 @@ type rung struct {
 }
 
 // ackTracker records, per WAL lane, the highest LSN the server durably
-// acked to us. Write responses carry lane-tagged tokens
-// (kv.PackToken); a legacy single-lane server's tokens decode as lane
-// 0, so the unsharded path falls out of the same code.
+// acked to us. Write responses carry lane-tagged tokens (kv.PackToken).
 type ackTracker struct {
 	lanes [kv.MaxShards]atomic.Uint64
 }
@@ -78,9 +75,8 @@ func (a *ackTracker) observe(token uint64) {
 	}
 }
 
-// render emits the ackfile: the legacy bare decimal when only lane 0
-// ever acked (so single-lane smoke artifacts keep their old shape), or
-// one "lane lsn" line per acked lane for a sharded server.
+// render emits the ackfile: one "lane lsn" line for each lane up to the
+// highest that acked (lane 0 alone if none did).
 func (a *ackTracker) render() string {
 	maxLane := 0
 	for lane := kv.MaxShards - 1; lane > 0; lane-- {
@@ -88,9 +84,6 @@ func (a *ackTracker) render() string {
 			maxLane = lane
 			break
 		}
-	}
-	if maxLane == 0 {
-		return strconv.FormatUint(a.lanes[0].Load(), 10) + "\n"
 	}
 	var sb strings.Builder
 	for lane := 0; lane <= maxLane; lane++ {
@@ -111,7 +104,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		reads   = fs.Int("reads", 0, "percentage of requests that are GETs (0 = all writes)")
 		window  = fs.Int("window", 64, "requests kept in flight per connection")
 		seed    = fs.Int64("seed", 1, "workload RNG seed")
-		ackfile = fs.String("ackfile", "", "write the highest durably-acked LSN to this file (crash smoke)")
+		ackfile = fs.String("ackfile", "", "write the highest durably-acked LSN of each lane to this file (crash smoke)")
 		checkFC = fs.Bool("check", false, "fail unless a group-mode rung with >= 8 conns and writes saw fsyncs/commit < 1, and every 1-conn rung (at -window >= 16) saw < 0.5")
 	)
 	if err := fs.Parse(args); err != nil {

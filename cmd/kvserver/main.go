@@ -18,10 +18,11 @@
 //
 //	kvserver -dir D -verify            recover the store, print a JSON
 //	                                   RecoveryInfo summary, exit
-//	kvserver -dir D -verify -ackfile F additionally check the recovered
-//	                                   LSN against the loadgen's record
-//	                                   of acked LSNs via
-//	                                   check.RecoveredPrefixLanes
+//	kvserver -dir D -verify -ackfile F additionally check each lane's
+//	                                   recovered LSN against the
+//	                                   loadgen's "lane lsn" record of
+//	                                   acked LSNs via
+//	                                   check.AckedPrefixLanes
 package main
 
 import (
@@ -188,12 +189,9 @@ func open(backend wal.Backend, opts kv.Options) (*obs.Registry, *kv.Store, *kv.R
 // the recovered state against the durability acks handed out before the
 // crash. The loadgen records, per WAL lane, the highest LSN whose
 // response it actually received; the server acks only at the durable
-// watermark; so recovery must cover those LSNs —
-// check.RecoveredPrefixLanes states this as "nothing acked is lost,
-// nothing unappended is invented", lane by lane.
-//
-// Ackfile formats: one bare decimal (the unsharded legacy format,
-// meaning lane 0), or one "lane lsn" pair per line for a sharded run.
+// watermark; so recovery must cover those LSNs, lane by lane
+// (check.AckedPrefixLanes). The ackfile holds one "lane lsn" pair per
+// line (check.ParseAckfile).
 func runVerify(stdout, stderr io.Writer, info *kv.RecoveryInfo, ackfile string) int {
 	summary, _ := json.Marshal(info)
 	fmt.Fprintf(stdout, "%s\n", summary)
@@ -210,9 +208,6 @@ func runVerify(stdout, stderr io.Writer, info *kv.RecoveryInfo, ackfile string) 
 		fmt.Fprintf(stderr, "kvserver: -ackfile %s: %v\n", ackfile, err)
 		return 1
 	}
-	// check.AckedPrefixLanes synthesizes the minimal per-lane history
-	// both sides can attest to (appends through max(acked, recovered),
-	// watermark through acked) and runs the lane-prefix axioms over it.
 	recovered := make([]uint64, info.Shards)
 	for lane := 0; lane < info.Shards && lane < len(info.Lanes); lane++ {
 		recovered[lane] = info.Lanes[lane].LastLSN // zero in -mode none (no lanes)

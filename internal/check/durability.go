@@ -324,15 +324,11 @@ func RecoveredPrefixLanes(events []stm.Event, lanes []RecoveredLane) []Violation
 // kvserver and kvreplica -verify modes: given, per lane, the highest
 // LSN some client was durably acked and the highest LSN the process
 // under test actually holds (recovery's LastLSN, or a replica's applied
-// cursor), it synthesizes the minimal per-lane history both sides can
-// attest to and runs RecoveredPrefixLanes over it.
-//
-// The synthesized history records one append per LSN up to
-// max(acked, held) — contiguity holds by construction, each lane
-// assigns LSNs sequentially — and publishes the durable watermark
-// through the acked LSN. TxIDs are unique per append: this history
-// cannot attest which records formed cross-shard batches, so batch
-// atomicity is covered by in-process crash tests, not here.
+// cursor), it reports every lane that holds less than was acked.
+// Completeness is all two such vectors can attest to: they say nothing
+// of which records were appended or formed cross-shard batches, so
+// prefix-ness and batch atomicity are checked by RecoveredPrefixLanes
+// over recorded histories, in process.
 func AckedPrefixLanes(acked, held []uint64) []Violation {
 	if len(acked) != len(held) {
 		return []Violation{{
@@ -341,26 +337,20 @@ func AckedPrefixLanes(acked, held []uint64) []Violation {
 				len(acked), len(held)),
 		}}
 	}
-	var events []stm.Event
-	lanes := make([]RecoveredLane, len(held))
-	txID := uint64(0)
+	var out []Violation
 	for lane := range held {
-		lanes[lane] = RecoveredLane{LogVar: uint64(lane), LastLSN: held[lane]}
-		maxAppended := held[lane]
-		if acked[lane] > maxAppended {
-			maxAppended = acked[lane]
+		if held[lane] < acked[lane] {
+			out = append(out, Violation{
+				Rule: RuleDurability,
+				Msg: fmt.Sprintf("lane %d lost acknowledged records: recovered through LSN %d but LSN %d was acked durable",
+					lane, held[lane], acked[lane]),
+			})
 		}
-		for lsn := uint64(1); lsn <= maxAppended; lsn++ {
-			txID++
-			events = append(events, stm.Event{Kind: stm.EvWALAppend, TxID: txID, Var: uint64(lane), Aux: lsn})
-		}
-		events = append(events, stm.Event{Kind: stm.EvWALDurable, Var: uint64(lane), Aux: acked[lane]})
 	}
-	return RecoveredPrefixLanes(events, lanes)
+	return out
 }
 
-// ParseAckfile reads a loadgen ack record: either one bare decimal (the
-// unsharded legacy format, meaning lane 0) or one "lane lsn" pair per
+// ParseAckfile reads a loadgen ack record, one "lane lsn" pair per
 // line, returning the max durably-acked LSN per lane. Both kvserver
 // -verify (against recovery) and kvreplica -verify (against the applied
 // cursors) feed the result to AckedPrefixLanes.
@@ -368,35 +358,24 @@ func ParseAckfile(content string, lanes int) ([]uint64, error) {
 	acked := make([]uint64, lanes)
 	for _, line := range strings.Split(strings.TrimSpace(content), "\n") {
 		fields := strings.Fields(line)
-		switch len(fields) {
-		case 0:
+		if len(fields) == 0 {
 			continue
-		case 1:
-			lsn, err := strconv.ParseUint(fields[0], 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			if lsn > acked[0] {
-				acked[0] = lsn
-			}
-		case 2:
-			lane, err := strconv.Atoi(fields[0])
-			if err != nil {
-				return nil, err
-			}
-			if lane < 0 || lane >= lanes {
-				return nil, fmt.Errorf("ack for lane %d of a %d-lane store", lane, lanes)
-			}
-			lsn, err := strconv.ParseUint(fields[1], 10, 64)
-			if err != nil {
-				return nil, err
-			}
-			if lsn > acked[lane] {
-				acked[lane] = lsn
-			}
-		default:
-			return nil, fmt.Errorf("bad ackfile line %q", line)
 		}
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("bad ackfile line %q (want \"lane lsn\")", line)
+		}
+		lane, err := strconv.Atoi(fields[0])
+		if err != nil {
+			return nil, err
+		}
+		if lane < 0 || lane >= lanes {
+			return nil, fmt.Errorf("ack for lane %d of a %d-lane store", lane, lanes)
+		}
+		lsn, err := strconv.ParseUint(fields[1], 10, 64)
+		if err != nil {
+			return nil, err
+		}
+		acked[lane] = max(acked[lane], lsn)
 	}
 	return acked, nil
 }

@@ -96,7 +96,7 @@ func (a *Applier) Record(lane int, lsn uint64, payload []byte) error {
 	if lsn != next {
 		return fmt.Errorf("kv: lane %d record gap: got LSN %d, expected %d", lane, lsn, next)
 	}
-	gsn, pts, ops, err := a.s.decodeRecord(payload)
+	gsn, pts, ops, err := decodeLaneRecord(payload)
 	if err != nil {
 		return fmt.Errorf("kv: lane %d record %d: %w", lane, lsn, err)
 	}

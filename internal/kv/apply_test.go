@@ -20,8 +20,8 @@ import (
 // satisfied if its lane recovered that LSN below its own cut, or
 // already folded it into a checkpoint. Cutting one lane can orphan a
 // batch another lane thought complete, so the cuts iterate to a fixed
-// point; each pass only lowers cuts, so it terminates. A record without
-// a vector — every record of a 1-lane store — has no sibling to miss.
+// point; each pass only lowers cuts, so it terminates. A record with a
+// one-point vector has no sibling to miss.
 func crossLaneCuts(recs []*wal.Recovery, decoded [][]laneRecord) ([]uint64, error) {
 	present := make([]map[uint64]bool, len(decoded))
 	for i, lane := range decoded {
@@ -73,7 +73,7 @@ func applierCuts(s *Store, ckpt []uint64, lanes [][]laneRecord) ([]uint64, error
 			return nil, err
 		}
 		for _, r := range recs {
-			if err := a.Record(i, r.lsn, s.encodeRecord(r.gsn, r.pts, r.ops)); err != nil {
+			if err := a.Record(i, r.lsn, EncodeLaneRecord(r.gsn, r.pts, r.ops)); err != nil {
 				return nil, err
 			}
 		}
@@ -92,13 +92,12 @@ func applierCuts(s *Store, ckpt []uint64, lanes [][]laneRecord) ([]uint64, error
 
 // randomCrashImage draws what recovery could find on a lanes-lane
 // store's disk. Commits touch random lane subsets and draw rising GSNs,
-// so GSN rises with LSN in every lane; a sharded store's single-lane
-// commit carries a one-point vector and a 1-lane store's records carry
-// none. A lane has a checkpoint one time in three, at a random LSN. A
-// checkpoint is GSN-closed — it fsyncs every lane up to the highest GSN
-// it covers — so each lane's torn suffix keeps the checkpoint and every
-// record with a GSN at or below that, and drops a random number of the
-// rest.
+// so GSN rises with LSN in every lane; a single-lane commit carries a
+// one-point vector. A lane has a checkpoint one time in three, at a
+// random LSN. A checkpoint is GSN-closed — it fsyncs every lane up to
+// the highest GSN it covers — so each lane's torn suffix keeps the
+// checkpoint and every record with a GSN at or below that, and drops a
+// random number of the rest.
 func randomCrashImage(rng *rand.Rand, lanes int) (ckpt []uint64, kept [][]laneRecord) {
 	all := make([][]laneRecord, lanes)
 	ops := []Op{{Put: true, Key: "k", Value: "v"}}
@@ -116,11 +115,6 @@ func randomCrashImage(rng *rand.Rand, lanes int) (ckpt []uint64, kept [][]laneRe
 		}
 		for _, p := range pts {
 			all[p.Lane] = append(all[p.Lane], laneRecord{lsn: p.LSN, gsn: g, pts: pts, ops: ops})
-		}
-	}
-	if lanes == 1 {
-		for i := range all[0] {
-			all[0][i].pts = nil
 		}
 	}
 	ckpt = make([]uint64, lanes)
@@ -209,7 +203,7 @@ func writeLanes(t *testing.T, fs *simio.FS, lanes []handLane) {
 		t.Fatal(err)
 	}
 	for i, hl := range lanes {
-		log, _, err := wal.Open(rt, laneBackend(b, i, len(lanes)), wal.Options{})
+		log, _, err := wal.Open(rt, laneBackend(b, i), wal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,8 +240,8 @@ func TestRecoveryRejectsSiblingGSNMismatch(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{})
 	pts := []LanePoint{{Lane: 0, LSN: 1}, {Lane: 1, LSN: 1}}
 	writeLanes(t, fs, []handLane{
-		{recs: [][]byte{encodeLaneRecord(5, pts, putOp("a", "1"))}},
-		{recs: [][]byte{encodeLaneRecord(6, pts, putOp("b", "1"))}},
+		{recs: [][]byte{EncodeLaneRecord(5, pts, putOp("a", "1"))}},
+		{recs: [][]byte{EncodeLaneRecord(6, pts, putOp("b", "1"))}},
 	})
 	s, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), Options{})
 	if err == nil {
@@ -271,17 +265,17 @@ func TestRecoveryInfoAfterCut(t *testing.T) {
 	writeLanes(t, fs, []handLane{
 		{
 			recs: [][]byte{
-				encodeLaneRecord(1, []LanePoint{{Lane: 0, LSN: 1}}, putOp("a", "1")),
-				encodeLaneRecord(2, batch, putOp("b", "2")),
-				encodeLaneRecord(3, []LanePoint{{Lane: 0, LSN: 3}}, putOp("c", "3")),
+				EncodeLaneRecord(1, []LanePoint{{Lane: 0, LSN: 1}}, putOp("a", "1")),
+				EncodeLaneRecord(2, batch, putOp("b", "2")),
+				EncodeLaneRecord(3, []LanePoint{{Lane: 0, LSN: 3}}, putOp("c", "3")),
 			},
 			ckpt: 1, base: map[string]string{"a": "1"},
 		},
 		{
 			recs: [][]byte{
-				encodeLaneRecord(2, batch, putOp("d", "2")),
-				encodeLaneRecord(4, torn, putOp("e", "4")),
-				encodeLaneRecord(5, []LanePoint{{Lane: 1, LSN: 3}}, putOp("f", "5")),
+				EncodeLaneRecord(2, batch, putOp("d", "2")),
+				EncodeLaneRecord(4, torn, putOp("e", "4")),
+				EncodeLaneRecord(5, []LanePoint{{Lane: 1, LSN: 3}}, putOp("f", "5")),
 			},
 		},
 	})
@@ -311,10 +305,10 @@ func TestTornBytesOfCutLane(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{})
 	torn := []LanePoint{{Lane: 0, LSN: 2}, {Lane: 1, LSN: 1}}
 	writeLanes(t, fs, []handLane{
-		{recs: [][]byte{encodeLaneRecord(1, []LanePoint{{Lane: 0, LSN: 1}}, putOp("a", "1"))}},
-		{recs: [][]byte{encodeLaneRecord(2, torn, putOp("b", "2"))}},
+		{recs: [][]byte{EncodeLaneRecord(1, []LanePoint{{Lane: 0, LSN: 1}}, putOp("a", "1"))}},
+		{recs: [][]byte{EncodeLaneRecord(2, torn, putOp("b", "2"))}},
 	})
-	lb := laneBackend(wal.NewSimBackend(fs), 1, 2)
+	lb := laneBackend(wal.NewSimBackend(fs), 1)
 	names, err := lb.Names()
 	if err != nil || len(names) != 1 {
 		t.Fatalf("lane 1 files %v, %v; want one segment", names, err)

@@ -5,11 +5,12 @@ import (
 	"fmt"
 )
 
-// WAL payload codecs. A commit record is the ordered mutation list of one
-// transaction; a checkpoint blob is a full key/value dump. Both use
-// length-prefixed strings, little-endian:
+// WAL payload codecs. An op list is the ordered mutation list of one
+// transaction (a WAL record carries it behind its lane header, lane.go);
+// a checkpoint blob is a full key/value dump. Both use length-prefixed
+// strings, little-endian:
 //
-//	commit record:  repeat{ u8 op (1=put 2=delete), u32 klen, key,
+//	op list:        repeat{ u8 op (1=put 2=delete), u32 klen, key,
 //	                        [u32 vlen, value  — put only] }
 //	checkpoint:     u32 count, repeat{ u32 klen, key, u32 vlen, value }
 //
@@ -45,16 +46,10 @@ func takeStr(b []byte) (string, []byte, error) {
 	return string(b[4 : 4+n]), b[4+n:], nil
 }
 
-// EncodeOps serializes a mutation list, in one allocation. It is the WAL
-// commit-record payload format, and — exported — the BATCH body of the
-// wire protocol (internal/server): one framing discipline end to end, so
-// a batch that arrived over a socket is byte-identical to the record that
-// replays it.
-func EncodeOps(ops []Op) []byte {
-	return AppendOps(make([]byte, 0, OpsSize(ops)), ops)
-}
-
-// AppendOps appends the EncodeOps bytes of ops to dst.
+// AppendOps appends the op-list bytes of ops to dst. Exported, it is
+// also the BATCH body of the wire protocol (internal/server), so a batch
+// that arrived over a socket carries the ops of the record that replays
+// it byte for byte.
 func AppendOps(dst []byte, ops []Op) []byte {
 	for _, op := range ops {
 		if op.Put {
@@ -69,7 +64,7 @@ func AppendOps(dst []byte, ops []Op) []byte {
 	return dst
 }
 
-// OpsSize is the length of the EncodeOps bytes of ops.
+// OpsSize is the length of the AppendOps bytes of ops.
 func OpsSize(ops []Op) int {
 	n := 0
 	for _, op := range ops {
@@ -81,7 +76,7 @@ func OpsSize(ops []Op) int {
 	return n
 }
 
-// DecodeOps parses a commit-record (or wire BATCH) payload. It
+// DecodeOps parses an op list (a record's ops, or a wire BATCH body). It
 // validates structure only; intact-bytes integrity is the caller's
 // layer (WAL CRCs, or the frame length of the wire protocol).
 func DecodeOps(b []byte) ([]Op, error) {

@@ -18,9 +18,9 @@ import (
 // order freedom — so decode∘encode must be the identity on valid input).
 func FuzzDecodeOps(f *testing.F) {
 	f.Add([]byte(nil))
-	f.Add(EncodeOps([]Op{{Put: true, Key: "k", Value: "v"}}))
-	f.Add(EncodeOps([]Op{{Key: "gone"}, {Put: true, Key: "", Value: ""}}))
-	f.Add(EncodeOps([]Op{
+	f.Add(AppendOps(nil, []Op{{Put: true, Key: "k", Value: "v"}}))
+	f.Add(AppendOps(nil, []Op{{Key: "gone"}, {Put: true, Key: "", Value: ""}}))
+	f.Add(AppendOps(nil, []Op{
 		{Put: true, Key: strings.Repeat("k", 300), Value: strings.Repeat("v", 1000)},
 		{Key: "x"},
 	}))
@@ -30,7 +30,7 @@ func FuzzDecodeOps(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := EncodeOps(ops)
+		re := AppendOps(nil, ops)
 		if !bytes.Equal(re, b) {
 			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", b, re)
 		}
@@ -65,7 +65,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 
 // TestDecodeOpsCorrupt pins the error behaviour on hand-built damage.
 func TestDecodeOpsCorrupt(t *testing.T) {
-	valid := EncodeOps([]Op{{Put: true, Key: "key", Value: "value"}})
+	valid := AppendOps(nil, []Op{{Put: true, Key: "key", Value: "value"}})
 	cases := map[string][]byte{
 		"unknown opcode":       {42},
 		"opcode only":          {opPut},

@@ -157,10 +157,11 @@ func crashScenario(t *testing.T, segBytes int, point simio.CrashPoint, n uint64,
 var crashPoints = []simio.CrashPoint{simio.CrashMidWrite, simio.CrashPreFsync, simio.CrashPostFsync}
 
 // A segment of rotateFirstSeg bytes holds one record of the single-lane
-// crash workload (23–30 bytes each), so every flush after a segment's
-// first starts the next segment before it writes — the path a segment
-// sized for many records takes once every few flushes.
-const rotateFirstSeg = 40
+// crash workload (41–48 bytes each: a 16-byte frame, the 18-byte lane
+// header and 7–14 bytes of ops), so every flush after a segment's first
+// starts the next segment before it writes — the path a segment sized
+// for many records takes once every few flushes.
+const rotateFirstSeg = 64
 
 // everyCrashPoint runs scenario at the 1st, 2nd, … write or fsync of the
 // run until the plan no longer fires, and returns how many fired.

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -31,7 +30,7 @@ func laneRecords(t *testing.T, s *Store, fs *simio.FS) [][]wal.Record {
 	}
 	out := make([][]wal.Record, s.Shards())
 	for lane := range out {
-		log, rec, err := wal.Open(stm.NewDefault(), laneBackend(wal.NewSimBackend(fs), lane, s.Shards()), wal.Options{})
+		log, rec, err := wal.Open(stm.NewDefault(), laneBackend(wal.NewSimBackend(fs), lane), wal.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,13 +42,12 @@ func laneRecords(t *testing.T, s *Store, fs *simio.FS) [][]wal.Record {
 	return out
 }
 
-// TestRecordFormatPinned pins the on-disk record format. A 1-lane store
-// writes each commit as the bare EncodeOps list, and its token is the
-// plain LSN. A sharded store writes a lane record per touched lane (GSN,
+// TestRecordFormatPinned pins the on-disk record format, the same at
+// every lane count: a store writes a lane record per touched lane (GSN,
 // the commit's lane/LSN vector, then the ops), and the token names the
-// vector's first point.
+// vector's first point — on a 1-lane store, the plain LSN.
 func TestRecordFormatPinned(t *testing.T) {
-	for _, shards := range []int{1, 2} {
+	for _, shards := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("group/shards=%d", shards), func(t *testing.T) {
 			fs := simio.NewFS(simio.Latency{})
 			s, _ := openStore(t, fs, Options{Shards: shards})
@@ -73,25 +71,9 @@ func TestRecordFormatPinned(t *testing.T) {
 			}
 			lanes := laneRecords(t, s, fs)
 
-			if shards == 1 {
-				recs := lanes[0]
-				if len(recs) != len(formatCommits) {
-					t.Fatalf("%d records, want %d", len(recs), len(formatCommits))
-				}
-				for i, r := range recs {
-					if toks[i] != r.LSN {
-						t.Errorf("commit %d: token %d, record LSN %d", i, toks[i], r.LSN)
-					}
-					if want := EncodeOps(formatCommits[i]); !bytes.Equal(r.Payload, want) {
-						t.Errorf("commit %d: payload %x, want the bare op list %x", i, r.Payload, want)
-					}
-				}
-				return
-			}
-
-			// Sharded: every payload is a lane record whose vector
-			// names its own lane and LSN; the records of commit i all
-			// carry one GSN, and together hold exactly its ops.
+			// Every payload is a lane record whose vector names its
+			// own lane and LSN; the records of commit i all carry one
+			// GSN, and together hold exactly its ops.
 			type part struct {
 				gsn uint64
 				pts []LanePoint
@@ -138,8 +120,8 @@ func TestRecordFormatPinned(t *testing.T) {
 
 // TestGSNsUniqueAcrossReopen commits, closes, reopens on the same
 // runtime and commits again, with the runtime's recorder attached, and
-// checks the whole history: no GSN may be issued twice, even though a
-// 1-lane store writes none to disk for the reopen to recover.
+// checks the whole history: no GSN may be issued twice, even though the
+// reopen recovers only the GSNs of records that reached the disk.
 func TestGSNsUniqueAcrossReopen(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -153,7 +135,7 @@ func TestGSNsUniqueAcrossReopen(t *testing.T) {
 				}
 				// Concurrent writers conflict on the lanes' LSNs, so some
 				// attempts draw a GSN and abort: the GSNs that commit
-				// are not 1..n, and none of them reaches a 1-lane disk.
+				// are not 1..n.
 				var wg sync.WaitGroup
 				for w := 0; w < 4; w++ {
 					wg.Add(1)

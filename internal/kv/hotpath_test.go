@@ -136,22 +136,18 @@ func TestDurableUpdateAllocPin(t *testing.T) {
 }
 
 // TestRecordEncodeOneAlloc: a commit record's payload is sized before it
-// is written, so encoding it — bare, or behind a lane header — allocates
-// the payload and nothing else.
+// is written, so encoding it allocates the payload and nothing else.
 func TestRecordEncodeOneAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; bound holds only unraced")
 	}
 	ops := []Op{{Put: true, Key: "key-000001", Value: "value-of-some-length"}, {Key: "key-000002"}}
 	pts := []LanePoint{{Lane: 0, LSN: 7}, {Lane: 3, LSN: 9}}
-	if n := testing.AllocsPerRun(100, func() { _ = EncodeOps(ops) }); n != 1 {
-		t.Errorf("EncodeOps: %.1f allocs, want 1", n)
+	if n := testing.AllocsPerRun(100, func() { _ = EncodeLaneRecord(11, pts, ops) }); n != 1 {
+		t.Errorf("EncodeLaneRecord: %.1f allocs, want 1", n)
 	}
-	if n := testing.AllocsPerRun(100, func() { _ = encodeLaneRecord(11, pts, ops) }); n != 1 {
-		t.Errorf("encodeLaneRecord: %.1f allocs, want 1", n)
-	}
-	if got, want := len(EncodeOps(ops)), OpsSize(ops); got != want {
-		t.Errorf("EncodeOps wrote %d bytes, OpsSize says %d", got, want)
+	if got, want := len(AppendOps(nil, ops)), OpsSize(ops); got != want {
+		t.Errorf("AppendOps wrote %d bytes, OpsSize says %d", got, want)
 	}
 }
 

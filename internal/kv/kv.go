@@ -30,11 +30,12 @@
 // Every commit, on one shard or several, takes one path (commitLanes):
 // it reserves an LSN on each touched lane, draws a global commit
 // sequence number (GSN), and queues one record on each lane for the
-// lane's own flusher. A sharded store's record carries the GSN and the
-// full lane/LSN vector of its commit, so recovery can tell a complete
-// cross-shard batch from one a crash cut in half and presume the latter
-// aborted, truncating its lanes' tails; a 1-lane store's record is the
-// bare op list (encodeRecord). Nothing acked is lost: a lane publishes a
+// lane's own flusher. Every record, at any lane count, carries the GSN
+// and the full lane/LSN vector of its commit, so recovery can tell a
+// complete cross-shard batch from one a crash cut in half and presume
+// the latter aborted, truncating its lanes' tails. Each lane's files
+// live under its "laneNN-" prefix beside the store's manifest, a 1-lane
+// store's too. Nothing acked is lost: a lane publishes a
 // watermark over a cross-shard record only once every lane has fsynced
 // everything at or below its GSN (the frontier gate of package wal).
 // TestCrossShardCrashAtomicity, TestDependentCommitSurvivesCrash and
@@ -93,9 +94,9 @@ type Options struct {
 	Buckets int // hash buckets across the whole store (0 → 1024)
 	// Shards is the number of key-space shards = WAL lanes (power of
 	// two, at most MaxShards). 0 adopts whatever the directory's
-	// manifest records (1 for a fresh or pre-manifest directory); a
-	// nonzero value that disagrees with an existing manifest is an
-	// error — lane routing is baked into the on-disk layout.
+	// manifest records (1 for a fresh directory); a nonzero value that
+	// disagrees with an existing manifest is an error — lane routing is
+	// baked into the on-disk layout.
 	Shards int
 	WAL    wal.Options
 	// Registry, when non-nil, receives the store's instruments: the
@@ -268,10 +269,11 @@ func newStore(rt *stm.Runtime, opts Options, lanes int) *Store {
 
 // lastGSN is the last GSN issued, by any store in the process. One
 // counter for all of them keeps a GSN unique across a reopen on the same
-// runtime, which the history checker requires: a 1-lane store writes no
-// GSN to disk, and aborted attempts leave gaps, so no recovered number
-// bounds the GSNs a previous store issued. Recovery raises it past every
-// GSN it replays (raiseGSN).
+// runtime, which the history checker requires: recovery sees only the
+// GSNs that reached the disk, and a commit appended but lost in a crash
+// (or cut as half a batch) may have drawn a higher one, so no recovered
+// number bounds the GSNs a previous store issued. Recovery raises it
+// past every GSN it replays (raiseGSN).
 var lastGSN atomic.Uint64
 
 func raiseGSN(g uint64) {
@@ -292,11 +294,10 @@ func raiseGSN(g uint64) {
 // watermark never finished), so presuming them aborted loses nothing
 // that was promised.
 func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) error {
-	lanes := len(s.shards)
-	recs := make([]*wal.Recovery, lanes)
+	recs := make([]*wal.Recovery, len(s.shards))
 	a := NewApplier(s)
 	for i := range s.shards {
-		log, rec, err := wal.Open(s.rt, laneBackend(b, i, lanes), wopts)
+		log, rec, err := wal.Open(s.rt, laneBackend(b, i), wopts)
 		if err != nil {
 			return fmt.Errorf("kv: lane %d: %w", i, err)
 		}
@@ -325,7 +326,7 @@ func (s *Store) recover(b wal.Backend, wopts wal.Options, info *RecoveryInfo) er
 			if err := s.shards[i].log.Close(); err != nil {
 				return fmt.Errorf("kv: lane %d: close for truncation: %w", i, err)
 			}
-			lb := laneBackend(b, i, lanes)
+			lb := laneBackend(b, i)
 			if err := wal.TruncateTail(lb, rec, lr.TruncatedAt); err != nil {
 				return fmt.Errorf("kv: lane %d: %w", i, err)
 			}
@@ -493,7 +494,7 @@ func (s *Store) commitLanes(tx *stm.Tx, b *Batch) uint64 {
 	}
 	gsn := lastGSN.Add(1)
 	for _, p := range pts {
-		payload := s.encodeRecord(gsn, pts, b.perShard[p.Lane])
+		payload := EncodeLaneRecord(gsn, pts, b.perShard[p.Lane])
 		s.shards[p.Lane].log.EnqueueReserved(tx, p.LSN, gsn, len(pts) > 1, payload)
 	}
 	return PackToken(pts[0].Lane, pts[0].LSN)

@@ -1,8 +1,7 @@
-// Lane support: the record codec that stamps every multi-lane WAL
-// record with its global commit sequence number (GSN) and the full
-// lane/LSN vector of its commit, the durability token that routes waits
-// to the right lane, and the manifest file that pins a directory to its
-// lane count.
+// Lane support: the record codec that stamps every WAL record with its
+// global commit sequence number (GSN) and the full lane/LSN vector of
+// its commit, the durability token that routes waits to the right lane,
+// and the manifest file that pins a directory to its lane count.
 package kv
 
 import (
@@ -31,9 +30,8 @@ type LanePoint struct {
 
 // Durability tokens. Update returns one token per durable commit; it
 // packs the home lane (the lowest touched lane) in the top 8 bits and
-// that lane's LSN in the low 56. Lane 0 tokens equal the plain LSN, so
-// a single-lane store's tokens are byte-identical to the unsharded
-// format — on the wire and in ackfiles.
+// that lane's LSN in the low 56. A lane-0 token is its plain LSN, so
+// a 1-lane store's tokens are its LSNs.
 //
 // Waiting on the token of a cross-shard commit suffices for the whole
 // batch: the home lane publishes no watermark over a cross-shard record
@@ -53,40 +51,18 @@ func TokenLane(t uint64) int { return int(t >> tokenLSNBits) }
 // TokenLSN extracts the lane-local LSN of a token.
 func TokenLSN(t uint64) uint64 { return t & (1<<tokenLSNBits - 1) }
 
-// Multi-lane WAL record payload: a fixed header in front of the
-// EncodeOps bytes.
+// WAL record payload, on every lane of every store: a fixed header in
+// front of the AppendOps bytes.
 //
 //	u64 gsn, u8 nLanes, repeat nLanes { u8 lane, u64 lsn }, ops...
 //
-// Single-lane stores write bare EncodeOps payloads (no header), which
-// keeps their on-disk format identical to the pre-lane store. The rule
-// lives in one encode/decode pair, encodeRecord and decodeRecord;
-// TestRecordFormatPinned pins it.
+// A commit on one lane carries a one-point vector. TestRecordFormatPinned
+// pins the format.
 
-// encodeRecord renders one lane's record of a commit in this store's
-// format: the bare op list on a 1-lane store, which has no vector to
-// carry and drops the GSN, the lane record otherwise.
-func (s *Store) encodeRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
-	if len(s.shards) == 1 {
-		return EncodeOps(ops)
-	}
-	return encodeLaneRecord(gsn, pts, ops)
-}
-
-// decodeRecord parses one record payload of this store, for the Applier
-// in recovery and on a replica alike — the inverse of encodeRecord: a
-// 1-lane store's bare op list decodes as gsn 0 with a nil vector.
-func (s *Store) decodeRecord(payload []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
-	if len(s.shards) == 1 {
-		ops, err = DecodeOps(payload)
-		return 0, nil, ops, err
-	}
-	return decodeLaneRecord(payload)
-}
-
-// encodeLaneRecord serializes one lane's record of a commit, header and
-// ops in one allocation.
-func encodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
+// EncodeLaneRecord serializes one lane's record of a commit, header and
+// ops in one allocation. It is exported for tests and tools that
+// synthesize stream traffic.
+func EncodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
 	out := make([]byte, 0, 9+9*len(pts)+OpsSize(ops))
 	out = binary.LittleEndian.AppendUint64(out, gsn)
 	out = append(out, byte(len(pts)))
@@ -97,13 +73,8 @@ func encodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
 	return AppendOps(out, ops)
 }
 
-// EncodeLaneRecord renders a multi-lane WAL record payload, for tests
-// and tools that synthesize stream traffic.
-func EncodeLaneRecord(gsn uint64, pts []LanePoint, ops []Op) []byte {
-	return encodeLaneRecord(gsn, pts, ops)
-}
-
-// decodeLaneRecord parses a multi-lane record payload.
+// decodeLaneRecord parses a record payload, for the Applier in recovery
+// and on a replica alike.
 func decodeLaneRecord(b []byte) (gsn uint64, pts []LanePoint, ops []Op, err error) {
 	if len(b) < 9 {
 		return 0, nil, nil, fmt.Errorf("kv: truncated lane header (%d bytes)", len(b))
@@ -178,17 +149,16 @@ func readManifest(b wal.Backend) (int, error) {
 
 // detectLanes determines the on-disk lane count of backend b: lanes is
 // 0 for a fresh directory (the caller picks), and needManifest reports
-// that a manifest must be written once the count is decided. A
-// directory with WAL files but no readable manifest is an error — with
-// one exception: pre-manifest directories (unprefixed segment files
-// only) are adopted as single-lane stores, since their layout is
-// exactly what a 1-lane store writes.
+// that a manifest must be written once the count is decided. Lane files
+// without a readable manifest are an error, and so is a WAL file
+// outside any lane's namespace (the pre-lane layout): refused by name
+// rather than ignored, which would open the directory as an empty store.
 func detectLanes(b wal.Backend) (lanes int, needManifest bool, err error) {
 	names, err := b.Names()
 	if err != nil {
 		return 0, false, fmt.Errorf("kv: list backend: %w", err)
 	}
-	hasManifest, hasRoot, hasLane := false, false, false
+	hasManifest, hasLane := false, false
 	for _, n := range names {
 		switch {
 		case n == manifestName:
@@ -196,13 +166,13 @@ func detectLanes(b wal.Backend) (lanes int, needManifest bool, err error) {
 		case strings.HasPrefix(n, "lane"):
 			hasLane = true
 		case strings.HasPrefix(n, "seg-") || strings.HasPrefix(n, "ckpt-"):
-			hasRoot = true
+			return 0, false, fmt.Errorf("kv: %s is a WAL file outside any lane (the pre-lane layout, which this store cannot read)", n)
 		}
 	}
 	if hasManifest {
 		n, err := readManifest(b)
 		if err != nil {
-			if !hasRoot && !hasLane {
+			if !hasLane {
 				// A crash can tear the manifest of a store that never
 				// wrote a record; nothing is lost by re-initializing.
 				return 0, true, nil
@@ -214,18 +184,11 @@ func detectLanes(b wal.Backend) (lanes int, needManifest bool, err error) {
 	if hasLane {
 		return 0, false, fmt.Errorf("kv: lane files present but manifest missing (corrupt or mixed-layout directory)")
 	}
-	if hasRoot {
-		return 1, true, nil // pre-manifest single-lane directory: adopt it
-	}
 	return 0, true, nil
 }
 
-// laneBackend returns the backend namespace of one lane: the shared
-// backend itself for a single-lane store (pre-lane layout), a
-// "laneNN-"-prefixed namespace otherwise.
-func laneBackend(b wal.Backend, lane, lanes int) wal.Backend {
-	if lanes == 1 {
-		return b
-	}
+// laneBackend returns the "laneNN-"-prefixed backend namespace of one
+// lane.
+func laneBackend(b wal.Backend, lane int) wal.Backend {
 	return wal.SubBackend(b, wal.LanePrefix(lane))
 }

@@ -43,7 +43,7 @@ func TestTokenRoundTrip(t *testing.T) {
 func TestLaneRecordCodec(t *testing.T) {
 	ops := []Op{{Put: true, Key: "a", Value: "1"}, {Key: "b"}}
 	pts := []LanePoint{{Lane: 1, LSN: 42}, {Lane: 5, LSN: 7}}
-	b := encodeLaneRecord(99, pts, ops)
+	b := EncodeLaneRecord(99, pts, ops)
 	gsn, gotPts, gotOps, err := decodeLaneRecord(b)
 	if err != nil {
 		t.Fatal(err)
@@ -59,33 +59,8 @@ func TestLaneRecordCodec(t *testing.T) {
 			t.Fatalf("truncated header at %d bytes decoded", cut)
 		}
 	}
-}
-
-// TestDecodeLaneRecordSingleLane: the one decoder recovery and the
-// replica share reads a single-lane store's payload as the bare op list
-// (gsn 0, no vector) and a multi-lane store's as header + ops; a bare op
-// list is not a lane record.
-func TestDecodeLaneRecordSingleLane(t *testing.T) {
-	ops := []Op{{Put: true, Key: "a", Value: "1"}, {Key: "b"}}
-	open := func(shards int) *Store {
-		s, _, err := Open(stm.NewDefault(), nil, Options{Mode: ModeNone, Shards: shards})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	gsn, pts, got, err := open(1).decodeRecord(EncodeOps(ops))
-	if err != nil || gsn != 0 || pts != nil || len(got) != 2 || got[0] != ops[0] || got[1] != ops[1] {
-		t.Fatalf("single-lane decode = gsn %d pts %v ops %v err %v", gsn, pts, got, err)
-	}
-	four := open(4)
-	gsn, pts, got, err = four.decodeRecord(EncodeLaneRecord(7, []LanePoint{{Lane: 2, LSN: 9}}, ops))
-	if err != nil || gsn != 7 || len(pts) != 1 || len(got) != 2 {
-		t.Fatalf("multi-lane decode = gsn %d pts %v ops %v err %v", gsn, pts, got, err)
-	}
-	if _, _, _, err := four.decodeRecord(EncodeOps(ops)); err == nil {
-		t.Fatal("a 4-lane store decoded a bare op list as a lane record")
+	if _, _, _, err := decodeLaneRecord(AppendOps(nil, ops)); err == nil {
+		t.Fatal("a bare op list decoded as a lane record")
 	}
 }
 
@@ -206,41 +181,64 @@ func TestShardCountValidation(t *testing.T) {
 	}
 }
 
-// TestLegacyDirAdoption: a pre-manifest directory (root segment files,
-// no manifest) opens as a single-lane store and gains a manifest.
-func TestLegacyDirAdoption(t *testing.T) {
+// TestPreLaneLayoutRefused: a directory in the pre-lane 1-lane layout
+// (WAL files at the root, beside a "lanes 1" manifest or without one)
+// is refused with an error that names a root file, rather than opened
+// as an empty store.
+func TestPreLaneLayoutRefused(t *testing.T) {
 	fs := simio.NewFS(simio.Latency{})
-	s, _ := openStore(t, fs, Options{})
-	put(t, s, "old", "data")
-	if err := s.Close(); err != nil {
+	rt, b := stm.NewDefault(), wal.NewSimBackend(fs)
+	if err := writeManifest(b, 1); err != nil {
 		t.Fatal(err)
 	}
-	b := wal.NewSimBackend(fs)
-	if err := b.Remove("manifest"); err != nil {
+	log, _, err := wal.Open(rt, b, wal.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s2, info := openStore(t, fs, Options{})
-	if info.Shards != 1 {
-		t.Fatalf("legacy dir adopted as %d lanes", info.Shards)
-	}
-	if v, ok := mustGet(t, s2, "old"); !ok || v != "data" {
-		t.Fatalf("legacy data lost: %q %v", v, ok)
-	}
-	if err := s2.Close(); err != nil {
+	wal.JoinLanes([]*wal.Log{log})
+	var lsn uint64
+	_ = rt.Atomic(func(tx *stm.Tx) error {
+		lsn = log.Reserve(tx)
+		log.EnqueueReserved(tx, lsn, 0, false, AppendOps(nil, putOp("old", "data")))
+		return nil
+	})
+	log.WaitDurable(lsn)
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readManifest(b); err != nil {
-		t.Fatalf("adoption did not write a manifest: %v", err)
+	names, err := b.Names()
+	if err != nil {
+		t.Fatal(err)
 	}
-	// But a multi-lane layout without its manifest is corruption.
+	var seg string
+	for _, n := range names {
+		if strings.HasPrefix(n, "seg-") {
+			seg = n
+		}
+	}
+	if seg == "" {
+		t.Fatalf("no root segment among %v", names)
+	}
+	for _, withManifest := range []bool{true, false} {
+		if !withManifest {
+			if err := b.Remove(manifestName); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs), Options{})
+		if err == nil || !strings.Contains(err.Error(), seg) {
+			t.Fatalf("manifest %v: Open = %v, want a refusal naming %s", withManifest, err, seg)
+		}
+	}
+
+	// A lane layout without its manifest is corruption too.
 	fs4 := simio.NewFS(simio.Latency{})
 	s4, _ := openStore(t, fs4, Options{Shards: 4})
 	put(t, s4, "k", "v")
 	if err := s4.Close(); err != nil {
 		t.Fatal(err)
 	}
-	b4 := wal.NewSimBackend(fs4)
-	if err := b4.Remove("manifest"); err != nil {
+	if err := wal.NewSimBackend(fs4).Remove(manifestName); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := Open(stm.NewDefault(), wal.NewSimBackend(fs4), Options{}); err == nil {

@@ -25,7 +25,7 @@ func loggedOps(t *testing.T, s *Store, fs *simio.FS) []string {
 	var got []string
 	for lane, recs := range laneRecords(t, s, fs) {
 		for _, r := range recs {
-			_, _, ops, err := s.decodeRecord(r.Payload)
+			_, _, ops, err := decodeLaneRecord(r.Payload)
 			if err != nil {
 				t.Fatalf("lane %d record %d: %v", lane, r.LSN, err)
 			}

@@ -59,7 +59,7 @@ type Histogram struct {
 // conventions; values are exposed in seconds, recorded in nanoseconds.
 func NewHistogram(name, help string) *Histogram {
 	h := &Histogram{name: name, help: help}
-	p := stripeCount()
+	p := StripeCount()
 	h.shards = make([]histShard, p)
 	h.mask = uint32(p - 1)
 	return h
@@ -82,7 +82,7 @@ func (h *Histogram) Observe(d time.Duration) {
 	if i >= nHistBuckets {
 		i = nHistBuckets - 1
 	}
-	sh := &h.shards[stripeIdx()&h.mask]
+	sh := &h.shards[StripeIdx()&h.mask]
 	sh.buckets[i].Add(1)
 	sh.sum.Add(ns)
 	for {
@@ -221,12 +221,13 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// stripeCount sizes stripe arrays: 2x the machine's CPU count (hardware
-// parallelism bounds concurrent writers, and GOMAXPROCS can be lowered
-// at runtime below it), rounded up to a power of two for mask indexing,
-// floored at 4 and capped at 64 — past 64 stripes the merge cost on
-// every read outweighs contention that many CPUs could generate here.
-func stripeCount() int {
+// StripeCount sizes stripe arrays, here and for internal/stm's
+// counters: 2x the machine's CPU count (hardware parallelism bounds
+// concurrent writers, and GOMAXPROCS can be lowered at runtime below
+// it), rounded up to a power of two for mask indexing, floored at 4 and
+// capped at 64 — past 64 stripes the merge cost on every read outweighs
+// contention that many CPUs could generate here.
+func StripeCount() int {
 	n := 2 * numCPU()
 	if n < 4 {
 		n = 4
@@ -241,12 +242,13 @@ func stripeCount() int {
 	return p
 }
 
-// stripeIdx derives a goroutine-affine stripe hint from the address of a
-// stack variable, exactly as internal/stm's striped counters do: distinct
-// goroutines run on distinct stacks, so the mixed address separates
-// concurrent writers without procPin or goroutine IDs. Any distribution
-// is correct; only contention varies.
-func stripeIdx() uint32 {
+// StripeIdx derives a goroutine-affine stripe hint from the address of
+// a stack variable: distinct goroutines run on distinct stacks, so the
+// mixed address separates concurrent writers without procPin or
+// goroutine IDs. The value is stable within a call frame and merely
+// tends to differ across goroutines; any distribution is correct, only
+// contention varies. Callers mask it with StripeCount()-1.
+func StripeIdx() uint32 {
 	var b byte
 	p := uintptr(unsafe.Pointer(&b))
 	return uint32((uint64(p) * 0x9e3779b97f4a7c15) >> 33)

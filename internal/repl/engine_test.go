@@ -81,14 +81,14 @@ func TestEngineCrossShardBarrier(t *testing.T) {
 	}
 }
 
-// TestEngineLoneRecords: a record with no sibling — a 1-lane store's
-// bare op list, or a sharded store's single-lane commit — is a batch of
-// one: it applies as soon as it arrives, and Batches, which
+// TestEngineLoneRecords: a record with a one-point vector — any commit
+// of a 1-lane store, or a sharded store's single-lane commit — is a
+// batch of one: it applies as soon as it arrives, and Batches, which
 // counts cross-shard batches only, stays 0.
 func TestEngineLoneRecords(t *testing.T) {
 	one, store1 := newTestEngine(t, 1)
 	for lsn := uint64(1); lsn <= 2; lsn++ {
-		f := server.ReplFrame{Kind: server.ReplRecord, Lane: 0, LSN: lsn, Payload: kv.EncodeOps([]kv.Op{put("k", fmt.Sprint(lsn))})}
+		f := recFrame(0, lsn, lsn, []kv.LanePoint{{Lane: 0, LSN: lsn}}, put("k", fmt.Sprint(lsn)))
 		if err := one.frame(f); err != nil {
 			t.Fatal(err)
 		}

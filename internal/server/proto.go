@@ -21,8 +21,8 @@
 //	GET    str key
 //	PUT    str key, str value
 //	DEL    str key
-//	BATCH  kv.EncodeOps blob — byte-identical to the WAL record payload
-//	       the server will append for it
+//	BATCH  kv.AppendOps op list — byte-identical to the ops of the WAL
+//	       record the server will append for it
 //	WATCH  u64 lsn — respond once the durable watermark covers lsn
 //	STATS  (empty)
 //	REPL   u32 n, n × u64 — per-lane resume cursors (n = 0 on a fresh

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -204,7 +205,8 @@ func TestReplHelloRefusals(t *testing.T) {
 func TestReplStreamShipsRecords(t *testing.T) {
 	srv, store, addr := startServer(t, kv.ModeGroup, simio.Latency{}, Options{})
 	c := dial(t, addr)
-	for i, kvp := range [][2]string{{"a", "1"}, {"b", "2"}, {"a", "3"}} {
+	puts := [][2]string{{"a", "1"}, {"b", "2"}, {"a", "3"}}
+	for i, kvp := range puts {
 		lsn, err := c.Put(kvp[0], kvp[1])
 		if err != nil {
 			t.Fatal(err)
@@ -246,9 +248,10 @@ func TestReplStreamShipsRecords(t *testing.T) {
 		if f.Lane != 0 || f.LSN != uint64(i+1) {
 			t.Fatalf("record %d = lane %d lsn %d", i, f.Lane, f.LSN)
 		}
-		ops, err := kv.DecodeOps(f.Payload)
-		if err != nil || len(ops) != 1 {
-			t.Fatalf("record %d payload: %v (%d ops)", i, err, len(ops))
+		// A record is its lane header followed by the commit's op list.
+		op := kv.AppendOps(nil, []kv.Op{{Put: true, Key: puts[i][0], Value: puts[i][1]}})
+		if !bytes.HasSuffix(f.Payload, op) {
+			t.Fatalf("record %d payload %x does not end in its put %x", i, f.Payload, op)
 		}
 	}
 	if w := store.Logs()[0].DurableWatermark(); recs[len(recs)-1].LSN > w {

@@ -2,9 +2,9 @@ package stm
 
 import (
 	"fmt"
-	"runtime"
 	"sync/atomic"
-	"unsafe"
+
+	"deferstm/internal/obs"
 )
 
 // The runtime's monotonic event counters are striped: every logical
@@ -69,11 +69,11 @@ type Counter struct {
 // Add increments the counter by n on the calling goroutine's stripe.
 func (c Counter) Add(n uint64) {
 	s := c.s
-	s.shards[stripeIdx()&s.mask].c[c.i].Add(n)
+	s.shards[obs.StripeIdx()&s.mask].c[c.i].Add(n)
 }
 
 // addAt is Add on the stripe a registry slot index selects, for the
-// counters run bumps on every transaction. stripeIdx hashes a stack
+// counters run bumps on every transaction. obs.StripeIdx hashes a stack
 // address, so with the 4 stripes of a 2-CPU host two goroutines landed
 // on one stripe one run in four and bounced its line for the whole run;
 // transactions that run at the same time hold different slots, and
@@ -93,18 +93,6 @@ func (c Counter) Load() uint64 {
 		t += s.shards[i].c[c.i].Load()
 	}
 	return t
-}
-
-// stripeIdx derives a goroutine-affine stripe hint from the address of
-// a stack variable: distinct goroutines run on distinct stacks, so the
-// mixed address separates concurrent committers without runtime
-// support (no procPin, no goroutine IDs). The value is stable within a
-// call frame and merely *tends* to differ across goroutines — any
-// distribution is correct, only contention varies.
-func stripeIdx() uint32 {
-	var b byte
-	p := uintptr(unsafe.Pointer(&b))
-	return uint32((uint64(p) * 0x9e3779b97f4a7c15) >> 33)
 }
 
 // Stats holds the runtime's monotonic event counters. All counters are
@@ -148,30 +136,13 @@ type Stats struct {
 	SnapshotTruncations Counter // still-needed chain nodes depth-dropped
 }
 
-// init sizes the stripe array and wires every Counter field to its
-// slot. Called once from New, before the Runtime is shared.
-//
-// Stripes are sized from the machine's CPU count, not GOMAXPROCS:
-// hardware parallelism bounds how many increments can truly race, and
-// GOMAXPROCS is both mutable after New (a runtime built under
-// GOMAXPROCS(1) would keep 4 stripes forever) and routinely lowered by
-// benchmarks without any intent to shrink counter striping. The count
-// is floored at 4 and capped at 64 stripes: beyond 64, the per-read
-// merge cost (Snapshot sums every stripe) outgrows any contention
-// relief more CPUs could buy on pure counter increments.
+// init sizes the stripe array as obs's histograms are sized
+// (obs.StripeCount: from the machine's CPU count, not GOMAXPROCS, which
+// is mutable after New and routinely lowered by benchmarks) and wires
+// every Counter field to its slot. Called once from New, before the
+// Runtime is shared.
 func (s *Stats) init() {
-	stripes := 2 * runtime.NumCPU()
-	if stripes < 4 {
-		stripes = 4
-	}
-	if stripes > 64 {
-		stripes = 64
-	}
-	// Round up to a power of two for mask indexing.
-	p := 1
-	for p < stripes {
-		p <<= 1
-	}
+	p := obs.StripeCount()
 	s.shards = make([]statShard, p)
 	s.mask = uint32(p - 1)
 	counterSlots := [nStatCounters]*Counter{

@@ -188,11 +188,14 @@ awk '/^deferstm_server_socket_reads_total / { reads = $2 }
     "$tmpmetrics" || exit 1
 kill -9 "$kvsrvpid" 2>/dev/null || true
 wait "$kvsrvpid" 2>/dev/null || true
+# An ackfile has one shape at every lane count: "lane lsn" lines.
+awk 'NF != 2 { bad = 1 } END { exit bad || NR == 0 }' "$kvdir/ack.txt" \
+    || { echo "ackfile is not \"lane lsn\" lines"; cat "$kvdir/ack.txt"; exit 1; }
 "$kvdir/kvserver" -dir "$kvdir/wal" -verify -ackfile "$kvdir/ack.txt"
 
 # Same smoke, sharded: four parallel WAL lanes, lane-tagged ack tokens,
-# kill -9, then a per-lane recovery verify. kvloadgen writes "lane lsn"
-# lines; -verify (lane count adopted from the manifest) must prove every
+# kill -9, then a per-lane recovery verify. kvloadgen writes a "lane lsn"
+# line per lane; -verify (lane count adopted from the manifest) must prove every
 # lane's acked watermark survived and no lane invented records.
 echo "==> sharded kvserver crash smoke (-shards 4 + kill -9 + per-lane verify)"
 "$kvdir/kvserver" -addr 127.0.0.1:0 -addrfile "$kvdir/addr4.txt" \
@@ -211,8 +214,8 @@ done
     -ackfile "$kvdir/ack4.txt" -check >/dev/null
 kill -9 "$kvsrvpid" 2>/dev/null || true
 wait "$kvsrvpid" 2>/dev/null || true
-awk 'NF == 2' "$kvdir/ack4.txt" | grep -q . \
-    || { echo "sharded ackfile has no per-lane lines"; cat "$kvdir/ack4.txt"; exit 1; }
+awk 'NF != 2 { bad = 1 } END { exit bad || NR < 2 }' "$kvdir/ack4.txt" \
+    || { echo "sharded ackfile is not per-lane \"lane lsn\" lines"; cat "$kvdir/ack4.txt"; exit 1; }
 "$kvdir/kvserver" -dir "$kvdir/wal4" -verify -ackfile "$kvdir/ack4.txt" \
     | grep -q 'verify ok: 4 lanes' || { echo "per-lane verify failed"; exit 1; }
 
