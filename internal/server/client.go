@@ -218,7 +218,9 @@ func (c *Client) Put(key, value string) (uint64, error) {
 	return resp.LSN, err
 }
 
-// Del deletes key and returns the durable LSN.
+// Del deletes key and returns the durable LSN. It is the wire client's
+// entry point for DEL, kept beside Get, Put, Batch, Watch and Stats so
+// that every op the protocol serves has one.
 func (c *Client) Del(key string) (uint64, error) {
 	resp, err := c.call(Request{Op: OpDel, Key: key})
 	return resp.LSN, err
@@ -231,7 +233,8 @@ func (c *Client) Batch(ops []kv.Op) (uint64, error) {
 }
 
 // Watch blocks until the server's durable watermark covers lsn and
-// returns the watermark observed.
+// returns the watermark observed. It is the wire client's entry point
+// for WATCH, as Del is for DEL.
 func (c *Client) Watch(lsn uint64) (uint64, error) {
 	resp, err := c.call(Request{Op: OpWatch, LSN: lsn})
 	return resp.Water, err

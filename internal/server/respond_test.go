@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -92,10 +93,9 @@ func recvResponse(t *testing.T, nc net.Conn, br *bufio.Reader) Response {
 }
 
 // TestIdleGetOneTransaction: a GET on an idle connection runs exactly
-// one STM transaction — its own read. The reader answers it; through the
-// ack queue and the writer goroutine the same GET cost 5 transaction
-// starts and 4 commits (enqueue, dequeue, the writer's empty poll and
-// its park).
+// one STM transaction — its own read. The reader answers it itself, with
+// no hand-off to the writer goroutine; none of the connection's plumbing
+// is transactional (TestPutBurstTransactions pins the same for PUTs).
 func TestIdleGetOneTransaction(t *testing.T) {
 	srv, store, addr := startServer(t, kv.ModeGroup, simio.Latency{}, Options{})
 	c := dial(t, addr)
@@ -233,18 +233,59 @@ func (f gatedFile) Fsync() error {
 	return f.File.Fsync()
 }
 
+// startGatedServer is startServer on a group-mode store of lanes lanes
+// whose fsyncs a test can hold: once armed is set, every fsync of a lane
+// blocks until release(lane) is called, and none blocks after it. Cleanup
+// releases every lane before it closes the server and the store.
+func startGatedServer(t *testing.T, lanes int, opts Options) (srv *Server, store *kv.Store, addr string, armed *atomic.Bool, release func(lane int)) {
+	t.Helper()
+	gb := gateBackend{Backend: wal.NewSimBackend(simio.NewFS(simio.Latency{})), armed: new(atomic.Bool)}
+	once := make([]sync.Once, lanes)
+	for range lanes {
+		gb.release = append(gb.release, make(chan struct{}))
+	}
+	release = func(lane int) { once[lane].Do(func() { close(gb.release[lane]) }) }
+	store, _, err := kv.Open(stm.NewDefault(), gb, kv.Options{Mode: kv.ModeGroup, Shards: lanes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = New(store, opts)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveDone := make(chan error, 1)
+	go func() { serveDone <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		for lane := range lanes {
+			release(lane)
+		}
+		srv.Close()
+		<-serveDone
+		store.Close()
+	})
+	return srv, store, ln.Addr().String(), gb.armed, release
+}
+
+// waitAssigned waits until lane's log has assigned through lsn: the
+// PUT that reserved it has committed.
+func waitAssigned(t *testing.T, store *kv.Store, lane int, lsn uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); store.Logs()[lane].AssignedWatermark() < lsn; {
+		if time.Now().After(deadline) {
+			t.Fatalf("lane %d assigned through %d, want %d", lane, store.Logs()[lane].AssignedWatermark(), lsn)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestBufferedAckNotHeldByLaterFsync: on a 2-lane store with both lanes'
 // fsyncs held, one connection pipelines a PUT to lane 0 and then a PUT
 // to lane 1. Releasing lane 0 alone must deliver the first ack: the
 // writer flushes it before it blocks on the second PUT's fsync, which is
 // still held.
 func TestBufferedAckNotHeldByLaterFsync(t *testing.T) {
-	gb := gateBackend{Backend: wal.NewSimBackend(simio.NewFS(simio.Latency{})),
-		armed: new(atomic.Bool), release: []chan struct{}{make(chan struct{}), make(chan struct{})}}
-	store, _, err := kv.Open(stm.NewDefault(), gb, kv.Options{Mode: kv.ModeGroup, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, store, addr, armed, release := startGatedServer(t, 2, Options{})
 	var laneKey [2]string // a key on each lane, found through the tokens
 	for i := 0; laneKey[0] == "" || laneKey[1] == ""; i++ {
 		k := fmt.Sprintf("k%d", i)
@@ -255,30 +296,9 @@ func TestBufferedAckNotHeldByLaterFsync(t *testing.T) {
 		store.WaitDurable(tok)
 		laneKey[kv.TokenLane(tok)] = k
 	}
-	srv := New(store, Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(ln) }()
-	var released [2]bool
-	releaseLane := func(lane int) {
-		if !released[lane] {
-			released[lane] = true
-			close(gb.release[lane])
-		}
-	}
-	t.Cleanup(func() {
-		releaseLane(0)
-		releaseLane(1)
-		srv.Close()
-		<-serveDone
-		store.Close()
-	})
-	gb.armed.Store(true)
+	armed.Store(true)
 
-	nc, err := net.Dial("tcp", ln.Addr().String())
+	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,15 +311,10 @@ func TestBufferedAckNotHeldByLaterFsync(t *testing.T) {
 	// Both PUTs have committed once lane 1 has assigned the second one's
 	// LSN; the reader hands its response to the writer right after, so
 	// the writer finds it queued behind the first.
-	for deadline := time.Now().Add(5 * time.Second); lane1.AssignedWatermark() < held; {
-		if time.Now().After(deadline) {
-			t.Fatal("the lane-1 PUT never committed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitAssigned(t, store, 1, held)
 	time.Sleep(20 * time.Millisecond)
 
-	releaseLane(0)
+	release(0)
 	nc.SetReadDeadline(time.Now().Add(2 * time.Second))
 	payload, err := ReadFrame(br, DefaultMaxFrame)
 	if err != nil {
@@ -311,8 +326,67 @@ func TestBufferedAckNotHeldByLaterFsync(t *testing.T) {
 	if w := lane1.DurableWatermark(); w >= held {
 		t.Fatalf("lane 1's fsync was not held (watermark %d)", w)
 	}
-	releaseLane(1)
+	release(1)
 	if resp := recvResponse(t, nc, br); resp.ID != 2 || resp.Status != StatusOK {
 		t.Fatalf("second response = %+v, want the lane-1 PUT's ack", resp)
+	}
+}
+
+// TestPutBurstTransactions: a burst of PUTs pipelined in one socket
+// write while the lane's fsync is held runs the store's transactions and
+// nothing else: its Updates, the writer's durability waits (one a flush)
+// and the flusher's own. Responses leave in arrival order.
+func TestPutBurstTransactions(t *testing.T) {
+	const n = 64
+	_, store, addr, armed, release := startGatedServer(t, 1, Options{})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	br := bufio.NewReader(nc)
+	sendFrames(t, nc, Request{Op: OpPut, ID: 1, Key: "warm", Val: "v"})
+	recvResponse(t, nc, br)
+	time.Sleep(20 * time.Millisecond) // let the writer and the flusher park
+	armed.Store(true)
+
+	rt := store.Runtime()
+	before, walBefore := rt.Snapshot(), store.WALStats()
+	burst := make([]Request, n)
+	for i := range burst {
+		burst[i] = Request{Op: OpPut, ID: uint64(i + 2), Key: fmt.Sprintf("k%d", i), Val: "v"}
+	}
+	sendFrames(t, nc, burst...)
+	waitAssigned(t, store, 0, 1+n)
+	time.Sleep(20 * time.Millisecond) // let the writer park on the first held ack
+	release(0)
+	for _, want := range burst {
+		if resp := recvResponse(t, nc, br); resp.ID != want.ID || resp.Status != StatusOK {
+			t.Fatalf("got response %+v, want the ack of PUT %d", resp, want.ID)
+		}
+	}
+	time.Sleep(20 * time.Millisecond) // count anything the burst left running
+	d := rt.Snapshot().Delta(before)
+	flushes := store.WALStats().Flushes - walBefore.Flushes
+
+	// The bound the mechanism gives. The reader runs one Update per PUT,
+	// and a conflict-aborted attempt is re-run: one start more. The first
+	// flush drains what is pending when it starts and is held until the
+	// whole burst has committed, so one more flush drains the rest. Per
+	// flush, the writer parks at most once on a response that is not yet
+	// durable and is woken by the publish (2 starts), and writes every
+	// response that publish covers with none; the lane's flusher runs at
+	// most 7: the attempt that commits the flush, its drain, its epoch
+	// leave, the park after it, and, in rule 2, up to three more (arming
+	// the deadline, parking under it, the attempt the deadline ends). The
+	// ack window's hand-off and take run none.
+	if flushes > 2 {
+		t.Fatalf("the burst took %d flushes, want <= 2", flushes)
+	}
+	const writerPerFlush, flusherPerFlush = 2, 7
+	bound := n + d.AbortsConflict + flushes*(writerPerFlush+flusherPerFlush)
+	if d.Starts > bound {
+		t.Fatalf("%d PUTs ran %d transaction starts (%d commits, %d conflict aborts, %d flushes), want <= %d",
+			n, d.Starts, d.Commits, d.AbortsConflict, flushes, bound)
 	}
 }

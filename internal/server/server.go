@@ -13,7 +13,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"deferstm/internal/ds"
 	"deferstm/internal/kv"
 	"deferstm/internal/obs"
 	"deferstm/internal/stm"
@@ -25,8 +24,8 @@ type Options struct {
 	// decoded-but-unacknowledged requests a connection may have before
 	// the server stops reading its socket. It is the backpressure
 	// mechanism — when durability lags, windows fill, readers park on
-	// the bounded queue, and TCP flow control pushes the stall back to
-	// the client. 0 means 128.
+	// them, and TCP flow control pushes the stall back to the client.
+	// 0 means 128.
 	Window int
 	// Registry, when non-nil, receives the server's instruments
 	// (request counters, connection gauge, ack-latency histogram,
@@ -350,11 +349,12 @@ type pend struct {
 	sentinel bool // reader finished cleanly: flush and stop
 }
 
+// watch reports whether p is a WATCH that waits for its token.
+func (p *pend) watch() bool { return p.resp.Status == StatusOK && p.resp.Op == OpWatch }
+
 // waits reports whether p's response must wait for the durable
 // watermark: a mutation's (it carries an LSN) or a WATCH's.
-func (p *pend) waits() bool {
-	return p.resp.LSN > 0 || (p.resp.Status == StatusOK && p.resp.Op == OpWatch)
-}
+func (p *pend) waits() bool { return p.resp.LSN > 0 || p.watch() }
 
 // connOut is a connection's response side, shared by its reader and its
 // writer goroutine: both encode responses into frame and write them into
@@ -400,7 +400,7 @@ func (s *Server) respond(o *connOut, p *pend, flush bool, path *atomic.Uint64) e
 // keep chaining watches). Cancellation (shutdown) abandons the
 // response, never early-acks it.
 func (s *Server) await(ctx context.Context, p *pend) error {
-	if p.resp.Status == StatusOK && p.resp.Op == OpWatch {
+	if p.watch() {
 		if err := s.store.WaitDurableCtx(ctx, p.resp.Water); err != nil {
 			return err
 		}
@@ -417,14 +417,14 @@ func (s *Server) await(ctx context.Context, p *pend) error {
 
 // ready reports whether await would return for p at once.
 func (s *Server) ready(p *pend) bool {
-	if p.resp.Status == StatusOK && p.resp.Op == OpWatch && !s.store.Durable(p.resp.Water) {
+	if p.watch() && !s.store.Durable(p.resp.Water) {
 		return false
 	}
 	return s.store.Durable(p.resp.LSN)
 }
 
 // handleConn runs a connection's reader loop, with a paired writer
-// goroutine draining the bounded ack queue.
+// goroutine draining the ack window.
 //
 // Pipelining contract: the reader decodes and EXECUTES each request
 // immediately — a PUT's transaction commits (reserving its LSN and
@@ -434,23 +434,24 @@ func (s *Server) ready(p *pend) bool {
 // request's LSN. The contract holds within ONE connection: the PUTs it
 // sends during one fsync ride the next, so a single pipelined client
 // fills group-commit batches by itself. Requests are answered strictly
-// in arrival order. Before the writer blocks on a response whose fsync
-// is still owed, it flushes what it has buffered: on a sharded store
-// the next response may wait on another lane's fsync, and an ack
-// already written never waits that out. The ack queue's capacity is
-// the in-flight window: when durability lags, the queue fills, the
-// reader parks (a watcher-based retry, no spinning), the socket stops
-// being read, and TCP pushes the backpressure to the client.
+// in arrival order. A response whose token is already durable is
+// written with no transaction; before the writer blocks on one whose
+// fsync is still owed, it flushes what it has buffered: on a sharded
+// store the next response may wait on another lane's fsync, and an ack
+// already written never waits that out. The ack window is a channel of
+// capacity Options.Window, which needs no atomicity with the store:
+// when durability lags it fills, the reader parks on it, the socket
+// stops being read, and TCP pushes the backpressure to the client.
 //
 // A response that waits for nothing (a GET, STATS, an error) with
 // nothing owed ahead of it is written by the reader itself, with no
-// queue transaction and no writer wake-up. The reader flushes only when
-// no further request is already buffered, and flushes what it wrote
-// before it hands the next response to the writer: a pipelined GET burst
-// costs one socket write, and no GET waits out a later PUT's fsync.
+// hand-off and no writer wake-up. The reader flushes only when no
+// further request is already buffered, and flushes what it wrote before
+// it hands the next response to the writer: a pipelined GET burst costs
+// one socket write, and no GET waits out a later PUT's fsync.
 func (s *Server) handleConn(nc net.Conn) {
 	ctx, cancel := context.WithCancel(s.ctx)
-	acks := ds.NewBoundedQueue[pend](s.opts.window())
+	acks := make(chan pend, s.opts.window())
 	out := &connOut{bw: bufio.NewWriterSize(nc, 32<<10)}
 	writerDone := make(chan struct{})
 
@@ -458,16 +459,18 @@ func (s *Server) handleConn(nc net.Conn) {
 		defer close(writerDone)
 		defer cancel() // a writer exit must unpark the reader
 		for {
-			p, ok := s.takeNoWait(acks)
-			if !ok {
+			var p pend
+			select {
+			case p = <-acks:
+			default:
 				// Nothing pending: flush buffered responses before
 				// parking so a half-full buffer never stalls a client.
 				if err := out.flush(); err != nil {
 					return
 				}
-				var err error
-				p, err = acks.TakeCtx(ctx, s.rt)
-				if err != nil {
+				select {
+				case p = <-acks:
+				case <-ctx.Done():
 					return
 				}
 			}
@@ -475,10 +478,13 @@ func (s *Server) handleConn(nc net.Conn) {
 				out.flush()
 				return
 			}
-			if !s.ready(&p) && out.flush() != nil {
+			ready := s.ready(&p)
+			if !ready && out.flush() != nil {
 				return
 			}
-			if s.await(ctx, &p) != nil {
+			// A WATCH awaits even when ready: await also refreshes the
+			// watermark its response reports.
+			if (!ready || p.watch()) && s.await(ctx, &p) != nil {
 				return
 			}
 			if s.respond(out, &p, false, &s.writerResps) != nil {
@@ -501,7 +507,12 @@ func (s *Server) handleConn(nc net.Conn) {
 		if !p.sentinel {
 			out.owed.Add(1)
 		}
-		return acks.PutCtx(ctx, s.rt, p)
+		select {
+		case acks <- p:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
 	}
 	answer := func(p pend) error {
 		if p.waits() || out.owed.Load() != 0 {
@@ -587,17 +598,6 @@ func frameBuffered(br *bufio.Reader) bool {
 	}
 	hdr, _ := br.Peek(4)
 	return br.Buffered()-4 >= int(binary.LittleEndian.Uint32(hdr))
-}
-
-// takeNoWait is BoundedQueue.TryTake in its own transaction.
-func (s *Server) takeNoWait(acks *ds.BoundedQueue[pend]) (pend, bool) {
-	var p pend
-	var ok bool
-	_ = s.rt.Atomic(func(tx *stm.Tx) error {
-		p, ok = acks.TryTake(tx)
-		return nil
-	})
-	return p, ok
 }
 
 // execute runs one request against the store and returns its pending

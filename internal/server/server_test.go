@@ -1,13 +1,18 @@
 package server
 
 import (
+	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -247,23 +252,126 @@ func TestOneConnectionFillsBatch(t *testing.T) {
 }
 
 // TestSmallWindow: a window of 1 serializes the pipeline but must not
-// deadlock or drop responses.
+// deadlock or drop responses. With the fsync held, a full window parks
+// the reader, so the server stops reading the socket; Close then tears
+// the connection down at once, and Shutdown, once the fsync is released,
+// drains every ack it owes, in order.
 func TestSmallWindow(t *testing.T) {
-	_, _, addr := startServer(t, kv.ModeGroup, simio.Latency{}, Options{Window: 1})
-	c := dial(t, addr)
-	chs := make([]<-chan Response, 0, 100)
-	for i := 0; i < 100; i++ {
-		ch, err := c.Send(Request{Op: OpPut, Key: fmt.Sprintf("k%d", i%7), Val: "v"})
-		if err != nil {
+	t.Run("pipeline", func(t *testing.T) {
+		_, _, addr := startServer(t, kv.ModeGroup, simio.Latency{}, Options{Window: 1})
+		c := dial(t, addr)
+		chs := make([]<-chan Response, 0, 100)
+		for i := 0; i < 100; i++ {
+			ch, err := c.Send(Request{Op: OpPut, Key: fmt.Sprintf("k%d", i%7), Val: "v"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			chs = append(chs, ch)
+		}
+		for i, ch := range chs {
+			if _, err := c.Recv(ch); err != nil {
+				t.Fatalf("response %d: %v", i, err)
+			}
+		}
+	})
+
+	t.Run("close", func(t *testing.T) {
+		srv, _, _, _ := fillSmallWindow(t)
+		start := time.Now()
+		if err := srv.Close(); err != nil {
 			t.Fatal(err)
 		}
-		chs = append(chs, ch)
-	}
-	for i, ch := range chs {
-		if _, err := c.Recv(ch); err != nil {
-			t.Fatalf("response %d: %v", i, err)
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("Close took %v with a full window and the fsync held", d)
 		}
+		// Close returns once each handleConn has called wg.Done, its last
+		// statement; the goroutine may not have returned yet.
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
+			stacks := string(buf[:runtime.Stack(buf, true)])
+			if !strings.Contains(stacks, ").handleConn") {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("a handleConn goroutine outlived Close:\n%s", stacks)
+			}
+		}
+	})
+
+	t.Run("shutdown", func(t *testing.T) {
+		srv, store, nc, release := fillSmallWindow(t)
+		done := make(chan error, 1)
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			done <- srv.Shutdown(ctx)
+		}()
+		time.Sleep(20 * time.Millisecond)
+		select {
+		case err := <-done:
+			t.Fatalf("Shutdown returned (%v) while it still owed acks behind a held fsync", err)
+		default:
+		}
+		release(0)
+		if err := <-done; err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
+		// The reader executed what it had buffered before the kicked read
+		// failed; each of those PUTs is owed its ack.
+		owed := srv.reqs[OpPut].Load()
+		br := bufio.NewReader(nc)
+		for id := uint64(1); id <= owed; id++ {
+			resp := recvResponse(t, nc, br)
+			if resp.ID != id || resp.Status != StatusOK {
+				t.Fatalf("ack %d of %d = %+v", id, owed, resp)
+			}
+			if w := store.Logs()[0].DurableWatermark(); w < resp.LSN {
+				t.Fatalf("drained ack lsn=%d above durable watermark %d", resp.LSN, w)
+			}
+		}
+		// The server closes with requests it never read still in its
+		// socket buffer, so the close may arrive as a reset.
+		if _, err := ReadFrame(br, DefaultMaxFrame); err != io.EOF && !errors.Is(err, syscall.ECONNRESET) {
+			t.Fatalf("after %d acks: %v, want the connection closed", owed, err)
+		}
+	})
+}
+
+// fillSmallWindow starts a 1-lane server with a window of 1 and its
+// fsync held, and pipelines more PUTs at it than its reader's buffer
+// holds. It returns once the window is full and checks that the server
+// then stops reading: the first PUT waits at the writer, the second
+// fills the window and the third parks the reader in its hand-off, so
+// exactly three are executed and the socket's read count stops moving.
+func fillSmallWindow(t *testing.T) (*Server, *kv.Store, net.Conn, func(lane int)) {
+	t.Helper()
+	const window, puts = 1, 256
+	srv, store, addr, armed, release := startGatedServer(t, 1, Options{Window: window})
+	armed.Store(true)
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
 	}
+	t.Cleanup(func() { nc.Close() })
+	val := strings.Repeat("v", 1000) // 256 KiB in all, 8 times the reader's buffer
+	go func() {
+		for i := 1; i <= puts; i++ {
+			if WriteFrame(nc, EncodeRequest(Request{Op: OpPut, ID: uint64(i), Key: "k", Val: val})) != nil {
+				return // the server closed the connection
+			}
+		}
+	}()
+	waitAssigned(t, store, 0, window+2)
+	time.Sleep(20 * time.Millisecond)
+	reads := srv.socketReads.Load()
+	time.Sleep(50 * time.Millisecond)
+	if n := srv.reqs[OpPut].Load(); n != window+2 {
+		t.Fatalf("%d PUTs executed with a window of %d and the fsync held, want %d", n, window, window+2)
+	}
+	if r := srv.socketReads.Load(); r != reads {
+		t.Fatalf("the server read its socket %d more times with the window full", r-reads)
+	}
+	return srv, store, nc, release
 }
 
 // TestSharedClient: one Client used by many goroutines demuxes every

@@ -1,6 +1,6 @@
 #!/bin/sh
 # CI gate: gofmt, vet, build, race-enabled tests, the WAL rotation and
-# crash batteries and the kv reuse tests repeated, short adversarial torture runs with full history checking, the wake-up benchmark smoke,
+# crash batteries, the kv reuse tests and the server's window tests repeated, short adversarial torture runs with full history checking, the wake-up benchmark smoke,
 # the metrics and trace smokes, the width ladder (scripts/ladder.sh),
 # the kvserver/kvreplica crash smokes, and the paper's figures (quick
 # sizes) against their shape checks. Each recipe lives here or in
@@ -39,6 +39,16 @@ go test -count=10 -run 'Crash|Rotat|Torn|Fsync' ./internal/wal ./internal/kv
 echo "==> Batch and scan-cut reuse tests (-count=10, then -race)"
 go test -count=10 -run 'Reuse' ./internal/kv
 go test -race -count=1 -run 'Reuse' ./internal/kv
+
+# The server's ack window: responses in arrival order, the writer's and
+# the reader's flush rules, a full window stopping the socket reads,
+# Close and Shutdown under load and on a full window, and the
+# transactions a PUT burst runs. Ten times over, then once under the
+# race detector. About 13 s on 2 cores.
+echo "==> server window, order, flush, close and shutdown tests (-count=10, then -race)"
+servertests='Window|Order|Flush|Shutdown|Close|BufferedAck|Transaction'
+go test -count=10 -run "$servertests" ./internal/server
+go test -race -count=1 -run "$servertests" ./internal/server
 
 echo "==> stmtorture -check smoke (2s, fault injection, seed 1)"
 go run ./cmd/stmtorture -duration 2s -threads 8 -check -inject -seed 1
