@@ -206,7 +206,12 @@ func BenchmarkRetryWakeup(b *testing.B) {
 			b.ResetTimer()
 			chase(uint64(b.N))
 			b.StopTimer()
-			if wake := met.WakeLatency.Snapshot().Delta(before); wake.Count > 0 {
+			wake := met.WakeLatency.Snapshot()
+			wake.Count -= before.Count
+			for i := range wake.Buckets {
+				wake.Buckets[i] -= before.Buckets[i]
+			}
+			if wake.Count > 0 {
 				b.ReportMetric(wake.Quantile(0.99), "wake_p99_ns")
 			}
 		})

@@ -215,7 +215,7 @@ func writeStatus(r *repl.Replica, path string, logger *log.Logger) {
 // runVerify reads a statusfile back and checks the replica's applied
 // state against the loadgen's ack record: every LSN a client was
 // durably acked on the primary must be covered by the replica's applied
-// cursor on that lane (check.AckedPrefixLanes), and the read path must
+// cursor on that lane (check.VerifyAckfile), and the read path must
 // never have fallen back from the snapshot fast path to validation —
 // replica reads are supposed to be abort-free by construction.
 func runVerify(stdout, stderr io.Writer, statusfile, ackfile string) int {
@@ -241,17 +241,11 @@ func runVerify(stdout, stderr io.Writer, statusfile, ackfile string) int {
 
 	ok := true
 	if ackfile != "" {
-		ab, err := os.ReadFile(ackfile)
+		acked, violations, err := check.VerifyAckfile(ackfile, st.Applied)
 		if err != nil {
 			fmt.Fprintf(stderr, "kvreplica: -ackfile: %v\n", err)
 			return 1
 		}
-		acked, err := check.ParseAckfile(string(ab), st.Lanes)
-		if err != nil {
-			fmt.Fprintf(stderr, "kvreplica: -ackfile %s: %v\n", ackfile, err)
-			return 1
-		}
-		violations := check.AckedPrefixLanes(acked, st.Applied)
 		for _, v := range violations {
 			fmt.Fprintf(stderr, "kvreplica: verify: %s\n", v.Msg)
 			ok = false

@@ -190,29 +190,23 @@ func open(backend wal.Backend, opts kv.Options) (*obs.Registry, *kv.Store, *kv.R
 // crash. The loadgen records, per WAL lane, the highest LSN whose
 // response it actually received; the server acks only at the durable
 // watermark; so recovery must cover those LSNs, lane by lane
-// (check.AckedPrefixLanes). The ackfile holds one "lane lsn" pair per
-// line (check.ParseAckfile).
+// (check.VerifyAckfile). The ackfile holds one "lane lsn" pair per
+// line.
 func runVerify(stdout, stderr io.Writer, info *kv.RecoveryInfo, ackfile string) int {
 	summary, _ := json.Marshal(info)
 	fmt.Fprintf(stdout, "%s\n", summary)
 	if ackfile == "" {
 		return 0
 	}
-	b, err := os.ReadFile(ackfile)
-	if err != nil {
-		fmt.Fprintf(stderr, "kvserver: -ackfile: %v\n", err)
-		return 1
-	}
-	acked, err := check.ParseAckfile(string(b), info.Shards)
-	if err != nil {
-		fmt.Fprintf(stderr, "kvserver: -ackfile %s: %v\n", ackfile, err)
-		return 1
-	}
 	recovered := make([]uint64, info.Shards)
 	for lane := 0; lane < info.Shards && lane < len(info.Lanes); lane++ {
 		recovered[lane] = info.Lanes[lane].LastLSN // zero in -mode none (no lanes)
 	}
-	violations := check.AckedPrefixLanes(acked, recovered)
+	acked, violations, err := check.VerifyAckfile(ackfile, recovered)
+	if err != nil {
+		fmt.Fprintf(stderr, "kvserver: -ackfile: %v\n", err)
+		return 1
+	}
 	for _, v := range violations {
 		fmt.Fprintf(stderr, "kvserver: verify: %s\n", v.Msg)
 	}

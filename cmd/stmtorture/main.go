@@ -257,7 +257,7 @@ func runWorkload(name string, fn func(*torture, *stm.Runtime, int, time.Duration
 	before := rt.Snapshot()
 	start := time.Now()
 	fn(h, rt, threads, d)
-	snap := rt.Snapshot().Delta(before)
+	snap := rt.Snapshot().Sub(before)
 	fmt.Fprintf(stdout, "%-9s %7.2fs  %s\n", name, time.Since(start).Seconds(), snap.String())
 	if checkHist {
 		rep := check.History(log.Events())
@@ -841,7 +841,7 @@ func tortureScanner(h *torture, rt *stm.Runtime, threads int, d time.Duration) {
 	if total != nKeys*initial {
 		h.failf("scanner: final total %d, want %d", total, nKeys*initial)
 	}
-	delta := rt.Snapshot().Delta(before)
+	delta := rt.Snapshot().Sub(before)
 	if got := int64(delta.Snapshots + delta.SnapshotFallbacks); got != scans.Load() {
 		h.failf("scanner: %d snapshot commits + fallbacks, want %d scans", got, scans.Load())
 	}

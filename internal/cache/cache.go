@@ -214,25 +214,6 @@ func (c *Cache[V]) sweep(tx *stm.Tx) int {
 	return h
 }
 
-// Delete removes k inside tx, reporting whether it was present.
-func (c *Cache[V]) Delete(tx *stm.Tx, k string) bool {
-	idx := c.lookup(tx, k)
-	if idx < 0 {
-		return false
-	}
-	s := &c.slots[idx]
-	s.key.Set(tx, "")
-	var zero V
-	s.val.Set(tx, zero)
-	s.ref.Set(tx, false)
-	c.indexRemove(tx, k)
-	c.size.Set(tx, c.size.Get(tx)-1)
-	return true
-}
-
-// Len returns the number of cached entries inside tx.
-func (c *Cache[V]) Len(tx *stm.Tx) int { return c.size.Get(tx) }
-
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
 	Hits, Misses, Evictions uint64

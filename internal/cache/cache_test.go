@@ -34,42 +34,22 @@ func TestCacheBasic(t *testing.T) {
 		if _, ok := c.Get(tx, "zzz"); ok {
 			t.Error("phantom key")
 		}
-		if c.Len(tx) != 2 {
-			t.Errorf("len = %d", c.Len(tx))
+		if c.size.Get(tx) != 2 {
+			t.Errorf("len = %d", c.size.Get(tx))
 		}
 		// Update in place.
 		c.Put(tx, "a", 10)
 		if v, _ := c.Get(tx, "a"); v != 10 {
 			t.Errorf("update lost: %d", v)
 		}
-		if c.Len(tx) != 2 {
-			t.Errorf("update changed len: %d", c.Len(tx))
+		if c.size.Get(tx) != 2 {
+			t.Errorf("update changed len: %d", c.size.Get(tx))
 		}
 	})
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-}
-
-func TestCacheDelete(t *testing.T) {
-	rt := stm.NewDefault()
-	c := New[string](rt, 4)
-	inTx(t, rt, func(tx *stm.Tx) {
-		c.Put(tx, "k", "v")
-		if !c.Delete(tx, "k") {
-			t.Error("delete failed")
-		}
-		if c.Delete(tx, "k") {
-			t.Error("double delete succeeded")
-		}
-		if _, ok := c.Get(tx, "k"); ok {
-			t.Error("deleted key found")
-		}
-		if c.Len(tx) != 0 {
-			t.Errorf("len = %d", c.Len(tx))
-		}
-	})
 }
 
 func TestCacheEvictionAtCapacity(t *testing.T) {
@@ -82,8 +62,8 @@ func TestCacheEvictionAtCapacity(t *testing.T) {
 			if ev := c.Put(tx, key, i); ev != "" {
 				evicted = append(evicted, ev)
 			}
-			if c.Len(tx) > 3 {
-				t.Fatalf("len %d exceeds capacity", c.Len(tx))
+			if c.size.Get(tx) > 3 {
+				t.Fatalf("len %d exceeds capacity", c.size.Get(tx))
 			}
 		})
 	}
@@ -238,7 +218,7 @@ func TestCacheConcurrent(t *testing.T) {
 	wg.Wait()
 	// Invariants: size within capacity, index consistent with slots.
 	inTx(t, rt, func(tx *stm.Tx) {
-		n := c.Len(tx)
+		n := c.size.Get(tx)
 		if n < 0 || n > c.capacity {
 			t.Errorf("len = %d (capacity %d)", n, c.capacity)
 		}

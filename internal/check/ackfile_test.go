@@ -72,16 +72,16 @@ func TestAckedPrefixLanes(t *testing.T) {
 // lane wins, and any other line shape — a bare decimal included — is
 // refused.
 func TestParseAckfile(t *testing.T) {
-	got, err := ParseAckfile("0 4\n\n2 9\n0 7\n2 3\n", 4)
+	got, err := parseAckfile("0 4\n\n2 9\n0 7\n2 3\n", 4)
 	if err != nil || !reflect.DeepEqual(got, []uint64{7, 0, 9, 0}) {
 		t.Fatalf("ParseAckfile = %v, %v; want [7 0 9 0]", got, err)
 	}
-	if got, err := ParseAckfile("", 2); err != nil || !reflect.DeepEqual(got, []uint64{0, 0}) {
+	if got, err := parseAckfile("", 2); err != nil || !reflect.DeepEqual(got, []uint64{0, 0}) {
 		t.Fatalf("empty ackfile = %v, %v", got, err)
 	}
 	for _, bad := range []string{"12\n", "0 1 2\n", "x 1\n", "0 y\n", "-1 3\n", "2 3\n"} {
-		if _, err := ParseAckfile(bad, 2); err == nil {
-			t.Errorf("ParseAckfile(%q) accepted", strings.TrimSpace(bad))
+		if _, err := parseAckfile(bad, 2); err == nil {
+			t.Errorf("parseAckfile(%q) accepted", strings.TrimSpace(bad))
 		}
 	}
 }

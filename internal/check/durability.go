@@ -2,6 +2,7 @@ package check
 
 import (
 	"fmt"
+	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -350,11 +351,25 @@ func AckedPrefixLanes(acked, held []uint64) []Violation {
 	return out
 }
 
-// ParseAckfile reads a loadgen ack record, one "lane lsn" pair per
-// line, returning the max durably-acked LSN per lane. Both kvserver
-// -verify (against recovery) and kvreplica -verify (against the applied
-// cursors) feed the result to AckedPrefixLanes.
-func ParseAckfile(content string, lanes int) ([]uint64, error) {
+// VerifyAckfile is the -verify step of kvserver (against recovery) and
+// kvreplica (against the applied cursors): it reads the loadgen ack
+// record at path and checks held, the LSN each lane holds, against it
+// with AckedPrefixLanes. It returns the acked LSN per lane beside the
+// violations, or an error if the file cannot be read or parsed.
+func VerifyAckfile(path string, held []uint64) (acked []uint64, violations []Violation, err error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if acked, err = parseAckfile(string(b), len(held)); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return acked, AckedPrefixLanes(acked, held), nil
+}
+
+// parseAckfile reads a loadgen ack record, one "lane lsn" pair per
+// line, returning the max durably-acked LSN per lane.
+func parseAckfile(content string, lanes int) ([]uint64, error) {
 	acked := make([]uint64, lanes)
 	for _, line := range strings.Split(strings.TrimSpace(content), "\n") {
 		fields := strings.Fields(line)

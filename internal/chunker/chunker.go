@@ -10,11 +10,6 @@
 // maximum chunk-size clamps.
 package chunker
 
-import (
-	"errors"
-	"io"
-)
-
 // Config parameterizes a Chunker.
 type Config struct {
 	// Window is the rolling-hash window in bytes. 0 means 48.
@@ -85,9 +80,6 @@ func New(cfg Config) *Chunker {
 	return &Chunker{cfg: cfg, mask: (1 << cfg.AvgBits) - 1}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (c *Chunker) Config() Config { return c.cfg }
-
 // Split partitions data into content-defined chunks. The returned chunks
 // alias data (no copying); their concatenation is exactly data.
 func (c *Chunker) Split(data []byte) []Chunk {
@@ -125,58 +117,4 @@ func (c *Chunker) nextBoundary(data []byte) int {
 		}
 	}
 	return limit
-}
-
-// Reader chunks an io.Reader incrementally, for streaming pipelines.
-type Reader struct {
-	c      *Chunker
-	r      io.Reader
-	buf    []byte
-	off    int64
-	err    error
-	filled int
-}
-
-// NewReader wraps r for streaming chunking with the given config.
-func NewReader(r io.Reader, cfg Config) *Reader {
-	c := New(cfg)
-	return &Reader{
-		c:   c,
-		r:   r,
-		buf: make([]byte, 0, 2*c.cfg.Max),
-	}
-}
-
-// Next returns the next chunk, or io.EOF when the stream is exhausted.
-// The returned chunk's Data is owned by the caller (copied).
-func (cr *Reader) Next() (Chunk, error) {
-	// Fill the buffer until we hold Max bytes or hit EOF.
-	for cr.err == nil && len(cr.buf) < cr.c.cfg.Max {
-		cr.buf = cr.buf[:cap(cr.buf)]
-		n, err := cr.r.Read(cr.buf[cr.filled:])
-		cr.filled += n
-		cr.buf = cr.buf[:cr.filled]
-		if err != nil {
-			cr.err = err
-		}
-	}
-	if len(cr.buf) == 0 {
-		if cr.err != nil && !errors.Is(cr.err, io.EOF) {
-			return Chunk{}, cr.err
-		}
-		return Chunk{}, io.EOF
-	}
-	n := cr.c.nextBoundary(cr.buf)
-	if n == len(cr.buf) && cr.err == nil {
-		// Shouldn't happen (we fill to Max), but guard anyway.
-		n = len(cr.buf)
-	}
-	out := make([]byte, n)
-	copy(out, cr.buf[:n])
-	ch := Chunk{Offset: cr.off, Data: out}
-	cr.off += int64(n)
-	copy(cr.buf, cr.buf[n:])
-	cr.filled -= n
-	cr.buf = cr.buf[:cr.filled]
-	return ch, nil
 }

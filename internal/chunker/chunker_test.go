@@ -2,7 +2,6 @@ package chunker
 
 import (
 	"bytes"
-	"io"
 	"testing"
 	"testing/quick"
 )
@@ -114,7 +113,7 @@ func TestIdenticalRegionsProduceIdenticalChunks(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	c := New(Config{})
-	cfg := c.Config()
+	cfg := c.cfg
 	if cfg.Window != 48 || cfg.AvgBits != 13 {
 		t.Errorf("defaults = %+v", cfg)
 	}
@@ -123,7 +122,7 @@ func TestDefaults(t *testing.T) {
 	}
 	// Degenerate configs are repaired.
 	c2 := New(Config{Window: 64, AvgBits: 4, Min: 1, Max: 2})
-	cfg2 := c2.Config()
+	cfg2 := c2.cfg
 	if cfg2.Min < cfg2.Window || cfg2.Max < cfg2.Min {
 		t.Errorf("repair failed: %+v", cfg2)
 	}
@@ -139,75 +138,6 @@ func TestEmptyAndTinyInputs(t *testing.T) {
 	if len(chunks) != 1 || !bytes.Equal(chunks[0].Data, small) {
 		t.Errorf("tiny input chunks = %v", chunks)
 	}
-}
-
-func TestReaderMatchesSplit(t *testing.T) {
-	data := randBytes(150_000, 11)
-	cfg := Config{AvgBits: 10}
-	want := New(cfg).Split(data)
-	r := NewReader(bytes.NewReader(data), cfg)
-	var got []Chunk
-	for {
-		ch, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, ch)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("reader chunks = %d, split chunks = %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Offset != want[i].Offset || !bytes.Equal(got[i].Data, want[i].Data) {
-			t.Fatalf("chunk %d differs", i)
-		}
-	}
-}
-
-func TestReaderSmallReads(t *testing.T) {
-	data := randBytes(50_000, 13)
-	r := NewReader(&smallReader{data: data, max: 7}, Config{AvgBits: 9})
-	var rebuilt []byte
-	for {
-		ch, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		rebuilt = append(rebuilt, ch.Data...)
-	}
-	if !bytes.Equal(rebuilt, data) {
-		t.Error("streaming with tiny reads lost data")
-	}
-}
-
-// smallReader reads at most max bytes per call, to exercise the streaming
-// reader's refill logic.
-type smallReader struct {
-	data []byte
-	max  int
-	pos  int
-}
-
-func (r *smallReader) Read(p []byte) (int, error) {
-	if r.pos >= len(r.data) {
-		return 0, io.EOF
-	}
-	n := r.max
-	if n > len(p) {
-		n = len(p)
-	}
-	if n > len(r.data)-r.pos {
-		n = len(r.data) - r.pos
-	}
-	copy(p, r.data[r.pos:r.pos+n])
-	r.pos += n
-	return n, nil
 }
 
 // Property: Split always reconstructs the input for arbitrary data.

@@ -2,6 +2,7 @@ package ds
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -181,20 +182,11 @@ func TestRBTreeBasic(t *testing.T) {
 		if tr.Insert(tx, 10, "TEN") {
 			t.Error("replace counted as new")
 		}
-		v, ok := tr.Get(tx, 10)
-		if !ok || v != "TEN" {
-			t.Errorf("Get(10) = %q,%v", v, ok)
-		}
 		if tr.Len(tx) != 3 {
 			t.Errorf("len = %d", tr.Len(tx))
 		}
-		k, _, ok := tr.Min(tx)
-		if !ok || k != 5 {
-			t.Errorf("Min = %d", k)
-		}
-		k, _, ok = tr.Max(tx)
-		if !ok || k != 15 {
-			t.Errorf("Max = %d", k)
+		if keys := tr.Keys(tx); !slices.Equal(keys, []int64{5, 10, 15}) {
+			t.Errorf("keys = %v, want [5 10 15]", keys)
 		}
 		if !tr.Delete(tx, 10) || tr.Delete(tx, 10) {
 			t.Error("delete wrong")
@@ -213,17 +205,11 @@ func TestRBTreeEmpty(t *testing.T) {
 	rt := stm.NewDefault()
 	tr := NewRBTree[int]()
 	atomically(t, rt, func(tx *stm.Tx) {
-		if _, _, ok := tr.Min(tx); ok {
-			t.Error("Min on empty")
-		}
-		if _, _, ok := tr.Max(tx); ok {
-			t.Error("Max on empty")
+		if keys := tr.Keys(tx); len(keys) != 0 || tr.Len(tx) != 0 {
+			t.Errorf("empty tree holds %v (len %d)", keys, tr.Len(tx))
 		}
 		if tr.Delete(tx, 1) {
 			t.Error("delete on empty")
-		}
-		if _, ok := tr.Get(tx, 1); ok {
-			t.Error("get on empty")
 		}
 	})
 	if err := tr.Validate(); err != nil {
@@ -294,17 +280,14 @@ func TestRBTreeOracleProperty(t *testing.T) {
 		if tr.Validate() != nil {
 			return false
 		}
+		want := make([]int64, 0, len(oracle))
+		for k := range oracle {
+			want = append(want, k)
+		}
+		slices.Sort(want)
 		good := true
 		_ = rt.Atomic(func(tx *stm.Tx) error {
-			if tr.Len(tx) != len(oracle) {
-				good = false
-			}
-			for k, v := range oracle {
-				got, ok := tr.Get(tx, k)
-				if !ok || got != v {
-					good = false
-				}
-			}
+			good = tr.Len(tx) == len(oracle) && slices.Equal(tr.Keys(tx), want)
 			return nil
 		})
 		return good

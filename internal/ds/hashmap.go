@@ -393,7 +393,7 @@ func (m *HashMap[K, V]) migrateChunk(ctx *core.OpCtx, t *hmTable[K, V]) bool {
 // fresh owner identity. Each chunk is one transaction deferring one
 // operation — its own two-phase-locking unit — so the lock is released
 // between chunks and map operations interleave with the migration. A
-// failed TryAcquire means another owner holds the lock (a user-visible
+// failed TryAcquireAs means another owner holds the lock (a user-visible
 // Lock() holder, or a second migrator after back-to-back resizes); we
 // yield and retry, and stop as soon as a table with old == nil is seen.
 func (m *HashMap[K, V]) migrateLoop(rt *stm.Runtime) {

@@ -1,14 +1,14 @@
 package ds
 
-import (
-	"context"
-
-	"deferstm/internal/stm"
-)
+import "deferstm/internal/stm"
 
 // BoundedQueue is a fixed-capacity transactional FIFO ring. Put retries
-// while full; Take retries while empty. It is the data structure behind
-// reorder windows and bounded pipelines (compare internal/dedup's ring).
+// while full. TryTake reports an empty queue instead, so that a consumer
+// can wait on the queue and on other state in one transaction: it calls
+// tx.Retry when nothing it read lets it proceed (the watcher torture's
+// consumers wait for an element or a close flag). It is the data
+// structure behind reorder windows and bounded pipelines (compare
+// internal/dedup's ring).
 type BoundedQueue[T any] struct {
 	slots []stm.Var[T]
 	head  stm.Var[uint64] // next take position
@@ -21,11 +21,6 @@ func NewBoundedQueue[T any](n int) *BoundedQueue[T] {
 		n = 1
 	}
 	return &BoundedQueue[T]{slots: make([]stm.Var[T], n)}
-}
-
-// Len reports the number of queued elements inside tx.
-func (q *BoundedQueue[T]) Len(tx *stm.Tx) int {
-	return int(q.tail.Get(tx) - q.head.Get(tx))
 }
 
 // TryPut appends v, reporting false when full.
@@ -59,36 +54,4 @@ func (q *BoundedQueue[T]) TryTake(tx *stm.Tx) (T, bool) {
 	slot.Set(tx, zero) // drop the reference for GC
 	q.head.Set(tx, h+1)
 	return v, true
-}
-
-// Take removes the oldest element, retrying while the queue is empty.
-func (q *BoundedQueue[T]) Take(tx *stm.Tx) T {
-	v, ok := q.TryTake(tx)
-	if !ok {
-		tx.Retry()
-	}
-	return v
-}
-
-// PutCtx runs its own transaction that blocks (parked on watchers)
-// while the queue is full, until the put succeeds or ctx ends, in which
-// case it returns ctx.Err(). Use Put to block inside an existing
-// transaction; PutCtx is the top-level producer entry point.
-func (q *BoundedQueue[T]) PutCtx(ctx context.Context, rt *stm.Runtime, v T) error {
-	return rt.AtomicCtx(ctx, func(tx *stm.Tx) error {
-		q.Put(tx, v)
-		return nil
-	})
-}
-
-// TakeCtx runs its own transaction that blocks while the queue is
-// empty, until an element arrives or ctx ends, in which case it returns
-// ctx.Err().
-func (q *BoundedQueue[T]) TakeCtx(ctx context.Context, rt *stm.Runtime) (T, error) {
-	var v T
-	err := rt.AtomicCtx(ctx, func(tx *stm.Tx) error {
-		v = q.Take(tx)
-		return nil
-	})
-	return v, err
 }

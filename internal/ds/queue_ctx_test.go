@@ -1,5 +1,5 @@
-// Tests for the context-aware queue entry points (PutCtx/TakeCtx):
-// blocking take/put over watcher-parked transactions with randomized
+// Tests for the queue's blocking Put and take run top-level through
+// rt.AtomicCtx: watcher-parked transactions with randomized
 // producer/consumer schedules, and cancellation of parked operations.
 package ds
 
@@ -16,7 +16,7 @@ import (
 )
 
 // TestBoundedQueueCtxRandomized drives randomized producers and
-// consumers through PutCtx/TakeCtx over a deliberately tiny queue, so
+// consumers through Put and take under rt.AtomicCtx over a tiny queue, so
 // both sides park constantly. Every element must arrive exactly once,
 // and each consumer must see any single producer's elements in
 // strictly increasing order (the queue is FIFO and elements are taken
@@ -40,8 +40,8 @@ func TestBoundedQueueCtxRandomized(t *testing.T) {
 					time.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
 				}
 				v := uint64(pid)<<32 | uint64(seq)
-				if err := q.PutCtx(ctx, rt, v); err != nil {
-					t.Errorf("PutCtx: %v", err)
+				if err := rt.AtomicCtx(ctx, func(tx *stm.Tx) error { q.Put(tx, v); return nil }); err != nil {
+					t.Errorf("Put: %v", err)
 					return
 				}
 				produced.Add(1)
@@ -63,9 +63,9 @@ func TestBoundedQueueCtxRandomized(t *testing.T) {
 					consumed.Add(-1)
 					return
 				}
-				v, err := q.TakeCtx(ctx, rt)
-				if err != nil {
-					t.Errorf("TakeCtx: %v", err)
+				var v uint64
+				if err := rt.AtomicCtx(ctx, func(tx *stm.Tx) error { v = take(tx, q); return nil }); err != nil {
+					t.Errorf("Take: %v", err)
 					return
 				}
 				pid, seq := int(v>>32), int64(v&0xffffffff)
@@ -105,7 +105,7 @@ func TestBoundedQueueCtxRandomized(t *testing.T) {
 }
 
 // TestBoundedQueueTakeCtxCancel parks a consumer on an empty queue and
-// cancels it: TakeCtx must return the context error and leave no
+// cancels it: AtomicCtx must return the context error and leave no
 // parked transaction behind.
 func TestBoundedQueueTakeCtxCancel(t *testing.T) {
 	rt := stm.NewDefault()
@@ -113,18 +113,17 @@ func TestBoundedQueueTakeCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
 	go func() {
-		_, err := q.TakeCtx(ctx, rt)
-		errCh <- err
+		errCh <- rt.AtomicCtx(ctx, func(tx *stm.Tx) error { take(tx, q); return nil })
 	}()
 	waitParkedDS(t, rt, 1)
 	cancel()
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("TakeCtx = %v, want context.Canceled", err)
+			t.Fatalf("Take = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("TakeCtx ignored cancellation while parked on empty")
+		t.Fatal("Take ignored cancellation while parked on empty")
 	}
 	if n := rt.RetryParked(); n != 0 {
 		t.Fatalf("RetryParked = %d after cancel, want 0", n)
@@ -138,30 +137,30 @@ func TestBoundedQueuePutCtxCancelWhenFull(t *testing.T) {
 	rt := stm.NewDefault()
 	q := NewBoundedQueue[int](2)
 	for i := 0; i < 2; i++ {
-		if err := q.PutCtx(context.Background(), rt, i); err != nil {
+		if err := rt.Atomic(func(tx *stm.Tx) error { q.Put(tx, i); return nil }); err != nil {
 			t.Fatalf("fill: %v", err)
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	errCh := make(chan error, 1)
-	go func() { errCh <- q.PutCtx(ctx, rt, 99) }()
+	go func() { errCh <- rt.AtomicCtx(ctx, func(tx *stm.Tx) error { q.Put(tx, 99); return nil }) }()
 	waitParkedDS(t, rt, 1)
 	cancel()
 	select {
 	case err := <-errCh:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("PutCtx = %v, want context.Canceled", err)
+			t.Fatalf("Put = %v, want context.Canceled", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("PutCtx ignored cancellation while parked on full")
+		t.Fatal("Put ignored cancellation while parked on full")
 	}
 	// The abandoned put must not have landed.
 	var a, b int
 	err := rt.Atomic(func(tx *stm.Tx) error {
-		a = q.Take(tx)
-		b = q.Take(tx)
-		if q.Len(tx) != 0 {
-			t.Errorf("queue holds %d extra elements", q.Len(tx))
+		a = take(tx, q)
+		b = take(tx, q)
+		if v, ok := q.TryTake(tx); ok {
+			t.Errorf("queue holds an extra element %d", v)
 		}
 		return nil
 	})

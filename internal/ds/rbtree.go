@@ -192,23 +192,6 @@ func del[V any](n *rbNode[V], k int64) (*rbNode[V], bool) {
 	}
 }
 
-// Get returns the value for k.
-func (t *RBTree[V]) Get(tx *stm.Tx, k int64) (V, bool) {
-	n := t.root.Get(tx)
-	for n != nil {
-		switch {
-		case k < n.key:
-			n = n.left
-		case k > n.key:
-			n = n.right
-		default:
-			return n.val, true
-		}
-	}
-	var zero V
-	return zero, false
-}
-
 // Insert adds or replaces k, returning true if the key was new.
 func (t *RBTree[V]) Insert(tx *stm.Tx, k int64, v V) bool {
 	root, added := ins(t.root.Get(tx), k, v)
@@ -232,30 +215,6 @@ func (t *RBTree[V]) Delete(tx *stm.Tx, k int64) bool {
 
 // Len returns the number of keys.
 func (t *RBTree[V]) Len(tx *stm.Tx) int { return t.size.Get(tx) }
-
-// Min returns the smallest key (ok=false when empty).
-func (t *RBTree[V]) Min(tx *stm.Tx) (k int64, v V, ok bool) {
-	n := t.root.Get(tx)
-	if n == nil {
-		return 0, v, false
-	}
-	for n.left != nil {
-		n = n.left
-	}
-	return n.key, n.val, true
-}
-
-// Max returns the largest key (ok=false when empty).
-func (t *RBTree[V]) Max(tx *stm.Tx) (k int64, v V, ok bool) {
-	n := t.root.Get(tx)
-	if n == nil {
-		return 0, v, false
-	}
-	for n.right != nil {
-		n = n.right
-	}
-	return n.key, n.val, true
-}
 
 // Keys returns all keys in order.
 func (t *RBTree[V]) Keys(tx *stm.Tx) []int64 {

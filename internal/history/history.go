@@ -40,10 +40,3 @@ func (l *Log) Events() []stm.Event {
 	copy(out, l.events)
 	return out
 }
-
-// Len reports the number of recorded events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}

@@ -14,8 +14,8 @@ func TestRecordAssignsSequence(t *testing.T) {
 	if len(evs) != 2 || evs[0].Seq != 1 || evs[1].Seq != 2 {
 		t.Fatalf("bad sequence assignment: %+v", evs)
 	}
-	if l.Len() != 2 {
-		t.Fatalf("Len=%d", l.Len())
+	if len(l.Events()) != 2 {
+		t.Fatalf("%d events, want 2", len(l.Events()))
 	}
 }
 

@@ -188,11 +188,11 @@ func TestTraceWriterJSON(t *testing.T) {
 	log := New()
 	tw.Tee(log)
 	runDeferWorkload(t, tw, 4, 25)
-	if tw.Len() == 0 || log.Len() == 0 {
-		t.Fatalf("trace=%d teed=%d events, want both nonzero", tw.Len(), log.Len())
+	if tw.Len() == 0 || len(log.Events()) == 0 {
+		t.Fatalf("trace=%d teed=%d events, want both nonzero", tw.Len(), len(log.Events()))
 	}
-	if tw.Len() != log.Len() {
-		t.Fatalf("tee dropped events: trace=%d log=%d", tw.Len(), log.Len())
+	if tw.Len() != len(log.Events()) {
+		t.Fatalf("tee dropped events: trace=%d log=%d", tw.Len(), len(log.Events()))
 	}
 
 	cats := map[string]int{}

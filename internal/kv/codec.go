@@ -30,14 +30,19 @@ type Op struct {
 	Value string // empty for deletes
 }
 
-func appendStr(dst []byte, s string) []byte {
+// AppendStr appends s to dst as a u32 length and its bytes: the string
+// framing of the op list, the checkpoint and the wire protocol's bodies
+// (internal/server).
+func AppendStr(dst []byte, s string) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
 	return append(dst, s...)
 }
 
-func takeStr(b []byte) (string, []byte, error) {
+// TakeStr decodes the string AppendStr wrote at the front of b and
+// returns it with the rest of b.
+func TakeStr(b []byte) (string, []byte, error) {
 	if len(b) < 4 {
-		return "", nil, fmt.Errorf("kv: truncated length")
+		return "", nil, fmt.Errorf("kv: truncated string length")
 	}
 	n := binary.LittleEndian.Uint32(b)
 	if uint32(len(b)-4) < n {
@@ -54,11 +59,11 @@ func AppendOps(dst []byte, ops []Op) []byte {
 	for _, op := range ops {
 		if op.Put {
 			dst = append(dst, opPut)
-			dst = appendStr(dst, op.Key)
-			dst = appendStr(dst, op.Value)
+			dst = AppendStr(dst, op.Key)
+			dst = AppendStr(dst, op.Value)
 		} else {
 			dst = append(dst, opDelete)
-			dst = appendStr(dst, op.Key)
+			dst = AppendStr(dst, op.Key)
 		}
 	}
 	return dst
@@ -89,14 +94,14 @@ func DecodeOps(b []byte) ([]Op, error) {
 		switch code {
 		case opPut:
 			op.Put = true
-			if op.Key, b, err = takeStr(b); err != nil {
+			if op.Key, b, err = TakeStr(b); err != nil {
 				return nil, err
 			}
-			if op.Value, b, err = takeStr(b); err != nil {
+			if op.Value, b, err = TakeStr(b); err != nil {
 				return nil, err
 			}
 		case opDelete:
-			if op.Key, b, err = takeStr(b); err != nil {
+			if op.Key, b, err = TakeStr(b); err != nil {
 				return nil, err
 			}
 		default:
@@ -114,8 +119,8 @@ func encodeSnapshot(kvs map[string]string) []byte {
 	binary.LittleEndian.PutUint32(l[:], uint32(len(kvs)))
 	out = append(out, l[:]...)
 	for k, v := range kvs {
-		out = appendStr(out, k)
-		out = appendStr(out, v)
+		out = AppendStr(out, k)
+		out = AppendStr(out, v)
 	}
 	return out
 }
@@ -130,7 +135,7 @@ func decodeSnapshot(b []byte) (map[string]string, error) {
 	// Clamp the map's size hint to what the remaining bytes could
 	// possibly hold (each entry needs two length prefixes, ≥ 8 bytes):
 	// a corrupt count must produce a decode error, not a giant
-	// allocation before the first takeStr ever runs.
+	// allocation before the first TakeStr ever runs.
 	hint := n
 	if maxEntries := uint32(len(b) / 8); hint > maxEntries {
 		hint = maxEntries
@@ -139,10 +144,10 @@ func decodeSnapshot(b []byte) (map[string]string, error) {
 	for i := uint32(0); i < n; i++ {
 		var k, v string
 		var err error
-		if k, b, err = takeStr(b); err != nil {
+		if k, b, err = TakeStr(b); err != nil {
 			return nil, err
 		}
-		if v, b, err = takeStr(b); err != nil {
+		if v, b, err = TakeStr(b); err != nil {
 			return nil, err
 		}
 		kvs[k] = v

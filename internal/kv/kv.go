@@ -423,9 +423,6 @@ func (b *Batch) Delete(key string) {
 	b.add(sh, Op{Key: key})
 }
 
-// Len reports the number of mutations so far.
-func (b *Batch) Len() int { return b.n }
-
 // Update runs fn as one atomic, durable mutation of the store and
 // returns a durability token for its WAL record(s) — 0 for a read-only
 // fn or in ModeNone. The token packs the home lane (the lowest touched

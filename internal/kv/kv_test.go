@@ -2,6 +2,8 @@ package kv
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -316,7 +318,7 @@ func TestFsyncCountersMatchDisk(t *testing.T) {
 func TestRegistryInstrumentsTheStore(t *testing.T) {
 	reg := obs.NewRegistry()
 	openStore(t, nil, Options{Mode: ModeNone, Registry: reg})
-	if got := reg.Names(); len(got) != 1 || got[0] != "deferstm_resize_chunk_seconds" {
+	if got := slices.Collect(maps.Keys(reg.Snapshot())); len(got) != 1 || got[0] != "deferstm_resize_chunk_seconds" {
 		t.Fatalf("a store without a log registered %q, want only the resize-chunk histogram", got)
 	}
 

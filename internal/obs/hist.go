@@ -65,9 +65,6 @@ func NewHistogram(name, help string) *Histogram {
 	return h
 }
 
-// Name returns the metric name the histogram was created with.
-func (h *Histogram) Name() string { return h.name }
-
 // Observe records one latency. Nil-safe and allocation-free: the nil
 // check is the entire disabled cost.
 func (h *Histogram) Observe(d time.Duration) {
@@ -122,17 +119,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 		}
 	}
 	return s
-}
-
-// Delta returns the per-bucket difference s - prev: the distribution of
-// the interval between the two snapshots. Max carries over from s (a
-// maximum cannot be differenced; it is the max seen up to s).
-func (s HistSnapshot) Delta(prev HistSnapshot) HistSnapshot {
-	out := HistSnapshot{Count: s.Count - prev.Count, Sum: s.Sum - prev.Sum, Max: s.Max}
-	for i := range s.Buckets {
-		out.Buckets[i] = s.Buckets[i] - prev.Buckets[i]
-	}
-	return out
 }
 
 // BucketUpper returns the exclusive upper bound, in nanoseconds, of
@@ -196,20 +182,10 @@ type Gauge struct {
 // NewGauge returns an unregistered gauge.
 func NewGauge(name, help string) *Gauge { return &Gauge{name: name, help: help} }
 
-// Name returns the metric name the gauge was created with.
-func (g *Gauge) Name() string { return g.name }
-
 // Add moves the gauge by n. Nil-safe.
 func (g *Gauge) Add(n int64) {
 	if g != nil {
 		g.v.Add(n)
-	}
-}
-
-// Set stores the gauge. Nil-safe.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v.Store(n)
 	}
 }
 

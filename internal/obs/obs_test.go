@@ -128,19 +128,6 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
-// TestSnapshotDelta verifies interval extraction.
-func TestSnapshotDelta(t *testing.T) {
-	h := NewHistogram("d", "test")
-	h.Observe(10)
-	before := h.Snapshot()
-	h.Observe(100)
-	h.Observe(200)
-	d := h.Snapshot().Delta(before)
-	if d.Count != 2 || d.Sum != 300 {
-		t.Fatalf("delta count=%d sum=%d, want 2/300", d.Count, d.Sum)
-	}
-}
-
 // TestNilInstrumentsAllocFree pins the disabled fast path: observing a
 // nil histogram and moving a nil gauge must do nothing and allocate
 // nothing; an attached histogram must also be allocation-free.
@@ -178,7 +165,7 @@ func TestWritePrometheus(t *testing.T) {
 	r.SetBuildInfo("commit", "abc123", "go", "go1.24")
 	h.Observe(100)
 	h.Observe(1000)
-	g.Set(4)
+	g.Add(4)
 
 	var b strings.Builder
 	r.WritePrometheus(&b)

@@ -58,14 +58,14 @@ func TestAppendCodecsAllocFree(t *testing.T) {
 func TestFramesMatchEncoders(t *testing.T) {
 	for _, req := range pinRequests {
 		var want bytes.Buffer
-		_ = writeFrame(&want, EncodeRequest(req))
+		_ = WriteFrame(&want, EncodeRequest(req))
 		if got := requestFrame([]byte("stale"), req); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("requestFrame(op %d) = %x, want %x", req.Op, got, want.Bytes())
 		}
 	}
 	for _, resp := range pinResponses {
 		var want bytes.Buffer
-		_ = writeFrame(&want, EncodeResponse(resp))
+		_ = WriteFrame(&want, EncodeResponse(resp))
 		if got := responseFrame([]byte("stale"), resp); !bytes.Equal(got, want.Bytes()) {
 			t.Errorf("responseFrame(op %d) = %x, want %x", resp.Op, got, want.Bytes())
 		}

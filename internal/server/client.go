@@ -226,7 +226,8 @@ func (c *Client) Del(key string) (uint64, error) {
 	return resp.LSN, err
 }
 
-// Batch applies ops as one atomic, durable transaction.
+// Batch applies ops as one atomic, durable transaction. It is the wire
+// client's entry point for BATCH, as Del is for DEL.
 func (c *Client) Batch(ops []kv.Op) (uint64, error) {
 	resp, err := c.call(Request{Op: OpBatch, Ops: ops})
 	return resp.LSN, err

@@ -115,11 +115,6 @@ type Response struct {
 	Err    string // status Err
 }
 
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s)))
-	return append(dst, s...)
-}
-
 func takeU32(b []byte) (uint32, []byte, error) {
 	if len(b) < 4 {
 		return 0, nil, fmt.Errorf("server: truncated u32")
@@ -132,17 +127,6 @@ func takeU64(b []byte) (uint64, []byte, error) {
 		return 0, nil, fmt.Errorf("server: truncated u64")
 	}
 	return binary.LittleEndian.Uint64(b), b[8:], nil
-}
-
-func takeStr(b []byte) (string, []byte, error) {
-	if len(b) < 4 {
-		return "", nil, fmt.Errorf("server: truncated string length")
-	}
-	n := binary.LittleEndian.Uint32(b)
-	if uint32(len(b)-4) < n {
-		return "", nil, fmt.Errorf("server: truncated string (%d of %d bytes)", len(b)-4, n)
-	}
-	return string(b[4 : 4+n]), b[4+n:], nil
 }
 
 // EncodeRequest renders req as a frame payload (no length prefix), in
@@ -159,10 +143,10 @@ func appendRequest(dst []byte, req Request) []byte {
 	out = binary.LittleEndian.AppendUint64(out, req.ID)
 	switch req.Op {
 	case OpGet, OpDel:
-		out = appendStr(out, req.Key)
+		out = kv.AppendStr(out, req.Key)
 	case OpPut:
-		out = appendStr(out, req.Key)
-		out = appendStr(out, req.Val)
+		out = kv.AppendStr(out, req.Key)
+		out = kv.AppendStr(out, req.Val)
 	case OpBatch:
 		out = kv.AppendOps(out, req.Ops)
 	case OpWatch:
@@ -189,14 +173,14 @@ func DecodeRequest(b []byte) (Request, error) {
 	var err error
 	switch req.Op {
 	case OpGet, OpDel:
-		if req.Key, b, err = takeStr(b); err != nil {
+		if req.Key, b, err = kv.TakeStr(b); err != nil {
 			return req, err
 		}
 	case OpPut:
-		if req.Key, b, err = takeStr(b); err != nil {
+		if req.Key, b, err = kv.TakeStr(b); err != nil {
 			return req, err
 		}
-		if req.Val, b, err = takeStr(b); err != nil {
+		if req.Val, b, err = kv.TakeStr(b); err != nil {
 			return req, err
 		}
 	case OpBatch:
@@ -244,7 +228,7 @@ func appendResponse(dst []byte, resp Response) []byte {
 	out := append(dst, resp.Status, resp.Op)
 	out = binary.LittleEndian.AppendUint64(out, resp.ID)
 	if resp.Status != StatusOK {
-		return appendStr(out, resp.Err)
+		return kv.AppendStr(out, resp.Err)
 	}
 	switch resp.Op {
 	case OpGet:
@@ -253,13 +237,13 @@ func appendResponse(dst []byte, resp Response) []byte {
 			found = 1
 		}
 		out = append(out, found)
-		out = appendStr(out, resp.Val)
+		out = kv.AppendStr(out, resp.Val)
 	case OpPut, OpDel, OpBatch:
 		out = binary.LittleEndian.AppendUint64(out, resp.LSN)
 	case OpWatch:
 		out = binary.LittleEndian.AppendUint64(out, resp.Water)
 	case OpStats:
-		out = appendStr(out, resp.Stats)
+		out = kv.AppendStr(out, resp.Stats)
 	case OpReplHello:
 		out = binary.LittleEndian.AppendUint32(out, uint32(resp.Shards))
 	}
@@ -278,7 +262,7 @@ func DecodeResponse(b []byte) (Response, error) {
 	b = b[10:]
 	var err error
 	if resp.Status != StatusOK {
-		if resp.Err, b, err = takeStr(b); err != nil {
+		if resp.Err, b, err = kv.TakeStr(b); err != nil {
 			return resp, err
 		}
 		if len(b) != 0 {
@@ -292,7 +276,7 @@ func DecodeResponse(b []byte) (Response, error) {
 			return resp, fmt.Errorf("server: GET response truncated")
 		}
 		resp.Found = b[0] == 1
-		if resp.Val, b, err = takeStr(b[1:]); err != nil {
+		if resp.Val, b, err = kv.TakeStr(b[1:]); err != nil {
 			return resp, err
 		}
 	case OpPut, OpDel, OpBatch:
@@ -304,7 +288,7 @@ func DecodeResponse(b []byte) (Response, error) {
 			return resp, err
 		}
 	case OpStats:
-		if resp.Stats, b, err = takeStr(b); err != nil {
+		if resp.Stats, b, err = kv.TakeStr(b); err != nil {
 			return resp, err
 		}
 	case OpReplHello:
@@ -325,14 +309,7 @@ func DecodeResponse(b []byte) (Response, error) {
 // WriteFrame writes one length-prefixed frame (exported for the
 // replication follower, which speaks raw frames instead of the
 // request/response Client).
-func WriteFrame(w io.Writer, payload []byte) error { return writeFrame(w, payload) }
-
-// ReadFrame reads one length-prefixed frame into a buffer of its own,
-// enforcing maxFrame.
-func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) { return readFrame(r, maxFrame) }
-
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, payload []byte) error {
+func WriteFrame(w io.Writer, payload []byte) error {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
@@ -357,8 +334,9 @@ func responseFrame(buf []byte, resp Response) []byte {
 	return b
 }
 
-// readFrame reads one frame into a buffer of its own.
-func readFrame(r io.Reader, maxFrame int) ([]byte, error) { return readFrameInto(r, maxFrame, nil) }
+// ReadFrame reads one length-prefixed frame into a buffer of its own,
+// enforcing maxFrame.
+func ReadFrame(r io.Reader, maxFrame int) ([]byte, error) { return readFrameInto(r, maxFrame, nil) }
 
 // maxKeptFrame bounds the frame buffers a connection keeps between
 // frames: one huge BATCH or value must not pin its size for the

@@ -118,12 +118,12 @@ func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payloads := [][]byte{{}, {1}, bytes.Repeat([]byte{0xab}, 1000)}
 	for _, p := range payloads {
-		if err := writeFrame(&buf, p); err != nil {
+		if err := WriteFrame(&buf, p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, want := range payloads {
-		got, err := readFrame(&buf, DefaultMaxFrame)
+		got, err := ReadFrame(&buf, DefaultMaxFrame)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -131,23 +131,23 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: got %d bytes want %d", i, len(got), len(want))
 		}
 	}
-	if _, err := readFrame(&buf, DefaultMaxFrame); err != io.EOF {
+	if _, err := ReadFrame(&buf, DefaultMaxFrame); err != io.EOF {
 		t.Errorf("drained reader: err = %v, want io.EOF", err)
 	}
 
 	// Oversized header refused without reading (or allocating) the body.
 	buf.Reset()
-	if err := writeFrame(&buf, bytes.Repeat([]byte{1}, 100)); err != nil {
+	if err := WriteFrame(&buf, bytes.Repeat([]byte{1}, 100)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readFrame(&buf, 10); err == nil || !strings.Contains(err.Error(), "exceeds size limit") {
+	if _, err := ReadFrame(&buf, 10); err == nil || !strings.Contains(err.Error(), "exceeds size limit") {
 		t.Errorf("oversized frame: err = %v", err)
 	}
 
 	// Lying header over a truncated body.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0, 0, 0, 'x'})
-	if _, err := readFrame(&buf, DefaultMaxFrame); err == nil {
+	if _, err := ReadFrame(&buf, DefaultMaxFrame); err == nil {
 		t.Error("truncated frame decoded without error")
 	}
 }

@@ -33,7 +33,7 @@ func (s *Server) serveRepl(nc net.Conn, req Request) {
 	logs := s.store.Logs()
 	bw := bufio.NewWriterSize(nc, 64<<10)
 	fail := func(msg string) {
-		_ = writeFrame(bw, EncodeResponse(Response{Status: StatusErr, Op: OpReplHello, ID: req.ID, Err: msg}))
+		_ = WriteFrame(bw, EncodeResponse(Response{Status: StatusErr, Op: OpReplHello, ID: req.ID, Err: msg}))
 		_ = bw.Flush()
 	}
 	if len(logs) == 0 || logs[0] == nil {
@@ -64,12 +64,12 @@ func (s *Server) serveRepl(nc net.Conn, req Request) {
 		cancel()
 	}()
 
-	if err := writeFrame(bw, EncodeResponse(Response{Status: StatusOK, Op: OpReplHello, ID: req.ID, Shards: len(logs)})); err != nil {
+	if err := WriteFrame(bw, EncodeResponse(Response{Status: StatusOK, Op: OpReplHello, ID: req.ID, Shards: len(logs)})); err != nil {
 		return
 	}
 
 	send := func(f ReplFrame) bool {
-		return writeFrame(bw, EncodeReplFrame(f)) == nil
+		return WriteFrame(bw, EncodeReplFrame(f)) == nil
 	}
 	bootstrap := func(lane int) bool {
 		upTo, blob, err := logs[lane].LatestCheckpoint()

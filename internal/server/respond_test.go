@@ -71,7 +71,7 @@ func sendFrames(t *testing.T, nc net.Conn, reqs ...Request) {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, r := range reqs {
-		_ = writeFrame(&buf, EncodeRequest(r))
+		_ = WriteFrame(&buf, EncodeRequest(r))
 	}
 	if _, err := nc.Write(buf.Bytes()); err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestIdleGetOneTransaction(t *testing.T) {
 		t.Fatalf("Get = %q %v %v", v, found, err)
 	}
 	time.Sleep(20 * time.Millisecond) // count anything the GET left running
-	d := rt.Snapshot().Delta(before)
+	d := rt.Snapshot().Sub(before)
 	if d.Starts != 1 || d.Commits != 1 {
 		t.Fatalf("an idle GET ran %d transaction starts and %d commits, want 1 and 1", d.Starts, d.Commits)
 	}
@@ -366,7 +366,7 @@ func TestPutBurstTransactions(t *testing.T) {
 		}
 	}
 	time.Sleep(20 * time.Millisecond) // count anything the burst left running
-	d := rt.Snapshot().Delta(before)
+	d := rt.Snapshot().Sub(before)
 	flushes := store.WALStats().Flushes - walBefore.Flushes
 
 	// The bound the mechanism gives. The reader runs one Update per PUT,

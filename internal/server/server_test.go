@@ -443,10 +443,10 @@ func TestErrorResponses(t *testing.T) {
 		}
 		defer nc.Close()
 		payload := append([]byte{77}, make([]byte, 8)...)
-		if err := writeFrame(nc, payload); err != nil {
+		if err := WriteFrame(nc, payload); err != nil {
 			t.Fatal(err)
 		}
-		frame, err := readFrame(nc, DefaultMaxFrame)
+		frame, err := ReadFrame(nc, DefaultMaxFrame)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -457,7 +457,7 @@ func TestErrorResponses(t *testing.T) {
 		if resp.Status != StatusErr || !strings.Contains(resp.Err, "unknown op") {
 			t.Fatalf("resp = %+v", resp)
 		}
-		if _, err := readFrame(nc, DefaultMaxFrame); err != io.EOF {
+		if _, err := ReadFrame(nc, DefaultMaxFrame); err != io.EOF {
 			t.Fatalf("stream after protocol error: err = %v, want EOF", err)
 		}
 	})
@@ -474,7 +474,7 @@ func TestErrorResponses(t *testing.T) {
 			t.Fatal(err)
 		}
 		nc.SetReadDeadline(time.Now().Add(5 * time.Second))
-		if _, err := readFrame(nc, DefaultMaxFrame); err == nil {
+		if _, err := ReadFrame(nc, DefaultMaxFrame); err == nil {
 			t.Fatal("server answered an oversized frame")
 		}
 	})

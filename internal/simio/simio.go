@@ -28,7 +28,6 @@ import (
 // Errors returned by the simulated filesystem.
 var (
 	ErrNotExist  = errors.New("simio: file does not exist")
-	ErrExist     = errors.New("simio: file already exists")
 	ErrClosed    = errors.New("simio: file is closed")
 	ErrTransient = errors.New("simio: transient write error")
 	ErrFatal     = errors.New("simio: fatal write error")
@@ -46,7 +45,6 @@ type Latency struct {
 	Write      time.Duration // per Write call
 	WritePerKB time.Duration // additional, per KiB written
 	Read       time.Duration // per Read call
-	Seek       time.Duration // per Seek
 	Fsync      time.Duration // per Fsync
 }
 
@@ -64,7 +62,6 @@ func PageCacheLatency() Latency {
 		Write:      4 * time.Microsecond,
 		WritePerKB: 1 * time.Microsecond,
 		Read:       2 * time.Microsecond,
-		Seek:       500 * time.Nanosecond,
 		Fsync:      120 * time.Microsecond,
 	}
 }
@@ -83,7 +80,6 @@ func SlowDiskLatency() Latency {
 		Write:      1500 * time.Microsecond,
 		WritePerKB: 10 * time.Microsecond,
 		Read:       1500 * time.Microsecond,
-		Seek:       0,
 		Fsync:      6 * time.Millisecond,
 	}
 }
@@ -100,9 +96,9 @@ type Faults struct {
 
 // FSStats counts filesystem operations.
 type FSStats struct {
-	Opens, Closes, Writes, Reads, Seeks, Fsyncs uint64
-	BytesWritten                                uint64
-	TransientErrors, FatalErrors                uint64
+	Opens, Closes, Writes, Reads, Fsyncs uint64
+	BytesWritten                         uint64
+	TransientErrors, FatalErrors         uint64
 }
 
 // FS is an in-memory filesystem. All methods are safe for concurrent use.
@@ -114,9 +110,9 @@ type FS struct {
 
 	writeSeq atomic.Uint64
 
-	opens, closes, writes, reads, seeks, fsyncs atomic.Uint64
-	bytesWritten                                atomic.Uint64
-	transientErrs, fatalErrs                    atomic.Uint64
+	opens, closes, writes, reads, fsyncs atomic.Uint64
+	bytesWritten                         atomic.Uint64
+	transientErrs, fatalErrs             atomic.Uint64
 
 	crashState // crash-image capture (see crash.go)
 }
@@ -148,7 +144,6 @@ func (fs *FS) Stats() FSStats {
 		Closes:          fs.closes.Load(),
 		Writes:          fs.writes.Load(),
 		Reads:           fs.reads.Load(),
-		Seeks:           fs.seeks.Load(),
 		Fsyncs:          fs.fsyncs.Load(),
 		BytesWritten:    fs.bytesWritten.Load(),
 		TransientErrors: fs.transientErrs.Load(),
@@ -291,9 +286,6 @@ type File struct {
 	closed bool
 }
 
-// Name returns the file's name.
-func (f *File) Name() string { return f.name }
-
 // Write writes p at the current offset (or at end-of-file in append mode),
 // applying the latency model and fault injection. On a transient fault a
 // partial prefix may have been written; the returned count reflects it.
@@ -378,36 +370,6 @@ func (f *File) Read(p []byte) (int, error) {
 	n := copy(p, f.fd.data[f.offset:])
 	f.offset += n
 	return n, nil
-}
-
-// Seek repositions the handle. Whence follows io.Seek* semantics.
-func (f *File) Seek(offset int64, whence int) (int64, error) {
-	f.fs.sleep(f.fs.lat.Seek)
-	f.fs.seeks.Add(1)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
-		return 0, fmt.Errorf("seek %s: %w", f.name, ErrClosed)
-	}
-	f.fd.mu.Lock()
-	size := len(f.fd.data)
-	f.fd.mu.Unlock()
-	var abs int64
-	switch whence {
-	case io.SeekStart:
-		abs = offset
-	case io.SeekCurrent:
-		abs = int64(f.offset) + offset
-	case io.SeekEnd:
-		abs = int64(size) + offset
-	default:
-		return 0, fmt.Errorf("seek %s: invalid whence %d", f.name, whence)
-	}
-	if abs < 0 {
-		return 0, fmt.Errorf("seek %s: negative position", f.name)
-	}
-	f.offset = int(abs)
-	return abs, nil
 }
 
 // Len returns the file's current size.

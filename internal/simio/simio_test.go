@@ -62,36 +62,22 @@ func TestCreateTruncates(t *testing.T) {
 	}
 }
 
-func TestReadSeek(t *testing.T) {
+func TestReadAdvancesToEOF(t *testing.T) {
 	fs := NewFS(Latency{})
-	f, _ := fs.Create("a")
-	_, _ = f.Write([]byte("0123456789"))
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	w, _ := fs.Create("a")
+	_, _ = w.Write([]byte("0123456789"))
+	f, err := fs.Open("a")
+	if err != nil {
 		t.Fatal(err)
 	}
 	buf := make([]byte, 4)
-	n, err := f.Read(buf)
-	if err != nil || n != 4 || string(buf) != "0123" {
-		t.Errorf("Read = %d,%v,%q", n, err, buf)
-	}
-	if pos, err := f.Seek(-2, io.SeekEnd); err != nil || pos != 8 {
-		t.Errorf("SeekEnd = %d,%v", pos, err)
-	}
-	n, _ = f.Read(buf)
-	if n != 2 || string(buf[:2]) != "89" {
-		t.Errorf("tail read = %q", buf[:n])
+	for _, want := range []string{"0123", "4567", "89"} {
+		if n, err := f.Read(buf); err != nil || string(buf[:n]) != want {
+			t.Errorf("Read = %q,%v, want %q", buf[:n], err, want)
+		}
 	}
 	if _, err := f.Read(buf); err != io.EOF {
 		t.Errorf("expected EOF, got %v", err)
-	}
-	if pos, err := f.Seek(2, io.SeekCurrent); err != nil || pos != 12 {
-		t.Errorf("SeekCurrent = %d,%v", pos, err)
-	}
-	if _, err := f.Seek(-100, io.SeekStart); err == nil {
-		t.Error("negative seek allowed")
-	}
-	if _, err := f.Seek(0, 99); err == nil {
-		t.Error("bad whence allowed")
 	}
 }
 
@@ -141,9 +127,6 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if _, err := f.Read(make([]byte, 1)); !errors.Is(err, ErrClosed) {
 		t.Errorf("read-after-close err = %v", err)
-	}
-	if _, err := f.Seek(0, io.SeekStart); !errors.Is(err, ErrClosed) {
-		t.Errorf("seek-after-close err = %v", err)
 	}
 	if err := f.Fsync(); !errors.Is(err, ErrClosed) {
 		t.Errorf("fsync-after-close err = %v", err)
@@ -255,12 +238,11 @@ func TestStatsCounters(t *testing.T) {
 	fs := NewFS(Latency{})
 	f, _ := fs.Create("s")
 	_, _ = f.Write([]byte("1234"))
-	_, _ = f.Seek(0, io.SeekStart)
 	_, _ = f.Read(make([]byte, 2))
 	_ = f.Fsync()
 	_ = f.Close()
 	st := fs.Stats()
-	if st.Opens != 1 || st.Closes != 1 || st.Writes != 1 || st.Reads != 1 || st.Seeks != 1 || st.Fsyncs != 1 {
+	if st.Opens != 1 || st.Closes != 1 || st.Writes != 1 || st.Reads != 1 || st.Fsyncs != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.BytesWritten != 4 {

@@ -162,21 +162,3 @@ func TestCheckerSmoke(t *testing.T) {
 	runCheckedMix(t, stm.ModeSTM, 1, 4, 200)
 	runCheckedMix(t, stm.ModeHTM, 1, 4, 200)
 }
-
-// Recording disabled must leave no trace: a runtime without a recorder
-// assigns no transaction IDs and emits nothing.
-func TestNilRecorderFastPath(t *testing.T) {
-	rt := stm.NewDefault()
-	v := stm.NewVar(0)
-	var id uint64 = 999
-	if err := rt.Atomic(func(tx *stm.Tx) error {
-		v.Set(tx, 1)
-		id = tx.ID()
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if id != 0 {
-		t.Fatalf("tx ID assigned without a recorder: %d", id)
-	}
-}

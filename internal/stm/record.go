@@ -8,7 +8,7 @@ import "fmt"
 type EventKind uint8
 
 const (
-	EvNone EventKind = iota
+	_ EventKind = iota // the zero kind is no event
 
 	// EvBegin marks the start of one transaction attempt. Ver is the
 	// attempt's read version (its TL2 begin snapshot).
@@ -218,10 +218,6 @@ func (rt *Runtime) RecordEvent(ev Event) { rt.recEvent(ev) }
 
 // Recording reports whether a recorder is attached.
 func (rt *Runtime) Recording() bool { return rt.rec != nil }
-
-// ID returns this attempt's unique transaction ID (0 when no recorder
-// is attached; IDs are only assigned while recording).
-func (tx *Tx) ID() uint64 { return tx.id }
 
 // RecordOnCommit queues ev to be emitted if and when the current
 // attempt commits. The flush fills in TxID and, if ev.Ver is zero, the

@@ -295,7 +295,7 @@ func TestQuiesceSlotAboveMark(t *testing.T) {
 		t.Errorf("A's quiesce counted %d waits, want 1 (for B)", d.QuiesceWaits)
 	}
 
-	rv := rt.GlobalClock()
+	rv := rt.clock.Load()
 	var mark int32
 	var slotC, got int
 	rt.quiesceTestHook = func() {
@@ -449,8 +449,8 @@ func TestStateSeesActiveTransaction(t *testing.T) {
 		t.Errorf("%d active slots (the transaction's slot %d active: %v), want its slot alone",
 			active, slot, rt.slots[slot].isActive())
 	}
-	if rv := rt.slots[slot].word.Load() >> 1; rv > rt.GlobalClock() {
-		t.Errorf("slot holds begin timestamp %d, past the clock %d", rv, rt.GlobalClock())
+	if rv := rt.slots[slot].word.Load() >> 1; rv > rt.clock.Load() {
+		t.Errorf("slot holds begin timestamp %d, past the clock %d", rv, rt.clock.Load())
 	}
 	close(release)
 	<-done

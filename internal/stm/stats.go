@@ -14,7 +14,7 @@ import (
 // counters in one shared block of atomic words, so committers on
 // different CPUs invalidated each other's counter lines on every
 // transaction — pure bookkeeping true-sharing on the hottest path.
-// Reads (Snapshot, Counter.Load) sum all shards, so counter values
+// Reads (Snapshot) sum all shards, so counter values
 // stay exact; only the memory location of each increment changed.
 //
 // Counter indices into a shard. Keep this list, the counterSlots
@@ -82,17 +82,6 @@ func (c Counter) Add(n uint64) {
 func (c Counter) addAt(slot int, n uint64) {
 	s := c.s
 	s.shards[uint32(slot)&s.mask].c[c.i].Add(n)
-}
-
-// Load returns the counter's exact current value (the sum over all
-// stripes).
-func (c Counter) Load() uint64 {
-	s := c.s
-	var t uint64
-	for i := range s.shards {
-		t += s.shards[i].c[c.i].Load()
-	}
-	return t
 }
 
 // Stats holds the runtime's monotonic event counters. All counters are
@@ -237,10 +226,10 @@ func (rt *Runtime) Snapshot() StatsSnapshot {
 	}
 }
 
-// Delta returns the per-field difference s - prev: the counter activity of
-// the interval between the two snapshots. It is the canonical way to report
-// per-workload or per-phase statistics (cmd/stmtorture).
-func (s StatsSnapshot) Delta(prev StatsSnapshot) StatsSnapshot {
+// Sub returns the per-field difference s - prev: the counter activity of
+// the interval between the two snapshots, as cmd/stmtorture and the
+// benchmark report per-workload and per-phase statistics.
+func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot {
 	return StatsSnapshot{
 		Starts:         s.Starts - prev.Starts,
 		Commits:        s.Commits - prev.Commits,
@@ -265,9 +254,6 @@ func (s StatsSnapshot) Delta(prev StatsSnapshot) StatsSnapshot {
 		SnapshotTruncations: s.SnapshotTruncations - prev.SnapshotTruncations,
 	}
 }
-
-// Sub is a deprecated alias for Delta.
-func (s StatsSnapshot) Sub(prev StatsSnapshot) StatsSnapshot { return s.Delta(prev) }
 
 // Aborts returns the total number of aborted attempts of all kinds
 // (excluding user aborts, which are final).

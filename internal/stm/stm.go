@@ -249,12 +249,6 @@ func New(cfg Config) *Runtime {
 // NewDefault creates an STM Runtime with default configuration.
 func NewDefault() *Runtime { return New(Config{}) }
 
-// Config returns the (defaulted) configuration the Runtime was built with.
-func (rt *Runtime) Config() Config { return rt.cfg }
-
-// Mode reports the runtime's execution mode.
-func (rt *Runtime) Mode() Mode { return rt.cfg.Mode }
-
 // NewOwner allocates a fresh lock-owner identity. Use this when a
 // transaction-friendly lock must be held across multiple transactions by
 // the same logical thread (e.g. acquire in one transaction, release in a
@@ -262,10 +256,6 @@ func (rt *Runtime) Mode() Mode { return rt.cfg.Mode }
 func (rt *Runtime) NewOwner() OwnerID {
 	return OwnerID(rt.ownerCtr.Add(1))
 }
-
-// GlobalClock returns the current value of the global version clock.
-// It is exported for tests and diagnostics.
-func (rt *Runtime) GlobalClock() uint64 { return rt.clock.Load() }
 
 // nextWriteVersion draws a commit timestamp for a writing transaction
 // that holds its commit locks — TL2's GV4 ("pass on failure") clock:

@@ -108,20 +108,6 @@ func TestUserPanicPropagatesAndCleansUp(t *testing.T) {
 	<-done
 }
 
-func TestUpdate(t *testing.T) {
-	rt := NewDefault()
-	v := NewVar(10)
-	if err := rt.Atomic(func(tx *Tx) error {
-		v.Update(tx, func(x int) int { return x * 3 })
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := v.Load(); got != 30 {
-		t.Errorf("Update result = %d, want 30", got)
-	}
-}
-
 func TestMultipleVarsAtomicity(t *testing.T) {
 	rt := NewDefault()
 	a := NewVar(100)
@@ -253,7 +239,7 @@ func TestBankInvariant(t *testing.T) {
 func TestReadOnlyTxNoClockAdvance(t *testing.T) {
 	rt := NewDefault()
 	v := NewVar(7)
-	before := rt.GlobalClock()
+	before := rt.clock.Load()
 	for i := 0; i < 10; i++ {
 		if err := rt.Atomic(func(tx *Tx) error {
 			_ = v.Get(tx)
@@ -262,7 +248,7 @@ func TestReadOnlyTxNoClockAdvance(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if after := rt.GlobalClock(); after != before {
+	if after := rt.clock.Load(); after != before {
 		t.Errorf("read-only transactions advanced the clock: %d -> %d", before, after)
 	}
 }
@@ -643,5 +629,23 @@ func TestPanickingHookStillRunsLaterHooks(t *testing.T) {
 		return nil
 	}); err != nil || !ran {
 		t.Errorf("transaction after the panic: err %v, hook ran %v", err, ran)
+	}
+}
+
+// Recording disabled must leave no trace: a runtime without a recorder
+// assigns no transaction IDs and emits nothing.
+func TestNilRecorderFastPath(t *testing.T) {
+	rt := NewDefault()
+	v := NewVar(0)
+	var id uint64 = 999
+	if err := rt.Atomic(func(tx *Tx) error {
+		v.Set(tx, 1)
+		id = tx.id
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if id != 0 {
+		t.Fatalf("tx ID assigned without a recorder: %d", id)
 	}
 }

@@ -161,10 +161,6 @@ func (tx *Tx) Runtime() *Runtime { return tx.rt }
 // transaction can be released (and reentered) by its deferred operations.
 func (tx *Tx) Owner() OwnerID { return tx.owner }
 
-// Attempts reports how many times this Atomic call has attempted to run,
-// including the current attempt (1 on the first try).
-func (tx *Tx) Attempts() int { return tx.attempts }
-
 func (tx *Tx) mustBeActive() {
 	if !tx.active {
 		panic("stm: use of Tx outside its transaction")
@@ -360,7 +356,9 @@ func (tx *Tx) AfterCommit(fn func()) {
 // into tx, and an error aborts the whole flattened transaction (Atomic
 // returns the error). This mirrors C++ TM's flattened nesting, which the
 // paper relies on for deadlock-free multi-lock acquisition inside
-// atomic_defer.
+// atomic_defer. It is the flat-nesting entry point that README and
+// Atomic's doc point users to; code in this module nests by passing tx
+// down instead.
 func (tx *Tx) Nested(fn func(tx *Tx) error) error {
 	tx.mustBeActive()
 	return fn(tx)

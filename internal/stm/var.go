@@ -318,12 +318,6 @@ func (v *Var[T]) SetPtr(tx *Tx, p *T) {
 	tx.recordWrite(v, &v.m, p)
 }
 
-// Update applies f to the current value and stores the result, all within
-// tx. It is a convenience for read-modify-write.
-func (v *Var[T]) Update(tx *Tx, f func(T) T) {
-	v.Set(tx, f(v.Get(tx)))
-}
-
 // Load returns the committed value without a transaction. The read is an
 // atomic snapshot (it spins while a commit holds the var locked), but the
 // caller is responsible for privatization safety: per the paper's Section

@@ -64,7 +64,7 @@ func TestOwnLockValidates(t *testing.T) {
 		before := rt.Snapshot()
 		attempts := 0
 		if err := rt.Atomic(func(tx *Tx) error {
-			attempts = tx.Attempts()
+			attempts = tx.attempts
 			for _, v := range vars {
 				v.Set(tx, v.Get(tx)+1)
 			}

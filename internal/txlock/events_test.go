@@ -104,7 +104,7 @@ func TestReentrantDepthAcrossAbortRetry(t *testing.T) {
 		if err := rt.AtomicAs(me, func(tx *stm.Tx) error {
 			l.Acquire(tx)
 			l.Acquire(tx) // reentrant: depth 2
-			if d := l.Depth(tx); d != 2 {
+			if _, d := l.Peek(tx); d != 2 {
 				t.Errorf("depth inside tx = %d, want 2", d)
 			}
 			return nil
@@ -180,7 +180,7 @@ func TestReleaseByNonOwnerEmitsNoEvent(t *testing.T) {
 	}
 }
 
-// TryAcquire on a held lock fails without waiting and without emitting
+// TryAcquireAs on a held lock fails without waiting and without emitting
 // an acquire event; on a free lock it emits exactly one.
 func TestTryAcquireEventDiscipline(t *testing.T) {
 	log := history.New()
@@ -197,9 +197,9 @@ func TestTryAcquireEventDiscipline(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got {
-		t.Fatal("TryAcquire succeeded on a held lock")
+		t.Fatal("TryAcquireAs succeeded on a held lock")
 	}
 	if n := countKind(log.Events(), stm.EvLockAcquire, other); n != 0 {
-		t.Fatalf("%d acquire events recorded for a failed TryAcquire", n)
+		t.Fatalf("%d acquire events recorded for a failed TryAcquireAs", n)
 	}
 }

@@ -97,11 +97,8 @@ func (l *Lock) AcquireAs(tx *stm.Tx, me stm.OwnerID) {
 	}
 }
 
-// TryAcquire is like Acquire but returns false instead of waiting when the
-// lock is held by another owner.
-func (l *Lock) TryAcquire(tx *stm.Tx) bool { return l.TryAcquireAs(tx, tx.Owner()) }
-
-// TryAcquireAs is TryAcquire with an explicit owner identity.
+// TryAcquireAs is Acquire with an explicit owner identity that returns
+// false instead of waiting when the lock is held by another owner.
 func (l *Lock) TryAcquireAs(tx *stm.Tx, me stm.OwnerID) bool {
 	if me == 0 {
 		panic("txlock: zero OwnerID")
@@ -165,12 +162,6 @@ func (l *Lock) recordOp(tx *stm.Tx, kind stm.EventKind, me stm.OwnerID, aux uint
 	}
 	tx.RecordOnCommit(stm.Event{Kind: kind, Owner: me, Var: l.st.ID(), Aux: aux})
 }
-
-// HeldBy reports the current owner (0 if unheld) inside tx.
-func (l *Lock) HeldBy(tx *stm.Tx) stm.OwnerID { return l.st.GetPtr(tx).ownerOrZero() }
-
-// Depth reports the current reentrancy depth inside tx.
-func (l *Lock) Depth(tx *stm.Tx) int { return l.st.GetPtr(tx).depthOrZero() }
 
 // OwnerSnapshot returns the owner without a transaction (diagnostics).
 func (l *Lock) OwnerSnapshot() stm.OwnerID { return l.st.LoadPtr().ownerOrZero() }

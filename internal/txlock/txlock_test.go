@@ -31,11 +31,8 @@ func TestAcquireRelease(t *testing.T) {
 	me := rt.NewOwner()
 	if err := rt.AtomicAs(me, func(tx *stm.Tx) error {
 		l.Acquire(tx)
-		if got := l.HeldBy(tx); got != me {
-			t.Errorf("HeldBy = %d, want %d", got, me)
-		}
-		if got := l.Depth(tx); got != 1 {
-			t.Errorf("Depth = %d, want 1", got)
+		if o, d := l.Peek(tx); o != me || d != 1 {
+			t.Errorf("owner, depth = %d, %d, want %d, 1", o, d, me)
 		}
 		return l.Release(tx)
 	}); err != nil {
@@ -54,14 +51,14 @@ func TestReentrancy(t *testing.T) {
 		l.Acquire(tx)
 		l.Acquire(tx)
 		l.Acquire(tx)
-		if d := l.Depth(tx); d != 3 {
-			t.Errorf("Depth = %d, want 3", d)
+		if _, d := l.Peek(tx); d != 3 {
+			t.Errorf("depth = %d, want 3", d)
 		}
 		if err := l.Release(tx); err != nil {
 			return err
 		}
-		if d := l.Depth(tx); d != 2 {
-			t.Errorf("Depth after one release = %d, want 2", d)
+		if _, d := l.Peek(tx); d != 2 {
+			t.Errorf("depth after one release = %d, want 2", d)
 		}
 		if err := l.Release(tx); err != nil {
 			return err
@@ -69,8 +66,8 @@ func TestReentrancy(t *testing.T) {
 		if err := l.Release(tx); err != nil {
 			return err
 		}
-		if got := l.HeldBy(tx); got != 0 {
-			t.Errorf("still held after full release: %d", got)
+		if o, _ := l.Peek(tx); o != 0 {
+			t.Errorf("still held after full release: %d", o)
 		}
 		return nil
 	}); err != nil {
@@ -211,15 +208,15 @@ func TestTryAcquire(t *testing.T) {
 	l.AcquireOutside(rt, a)
 	var ok bool
 	_ = rt.AtomicAs(b, func(tx *stm.Tx) error {
-		ok = l.TryAcquire(tx)
+		ok = l.TryAcquireAs(tx, b)
 		return nil
 	})
 	if ok {
-		t.Error("TryAcquire succeeded on held lock")
+		t.Error("TryAcquireAs succeeded on a held lock")
 	}
 	_ = rt.AtomicAs(a, func(tx *stm.Tx) error {
-		if !l.TryAcquire(tx) {
-			t.Error("reentrant TryAcquire failed")
+		if !l.TryAcquireAs(tx, a) {
+			t.Error("reentrant TryAcquireAs failed")
 		}
 		return nil
 	})

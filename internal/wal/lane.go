@@ -12,11 +12,9 @@ import (
 	"strings"
 )
 
-// LanePrefix returns the file-name prefix lane files live under.
-// Lane 0 of a multi-lane store uses "lane00-", lane 1 "lane01-", and
-// so on; a single-lane store uses no prefix at all, which keeps its
-// directory layout byte-identical to the unsharded format (and lets it
-// adopt pre-lane directories).
+// LanePrefix returns the file-name prefix lane files live under: lane 0
+// uses "lane00-", lane 1 "lane01-", and so on, at every lane count, a
+// single-lane store's lane 0 too.
 func LanePrefix(lane int) string { return fmt.Sprintf("lane%02d-", lane) }
 
 // SubBackend namespaces b under prefix: every file the returned

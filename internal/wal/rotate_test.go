@@ -98,7 +98,7 @@ var rotRec = bytes.Repeat([]byte{'r'}, 100-recordHeader)
 func flushRecords(t *testing.T, l *Log, n int) {
 	t.Helper()
 	var last uint64
-	if err := l.Runtime().Atomic(func(tx *stm.Tx) error {
+	if err := l.rt.Atomic(func(tx *stm.Tx) error {
 		for i := 0; i < n; i++ {
 			last = l.Reserve(tx)
 			l.EnqueueReserved(tx, last, 0, false, rotRec)

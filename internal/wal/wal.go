@@ -93,7 +93,8 @@ func (o Options) withDefaults() Options {
 // Record is one replayed log record. Seg and Off locate the record on
 // storage (the segment file and the byte offset of the record's first
 // byte within it) so recovery layers that must surgically drop a suffix
-// — e.g. the KV store's cross-shard atomicity pass — can call
+// — the KV store's recovery, which cuts a lane where its Applier held
+// back a cross-shard batch missing on a sibling lane — can call
 // TruncateTail without re-scanning.
 type Record struct {
 	LSN     uint64
@@ -369,9 +370,6 @@ func Open(rt *stm.Runtime, b Backend, opts Options) (*Log, *Recovery, error) {
 	}
 	return l, rec, nil
 }
-
-// Runtime returns the runtime the log's transactions run on.
-func (l *Log) Runtime() *stm.Runtime { return l.rt }
 
 // SetMetrics attaches met to the log. Call it before the first append:
 // the log reads it unsynchronized.

@@ -249,7 +249,7 @@ func TestTornTailTruncated(t *testing.T) {
 		t.Fatalf("recovered LastLSN=%d, %d records", rec.LastLSN, len(rec.Records))
 	}
 	// The log must be appendable after truncation: LSN 3 is reissued.
-	rt2 := l2.Runtime()
+	rt2 := l2.rt
 	if lsn := appendOne(t, rt2, l2, "gamma-again"); lsn != 3 {
 		t.Fatalf("post-truncate append got LSN %d, want 3", lsn)
 	}
